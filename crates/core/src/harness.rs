@@ -1,10 +1,10 @@
 //! The experiment harness: deterministic rank × thread grids.
 
 use crate::method::Method;
-use mtmpi_live::{LiveCollector, LiveConfig};
 use mtmpi_metrics::{CsTrace, DanglingSampler, Histogram};
 use mtmpi_net::{FaultPlan, NetModel};
 use mtmpi_obs::{RingRecorder, RunRecord, Sink, Timeline, DEFAULT_SHARD_CAP};
+use mtmpi_prof::{LiveCollector, LiveConfig, LiveStats};
 use mtmpi_runtime::{Granularity, RankHandle, RankStats, RuntimeCosts, VciMap, World};
 use mtmpi_sim::{
     EventCore, LockModelParams, Platform, PlatformReport, SimError, StepOutcome, ThreadDesc,
@@ -24,7 +24,7 @@ pub struct ObsConfig {
     /// life-cycle, poll batches, RMA services). Off by default: the
     /// histograms are always on, the timeline costs memory.
     pub trace: bool,
-    /// Run the mtmpi-live online collector alongside the workload (also
+    /// Run the `mtmpi_prof::live` online collector alongside the workload (also
     /// enabled by `MTMPI_LIVE=1`). Implies tracing. **Perturbs the
     /// schedule**: the collector participates in the simulation as one
     /// extra virtual thread, so `end_ns` and `sched_trace_hash` differ
@@ -239,9 +239,6 @@ impl Experiment {
             builder = builder
                 .recorder(rec.clone())
                 .recorder_shards(rec.shard_count());
-        }
-        if let Some(c) = &live {
-            builder = builder.live(c.clone());
         }
         let world = builder
             .build()
@@ -468,6 +465,7 @@ impl TenantRun {
             nranks: self.nranks,
             threads_per_rank: self.threads_per_rank,
             timeline,
+            live: self.live.take(),
         };
         if let Some(sink) = &self.sink {
             let mut cs_wait = Histogram::new();
@@ -636,9 +634,17 @@ pub struct RunOutcome {
     /// Structured-event timeline (present when the experiment had
     /// tracing enabled via [`Experiment::trace`]).
     pub timeline: Option<Timeline>,
+    live: Option<Arc<LiveCollector>>,
 }
 
 impl RunOutcome {
+    /// End-of-run online profiling snapshot (per-window wait quantiles,
+    /// streaming blame shares, Gini indices, starvation ratio), or
+    /// `None` unless the run had the collector on ([`Experiment::live`]).
+    pub fn live_stats(&self) -> Option<LiveStats> {
+        self.live.as_ref().map(|c| c.snapshot())
+    }
+
     /// Acquisition trace of a rank's queue lock.
     pub fn trace(&self, rank: u32) -> &CsTrace {
         &self.report.lock_traces[self.world.lock_of(rank).0]

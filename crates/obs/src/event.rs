@@ -11,6 +11,8 @@
 //! recorder is append-only: emitting once at the end keeps the hot path to
 //! a single push.
 
+use crate::recorder::CsSpanView;
+
 /// Which lock path a critical-section entry used (paper Fig 6a): the
 /// high-priority main path (application calls), the low-priority
 /// progress path (polling loops), or an application thread spinning in a
@@ -50,14 +52,10 @@ impl Path {
     /// `Main` first so per-path tables lead with the application path).
     pub const ALL: [Path; 4] = [Path::Main, Path::Progress, Path::WaitSpin, Path::Stream];
 
-    /// Stable small index of the variant (position in [`Path::ALL`]).
+    /// Stable small index of the variant (position in [`Path::ALL`],
+    /// which lists the variants in declaration order).
     pub fn idx(self) -> u8 {
-        match self {
-            Path::Main => 0,
-            Path::Progress => 1,
-            Path::WaitSpin => 2,
-            Path::Stream => 3,
-        }
+        self as u8
     }
 
     /// Inverse of [`Path::idx`].
@@ -117,6 +115,12 @@ impl CsOp {
         CsOp::Rma,
         CsOp::Other,
     ];
+
+    /// Stable small index of the variant (position in [`CsOp::ALL`],
+    /// which lists the variants in declaration order).
+    pub fn idx(self) -> u8 {
+        self as u8
+    }
 }
 
 /// Request life-cycle phase (paper Fig 3b: Issue → Post → Complete →
@@ -282,6 +286,37 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+impl Event {
+    /// The critical-section passage this event records, if it is a
+    /// [`EventKind::CsSpan`] (the one place the projection is spelled).
+    pub fn cs_span(&self) -> Option<CsSpanView> {
+        match self.kind {
+            EventKind::CsSpan {
+                lock,
+                kind,
+                path,
+                op,
+                vci,
+                t_req,
+                t_acq,
+            } => Some(CsSpanView {
+                tid: self.tid,
+                core: self.core,
+                socket: self.socket,
+                lock,
+                kind,
+                path,
+                op,
+                vci,
+                t_req,
+                t_acq,
+                t_end: self.t_ns,
+            }),
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,6 +325,9 @@ mod tests {
     fn path_idx_round_trips() {
         for p in Path::ALL {
             assert_eq!(Path::from_idx(p.idx()), p);
+        }
+        for (i, op) in CsOp::ALL.iter().enumerate() {
+            assert_eq!(usize::from(op.idx()), i);
         }
         let mut labels: Vec<&str> = Path::ALL.iter().map(|p| p.label()).collect();
         labels.sort_unstable();

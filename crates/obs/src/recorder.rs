@@ -8,7 +8,7 @@
 //! implementation: `enabled()` is `false` and `record` is a no-op, so
 //! callers that check `enabled()` first skip event construction entirely.
 
-use crate::event::{CsOp, Event, EventKind, Path};
+use crate::event::{CsOp, Event, Path};
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -54,7 +54,7 @@ pub struct Timeline {
 }
 
 /// Flattened view of one critical-section passage (the analysis-friendly
-/// projection of [`EventKind::CsSpan`]).
+/// projection of [`crate::EventKind::CsSpan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsSpanView {
     /// Recording thread.
@@ -106,30 +106,7 @@ impl Timeline {
 
     /// Iterate the critical-section passages, in `(t_ns, tid)` order.
     pub fn cs_spans(&self) -> impl Iterator<Item = CsSpanView> + '_ {
-        self.events.iter().filter_map(|ev| match ev.kind {
-            EventKind::CsSpan {
-                lock,
-                kind,
-                path,
-                op,
-                vci,
-                t_req,
-                t_acq,
-            } => Some(CsSpanView {
-                tid: ev.tid,
-                core: ev.core,
-                socket: ev.socket,
-                lock,
-                kind,
-                path,
-                op,
-                vci,
-                t_req,
-                t_acq,
-                t_end: ev.t_ns,
-            }),
-            _ => None,
-        })
+        self.events.iter().filter_map(Event::cs_span)
     }
 
     /// `[first, last]` event timestamps (`(0, 0)` when empty). For CS
@@ -279,7 +256,7 @@ impl Drop for Shard {
 /// Storage is chunked and append-only: committed events never move, so a
 /// concurrent reader ([`RingRecorder::drain_incremental`]) can stream the
 /// committed prefix of every shard *while writers are still recording* —
-/// the contract the mtmpi-live online collector is built on. The
+/// the contract the `prof::live` online collector is built on. The
 /// destructive drains ([`RingRecorder::into_timeline`],
 /// [`RingRecorder::drain_unsynced`]) still require quiesced writers.
 pub struct RingRecorder {

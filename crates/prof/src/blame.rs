@@ -3,8 +3,9 @@
 //! For each critical-section wait span `[t_req, t_acq)` on lock `L`, find
 //! the hold spans `[t_acq_h, t_end_h)` of *other* passages of `L` that
 //! overlap it, and charge the overlap nanoseconds to the holder's
-//! `(thread, path, op)`. Hold spans of one lock are disjoint (a lock has
-//! one owner at a time), so the charges within one wait never overlap and
+//! `(thread, path, op, vci)`. Hold spans of one lock are disjoint (a lock
+//! has one owner at a time), so the charges within one wait never overlap
+//! and
 //!
 //! ```text
 //! Σ charges(wait) + unattributed(wait) == wait_ns     (exactly)
@@ -14,6 +15,14 @@
 //! the lock — arbitration/hand-off time (the wake-up latencies of §4.2)
 //! plus any holder whose span fell out of the trace. Summed over rows the
 //! matrix therefore reproduces the total recorded CS wait exactly.
+//!
+//! [`BlameFold`] is the one implementation of that rule. The post-run
+//! [`BlameMatrix`] feeds a whole timeline through it; the online
+//! collector ([`crate::live`]) feeds it one finalized batch at a time.
+//! Both are exact because a wait can only be charged to holds that ended
+//! no later than its own grant (`t_end_h ≤ t_acq ≤ t_end`): once every
+//! passage released up to some instant has been ingested, every wait
+//! released up to that instant sees all the holds it will ever see.
 
 use mtmpi_metrics::gini;
 use mtmpi_obs::{CsOp, CsSpanView, Path, Timeline};
@@ -37,13 +46,12 @@ pub struct HolderKey {
 }
 
 impl HolderKey {
-    fn new(tid: u64, path: Path, op: CsOp, vci: u32) -> Self {
-        let op_idx = CsOp::ALL.iter().position(|o| *o == op).expect("op in ALL") as u8;
+    fn of(s: &CsSpanView) -> Self {
         Self {
-            tid,
-            path_idx: path.idx(),
-            op_idx,
-            vci,
+            tid: s.tid,
+            path_idx: s.path.idx(),
+            op_idx: s.op.idx(),
+            vci: s.vci,
         }
     }
 
@@ -140,106 +148,212 @@ pub struct BlameMatrix {
     pub starvation: Starvation,
 }
 
-impl BlameMatrix {
-    /// Run the attribution over a timeline's CS spans.
-    pub fn from_timeline(t: &Timeline) -> Self {
-        let spans: Vec<CsSpanView> = t.cs_spans().collect();
+/// Per-path `(spans, wait_ns)` tallies, indexed by [`Path::idx`].
+#[derive(Debug, Clone, Copy, Default)]
+struct PathTally([(u64, u64); 4]);
 
-        // Hold intervals per lock, ordered by acquisition time. Holds of
-        // one lock are disjoint, so t_end is ordered too.
-        let mut holds: BTreeMap<u32, Vec<CsSpanView>> = BTreeMap::new();
-        for s in &spans {
-            holds.entry(s.lock).or_default().push(*s);
-        }
-        for hs in holds.values_mut() {
-            hs.sort_by_key(|s| (s.t_acq, s.t_end, s.tid));
-        }
+impl PathTally {
+    fn add(&mut self, path: Path, wait_ns: u64) {
+        let p = &mut self.0[usize::from(path.idx())];
+        p.0 += 1;
+        p.1 += wait_ns;
+    }
 
-        // Charge each wait.
-        let mut rows_map: BTreeMap<u64, (BTreeMap<HolderKey, u64>, u64, u64)> = BTreeMap::new();
-        let mut total_wait_ns = 0u64;
-        for w in &spans {
-            let wait = w.wait_ns();
-            total_wait_ns += wait;
-            let entry = rows_map.entry(w.tid).or_default();
-            entry.2 += wait;
-            if wait == 0 {
-                continue;
+    fn spans(&self) -> u64 {
+        self.0.iter().map(|p| p.0).sum()
+    }
+
+    fn wait_ns(&self) -> u64 {
+        self.0.iter().map(|p| p.1).sum()
+    }
+
+    fn starvation(&self) -> Starvation {
+        let at = |path: Path| self.0[usize::from(path.idx())];
+        let mean = |(n, w): (u64, u64)| if n == 0 { 0.0 } else { w as f64 / n as f64 };
+        let (main, progress) = (at(Path::Main), at(Path::Progress));
+        Starvation {
+            main_spans: main.0,
+            progress_spans: progress.0,
+            waitspin_spans: at(Path::WaitSpin).0,
+            stream_spans: at(Path::Stream).0,
+            main_wait_mean_ns: mean(main),
+            progress_wait_mean_ns: mean(progress),
+            waitspin_wait_mean_ns: mean(at(Path::WaitSpin)),
+            stream_wait_mean_ns: mean(at(Path::Stream)),
+            ratio: if mean(main) > 0.0 && progress.0 > 0 {
+                mean(progress) / mean(main)
+            } else {
+                0.0
+            },
+        }
+    }
+}
+
+/// One ingested hold interval `[t_acq, t_end)` of a lock.
+#[derive(Debug, Clone, Copy)]
+struct Hold {
+    t_acq: u64,
+    t_end: u64,
+    key: HolderKey,
+}
+
+/// The attribution engine: ingest passages' holds, then charge their
+/// waits. The only code that knows the overlap rule.
+///
+/// Contract: before [`Self::charge`] is called for a passage, every
+/// passage of the same lock released no later than it (itself included)
+/// must have been [`Self::ingest`]ed — see the module docs for why that
+/// is enough.
+#[derive(Debug, Default)]
+pub(crate) struct BlameFold {
+    /// Per-lock holds, sorted by `(t_acq, t_end, tid)`; disjoint, so
+    /// `t_end` is ordered too.
+    holds: BTreeMap<u32, Vec<Hold>>,
+    /// Per-thread `(acquisitions, hold_ns)`.
+    per_tid: BTreeMap<u64, (u64, u64)>,
+    paths: PathTally,
+    /// Per-VCI `(hold_ns, per-path tallies)`.
+    per_vci: BTreeMap<u32, (u64, PathTally)>,
+}
+
+impl BlameFold {
+    /// Make a passage's hold visible to later [`Self::charge`] calls.
+    pub(crate) fn ingest(&mut self, s: &CsSpanView) {
+        let hs = self.holds.entry(s.lock).or_default();
+        let at = hs.partition_point(|h| (h.t_acq, h.t_end, h.key.tid) <= (s.t_acq, s.t_end, s.tid));
+        hs.insert(
+            at,
+            Hold {
+                t_acq: s.t_acq,
+                t_end: s.t_end,
+                key: HolderKey::of(s),
+            },
+        );
+    }
+
+    /// Count a passage into the per-thread / per-path / per-VCI tallies.
+    fn tally(&mut self, s: &CsSpanView) {
+        let (wait, hold) = (s.wait_ns(), s.hold_ns());
+        let t = self.per_tid.entry(s.tid).or_default();
+        t.0 += 1;
+        t.1 += hold;
+        self.paths.add(s.path, wait);
+        let v = self.per_vci.entry(s.vci).or_default();
+        v.0 += hold;
+        v.1.add(s.path, wait);
+    }
+
+    /// Tally a passage and charge its wait to the concurrent holders of
+    /// its lock: `sink(holder, ns)` once per overlapping hold. Returns the
+    /// unattributed remainder, so `Σ sink ns + returned == s.wait_ns()`.
+    pub(crate) fn charge(&mut self, s: &CsSpanView, mut sink: impl FnMut(HolderKey, u64)) -> u64 {
+        self.tally(s);
+        let mut unattributed = s.wait_ns();
+        if unattributed == 0 {
+            return 0;
+        }
+        let hs = self.holds.get(&s.lock).map_or(&[][..], Vec::as_slice);
+        // Holds that end before the wait starts cannot overlap it; holds
+        // that start at or after the grant cannot either.
+        let first = hs.partition_point(|h| h.t_end <= s.t_req);
+        for h in hs[first..].iter().take_while(|h| h.t_acq < s.t_acq) {
+            let (lo, hi) = (h.t_acq.max(s.t_req), h.t_end.min(s.t_acq));
+            if hi > lo {
+                unattributed -= hi - lo;
+                sink(h.key, hi - lo);
             }
-            let hs = &holds[&w.lock];
-            // First hold that ends after the wait starts; holds before it
-            // cannot overlap [t_req, t_acq).
-            let start = hs.partition_point(|h| h.t_end <= w.t_req);
-            let mut charged = 0u64;
-            for h in &hs[start..] {
-                if h.t_acq >= w.t_acq {
-                    break;
-                }
-                // Skip self (our own hold starts exactly at t_acq, so it
-                // is excluded by the break above; this guards identical
-                // timestamps).
-                if h.tid == w.tid && h.t_acq == w.t_acq {
-                    continue;
-                }
-                let lo = h.t_acq.max(w.t_req);
-                let hi = h.t_end.min(w.t_acq);
-                if hi > lo {
-                    let ns = hi - lo;
-                    charged += ns;
-                    *entry
-                        .0
-                        .entry(HolderKey::new(h.tid, h.path, h.op, h.vci))
-                        .or_default() += ns;
-                }
-            }
-            entry.1 += wait - charged;
         }
+        unattributed
+    }
 
-        let rows: Vec<BlameRow> = rows_map
-            .into_iter()
-            .map(|(tid, (cells, unattributed_ns, total_ns))| BlameRow {
-                waiter_tid: tid,
-                cells: cells
-                    .into_iter()
-                    .map(|(holder, ns)| BlameCell { holder, ns })
-                    .collect(),
-                unattributed_ns,
-                total_ns,
-            })
-            .collect();
+    /// Total wait of every passage charged so far.
+    pub(crate) fn total_wait_ns(&self) -> u64 {
+        self.paths.wait_ns()
+    }
 
-        // Shares + Gini.
-        let mut acq: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        for s in &spans {
-            let e = acq.entry(s.tid).or_default();
-            e.0 += 1;
-            e.1 += s.hold_ns();
-        }
-        let total_acq: u64 = acq.values().map(|v| v.0).sum();
-        let shares: Vec<ThreadShare> = acq
+    /// Passages charged so far.
+    pub(crate) fn spans(&self) -> u64 {
+        self.paths.spans()
+    }
+
+    /// Per-thread acquisition shares, ordered by tid.
+    pub(crate) fn shares(&self) -> Vec<ThreadShare> {
+        let total = self.spans();
+        self.per_tid
             .iter()
-            .map(|(&tid, &(n, hold_ns))| ThreadShare {
+            .map(|(&tid, &(acquisitions, hold_ns))| ThreadShare {
                 tid,
-                acquisitions: n,
-                share: if total_acq == 0 {
+                acquisitions,
+                share: if total == 0 {
                     0.0
                 } else {
-                    n as f64 / total_acq as f64
+                    acquisitions as f64 / total as f64
                 },
                 hold_ns,
             })
+            .collect()
+    }
+
+    /// Main/progress/wait-spin asymmetry over everything charged so far.
+    pub(crate) fn starvation(&self) -> Starvation {
+        self.paths.starvation()
+    }
+
+    /// One [`VciLoad`] per shard seen (ordered by VCI) and the Gini index
+    /// over the per-shard acquisition counts.
+    pub(crate) fn vci_loads(&self) -> (Vec<VciLoad>, f64) {
+        let loads: Vec<VciLoad> = self
+            .per_vci
+            .iter()
+            .map(|(&vci, (hold_ns, paths))| VciLoad {
+                vci,
+                acquisitions: paths.spans(),
+                hold_ns: *hold_ns,
+                wait_ns: paths.wait_ns(),
+                starvation: paths.starvation(),
+            })
             .collect();
-        let counts: Vec<u64> = acq.values().map(|v| v.0).collect();
+        let counts: Vec<u64> = loads.iter().map(|l| l.acquisitions).collect();
+        let g = gini(&counts);
+        (loads, g)
+    }
+}
 
-        // Starvation (same tallies the per-VCI breakdown uses).
-        let starvation = starvation_of(&spans);
-
+impl BlameMatrix {
+    /// Run the attribution over a timeline's CS spans.
+    pub fn from_timeline(t: &Timeline) -> Self {
+        let mut fold = BlameFold::default();
+        for s in t.cs_spans() {
+            fold.ingest(&s);
+        }
+        // Per waiter: `(cells, unattributed_ns, total_ns)`.
+        let mut rows: BTreeMap<u64, (BTreeMap<HolderKey, u64>, u64, u64)> = BTreeMap::new();
+        for s in t.cs_spans() {
+            let row = rows.entry(s.tid).or_default();
+            row.1 += fold.charge(&s, |holder, ns| *row.0.entry(holder).or_default() += ns);
+            row.2 += s.wait_ns();
+        }
+        let shares = fold.shares();
+        let counts: Vec<u64> = shares.iter().map(|s| s.acquisitions).collect();
         Self {
-            rows,
-            total_wait_ns,
+            rows: rows
+                .into_iter()
+                .map(
+                    |(waiter_tid, (cells, unattributed_ns, total_ns))| BlameRow {
+                        waiter_tid,
+                        cells: cells
+                            .into_iter()
+                            .map(|(holder, ns)| BlameCell { holder, ns })
+                            .collect(),
+                        unattributed_ns,
+                        total_ns,
+                    },
+                )
+                .collect(),
+            total_wait_ns: fold.total_wait_ns(),
             shares,
             gini: gini(&counts),
-            starvation,
+            starvation: fold.starvation(),
         }
     }
 
@@ -291,73 +405,11 @@ pub struct VciLoad {
 /// traffic evenly, approaching 1 when one shard soaks up everything
 /// (at which point sharding has bought nothing over the global CS).
 pub fn vci_loads(t: &Timeline) -> (Vec<VciLoad>, f64) {
-    let mut per: BTreeMap<u32, Vec<CsSpanView>> = BTreeMap::new();
+    let mut fold = BlameFold::default();
     for s in t.cs_spans() {
-        per.entry(s.vci).or_default().push(s);
+        fold.tally(&s);
     }
-    let loads: Vec<VciLoad> = per
-        .iter()
-        .map(|(&vci, spans)| VciLoad {
-            vci,
-            acquisitions: spans.len() as u64,
-            hold_ns: spans.iter().map(|s| s.hold_ns()).sum(),
-            wait_ns: spans.iter().map(|s| s.wait_ns()).sum(),
-            starvation: starvation_of(spans),
-        })
-        .collect();
-    let counts: Vec<u64> = loads.iter().map(|l| l.acquisitions).collect();
-    let g = gini(&counts);
-    (loads, g)
-}
-
-/// Path-asymmetry tallies over one set of spans (shared by the whole-run
-/// starvation summary and the per-VCI breakdown).
-fn starvation_of(spans: &[CsSpanView]) -> Starvation {
-    let (mut mn, mut mw, mut pn, mut pw, mut sn, mut sw) = (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
-    let (mut stn, mut stw) = (0u64, 0u64);
-    for s in spans {
-        match s.path {
-            Path::Main => {
-                mn += 1;
-                mw += s.wait_ns();
-            }
-            Path::Progress => {
-                pn += 1;
-                pw += s.wait_ns();
-            }
-            Path::WaitSpin => {
-                sn += 1;
-                sw += s.wait_ns();
-            }
-            Path::Stream => {
-                stn += 1;
-                stw += s.wait_ns();
-            }
-        }
-    }
-    let main_mean = if mn == 0 { 0.0 } else { mw as f64 / mn as f64 };
-    let prog_mean = if pn == 0 { 0.0 } else { pw as f64 / pn as f64 };
-    let spin_mean = if sn == 0 { 0.0 } else { sw as f64 / sn as f64 };
-    let stream_mean = if stn == 0 {
-        0.0
-    } else {
-        stw as f64 / stn as f64
-    };
-    Starvation {
-        main_spans: mn,
-        progress_spans: pn,
-        waitspin_spans: sn,
-        stream_spans: stn,
-        main_wait_mean_ns: main_mean,
-        progress_wait_mean_ns: prog_mean,
-        waitspin_wait_mean_ns: spin_mean,
-        stream_wait_mean_ns: stream_mean,
-        ratio: if main_mean > 0.0 && pn > 0 {
-            prog_mean / main_mean
-        } else {
-            0.0
-        },
-    }
+    fold.vci_loads()
 }
 
 #[cfg(test)]
@@ -569,5 +621,59 @@ mod tests {
         assert_eq!(m.total_wait_ns, 0);
         assert_eq!(m.gini, 0.0);
         assert_eq!(m.check_conservation(), (0, 0));
+    }
+
+    /// The independent oracle: every wait against every hold of its
+    /// lock, O(n²), no ordering, no early exit.
+    fn brute_force(spans: &[CsSpanView]) -> BTreeMap<u64, (BTreeMap<HolderKey, u64>, u64)> {
+        let mut rows: BTreeMap<u64, (BTreeMap<HolderKey, u64>, u64)> = BTreeMap::new();
+        for w in spans {
+            let row = rows.entry(w.tid).or_default();
+            row.1 += w.wait_ns();
+            for h in spans.iter().filter(|h| h.lock == w.lock) {
+                let ns = h.t_end.min(w.t_acq).saturating_sub(h.t_acq.max(w.t_req));
+                if ns > 0 {
+                    *row.0.entry(HolderKey::of(h)).or_default() += ns;
+                    row.1 -= ns;
+                }
+            }
+        }
+        rows
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fold_matches_the_brute_force_overlap_sum(
+            // (lock, gap since the lock's last release, hold, wait, tid, path × op)
+            steps in proptest::collection::vec(
+                (0u32..3, 0u64..4, 0u64..6, 0u64..14, 0u64..4, 0u8..32),
+                0..60,
+            ),
+        ) {
+            // Lay each lock's holds end to end (disjoint), zero-length
+            // holds and equal timestamps included.
+            let mut free_at = [0u64; 3];
+            let mut events = Vec::new();
+            for &(lock, gap, hold, wait, tid, kind) in &steps {
+                let t_acq = free_at[lock as usize] + gap;
+                free_at[lock as usize] = t_acq + hold;
+                let t_req = t_acq.saturating_sub(wait);
+                let (path, op) = (Path::from_idx(kind % 4), CsOp::ALL[usize::from(kind / 4)]);
+                events.push(cs(tid, lock, path, op, t_req, t_acq, t_acq + hold));
+            }
+            let t = timeline(events);
+            let m = BlameMatrix::from_timeline(&t);
+            proptest::prop_assert_eq!(m.check_conservation(), (0, 0));
+            let got: BTreeMap<u64, (BTreeMap<HolderKey, u64>, u64)> = m
+                .rows
+                .iter()
+                .map(|r| {
+                    let cells = r.cells.iter().map(|c| (c.holder, c.ns)).collect();
+                    (r.waiter_tid, (cells, r.unattributed_ns))
+                })
+                .collect();
+            let spans: Vec<CsSpanView> = t.cs_spans().collect();
+            proptest::prop_assert_eq!(got, brute_force(&spans));
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! A minimal JSON *value* parser.
 //!
 //! The workspace writes all its artifacts (`BENCH_*.json`, traces) with
-//! hand-rolled emitters and validates them with the grammar-only checker
-//! in `xtask`; the serde shim carries no data model. `bench-diff` and
-//! `top`, however, must *read* those artifacts back, so this module
-//! supplies the missing half: a small recursive-descent parser producing
-//! an owned [`Json`] tree. Objects keep insertion order (a `Vec` of
+//! hand-rolled emitters; the serde shim carries no data model.
+//! `bench-diff`, `top`, `replay-gate` and `xtask trace` must *read* those
+//! artifacts back, so this module supplies the missing half: a small
+//! recursive-descent parser producing an owned [`Json`] tree. It is also
+//! the workspace's only JSON validator — validation = parse. Objects keep insertion order (a `Vec` of
 //! pairs, not a map) so that re-rendering or iterating is deterministic
 //! and duplicate keys — illegal in our emitters — surface as-is instead
 //! of being silently collapsed.
@@ -285,35 +285,47 @@ impl Parser<'_> {
         Ok(v)
     }
 
+    /// RFC 8259 `number`: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+    /// `str::parse::<f64>` alone is laxer (`1.`, `-.5`, `1.e3`, `01`), so
+    /// the lexeme is checked here and only then converted.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.i;
         if self.b.get(self.i) == Some(&b'-') {
             self.i += 1;
         }
-        // Integer part (leading zeros rejected by the f64 parse being
-        // stricter than needed is fine; follow the grammar loosely here).
-        while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
-            self.i += 1;
+        let int = self.i;
+        self.digits("expected digits")?;
+        if self.b[int] == b'0' && self.i > int + 1 {
+            self.i = int + 1;
+            return self.err("leading zero");
         }
         if self.b.get(self.i) == Some(&b'.') {
             self.i += 1;
-            while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
-                self.i += 1;
-            }
+            self.digits("expected digits after '.'")?;
         }
-        if matches!(self.b.get(self.i), Some(b'e') | Some(b'E')) {
+        if matches!(self.b.get(self.i), Some(b'e' | b'E')) {
             self.i += 1;
-            if matches!(self.b.get(self.i), Some(b'+') | Some(b'-')) {
+            if matches!(self.b.get(self.i), Some(b'+' | b'-')) {
                 self.i += 1;
             }
-            while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
-                self.i += 1;
-            }
+            self.digits("expected exponent digits")?;
         }
         let s = std::str::from_utf8(&self.b[start..self.i]).expect("ascii");
         s.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number '{s}' at byte {start}"))
+    }
+
+    /// One or more ASCII digits.
+    fn digits(&mut self, what: &str) -> Result<(), String> {
+        let start = self.i;
+        while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
+            self.i += 1;
+        }
+        if self.i == start {
+            return self.err(what);
+        }
+        Ok(())
     }
 }
 
@@ -362,13 +374,60 @@ mod tests {
     }
 
     #[test]
-    fn rejects_garbage() {
-        assert!(Json::parse("").is_err());
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("nul").is_err());
-        assert!(Json::parse("1 2").is_err());
-        assert!(Json::parse("\"\u{1}\"").is_err());
+    fn accepts_valid_documents() {
+        for s in [
+            "{}",
+            "[]",
+            "null",
+            "0",
+            "-0",
+            "10",
+            "0.5",
+            "1e3",
+            "-1.5e-3",
+            "2E+2",
+            "\"a\\u00e9\\n\"",
+            "{\"a\":[1,2,{\"b\":null}],\"c\":true}",
+            " { \"traceEvents\" : [ { \"ph\" : \"X\" , \"ts\" : \"1.003\" } ] } ",
+        ] {
+            assert!(Json::parse(s).is_ok(), "should accept: {s}");
+        }
+    }
+
+    /// Malformed documents, each with the byte offset its error must
+    /// name. The number rows are the RFC 8259 cases `str::parse::<f64>`
+    /// would have let through.
+    #[test]
+    fn rejects_malformed_documents_at_the_right_offset() {
+        for (s, at) in [
+            ("", 0),
+            ("{", 1),
+            ("[1,]", 3),
+            ("{\"a\":}", 5),
+            ("{\"a\":!}", 5),
+            ("{\"a\" 1}", 5),
+            ("{\"a\":1,}", 7),
+            ("tru", 0),
+            ("nul", 0),
+            ("1 2", 2),
+            ("{} extra", 3),
+            ("\"unterminated", 13),
+            ("\"bad\\q\"", 6),
+            ("\"\u{1}\"", 1),
+            ("1.2.3", 3),
+            ("[01]x", 2),
+            ("01", 1),
+            ("-", 1),
+            ("-x", 1),
+            ("1.", 2),
+            ("-.5", 1),
+            ("1.e3", 2),
+            ("1e", 2),
+            ("1e+", 3),
+        ] {
+            let err = Json::parse(s).expect_err(s);
+            assert!(err.ends_with(&format!("at byte {at}")), "{s:?}: {err}");
+        }
     }
 
     #[test]

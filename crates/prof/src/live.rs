@@ -1,5 +1,13 @@
-//! The incremental collector: drain the ring in bounded batches on the
-//! virtual clock and fold events into windowed statistics online.
+//! `prof::live` — the online view of the same fold.
+//!
+//! The post-run [`BlameMatrix`](crate::BlameMatrix) drains the recorder
+//! once and feeds the whole timeline through [`BlameFold`]. The
+//! [`LiveCollector`] feeds the *same* fold while the run is still going:
+//! it drains the [`RingRecorder`]'s committed prefix in bounded batches
+//! on the virtual clock, finalizes everything below a watermark, and
+//! keeps only what is genuinely online around the fold — the drain
+//! cursor, the pending buffer, window flushes, and an exponentially
+//! decayed view of the charges that tracks *recent* contention.
 //!
 //! ## Watermark contract
 //!
@@ -14,26 +22,25 @@
 //! them. (If a bounded drain stops early, the watermark simply does not
 //! advance that pump — correctness is never traded for the bound.)
 //!
-//! ## Streaming blame exactness
+//! Each finalized batch is ingested holds-first and then charged in
+//! `(t_ns, tid)` order, which is the fold's contract (every passage
+//! released no later than a wait is ingested before the wait is
+//! charged), so the charges — and the per-window conservation
+//! `Σ charges + unattributed == wait` — are exact to the nanosecond.
 //!
-//! A wait `[t_req, t_acq)` on lock `L` is only ever charged to holds of
-//! `L` with `t_end ≤ t_acq ≤ t_end(wait)` (one owner at a time), so every
-//! hold a wait can be charged to is anchored no later than the wait
-//! itself. Folding each finalized batch holds-first therefore reproduces
-//! the post-run [`BlameMatrix`]-style attribution *exactly*, including
-//! the per-window conservation `Σ charges + unattributed == wait` to the
-//! nanosecond.
-//!
-//! Memory: the per-lock hold lists grow with the trace (a later long
-//! wait may reach arbitrarily far back), i.e. O(spans) — the same order
-//! as the post-run timeline this collector replaces, traded for zero
-//! post-run barrier.
-//!
-//! [`BlameMatrix`]: https://docs.rs/mtmpi-prof (crate `mtmpi-prof`, `blame::BlameMatrix`)
+//! Memory: the fold's per-lock hold lists grow with the trace (a later
+//! long wait may reach arbitrarily far back), i.e. O(spans) — the same
+//! order as the post-run timeline this collector replaces, traded for
+//! zero post-run barrier.
 
-use crate::stats::{LiveCell, LiveStats, LiveVci, LiveWindow};
-use mtmpi_metrics::{gini, Histogram};
-use mtmpi_obs::{CsOp, CsSpanView, DrainCursor, Event, EventKind, Path, RingRecorder};
+mod stats;
+
+pub use stats::{LiveCell, LiveStats, LiveWindow};
+
+use crate::blame::{BlameFold, HolderKey};
+use crate::window::WindowAcc;
+use mtmpi_metrics::gini;
+use mtmpi_obs::{DrainCursor, Event, EventKind, RingRecorder};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -65,6 +72,7 @@ impl Default for LiveConfig {
 }
 
 /// Exact + decayed accumulator of one blame cell.
+#[derive(Default)]
 struct CellAcc {
     ns: u64,
     decayed: f64,
@@ -73,89 +81,25 @@ struct CellAcc {
 /// The currently open aggregation window.
 struct WinAcc {
     start: u64,
-    spans: u64,
-    hist: Histogram,
-    wait: u64,
-    hold: u64,
+    acc: WindowAcc,
     charged: u64,
     unattr: u64,
 }
 
-impl WinAcc {
-    fn open(start: u64) -> Self {
-        Self {
-            start,
-            spans: 0,
-            hist: Histogram::new(),
-            wait: 0,
-            hold: 0,
-            charged: 0,
-            unattr: 0,
-        }
-    }
-}
-
-/// `(tid, path_idx, op_idx, vci)` — same shape (and order) as the prof
-/// layer's `HolderKey`, kept as a plain tuple so this crate does not
-/// depend on mtmpi-prof.
-type CellKey = (u64, u8, u8, u32);
-
-fn op_idx(op: CsOp) -> u8 {
-    CsOp::ALL.iter().position(|o| *o == op).expect("op in ALL") as u8
-}
-
-/// Project a recorded event onto the CS-span view (same mapping as
-/// `Timeline::cs_spans`).
-fn cs_view(e: &Event) -> Option<CsSpanView> {
-    match e.kind {
-        EventKind::CsSpan {
-            lock,
-            kind,
-            path,
-            op,
-            vci,
-            t_req,
-            t_acq,
-        } => Some(CsSpanView {
-            tid: e.tid,
-            core: e.core,
-            socket: e.socket,
-            lock,
-            kind,
-            path,
-            op,
-            vci,
-            t_req,
-            t_acq,
-            t_end: e.t_ns,
-        }),
-        _ => None,
-    }
-}
-
+#[derive(Default)]
 struct Inner {
     cursor: DrainCursor,
     /// Drained but not yet finalizable events (`t_ns >= watermark`).
     pending: Vec<Event>,
     watermark: u64,
-    /// Per-lock hold intervals, sorted by `(t_acq, t_end, tid)` — the
-    /// same order the post-run attribution sorts into.
-    holds: BTreeMap<u32, Vec<CsSpanView>>,
-    cells: BTreeMap<CellKey, CellAcc>,
-    total_wait_ns: u64,
+    fold: BlameFold,
+    cells: BTreeMap<HolderKey, CellAcc>,
     charged_ns: u64,
     unattributed_ns: u64,
-    /// Per-thread `(acquisitions, hold_ns)`.
-    per_tid: BTreeMap<u64, (u64, u64)>,
-    /// Per-path `(spans, wait_ns)`, indexed by `Path::idx`.
-    starv: [(u64, u64); 4],
-    /// Per-VCI `(acquisitions, hold_ns, wait_ns)`.
-    per_vci: BTreeMap<u32, (u64, u64, u64)>,
     window: Option<WinAcc>,
     windows_flushed: u64,
     recent: VecDeque<LiveWindow>,
     events: u64,
-    spans: u64,
     flow_sends: u64,
     flow_recvs: u64,
 }
@@ -177,32 +121,8 @@ impl LiveCollector {
         Self {
             rec,
             cfg,
-            inner: Mutex::new(Inner {
-                cursor: DrainCursor::new(),
-                pending: Vec::new(),
-                watermark: 0,
-                holds: BTreeMap::new(),
-                cells: BTreeMap::new(),
-                total_wait_ns: 0,
-                charged_ns: 0,
-                unattributed_ns: 0,
-                per_tid: BTreeMap::new(),
-                starv: [(0, 0); 4],
-                per_vci: BTreeMap::new(),
-                window: None,
-                windows_flushed: 0,
-                recent: VecDeque::new(),
-                events: 0,
-                spans: 0,
-                flow_sends: 0,
-                flow_recvs: 0,
-            }),
+            inner: Mutex::default(),
         }
-    }
-
-    /// The recorder this collector drains.
-    pub fn recorder(&self) -> &Arc<RingRecorder> {
-        &self.rec
     }
 
     /// Drain up to `cfg.batch` newly committed events, advance the
@@ -221,38 +141,26 @@ impl LiveCollector {
             inner.watermark = inner.watermark.max(now_ns);
         }
         let wm = inner.watermark;
-        let mut ready: Vec<Event> = Vec::new();
-        inner.pending.retain(|e| {
-            if e.t_ns < wm {
-                ready.push(e.clone());
-                false
-            } else {
-                true
-            }
-        });
+        let (mut ready, pending): (Vec<Event>, Vec<Event>) = std::mem::take(&mut inner.pending)
+            .into_iter()
+            .partition(|e| e.t_ns < wm);
+        inner.pending = pending;
         ready.sort_by_key(|e| (e.t_ns, e.tid));
-        // Holds first: every hold a wait in this batch can be charged to
-        // is anchored no later than the wait, i.e. already ingested or in
-        // this very batch (see module docs).
-        for e in &ready {
-            if let Some(s) = cs_view(e) {
-                let hs = inner.holds.entry(s.lock).or_default();
-                let pos =
-                    hs.partition_point(|h| (h.t_acq, h.t_end, h.tid) <= (s.t_acq, s.t_end, s.tid));
-                hs.insert(pos, s);
-            }
+        // Holds first: the fold's contract (see module docs).
+        for s in ready.iter().filter_map(Event::cs_span) {
+            inner.fold.ingest(&s);
         }
         for e in &ready {
             Self::fold(inner, &self.cfg, e);
         }
         // Flush every window whose end the watermark has passed: nothing
         // below the watermark can still arrive.
-        while let Some(w) = &inner.window {
-            if w.start.saturating_add(self.cfg.window_ns) <= wm {
-                Self::flush_window(inner, &self.cfg);
-            } else {
-                break;
-            }
+        while inner
+            .window
+            .as_ref()
+            .is_some_and(|w| w.start.saturating_add(self.cfg.window_ns) <= wm)
+        {
+            Self::flush_window(inner, &self.cfg);
         }
         done
     }
@@ -264,107 +172,51 @@ impl LiveCollector {
         while !self.pump(u64::MAX) {}
     }
 
-    /// Fold one finalized event (its holds are already ingested).
+    /// Fold one finalized event (its hold is already ingested).
     fn fold(inner: &mut Inner, cfg: &LiveConfig, e: &Event) {
         inner.events += 1;
-        match &e.kind {
+        match e.kind {
             EventKind::FlowSend { .. } => inner.flow_sends += 1,
             EventKind::FlowRecv { .. } => inner.flow_recvs += 1,
-            EventKind::CsSpan { .. } => {}
-            _ => return,
+            _ => {}
         }
-        let Some(s) = cs_view(e) else { return };
-        inner.spans += 1;
-        let wait = s.wait_ns();
-        let hold = s.hold_ns();
-        {
-            let t = inner.per_tid.entry(s.tid).or_default();
-            t.0 += 1;
-            t.1 += hold;
-        }
-        {
-            let p = &mut inner.starv[usize::from(s.path.idx())];
-            p.0 += 1;
-            p.1 += wait;
-        }
-        {
-            let v = inner.per_vci.entry(s.vci).or_default();
-            v.0 += 1;
-            v.1 += hold;
-            v.2 += wait;
-        }
-        inner.total_wait_ns += wait;
+        let Some(s) = e.cs_span() else { return };
         // Window of the span's anchor (its release time). Spans arrive
         // sorted, so the target window never moves backwards.
         let target = s.t_end - s.t_end % cfg.window_ns.max(1);
-        loop {
-            match &inner.window {
-                None => {
-                    inner.window = Some(WinAcc::open(target));
-                    break;
-                }
-                Some(w) if w.start == target => break,
-                Some(w) if target > w.start => Self::flush_window(inner, cfg),
-                Some(_) => {
-                    debug_assert!(false, "span window moved backwards");
-                    break;
-                }
-            }
+        if inner.window.as_ref().is_some_and(|w| w.start != target) {
+            debug_assert!(
+                inner.window.as_ref().is_some_and(|w| w.start < target),
+                "span window moved backwards"
+            );
+            Self::flush_window(inner, cfg);
         }
-        let w = inner.window.as_mut().expect("opened above");
-        w.spans += 1;
-        w.hist.record(wait);
-        w.wait += wait;
-        w.hold += hold;
-        if wait == 0 {
-            return;
-        }
-        // Charge the wait to its concurrent holders — the exact post-run
-        // attribution, streamed.
-        let hs = inner.holds.get(&s.lock).expect("own hold was ingested");
-        let start = hs.partition_point(|h| h.t_end <= s.t_req);
-        let mut charged = 0u64;
-        for h in &hs[start..] {
-            if h.t_acq >= s.t_acq {
-                break;
-            }
-            if h.tid == s.tid && h.t_acq == s.t_acq {
-                continue;
-            }
-            let lo = h.t_acq.max(s.t_req);
-            let hi = h.t_end.min(s.t_acq);
-            if hi > lo {
-                let ns = hi - lo;
-                charged += ns;
-                let cell = inner
-                    .cells
-                    .entry((h.tid, h.path.idx(), op_idx(h.op), h.vci))
-                    .or_insert(CellAcc {
-                        ns: 0,
-                        decayed: 0.0,
-                    });
-                cell.ns += ns;
-                cell.decayed += ns as f64;
-            }
-        }
+        let (cells, mut charged) = (&mut inner.cells, 0);
+        let unattr = inner.fold.charge(&s, |holder, ns| {
+            charged += ns;
+            let cell = cells.entry(holder).or_default();
+            cell.ns += ns;
+            cell.decayed += ns as f64;
+        });
         inner.charged_ns += charged;
-        inner.unattributed_ns += wait - charged;
-        let w = inner.window.as_mut().expect("opened above");
+        inner.unattributed_ns += unattr;
+        let w = inner.window.get_or_insert_with(|| WinAcc {
+            start: target,
+            acc: WindowAcc::default(),
+            charged: 0,
+            unattr: 0,
+        });
+        w.acc.add(&s);
         w.charged += charged;
-        w.unattr += wait - charged;
+        w.unattr += unattr;
     }
 
     fn flush_window(inner: &mut Inner, cfg: &LiveConfig) {
         let Some(w) = inner.window.take() else { return };
         inner.windows_flushed += 1;
         inner.recent.push_back(LiveWindow {
-            start_ns: w.start,
+            row: w.acc.finish(w.start),
             width_ns: cfg.window_ns,
-            spans: w.spans,
-            wait_p50_ns: w.hist.p50(),
-            wait_p99_ns: w.hist.p99(),
-            wait_ns: w.wait,
-            hold_ns: w.hold,
             charged_ns: w.charged,
             unattributed_ns: w.unattr,
         });
@@ -384,11 +236,8 @@ impl LiveCollector {
         let blame: Vec<LiveCell> = inner
             .cells
             .iter()
-            .map(|(&(tid, path_idx, op_idx, vci), c)| LiveCell {
-                tid,
-                path: Path::from_idx(path_idx),
-                op: CsOp::ALL[usize::from(op_idx)],
-                vci,
+            .map(|(&holder, c)| LiveCell {
+                holder,
                 ns: c.ns,
                 share: if total_ns == 0 {
                     0.0
@@ -403,47 +252,31 @@ impl LiveCollector {
                 },
             })
             .collect();
-        let acq_counts: Vec<u64> = inner.per_tid.values().map(|v| v.0).collect();
-        let hold_totals: Vec<u64> = inner.per_tid.values().map(|v| v.1).collect();
-        let vci_counts: Vec<u64> = inner.per_vci.values().map(|v| v.0).collect();
-        let (mn, mw) = inner.starv[usize::from(Path::Main.idx())];
-        let (pn, pw) = inner.starv[usize::from(Path::Progress.idx())];
-        let main_mean = if mn == 0 { 0.0 } else { mw as f64 / mn as f64 };
-        let prog_mean = if pn == 0 { 0.0 } else { pw as f64 / pn as f64 };
-        let starvation_ratio = if main_mean > 0.0 && pn > 0 {
-            prog_mean / main_mean
-        } else {
-            0.0
-        };
+        let shares = inner.fold.shares();
+        let acq_counts: Vec<u64> = shares.iter().map(|s| s.acquisitions).collect();
+        let hold_totals: Vec<u64> = shares.iter().map(|s| s.hold_ns).collect();
+        let (vcis, vci_gini) = inner.fold.vci_loads();
+        let starvation = inner.fold.starvation();
         LiveStats {
             watermark_ns: inner.watermark,
             events: inner.events,
-            spans: inner.spans,
+            spans: inner.fold.spans(),
             dropped: self.rec.dropped(),
             flow_sends: inner.flow_sends,
             flow_recvs: inner.flow_recvs,
             windows_flushed: inner.windows_flushed,
             recent_windows: inner.recent.iter().copied().collect(),
             blame,
-            total_wait_ns: inner.total_wait_ns,
+            total_wait_ns: inner.fold.total_wait_ns(),
             charged_ns: inner.charged_ns,
             unattributed_ns: inner.unattributed_ns,
             hold_gini: gini(&hold_totals),
             acq_gini: gini(&acq_counts),
-            vci_gini: gini(&vci_counts),
-            starvation_ratio,
-            main_spans: mn,
-            progress_spans: pn,
-            vcis: inner
-                .per_vci
-                .iter()
-                .map(|(&vci, &(acquisitions, hold_ns, wait_ns))| LiveVci {
-                    vci,
-                    acquisitions,
-                    hold_ns,
-                    wait_ns,
-                })
-                .collect(),
+            vci_gini,
+            starvation_ratio: starvation.ratio,
+            main_spans: starvation.main_spans,
+            progress_spans: starvation.progress_spans,
+            vcis,
         }
     }
 }
@@ -451,7 +284,7 @@ impl LiveCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtmpi_obs::Recorder;
+    use mtmpi_obs::{CsOp, Path, Recorder};
 
     fn span(t_req: u64, t_acq: u64, t_end: u64, tid: u64, lock: u32, path: Path) -> Event {
         Event {
@@ -504,31 +337,33 @@ mod tests {
         assert_eq!(s.charged_ns, 90);
         assert_eq!(s.unattributed_ns, 0);
         assert_eq!(s.blame.len(), 1);
-        assert_eq!(s.blame[0].tid, 1);
+        assert_eq!(s.blame[0].holder.tid, 1);
         assert_eq!(s.blame[0].ns, 90);
         assert!((s.blame[0].share - 1.0).abs() < 1e-12);
         // Both spans anchor in window 0, flushed by finalize.
         assert_eq!(s.windows_flushed, 1);
         let w = s.recent_windows[0];
-        assert_eq!(w.charged_ns + w.unattributed_ns, w.wait_ns);
-        assert_eq!(w.spans, 2);
+        assert_eq!(w.charged_ns + w.unattributed_ns, w.row.wait_ns);
+        assert_eq!(w.row.spans, 2);
     }
 
     #[test]
     fn incremental_pumps_equal_one_final_pump() {
-        // Fold the same stream two ways — many bounded pumps with a
-        // creeping watermark vs. one finalize — and require identical
-        // snapshots (modulo the watermark itself).
-        let mk = || {
+        // Fold the same contended stream two ways — many bounded pumps
+        // with a creeping watermark vs. one finalize — at batch sizes
+        // below, around and above the stream length, and require
+        // identical snapshots (modulo the watermark itself).
+        let mk = |batch| {
             let rec = Arc::new(RingRecorder::new(4096));
             for i in 0..200u64 {
-                let tid = i % 3;
                 let base = i * 50;
+                // Requested while the lock's previous passage (two spans
+                // back) still held it: 20 ns of every wait is charged.
                 rec.record(span(
-                    base,
+                    base.saturating_sub(80),
                     base + 7,
                     base + 40,
-                    tid,
+                    i % 3,
                     (i % 2) as u32,
                     Path::Main,
                 ));
@@ -537,27 +372,31 @@ mod tests {
                 rec,
                 LiveConfig {
                     window_ns: 500,
-                    batch: 17,
+                    batch,
                     ..Default::default()
                 },
             )
         };
-        let a = mk();
-        let mut now = 0;
-        while now < 20_000 {
-            now += 333;
-            a.pump(now);
-        }
-        a.finalize();
-        let b = mk();
-        b.finalize();
-        let (mut sa, mut sb) = (a.snapshot(), b.snapshot());
-        sa.watermark_ns = 0;
-        sb.watermark_ns = 0;
-        assert_eq!(sa, sb);
-        // Per-window conservation held throughout.
-        for w in &sa.recent_windows {
-            assert_eq!(w.charged_ns + w.unattributed_ns, w.wait_ns);
+        let whole = mk(4096);
+        whole.finalize();
+        let mut want = whole.snapshot();
+        want.watermark_ns = 0;
+        assert!(want.charged_ns > 0 && want.unattributed_ns > 0);
+        for batch in [1, 17, 4096] {
+            let c = mk(batch);
+            let mut now = 0;
+            while now < 20_000 {
+                now += 333;
+                c.pump(now);
+            }
+            c.finalize();
+            let mut got = c.snapshot();
+            got.watermark_ns = 0;
+            assert_eq!(got, want, "batch {batch}");
+            // Per-window conservation held throughout.
+            for w in &got.recent_windows {
+                assert_eq!(w.charged_ns + w.unattributed_ns, w.row.wait_ns);
+            }
         }
     }
 
@@ -579,7 +418,11 @@ mod tests {
         rec.record(span(900, 900, 910, 1, 0, Path::Main));
         c.finalize();
         let s = c.snapshot();
-        let cell = s.blame.iter().find(|b| b.tid == 1).expect("charged cell");
+        let cell = s
+            .blame
+            .iter()
+            .find(|b| b.holder.tid == 1)
+            .expect("charged cell");
         assert_eq!(cell.ns, 40, "exact cumulative charge survives");
         assert!(cell.decayed < cell.ns as f64, "decayed view forgot some");
         assert!(cell.decayed > 0.0);

@@ -2,28 +2,22 @@
 //! renderings: a Prometheus-style exposition (`*.live.prom`) and a
 //! fixed-width text panel (`xtask watch`).
 
+use crate::blame::{HolderKey, VciLoad};
+use crate::window::WindowRow;
 use mtmpi_metrics::Table;
-use mtmpi_obs::{CsOp, Path};
 
 /// One blame cell of the live matrix: nanoseconds waiters spent blocked
-/// behind one `(thread, path, op, vci)` holder identity, aggregated over
-/// all waiters.
+/// behind one holder identity, aggregated over all waiters.
 ///
 /// Two accumulations ride together: `ns` is the exact cumulative charge
-/// (it matches the post-run `BlameMatrix` to the nanosecond on a complete
-/// drain), while `decayed` is the exponentially-decayed view (multiplied
-/// by the configured decay at every window flush) that tracks *recent*
+/// (the post-run `BlameMatrix` column total on a complete drain), while
+/// `decayed` is the exponentially-decayed view (multiplied by the
+/// configured decay at every window flush) that tracks *recent*
 /// contention — the control signal a remediation loop would act on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiveCell {
-    /// Holding thread.
-    pub tid: u64,
-    /// Path class of the holding passage.
-    pub path: Path,
-    /// Runtime operation the holding passage served.
-    pub op: CsOp,
-    /// VCI whose critical section the holder occupied (0 unsharded).
-    pub vci: u32,
+    /// Who held the lock (`(tid, path, op, vci)`).
+    pub holder: HolderKey,
     /// Exact cumulative blocked-behind-this-holder nanoseconds.
     pub ns: u64,
     /// `ns / Σ ns` over all cells (0 when nothing has been charged).
@@ -35,40 +29,19 @@ pub struct LiveCell {
 }
 
 /// One flushed aggregation window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiveWindow {
-    /// Window start (virtual ns, aligned to the window width).
-    pub start_ns: u64,
+    /// The window's contention summary — the row the post-run
+    /// [`Windows`](crate::Windows) computes for the same passages
+    /// (those whose release fell in the window).
+    pub row: WindowRow,
     /// Window width.
     pub width_ns: u64,
-    /// CS passages whose release fell in the window.
-    pub spans: u64,
-    /// p50 of those passages' wait times.
-    pub wait_p50_ns: u64,
-    /// p99 of those passages' wait times.
-    pub wait_p99_ns: u64,
-    /// Total wait of those passages.
-    pub wait_ns: u64,
-    /// Total hold of those passages.
-    pub hold_ns: u64,
     /// Wait nanoseconds charged to concurrent holders.
     pub charged_ns: u64,
     /// Wait nanoseconds nobody held the lock for (hand-off latency).
-    /// `charged_ns + unattributed_ns == wait_ns` exactly, per window.
+    /// `charged_ns + unattributed_ns == row.wait_ns` exactly, per window.
     pub unattributed_ns: u64,
-}
-
-/// Load summary of one VCI shard, as seen so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LiveVci {
-    /// The VCI.
-    pub vci: u32,
-    /// CS passages through this shard.
-    pub acquisitions: u64,
-    /// Total hold time in the shard.
-    pub hold_ns: u64,
-    /// Total wait time at the shard's lock.
-    pub wait_ns: u64,
 }
 
 /// A point-in-time snapshot of everything the collector has folded so
@@ -94,7 +67,7 @@ pub struct LiveStats {
     pub windows_flushed: u64,
     /// The most recently flushed windows, oldest first (bounded ring).
     pub recent_windows: Vec<LiveWindow>,
-    /// Blame cells ordered by `(tid, path, op, vci)`.
+    /// Blame cells ordered by holder key.
     pub blame: Vec<LiveCell>,
     /// Total CS wait folded so far (`charged_ns + unattributed_ns`).
     pub total_wait_ns: u64,
@@ -119,7 +92,7 @@ pub struct LiveStats {
     /// Progress-path passages folded so far.
     pub progress_spans: u64,
     /// Per-VCI loads, ordered by VCI.
-    pub vcis: Vec<LiveVci>,
+    pub vcis: Vec<VciLoad>,
 }
 
 impl LiveStats {
@@ -131,47 +104,43 @@ impl LiveStats {
         let mut gauge = |name: &str, labels: &str, v: String| {
             out.push_str(&format!("mtmpi_live_{name}{{{labels}}} {v}\n"));
         };
-        gauge("watermark_ns", "", self.watermark_ns.to_string());
-        gauge("events_total", "", self.events.to_string());
-        gauge("spans_total", "", self.spans.to_string());
-        gauge("dropped_total", "", self.dropped.to_string());
-        gauge("flow_sends_total", "", self.flow_sends.to_string());
-        gauge("flow_recvs_total", "", self.flow_recvs.to_string());
-        gauge(
-            "windows_flushed_total",
-            "",
-            self.windows_flushed.to_string(),
-        );
-        gauge("wait_ns_total", "", self.total_wait_ns.to_string());
-        gauge("charged_ns_total", "", self.charged_ns.to_string());
-        gauge(
-            "unattributed_ns_total",
-            "",
-            self.unattributed_ns.to_string(),
-        );
-        gauge("hold_gini", "", format!("{:.6}", self.hold_gini));
-        gauge("acq_gini", "", format!("{:.6}", self.acq_gini));
-        gauge("vci_gini", "", format!("{:.6}", self.vci_gini));
-        gauge(
-            "starvation_ratio",
-            "",
-            format!("{:.6}", self.starvation_ratio),
-        );
+        for (name, v) in [
+            ("watermark_ns", self.watermark_ns),
+            ("events_total", self.events),
+            ("spans_total", self.spans),
+            ("dropped_total", self.dropped),
+            ("flow_sends_total", self.flow_sends),
+            ("flow_recvs_total", self.flow_recvs),
+            ("windows_flushed_total", self.windows_flushed),
+            ("wait_ns_total", self.total_wait_ns),
+            ("charged_ns_total", self.charged_ns),
+            ("unattributed_ns_total", self.unattributed_ns),
+        ] {
+            gauge(name, "", v.to_string());
+        }
+        for (name, v) in [
+            ("hold_gini", self.hold_gini),
+            ("acq_gini", self.acq_gini),
+            ("vci_gini", self.vci_gini),
+            ("starvation_ratio", self.starvation_ratio),
+        ] {
+            gauge(name, "", format!("{v:.6}"));
+        }
         for w in &self.recent_windows {
-            let l = format!("window=\"{}\"", w.start_ns);
-            gauge("window_wait_p50_ns", &l, w.wait_p50_ns.to_string());
-            gauge("window_wait_p99_ns", &l, w.wait_p99_ns.to_string());
-            gauge("window_spans", &l, w.spans.to_string());
-            gauge("window_wait_ns", &l, w.wait_ns.to_string());
+            let l = format!("window=\"{}\"", w.row.start_ns);
+            gauge("window_wait_p50_ns", &l, w.row.wait_p50_ns.to_string());
+            gauge("window_wait_p99_ns", &l, w.row.wait_p99_ns.to_string());
+            gauge("window_spans", &l, w.row.spans.to_string());
+            gauge("window_wait_ns", &l, w.row.wait_ns.to_string());
             gauge("window_unattributed_ns", &l, w.unattributed_ns.to_string());
         }
         for c in &self.blame {
             let l = format!(
                 "tid=\"{}\",path=\"{}\",op=\"{}\",vci=\"{}\"",
-                c.tid,
-                c.path.label(),
-                c.op.label(),
-                c.vci
+                c.holder.tid,
+                c.holder.path().label(),
+                c.holder.op().label(),
+                c.holder.vci
             );
             gauge("blame_ns", &l, c.ns.to_string());
             gauge("blame_share", &l, format!("{:.6}", c.share));
@@ -210,15 +179,15 @@ impl LiveStats {
             b.decayed
                 .partial_cmp(&a.decayed)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| (a.tid, a.vci).cmp(&(b.tid, b.vci)))
+                .then_with(|| (a.holder.tid, a.holder.vci).cmp(&(b.holder.tid, b.holder.vci)))
         });
         let mut blame = Table::new(&["tid", "path", "op", "vci", "blame_ns", "share", "decayed"]);
         for c in cells.iter().take(8) {
             blame.row(vec![
-                c.tid.to_string(),
-                c.path.label().to_string(),
-                c.op.label().to_string(),
-                c.vci.to_string(),
+                c.holder.tid.to_string(),
+                c.holder.path().label().to_string(),
+                c.holder.op().label().to_string(),
+                c.holder.vci.to_string(),
                 c.ns.to_string(),
                 format!("{:.3}", c.share),
                 format!("{:.3}", c.decayed_share),
@@ -228,10 +197,10 @@ impl LiveStats {
         let mut wins = Table::new(&["window_start", "spans", "wait_p50", "wait_p99", "unattr"]);
         for w in &self.recent_windows {
             wins.row(vec![
-                w.start_ns.to_string(),
-                w.spans.to_string(),
-                w.wait_p50_ns.to_string(),
-                w.wait_p99_ns.to_string(),
+                w.row.start_ns.to_string(),
+                w.row.spans.to_string(),
+                w.row.wait_p50_ns.to_string(),
+                w.row.wait_p99_ns.to_string(),
                 w.unattributed_ns.to_string(),
             ]);
         }

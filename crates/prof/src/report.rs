@@ -13,7 +13,7 @@ use crate::decomp::LatencyDecomp;
 use crate::window::Windows;
 use mtmpi_metrics::{Histogram, Table};
 use mtmpi_obs::json::{escape, fmt_f64, fmt_us};
-use mtmpi_obs::{Path, Timeline};
+use mtmpi_obs::Timeline;
 
 /// One run's blame matrix, latency decomposition, and windowed series.
 #[derive(Debug, Clone)]
@@ -24,15 +24,6 @@ pub struct ProfReport {
     pub decomp: LatencyDecomp,
     /// The run as a windowed contention time series.
     pub windows: Windows,
-}
-
-fn path_label(p: Path) -> &'static str {
-    match p {
-        Path::Main => "main",
-        Path::Progress => "progress",
-        Path::WaitSpin => "waitspin",
-        Path::Stream => "stream",
-    }
 }
 
 impl ProfReport {
@@ -72,7 +63,7 @@ impl ProfReport {
                 out.push_str(&format!(
                     "{{\"tid\":{},\"path\":\"{}\",\"op\":\"{}\",\"ns\":{}}}",
                     c.holder.tid,
-                    path_label(c.holder.path()),
+                    c.holder.path().label(),
                     c.holder.op().label(),
                     c.ns
                 ));
@@ -195,7 +186,7 @@ impl ProfReport {
                 pairs.push((
                     r.waiter_tid,
                     c.holder.tid,
-                    path_label(c.holder.path()),
+                    c.holder.path().label(),
                     c.holder.op().label(),
                     c.ns,
                 ));
@@ -325,7 +316,7 @@ impl ProfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtmpi_obs::{CsOp, Event, EventKind};
+    use mtmpi_obs::{CsOp, Event, EventKind, Path};
 
     fn demo_timeline() -> Timeline {
         let cs = |tid: u64, path: Path, op: CsOp, t_req: u64, t_acq: u64, t_end: u64| Event {

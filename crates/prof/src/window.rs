@@ -14,7 +14,7 @@
 //! are integers and survive formatting round-trips.
 
 use mtmpi_metrics::{gini, Histogram};
-use mtmpi_obs::Timeline;
+use mtmpi_obs::{CsSpanView, Event, Timeline};
 use std::collections::BTreeMap;
 
 /// One virtual-time window's contention summary.
@@ -66,49 +66,66 @@ pub fn default_window_ns(t: &Timeline) -> u64 {
     raw.div_ceil(MS).max(1) * MS
 }
 
+/// One window's passages, accumulated (shared by [`Windows::compute`]
+/// and the online collector's open window).
+#[derive(Default)]
+pub(crate) struct WindowAcc {
+    wait_hist: Histogram,
+    wait_ns: u64,
+    hold_ns: u64,
+    /// Per-thread acquisitions.
+    acq: BTreeMap<u64, u64>,
+}
+
+impl WindowAcc {
+    pub(crate) fn add(&mut self, s: &CsSpanView) {
+        self.wait_hist.record(s.wait_ns());
+        self.wait_ns += s.wait_ns();
+        self.hold_ns += s.hold_ns();
+        *self.acq.entry(s.tid).or_default() += 1;
+    }
+
+    pub(crate) fn finish(&self, start_ns: u64) -> WindowRow {
+        let spans: u64 = self.acq.values().sum();
+        let (top_tid, top_n) = self
+            .acq
+            .iter()
+            .map(|(&tid, &n)| (tid, n))
+            .max_by_key(|&(tid, n)| (n, std::cmp::Reverse(tid)))
+            .unwrap_or((0, 0));
+        let counts: Vec<u64> = self.acq.values().copied().collect();
+        WindowRow {
+            start_ns,
+            spans,
+            wait_p50_ns: self.wait_hist.p50(),
+            wait_p99_ns: self.wait_hist.p99(),
+            wait_ns: self.wait_ns,
+            hold_ns: self.hold_ns,
+            top_tid,
+            top_share: if spans == 0 {
+                0.0
+            } else {
+                top_n as f64 / spans as f64
+            },
+            gini: gini(&counts),
+        }
+    }
+}
+
 impl Windows {
     /// Aggregate `t` into windows of `width_ns` (clamped to ≥ 1).
     pub fn compute(t: &Timeline, width_ns: u64) -> Self {
         let width = width_ns.max(1);
-        let mut rows = Vec::new();
-        for (start_ns, events) in t.windows(width) {
-            let mut wait_hist = Histogram::new();
-            let (mut wait_ns, mut hold_ns) = (0u64, 0u64);
-            let mut acq: BTreeMap<u64, u64> = BTreeMap::new();
-            let slice = Timeline {
-                events: events.to_vec(),
-                dropped: 0,
-            };
-            let mut spans = 0u64;
-            for s in slice.cs_spans() {
-                spans += 1;
-                wait_hist.record(s.wait_ns());
-                wait_ns += s.wait_ns();
-                hold_ns += s.hold_ns();
-                *acq.entry(s.tid).or_default() += 1;
-            }
-            let (top_tid, top_n) = acq
-                .iter()
-                .map(|(&tid, &n)| (tid, n))
-                .max_by_key(|&(tid, n)| (n, std::cmp::Reverse(tid)))
-                .unwrap_or((0, 0));
-            let counts: Vec<u64> = acq.values().copied().collect();
-            rows.push(WindowRow {
-                start_ns,
-                spans,
-                wait_p50_ns: wait_hist.p50(),
-                wait_p99_ns: wait_hist.p99(),
-                wait_ns,
-                hold_ns,
-                top_tid,
-                top_share: if spans == 0 {
-                    0.0
-                } else {
-                    top_n as f64 / spans as f64
-                },
-                gini: gini(&counts),
-            });
-        }
+        let rows = t
+            .windows(width)
+            .map(|(start_ns, events)| {
+                let mut acc = WindowAcc::default();
+                for s in events.iter().filter_map(Event::cs_span) {
+                    acc.add(&s);
+                }
+                acc.finish(start_ns)
+            })
+            .collect();
         Self {
             width_ns: width,
             rows,
@@ -125,7 +142,7 @@ impl Windows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtmpi_obs::{CsOp, Event, EventKind, Path};
+    use mtmpi_obs::{CsOp, EventKind, Path};
 
     fn cs(tid: u64, t_req: u64, t_acq: u64, t_end: u64) -> Event {
         Event {

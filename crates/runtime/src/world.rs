@@ -92,10 +92,6 @@ pub(crate) struct WorldInner {
     pub(crate) streams: u32,
     /// Structured-event sink; `None` costs one branch per record site.
     pub(crate) recorder: Option<Arc<dyn Recorder>>,
-    /// Online collector over the recorder (mtmpi-live); `None` unless
-    /// the harness installed one. The runtime itself never pumps it —
-    /// it only exposes snapshots through [`World::live_stats`].
-    pub(crate) live: Option<Arc<mtmpi_live::LiveCollector>>,
     /// Whether an active fault plan was installed (mirrors
     /// `SharedState::faults`, readable without the CS).
     pub(crate) faults_enabled: bool,
@@ -388,7 +384,6 @@ pub struct WorldBuilder {
     expect_rma: bool,
     recorder: Option<Arc<dyn Recorder>>,
     recorder_shards: Option<usize>,
-    live: Option<Arc<mtmpi_live::LiveCollector>>,
     fault_plan: Option<FaultPlan>,
     vci_count: u32,
     vci_map: Option<VciMap>,
@@ -427,7 +422,6 @@ impl World {
             expect_rma: false,
             recorder: None,
             recorder_shards: None,
-            live: None,
             fault_plan: None,
             vci_count: 1,
             vci_map: None,
@@ -516,22 +510,6 @@ impl World {
             window: st.win_mem.clone(),
         }
     }
-
-    /// Point-in-time online profiling snapshot (per-window wait
-    /// quantiles, streaming blame shares, Gini indices, starvation
-    /// ratio), or `None` when no collector was installed via
-    /// [`WorldBuilder::live`]. Unlike [`Self::stats`], this is safe
-    /// *during* the run: it reads only what the collector has finalized
-    /// below its watermark.
-    pub fn live_stats(&self) -> Option<mtmpi_live::LiveStats> {
-        self.inner.live.as_ref().map(|c| c.snapshot())
-    }
-
-    /// The installed online collector, if any (the harness's pump thread
-    /// drives it through this handle).
-    pub fn live_collector(&self) -> Option<&Arc<mtmpi_live::LiveCollector>> {
-        self.inner.live.as_ref()
-    }
 }
 
 impl WorldBuilder {
@@ -600,16 +578,6 @@ impl WorldBuilder {
     /// [`BuildError::ZeroRecorderShards`].
     pub fn recorder_shards(mut self, shards: usize) -> Self {
         self.recorder_shards = Some(shards);
-        self
-    }
-
-    /// Install an online collector (see [`mtmpi_live`]). The collector
-    /// must wrap the same recorder passed to [`WorldBuilder::recorder`];
-    /// the runtime exposes its snapshots through [`World::live_stats`]
-    /// but never pumps it — that is the harness's collector thread's
-    /// job.
-    pub fn live(mut self, c: Arc<mtmpi_live::LiveCollector>) -> Self {
-        self.live = Some(c);
         self
     }
 
@@ -772,7 +740,6 @@ impl WorldBuilder {
                 vci_map,
                 streams: self.streams,
                 recorder,
-                live: self.live,
                 faults_enabled: active_plan.is_some(),
                 aborted: AtomicBool::new(false),
             }),

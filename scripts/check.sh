@@ -39,40 +39,26 @@
 #              against results/baseline/, and replay each figure under
 #              the reference heap event core requiring byte-identical
 #              sched_trace_hashes (`xtask bench-diff --cross-core`).
-#   faults     fault-injection smoke test: run the fig_fault drop-rate
-#              sweep twice in quick mode and require byte-identical
-#              BENCH output (the DESIGN.md §11 determinism contract).
-#   vci        sharding smoke test: the VCI integration suite (cross-
-#              shard wildcards, vci_count=1 byte-identity) plus the
-#              fig_vci sweep twice in quick mode with a byte-identity
-#              cmp — determinism must survive the sharded runtime too.
-#   stream     stream smoke test: the stream integration suite
-#              (streams=0 byte-identity, bind/rebind claim word,
-#              lock-free wait timeouts, wildcard fallback) plus the
-#              fig_stream sweep twice in quick mode with a byte-identity
-#              cmp (DESIGN.md section 14).
-#   scale      event-core gate: the fuel integration suite (livelock →
-#              typed SimError::FuelExhausted through the full runtime),
-#              then the fig_scale calendar-vs-heap sweep twice in quick
-#              mode requiring byte-identical output after zeroing the
-#              wall-clock scalars (sim_events_per_sec*/speedup_vs_heap*
-#              measure *host* throughput and legitimately vary; every
-#              other byte — ring results, churn parity hashes,
-#              cross-core hash-match flags — must replay exactly).
-#   serve      multi-tenant service gate: the mtmpi-serve suite (state
-#              word, determinism across worker counts, fairness), then
-#              the fig_serve sweep twice in quick mode — per-tenant
-#              digests (results/fig_serve.tenants.txt) byte-identical,
-#              BENCH output byte-identical after zeroing the wall-clock
-#              serve_* scalars (DESIGN.md section 17).
-#   live       live-observability smoke test: the mtmpi-live integration
-#              suite (streaming blame == post-run BlameMatrix, window
-#              conservation), fig2a twice same-seed under MTMPI_LIVE=1
-#              asserting sched_trace_hash equality, then `xtask watch
-#              fig2a --headless`, which validates results/fig2a.live.prom
-#              (DESIGN.md section 15).
+#   bench-api  build and test the standalone host-cost benchmark
+#              (benchmark/, its own workspace) against this tree, so a
+#              change that breaks the public surface it is pinned to
+#              fails here rather than in the benchmark driver.
+#   faults vci stream scale serve live
+#              the determinism gates, one `xtask replay-gate <name>`
+#              each (table in xtask/src/replay.rs): run the gate's test
+#              suite, then its figure binary twice in quick mode with
+#              the same seed. The two BENCH documents must be identical
+#              apart from the wall-clock scalars that mtmpi-prof's
+#              `DiffOptions::scalar_rules` names (fig_scale's measured
+#              rates, fig_serve's host throughput/latency); `serve` also
+#              compares the per-tenant digest file byte for byte, and
+#              `live` runs fig2a under MTMPI_LIVE=1 and compares the
+#              sched_trace_hash list, then `xtask watch fig2a
+#              --headless` validates results/fig2a.live.prom.
+#              DESIGN.md sections 11, 12, 14-17.
 #
-# Usage: scripts/check.sh [fast]   ("fast" skips loom/tsan/miri/obs/prof)
+# Usage: scripts/check.sh [fast]   ("fast" runs only fmt, clippy, lint and
+#        test; every other step above is skipped)
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -101,137 +87,24 @@ step clippy cargo clippy --workspace --all-targets -- -D warnings
 step lint   cargo run -q -p xtask -- lint
 step test   cargo test --workspace -q
 
-# Run the fault sweep twice and demand byte-identical output: same seed
-# + same FaultPlan must replay exactly (DESIGN.md §11).
-faults_smoke() {
-    local snap
-    snap=$(mktemp) || return 1
-    cargo run --release -q -p mtmpi-bench --bin fig_fault -- --quick \
-        && cp results/BENCH_fig_fault.json "$snap" \
-        && cargo run --release -q -p mtmpi-bench --bin fig_fault -- --quick \
-        && cmp results/BENCH_fig_fault.json "$snap"
-    local rc=$?
-    rm -f "$snap"
-    return $rc
-}
-
-# Sharding gate: the VCI integration tests, then the fig_vci sweep twice
-# with a byte-identity cmp (sharded runs replay exactly, like fault runs).
-vci_smoke() {
-    local snap
-    snap=$(mktemp) || return 1
-    cargo test --release -q -p mtmpi-integration-tests --test vci \
-        && cargo run --release -q -p mtmpi-bench --bin fig_vci -- --quick \
-        && cp results/BENCH_fig_vci.json "$snap" \
-        && cargo run --release -q -p mtmpi-bench --bin fig_vci -- --quick \
-        && cmp results/BENCH_fig_vci.json "$snap"
-    local rc=$?
-    rm -f "$snap"
-    return $rc
-}
-
-# Event-core gate: fuel-exhaustion diagnosis through the runtime, then
-# fig_scale twice with the measured-rate scalars normalized to zero
-# (they are wall-clock, everything else in the document is virtual and
-# must be byte-identical — including the in-process cross-core checks).
-scale_smoke() {
-    local s1 s2
-    s1=$(mktemp) && s2=$(mktemp) || return 1
-    strip_rates() {
-        sed -E 's/"((sim_events_per_sec|speedup_vs_heap)[^"]*)":[-+0-9.eE]+/"\1":0/g' "$1"
-    }
-    cargo test --release -q -p mtmpi-integration-tests --test fuel \
-        && cargo run --release -q -p mtmpi-bench --bin fig_scale -- --quick \
-        && strip_rates results/BENCH_fig_scale.json > "$s1" \
-        && cargo run --release -q -p mtmpi-bench --bin fig_scale -- --quick \
-        && strip_rates results/BENCH_fig_scale.json > "$s2" \
-        && cmp "$s1" "$s2"
-    local rc=$?
-    rm -f "$s1" "$s2"
-    return $rc
-}
-
-# Service gate: the mtmpi-serve suite (includes the tenant-state loom
-# models), then fig_serve twice in quick mode. The per-tenant digest is
-# pure virtual-platform output and must replay byte-identically; the
-# BENCH document must too once the wall-clock serve scalars
-# (events/sec, p99 latency, hold Gini, wall ms — host-dependent) are
-# zeroed. Everything else — event totals, grant counts/Gini, the
-# digest-match and quantum-invariance flags — is exact.
-serve_smoke() {
-    local s1 s2 d1
-    s1=$(mktemp) && s2=$(mktemp) && d1=$(mktemp) || return 1
-    strip_serve_rates() {
-        sed -E 's/"(serve_(events_per_sec|p99_latency_ms|hold_gini|wall_ms)[^"]*)":[-+0-9.eE]+/"\1":0/g' "$1"
-    }
-    cargo test --release -q -p mtmpi-serve \
-        && cargo run --release -q -p mtmpi-bench --bin fig_serve -- --quick \
-        && strip_serve_rates results/BENCH_fig_serve.json > "$s1" \
-        && cp results/fig_serve.tenants.txt "$d1" \
-        && cargo run --release -q -p mtmpi-bench --bin fig_serve -- --quick \
-        && strip_serve_rates results/BENCH_fig_serve.json > "$s2" \
-        && cmp "$s1" "$s2" \
-        && cmp results/fig_serve.tenants.txt "$d1"
-    local rc=$?
-    rm -f "$s1" "$s2" "$d1"
-    return $rc
-}
-
-# Live gate: the mtmpi-live integration tests, then fig2a twice under
-# the online collector comparing the scheduler-trace hashes (same seed
-# must replay the exact same decision sequence), then one headless
-# `xtask watch` pass, which validates the .live.prom export.
-live_smoke() {
-    local h1 h2
-    cargo test --release -q -p mtmpi-integration-tests --test live || return 1
-    MTMPI_LIVE=1 cargo run --release -q -p mtmpi-bench --bin fig2a -- --quick || return 1
-    h1=$(grep -o '"sched_trace_hash":"[0-9a-f]*"' results/BENCH_fig2a.json)
-    [ -n "$h1" ] || { echo "no sched_trace_hash in BENCH_fig2a.json"; return 1; }
-    MTMPI_LIVE=1 cargo run --release -q -p mtmpi-bench --bin fig2a -- --quick || return 1
-    h2=$(grep -o '"sched_trace_hash":"[0-9a-f]*"' results/BENCH_fig2a.json)
-    [ "$h1" = "$h2" ] || { echo "sched_trace_hash diverged between same-seed runs"; return 1; }
-    cargo run -q -p xtask -- watch fig2a --headless
-}
-
-# Stream gate: the stream integration tests, then the fig_stream sweep
-# twice with a byte-identity cmp (the lock-free fast path replays too).
-stream_smoke() {
-    local snap
-    snap=$(mktemp) || return 1
-    cargo test --release -q -p mtmpi-integration-tests --test streams \
-        && cargo run --release -q -p mtmpi-bench --bin fig_stream -- --quick \
-        && cp results/BENCH_fig_stream.json "$snap" \
-        && cargo run --release -q -p mtmpi-bench --bin fig_stream -- --quick \
-        && cmp results/BENCH_fig_stream.json "$snap"
-    local rc=$?
-    rm -f "$snap"
-    return $rc
-}
-
 if [ "$FAST" = "fast" ]; then
     skip loom "fast mode"
     skip tsan "fast mode"
     skip miri "fast mode"
-    skip obs "fast mode"
-    skip prof "fast mode"
-    skip faults "fast mode"
-    skip vci "fast mode"
-    skip stream "fast mode"
-    skip scale "fast mode"
-    skip serve "fast mode"
-    skip live "fast mode"
+    for s in obs prof bench-api faults vci stream scale serve live; do
+        skip "$s" "fast mode"
+    done
 else
     step loom cargo test -p mtmpi-locks --features loom-check --test loom
     step loom cargo test -p mtmpi-runtime --test loom_claim --test loom_stream
     step loom cargo test -p mtmpi-serve --test loom_state
     step obs cargo run -q -p xtask -- trace fig2a
     step prof cargo run -q -p xtask -- bench-diff --cross-core
-    step faults faults_smoke
-    step vci vci_smoke
-    step stream stream_smoke
-    step scale scale_smoke
-    step serve serve_smoke
-    step live live_smoke
+    step bench-api cargo test --offline --manifest-path benchmark/Cargo.toml
+    for gate in faults vci stream scale serve live; do
+        step "$gate" cargo run -q -p xtask -- replay-gate "$gate"
+    done
+    step live cargo run -q -p xtask -- watch fig2a --headless
 
     if ! cargo +nightly --version >/dev/null 2>&1; then
         skip tsan "no nightly toolchain"

@@ -1,9 +1,11 @@
-//! mtmpi-live integration: the online collector's end-of-run statistics
-//! must agree with the post-run prof attribution on a real seeded run,
-//! and the scheduler-trace hash must be a faithful replay witness.
+//! `prof::live` integration: on a real seeded run, the online
+//! collector's watermark/batching must feed the blame fold the same
+//! passages the post-run `BlameMatrix` feeds it (equal cells, exact
+//! per-window conservation), and the scheduler-trace hash must be a
+//! faithful replay witness.
 
 use mtmpi::prelude::*;
-use mtmpi_prof::BlameMatrix;
+use mtmpi_prof::{BlameMatrix, HolderKey};
 use std::collections::BTreeMap;
 
 /// A contended multi-thread workload with the online collector running.
@@ -32,20 +34,12 @@ fn live_run(seed: u64) -> RunOutcome {
     )
 }
 
-/// Aggregate a post-run blame matrix over waiters, down to the
-/// `(tid, path, op, vci)` holder cells the live collector keeps.
-fn holder_cells(m: &BlameMatrix) -> BTreeMap<(u64, u8, u8, u32), u64> {
+/// Aggregate a post-run blame matrix over waiters, down to the holder
+/// cells the live collector keeps.
+fn holder_cells(m: &BlameMatrix) -> BTreeMap<HolderKey, u64> {
     let mut out = BTreeMap::new();
-    for row in &m.rows {
-        for c in &row.cells {
-            *out.entry((
-                c.holder.tid,
-                c.holder.path_idx,
-                c.holder.op_idx,
-                c.holder.vci,
-            ))
-            .or_default() += c.ns;
-        }
+    for c in m.rows.iter().flat_map(|r| &r.cells) {
+        *out.entry(c.holder).or_default() += c.ns;
     }
     out
 }
@@ -53,7 +47,7 @@ fn holder_cells(m: &BlameMatrix) -> BTreeMap<(u64, u8, u8, u32), u64> {
 #[test]
 fn live_blame_matches_post_run_blame_matrix_per_cell() {
     let out = live_run(31);
-    let live = out.world.live_stats().expect("collector installed");
+    let live = out.live_stats().expect("collector installed");
     let t = out.timeline.as_ref().expect("traced run has a timeline");
     let post = BlameMatrix::from_timeline(t);
 
@@ -65,15 +59,11 @@ fn live_blame_matches_post_run_blame_matrix_per_cell() {
         "global conservation to the ns"
     );
 
-    // The streaming attribution is the post-run attribution, exactly —
-    // well inside the 5%-per-cell acceptance bound.
-    let post_cells = holder_cells(&post);
-    let live_cells: BTreeMap<(u64, u8, u8, u32), u64> = live
-        .blame
-        .iter()
-        .map(|c| ((c.tid, c.path.idx(), op_index(c.op), c.vci), c.ns))
-        .collect();
-    assert_eq!(live_cells, post_cells);
+    // Both views run the same fold; equal cells pin the collector's
+    // watermark and holds-first batching on a real schedule.
+    let live_cells: BTreeMap<HolderKey, u64> =
+        live.blame.iter().map(|c| (c.holder, c.ns)).collect();
+    assert_eq!(live_cells, holder_cells(&post));
 
     // Shares and monopolization agree too.
     assert!((live.acq_gini - post.gini).abs() < 1e-12);
@@ -82,24 +72,17 @@ fn live_blame_matches_post_run_blame_matrix_per_cell() {
     assert_eq!(live.progress_spans, post.starvation.progress_spans);
 }
 
-fn op_index(op: mtmpi_obs::CsOp) -> u8 {
-    mtmpi_obs::CsOp::ALL
-        .iter()
-        .position(|o| *o == op)
-        .expect("op in ALL") as u8
-}
-
 #[test]
 fn live_windows_conserve_wait_to_the_ns() {
     let out = live_run(32);
-    let live = out.world.live_stats().expect("collector installed");
+    let live = out.live_stats().expect("collector installed");
     assert!(live.windows_flushed > 0, "run spans at least one window");
     for w in &live.recent_windows {
         assert_eq!(
             w.charged_ns + w.unattributed_ns,
-            w.wait_ns,
+            w.row.wait_ns,
             "window @{} must conserve wait exactly",
-            w.start_ns
+            w.row.start_ns
         );
     }
     // The collector saw the whole run: its span count matches the
@@ -128,7 +111,7 @@ fn sched_trace_hash_is_stable_per_seed_and_moved_by_the_seed() {
 #[test]
 fn flow_events_pair_up_on_a_live_run() {
     let out = live_run(35);
-    let live = out.world.live_stats().expect("collector installed");
+    let live = out.live_stats().expect("collector installed");
     assert!(live.flow_sends > 0, "data packets stamp flow origins");
     assert!(live.flow_recvs > 0, "accepted packets stamp flow termini");
     // Fault-free run: every send is eventually accepted exactly once.

@@ -90,3 +90,37 @@ fn windowed_aggregation_is_byte_identical_across_same_seed_runs() {
     assert_eq!(pa.counter_events(0), pb.counter_events(0));
     assert_eq!(pa.prom("run=\"x\""), pb.prom("run=\"x\""));
 }
+
+/// The rendered profile of a seeded 8-thread Mutex run is pinned to the
+/// bytes the pre-`BlameFold` engine produced (length + FNV-1a, captured
+/// at the commit before the fold landed): the attribution refactor must
+/// not move a single artefact byte.
+#[test]
+fn profile_json_is_byte_identical_to_the_pinned_engine() {
+    let exp = Experiment::with_seed(2, 29).trace(true);
+    let out = exp.run(
+        RunConfig::new(Method::Mutex)
+            .nodes(2)
+            .ranks_per_node(1)
+            .threads_per_rank(8),
+        |ctx| {
+            let h = ctx.rank.world_comm();
+            let tag = ctx.thread as i32;
+            for _ in 0..20 {
+                if h.rank() == 0 {
+                    h.send(1, tag, MsgData::Synthetic(256));
+                    let _ = h.recv(Some(1), Some(tag));
+                } else {
+                    let _ = h.recv(Some(0), Some(tag));
+                    h.send(0, tag, MsgData::Synthetic(8));
+                }
+            }
+        },
+    );
+    let t = out.timeline.as_ref().expect("timeline");
+    let json = ProfReport::analyze(t, &merged_latency(&out)).to_json();
+    let fnv = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!((json.len(), fnv), (26_214, 8_582_480_000_443_441_094));
+}

@@ -20,9 +20,9 @@
 //! `top <fig>` renders the windowed contention view (`mtmpi_prof::top`)
 //! of an already-generated `results/BENCH_<fig>.json`.
 
-use mtmpi_prof::{bench_diff, top_report, DiffOptions};
+use crate::run::{read_text, run_fig};
+use mtmpi_prof::{bench_diff, top_report, DiffOptions, DiffReport};
 use std::path::Path;
-use std::process::{Command, ExitCode};
 
 /// Baselined figure ids: every `BENCH_<fig>.json` under `dir`, sorted.
 fn baseline_figs(dir: &Path) -> Vec<String> {
@@ -41,34 +41,6 @@ fn baseline_figs(dir: &Path) -> Vec<String> {
     figs
 }
 
-fn rerun_quick(fig: &str, root: &Path, core: Option<&str>) -> Result<(), String> {
-    let core_note = core
-        .map(|c| format!(" (MTMPI_SIM_CORE={c})"))
-        .unwrap_or_default();
-    println!("xtask bench-diff: running {fig} --quick{core_note} ...");
-    let mut cmd = Command::new("cargo");
-    cmd.args([
-        "run",
-        "--release",
-        "-p",
-        "mtmpi-bench",
-        "--bin",
-        fig,
-        "--",
-        "--quick",
-    ])
-    .current_dir(root);
-    if let Some(c) = core {
-        cmd.env("MTMPI_SIM_CORE", c);
-    }
-    let status = cmd.status().map_err(|e| format!("cannot run cargo: {e}"))?;
-    if status.success() {
-        Ok(())
-    } else {
-        Err(format!("{fig} exited with {status}"))
-    }
-}
-
 /// Every `"sched_trace_hash":"..."` value in a `BENCH_*.json` document,
 /// in document order (the combined fold plus one per traced run).
 fn trace_hashes(doc: &str) -> Vec<String> {
@@ -84,6 +56,25 @@ fn trace_hashes(doc: &str) -> Vec<String> {
     out
 }
 
+/// Two documents carry the same non-empty `sched_trace_hash` list;
+/// returns its length.
+pub(crate) fn same_trace_hashes(first: &str, second: &str) -> Result<usize, String> {
+    let (a, b) = (trace_hashes(first), trace_hashes(second));
+    if a.is_empty() {
+        return Err("no sched_trace_hash in the document".to_owned());
+    }
+    if a.len() != b.len() {
+        return Err(format!("{} hash(es) vs {}", a.len(), b.len()));
+    }
+    match a.iter().zip(&b).position(|(x, y)| x != y) {
+        None => Ok(a.len()),
+        Some(i) => Err(format!(
+            "sched_trace_hash #{i} diverges ({} vs {})",
+            a[i], b[i]
+        )),
+    }
+}
+
 /// Cross-core replay gate for one figure: rerun the quick figure with
 /// the reference heap core forced via `MTMPI_SIM_CORE=heap` and require
 /// every `sched_trace_hash` in the output to match the calendar run's,
@@ -91,45 +82,57 @@ fn trace_hashes(doc: &str) -> Vec<String> {
 /// the heap document left in `results/` must be rewritten by the caller
 /// afterwards (the calendar run is the one the tolerance gate reads).
 fn cross_core_check(fig: &str, root: &Path, cal_doc: &str) -> Result<(), String> {
-    rerun_quick(fig, root, Some("heap"))?;
-    let cur_path = root.join(format!("results/BENCH_{fig}.json"));
-    let heap_doc = std::fs::read_to_string(&cur_path)
-        .map_err(|e| format!("cannot read {}: {e}", cur_path.display()))?;
-    let cal = trace_hashes(cal_doc);
-    let heap = trace_hashes(&heap_doc);
-    if cal.is_empty() {
-        return Err(format!(
-            "{fig}: no sched_trace_hash in output — cannot cross-check cores"
-        ));
-    }
-    if cal.len() != heap.len() {
-        return Err(format!(
-            "{fig}: {} hash(es) under the calendar core but {} under the heap core",
-            cal.len(),
-            heap.len()
-        ));
-    }
-    for (i, (c, h)) in cal.iter().zip(&heap).enumerate() {
-        if c != h {
-            return Err(format!(
-                "{fig}: sched_trace_hash #{i} diverges across event cores \
-                 (calendar {c}, heap {h}) — the calendar queue replayed a \
-                 different schedule"
-            ));
-        }
-    }
-    println!(
-        "xtask bench-diff: {fig}: cross-core OK ({} hash(es) identical under both cores)",
-        cal.len()
-    );
+    println!("xtask bench-diff: running {fig} --quick (MTMPI_SIM_CORE=heap) ...");
+    run_fig(fig, root, &[("MTMPI_SIM_CORE", "heap")])?;
+    let heap_doc = read_text(&root.join(format!("results/BENCH_{fig}.json")))?;
+    let n = same_trace_hashes(cal_doc, &heap_doc).map_err(|e| {
+        format!(
+            "calendar vs heap event core: {e} — the calendar queue replayed a different schedule"
+        )
+    })?;
+    println!("xtask bench-diff: {fig}: cross-core OK ({n} hash(es) identical under both cores)");
     Ok(())
+}
+
+/// One figure's verdict: its tolerance report, or why there is none.
+fn gate_fig(
+    fig: &str,
+    root: &Path,
+    baseline_dir: &Path,
+    rerun: bool,
+    cross_core: bool,
+) -> Result<DiffReport, String> {
+    let base = read_text(&baseline_dir.join(format!("BENCH_{fig}.json")))?;
+    let cur_path = root.join(format!("results/BENCH_{fig}.json"));
+    if rerun {
+        println!("xtask bench-diff: running {fig} --quick ...");
+        run_fig(fig, root, &[])?;
+    }
+    let cur = read_text(&cur_path).map_err(|e| {
+        format!(
+            "{e} — run `cargo run --release -p mtmpi-bench --bin {fig} -- --quick` or pass --quick"
+        )
+    })?;
+    if cross_core {
+        let verdict = cross_core_check(fig, root, &cur);
+        // Leave the calendar (default-core) document on disk — it is
+        // the text the tolerance gate below reads.
+        let _ = std::fs::write(&cur_path, &cur);
+        verdict?;
+    }
+    bench_diff(&base, &cur, &DiffOptions::default())
 }
 
 /// The gate. `baseline` is relative to `root` unless absolute.
 /// `cross_core` additionally reruns each figure with the reference heap
 /// event core and requires hash-identical schedules (implies rerunning,
 /// like `quick`).
-pub fn run_bench_diff(root: &Path, baseline: &Path, quick: bool, cross_core: bool) -> ExitCode {
+pub fn run_bench_diff(
+    root: &Path,
+    baseline: &Path,
+    quick: bool,
+    cross_core: bool,
+) -> Result<(), String> {
     let baseline_dir = if baseline.is_absolute() {
         baseline.to_path_buf()
     } else {
@@ -137,12 +140,11 @@ pub fn run_bench_diff(root: &Path, baseline: &Path, quick: bool, cross_core: boo
     };
     let figs = baseline_figs(&baseline_dir);
     if figs.is_empty() {
-        eprintln!(
-            "xtask bench-diff: no BENCH_*.json baselines under {} — \
+        return Err(format!(
+            "no BENCH_*.json baselines under {} — \
              run the figure binaries and copy results/BENCH_*.json there first",
             baseline_dir.display()
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     println!(
         "xtask bench-diff: gating {} figure(s) against {}: {}",
@@ -153,57 +155,8 @@ pub fn run_bench_diff(root: &Path, baseline: &Path, quick: bool, cross_core: boo
 
     let mut md = String::from("# bench-diff\n\n");
     let mut failures = 0usize;
-    let opts = DiffOptions::default();
     for fig in &figs {
-        if quick || cross_core {
-            if let Err(e) = rerun_quick(fig, root, None) {
-                eprintln!("xtask bench-diff: FAIL {e}");
-                md.push_str(&format!("## {fig} — FAIL\n\nfigure binary failed: {e}\n\n"));
-                failures += 1;
-                continue;
-            }
-        }
-        let base_path = baseline_dir.join(format!("BENCH_{fig}.json"));
-        let cur_path = root.join(format!("results/BENCH_{fig}.json"));
-        let base = match std::fs::read_to_string(&base_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!(
-                    "xtask bench-diff: FAIL cannot read {}: {e}",
-                    base_path.display()
-                );
-                failures += 1;
-                continue;
-            }
-        };
-        let cur = match std::fs::read_to_string(&cur_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!(
-                    "xtask bench-diff: FAIL cannot read {} ({e}) — \
-                     run `cargo run --release -p mtmpi-bench --bin {fig} -- --quick` \
-                     or pass --quick",
-                    cur_path.display()
-                );
-                md.push_str(&format!(
-                    "## {fig} — FAIL\n\ncurrent results missing ({e})\n\n"
-                ));
-                failures += 1;
-                continue;
-            }
-        };
-        if cross_core {
-            let verdict = cross_core_check(fig, root, &cur);
-            // Leave the calendar (default-core) document on disk — it
-            // is the text the tolerance gate below actually read.
-            let _ = std::fs::write(&cur_path, &cur);
-            if let Err(e) = verdict {
-                eprintln!("xtask bench-diff: FAIL {e}");
-                md.push_str(&format!("## {fig} — FAIL\n\ncross-core: {e}\n\n"));
-                failures += 1;
-            }
-        }
-        match bench_diff(&base, &cur, &opts) {
+        match gate_fig(fig, root, &baseline_dir, quick || cross_core, cross_core) {
             Ok(report) => {
                 println!(
                     "xtask bench-diff: {fig}: {} — {} compared, {} skipped, {} failure(s)",
@@ -236,39 +189,20 @@ pub fn run_bench_diff(root: &Path, baseline: &Path, quick: bool, cross_core: boo
             Err(e) => eprintln!("xtask bench-diff: cannot write {}: {e}", md_path.display()),
         }
     }
-    if failures == 0 {
-        println!("xtask bench-diff: PASS ({} figure(s))", figs.len());
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask bench-diff: FAIL ({failures} figure(s) breaching)");
-        ExitCode::FAILURE
+    if failures > 0 {
+        return Err(format!("{failures} figure(s) breaching"));
     }
+    println!("xtask bench-diff: PASS ({} figure(s))", figs.len());
+    Ok(())
 }
 
 /// The viewer.
-pub fn run_top(fig: &str, root: &Path) -> ExitCode {
-    let path = root.join(format!("results/BENCH_{fig}.json"));
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "xtask top: cannot read {} ({e}) — run \
-                 `cargo run --release -p mtmpi-bench --bin {fig} -- --quick` first",
-                path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    match top_report(&text) {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask top: {e}");
-            ExitCode::FAILURE
-        }
-    }
+pub fn run_top(fig: &str, root: &Path) -> Result<(), String> {
+    let text = read_text(&root.join(format!("results/BENCH_{fig}.json"))).map_err(|e| {
+        format!("{e} — run `cargo run --release -p mtmpi-bench --bin {fig} -- --quick` first")
+    })?;
+    print!("{}", top_report(&text)?);
+    Ok(())
 }
 
 #[cfg(test)]

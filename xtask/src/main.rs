@@ -5,8 +5,8 @@
 //! * `trace <fig>` — run one `mtmpi-bench` figure binary (e.g. `fig2a`)
 //!   in quick mode with event tracing enabled, then validate that
 //!   `results/BENCH_<fig>.json` and `results/<fig>.trace.json` were
-//!   written and are well-formed JSON (checked by xtask's own minimal
-//!   parser — the workspace carries no JSON dependency). See [`trace`].
+//!   written and are well-formed JSON of the expected shape (parsed with
+//!   `mtmpi_prof::Json`, the workspace's one JSON reader). See [`trace`].
 //!
 //! * `bench-diff [--baseline <dir>] [--quick] [--cross-core]` — the
 //!   noise-aware bench regression gate: compare fresh
@@ -18,11 +18,17 @@
 //!   (`MTMPI_SIM_CORE=heap`) and requires every `sched_trace_hash` to
 //!   be byte-identical to the calendar run's. See [`bench`].
 //!
+//! * `replay-gate <name|all>` — the table-driven determinism gates
+//!   (`faults`, `vci`, `stream`, `scale`, `serve`, `live`): run the
+//!   gate's test suite, then its figure binary twice with the same seed,
+//!   and require the two outputs to agree on everything but the
+//!   wall-clock scalars. See [`replay`].
+//!
 //! * `top <fig>` — render the windowed contention view (who holds the
 //!   runtime critical section, when) of `results/BENCH_<fig>.json`.
 //!
 //! * `watch <fig> [--headless]` — run one figure binary with the
-//!   mtmpi-live online collector enabled: periodic live-stats snapshots
+//!   `prof::live` online collector enabled: periodic live-stats snapshots
 //!   stream to stderr while the simulation runs, and each run appends
 //!   its Prometheus-style gauge block to `results/<fig>.live.prom`,
 //!   which is validated afterwards. `--headless` keeps only the export
@@ -42,6 +48,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 mod bench;
+mod replay;
+mod run;
 mod trace;
 mod watch;
 
@@ -56,136 +64,98 @@ fn workspace_root() -> PathBuf {
 /// The mtmpi-lint gate. Exit-code contract (unchanged since the
 /// original regex pass): 0 when clean, 1 when any unbaselined finding
 /// survives; findings go to stdout, the failure summary to stderr.
-fn run_lint(json: bool, update_baseline: bool) -> ExitCode {
+fn run_lint(json: bool, update_baseline: bool) -> Result<(), String> {
     let root = workspace_root();
     if update_baseline {
-        return match mtmpi_lint::update_baseline(&root) {
-            Ok(n) => {
-                println!(
-                    "xtask lint: baseline rewritten with {n} entr{} — justify each before committing",
-                    if n == 1 { "y" } else { "ies" }
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("xtask lint: cannot write baseline: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let n = mtmpi_lint::update_baseline(&root)
+            .map_err(|e| format!("cannot write baseline: {e}"))?;
+        println!(
+            "xtask lint: baseline rewritten with {n} entr{} — justify each before committing",
+            if n == 1 { "y" } else { "ies" }
+        );
+        return Ok(());
     }
-    match mtmpi_lint::run(&root) {
-        Ok(report) => {
-            if json {
-                println!("{}", report.render_json());
-            } else {
-                print!("{}", report.render_text());
+    let report = mtmpi_lint::run(&root).map_err(|e| e.to_string())?;
+    if json {
+        println!("{}", report.render_json());
+    } else {
+        print!("{}", report.render_text());
+    }
+    if report.ok() {
+        Ok(())
+    } else {
+        Err(format!("{} finding(s)", report.fresh.len()))
+    }
+}
+
+const USAGE: &str = "usage: cargo run -p xtask -- <command>\n\n\
+    lint         [--json] [--update-baseline] mtmpi-lint static analysis (L001–L006)\n\
+    \x20            vs crates/lint/baseline.txt\n\
+    trace <fig>  run a figure binary traced and validate its JSON outputs (e.g. trace fig2a)\n\
+    bench-diff   [--baseline <dir>] [--quick] [--cross-core] gate BENCH_*.json vs baselines\n\
+    replay-gate  <name|all> run a figure twice, same seed: outputs must replay\n\
+    top <fig>    windowed contention view of results/BENCH_<fig>.json\n\
+    watch <fig>  [--headless] run a figure with the prof::live collector,\n\
+    \x20            stream snapshots, validate results/<fig>.live.prom";
+
+/// Run `cmd` with its arguments; `Err` is the failure line to print.
+fn dispatch(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<(), String> {
+    let root = workspace_root();
+    let unknown = |a: &str| Err(format!("unknown argument {a:?}\n{USAGE}"));
+    let missing = || format!("missing argument\n{USAGE}");
+    match cmd {
+        "lint" => {
+            let (mut json, mut update) = (false, false);
+            for a in args {
+                match a.as_str() {
+                    "--json" => json = true,
+                    "--update-baseline" => update = true,
+                    other => return unknown(other),
+                }
             }
-            if report.ok() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("xtask lint: {} finding(s)", report.fresh.len());
-                ExitCode::FAILURE
+            run_lint(json, update)
+        }
+        "trace" => trace::run_trace(&args.next().ok_or_else(missing)?, &root),
+        "bench-diff" => {
+            let mut baseline = PathBuf::from("results/baseline");
+            let (mut quick, mut cross_core) = (false, false);
+            while let Some(a) = args.next() {
+                match a.as_str() {
+                    "--baseline" => baseline = PathBuf::from(args.next().ok_or_else(missing)?),
+                    "--quick" => quick = true,
+                    "--cross-core" => cross_core = true,
+                    other => return unknown(other),
+                }
             }
+            bench::run_bench_diff(&root, &baseline, quick, cross_core)
         }
-        Err(e) => {
-            eprintln!("xtask lint: {e}");
-            ExitCode::FAILURE
+        "watch" => {
+            let (mut fig, mut headless) = (None, false);
+            for a in args {
+                match a.as_str() {
+                    "--headless" => headless = true,
+                    other if fig.is_none() && !other.starts_with('-') => fig = Some(a),
+                    other => return unknown(other),
+                }
+            }
+            watch::run_watch(&fig.ok_or_else(missing)?, headless, &root)
         }
+        "replay-gate" => replay::run_replay_gate(&args.next().ok_or_else(missing)?, &root),
+        "top" => bench::run_top(&args.next().ok_or_else(missing)?, &root),
+        other => Err(format!("unknown command {other:?}\n{USAGE}")),
     }
 }
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("lint") => {
-            let mut json = false;
-            let mut update = false;
-            for a in args {
-                match a.as_str() {
-                    "--json" => json = true,
-                    "--update-baseline" => update = true,
-                    other => {
-                        eprintln!("xtask lint: unknown argument {other:?}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            run_lint(json, update)
-        }
-        Some("trace") => match args.next() {
-            Some(fig) => trace::run_trace(&fig, &workspace_root()),
-            None => {
-                eprintln!("usage: cargo run -p xtask -- trace <fig>   (e.g. trace fig2a)");
-                ExitCode::FAILURE
-            }
-        },
-        Some("bench-diff") => {
-            let mut baseline = PathBuf::from("results/baseline");
-            let mut quick = false;
-            let mut cross_core = false;
-            loop {
-                match args.next().as_deref() {
-                    Some("--baseline") => match args.next() {
-                        Some(dir) => baseline = PathBuf::from(dir),
-                        None => {
-                            eprintln!("xtask bench-diff: --baseline needs a directory");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    Some("--quick") => quick = true,
-                    Some("--cross-core") => cross_core = true,
-                    Some(other) => {
-                        eprintln!("xtask bench-diff: unknown argument {other:?}");
-                        return ExitCode::FAILURE;
-                    }
-                    None => break,
-                }
-            }
-            bench::run_bench_diff(&workspace_root(), &baseline, quick, cross_core)
-        }
-        Some("watch") => {
-            let mut fig = None;
-            let mut headless = false;
-            for a in args {
-                match a.as_str() {
-                    "--headless" => headless = true,
-                    other if fig.is_none() && !other.starts_with('-') => {
-                        fig = Some(other.to_string());
-                    }
-                    other => {
-                        eprintln!("xtask watch: unknown argument {other:?}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            match fig {
-                Some(fig) => watch::run_watch(&fig, headless, &workspace_root()),
-                None => {
-                    eprintln!(
-                        "usage: cargo run -p xtask -- watch <fig> [--headless]   (e.g. watch fig2a)"
-                    );
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("top") => match args.next() {
-            Some(fig) => bench::run_top(&fig, &workspace_root()),
-            None => {
-                eprintln!("usage: cargo run -p xtask -- top <fig>   (e.g. top fig2a)");
-                ExitCode::FAILURE
-            }
-        },
-        other => {
-            eprintln!(
-                "usage: cargo run -p xtask -- <lint|trace <fig>|bench-diff|top <fig>|watch <fig>>\n  (got {:?})\n\n\
-                 lint         mtmpi-lint static analysis (L001–L006) vs crates/lint/baseline.txt\n\
-                 trace <fig>  run a figure binary traced and validate its JSON outputs\n\
-                 bench-diff   [--baseline <dir>] [--quick] [--cross-core] gate BENCH_*.json vs baselines\n\
-                 top <fig>    windowed contention view of results/BENCH_<fig>.json\n\
-                 watch <fig>  [--headless] run a figure with the mtmpi-live collector,\n\
-                              stream snapshots, validate results/<fig>.live.prom",
-                other
-            );
+    let Some(cmd) = args.next() else {
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    match dispatch(&cmd, args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("xtask {cmd}: FAIL {e}");
             ExitCode::FAILURE
         }
     }

@@ -1,0 +1,212 @@
+//! `xtask replay-gate <name|all>` — the determinism gates: run a figure
+//! binary twice with the same seed and require the two runs to agree.
+//!
+//! Every gate is one row of [`GATES`]: the test suite that must pass
+//! first, the figure binary, the environment it runs under, what the two
+//! `results/BENCH_<fig>.json` documents are compared on, and any extra
+//! result files that must be byte-identical. Whole-document comparison
+//! is over the parsed trees and skips exactly the numeric members whose
+//! name matches a `DiffOptions::default().scalar_rules` prefix — the one
+//! place that says which fields are wall-clock. Everything else in a
+//! document is virtual-time output and must replay exactly.
+
+use crate::bench::same_trace_hashes;
+use crate::run::{cargo, read_text, run_fig};
+use mtmpi_prof::{DiffOptions, Json};
+use std::path::Path;
+
+/// What two same-seed documents must agree on.
+#[derive(Clone, Copy)]
+enum Compare {
+    /// The whole tree, wall-clock scalars aside.
+    Document,
+    /// The `sched_trace_hash` list (runs under the online collector are
+    /// deterministic but their documents are never baselined).
+    TraceHashes,
+}
+
+struct Gate {
+    name: &'static str,
+    /// `cargo test --release -q` arguments run first (empty: none).
+    suite: &'static [&'static str],
+    fig: &'static str,
+    env: &'static [(&'static str, &'static str)],
+    compare: Compare,
+    /// Files under `results/` that must replay byte for byte.
+    extra: &'static [&'static str],
+}
+
+/// A whole-document gate with no environment and no extra files.
+const fn gate(name: &'static str, suite: &'static [&'static str], fig: &'static str) -> Gate {
+    Gate {
+        name,
+        suite,
+        fig,
+        env: &[],
+        compare: Compare::Document,
+        extra: &[],
+    }
+}
+
+const INTEGRATION: &str = "mtmpi-integration-tests";
+
+const GATES: [Gate; 6] = [
+    gate("faults", &[], "fig_fault"),
+    gate("vci", &["-p", INTEGRATION, "--test", "vci"], "fig_vci"),
+    gate(
+        "stream",
+        &["-p", INTEGRATION, "--test", "streams"],
+        "fig_stream",
+    ),
+    gate("scale", &["-p", INTEGRATION, "--test", "fuel"], "fig_scale"),
+    Gate {
+        extra: &["fig_serve.tenants.txt"],
+        ..gate("serve", &["-p", "mtmpi-serve"], "fig_serve")
+    },
+    Gate {
+        env: &[("MTMPI_LIVE", "1")],
+        compare: Compare::TraceHashes,
+        ..gate("live", &["-p", INTEGRATION, "--test", "live"], "fig2a")
+    },
+];
+
+/// Path (below the two roots) at which two trees first differ, `None`
+/// when equal — skipping numeric object members whose name starts with
+/// one of `wall`.
+fn first_diff(a: &Json, b: &Json, wall: &[&str]) -> Option<String> {
+    match (a, b) {
+        (Json::Obj(x), Json::Obj(y)) if x.len() == y.len() => {
+            x.iter().zip(y).find_map(|((ka, va), (kb, vb))| {
+                let banded = wall.iter().any(|p| ka.starts_with(p));
+                let rest = if ka != kb {
+                    Some(String::new())
+                } else if banded && matches!((va, vb), (Json::Num(_), Json::Num(_))) {
+                    None
+                } else {
+                    first_diff(va, vb, wall)
+                };
+                rest.map(|rest| format!(".{ka}{rest}"))
+            })
+        }
+        (Json::Arr(x), Json::Arr(y)) if x.len() == y.len() => {
+            x.iter().zip(y).enumerate().find_map(|(i, (va, vb))| {
+                first_diff(va, vb, wall).map(|rest| format!("[{i}]{rest}"))
+            })
+        }
+        _ => (a != b).then(String::new),
+    }
+}
+
+/// Compare two same-seed `BENCH_*.json` texts under `compare`.
+fn replay_mismatch(first: &str, second: &str, compare: Compare) -> Result<(), String> {
+    match compare {
+        Compare::Document => {
+            let (a, b) = (Json::parse(first)?, Json::parse(second)?);
+            let opts = DiffOptions::default();
+            let wall: Vec<&str> = opts.scalar_rules.iter().map(|r| r.name_prefix).collect();
+            match first_diff(&a, &b, &wall) {
+                None => Ok(()),
+                Some(at) => Err(format!("same-seed documents differ at ${at}")),
+            }
+        }
+        Compare::TraceHashes => same_trace_hashes(first, second).map(|_| ()),
+    }
+}
+
+fn run_gate(g: &Gate, root: &Path) -> Result<(), String> {
+    if !g.suite.is_empty() {
+        cargo(root, &[&["test", "--release", "-q"], g.suite].concat(), &[])?;
+    }
+    let results = root.join("results");
+    let files: Vec<_> = std::iter::once(format!("BENCH_{}.json", g.fig))
+        .chain(g.extra.iter().map(|f| (*f).to_owned()))
+        .map(|f| results.join(f))
+        .collect();
+    let run = || -> Result<Vec<String>, String> {
+        println!(
+            "xtask replay-gate: {}: running {} --quick ...",
+            g.name, g.fig
+        );
+        run_fig(g.fig, root, g.env)?;
+        files.iter().map(|f| read_text(f)).collect()
+    };
+    let (first, second) = (run()?, run()?);
+    replay_mismatch(&first[0], &second[0], g.compare)?;
+    match (1..files.len()).find(|&i| first[i] != second[i]) {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "{} differs between same-seed runs",
+            files[i].display()
+        )),
+    }
+}
+
+pub fn run_replay_gate(which: &str, root: &Path) -> Result<(), String> {
+    let gates: Vec<&Gate> = GATES
+        .iter()
+        .filter(|g| which == "all" || g.name == which)
+        .collect();
+    if gates.is_empty() {
+        let names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
+        return Err(format!(
+            "unknown gate {which:?} (one of: all, {})",
+            names.join(", ")
+        ));
+    }
+    // Run every selected gate before failing, so `all` reports them all.
+    let mut failed = Vec::new();
+    for g in gates {
+        match run_gate(g, root) {
+            Ok(()) => println!("xtask replay-gate: {}: PASS", g.name),
+            Err(e) => {
+                eprintln!("xtask replay-gate: {}: FAIL {e}", g.name);
+                failed.push(g.name);
+            }
+        }
+    }
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("gate(s) failed: {}", failed.join(", ")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const DOC: &str = "{\"id\":\"fig_serve\",\"sched_trace_hash\":\"00aa\",\
+        \"series\":[{\"label\":\"grants\",\"points\":[[64,602]]}],\
+        \"scalars\":{\"serve_wall_ms_w1\":12.5,\"serve_total_events\":100}}";
+
+    #[test]
+    fn wall_clock_scalars_are_the_only_slack() {
+        assert_eq!(replay_mismatch(DOC, DOC, Compare::Document), Ok(()));
+        // Negative control: a deterministic scalar moved.
+        let moved = DOC.replace("\"serve_total_events\":100", "\"serve_total_events\":101");
+        let err = replay_mismatch(DOC, &moved, Compare::Document).unwrap_err();
+        assert!(err.ends_with("$.scalars.serve_total_events"), "{err}");
+        // A series point is not a named scalar: no slack either.
+        let point = DOC.replace("[64,602]", "[64,603]");
+        assert!(replay_mismatch(DOC, &point, Compare::Document).is_err());
+        // Only a banded wall-clock scalar moved: still a replay.
+        let wall = DOC.replace("\"serve_wall_ms_w1\":12.5", "\"serve_wall_ms_w1\":99");
+        assert_eq!(replay_mismatch(DOC, &wall, Compare::Document), Ok(()));
+        // ...but it must still be there, and still be a number.
+        let gone = DOC.replace("\"serve_wall_ms_w1\":12.5,", "");
+        assert!(replay_mismatch(DOC, &gone, Compare::Document).is_err());
+        let typed = DOC.replace("\"serve_wall_ms_w1\":12.5", "\"serve_wall_ms_w1\":null");
+        assert!(replay_mismatch(DOC, &typed, Compare::Document).is_err());
+    }
+
+    #[test]
+    fn trace_hash_gate_needs_hashes_and_equality() {
+        assert_eq!(replay_mismatch(DOC, DOC, Compare::TraceHashes), Ok(()));
+        // The document may differ elsewhere (live runs are not baselined).
+        let wall = DOC.replace("\"serve_total_events\":100", "\"serve_total_events\":7");
+        assert_eq!(replay_mismatch(DOC, &wall, Compare::TraceHashes), Ok(()));
+        let moved = DOC.replace("00aa", "00ab");
+        assert!(replay_mismatch(DOC, &moved, Compare::TraceHashes).is_err());
+        assert!(replay_mismatch("{}", "{}", Compare::TraceHashes).is_err());
+    }
+}

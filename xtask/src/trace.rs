@@ -4,322 +4,65 @@
 //! Runs `cargo run --release -p mtmpi-bench --bin <fig> -- --quick` with
 //! `MTMPI_TRACE=1` in the workspace root, then checks that
 //! `results/BENCH_<fig>.json` and `results/<fig>.trace.json` exist, are
-//! syntactically valid JSON (validated by the minimal recursive-descent
-//! checker below — the workspace deliberately has no JSON dependency),
-//! and have the expected top-level shape (an `"id"` field and a `"prof"`
-//! block in the bench summary, a non-empty `"traceEvents"` array in the
-//! trace).
+//! valid JSON (`mtmpi_prof::Json::parse` — validation = parse), and have
+//! the expected shape (an `"id"` field and a run with a `"prof"` block
+//! in the bench summary, a non-empty `"traceEvents"` array in the trace).
 
+use crate::run::{read_text, run_fig};
+use mtmpi_prof::Json;
 use std::path::Path;
-use std::process::{Command, ExitCode};
 
-/// A minimal JSON well-formedness checker (RFC 8259 grammar, no value
-/// materialisation). Returns `Err(byte_offset, message)` on the first
-/// syntax error.
-pub struct JsonCheck<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-type JErr = (usize, &'static str);
-
-impl<'a> JsonCheck<'a> {
-    pub fn validate(text: &'a str) -> Result<(), JErr> {
-        let mut c = JsonCheck {
-            s: text.as_bytes(),
-            i: 0,
-        };
-        c.ws();
-        c.value()?;
-        c.ws();
-        if c.i != c.s.len() {
-            return Err((c.i, "trailing data after top-level value"));
-        }
-        Ok(())
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8, msg: &'static str) -> Result<(), JErr> {
-        if self.peek() == Some(b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err((self.i, msg))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), JErr> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal(b"true"),
-            Some(b'f') => self.literal(b"false"),
-            Some(b'n') => self.literal(b"null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err((self.i, "expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &[u8]) -> Result<(), JErr> {
-        if self.s[self.i..].starts_with(lit) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err((self.i, "malformed literal"))
-        }
-    }
-
-    fn object(&mut self) -> Result<(), JErr> {
-        self.eat(b'{', "expected '{'")?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.string()?;
-            self.ws();
-            self.eat(b':', "expected ':' after object key")?;
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err((self.i, "expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), JErr> {
-        self.eat(b'[', "expected '['")?;
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err((self.i, "expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), JErr> {
-        self.eat(b'"', "expected '\"'")?;
-        loop {
-            match self.peek() {
-                None => return Err((self.i, "unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
-                        Some(b'u') => {
-                            self.i += 1;
-                            for _ in 0..4 {
-                                if !self.peek().is_some_and(|c| c.is_ascii_hexdigit()) {
-                                    return Err((self.i, "bad \\u escape"));
-                                }
-                                self.i += 1;
-                            }
-                        }
-                        _ => return Err((self.i, "bad escape")),
-                    }
-                }
-                Some(c) if c < 0x20 => return Err((self.i, "raw control char in string")),
-                Some(_) => self.i += 1,
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), JErr> {
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let digits = |c: &mut Self| {
-            let start = c.i;
-            while c.peek().is_some_and(|b| b.is_ascii_digit()) {
-                c.i += 1;
-            }
-            c.i > start
-        };
-        if !digits(self) {
-            return Err((self.i, "expected digits"));
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            if !digits(self) {
-                return Err((self.i, "expected digits after '.'"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            if !digits(self) {
-                return Err((self.i, "expected exponent digits"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Validate one output file: exists, parses as JSON, and contains
-/// `required_key` at top level (a cheap shape check — the checker does
-/// not materialise values).
-fn check_file(path: &Path, required_key: &str) -> Result<u64, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("{}: cannot read: {e}", path.display()))?;
-    JsonCheck::validate(&text)
-        .map_err(|(off, msg)| format!("{}: invalid JSON at byte {off}: {msg}", path.display()))?;
-    let needle = format!("\"{required_key}\"");
-    if !text.contains(&needle) {
-        return Err(format!("{}: missing expected key {needle}", path.display()));
+/// Validate one output file: exists, parses as JSON (`Json::parse` is
+/// the workspace's one validator), and has the expected shape.
+fn check_file(path: &Path, shape: &str, has_shape: fn(&Json) -> bool) -> Result<u64, String> {
+    let text = read_text(path)?;
+    let doc = Json::parse(&text).map_err(|e| format!("{}: invalid JSON: {e}", path.display()))?;
+    if !has_shape(&doc) {
+        return Err(format!("{}: missing {shape}", path.display()));
     }
     Ok(text.len() as u64)
 }
 
-/// Figure names are plain binary names; anything else (path separators,
-/// dashes that cargo would parse as flags) is rejected before it
-/// reaches the command line.
-pub(crate) fn valid_fig_name(fig: &str) -> bool {
-    !fig.is_empty() && fig.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+fn bench_shape(doc: &Json) -> bool {
+    let runs = doc.get("runs").and_then(Json::as_array).unwrap_or_default();
+    doc.get("id").is_some() && runs.iter().any(|r| r.get("prof").is_some())
 }
 
-pub fn run_trace(fig: &str, root: &Path) -> ExitCode {
-    if !valid_fig_name(fig) {
-        eprintln!("xtask trace: figure name must be alphanumeric (got {fig:?})");
-        return ExitCode::FAILURE;
-    }
+fn trace_shape(doc: &Json) -> bool {
+    let events = doc.get("traceEvents").and_then(Json::as_array);
+    events.is_some_and(|a| !a.is_empty())
+}
+
+pub fn run_trace(fig: &str, root: &Path) -> Result<(), String> {
     println!("xtask trace: running {fig} --quick with MTMPI_TRACE=1 ...");
-    let status = Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "mtmpi-bench",
-            "--bin",
-            fig,
-            "--",
-            "--quick",
-        ])
-        .env("MTMPI_TRACE", "1")
-        .current_dir(root)
-        .status();
-    match status {
-        Ok(s) if s.success() => {}
-        Ok(s) => {
-            eprintln!("xtask trace: {fig} exited with {s}");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("xtask trace: cannot run cargo: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    run_fig(fig, root, &[("MTMPI_TRACE", "1")])?;
     let bench = root.join(format!("results/BENCH_{fig}.json"));
     let trace = root.join(format!("results/{fig}.trace.json"));
-    let mut failed = false;
-    for (path, key) in [(&bench, "id"), (&bench, "prof"), (&trace, "traceEvents")] {
-        match check_file(path, key) {
+    let checks = [
+        (
+            &bench,
+            "\"id\" or a run with a \"prof\" block",
+            bench_shape as fn(&Json) -> bool,
+        ),
+        (&trace, "a non-empty \"traceEvents\" array", trace_shape),
+    ];
+    // Check both files before failing, so one run reports everything.
+    let mut failed = 0;
+    for (path, shape, has_shape) in checks {
+        match check_file(path, shape, has_shape) {
             Ok(bytes) => println!("xtask trace: OK {} ({bytes} bytes)", path.display()),
             Err(e) => {
                 eprintln!("xtask trace: FAIL {e}");
-                failed = true;
+                failed += 1;
             }
         }
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "xtask trace: open {} in Perfetto (ui.perfetto.dev) or chrome://tracing",
-            trace.display()
-        );
-        ExitCode::SUCCESS
+    if failed > 0 {
+        return Err(format!("{failed} output file(s) invalid"));
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accepts_valid_documents() {
-        for s in [
-            "{}",
-            "[]",
-            "null",
-            "-1.5e-3",
-            "\"a\\u00e9\\n\"",
-            "{\"a\":[1,2,{\"b\":null}],\"c\":true}",
-            " { \"traceEvents\" : [ { \"ph\" : \"X\" , \"ts\" : \"1.003\" } ] } ",
-        ] {
-            assert!(JsonCheck::validate(s).is_ok(), "should accept: {s}");
-        }
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for s in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "tru",
-            "1.2.3",
-            "\"unterminated",
-            "{} extra",
-            "{\"a\":1,}",
-            "[01]x",
-            "\"bad\\q\"",
-        ] {
-            assert!(JsonCheck::validate(s).is_err(), "should reject: {s}");
-        }
-    }
-
-    #[test]
-    fn error_offsets_point_at_the_problem() {
-        let (off, _) = JsonCheck::validate("{\"a\":!}").unwrap_err();
-        assert_eq!(off, 5);
-    }
-
-    #[test]
-    fn fig_name_is_sanitised() {
-        assert!(valid_fig_name("fig2a"));
-        assert!(valid_fig_name("ablation_locks"));
-        assert!(!valid_fig_name("../evil"));
-        assert!(!valid_fig_name("--flag"));
-        assert!(!valid_fig_name(""));
-    }
+    println!(
+        "xtask trace: open {} in Perfetto (ui.perfetto.dev) or chrome://tracing",
+        trace.display()
+    );
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! `xtask watch <fig>` — run one figure binary with the mtmpi-live
+//! `xtask watch <fig>` — run one figure binary with the `prof::live`
 //! online collector enabled, rendering periodic live-stats snapshots,
 //! and validate the Prometheus-style export it leaves behind.
 //!
@@ -15,10 +15,8 @@
 //! have a different (still deterministic) schedule than untraced ones.
 //! Watch output is for interactive inspection — never for baselines.
 
+use crate::run::{read_text, run_fig, valid_fig_name};
 use std::path::Path;
-use std::process::{Command, ExitCode};
-
-use crate::trace;
 
 /// Validate a `.live.prom` export: non-empty, every non-comment line is
 /// `name{labels} value` (or `name value`) with an `mtmpi_live_` prefix
@@ -57,21 +55,16 @@ pub fn validate_prom(text: &str) -> Result<usize, String> {
     Ok(samples)
 }
 
-pub fn run_watch(fig: &str, headless: bool, root: &Path) -> ExitCode {
-    if !trace::valid_fig_name(fig) {
-        eprintln!("xtask watch: figure name must be alphanumeric (got {fig:?})");
-        return ExitCode::FAILURE;
+pub fn run_watch(fig: &str, headless: bool, root: &Path) -> Result<(), String> {
+    // Checked before the export path below is derived from it.
+    if !valid_fig_name(fig) {
+        return Err(format!("figure name must be alphanumeric (got {fig:?})"));
     }
     let prom = root.join(format!("results/{fig}.live.prom"));
     // Start from a clean export: the harness appends one block per run.
-    if let Err(e) = std::fs::create_dir_all(prom.parent().expect("results dir")) {
-        eprintln!("xtask watch: cannot create results dir: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(&prom, "") {
-        eprintln!("xtask watch: cannot truncate {}: {e}", prom.display());
-        return ExitCode::FAILURE;
-    }
+    std::fs::create_dir_all(prom.parent().expect("results dir"))
+        .and_then(|()| std::fs::write(&prom, ""))
+        .map_err(|e| format!("cannot truncate {}: {e}", prom.display()))?;
     println!(
         "xtask watch: running {fig} --quick with MTMPI_LIVE=1{} ...",
         if headless {
@@ -80,55 +73,20 @@ pub fn run_watch(fig: &str, headless: bool, root: &Path) -> ExitCode {
             ", live snapshots on stderr"
         }
     );
-    let mut cmd = Command::new("cargo");
-    cmd.args([
-        "run",
-        "--release",
-        "-p",
-        "mtmpi-bench",
-        "--bin",
-        fig,
-        "--",
-        "--quick",
-    ])
-    .env("MTMPI_LIVE", "1")
-    .env("MTMPI_LIVE_OUT", &prom)
-    .current_dir(root);
+    let out = prom.display().to_string();
+    let mut env = vec![("MTMPI_LIVE", "1"), ("MTMPI_LIVE_OUT", out.as_str())];
     if !headless {
-        cmd.env("MTMPI_LIVE_WATCH", "1");
+        env.push(("MTMPI_LIVE_WATCH", "1"));
     }
-    match cmd.status() {
-        Ok(s) if s.success() => {}
-        Ok(s) => {
-            eprintln!("xtask watch: {fig} exited with {s}");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("xtask watch: cannot run cargo: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let text = match std::fs::read_to_string(&prom) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask watch: FAIL {}: cannot read: {e}", prom.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    match validate_prom(&text) {
-        Ok(n) => {
-            println!(
-                "xtask watch: OK {} ({n} samples, {} bytes)",
-                prom.display(),
-                text.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask watch: FAIL {}: {e}", prom.display());
-            ExitCode::FAILURE
-        }
-    }
+    run_fig(fig, root, &env)?;
+    let text = read_text(&prom)?;
+    let n = validate_prom(&text).map_err(|e| format!("{}: {e}", prom.display()))?;
+    println!(
+        "xtask watch: OK {} ({n} samples, {} bytes)",
+        prom.display(),
+        text.len()
+    );
+    Ok(())
 }
 
 #[cfg(test)]
