@@ -365,7 +365,15 @@ impl RingRecorder {
     /// not be reused afterwards.
     pub unsafe fn drain_unsynced(&self) -> Timeline {
         let dropped = self.dropped.swap(0, Ordering::Relaxed);
-        let mut events = Vec::new();
+        // Sized exactly: a timeline is tens of MB, and growing it by
+        // doubling both overshoots by up to 2× and leaves it wherever
+        // the allocator's in-place `realloc` happened to succeed.
+        let total = self
+            .shards
+            .iter()
+            .map(|s| s.published.load(Ordering::Acquire))
+            .sum();
+        let mut events = Vec::with_capacity(total);
         for shard in &self.shards {
             let n = shard.published.load(Ordering::Acquire);
             for i in 0..n {

@@ -298,6 +298,7 @@ impl Platform for NativePlatform {
             lock_traces: traces,
             sched_trace_hash: 0,
             events: 0,
+            handoffs: 0,
         }
     }
 }

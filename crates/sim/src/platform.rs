@@ -148,6 +148,11 @@ pub struct PlatformReport {
     /// bound counts, and the numerator of `sim_events_per_sec`). The
     /// native platform has no event loop and reports 0.
     pub events: u64,
+    /// Baton transfers between distinct OS threads during the run (see
+    /// `RunHandle::handoffs`): the context switches the virtual
+    /// platform's transport cost, a deterministic count. The native
+    /// platform passes no baton and reports 0.
+    pub handoffs: u64,
 }
 
 /// Execution platform abstraction. See the crate docs for the contract.

@@ -1,16 +1,27 @@
 //! The deterministic virtual-time platform.
 //!
 //! Worker closures run on real OS threads, but **exactly one runs at a
-//! time**: each worker blocks until the scheduler resumes it, runs until
-//! its next synchronization point (lock or network operation), and hands
-//! control back. Local computation ([`Platform::compute`]) accumulates in
-//! a thread-local offset without scheduler involvement, so simulation cost
-//! scales with synchronization frequency, not with simulated work.
+//! time**: whichever thread holds the *baton*. There is no scheduler
+//! thread. A worker that reaches a synchronization point (lock or network
+//! operation) queues its own `Exec` event and runs the event loop itself,
+//! on the shared [`Scheduler`] state. If the next event that resumes a
+//! thread resumes *it*, the reply is returned inline with no context
+//! switch; otherwise it deposits the reply in the target's [`Slot`], wakes
+//! that one thread and parks — one switch per hand-off. The thread calling
+//! [`RunHandle::step`] is simply the first baton holder of each quantum:
+//! it runs the loop up to the first resume, parks, and is woken with the
+//! outcome by whichever thread holds the baton when the budget, fuel,
+//! completion, a deadlock or a worker panic ends the quantum.
 //!
-//! Determinism: the scheduler processes events strictly in
-//! `(virtual time, sequence)` order, worker interaction is fully
-//! serialized, and all randomness (CAS-race jitter, per-thread RNG
-//! streams) derives from the run's seed.
+//! Local computation ([`Platform::compute`]) accumulates in a thread-local
+//! offset without touching the scheduler, so simulation cost scales with
+//! synchronization frequency, not with simulated work.
+//!
+//! Determinism: events are processed strictly in `(virtual time,
+//! sequence)` order by one loop over one queue — *which* OS thread runs
+//! that loop is transport, not a decision, and is not hashed. Worker
+//! interaction is fully serialized, and all randomness (CAS-race jitter,
+//! per-thread RNG streams) derives from the run's seed.
 
 pub mod arena;
 pub mod calendar;
@@ -25,13 +36,14 @@ use calendar::CalendarQueue;
 use mtmpi_locks::{CsToken, PathClass};
 use mtmpi_net::NetModel;
 use mtmpi_topology::{ClusterTopology, CoreId, SocketId};
+use parking_lot::MutexGuard;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cell::{Cell, RefCell};
 use std::collections::BinaryHeap;
-use std::rc::Rc;
-use std::sync::mpsc;
-use std::sync::{Mutex, Once};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, Once};
+use std::thread::Thread;
 use vlock::{AcquireOutcome, GrantOutcome, ReleaseOutcome, VLock};
 
 /// Which event-queue implementation the scheduler runs on.
@@ -78,7 +90,7 @@ fn fuel_from_env(v: Option<&str>) -> Option<u64> {
 
 /// Operations a worker submits to the scheduler.
 enum Op {
-    /// Scheduler round-trip with no effect: lets other threads run up to
+    /// Event-loop pass with no effect: lets other threads run up to
     /// this thread's current virtual time (used by `yield_now` so that
     /// busy-waits on shared memory stay live).
     Fence,
@@ -134,26 +146,8 @@ impl std::fmt::Debug for Op {
     }
 }
 
-/// Worker → scheduler messages.
-enum Request {
-    Op {
-        tid: usize,
-        at: u64,
-        op: Op,
-    },
-    Done {
-        tid: usize,
-        at: u64,
-    },
-    /// The worker's closure panicked; the scheduler re-raises the panic
-    /// so `run()` fails with the worker's message instead of hanging.
-    Panicked {
-        tid: usize,
-        msg: String,
-    },
-}
-
-/// Scheduler → worker resumptions.
+/// What a resumed worker is handed: the virtual time it resumes at, plus
+/// the result of the operation it submitted.
 enum Reply {
     Go { now: u64 },
     Packets { now: u64, pkts: Vec<Payload> },
@@ -168,22 +162,183 @@ impl Reply {
     }
 }
 
+/// How a quantum ends: delivered to the thread parked in
+/// [`RunHandle::step`] by whichever thread holds the baton at that point.
+enum Stop {
+    Step(Result<StepOutcome, SimError>),
+    /// A worker's closure panicked; `step` re-raises this message so the
+    /// run fails with the worker's panic instead of hanging.
+    Panicked(String),
+}
+
+/// Where the baton goes when the event loop stops running on this thread.
+enum Pass {
+    /// An event resumes simulated thread `.0` with reply `.1`.
+    Resume(usize, Reply),
+    /// The quantum is over: back to the stepping thread.
+    Stop(Stop),
+}
+
+// `Slot::baton` values.
+const EMPTY: u32 = 0;
+const GO: u32 = 1;
+const ABORT: u32 = 2;
+
+/// One thread's hand-off slot: a value, the word that publishes it, and
+/// the OS thread to wake. Only the baton holder deposits, and only into
+/// the slot of the thread it passes the baton to, so a slot holds at most
+/// one value. `std::thread::park` carries a token — an `unpark` that
+/// precedes the `park` makes it return at once — so the wake cannot be
+/// lost in the window between the `baton` check and the park.
+struct Slot<T> {
+    /// `EMPTY → GO` (Release, after `value` is written) by the depositor,
+    /// `GO → EMPTY` (Acquire) by the owner; `ABORT` is sticky.
+    baton: AtomicU32,
+    value: parking_lot::Mutex<Option<T>>,
+    owner: parking_lot::Mutex<Option<Thread>>,
+}
+
+impl<T> Slot<T> {
+    fn new() -> Self {
+        Self {
+            baton: AtomicU32::new(EMPTY),
+            value: parking_lot::Mutex::new(None),
+            owner: parking_lot::Mutex::new(None),
+        }
+    }
+
+    /// Name the thread [`Slot::deposit`] and [`Slot::abort`] wake.
+    fn set_owner(&self, t: Thread) {
+        *self.owner.lock() = Some(t);
+    }
+
+    fn unpark_owner(&self) {
+        if let Some(t) = self.owner.lock().as_ref() {
+            t.unpark();
+        }
+    }
+
+    /// Hand `v` (and with it the baton) to the owner and wake it.
+    fn deposit(&self, v: T) {
+        *self.value.lock() = Some(v);
+        // Fails only against ABORT, whose setter has already woken the
+        // owner: the value is then never read, like the run's other state.
+        if self
+            .baton
+            .compare_exchange(EMPTY, GO, Ordering::Release, Ordering::Acquire)
+            .is_ok()
+        {
+            self.unpark_owner();
+        }
+    }
+
+    /// Park until a value is deposited (`Some`) or the run is aborted
+    /// (`None`). Tolerates spurious and stale wake-ups.
+    fn wait(&self) -> Option<T> {
+        loop {
+            match self
+                .baton
+                .compare_exchange(GO, EMPTY, Ordering::Acquire, Ordering::Acquire)
+            {
+                Ok(_) => return self.value.lock().take(),
+                Err(ABORT) => return None,
+                Err(_) => std::thread::park(),
+            }
+        }
+    }
+
+    fn abort(&self) {
+        self.baton.swap(ABORT, Ordering::AcqRel);
+        self.unpark_owner();
+    }
+
+    fn is_aborted(&self) -> bool {
+        self.baton.load(Ordering::Acquire) == ABORT
+    }
+}
+
+/// Everything the OS threads of one run share: the event-loop state
+/// behind one mutex that is never contended (only the baton holder takes
+/// it, and releases it before waking its successor), one slot per
+/// simulated thread, and the stepping thread's slot.
+///
+/// The mutexes here are the non-poisoning kind on purpose. A panic under
+/// one (an internal invariant broke mid-event) already dooms the run: the
+/// panic still has to reach the stepping thread, and cancellation still
+/// has to join the workers, so nobody may trip over a poison flag on the
+/// way.
+struct Shared {
+    sched: parking_lot::Mutex<Scheduler>,
+    slots: Vec<Slot<Reply>>,
+    stepper: Slot<Stop>,
+}
+
+impl Shared {
+    /// Give the baton away: count the transfer, release the scheduler,
+    /// then wake the one thread that now holds it.
+    fn pass(&self, mut sched: MutexGuard<'_, Scheduler>, to: Pass) {
+        sched.handoffs += 1;
+        drop(sched);
+        match to {
+            Pass::Resume(tid, reply) => self.slots[tid].deposit(reply),
+            Pass::Stop(stop) => self.stepper.deposit(stop),
+        }
+    }
+
+    /// A worker's sync point: queue its own `Exec` event and run the
+    /// loop. `None` means the run was aborted.
+    fn submit(&self, tid: usize, at: u64, op: Op) -> Option<Reply> {
+        let slot = &self.slots[tid];
+        // Once aborted, every further sync point unwinds too: the worker
+        // no longer holds the baton and must not touch the scheduler.
+        if slot.is_aborted() {
+            return None;
+        }
+        let mut sched = self.sched.lock();
+        sched.pending_op[tid] = Some(op);
+        sched.push(at, EvKind::Exec(tid));
+        match sched.advance() {
+            // The next resume is our own: no context switch at all.
+            Pass::Resume(t, reply) if t == tid => return Some(reply),
+            to => self.pass(sched, to),
+        }
+        slot.wait()
+    }
+
+    /// A worker's closure returned: retire it and pass the baton on.
+    fn retire(&self, tid: usize, at: u64) {
+        let mut sched = self.sched.lock();
+        sched.done[tid] = true;
+        sched.live -= 1;
+        sched.end_ns = sched.end_ns.max(at);
+        let to = sched.advance();
+        debug_assert!(!matches!(to, Pass::Resume(t, _) if t == tid));
+        self.pass(sched, to);
+    }
+
+    /// A worker's closure panicked while it held the baton.
+    fn fail(&self, tid: usize, msg: &str) {
+        let sched = self.sched.lock();
+        let report = format!("worker `{}` panicked: {msg}", sched.threads[tid].name);
+        self.pass(sched, Pass::Stop(Stop::Panicked(report)));
+    }
+}
+
 /// Thread-local worker context installed while a worker closure runs.
 struct WorkerCtx {
     tid: usize,
     base: Cell<u64>,
     offset: Cell<u64>,
-    req_tx: mpsc::Sender<Request>,
-    go_rx: mpsc::Receiver<Reply>,
+    shared: Arc<Shared>,
     rng: RefCell<SmallRng>,
 }
 
 thread_local! {
-    static CTX: RefCell<Option<Rc<WorkerCtx>>> = const { RefCell::new(None) };
+    static CTX: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
 }
 
-/// Panic payload used to unwind a worker when the scheduler has shut
-/// down early (fuel exhaustion / typed deadlock). The worker wrapper
+/// Panic payload used to unwind a worker when the run has shut down early
+/// (fuel exhaustion / typed deadlock / cancellation). The worker wrapper
 /// swallows it, and the process panic hook stays silent for it, so an
 /// aborted run produces exactly one diagnostic: the [`SimError`].
 struct SimAbort;
@@ -208,16 +363,14 @@ impl WorkerCtx {
         self.base.get() + self.offset.get()
     }
 
+    fn compute(&self, ns: u64) {
+        self.offset.set(self.offset.get() + ns);
+    }
+
     fn sync(&self, op: Op) -> Reply {
-        let sent = self.req_tx.send(Request::Op {
-            tid: self.tid,
-            at: self.now(),
-            op,
-        });
-        let reply = sent.ok().and_then(|()| self.go_rx.recv().ok());
-        let Some(reply) = reply else {
-            // The scheduler hung up mid-run: it stopped with a typed
-            // error and is waiting for workers to unwind.
+        let Some(reply) = self.shared.submit(self.tid, self.now(), op) else {
+            // The run stopped with a typed error (or was cancelled) and
+            // the stepping thread is waiting for workers to unwind.
             std::panic::panic_any(SimAbort);
         };
         self.base.set(reply.now());
@@ -226,26 +379,78 @@ impl WorkerCtx {
     }
 }
 
+/// Run `f` with this thread's worker context — `None` off a worker
+/// thread (before `run()`, or on the controlling thread). One
+/// thread-local access and one `RefCell` borrow per platform call.
+fn ctx<R>(f: impl FnOnce(Option<&WorkerCtx>) -> R) -> R {
+    CTX.with(|c| f(c.borrow().as_ref()))
+}
+
 fn with_ctx<R>(f: impl FnOnce(&WorkerCtx) -> R) -> R {
-    CTX.with(|c| {
-        let b = c.borrow();
-        let ctx = b.as_ref().expect(
+    ctx(|c| {
+        f(c.expect(
             "virtual-platform operation outside a worker thread (did you call it before run()?)",
-        );
-        f(ctx)
+        ))
     })
 }
 
-fn in_worker() -> bool {
-    CTX.with(|c| c.borrow().is_some())
+/// What one simulated thread's OS thread runs: wait for the baton, run
+/// the closure with the worker context installed, pass the baton on.
+fn worker_main(
+    shared: &Arc<Shared>,
+    tid: usize,
+    seed: u64,
+    core: CoreId,
+    socket: SocketId,
+    f: Box<dyn FnOnce() + Send>,
+) {
+    // Wait for the Start hand-off. An abort before it arrives means the
+    // run was cancelled pre-start.
+    let Some(first) = shared.slots[tid].wait() else {
+        return;
+    };
+    CTX.with(|c| {
+        *c.borrow_mut() = Some(WorkerCtx {
+            tid,
+            base: Cell::new(first.now()),
+            offset: Cell::new(0),
+            shared: Arc::clone(shared),
+            rng: RefCell::new(SmallRng::seed_from_u64(seed)),
+        });
+    });
+    // Announce placement so traced locks and the obs event layer stamp
+    // events with real core/socket, matching the native platform's
+    // workers.
+    mtmpi_locks::set_current_core(core, socket);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    let at = CTX
+        .with(|c| c.borrow_mut().take())
+        .expect("worker context installed above")
+        .now();
+    match result {
+        Ok(()) => shared.retire(tid, at),
+        Err(e) if e.is::<SimAbort>() => {
+            // Shutdown initiated by the stepping thread (typed error or
+            // cancellation): unwind quietly, the SimError is the report.
+        }
+        Err(e) => {
+            let msg = e
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| e.downcast_ref::<&str>().copied())
+                .unwrap_or("worker panicked");
+            shared.fail(tid, msg);
+        }
+    }
 }
 
 /// Order-sensitive FNV-1a 64 accumulator over scheduler decisions.
 ///
-/// Every event popped from the heap (the dequeue order *is* the
+/// Every event dequeued from the event queue (the dequeue order *is* the
 /// scheduler's decision trace) folds its virtual time, kind, and payload
 /// into the hash, and every lock grant folds the granted thread and
-/// grant time. Two runs with identical seeds and workloads produce
+/// grant time. Which OS thread ran the loop is not a decision and is not
+/// folded in. Two runs with identical seeds and workloads produce
 /// byte-identical event sequences, hence equal hashes; any schedule
 /// divergence — a different interleaving, a different grant winner, a
 /// shifted arrival — changes it. Exposed per run as
@@ -485,37 +690,34 @@ impl VirtualPlatform {
 
 impl Platform for VirtualPlatform {
     fn now_ns(&self) -> u64 {
-        if in_worker() {
-            with_ctx(|c| c.now())
-        } else {
-            0
-        }
+        ctx(|c| c.map_or(0, WorkerCtx::now))
     }
 
     fn compute(&self, ns: u64) {
-        if in_worker() {
-            with_ctx(|c| c.offset.set(c.offset.get() + ns));
-        }
+        ctx(|c| {
+            if let Some(c) = c {
+                c.compute(ns);
+            }
+        });
     }
 
     fn yield_now(&self) {
-        // A real scheduler round-trip (plus a minimal advance): without
-        // it, a thread busy-waiting on shared memory would never let its
-        // peers run. Pre-run (no worker context) it is a no-op.
-        if in_worker() {
-            self.compute(1);
-            with_ctx(|c| {
+        // A real pass through the event loop (plus a minimal advance):
+        // without it, a thread busy-waiting on shared memory would never
+        // let its peers run. Pre-run (no worker context) it is a no-op.
+        ctx(|c| {
+            if let Some(c) = c {
+                c.compute(1);
                 c.sync(Op::Fence);
-            });
-        }
+            }
+        });
     }
 
     fn rng_u64(&self) -> u64 {
-        if in_worker() {
-            with_ctx(|c| c.rng.borrow_mut().gen())
-        } else {
-            SmallRng::seed_from_u64(self.seed).gen()
-        }
+        ctx(|c| match c {
+            Some(c) => c.rng.borrow_mut().gen(),
+            None => SmallRng::seed_from_u64(self.seed).gen(),
+        })
     }
 
     fn lock_create(&self, kind: LockKind) -> LockId {
@@ -526,11 +728,7 @@ impl Platform for VirtualPlatform {
     }
 
     fn current_tid(&self) -> u64 {
-        if in_worker() {
-            with_ctx(|c| c.tid as u64)
-        } else {
-            u64::MAX
-        }
+        ctx(|c| c.map_or(u64::MAX, |c| c.tid as u64))
     }
 
     fn node_count(&self) -> Option<u32> {
@@ -665,9 +863,9 @@ impl VirtualPlatform {
     }
 }
 
-/// The event-loop state. Owned by a [`RunHandle`]: no borrow of the
-/// platform survives `start()` (the network model is cloned in), so the
-/// whole scheduler is a movable, `Send` work item.
+/// The event-loop state, shared by every OS thread of one run behind
+/// [`Shared::sched`]. No borrow of the platform survives `start()` (the
+/// network model is cloned in), so a run is a movable, `Send` work item.
 struct Scheduler {
     net: NetModel,
     q: EvQueue,
@@ -679,12 +877,22 @@ struct Scheduler {
     ep_node: Vec<u32>,
     threads: Vec<ThreadInfo>,
     pending_op: Vec<Option<Op>>,
-    go_tx: Vec<mpsc::Sender<Reply>>,
-    req_rx: mpsc::Receiver<Request>,
     live: usize,
     done: Vec<bool>,
     end_ns: u64,
     hash: SchedHash,
+    fuel: Option<u64>,
+    n_events: u64,
+    /// Events the current [`RunHandle::step`] call may still execute.
+    budget_left: u64,
+    /// Current same-timestamp batch plus the resume cursor into it: a
+    /// quantum boundary may land mid-batch, so the remainder must survive
+    /// the park.
+    batch: Vec<Ev>,
+    batch_pos: usize,
+    debug_every: u64,
+    /// Baton transfers between distinct OS threads so far.
+    handoffs: u64,
 }
 
 /// Progress report from one [`RunHandle::step`] call.
@@ -700,38 +908,29 @@ pub enum StepOutcome {
 /// A launched-but-resumable simulation: the scheduler state of one
 /// [`VirtualPlatform::start`] call, steppable in bounded event quanta.
 ///
-/// The handle is `Send` — the worker OS threads it spawned rendezvous
-/// with *whichever* thread currently calls [`RunHandle::step`] over the
-/// same channels, so a pool can park a run after a quantum and resume it
-/// elsewhere. Exactly one thread may step a handle at a time (guaranteed
-/// by `&mut self`).
+/// The handle is `Send` — the worker OS threads it spawned take the baton
+/// from *whichever* thread currently calls [`RunHandle::step`] and hand
+/// it back to that same thread when the quantum ends, so a pool can park
+/// a run after a quantum and resume it elsewhere. Exactly one thread may
+/// step a handle at a time (guaranteed by `&mut self`).
 ///
 /// Determinism contract: the event order consumed by `step` depends only
 /// on the registered workload and seed, never on the quantum series —
 /// `step(3)` four times hashes the same trace as `step(12)` once.
 ///
-/// Dropping a handle before completion aborts the run: scheduler-side
-/// channels hang up and every worker unwinds quietly (the same
-/// machinery as fuel/deadlock shutdown), making drop a cancellation
-/// point for half-finished tenants.
+/// Dropping a handle before completion aborts the run: every worker's
+/// slot is set to `ABORT` and each unwinds quietly (the same machinery
+/// as fuel/deadlock shutdown), making drop a cancellation point for
+/// half-finished tenants.
 pub struct RunHandle {
-    sched: Scheduler,
+    shared: Arc<Shared>,
     joins: Vec<std::thread::JoinHandle<()>>,
-    fuel: Option<u64>,
-    n_events: u64,
-    /// Current same-timestamp batch plus the resume cursor into it: a
-    /// quantum boundary may land mid-batch, so the remainder must survive
-    /// the park.
-    batch: Vec<Ev>,
-    batch_pos: usize,
-    debug_every: u64,
     finished: bool,
     aborted: bool,
 }
 
-// The point of the refactor: a run is a movable work item. Compile-time
-// proof so a stray `Rc`/borrow in the scheduler can't silently pin runs
-// to their launching thread again.
+// A run is a movable work item. Compile-time proof so a stray `Rc`/borrow
+// in the scheduler can't silently pin runs to their launching thread.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<RunHandle>();
@@ -767,69 +966,16 @@ impl RunHandle {
 
         let n_threads = reg.threads.len();
         assert!(n_threads > 0, "run() with no registered threads");
-        let (req_tx, req_rx) = mpsc::channel::<Request>();
-        let mut go_tx = Vec::with_capacity(n_threads);
-        let mut infos = Vec::with_capacity(n_threads);
-        let mut joins = Vec::with_capacity(n_threads);
-
-        for (tid, (desc, f)) in reg.threads.into_iter().enumerate() {
-            let (gtx, grx) = mpsc::channel::<Reply>();
-            go_tx.push(gtx);
-            let socket = topo.socket_of(desc.core);
-            infos.push(ThreadInfo {
+        let infos = reg
+            .threads
+            .iter()
+            .map(|(desc, _)| ThreadInfo {
                 name: desc.name.clone(),
                 node: desc.node,
                 core: desc.core,
-                socket,
-            });
-            let rtx = req_tx.clone();
-            let seed = platform.seed ^ (0xA5A5_5A5A_u64.wrapping_mul(tid as u64 + 1));
-            let name = desc.name.clone();
-            let core = desc.core;
-            let handle = std::thread::Builder::new()
-                .name(format!("sim-{name}"))
-                .spawn(move || {
-                    // Wait for the scheduler's Start. A hangup before it
-                    // arrives means the run was aborted pre-start.
-                    let Ok(first) = grx.recv() else { return };
-                    let ctx = Rc::new(WorkerCtx {
-                        tid,
-                        base: Cell::new(first.now()),
-                        offset: Cell::new(0),
-                        req_tx: rtx.clone(),
-                        go_rx: grx,
-                        rng: RefCell::new(SmallRng::seed_from_u64(seed)),
-                    });
-                    CTX.with(|c| *c.borrow_mut() = Some(ctx.clone()));
-                    // Announce placement so traced locks and the obs
-                    // event layer stamp events with real core/socket,
-                    // matching the native platform's workers.
-                    mtmpi_locks::set_current_core(core, socket);
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-                    let at = ctx.now();
-                    CTX.with(|c| *c.borrow_mut() = None);
-                    drop(ctx);
-                    match result {
-                        Ok(()) => {
-                            let _ = rtx.send(Request::Done { tid, at });
-                        }
-                        Err(e) if e.is::<SimAbort>() => {
-                            // Scheduler-initiated shutdown (typed error):
-                            // unwind quietly, the SimError is the report.
-                        }
-                        Err(e) => {
-                            let msg = e
-                                .downcast_ref::<String>()
-                                .cloned()
-                                .or_else(|| e.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                                .unwrap_or_else(|| "worker panicked".to_owned());
-                            let _ = rtx.send(Request::Panicked { tid, msg });
-                        }
-                    }
-                })
-                .expect("spawn sim thread");
-            joins.push(handle);
-        }
+                socket: topo.socket_of(desc.core),
+            })
+            .collect();
 
         let mut sched = Scheduler {
             net: platform.net.clone(),
@@ -844,28 +990,49 @@ impl RunHandle {
             ep_node: reg.endpoints,
             threads: infos,
             pending_op: (0..n_threads).map(|_| None).collect(),
-            go_tx,
-            req_rx,
             live: n_threads,
             done: vec![false; n_threads],
             end_ns: 0,
             hash: SchedHash::new(),
-        };
-
-        for tid in 0..n_threads {
-            sched.push(0, EvKind::Start(tid));
-        }
-        RunHandle {
-            sched,
-            joins,
             fuel,
             n_events: 0,
+            budget_left: 0,
             batch: Vec::new(),
             batch_pos: 0,
             debug_every: std::env::var("MTMPI_SIM_DEBUG")
                 .ok()
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(0),
+            handoffs: 0,
+        };
+        for tid in 0..n_threads {
+            sched.push(0, EvKind::Start(tid));
+        }
+        let shared = Arc::new(Shared {
+            sched: parking_lot::Mutex::new(sched),
+            slots: (0..n_threads).map(|_| Slot::new()).collect(),
+            stepper: Slot::new(),
+        });
+
+        let mut joins = Vec::with_capacity(n_threads);
+        for (tid, (desc, f)) in reg.threads.into_iter().enumerate() {
+            let socket = topo.socket_of(desc.core);
+            let seed = platform.seed ^ (0xA5A5_5A5A_u64.wrapping_mul(tid as u64 + 1));
+            let core = desc.core;
+            let handle = std::thread::Builder::new()
+                .name(format!("sim-{}", desc.name))
+                .spawn({
+                    let shared = Arc::clone(&shared);
+                    move || worker_main(&shared, tid, seed, core, socket, f)
+                })
+                .expect("spawn sim thread");
+            shared.slots[tid].set_owner(handle.thread().clone());
+            joins.push(handle);
+        }
+
+        RunHandle {
+            shared,
+            joins,
             finished: false,
             aborted: false,
         }
@@ -873,88 +1040,81 @@ impl RunHandle {
 
     /// Execute up to `budget` further scheduler events.
     ///
-    /// Events are dequeued one same-timestamp batch at a time. This is
-    /// trace-identical to the old pop-one loop: every event pushed while
-    /// a batch is processed carries `t` ≥ the batch time (virtual time
-    /// is monotone) and, at equal `t`, a `seq` above every batched
-    /// event — so it sorts after the whole batch either way. The one
-    /// asymmetry the old loop had is reproduced exactly: when the last
-    /// thread finishes mid-batch, the remaining (stale-grant) events are
-    /// dropped *unhashed*, as the old loop left them unpopped.
+    /// The calling thread is the quantum's first baton holder: it runs
+    /// the event loop ([`Scheduler::advance`]) until the first event that
+    /// resumes a simulated thread, hands the baton to that worker and
+    /// parks. Workers then pass the baton among themselves; whichever
+    /// holds it when the quantum ends (budget, completion, fuel,
+    /// deadlock, or its own panic) wakes this thread with the outcome.
+    /// On return no worker is running: each is parked on its slot (or
+    /// has exited).
     ///
     /// Errors (deadlock, [`SimError::FuelExhausted`]) abort the run —
     /// workers are unwound and joined before the error returns, and the
-    /// handle refuses further stepping. A quantum boundary is *not* a
-    /// deadlock probe: when the budget expires exactly at a batch edge,
-    /// the next batch stays queued for the next call, so `Pending` never
-    /// converts a would-be deadlock report into silence (the next `step`
-    /// reports it).
+    /// handle refuses further stepping. A worker panic is re-raised here
+    /// as ``worker `<name>` panicked: <msg>``, likewise after every
+    /// worker is joined. A quantum boundary is *not* a deadlock probe:
+    /// when the budget expires exactly at a batch edge, the next batch
+    /// stays queued for the next call, so `Pending` never converts a
+    /// would-be deadlock report into silence (the next `step` reports
+    /// it).
     pub fn step(&mut self, budget: u64) -> Result<StepOutcome, SimError> {
         assert!(!self.aborted, "step() after the run aborted");
         if self.finished {
             return Ok(StepOutcome::Done);
         }
-        let mut stepped: u64 = 0;
-        loop {
-            if self.batch_pos == self.batch.len() {
-                if self.sched.live == 0 {
-                    self.finished = true;
-                    return Ok(StepOutcome::Done);
-                }
-                if stepped >= budget {
-                    return Ok(StepOutcome::Pending);
-                }
-                self.batch.clear();
-                self.batch_pos = 0;
-                if self.sched.q.pop_batch(&mut self.batch) == 0 {
-                    let e = self.sched.deadlock_error();
-                    self.abort();
-                    return Err(e);
-                }
+        let shared = &*self.shared;
+        let mut sched = shared.sched.lock();
+        sched.budget_left = budget;
+        let stop = match sched.advance() {
+            // The quantum ended before any thread was resumed.
+            Pass::Stop(stop) => {
+                drop(sched);
+                stop
             }
-            if self.sched.live == 0 {
-                // Last thread finished mid-batch: drop the remaining
-                // (stale-grant) events unhashed.
-                self.finished = true;
-                return Ok(StepOutcome::Done);
+            resume @ Pass::Resume(..) => {
+                shared.stepper.set_owner(std::thread::current());
+                shared.pass(sched, resume);
+                shared
+                    .stepper
+                    .wait()
+                    .expect("the stepper slot is never aborted")
             }
-            if stepped >= budget {
-                return Ok(StepOutcome::Pending);
+        };
+        match stop {
+            Stop::Step(Ok(outcome)) => {
+                self.finished = outcome == StepOutcome::Done;
+                Ok(outcome)
             }
-            let ev = self.batch[self.batch_pos];
-            if let Some(f) = self.fuel {
-                if self.n_events >= f {
-                    let queued = self.sched.q.len() + (self.batch.len() - self.batch_pos);
-                    let e = self.sched.fuel_error(f, self.n_events, ev.t, queued);
-                    self.abort();
-                    return Err(e);
-                }
+            Stop::Step(Err(e)) => {
+                self.abort();
+                Err(e)
             }
-            self.batch_pos += 1;
-            self.n_events += 1;
-            stepped += 1;
-            self.sched.hash.event(&ev);
-            if self.debug_every > 0 && self.n_events.is_multiple_of(self.debug_every) {
-                eprintln!(
-                    "[sim] {} events, t={} us, live={}, queued={}",
-                    self.n_events,
-                    ev.t / 1000,
-                    self.sched.live,
-                    self.sched.q.len()
-                );
+            Stop::Panicked(report) => {
+                self.abort();
+                panic!("{report}");
             }
-            self.sched.dispatch(ev);
         }
     }
 
     /// Events executed so far (monotone across `step` calls).
     pub fn events(&self) -> u64 {
-        self.n_events
+        self.shared.sched.lock().n_events
     }
 
     /// Latest virtual end time observed from finished threads.
     pub fn end_ns(&self) -> u64 {
-        self.sched.end_ns
+        self.shared.sched.lock().end_ns
+    }
+
+    /// Baton transfers between distinct OS threads so far, the stepping
+    /// thread's hand-out and hand-back included: the number of context
+    /// switches the transport cost. Deterministic for a given workload,
+    /// seed and quantum series; at most one per event plus one per
+    /// `step` call, and less by every resume that landed on the thread
+    /// already running the loop.
+    pub fn handoffs(&self) -> u64 {
+        self.shared.sched.lock().handoffs
     }
 
     /// `true` once every thread has finished ([`StepOutcome::Done`]).
@@ -972,23 +1132,32 @@ impl RunHandle {
         for j in self.joins.drain(..) {
             j.join().expect("sim worker panicked");
         }
+        let mut sched = self.shared.sched.lock();
         PlatformReport {
-            end_ns: self.sched.end_ns,
-            lock_traces: std::mem::take(&mut self.sched.vlocks)
+            end_ns: sched.end_ns,
+            lock_traces: std::mem::take(&mut sched.vlocks)
                 .into_iter()
                 .map(VLock::into_trace)
                 .collect(),
-            sched_trace_hash: self.sched.hash.0,
-            events: self.n_events,
+            sched_trace_hash: sched.hash.0,
+            events: sched.n_events,
+            handoffs: sched.handoffs,
         }
     }
 
-    /// Hang up on every worker: their blocked `go_rx.recv()` fails,
-    /// `sync` unwinds with `SimAbort`, and the joins complete. The typed
-    /// error is the sole diagnostic.
     fn abort(&mut self) {
         self.aborted = true;
-        self.sched.go_tx.clear();
+        self.cancel();
+    }
+
+    /// Mark every worker's slot `ABORT` and join them: a parked worker's
+    /// `wait` returns `None`, `sync` unwinds with `SimAbort`, and the
+    /// typed error (if any) is the sole diagnostic. Only called while
+    /// this thread holds the baton, so no worker is mid-event.
+    fn cancel(&mut self) {
+        for slot in &self.shared.slots {
+            slot.abort();
+        }
         for j in self.joins.drain(..) {
             let _ = j.join();
         }
@@ -1001,12 +1170,8 @@ impl Drop for RunHandle {
         // elsewhere, panic unwinding through a worker pool) shuts its
         // workers down exactly like a fuel abort. After `finish()` or
         // `abort()` the joins are empty and this is a no-op.
-        if self.joins.is_empty() {
-            return;
-        }
-        self.sched.go_tx.clear();
-        for j in self.joins.drain(..) {
-            let _ = j.join();
+        if !self.joins.is_empty() {
+            self.cancel();
         }
     }
 }
@@ -1018,45 +1183,108 @@ impl Scheduler {
         self.q.push(Ev { t, seq, kind });
     }
 
-    /// Execute one dequeued event.
-    fn dispatch(&mut self, ev: Ev) {
-        match ev.kind {
-            EvKind::Start(tid) => {
-                self.resume_and_wait(tid, Reply::Go { now: ev.t });
+    /// The event loop: execute queued events until one resumes a
+    /// simulated thread or the quantum ends. Runs on whichever OS thread
+    /// holds the baton; after a [`Pass::Resume`] the resumed worker runs
+    /// to its next sync point, queues its `Exec` event and calls this
+    /// again, so across threads it is one loop over one queue.
+    ///
+    /// Events are dequeued one same-timestamp batch at a time. This is
+    /// trace-identical to a pop-one loop: every event pushed while a
+    /// batch is processed carries `t` ≥ the batch time (virtual time is
+    /// monotone) and, at equal `t`, a `seq` above every batched event —
+    /// so it sorts after the whole batch either way. One asymmetry of
+    /// the pop-one loop is kept: when the last thread finishes
+    /// mid-batch, the remaining (stale-grant) events are dropped
+    /// *unhashed*, as that loop left them unpopped.
+    fn advance(&mut self) -> Pass {
+        let stop = |r| Pass::Stop(Stop::Step(r));
+        loop {
+            if self.batch_pos == self.batch.len() {
+                if self.live == 0 {
+                    return stop(Ok(StepOutcome::Done));
+                }
+                if self.budget_left == 0 {
+                    return stop(Ok(StepOutcome::Pending));
+                }
+                self.batch.clear();
+                self.batch_pos = 0;
+                if self.q.pop_batch(&mut self.batch) == 0 {
+                    return stop(Err(self.deadlock_error()));
+                }
             }
+            if self.live == 0 {
+                // Last thread finished mid-batch: drop the remaining
+                // (stale-grant) events unhashed.
+                return stop(Ok(StepOutcome::Done));
+            }
+            if self.budget_left == 0 {
+                return stop(Ok(StepOutcome::Pending));
+            }
+            let ev = self.batch[self.batch_pos];
+            if let Some(f) = self.fuel {
+                if self.n_events >= f {
+                    let queued = self.q.len() + (self.batch.len() - self.batch_pos);
+                    return stop(Err(self.fuel_error(f, self.n_events, ev.t, queued)));
+                }
+            }
+            self.batch_pos += 1;
+            self.n_events += 1;
+            self.budget_left -= 1;
+            self.hash.event(&ev);
+            if self.debug_every > 0 && self.n_events.is_multiple_of(self.debug_every) {
+                eprintln!(
+                    "[sim] {} events, t={} us, live={}, queued={}",
+                    self.n_events,
+                    ev.t / 1000,
+                    self.live,
+                    self.q.len()
+                );
+            }
+            if let Some((tid, reply)) = self.dispatch(ev) {
+                return Pass::Resume(tid, reply);
+            }
+        }
+    }
+
+    /// Execute one dequeued event; `Some` when it resumes a thread.
+    fn dispatch(&mut self, ev: Ev) -> Option<(usize, Reply)> {
+        match ev.kind {
+            EvKind::Start(tid) => Some((tid, Reply::Go { now: ev.t })),
             EvKind::Exec(tid) => {
                 let op = self.pending_op[tid].take().expect("exec without op");
-                self.exec(ev.t, tid, op);
+                self.exec(ev.t, tid, op).map(|reply| (tid, reply))
             }
             EvKind::Grant { lock, gen } => match self.vlocks[lock].try_finalize(gen) {
-                GrantOutcome::Stale => {}
+                GrantOutcome::Stale => None,
                 GrantOutcome::Granted { tid, at } => {
                     self.hash.grant(tid, at);
-                    self.resume_and_wait(tid, Reply::Go { now: at });
+                    Some((tid, Reply::Go { now: at }))
                 }
             },
         }
     }
 
-    fn exec(&mut self, t: u64, tid: usize, op: Op) {
+    /// Execute `tid`'s submitted op at time `t`; `Some` resumes it (a
+    /// queued lock acquire leaves it blocked until a later grant).
+    fn exec(&mut self, t: u64, tid: usize, op: Op) -> Option<Reply> {
         match op {
-            Op::Fence => {
-                self.resume_and_wait(tid, Reply::Go { now: t });
-            }
+            Op::Fence => Some(Reply::Go { now: t }),
             Op::LockBoost { lock, tid: boosted } => {
                 self.vlocks[lock].boost(boosted as usize);
-                self.resume_and_wait(tid, Reply::Go { now: t });
+                Some(Reply::Go { now: t })
             }
             Op::LockAcquire { lock, class } => {
                 let info = &self.threads[tid];
                 match self.vlocks[lock].acquire(t, tid, info.core, info.socket, class) {
                     AcquireOutcome::Granted { at } => {
                         self.hash.grant(tid, at);
-                        self.resume_and_wait(tid, Reply::Go { now: at });
+                        Some(Reply::Go { now: at })
                     }
-                    AcquireOutcome::Queued => {}
+                    AcquireOutcome::Queued => None,
                     AcquireOutcome::StealPending { at, gen } => {
                         self.push(at, EvKind::Grant { lock, gen });
+                        None
                     }
                 }
             }
@@ -1068,7 +1296,7 @@ impl Scheduler {
                         self.push(at, EvKind::Grant { lock, gen });
                     }
                 }
-                self.resume_and_wait(tid, Reply::Go { now: t });
+                Some(Reply::Go { now: t })
             }
             Op::NetSend {
                 src,
@@ -1089,7 +1317,7 @@ impl Scheduler {
                 self.seq += 1;
                 let slot = self.packets.insert(payload);
                 self.mailboxes[dst].push(MailKey { at, seq, slot });
-                self.resume_and_wait(tid, Reply::Go { now: t });
+                Some(Reply::Go { now: t })
             }
             Op::NetPoll { endpoint } => {
                 let mut pkts = Vec::new();
@@ -1097,37 +1325,17 @@ impl Scheduler {
                     let k = self.mailboxes[endpoint].pop().expect("peeked");
                     pkts.push(self.packets.take(k.slot));
                 }
-                self.resume_and_wait(tid, Reply::Packets { now: t, pkts });
+                Some(Reply::Packets { now: t, pkts })
             }
             Op::NetPending { endpoint } => {
                 let v = !self.mailboxes[endpoint].is_empty();
-                self.resume_and_wait(tid, Reply::Flag { now: t, v });
-            }
-        }
-    }
-
-    /// Resume `tid` with `reply` and block until it submits its next
-    /// request (or finishes). Token passing keeps the event order total.
-    fn resume_and_wait(&mut self, tid: usize, reply: Reply) {
-        self.go_tx[tid].send(reply).expect("worker alive");
-        match self.req_rx.recv().expect("worker alive") {
-            Request::Op { tid, at, op } => {
-                self.pending_op[tid] = Some(op);
-                self.push(at, EvKind::Exec(tid));
-            }
-            Request::Done { tid, at } => {
-                self.done[tid] = true;
-                self.live -= 1;
-                self.end_ns = self.end_ns.max(at);
-            }
-            Request::Panicked { tid, msg } => {
-                panic!("worker `{}` panicked: {msg}", self.threads[tid].name);
+                Some(Reply::Flag { now: t, v })
             }
         }
     }
 
     /// Snapshot every live thread's blocked state: parked in a lock
-    /// queue, mid-round-trip on a submitted op, or runnable (its resume
+    /// queue, waiting on a submitted op, or runnable (its resume
     /// event is still queued). Index-vector based — iteration order is
     /// tid order, deterministically.
     fn blocked_threads(&self) -> Vec<BlockedThread> {
