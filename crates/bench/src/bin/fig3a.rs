@@ -49,8 +49,12 @@ fn main() {
         ]);
     }
     print!("{}", t.render());
-    let mean =
-        |v: &[f64]| v.iter().copied().filter(|x| x.is_finite()).sum::<f64>() / v.len() as f64;
+    // A size with no contended samples has no factor (NaN): leave it out
+    // of the mean's count as well as its sum.
+    let mean = |v: &[f64]| {
+        let finite: Vec<f64> = v.iter().copied().filter(|x| x.is_finite()).collect();
+        finite.iter().sum::<f64>() / finite.len() as f64
+    };
     println!(
         "\nmean core bias {:.2} (paper ~2.0), mean socket bias {:.2} (paper ~1.25)",
         mean(&cores),

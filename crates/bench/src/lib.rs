@@ -1,5 +1,4 @@
-//! Shared benchmark workloads for the figure binaries and criterion
-//! benches.
+//! Shared benchmark workloads for the figure binaries.
 //!
 //! Every workload is a faithful re-implementation of the benchmark the
 //! paper used:

@@ -2,7 +2,6 @@
 //! derivative, §4.1).
 
 use mtmpi::prelude::*;
-use std::sync::Arc;
 
 /// Requests per window, as in the paper.
 pub const WINDOW: usize = 64;
@@ -88,6 +87,21 @@ impl ThroughputParams {
     }
 }
 
+/// The measurement every variant reports: receiver-side (rank 1)
+/// dangling and bias — for a sharded rank the bias of its shard-0 lock,
+/// the only shard when unsharded and the RMA/home shard otherwise.
+fn result(out: &RunOutcome, windows: u32) -> ThroughputResult {
+    let messages = u64::from(out.threads_per_rank) * u64::from(windows) * WINDOW as u64;
+    ThroughputResult {
+        rate: out.msg_rate(messages),
+        dangling_avg: out.dangling(1).average(),
+        bias: out.grants(1).bias(),
+        end_ns: out.end_ns,
+        messages,
+        sched_trace_hash: out.report.sched_trace_hash,
+    }
+}
+
 /// Run the benchmark: rank 0 (node 0) streams to rank 1 (node 1), `threads`
 /// threads per rank, window/ack flow control.
 pub fn throughput_run(exp: &Experiment, method: Method, p: ThroughputParams) -> ThroughputResult {
@@ -123,18 +137,7 @@ pub fn throughput_run(exp: &Experiment, method: Method, p: ThroughputParams) -> 
             }
         }
     });
-    let threads = out.threads_per_rank;
-    let messages = u64::from(threads) * u64::from(windows) * WINDOW as u64;
-    let dangling = out.dangling(1);
-    let bias = BiasAnalysis::from_trace(out.trace(1));
-    ThroughputResult {
-        rate: out.msg_rate(messages),
-        dangling_avg: dangling.average(),
-        bias,
-        end_ns: out.end_ns,
-        messages,
-        sched_trace_hash: out.report.sched_trace_hash,
-    }
+    result(&out, windows)
 }
 
 /// Sweep message sizes for one method/thread-count; returns a
@@ -208,20 +211,7 @@ pub fn vci_throughput_run(
             }
         }
     });
-    let threads = out.threads_per_rank;
-    let messages = u64::from(threads) * u64::from(windows) * WINDOW as u64;
-    let dangling = out.dangling(1);
-    // Bias of the receiver's shard-0 lock (the only shard when
-    // unsharded; the RMA/home shard otherwise).
-    let bias = BiasAnalysis::from_trace(out.trace(1));
-    ThroughputResult {
-        rate: out.msg_rate(messages),
-        dangling_avg: dangling.average(),
-        bias,
-        end_ns: out.end_ns,
-        messages,
-        sched_trace_hash: out.report.sched_trace_hash,
-    }
+    result(&out, windows)
 }
 
 /// Run the stream-bound variant: thread `j` of each rank binds stream
@@ -268,18 +258,7 @@ pub fn stream_throughput_run(
             }
         }
     });
-    let threads = out.threads_per_rank;
-    let messages = u64::from(threads) * u64::from(windows) * WINDOW as u64;
-    let dangling = out.dangling(1);
-    let bias = BiasAnalysis::from_trace(out.trace(1));
-    ThroughputResult {
-        rate: out.msg_rate(messages),
-        dangling_avg: dangling.average(),
-        bias,
-        end_ns: out.end_ns,
-        messages,
-        sched_trace_hash: out.report.sched_trace_hash,
-    }
+    result(&out, windows)
 }
 
 fn binding_suffix(b: BindingPolicy) -> &'static str {
@@ -287,26 +266,4 @@ fn binding_suffix(b: BindingPolicy) -> &'static str {
         BindingPolicy::Compact => "",
         BindingPolicy::Scatter => "_Scatter",
     }
-}
-
-/// Arc-free convenience wrapper used by criterion benches.
-pub fn quick_rate(method: Method, threads: u32, size: u64) -> f64 {
-    let exp = Experiment::quick(2);
-    throughput_run(
-        &exp,
-        method,
-        ThroughputParams {
-            size,
-            threads,
-            windows: 2,
-            binding: BindingPolicy::Compact,
-            run_label: None,
-        },
-    )
-    .rate
-}
-
-/// Shared `Arc` experiment helper (figure binaries build one per figure).
-pub fn experiment() -> Arc<Experiment> {
-    Arc::new(Experiment::quick(2))
 }

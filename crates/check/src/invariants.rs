@@ -1,53 +1,25 @@
-//! Critical-section invariant checkers over acquisition traces.
+//! Critical-section invariant checkers over grant statistics.
 //!
-//! These run over the [`CsTrace`] streams produced by
-//! `mtmpi_locks::Traced` (or by the virtual platform's lock models) and
-//! check the properties the paper's remedies are supposed to deliver:
+//! These read the [`GrantFold`] kept by `mtmpi_locks::Traced` (or by the
+//! virtual platform's lock models) and check the properties the paper's
+//! remedies are supposed to deliver:
 //!
 //! * [`fifo_violations`] — a FIFO lock (ticket, MCS, CLH) can never grant
 //!   the same owner twice in a row while other threads were already
-//!   queued at the first grant; any such pair of records proves the lock
+//!   queued at the first grant; any such pair of grants proves the lock
 //!   barged.
 //! * [`check_starvation`] — the §4.3 fairness analysis turned into a
 //!   pass/fail detector: core-level bias factor (via
 //!   [`mtmpi_metrics::BiasAnalysis`]), Jain index, and longest monopoly
 //!   run, each compared against a threshold.
 
-use mtmpi_metrics::{BiasAnalysis, CsTrace};
+pub use mtmpi_metrics::FifoViolation;
+use mtmpi_metrics::GrantFold;
 
-/// One FIFO-order violation found in a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FifoViolation {
-    /// Index (into `trace.records()`) of the *second* grant of the pair.
-    pub index: usize,
-    /// The owner that re-acquired past waiting threads.
-    pub owner: u32,
-    /// How many threads were already waiting when the owner was first
-    /// granted the lock (all of them arrived before its re-request).
-    pub waiting_before: u32,
-}
-
-/// Find all FIFO violations in a trace.
-///
-/// Soundness of the rule: record `i` says `waiting` threads were queued at
-/// the moment owner `O` was granted the lock. Those threads requested the
-/// lock *before* `O` could possibly re-request it (`O` was busy holding
-/// it). A first-come-first-served arbiter must therefore serve one of
-/// them next; if record `i+1` is again `O` with `waiting > 0` at record
-/// `i`, the arbiter let `O` barge past the queue.
-pub fn fifo_violations(trace: &CsTrace) -> Vec<FifoViolation> {
-    let recs = trace.records();
-    recs.windows(2)
-        .enumerate()
-        .filter_map(|(i, w)| {
-            let (prev, cur) = (&w[0], &w[1]);
-            (cur.owner == prev.owner && prev.waiting > 0).then_some(FifoViolation {
-                index: i + 1,
-                owner: cur.owner,
-                waiting_before: prev.waiting,
-            })
-        })
-        .collect()
+/// How many FIFO violations a lock committed, and the first of them (the
+/// rule and its soundness argument: [`GrantFold::fifo_violations`]).
+pub fn fifo_violations(grants: &GrantFold) -> (u64, Option<FifoViolation>) {
+    grants.fifo_violations()
 }
 
 /// Thresholds for [`check_starvation`].
@@ -79,9 +51,9 @@ impl Default for StarvationThresholds {
 /// of human-readable findings (empty = fair).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StarvationReport {
-    /// Core-level bias factor, if the trace had contended samples.
+    /// Core-level bias factor, if there were contended samples.
     pub core_bias: Option<f64>,
-    /// Socket-level bias factor, if the trace had contended samples.
+    /// Socket-level bias factor, if there were contended samples.
     pub socket_bias: Option<f64>,
     /// Jain fairness index of the per-thread acquisition counts.
     pub jain_index: f64,
@@ -92,18 +64,18 @@ pub struct StarvationReport {
 }
 
 impl StarvationReport {
-    /// Whether the trace passed every threshold.
+    /// Whether the lock passed every threshold.
     pub fn is_fair(&self) -> bool {
         self.findings.is_empty()
     }
 }
 
-/// Run the starvation/bias detectors over a trace.
-pub fn check_starvation(trace: &CsTrace, th: &StarvationThresholds) -> StarvationReport {
-    let analysis = BiasAnalysis::from_trace(trace);
+/// Run the starvation/bias detectors over a lock's grant statistics.
+pub fn check_starvation(grants: &GrantFold, th: &StarvationThresholds) -> StarvationReport {
+    let analysis = grants.bias();
     let factors = analysis.factors();
-    let jain = trace.jain_index();
-    let monopoly = trace.longest_monopoly();
+    let jain = grants.jain_index();
+    let monopoly = grants.longest_monopoly();
     let mut findings = Vec::new();
     if let Some(f) = factors {
         if f.core > th.max_core_bias {
@@ -122,7 +94,7 @@ pub fn check_starvation(trace: &CsTrace, th: &StarvationThresholds) -> Starvatio
             "Jain fairness index {:.3} below {:.3} over {} acquisitions",
             jain,
             th.min_jain_index,
-            trace.len()
+            grants.total()
         ));
     }
     if monopoly > th.max_monopoly_run {
@@ -143,76 +115,68 @@ pub fn check_starvation(trace: &CsTrace, th: &StarvationThresholds) -> Starvatio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtmpi_metrics::AcquisitionRecord;
-    use mtmpi_topology::{CoreId, SocketId};
+    use mtmpi_metrics::Grant;
+    use mtmpi_topology::SocketId;
 
-    fn rec(owner: u32, waiting: u32) -> AcquisitionRecord {
-        AcquisitionRecord {
-            owner,
-            core: CoreId(owner),
-            socket: SocketId(owner / 4),
-            waiting,
-            waiting_per_socket: vec![waiting, 0],
-            t_ns: 0,
-            wait_ns: 0,
+    /// Fold `(owner, waiting)` grants, thread t on socket t/4.
+    fn fold(grants: impl IntoIterator<Item = (u32, u32)>) -> GrantFold {
+        let mut f = GrantFold::new();
+        for (owner, waiting) in grants {
+            f.record(Grant {
+                owner,
+                socket: SocketId(owner / 4),
+                waiting,
+                waiting_per_socket: &[waiting, 0],
+                wait_ns: 0,
+            });
         }
+        f
     }
 
     #[test]
     fn fifo_clean_round_robin() {
-        let mut t = CsTrace::new();
-        for i in 0..100u32 {
-            t.push(rec(i % 4, 3));
-        }
-        assert!(fifo_violations(&t).is_empty());
+        let t = fold((0..100u32).map(|i| (i % 4, 3)));
+        assert_eq!(fifo_violations(&t), (0, None));
     }
 
     #[test]
     fn fifo_barging_is_flagged() {
-        let mut t = CsTrace::new();
-        t.push(rec(0, 2)); // two threads queued while 0 holds…
-        t.push(rec(0, 1)); // …and 0 wins again: barging.
-        t.push(rec(1, 0));
-        let v = fifo_violations(&t);
-        assert_eq!(v.len(), 1);
+        // Two threads queued while 0 holds… and 0 wins again: barging.
+        let t = fold([(0, 2), (0, 1), (1, 0)]);
         assert_eq!(
-            v[0],
-            FifoViolation {
-                index: 1,
-                owner: 0,
-                waiting_before: 2
-            }
+            fifo_violations(&t),
+            (
+                1,
+                Some(FifoViolation {
+                    index: 1,
+                    owner: 0,
+                    waiting_before: 2
+                })
+            )
         );
     }
 
     #[test]
     fn fifo_uncontended_reacquire_is_legal() {
         // Nobody was waiting: the owner re-acquiring is fine.
-        let mut t = CsTrace::new();
-        t.push(rec(0, 0));
-        t.push(rec(0, 0));
-        assert!(fifo_violations(&t).is_empty());
+        assert_eq!(fifo_violations(&fold([(0, 0), (0, 0)])), (0, None));
     }
 
     #[test]
-    fn starvation_fair_trace_passes() {
-        let mut t = CsTrace::new();
-        for i in 0..400u32 {
-            t.push(rec(i % 4, 3));
-        }
+    fn starvation_fair_grants_pass() {
+        let t = fold((0..400u32).map(|i| (i % 4, 3)));
         let r = check_starvation(&t, &StarvationThresholds::default());
         assert!(r.is_fair(), "findings: {:?}", r.findings);
         assert!(r.core_bias.unwrap() < 0.5);
     }
 
     #[test]
-    fn starvation_monopolizing_trace_fails_everything() {
+    fn starvation_monopolizing_grants_fail_everything() {
         // Thread 0 wins 99 of every 100 contended grants.
-        let mut t = CsTrace::new();
-        for i in 0..4000u32 {
+        let t = fold((0..4000u32).map(|i| {
             let owner = if i % 100 == 99 { 1 + (i / 100) % 3 } else { 0 };
-            t.push(rec(owner, 3));
-        }
+            (owner, 3)
+        }));
         let r = check_starvation(&t, &StarvationThresholds::default());
         assert!(!r.is_fair());
         assert!(r.core_bias.unwrap() > 1.5, "core bias {:?}", r.core_bias);
@@ -227,8 +191,8 @@ mod tests {
     }
 
     #[test]
-    fn starvation_empty_trace_is_fair() {
-        let r = check_starvation(&CsTrace::new(), &StarvationThresholds::default());
+    fn starvation_empty_fold_is_fair() {
+        let r = check_starvation(&GrantFold::new(), &StarvationThresholds::default());
         assert!(r.is_fair());
         assert!(r.core_bias.is_none());
     }

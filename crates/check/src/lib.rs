@@ -7,7 +7,7 @@
 //!   cycle detection. Wrap any `CsLock` in [`Ordered`] and query
 //!   [`LockOrderGraph::potential_deadlocks`]; a cycle means two code
 //!   paths take the same locks in opposite orders.
-//! * [`invariants`] — checkers over the acquisition traces produced by
+//! * [`invariants`] — checkers over the grant statistics kept by
 //!   `mtmpi_locks::Traced`: [`fifo_violations`] proves a "FIFO" lock
 //!   barged, [`check_starvation`] turns the paper's §4.3 bias analysis
 //!   into a thresholded pass/fail detector.
@@ -24,6 +24,8 @@ pub mod invariants;
 pub mod leaks;
 pub mod lock_order;
 
-pub use invariants::{check_starvation, fifo_violations, StarvationReport, StarvationThresholds};
+pub use invariants::{
+    check_starvation, fifo_violations, FifoViolation, StarvationReport, StarvationThresholds,
+};
 pub use leaks::{LeakReport, RequestLedger, SharedLedger};
 pub use lock_order::{LockOrderGraph, Ordered, OrderedLockId};

@@ -1,7 +1,7 @@
 //! The experiment harness: deterministic rank × thread grids.
 
 use crate::method::Method;
-use mtmpi_metrics::{CsTrace, DanglingSampler, Histogram};
+use mtmpi_metrics::{DanglingSampler, GrantFold, Histogram};
 use mtmpi_net::{FaultPlan, NetModel};
 use mtmpi_obs::{RingRecorder, RunRecord, Sink, Timeline, DEFAULT_SHARD_CAP};
 use mtmpi_prof::{LiveCollector, LiveConfig, LiveStats};
@@ -621,7 +621,7 @@ impl RunConfig {
 
 /// Results of one run.
 pub struct RunOutcome {
-    /// Raw platform report (lock traces by LockId).
+    /// Raw platform report (grant statistics by LockId).
     pub report: PlatformReport,
     /// The world (post-run profiling accessors).
     pub world: World,
@@ -645,9 +645,9 @@ impl RunOutcome {
         self.live.as_ref().map(|c| c.snapshot())
     }
 
-    /// Acquisition trace of a rank's queue lock.
-    pub fn trace(&self, rank: u32) -> &CsTrace {
-        &self.report.lock_traces[self.world.lock_of(rank).0]
+    /// Grant statistics of a rank's queue lock.
+    pub fn grants(&self, rank: u32) -> &GrantFold {
+        &self.report.lock_grants[self.world.lock_of(rank).0]
     }
 
     /// The unified post-run snapshot of one rank (counters, histograms,

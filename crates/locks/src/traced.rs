@@ -1,7 +1,7 @@
 //! Acquisition tracing (the instrumentation of §4.3).
 //!
-//! [`Traced`] wraps any [`CsLock`] and records an [`AcquisitionRecord`] per
-//! acquisition: who won, from which core/socket, how many threads were
+//! [`Traced`] wraps any [`CsLock`] and feeds a [`GrantFold`] one [`Grant`]
+//! per acquisition: who won, from which socket, how many threads were
 //! waiting (total and per socket) at the moment of the grant, and how long
 //! the winner waited. This is the native-platform equivalent of the
 //! manual MPICH instrumentation the paper describes ("we manually
@@ -12,11 +12,11 @@
 
 use crate::path::PathClass;
 use crate::raw::{CsLock, CsToken};
-use mtmpi_metrics::{AcquisitionRecord, CsTrace};
+use mtmpi_metrics::{Grant, GrantFold};
 use mtmpi_obs::{CsOp, Event, EventKind, Path, Recorder};
 use mtmpi_topology::{CoreId, SocketId};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,17 +55,16 @@ fn current_thread_id() -> u32 {
 /// for the machines under study.
 pub const MAX_SOCKETS: usize = 8;
 
-/// A [`CsLock`] wrapper that records the acquisition trace.
+/// A [`CsLock`] wrapper that folds the grant statistics.
 pub struct Traced<L> {
     inner: L,
     /// Waiter counts per socket.
     waiting_per_socket: [AtomicU32; MAX_SOCKETS],
     waiting_total: AtomicU32,
-    /// The trace, appended while holding the inner lock (so it is ordered
-    /// and needs no extra synchronization beyond the UnsafeCell).
-    trace: std::cell::UnsafeCell<CsTrace>,
+    /// The fold, updated while holding the inner lock (so it sees grants
+    /// in order and needs no extra synchronization beyond the UnsafeCell).
+    grants: std::cell::UnsafeCell<GrantFold>,
     epoch: Instant,
-    acquisitions: AtomicU64,
     /// Optional structured-event sink: one `CsSpan` per passage, emitted
     /// at release time, tagged with this lock's id.
     recorder: Option<(Arc<dyn Recorder>, u32)>,
@@ -74,11 +73,11 @@ pub struct Traced<L> {
     pending: std::cell::UnsafeCell<(u64, u64)>,
 }
 
-// SAFETY: `trace` and `pending` are only touched while the inner lock is
+// SAFETY: `grants` and `pending` are only touched while the inner lock is
 // held, so shared access is serialized; the recorder is `Send + Sync` by
 // trait bound; every other field is an atomic.
 unsafe impl<L: CsLock> Sync for Traced<L> {}
-// SAFETY: the trace cell owns its CsTrace outright; moving the wrapper
+// SAFETY: the grants cell owns its GrantFold outright; moving the wrapper
 // moves it along with the (Send) inner lock.
 unsafe impl<L: CsLock + Send> Send for Traced<L> {}
 
@@ -89,10 +88,9 @@ impl<L: CsLock> Traced<L> {
             inner,
             waiting_per_socket: Default::default(),
             waiting_total: AtomicU32::new(0),
-            trace: std::cell::UnsafeCell::new(CsTrace::new()),
+            grants: std::cell::UnsafeCell::new(GrantFold::new()),
             // lint: allow(L004) Traced measures real wall time by design (host-timing wrapper)
             epoch: Instant::now(),
-            acquisitions: AtomicU64::new(0),
             recorder: None,
             pending: std::cell::UnsafeCell::new((0, 0)),
         }
@@ -106,11 +104,6 @@ impl<L: CsLock> Traced<L> {
         self
     }
 
-    /// Total acquisitions so far.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions.load(Ordering::Relaxed)
-    }
-
     /// Threads currently blocked in `acquire` (instantaneous; racy by
     /// nature, exact once the system is quiescent or wedged).
     pub fn waiting_now(&self) -> u32 {
@@ -122,19 +115,14 @@ impl<L: CsLock> Traced<L> {
         std::array::from_fn(|s| self.waiting_per_socket[s].load(Ordering::Acquire))
     }
 
-    /// Extract the trace. Must be called after all users have quiesced
-    /// (typically after joining the worker threads).
-    pub fn into_trace(self) -> CsTrace {
-        self.trace.into_inner()
-    }
-
-    /// Clone the trace while briefly holding the lock (safe any time).
-    pub fn snapshot(&self) -> CsTrace {
+    /// Copy of the grant statistics so far, taken while briefly holding
+    /// the lock (safe any time; the passage itself is not counted).
+    pub fn grants(&self) -> GrantFold {
         let token = self.inner.acquire(PathClass::Main);
         // SAFETY: we hold the inner lock.
-        let t = unsafe { (*self.trace.get()).clone() };
+        let g = unsafe { (*self.grants.get()).clone() };
         self.inner.release(PathClass::Main, token);
-        t
+        g
     }
 
     fn placement(&self) -> (CoreId, SocketId) {
@@ -148,7 +136,7 @@ impl<L: CsLock> CsLock for Traced<L> {
     }
 
     fn acquire(&self, class: PathClass) -> CsToken {
-        let (core, socket) = self.placement();
+        let (_, socket) = self.placement();
         let s = socket.0 as usize % MAX_SOCKETS;
         self.waiting_total.fetch_add(1, Ordering::AcqRel);
         self.waiting_per_socket[s].fetch_add(1, Ordering::AcqRel);
@@ -159,25 +147,18 @@ impl<L: CsLock> CsLock for Traced<L> {
         self.waiting_total.fetch_sub(1, Ordering::AcqRel);
         self.waiting_per_socket[s].fetch_sub(1, Ordering::AcqRel);
         let waiting = self.waiting_total.load(Ordering::Acquire);
-        let waiting_per_socket: Vec<u32> = self
-            .waiting_per_socket
-            .iter()
-            .map(|w| w.load(Ordering::Acquire))
-            .collect();
-        let rec = AcquisitionRecord {
+        let wait_ns = t0.elapsed().as_nanos() as u64;
+        let grant = Grant {
             owner: current_thread_id(),
-            core,
             socket,
             waiting,
-            waiting_per_socket,
-            t_ns: self.epoch.elapsed().as_nanos() as u64,
-            wait_ns: t0.elapsed().as_nanos() as u64,
+            waiting_per_socket: &self.waiting_per_socket_now(),
+            wait_ns,
         };
-        let (t_acq, wait_ns) = (rec.t_ns, rec.wait_ns);
         // SAFETY: serialized by the inner lock which we currently hold.
-        unsafe { (*self.trace.get()).push(rec) };
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        unsafe { (*self.grants.get()).record(grant) };
         if self.recorder.is_some() {
+            let t_acq = self.epoch.elapsed().as_nanos() as u64;
             // SAFETY: serialized by the inner lock which we currently hold.
             unsafe { *self.pending.get() = (t_acq.saturating_sub(wait_ns), t_acq) };
         }
@@ -242,25 +223,21 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(lock.acquisitions(), 1500);
-        let lock = Arc::try_unwrap(lock).ok().expect("sole owner");
-        let trace = lock.into_trace();
-        assert_eq!(trace.len(), 1500);
-        assert_eq!(trace.acquisitions_per_thread().len(), 3);
-        // Every thread got a fair share under the ticket lock — allow
-        // generous slack; the invariant is "nobody starved".
-        for &count in trace.acquisitions_per_thread().values() {
+        let grants = lock.grants();
+        assert_eq!(grants.total(), 1500);
+        assert_eq!(grants.grants_per_thread().len(), 3);
+        for &count in grants.grants_per_thread().values() {
             assert_eq!(count, 500);
         }
     }
 
     #[test]
-    fn placement_defaults_to_core0() {
+    fn placement_defaults_to_socket0() {
         let lock = Traced::new(TicketLock::new());
         let t = lock.acquire(PathClass::Main);
         lock.release(PathClass::Main, t);
-        let trace = lock.into_trace();
-        assert_eq!(trace.records()[0].core, CoreId(0));
+        let last = lock.grants().last().expect("one grant");
+        assert_eq!(last.socket, SocketId(0));
     }
 
     #[test]
@@ -271,8 +248,10 @@ mod tests {
             let t = lock.acquire(PathClass::Main);
             lock.release(PathClass::Main, t);
         }
-        let trace = lock.into_trace();
-        assert!(trace.records().iter().all(|r| r.waiting == 0));
+        let grants = lock.grants();
+        assert_eq!(grants.total(), 10);
+        // A grant with waiters would have been a bias sample.
+        assert_eq!(grants.bias().samples, 0);
     }
 
     #[test]
@@ -281,6 +260,8 @@ mod tests {
         // deterministic: once all three are parked, release and watch
         // them drain FIFO (ticket lock) with waiting = 2, 1, 0.
         let lock = Arc::new(Traced::new(TicketLock::new()));
+        // The holder shares socket 1 with one waiter.
+        set_current_core(CoreId(9), SocketId(1));
         let held = lock.acquire(PathClass::Main);
         let handles: Vec<_> = (0..3u32)
             .map(|i| {
@@ -307,20 +288,21 @@ mod tests {
         }
         assert_eq!(lock.waiting_now(), 0);
         assert_eq!(lock.waiting_per_socket_now(), [0; MAX_SOCKETS]);
-        let lock = Arc::try_unwrap(lock).ok().expect("sole owner");
-        let trace = lock.into_trace();
-        let recs = trace.records();
-        assert_eq!(recs.len(), 4);
-        // The holder's own record: all three may or may not have arrived
-        // yet, but the three drain records are exact (snapshot excludes
-        // the winner itself).
-        let drain: Vec<u32> = recs[1..].iter().map(|r| r.waiting).collect();
-        assert_eq!(drain, vec![2, 1, 0]);
-        // Each drain record's per-socket vector sums to its total.
-        for r in &recs[1..] {
-            let sum: u32 = r.waiting_per_socket.iter().sum();
-            assert_eq!(sum, r.waiting, "{r:?}");
-        }
+        let grants = lock.grants();
+        assert_eq!(grants.total(), 4);
+        // The holder's own grant is the first and so no sample (the
+        // waiters may or may not have arrived by then); the drain is
+        // exact. Its grants with waiting = 2 and 1 are the two samples —
+        // a fair arbiter re-elects with 1/3 then 1/2 — and the last one
+        // found nobody waiting (snapshots exclude the winner itself).
+        let bias = grants.bias();
+        assert_eq!(bias.samples, 2);
+        assert!((bias.pc_fair - (1.0 / 3.0 + 1.0 / 2.0) / 2.0).abs() < 1e-12);
+        assert_eq!(grants.last().expect("four grants").waiting, 0);
+        // Per-socket view: at the first drain grant exactly one of the
+        // three candidates (waiting or winning) sits on the holder's
+        // socket; at the second nobody is left on the first winner's.
+        assert!((bias.ps_fair - (1.0 / 3.0) / 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -387,9 +369,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let lock = Arc::try_unwrap(lock).ok().expect("sole owner");
-        let trace = lock.into_trace();
-        let per_thread = trace.acquisitions_per_thread();
+        let grants = lock.grants();
+        let per_thread = grants.grants_per_thread();
         assert_eq!(per_thread.len(), 8, "ids collided: {per_thread:?}");
         assert!(per_thread.values().all(|&c| c == 2), "{per_thread:?}");
     }

@@ -1,6 +1,7 @@
 //! Arbitration-fairness analysis (paper §4.3).
 //!
-//! From a [`CsTrace`] we estimate, exactly as the paper does:
+//! From the grants of one critical section ([`crate::GrantFold`]) we
+//! estimate, exactly as the paper does:
 //!
 //! * `Pc` — probability that the *same thread* re-acquires the lock on
 //!   consecutive acquisitions (core-level bias, threads being pinned one
@@ -15,11 +16,8 @@
 //! factor 1.0, and the paper measures ≈2.0 at core level and ≈1.25 at
 //! socket level for the NPTL mutex.
 
-use crate::trace::CsTrace;
-use serde::{Deserialize, Serialize};
-
 /// Estimated probabilities for one arbitration policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BiasAnalysis {
     /// Observed P(same thread re-acquires) over contended acquisitions.
     pub pc_observed: f64,
@@ -34,7 +32,7 @@ pub struct BiasAnalysis {
 }
 
 /// The Fig 3a bias factors: observed probability over fair probability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BiasFactors {
     /// Core-level bias factor (≈2.0 for mutex on the paper's testbed).
     pub core: f64,
@@ -43,57 +41,8 @@ pub struct BiasFactors {
 }
 
 impl BiasAnalysis {
-    /// Run the §4.3 estimators over a trace.
-    ///
-    /// Only *contended* acquisitions (at least one other thread waiting)
-    /// participate: an uncontended re-acquire carries no arbitration
-    /// information — there was nobody to arbitrate between.
-    pub fn from_trace(trace: &CsTrace) -> Self {
-        let recs = trace.records();
-        let mut l = 0usize;
-        let (mut xc, mut yc, mut xf, mut yf) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for w in recs.windows(2) {
-            let (prev, cur) = (&w[0], &w[1]);
-            if cur.waiting == 0 {
-                continue; // uncontended: nothing was arbitrated
-            }
-            // Candidate set at this acquisition: the waiters plus the
-            // winner itself (the winner was necessarily among the
-            // requesters).
-            let total = f64::from(cur.waiting) + 1.0;
-            let on_prev_socket = {
-                let s = prev.socket.0 as usize;
-                let waiting_there = cur.waiting_per_socket.get(s).copied().unwrap_or(0);
-                let winner_there = u32::from(cur.socket == prev.socket);
-                f64::from(waiting_there + winner_there)
-            };
-            xc += f64::from(cur.owner == prev.owner);
-            yc += f64::from(cur.socket == prev.socket);
-            xf += 1.0 / total;
-            yf += on_prev_socket / total;
-            l += 1;
-        }
-        if l == 0 {
-            return Self {
-                pc_observed: 0.0,
-                ps_observed: 0.0,
-                pc_fair: 0.0,
-                ps_fair: 0.0,
-                samples: 0,
-            };
-        }
-        let n = l as f64;
-        Self {
-            pc_observed: xc / n,
-            ps_observed: yc / n,
-            pc_fair: xf / n,
-            ps_fair: yf / n,
-            samples: l,
-        }
-    }
-
-    /// Bias factors (observed / fair); `None` when the trace had no
-    /// contended acquisitions to estimate from.
+    /// Bias factors (observed / fair); `None` when there were no
+    /// contended grants to estimate from.
     pub fn factors(&self) -> Option<BiasFactors> {
         if self.samples == 0 || self.pc_fair == 0.0 || self.ps_fair == 0.0 {
             return None;
@@ -107,39 +56,35 @@ impl BiasAnalysis {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::trace::AcquisitionRecord;
-    use mtmpi_topology::{CoreId, SocketId};
+    use crate::grants::{Grant, GrantFold};
+    use mtmpi_topology::SocketId;
 
-    /// Build a record: 8 threads pinned one per core on a 2x4 node,
+    /// Grant to `owner`: 8 threads pinned one per core on a 2x4 node,
     /// thread t on socket t/4. `waiting` lists waiting thread ids.
-    fn rec(owner: u32, waiting: &[u32]) -> AcquisitionRecord {
-        let mut per_socket = vec![0u32; 2];
+    fn grant(f: &mut GrantFold, owner: u32, waiting: &[u32]) {
+        let mut per_socket = [0u32; 2];
         for &w in waiting {
             per_socket[(w / 4) as usize] += 1;
         }
-        AcquisitionRecord {
+        f.record(Grant {
             owner,
-            core: CoreId(owner),
             socket: SocketId(owner / 4),
             waiting: waiting.len() as u32,
-            waiting_per_socket: per_socket,
-            t_ns: 0,
+            waiting_per_socket: &per_socket,
             wait_ns: 0,
-        }
+        });
     }
 
     #[test]
     fn perfectly_round_robin_has_factor_near_one() {
         // 4 threads, 2 per socket, perfect FIFO rotation, always 3 waiting.
-        let mut t = CsTrace::new();
+        let mut t = GrantFold::new();
         for i in 0..4000u32 {
             let owner = i % 4;
             let waiting: Vec<u32> = (0..4).filter(|&x| x != owner).collect();
-            t.push(rec(owner, &waiting));
+            grant(&mut t, owner, &waiting);
         }
-        let a = BiasAnalysis::from_trace(&t);
-        let f = a.factors().unwrap();
+        let f = t.bias().factors().unwrap();
         // Round robin never re-elects the same owner -> core factor 0.
         assert!(f.core < 0.05, "core factor {}", f.core);
         // 4 threads round robin 0,1,2,3: consecutive owners 0->1 same
@@ -149,15 +94,15 @@ mod tests {
     }
 
     #[test]
-    fn monopolizing_trace_has_high_core_bias() {
+    fn monopolizing_grants_have_high_core_bias() {
         // Thread 0 wins 9 times out of 10 although 7 others wait.
-        let mut t = CsTrace::new();
+        let mut t = GrantFold::new();
         for i in 0..5000u32 {
             let owner = if i % 10 == 9 { 1 + (i / 10) % 7 } else { 0 };
             let waiting: Vec<u32> = (0..8).filter(|&x| x != owner).collect();
-            t.push(rec(owner, &waiting));
+            grant(&mut t, owner, &waiting);
         }
-        let f = BiasAnalysis::from_trace(&t).factors().unwrap();
+        let f = t.bias().factors().unwrap();
         // Observed Pc ~= 0.8 (9 consecutive zeros per decade -> 8 repeats
         // out of 10 transitions); fair Pc = 1/8 -> factor ~6.4.
         assert!(f.core > 4.0, "core factor {}", f.core);
@@ -165,23 +110,21 @@ mod tests {
     }
 
     #[test]
-    fn uncontended_acquisitions_are_ignored() {
-        let mut t = CsTrace::new();
+    fn uncontended_grants_are_ignored() {
+        let mut t = GrantFold::new();
         for _ in 0..100 {
-            t.push(rec(0, &[]));
+            grant(&mut t, 0, &[]);
         }
-        let a = BiasAnalysis::from_trace(&t);
+        let a = t.bias();
         assert_eq!(a.samples, 0);
         assert!(a.factors().is_none());
     }
 
     #[test]
-    fn empty_and_singleton_traces() {
-        assert!(BiasAnalysis::from_trace(&CsTrace::new())
-            .factors()
-            .is_none());
-        let mut t = CsTrace::new();
-        t.push(rec(0, &[1]));
-        assert_eq!(BiasAnalysis::from_trace(&t).samples, 0);
+    fn empty_and_singleton_folds() {
+        assert!(GrantFold::new().bias().factors().is_none());
+        let mut t = GrantFold::new();
+        grant(&mut t, 0, &[1]);
+        assert_eq!(t.bias().samples, 0);
     }
 }

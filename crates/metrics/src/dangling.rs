@@ -10,10 +10,8 @@
 //! completed-but-unfreed count at every critical-section acquisition, which
 //! is the paper's sampling interval.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulates dangling-request samples taken at lock-acquisition events.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DanglingSampler {
     sum: u64,
     max: u64,

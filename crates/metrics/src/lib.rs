@@ -1,8 +1,9 @@
 //! Analysis metrics from the paper.
 //!
-//! * [`trace`] — critical-section acquisition records, produced by the
+//! * [`grants`] — the per-lock [`GrantFold`]: constant-size running
+//!   statistics fed one [`Grant`] per critical-section passage by the
 //!   instrumented locks (native) and the virtual-platform arbitration
-//!   models, in the same format.
+//!   models alike.
 //! * [`bias`] — the §4.3 fairness analysis: core-level probability `Pc`
 //!   (same thread re-acquires) and socket-level probability `Ps` (next
 //!   owner on same socket), for the observed arbitration and for the ideal
@@ -20,15 +21,15 @@
 pub mod bias;
 pub mod dangling;
 pub mod fairness;
+pub mod grants;
 pub mod hist;
 pub mod series;
 pub mod table;
-pub mod trace;
 
 pub use bias::{BiasAnalysis, BiasFactors};
 pub use dangling::DanglingSampler;
 pub use fairness::{gini, shares};
+pub use grants::{FifoViolation, Grant, GrantFold, LastGrant};
 pub use hist::Histogram;
 pub use series::{summary, Series, Summary};
 pub use table::Table;
-pub use trace::{AcquisitionRecord, CsTrace};

@@ -1,10 +1,8 @@
 //! Labelled (x, y) series and summary statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// A named series of `(x, y)` points — one line of a paper figure
 /// (e.g. "Ticket" message rate as a function of message size).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Series {
     /// Legend label.
     pub label: String,
@@ -82,7 +80,7 @@ impl Series {
 }
 
 /// Summary statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample count.
     pub n: usize,

@@ -10,7 +10,7 @@
 //! injection must not perturb any other seeded choice in the simulation.
 //!
 //! Probabilities are expressed in parts-per-million (`*_ppm`) so the plan
-//! stays integer-only, hashable, and serde-friendly. A default-constructed
+//! stays integer-only and hashable. A default-constructed
 //! plan injects nothing and [`FaultPlan::is_active`] is `false`; the
 //! runtime uses that to skip all fault machinery (no acks, no retransmit
 //! queue, no extra events), keeping fault-free runs byte-identical to a
@@ -21,8 +21,6 @@
 //! network does, and the receiver's sequence-number reorder buffer is
 //! exercised the same way.
 
-use serde::{Deserialize, Serialize};
-
 /// One million — the denominator for all `*_ppm` probabilities.
 pub const PPM: u32 = 1_000_000;
 
@@ -30,7 +28,7 @@ pub const PPM: u32 = 1_000_000;
 ///
 /// Decisions are drawn per *transmission* (retransmits roll the dice
 /// again) and per link, deterministically from `seed`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed for the per-packet decision hash (independent of the
     /// platform seed, so the same fault pattern can be replayed across

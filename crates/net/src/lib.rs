@@ -23,14 +23,12 @@
 //! extra round-trip of base latency), mirroring MPICH's eager/rendezvous
 //! switch.
 
-use serde::{Deserialize, Serialize};
-
 pub mod faults;
 
 pub use faults::{FaultDecision, FaultPlan, PPM};
 
 /// Timing decomposition for one message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsgTiming {
     /// Time the source NIC is busy injecting (serializes messages from the
     /// same node).
@@ -48,7 +46,7 @@ impl MsgTiming {
 }
 
 /// Interconnect + intra-node transport parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetModel {
     /// Eager→rendezvous protocol switch point in bytes.
     pub eager_threshold: u64,

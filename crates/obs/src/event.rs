@@ -156,7 +156,7 @@ pub enum EventKind {
     /// `t_acq`, released at the event's `t_ns`. Wait time is
     /// `t_acq - t_req`; hold time is `t_ns - t_acq`.
     CsSpan {
-        /// Platform lock id (pairs with `PlatformReport::lock_traces`).
+        /// Platform lock id (indexes `PlatformReport::lock_grants`).
         lock: u32,
         /// Arbitration label (`"mutex"`, `"ticket"`, …).
         kind: &'static str,

@@ -1,7 +1,7 @@
 //! Minimal deterministic JSON string building.
 //!
-//! The workspace's `serde` shim is marker-traits only (no serializer
-//! exists offline), so every JSON artifact is built by hand. These
+//! No serializer crate exists offline, so every JSON artifact is built
+//! by hand. These
 //! helpers keep that deterministic: fixed-decimal timestamps and plain
 //! `Display` floats, so identical inputs yield byte-identical output.
 

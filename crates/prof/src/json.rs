@@ -1,7 +1,7 @@
 //! A minimal JSON *value* parser.
 //!
 //! The workspace writes all its artifacts (`BENCH_*.json`, traces) with
-//! hand-rolled emitters; the serde shim carries no data model.
+//! hand-rolled emitters (no serializer crate exists offline).
 //! `bench-diff`, `top`, `replay-gate` and `xtask trace` must *read* those
 //! artifacts back, so this module supplies the missing half: a small
 //! recursive-descent parser producing an owned [`Json`] tree. It is also

@@ -458,7 +458,7 @@ impl World {
     }
 
     /// The queue-lock id of a rank's VCI 0 (to pair with
-    /// [`mtmpi_sim::PlatformReport::lock_traces`]). See
+    /// [`mtmpi_sim::PlatformReport::lock_grants`]). See
     /// [`Self::lock_of_vci`] for the other shards.
     pub fn lock_of(&self, rank: u32) -> LockId {
         self.lock_of_vci(rank, 0)

@@ -55,7 +55,7 @@ struct NetState {
 /// A spawned-but-not-yet-run worker thread.
 type PendingThread = (ThreadDesc, Box<dyn FnOnce() + Send>);
 
-/// A registered critical-section lock with its acquisition trace.
+/// A registered critical-section lock with its grant statistics.
 type TracedLock = Arc<Traced<Box<dyn CsLock>>>;
 
 /// Native execution platform.
@@ -292,10 +292,10 @@ impl Platform for NativePlatform {
         for h in handles {
             h.join().expect("worker panicked");
         }
-        let traces = self.locks.lock().iter().map(|l| l.snapshot()).collect();
+        let lock_grants = self.locks.lock().iter().map(|l| l.grants()).collect();
         PlatformReport {
             end_ns: self.now_ns(),
-            lock_traces: traces,
+            lock_grants,
             sched_trace_hash: 0,
             events: 0,
             handoffs: 0,

@@ -1,7 +1,7 @@
 //! The [`Platform`] trait and its shared types.
 
 use crate::errors::SimError;
-use mtmpi_metrics::CsTrace;
+use mtmpi_metrics::GrantFold;
 use mtmpi_topology::CoreId;
 use std::any::Any;
 
@@ -90,9 +90,6 @@ pub struct LockModelParams {
     /// slips in at a burst boundary); unbounded priority would starve
     /// the progress loop that *frees* requests.
     pub priority_burst: u32,
-    /// Maximum acquisition records kept per lock trace (memory bound;
-    /// the §4.3 estimators converge long before this many samples).
-    pub trace_cap: usize,
     /// Cost of re-fetching the critical section's *working set* (queue
     /// heads, request objects) when ownership moves to another core on
     /// the same socket. This is the real price of fair rotation — the
@@ -112,7 +109,6 @@ impl Default for LockModelParams {
             priority_burst: 3,
             spin_window_ns: 300,
             wake_ns: 3_000,
-            trace_cap: 200_000,
             migrate_same_socket_ns: 350,
             migrate_cross_socket_ns: 800,
         }
@@ -136,8 +132,8 @@ pub struct PlatformReport {
     /// Virtual end time (or wall time in model-ns for the native
     /// platform): the latest time any worker finished.
     pub end_ns: u64,
-    /// Acquisition trace per lock, indexed by [`LockId`].
-    pub lock_traces: Vec<CsTrace>,
+    /// Grant statistics per lock, indexed by [`LockId`].
+    pub lock_grants: Vec<GrantFold>,
     /// Order-sensitive FNV-1a 64 hash of every scheduler decision the
     /// virtual platform made (event dequeue order, grant outcomes).
     /// Same seed + same workload → same hash; any divergence in the

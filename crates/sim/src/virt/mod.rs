@@ -1135,9 +1135,9 @@ impl RunHandle {
         let mut sched = self.shared.sched.lock();
         PlatformReport {
             end_ns: sched.end_ns,
-            lock_traces: std::mem::take(&mut sched.vlocks)
+            lock_grants: std::mem::take(&mut sched.vlocks)
                 .into_iter()
-                .map(VLock::into_trace)
+                .map(VLock::into_grants)
                 .collect(),
             sched_trace_hash: sched.hash.0,
             events: sched.n_events,

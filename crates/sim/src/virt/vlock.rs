@@ -46,7 +46,7 @@
 
 use crate::platform::{LockKind, LockModelParams};
 use mtmpi_locks::PathClass;
-use mtmpi_metrics::{AcquisitionRecord, CsTrace};
+use mtmpi_metrics::{Grant, GrantFold};
 use mtmpi_topology::{CoreId, HandoffLatencies, NodeTopology, SocketId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -115,7 +115,9 @@ pub(crate) struct VLock {
     handoff: HandoffLatencies,
     state: State,
     waiters: VecDeque<Waiter>,
-    trace: CsTrace,
+    grants: GrantFold,
+    /// Scratch for [`Self::record_grant`]: waiters per socket.
+    per_socket: Vec<u32>,
     gen: u64,
     /// Core/socket of the last thread to hold the lock (the cache line's
     /// home until someone else takes it).
@@ -128,8 +130,6 @@ pub(crate) struct VLock {
     /// (selective wake-up, §9 future work).
     boosted: std::collections::HashSet<usize>,
     rng: SmallRng,
-    /// Count of acquisitions (cheap accessor without trace scan).
-    acquisitions: u64,
 }
 
 impl VLock {
@@ -143,11 +143,12 @@ impl VLock {
         Self {
             kind,
             params,
+            per_socket: vec![0; topo.sockets as usize],
             topo,
             handoff,
             state: State::Free,
             waiters: VecDeque::new(),
-            trace: CsTrace::new(),
+            grants: GrantFold::new(),
             gen: 0,
             last_owner: None,
             last_owner_tid: None,
@@ -155,7 +156,6 @@ impl VLock {
             prio_burst: 0,
             boosted: std::collections::HashSet::new(),
             rng: SmallRng::seed_from_u64(seed),
-            acquisitions: 0,
         }
     }
 
@@ -204,21 +204,15 @@ impl VLock {
     }
 
     fn record_grant(&mut self, w: &Waiter, at: u64) {
-        self.acquisitions += 1;
-        if self.trace.len() >= self.params.trace_cap {
-            return;
-        }
-        let mut per_socket = vec![0u32; self.topo.sockets as usize];
+        self.per_socket.fill(0);
         for q in &self.waiters {
-            per_socket[q.socket.0 as usize] += 1;
+            self.per_socket[q.socket.0 as usize] += 1;
         }
-        self.trace.push(AcquisitionRecord {
+        self.grants.record(Grant {
             owner: w.tid as u32,
-            core: w.core,
             socket: w.socket,
             waiting: self.waiters.len() as u32,
-            waiting_per_socket: per_socket,
-            t_ns: at,
+            waiting_per_socket: &self.per_socket,
             wait_ns: at.saturating_sub(w.first_enq_ns),
         });
     }
@@ -504,15 +498,9 @@ impl VLock {
         }
     }
 
-    /// Extract the trace.
-    pub(crate) fn into_trace(self) -> CsTrace {
-        self.trace
-    }
-
-    /// Total acquisitions.
-    #[allow(dead_code)]
-    pub(crate) fn acquisitions(&self) -> u64 {
-        self.acquisitions
+    /// Extract the grant statistics.
+    pub(crate) fn into_grants(self) -> GrantFold {
+        self.grants
     }
 }
 
@@ -799,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_waiting_counts() {
+    fn grants_record_waiting_counts() {
         let mut l = lock(LockKind::Ticket);
         let (c0, s0) = place(0);
         assert!(matches!(
@@ -816,9 +804,9 @@ mod tests {
         if let ReleaseOutcome::Scheduled { gen, .. } = l.release(100, 0, c0, s0) {
             let _ = l.try_finalize(gen);
         }
-        let trace = l.into_trace();
-        assert_eq!(trace.len(), 2);
+        let grants = l.into_grants();
+        assert_eq!(grants.total(), 2);
         // Second acquisition saw 2 remaining waiters.
-        assert_eq!(trace.records()[1].waiting, 2);
+        assert_eq!(grants.last().expect("two grants").waiting, 2);
     }
 }

@@ -2,13 +2,12 @@
 //! lock arbitration, mailbox timing, determinism.
 
 use mtmpi_locks::PathClass;
-use mtmpi_metrics::BiasAnalysis;
 use mtmpi_net::NetModel;
 use mtmpi_sim::{LockKind, LockModelParams, Platform, ThreadDesc, VirtualPlatform};
 use mtmpi_topology::presets::nehalem_cluster_scaled;
 use mtmpi_topology::CoreId;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn platform(seed: u64) -> Arc<VirtualPlatform> {
     Arc::new(VirtualPlatform::new(
@@ -120,13 +119,16 @@ fn deterministic_across_runs() {
     let run = || {
         let p = platform(42);
         let lock = p.lock_create(LockKind::Mutex);
+        let owners = Arc::new(Mutex::new(Vec::new()));
         for i in 0..4u32 {
             let p2 = p.clone();
+            let owners = owners.clone();
             p.spawn(
                 desc(&format!("t{i}"), i * 2), // cores 0,2,4,6: both sockets
                 Box::new(move || {
                     for _ in 0..200 {
                         let tok = p2.lock_acquire(lock, PathClass::Main);
+                        owners.lock().unwrap().push(i);
                         p2.compute(300);
                         p2.lock_release(lock, PathClass::Main, tok);
                         p2.compute(100);
@@ -135,8 +137,7 @@ fn deterministic_across_runs() {
             );
         }
         let r = p.run();
-        let trace = &r.lock_traces[0];
-        let owners: Vec<u32> = trace.records().iter().map(|r| r.owner).collect();
+        let owners = std::mem::take(&mut *owners.lock().unwrap());
         (r.end_ns, owners)
     };
     let a = run();
@@ -174,7 +175,7 @@ fn mutex_is_biased_ticket_is_not() {
             );
         }
         let r = p.run();
-        BiasAnalysis::from_trace(&r.lock_traces[0])
+        r.lock_grants[0].bias()
     };
     let mutex = run(LockKind::Mutex);
     let ticket = run(LockKind::Ticket);
@@ -217,13 +218,41 @@ fn ticket_fairness_in_acquisition_counts() {
         );
     }
     let r = p.run();
-    let trace = &r.lock_traces[0];
-    assert_eq!(trace.len(), 1200);
+    let grants = &r.lock_grants[0];
+    assert_eq!(grants.total(), 1200);
     assert!(
-        trace.jain_index() > 0.99,
+        grants.jain_index() > 0.99,
         "ticket must be fair: {}",
-        trace.jain_index()
+        grants.jain_index()
     );
+}
+
+#[test]
+fn every_grant_of_a_long_run_is_counted() {
+    // The lock's statistics are a fold, not a log: nothing about them is
+    // bounded by the length of the run.
+    let p = platform(19);
+    let lock = p.lock_create(LockKind::Mutex);
+    for (i, iters) in [(0u32, 249_000u64), (1, 1_000)] {
+        let p2 = p.clone();
+        p.spawn(
+            desc(&format!("t{i}"), i),
+            Box::new(move || {
+                for _ in 0..iters {
+                    let tok = p2.lock_acquire(lock, PathClass::Main);
+                    p2.compute(20);
+                    p2.lock_release(lock, PathClass::Main, tok);
+                }
+            }),
+        );
+    }
+    let r = p.run();
+    let grants = &r.lock_grants[0];
+    assert_eq!(grants.total(), 250_000);
+    let per_thread = grants.grants_per_thread();
+    assert_eq!(per_thread[&0], 249_000);
+    assert_eq!(per_thread[&1], 1_000);
+    assert_eq!(per_thread.values().sum::<u64>(), grants.total());
 }
 
 #[test]
@@ -249,7 +278,7 @@ fn mutex_monopolizes_under_asymmetric_return() {
             );
         }
         let r = p.run();
-        r.lock_traces[0].longest_monopoly()
+        r.lock_grants[0].longest_monopoly()
     };
     let mutex_run = run(LockKind::Mutex);
     let ticket_run = run(LockKind::Ticket);
@@ -287,11 +316,15 @@ fn priority_class_is_honored() {
             );
         }
         let p2 = p.clone();
+        let waited = Arc::new(AtomicU64::new(0));
+        let waited2 = waited.clone();
         p.spawn(
             desc("worker", 0),
             Box::new(move || {
                 for _ in 0..300 {
+                    let t_req = p2.now_ns();
                     let tok = p2.lock_acquire(lock, PathClass::Main);
+                    waited2.fetch_add(p2.now_ns() - t_req, Ordering::Relaxed);
                     p2.compute(300);
                     p2.lock_release(lock, PathClass::Main, tok);
                     p2.compute(800);
@@ -300,14 +333,8 @@ fn priority_class_is_honored() {
         );
         let r = p.run();
         // Worker is tid 3 (spawned last).
-        let waits: Vec<f64> = r.lock_traces[0]
-            .records()
-            .iter()
-            .filter(|rec| rec.owner == 3)
-            .map(|rec| rec.wait_ns as f64)
-            .collect();
-        assert_eq!(waits.len(), 300);
-        waits.iter().sum::<f64>() / waits.len() as f64
+        assert_eq!(r.lock_grants[0].grants_per_thread()[&3], 300);
+        waited.load(Ordering::Relaxed) as f64 / 300.0
     };
     let prio_wait = run(LockKind::Priority);
     let ticket_wait = run(LockKind::Ticket);

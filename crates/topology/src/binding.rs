@@ -1,14 +1,13 @@
 //! Thread-to-core binding policies.
 
 use crate::node::{CoreId, NodeTopology};
-use serde::{Deserialize, Serialize};
 
 /// How the threads of the processes on one node are pinned to cores.
 ///
 /// The paper contrasts *compact* (fill a socket before spilling to the
 /// next — threads share caches, short hand-offs) with *scatter* (round-robin
 /// across sockets — every neighbour hand-off crosses the QPI link), §4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BindingPolicy {
     /// Fill cores socket by socket: t0..t3 → socket 0, t4..t7 → socket 1.
     Compact,
@@ -17,7 +16,7 @@ pub enum BindingPolicy {
 }
 
 /// A concrete binding: thread index → core, for `nthreads` threads on `node`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Binding {
     cores: Vec<CoreId>,
 }

@@ -2,14 +2,13 @@
 
 use crate::latency::HandoffLatencies;
 use crate::node::NodeTopology;
-use serde::{Deserialize, Serialize};
 
 /// A cluster of identical nodes connected by one interconnect.
 ///
 /// Node indices are `0..nodes`. Process placement (ranks → nodes) is decided
 /// by the runtime layer; this type only answers "is this pair of ranks on
 /// the same node" style questions through the node count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterTopology {
     /// Number of nodes.
     pub nodes: u32,

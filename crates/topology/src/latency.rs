@@ -1,11 +1,10 @@
 //! Memory-hierarchy distances and lock hand-off latencies.
 
 use crate::node::{CoreId, NodeTopology};
-use serde::{Deserialize, Serialize};
 
 /// Cache distance between the releasing core and a prospective next owner of
 /// a lock's cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Distance {
     /// Same core: the line is already in the local L1/L2; the previous owner
     /// re-acquiring its own lock pays almost nothing.
@@ -23,7 +22,7 @@ pub enum Distance {
 /// The ratio between these values — not their absolute magnitude — drives
 /// the arbitration bias: a compare-and-swap race is won by whoever observes
 /// the freed line first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HandoffLatencies {
     /// Same-core re-acquire (line in local cache).
     pub same_core_ns: u64,

@@ -1,25 +1,23 @@
 //! Single-node topology: sockets, cores, caches.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a core within a node (`0..sockets * cores_per_socket`).
 ///
 /// Cores are numbered socket-major: core `c` lives on socket
 /// `c / cores_per_socket`. This matches the binding convention used in the
 /// paper ("we bind the first four threads to cores on the first socket and
 /// the rest to cores on the second", §4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub u32);
 
 /// Index of a socket within a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SocketId(pub u32);
 
 /// Description of one compute node.
 ///
 /// The defaults elsewhere in the workspace use [`crate::presets::nehalem_node`],
 /// which encodes Table 1 of the paper.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeTopology {
     /// Number of CPU sockets (NUMA domains) on the node.
     pub sockets: u32,

@@ -33,14 +33,13 @@ fn hammer<L: CsLock + 'static>(name: &str, lock: L, threads: u32, iters: u64) {
     for h in handles {
         h.join().unwrap();
     }
-    let lock = Arc::try_unwrap(lock).ok().expect("all threads joined");
-    let trace = lock.into_trace();
+    let grants = lock.grants();
     println!(
         "{name:>10}: {:>8} acquisitions, Jain fairness {:.4}, longest monopoly {:>6}, mean wait {:>8.0} ns",
-        trace.len(),
-        trace.jain_index(),
-        trace.longest_monopoly(),
-        trace.mean_wait_ns(),
+        grants.total(),
+        grants.jain_index(),
+        grants.longest_monopoly(),
+        grants.mean_wait_ns(),
     );
 }
 

@@ -35,7 +35,7 @@ fn main() {
             },
         );
         let msgs = 4 * 1_000u64;
-        let trace = out.trace(1);
+        let grants = out.grants(1);
         // The unified post-run snapshot: counters + always-on histograms.
         let stats = out.stats(1);
         println!(
@@ -44,8 +44,8 @@ fn main() {
             method.label(),
             out.end_ns as f64 / 1e6,
             out.msg_rate(msgs),
-            trace.len(),
-            trace.jain_index(),
+            grants.total(),
+            grants.jain_index(),
             stats.cs_wait_ns.p50(),
             stats.cs_wait_ns.p99(),
         );
