@@ -14,7 +14,6 @@ pub struct Handoff {
     stream_owner: AtomicU64,
     published: AtomicU64,
     tenant_state: AtomicU8,
-    baton: AtomicU32,
     count: AtomicU64,
 }
 
@@ -88,29 +87,6 @@ impl Handoff {
 
     pub fn tenant_park_right(&self) {
         self.tenant_state.store(0, Ordering::Release);
-    }
-
-    pub fn baton_deposit_wrong(&self) -> bool {
-        // Relaxed success on the Empty→Go CAS: the resumed thread's
-        // Acquire has no edge to the reply written just before it.
-        self.baton.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed).is_ok() // FIRE: L001
-    }
-
-    pub fn baton_abort_wrong(&self) {
-        self.baton.swap(2, Ordering::Relaxed); // FIRE: L001
-    }
-
-    pub fn baton_deposit_right(&self) -> bool {
-        self.baton.compare_exchange(0, 1, Ordering::Release, Ordering::Acquire).is_ok()
-    }
-
-    pub fn baton_consume_right(&self) -> bool {
-        self.baton.compare_exchange(1, 0, Ordering::Acquire, Ordering::Acquire).is_ok()
-    }
-
-    pub fn baton_reset_allowed(&self) {
-        // lint: allow(L001) fixture: slot reset before its owner thread exists
-        self.baton.store(0, Ordering::Relaxed); // ALLOWED: L001
     }
 
     pub fn stat_ok(&self) {

@@ -13,7 +13,6 @@ pub struct Published {
     stream_owner: AtomicU64,
     published: AtomicU64,
     tenant_state: AtomicU8,
-    baton: AtomicU32,
     scratch: AtomicU32,
 }
 
@@ -62,16 +61,6 @@ impl Published {
 
     pub fn tenant_state_right(&self) -> u8 {
         self.tenant_state.load(Ordering::Acquire)
-    }
-
-    pub fn baton_wrong(&self) -> bool {
-        // Seeing Abort (or Go) without the Acquire misses whatever the
-        // baton holder published before setting it.
-        self.baton.load(Ordering::Relaxed) == 2 // FIRE: L002
-    }
-
-    pub fn baton_right(&self) -> bool {
-        self.baton.load(Ordering::Acquire) == 2
     }
 
     pub fn watermark_self_read_allowed(&self) -> u64 {

@@ -28,7 +28,6 @@ pub const HANDOFF_FIELDS: &[&str] = &[
     "stream_owner",    // stream claim word (bind CAS / unbind Release)
     "published",       // recorder shard watermark (event slots → reader)
     "tenant_state",    // serve tenant cell word (Idle→Pending→Running)
-    "baton",           // sim hand-off slot word (Empty→Go, sticky Abort)
 ];
 
 /// Mutating atomic operations. Loads are L002's concern.

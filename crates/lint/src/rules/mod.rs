@@ -10,6 +10,7 @@
 //! | L004 | no nondeterminism sources in the deterministic core crates    |
 //! | L005 | no panic/unwrap/expect on typed-error (`try_*`) paths         |
 //! | L006 | no `unsafe` block/impl without a `// SAFETY:` comment         |
+//! | L007 | no host lock/`RefCell` guard held across a simulated-thread suspension |
 
 use crate::diag::Diagnostic;
 use crate::source::SourceFile;
@@ -20,6 +21,7 @@ mod l003_nested_cs;
 mod l004_determinism;
 mod l005_panic_paths;
 mod l006_undocumented_unsafe;
+mod l007_guard_across_suspension;
 
 pub use l003_nested_cs::{cs_entering_fns, CsContext};
 
@@ -61,6 +63,12 @@ pub const RULES: &[RuleInfo] = &[
         id: "L006",
         summary: "unsafe block or unsafe impl without a `// SAFETY:` comment",
     },
+    RuleInfo {
+        id: "L007",
+        summary: "host Mutex/RwLock/RefCell guard still bound when a Platform call suspends \
+                  the simulated thread (fibers share one OS thread per world and migrate \
+                  between serve workers)",
+    },
 ];
 
 /// Run every rule applicable to `file` (path scoping included),
@@ -80,6 +88,7 @@ pub fn check_file(file: &SourceFile, cs: &CsContext) -> Vec<Diagnostic> {
         out.extend(l005_panic_paths::check(file));
     }
     out.extend(l006_undocumented_unsafe::check(file));
+    out.extend(l007_guard_across_suspension::check(file));
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
 }

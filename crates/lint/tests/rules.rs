@@ -1,4 +1,4 @@
-//! Fixture tests: every rule L001–L006 demonstrably fires, on exactly
+//! Fixture tests: every rule L001–L007 demonstrably fires, on exactly
 //! the sites its fixture marks, and allow comments suppress it.
 //!
 //! Each fixture under `crates/lint/fixtures/` annotates its expected
@@ -121,6 +121,11 @@ fn l005_panics_on_typed_error_paths() {
 #[test]
 fn l006_undocumented_unsafe() {
     assert_fixture("l006.rs", "crates/core/src/fixture_l006.rs", "L006");
+}
+
+#[test]
+fn l007_guards_across_suspensions() {
+    assert_fixture("l007.rs", "crates/graph500/src/fixture_l007.rs", "L007");
 }
 
 #[test]

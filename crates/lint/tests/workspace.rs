@@ -92,7 +92,7 @@ fn json_report_is_well_formed_enough() {
     assert!(json.starts_with("{\"version\":1,"));
     assert!(json.ends_with('}'));
     // All six rules are described for downstream tooling.
-    for id in ["L001", "L002", "L003", "L004", "L005", "L006"] {
+    for id in ["L001", "L002", "L003", "L004", "L005", "L006", "L007"] {
         assert!(json.contains(&format!("\"id\":\"{id}\"")), "missing {id}");
     }
 }

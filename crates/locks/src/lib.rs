@@ -50,4 +50,4 @@ pub use priority::PriorityTicketLock;
 pub use raw::{CsLock, CsToken, RawLock};
 pub use spin::{Backoff, TasLock, TtasLock};
 pub use ticket::TicketLock;
-pub use traced::{current_core, set_current_core, Traced};
+pub use traced::{current_core, set_current_core, swap_current_core, Traced};

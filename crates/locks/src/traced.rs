@@ -35,8 +35,20 @@ pub fn set_current_core(core: CoreId, socket: SocketId) {
 }
 
 /// The calling thread's registered placement, if any.
+// Never inlined (like `swap_current_core`): on the virtual platform the
+// caller may be a fiber that is suspended and resumed on another OS
+// thread, so it must not keep this thread-local's address across calls.
+#[inline(never)]
 pub fn current_core() -> Option<(CoreId, SocketId)> {
     CURRENT_CORE.with(Cell::get)
+}
+
+/// Replace the calling thread's placement, returning the previous one.
+/// `mtmpi-sim` uses it to carry a simulated thread's placement with its
+/// fiber: installed before each resume, taken back out after.
+#[inline(never)]
+pub fn swap_current_core(new: Option<(CoreId, SocketId)>) -> Option<(CoreId, SocketId)> {
+    CURRENT_CORE.with(|c| c.replace(new))
 }
 
 fn current_thread_id() -> u32 {

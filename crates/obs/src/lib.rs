@@ -39,7 +39,7 @@ pub use export::{
     VCI_LANE_TID_BASE,
 };
 pub use recorder::{
-    CsSpanView, DrainCursor, NullRecorder, Recorder, RingRecorder, Timeline, TimelineWindows,
-    DEFAULT_SHARD_CAP, MAX_SHARDS,
+    swap_shard_claim, CsSpanView, DrainCursor, NullRecorder, Recorder, RingRecorder, ShardClaim,
+    Timeline, TimelineWindows, DEFAULT_SHARD_CAP, MAX_SHARDS,
 };
 pub use summary::{CsStats, RunRecord, Sink};

@@ -270,9 +270,42 @@ pub struct RingRecorder {
 
 static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
 
+/// The shard a thread claimed last, and in which recorder. Opaque: only
+/// [`swap_shard_claim`] moves one around.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardClaim {
+    recorder: u64,
+    slot: usize,
+}
+
+impl ShardClaim {
+    /// No shard claimed yet: what a new thread starts with.
+    pub const NONE: Self = Self {
+        recorder: 0,
+        slot: usize::MAX,
+    };
+}
+
 thread_local! {
-    /// `(recorder id, slot)` of the shard this thread claimed last.
-    static SLOT: Cell<(u64, usize)> = const { Cell::new((0, usize::MAX)) };
+    static CLAIM: Cell<ShardClaim> = const { Cell::new(ShardClaim::NONE) };
+}
+
+/// Replace the calling OS thread's shard claim, returning the previous
+/// one. `mtmpi-sim` uses it to carry a simulated thread's claim with its
+/// fiber (installed before each resume, taken back out after), so a
+/// simulated thread keeps the shard it claimed first whichever OS thread
+/// runs it.
+// Never inlined, like `claim`: a recording fiber may be suspended and
+// resumed on another OS thread, so no caller may keep this thread-local's
+// address across calls.
+#[inline(never)]
+pub fn swap_shard_claim(new: ShardClaim) -> ShardClaim {
+    CLAIM.with(|c| c.replace(new))
+}
+
+#[inline(never)]
+fn claim() -> ShardClaim {
+    CLAIM.with(Cell::get)
 }
 
 impl Default for RingRecorder {
@@ -324,13 +357,16 @@ impl RingRecorder {
     /// live recorders re-claims a fresh slot at each switch — fine for
     /// the intended one-recorder-per-run usage, wasteful otherwise.
     fn slot(&self) -> Option<usize> {
-        let (rec, slot) = SLOT.with(Cell::get);
-        if rec == self.id {
+        let ShardClaim { recorder, slot } = claim();
+        if recorder == self.id {
             return Some(slot).filter(|&s| s < self.shards.len());
         }
-        let s = self.next_slot.fetch_add(1, Ordering::Relaxed);
-        SLOT.with(|c| c.set((self.id, s)));
-        (s < self.shards.len()).then_some(s)
+        let slot = self.next_slot.fetch_add(1, Ordering::Relaxed);
+        swap_shard_claim(ShardClaim {
+            recorder: self.id,
+            slot,
+        });
+        (slot < self.shards.len()).then_some(slot)
     }
 
     /// Events dropped so far (capacity overflow or shard exhaustion).

@@ -53,8 +53,8 @@ pub struct ServeConfig {
     pub quantum: u64,
     /// Total tenants admitted over the run.
     pub tenants: u32,
-    /// Admission window: max tenants launched (OS threads spawned) but
-    /// not yet finished. Bounds peak thread/memory footprint; completion
+    /// Admission window: max tenants launched (fiber stacks taken) but
+    /// not yet finished. Bounds peak memory footprint; completion
     /// of one tenant admits the next.
     pub max_live: u32,
     /// Service master seed; tenant `i` derives its world seed from it.

@@ -6,8 +6,9 @@
 //! configured event quantum, then either re-enqueued at the *back* of
 //! the FIFO (runnable ⇒ round-robin fairness), or completed. Tenant
 //! worlds launch lazily at their first quantum, and completion of one
-//! tenant admits the next, so the `max_live` window bounds the OS
-//! threads and memory of thousands-of-tenants runs.
+//! tenant admits the next, so the `max_live` window bounds the fiber
+//! stacks and memory of thousands-of-tenants runs (a world owns no OS
+//! thread; the pool's workers are the only threads there are).
 //!
 //! Determinism: a tenant is an isolated deterministic world, and the
 //! pool only ever *interleaves* tenants — it never shares state between
@@ -109,8 +110,8 @@ impl Pool {
 
         let started = Instant::now();
         if let TenantWork::Queued(spec) = work {
-            // First quantum: materialize the world (spawns its
-            // simulated OS threads, parked immediately).
+            // First quantum: materialize the world (takes a fiber stack
+            // per simulated thread; none runs before the first step).
             *work = TenantWork::Live(Box::new(jobs::launch(spec, self.cfg.fuel, self.cfg.trace)));
         }
         let TenantWork::Live(lt) = work else {

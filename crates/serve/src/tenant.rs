@@ -39,7 +39,7 @@ pub const DONE: u8 = 3;
 
 /// What a tenant slot holds over its life cycle.
 pub enum TenantWork {
-    /// Admitted but not yet launched: the world (and its OS threads)
+    /// Admitted but not yet launched: the world (and its fiber stacks)
     /// materializes lazily at the first quantum, so queued tenants cost
     /// nothing until a worker reaches them.
     Queued(JobSpec),

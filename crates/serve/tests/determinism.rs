@@ -99,3 +99,25 @@ fn fuel_exhaustion_is_deterministic_across_workers() {
     });
     assert_eq!(a.tenant_digest(), solo.tenant_digest());
 }
+
+/// A tenant parked after a quantum is resumed by whichever worker is free,
+/// so its suspended simulated threads — and with them each thread's tid,
+/// placement and recorder shard — migrate between OS threads. With the
+/// recorder on, the digest carries the blame the recorded timeline
+/// yields, so it moves if any event lands in the wrong shard or with the
+/// wrong stamp. Quantum 1 migrates at every event.
+#[test]
+fn tenants_migrating_between_workers_keep_their_digests() {
+    for quantum in [1u64, 7, 256] {
+        let cfg = |workers| mixed_cfg(12, workers).quantum(quantum).trace(true);
+        let reference = serve(&cfg(1));
+        assert_eq!(reference.failed(), 0, "{}", reference.summary());
+        for workers in [2u32, 4] {
+            assert_eq!(
+                reference.tenant_digest(),
+                serve(&cfg(workers)).tenant_digest(),
+                "digest diverged at {workers} workers, quantum {quantum}"
+            );
+        }
+    }
+}

@@ -5,8 +5,9 @@
 //! sections*, and the *network mailbox*. Two implementations:
 //!
 //! * [`VirtualPlatform`] — a deterministic discrete-event executor.
-//!   Worker closures run on cooperative OS threads, exactly one at a time,
-//!   scheduled in virtual-time order. Critical sections are *arbitration
+//!   Worker closures run as fibers on the thread that steps the run (no
+//!   OS thread per simulated thread), exactly one at a time, scheduled in
+//!   virtual-time order. Critical sections are *arbitration
 //!   models* rather than real locks: the biased NPTL-mutex model (user
 //!   space CAS race won by cache proximity + futex sleep/wake), the FIFO
 //!   ticket model, and the two-level priority model. This is how the
@@ -21,7 +22,7 @@
 //! [`Platform::lock_acquire`]/[`Platform::lock_release`] around shared
 //! state, and [`Platform::net_send`]/[`Platform::net_poll`] for
 //! communication. On the virtual platform, `compute` merely advances a
-//! thread-local clock — threads only synchronize with the scheduler at
+//! per-worker clock — threads only synchronize with the scheduler at
 //! lock and network operations, which keeps simulation overhead
 //! proportional to synchronization, not to work.
 

@@ -144,10 +144,10 @@ pub struct PlatformReport {
     /// bound counts, and the numerator of `sim_events_per_sec`). The
     /// native platform has no event loop and reports 0.
     pub events: u64,
-    /// Baton transfers between distinct OS threads during the run (see
-    /// `RunHandle::handoffs`): the context switches the virtual
-    /// platform's transport cost, a deterministic count. The native
-    /// platform passes no baton and reports 0.
+    /// Transfers of control between distinct contexts (the stepping
+    /// thread and each simulated thread) during the run, see
+    /// `RunHandle::handoffs`: a deterministic count. The native platform
+    /// schedules nothing itself and reports 0.
     pub handoffs: u64,
 }
 

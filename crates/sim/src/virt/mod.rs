@@ -1,30 +1,31 @@
 //! The deterministic virtual-time platform.
 //!
-//! Worker closures run on real OS threads, but **exactly one runs at a
-//! time**: whichever thread holds the *baton*. There is no scheduler
-//! thread. A worker that reaches a synchronization point (lock or network
-//! operation) queues its own `Exec` event and runs the event loop itself,
-//! on the shared [`Scheduler`] state. If the next event that resumes a
-//! thread resumes *it*, the reply is returned inline with no context
-//! switch; otherwise it deposits the reply in the target's [`Slot`], wakes
-//! that one thread and parks — one switch per hand-off. The thread calling
-//! [`RunHandle::step`] is simply the first baton holder of each quantum:
-//! it runs the loop up to the first resume, parks, and is woken with the
-//! outcome by whichever thread holds the baton when the budget, fuel,
-//! completion, a deadlock or a worker panic ends the quantum.
+//! A run uses **no OS threads of its own**. Every simulated thread is a
+//! fiber ([`fiber`]): its worker closure runs on a private stack, on
+//! whichever OS thread is inside [`RunHandle::step`]. The event loop
+//! ([`Scheduler::advance`]) runs only on that stepping thread's own stack.
+//! When an event resumes a simulated thread, `step` switches onto its
+//! fiber; when the worker reaches a synchronization point (lock or
+//! network operation) it switches back, carrying its operation, and
+//! `step` queues the worker's `Exec` event and goes on with the loop. A
+//! hand-off from one simulated thread to the next is those two stack
+//! switches — tens of nanoseconds, no syscall. Budget, fuel, completion,
+//! a deadlock or a worker panic end the quantum where the loop runs, so
+//! `step` simply returns.
 //!
-//! Local computation ([`Platform::compute`]) accumulates in a thread-local
-//! offset without touching the scheduler, so simulation cost scales with
-//! synchronization frequency, not with simulated work.
+//! Local computation ([`Platform::compute`]) accumulates in the worker's
+//! own context without touching the scheduler, so simulation cost scales
+//! with synchronization frequency, not with simulated work.
 //!
 //! Determinism: events are processed strictly in `(virtual time,
-//! sequence)` order by one loop over one queue — *which* OS thread runs
-//! that loop is transport, not a decision, and is not hashed. Worker
-//! interaction is fully serialized, and all randomness (CAS-race jitter,
-//! per-thread RNG streams) derives from the run's seed.
+//! sequence)` order by one loop over one queue. Worker interaction is
+//! fully serialized, and all randomness (CAS-race jitter, per-thread RNG
+//! streams) derives from the run's seed. Which OS thread steps a run is
+//! transport, not a decision, and is not hashed.
 
 pub mod arena;
 pub mod calendar;
+mod fiber;
 pub(crate) mod vlock;
 
 use crate::errors::{BlockedOn, BlockedThread, LockDiag, SimError};
@@ -33,17 +34,15 @@ use crate::platform::{
 };
 use arena::Arena;
 use calendar::CalendarQueue;
+use fiber::{with_worker, Fiber};
 use mtmpi_locks::{CsToken, PathClass};
 use mtmpi_net::NetModel;
 use mtmpi_topology::{ClusterTopology, CoreId, SocketId};
-use parking_lot::MutexGuard;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cell::{Cell, RefCell};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, Once};
-use std::thread::Thread;
+use std::sync::{Mutex, Once};
 use vlock::{AcquireOutcome, GrantOutcome, ReleaseOutcome, VLock};
 
 /// Which event-queue implementation the scheduler runs on.
@@ -147,194 +146,61 @@ impl std::fmt::Debug for Op {
 }
 
 /// What a resumed worker is handed: the virtual time it resumes at, plus
-/// the result of the operation it submitted.
+/// the result of the operation it submitted — or the order to unwind.
 enum Reply {
-    Go { now: u64 },
-    Packets { now: u64, pkts: Vec<Payload> },
-    Flag { now: u64, v: bool },
+    Go {
+        now: u64,
+    },
+    Packets {
+        now: u64,
+        pkts: Vec<Payload>,
+    },
+    Flag {
+        now: u64,
+        v: bool,
+    },
+    /// The run is over (typed error, cancellation): unwind the worker.
+    Abort,
 }
 
 impl Reply {
     fn now(&self) -> u64 {
         match self {
             Reply::Go { now } | Reply::Packets { now, .. } | Reply::Flag { now, .. } => *now,
+            Reply::Abort => unreachable!("an abort reply carries no resume time"),
         }
     }
 }
 
-/// How a quantum ends: delivered to the thread parked in
-/// [`RunHandle::step`] by whichever thread holds the baton at that point.
-enum Stop {
-    Step(Result<StepOutcome, SimError>),
-    /// A worker's closure panicked; `step` re-raises this message so the
-    /// run fails with the worker's panic instead of hanging.
+/// What a fiber hands the stepping thread when it switches back.
+enum Yield {
+    /// The worker reached a sync point at virtual time `at`.
+    Sync { at: u64, op: Op },
+    /// The worker's closure returned at virtual time `at`.
+    Retired { at: u64 },
+    /// The worker's closure unwound, with this panic message.
     Panicked(String),
 }
 
-/// Where the baton goes when the event loop stops running on this thread.
+/// Where control goes when the event loop stops.
 enum Pass {
     /// An event resumes simulated thread `.0` with reply `.1`.
     Resume(usize, Reply),
-    /// The quantum is over: back to the stepping thread.
-    Stop(Stop),
+    /// The quantum is over.
+    Stop(Result<StepOutcome, SimError>),
 }
 
-// `Slot::baton` values.
-const EMPTY: u32 = 0;
-const GO: u32 = 1;
-const ABORT: u32 = 2;
-
-/// One thread's hand-off slot: a value, the word that publishes it, and
-/// the OS thread to wake. Only the baton holder deposits, and only into
-/// the slot of the thread it passes the baton to, so a slot holds at most
-/// one value. `std::thread::park` carries a token — an `unpark` that
-/// precedes the `park` makes it return at once — so the wake cannot be
-/// lost in the window between the `baton` check and the park.
-struct Slot<T> {
-    /// `EMPTY → GO` (Release, after `value` is written) by the depositor,
-    /// `GO → EMPTY` (Acquire) by the owner; `ABORT` is sticky.
-    baton: AtomicU32,
-    value: parking_lot::Mutex<Option<T>>,
-    owner: parking_lot::Mutex<Option<Thread>>,
-}
-
-impl<T> Slot<T> {
-    fn new() -> Self {
-        Self {
-            baton: AtomicU32::new(EMPTY),
-            value: parking_lot::Mutex::new(None),
-            owner: parking_lot::Mutex::new(None),
-        }
-    }
-
-    /// Name the thread [`Slot::deposit`] and [`Slot::abort`] wake.
-    fn set_owner(&self, t: Thread) {
-        *self.owner.lock() = Some(t);
-    }
-
-    fn unpark_owner(&self) {
-        if let Some(t) = self.owner.lock().as_ref() {
-            t.unpark();
-        }
-    }
-
-    /// Hand `v` (and with it the baton) to the owner and wake it.
-    fn deposit(&self, v: T) {
-        *self.value.lock() = Some(v);
-        // Fails only against ABORT, whose setter has already woken the
-        // owner: the value is then never read, like the run's other state.
-        if self
-            .baton
-            .compare_exchange(EMPTY, GO, Ordering::Release, Ordering::Acquire)
-            .is_ok()
-        {
-            self.unpark_owner();
-        }
-    }
-
-    /// Park until a value is deposited (`Some`) or the run is aborted
-    /// (`None`). Tolerates spurious and stale wake-ups.
-    fn wait(&self) -> Option<T> {
-        loop {
-            match self
-                .baton
-                .compare_exchange(GO, EMPTY, Ordering::Acquire, Ordering::Acquire)
-            {
-                Ok(_) => return self.value.lock().take(),
-                Err(ABORT) => return None,
-                Err(_) => std::thread::park(),
-            }
-        }
-    }
-
-    fn abort(&self) {
-        self.baton.swap(ABORT, Ordering::AcqRel);
-        self.unpark_owner();
-    }
-
-    fn is_aborted(&self) -> bool {
-        self.baton.load(Ordering::Acquire) == ABORT
-    }
-}
-
-/// Everything the OS threads of one run share: the event-loop state
-/// behind one mutex that is never contended (only the baton holder takes
-/// it, and releases it before waking its successor), one slot per
-/// simulated thread, and the stepping thread's slot.
-///
-/// The mutexes here are the non-poisoning kind on purpose. A panic under
-/// one (an internal invariant broke mid-event) already dooms the run: the
-/// panic still has to reach the stepping thread, and cancellation still
-/// has to join the workers, so nobody may trip over a poison flag on the
-/// way.
-struct Shared {
-    sched: parking_lot::Mutex<Scheduler>,
-    slots: Vec<Slot<Reply>>,
-    stepper: Slot<Stop>,
-}
-
-impl Shared {
-    /// Give the baton away: count the transfer, release the scheduler,
-    /// then wake the one thread that now holds it.
-    fn pass(&self, mut sched: MutexGuard<'_, Scheduler>, to: Pass) {
-        sched.handoffs += 1;
-        drop(sched);
-        match to {
-            Pass::Resume(tid, reply) => self.slots[tid].deposit(reply),
-            Pass::Stop(stop) => self.stepper.deposit(stop),
-        }
-    }
-
-    /// A worker's sync point: queue its own `Exec` event and run the
-    /// loop. `None` means the run was aborted.
-    fn submit(&self, tid: usize, at: u64, op: Op) -> Option<Reply> {
-        let slot = &self.slots[tid];
-        // Once aborted, every further sync point unwinds too: the worker
-        // no longer holds the baton and must not touch the scheduler.
-        if slot.is_aborted() {
-            return None;
-        }
-        let mut sched = self.sched.lock();
-        sched.pending_op[tid] = Some(op);
-        sched.push(at, EvKind::Exec(tid));
-        match sched.advance() {
-            // The next resume is our own: no context switch at all.
-            Pass::Resume(t, reply) if t == tid => return Some(reply),
-            to => self.pass(sched, to),
-        }
-        slot.wait()
-    }
-
-    /// A worker's closure returned: retire it and pass the baton on.
-    fn retire(&self, tid: usize, at: u64) {
-        let mut sched = self.sched.lock();
-        sched.done[tid] = true;
-        sched.live -= 1;
-        sched.end_ns = sched.end_ns.max(at);
-        let to = sched.advance();
-        debug_assert!(!matches!(to, Pass::Resume(t, _) if t == tid));
-        self.pass(sched, to);
-    }
-
-    /// A worker's closure panicked while it held the baton.
-    fn fail(&self, tid: usize, msg: &str) {
-        let sched = self.sched.lock();
-        let report = format!("worker `{}` panicked: {msg}", sched.threads[tid].name);
-        self.pass(sched, Pass::Stop(Stop::Panicked(report)));
-    }
-}
-
-/// Thread-local worker context installed while a worker closure runs.
+/// A simulated thread's own state. It lives with the thread's fiber, not
+/// with an OS thread: [`with_worker`] finds the one the caller is running
+/// on (`None` off a simulated thread: before `run()`, or on the stepping
+/// thread).
 struct WorkerCtx {
     tid: usize,
     base: Cell<u64>,
     offset: Cell<u64>,
-    shared: Arc<Shared>,
     rng: RefCell<SmallRng>,
-}
-
-thread_local! {
-    static CTX: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
+    /// Set by [`Reply::Abort`]; every later sync point unwinds again.
+    aborted: Cell<bool>,
 }
 
 /// Panic payload used to unwind a worker when the run has shut down early
@@ -367,80 +233,53 @@ impl WorkerCtx {
         self.offset.set(self.offset.get() + ns);
     }
 
+    /// Submit `op` and suspend until an event resumes this thread.
     fn sync(&self, op: Op) -> Reply {
-        let Some(reply) = self.shared.submit(self.tid, self.now(), op) else {
-            // The run stopped with a typed error (or was cancelled) and
-            // the stepping thread is waiting for workers to unwind.
-            std::panic::panic_any(SimAbort);
-        };
-        self.base.set(reply.now());
+        if !self.aborted.get() {
+            let at = self.now();
+            match fiber::suspend(Yield::Sync { at, op }) {
+                Reply::Abort => self.aborted.set(true),
+                reply => {
+                    self.resume_at(reply.now());
+                    return reply;
+                }
+            }
+        }
+        // The run stopped with a typed error (or was cancelled) and is
+        // waiting for this worker to unwind.
+        std::panic::panic_any(SimAbort);
+    }
+
+    fn resume_at(&self, now: u64) {
+        self.base.set(now);
         self.offset.set(0);
-        reply
     }
 }
 
-/// Run `f` with this thread's worker context — `None` off a worker
-/// thread (before `run()`, or on the controlling thread). One
-/// thread-local access and one `RefCell` borrow per platform call.
-fn ctx<R>(f: impl FnOnce(Option<&WorkerCtx>) -> R) -> R {
-    CTX.with(|c| f(c.borrow().as_ref()))
-}
-
 fn with_ctx<R>(f: impl FnOnce(&WorkerCtx) -> R) -> R {
-    ctx(|c| {
+    with_worker(|c| {
         f(c.expect(
-            "virtual-platform operation outside a worker thread (did you call it before run()?)",
+            "virtual-platform operation outside a simulated thread (did you call it before run()?)",
         ))
     })
 }
 
-/// What one simulated thread's OS thread runs: wait for the baton, run
-/// the closure with the worker context installed, pass the baton on.
-fn worker_main(
-    shared: &Arc<Shared>,
-    tid: usize,
-    seed: u64,
-    core: CoreId,
-    socket: SocketId,
-    f: Box<dyn FnOnce() + Send>,
-) {
-    // Wait for the Start hand-off. An abort before it arrives means the
-    // run was cancelled pre-start.
-    let Some(first) = shared.slots[tid].wait() else {
-        return;
-    };
-    CTX.with(|c| {
-        *c.borrow_mut() = Some(WorkerCtx {
-            tid,
-            base: Cell::new(first.now()),
-            offset: Cell::new(0),
-            shared: Arc::clone(shared),
-            rng: RefCell::new(SmallRng::seed_from_u64(seed)),
-        });
-    });
-    // Announce placement so traced locks and the obs event layer stamp
-    // events with real core/socket, matching the native platform's
-    // workers.
-    mtmpi_locks::set_current_core(core, socket);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-    let at = CTX
-        .with(|c| c.borrow_mut().take())
-        .expect("worker context installed above")
-        .now();
-    match result {
-        Ok(()) => shared.retire(tid, at),
-        Err(e) if e.is::<SimAbort>() => {
-            // Shutdown initiated by the stepping thread (typed error or
-            // cancellation): unwind quietly, the SimError is the report.
-        }
-        Err(e) => {
-            let msg = e
-                .downcast_ref::<String>()
+/// What a fiber runs: the worker closure, from the reply that started it
+/// to its final yield. Catches every unwind — nothing may unwind off the
+/// top of a fiber's stack.
+fn worker_main(ctx: &WorkerCtx, first: Reply, f: Box<dyn FnOnce() + Send>) -> Yield {
+    ctx.resume_at(first.now());
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(()) => Yield::Retired { at: ctx.now() },
+        // A `SimAbort` unwind too: only `Fiber::drop` resumes with
+        // `Reply::Abort`, and it discards the yield.
+        Err(e) => Yield::Panicked(
+            e.downcast_ref::<String>()
                 .map(String::as_str)
                 .or_else(|| e.downcast_ref::<&str>().copied())
-                .unwrap_or("worker panicked");
-            shared.fail(tid, msg);
-        }
+                .unwrap_or("worker panicked")
+                .to_owned(),
+        ),
     }
 }
 
@@ -690,11 +529,11 @@ impl VirtualPlatform {
 
 impl Platform for VirtualPlatform {
     fn now_ns(&self) -> u64 {
-        ctx(|c| c.map_or(0, WorkerCtx::now))
+        with_worker(|c| c.map_or(0, WorkerCtx::now))
     }
 
     fn compute(&self, ns: u64) {
-        ctx(|c| {
+        with_worker(|c| {
             if let Some(c) = c {
                 c.compute(ns);
             }
@@ -705,7 +544,7 @@ impl Platform for VirtualPlatform {
         // A real pass through the event loop (plus a minimal advance):
         // without it, a thread busy-waiting on shared memory would never
         // let its peers run. Pre-run (no worker context) it is a no-op.
-        ctx(|c| {
+        with_worker(|c| {
             if let Some(c) = c {
                 c.compute(1);
                 c.sync(Op::Fence);
@@ -714,7 +553,7 @@ impl Platform for VirtualPlatform {
     }
 
     fn rng_u64(&self) -> u64 {
-        ctx(|c| match c {
+        with_worker(|c| match c {
             Some(c) => c.rng.borrow_mut().gen(),
             None => SmallRng::seed_from_u64(self.seed).gen(),
         })
@@ -728,7 +567,7 @@ impl Platform for VirtualPlatform {
     }
 
     fn current_tid(&self) -> u64 {
-        ctx(|c| c.map_or(u64::MAX, |c| c.tid as u64))
+        with_worker(|c| c.map_or(u64::MAX, |c| c.tid as u64))
     }
 
     fn node_count(&self) -> Option<u32> {
@@ -840,7 +679,9 @@ impl VirtualPlatform {
     /// [`RunHandle`] instead of running to completion. The handle is a
     /// `Send` work item: a worker pool (mtmpi-serve) can park it after a
     /// bounded [`RunHandle::step`] and resume it on a *different* OS
-    /// thread. [`Platform::try_run`] is exactly
+    /// thread. Launching spawns nothing: each simulated thread gets a
+    /// recycled fiber stack (a panic naming the size if none can be
+    /// mapped). [`Platform::try_run`] is exactly
     /// `start()` + `step(u64::MAX)` + `finish()`, so stepping in any
     /// quantum series produces the same event order, `end_ns`, and
     /// `sched_trace_hash` as a monolithic run.
@@ -863,9 +704,9 @@ impl VirtualPlatform {
     }
 }
 
-/// The event-loop state, shared by every OS thread of one run behind
-/// [`Shared::sched`]. No borrow of the platform survives `start()` (the
-/// network model is cloned in), so a run is a movable, `Send` work item.
+/// The event-loop state of one run, a plain field of its [`RunHandle`].
+/// No borrow of the platform survives `start()` (the network model is
+/// cloned in), so a run is a movable, `Send` work item.
 struct Scheduler {
     net: NetModel,
     q: EvQueue,
@@ -887,11 +728,11 @@ struct Scheduler {
     budget_left: u64,
     /// Current same-timestamp batch plus the resume cursor into it: a
     /// quantum boundary may land mid-batch, so the remainder must survive
-    /// the park.
+    /// until the next `step`.
     batch: Vec<Ev>,
     batch_pos: usize,
     debug_every: u64,
-    /// Baton transfers between distinct OS threads so far.
+    /// Transfers of control between distinct contexts so far.
     handoffs: u64,
 }
 
@@ -905,35 +746,59 @@ pub enum StepOutcome {
     Done,
 }
 
-/// A launched-but-resumable simulation: the scheduler state of one
-/// [`VirtualPlatform::start`] call, steppable in bounded event quanta.
+/// A launched-but-resumable simulation: the scheduler state and the
+/// simulated threads' fibers of one [`VirtualPlatform::start`] call,
+/// steppable in bounded event quanta.
 ///
-/// The handle is `Send` — the worker OS threads it spawned take the baton
-/// from *whichever* thread currently calls [`RunHandle::step`] and hand
-/// it back to that same thread when the quantum ends, so a pool can park
-/// a run after a quantum and resume it elsewhere. Exactly one thread may
-/// step a handle at a time (guaranteed by `&mut self`).
+/// The handle owns no OS thread. Everything a run does happens inside
+/// [`RunHandle::step`], on the thread that calls it, so a pool can park a
+/// run after a quantum and resume it elsewhere: the suspended fibers
+/// travel with the handle. Exactly one thread may step a handle at a time
+/// (guaranteed by `&mut self`).
 ///
 /// Determinism contract: the event order consumed by `step` depends only
 /// on the registered workload and seed, never on the quantum series —
 /// `step(3)` four times hashes the same trace as `step(12)` once.
 ///
-/// Dropping a handle before completion aborts the run: every worker's
-/// slot is set to `ABORT` and each unwinds quietly (the same machinery
-/// as fuel/deadlock shutdown), making drop a cancellation point for
-/// half-finished tenants.
+/// Dropping a handle before completion cancels the run: every suspended
+/// worker is resumed once with an abort reply and unwinds quietly (the
+/// same machinery as fuel/deadlock shutdown), so its closure's
+/// destructors run; a worker that never started just drops its closure.
 pub struct RunHandle {
-    shared: Arc<Shared>,
-    joins: Vec<std::thread::JoinHandle<()>>,
+    sched: Scheduler,
+    /// One per simulated thread, by tid. Emptied by `abort()`.
+    fibers: Vec<Fiber>,
     finished: bool,
     aborted: bool,
 }
 
-// A run is a movable work item. Compile-time proof so a stray `Rc`/borrow
-// in the scheduler can't silently pin runs to their launching thread.
+// SAFETY: a run is a movable work item. `Scheduler` is `Send` by
+// construction; a `Fiber` is not, because it holds a suspended stack
+// whose frames may contain anything the worker closure had live at its
+// last sync point. Moving those frames to another OS thread is sound
+// under this contract, which the closure's `Send` bound alone does not
+// give:
+// * a fiber runs only inside `step`/`drop` (`&mut self`/owned), so the
+//   frames are only ever used by one OS thread at a time, and the move
+//   itself synchronizes (whatever sends the handle);
+// * the simulated thread's identity travels with the fiber, not with the
+//   OS thread: its `WorkerCtx`, its `mtmpi_locks` placement and its
+//   `mtmpi_obs` shard claim are installed into thread-local storage by
+//   `Fiber::resume` before each resume and taken back out after, and are
+//   read only through `#[inline(never)]` accessors, so no thread-local
+//   address survives a suspension;
+// * worker code holds nothing else that is bound to an OS thread across
+//   a `Platform` suspension call — no host lock guard
+//   (`std::sync::MutexGuard` must be released by the thread that locked),
+//   no thread-local borrow. `mtmpi-lint` rule L007 enforces the guard
+//   half workspace-wide.
+unsafe impl Send for RunHandle {}
+
+// The impl above must only be vouching for the fibers: compile-time
+// proof that a stray `Rc`/borrow in the scheduler can't ride along.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<RunHandle>();
+    assert_send::<Scheduler>();
 };
 
 impl RunHandle {
@@ -1008,31 +873,31 @@ impl RunHandle {
         for tid in 0..n_threads {
             sched.push(0, EvKind::Start(tid));
         }
-        let shared = Arc::new(Shared {
-            sched: parking_lot::Mutex::new(sched),
-            slots: (0..n_threads).map(|_| Slot::new()).collect(),
-            stepper: Slot::new(),
-        });
 
-        let mut joins = Vec::with_capacity(n_threads);
-        for (tid, (desc, f)) in reg.threads.into_iter().enumerate() {
-            let socket = topo.socket_of(desc.core);
-            let seed = platform.seed ^ (0xA5A5_5A5A_u64.wrapping_mul(tid as u64 + 1));
-            let core = desc.core;
-            let handle = std::thread::Builder::new()
-                .name(format!("sim-{}", desc.name))
-                .spawn({
-                    let shared = Arc::clone(&shared);
-                    move || worker_main(&shared, tid, seed, core, socket, f)
-                })
-                .expect("spawn sim thread");
-            shared.slots[tid].set_owner(handle.thread().clone());
-            joins.push(handle);
-        }
+        let fibers = reg
+            .threads
+            .into_iter()
+            .enumerate()
+            .map(|(tid, (desc, f))| {
+                let worker = WorkerCtx {
+                    tid,
+                    base: Cell::new(0),
+                    offset: Cell::new(0),
+                    rng: RefCell::new(SmallRng::seed_from_u64(
+                        platform.seed ^ (0xA5A5_5A5A_u64.wrapping_mul(tid as u64 + 1)),
+                    )),
+                    aborted: Cell::new(false),
+                };
+                // The placement travels with the fiber so traced locks and
+                // the obs event layer stamp events with real core/socket,
+                // matching the native platform's workers.
+                Fiber::new(worker, (desc.core, topo.socket_of(desc.core)), f)
+            })
+            .collect();
 
         RunHandle {
-            shared,
-            joins,
+            sched,
+            fibers,
             finished: false,
             aborted: false,
         }
@@ -1040,81 +905,83 @@ impl RunHandle {
 
     /// Execute up to `budget` further scheduler events.
     ///
-    /// The calling thread is the quantum's first baton holder: it runs
-    /// the event loop ([`Scheduler::advance`]) until the first event that
-    /// resumes a simulated thread, hands the baton to that worker and
-    /// parks. Workers then pass the baton among themselves; whichever
-    /// holds it when the quantum ends (budget, completion, fuel,
-    /// deadlock, or its own panic) wakes this thread with the outcome.
-    /// On return no worker is running: each is parked on its slot (or
-    /// has exited).
+    /// The calling thread runs the event loop ([`Scheduler::advance`]) on
+    /// its own stack. Each event that resumes a simulated thread switches
+    /// onto that thread's fiber until its next sync point (or the end of
+    /// its closure) switches back; the quantum ends — budget, completion,
+    /// fuel, deadlock, or a worker's panic — where the loop runs, here.
+    /// On return every worker is suspended at a sync point, not yet
+    /// started, or finished.
     ///
     /// Errors (deadlock, [`SimError::FuelExhausted`]) abort the run —
-    /// workers are unwound and joined before the error returns, and the
-    /// handle refuses further stepping. A worker panic is re-raised here
-    /// as ``worker `<name>` panicked: <msg>``, likewise after every
-    /// worker is joined. A quantum boundary is *not* a deadlock probe:
-    /// when the budget expires exactly at a batch edge, the next batch
-    /// stays queued for the next call, so `Pending` never converts a
-    /// would-be deadlock report into silence (the next `step` reports
-    /// it).
+    /// workers are unwound before the error returns, and the handle
+    /// refuses further stepping. A worker panic is re-raised here as
+    /// ``worker `<name>` panicked: <msg>``, likewise after every worker
+    /// is unwound. A quantum boundary is *not* a deadlock probe: when the
+    /// budget expires exactly at a batch edge, the next batch stays
+    /// queued for the next call, so `Pending` never converts a would-be
+    /// deadlock report into silence (the next `step` reports it).
     pub fn step(&mut self, budget: u64) -> Result<StepOutcome, SimError> {
         assert!(!self.aborted, "step() after the run aborted");
         if self.finished {
             return Ok(StepOutcome::Done);
         }
-        let shared = &*self.shared;
-        let mut sched = shared.sched.lock();
+        let sched = &mut self.sched;
         sched.budget_left = budget;
-        let stop = match sched.advance() {
-            // The quantum ended before any thread was resumed.
-            Pass::Stop(stop) => {
-                drop(sched);
-                stop
-            }
-            resume @ Pass::Resume(..) => {
-                shared.stepper.set_owner(std::thread::current());
-                shared.pass(sched, resume);
-                shared
-                    .stepper
-                    .wait()
-                    .expect("the stepper slot is never aborted")
+        // The context control is on: `None` is this stepping thread. A
+        // hand-off is a transfer between two distinct ones; a thread
+        // resumed by its own `Exec` event is not one.
+        let mut on: Option<usize> = None;
+        let stop = loop {
+            let (tid, reply) = match sched.advance() {
+                Pass::Resume(tid, reply) => (tid, reply),
+                Pass::Stop(stop) => break stop,
+            };
+            sched.handoffs += u64::from(on.replace(tid) != Some(tid));
+            match self.fibers[tid].resume(reply) {
+                Yield::Sync { at, op } => {
+                    sched.pending_op[tid] = Some(op);
+                    sched.push(at, EvKind::Exec(tid));
+                }
+                Yield::Retired { at } => {
+                    sched.done[tid] = true;
+                    sched.live -= 1;
+                    sched.end_ns = sched.end_ns.max(at);
+                }
+                Yield::Panicked(msg) => {
+                    sched.handoffs += 1;
+                    let report = format!("worker `{}` panicked: {msg}", sched.threads[tid].name);
+                    self.abort();
+                    panic!("{report}");
+                }
             }
         };
+        sched.handoffs += u64::from(on.is_some());
         match stop {
-            Stop::Step(Ok(outcome)) => {
-                self.finished = outcome == StepOutcome::Done;
-                Ok(outcome)
-            }
-            Stop::Step(Err(e)) => {
-                self.abort();
-                Err(e)
-            }
-            Stop::Panicked(report) => {
-                self.abort();
-                panic!("{report}");
-            }
+            Ok(outcome) => self.finished = outcome == StepOutcome::Done,
+            Err(_) => self.abort(),
         }
+        stop
     }
 
     /// Events executed so far (monotone across `step` calls).
     pub fn events(&self) -> u64 {
-        self.shared.sched.lock().n_events
+        self.sched.n_events
     }
 
     /// Latest virtual end time observed from finished threads.
     pub fn end_ns(&self) -> u64 {
-        self.shared.sched.lock().end_ns
+        self.sched.end_ns
     }
 
-    /// Baton transfers between distinct OS threads so far, the stepping
-    /// thread's hand-out and hand-back included: the number of context
-    /// switches the transport cost. Deterministic for a given workload,
-    /// seed and quantum series; at most one per event plus one per
-    /// `step` call, and less by every resume that landed on the thread
-    /// already running the loop.
+    /// Transfers of control between distinct contexts so far — the
+    /// stepping thread and each simulated thread are one context each —
+    /// the stepping thread's hand-out and hand-back included.
+    /// Deterministic for a given workload, seed and quantum series; at
+    /// most one per event plus one per `step` call, and less by every
+    /// event that resumed the thread that had just suspended.
     pub fn handoffs(&self) -> u64 {
-        self.shared.sched.lock().handoffs
+        self.sched.handoffs
     }
 
     /// `true` once every thread has finished ([`StepOutcome::Done`]).
@@ -1122,17 +989,14 @@ impl RunHandle {
         self.finished
     }
 
-    /// Join the (already-exited) workers and produce the report.
+    /// Produce the report of a completed run.
     /// Panics if the run has not reached [`StepOutcome::Done`].
     pub fn finish(mut self) -> PlatformReport {
         assert!(
             self.finished,
             "finish() before the run completed (step to Done first)"
         );
-        for j in self.joins.drain(..) {
-            j.join().expect("sim worker panicked");
-        }
-        let mut sched = self.shared.sched.lock();
+        let sched = &mut self.sched;
         PlatformReport {
             end_ns: sched.end_ns,
             lock_grants: std::mem::take(&mut sched.vlocks)
@@ -1145,34 +1009,12 @@ impl RunHandle {
         }
     }
 
+    /// Unwind every worker now (dropping a fiber cancels it), so the
+    /// typed error or panic this precedes is the sole diagnostic and the
+    /// workers are gone when it surfaces.
     fn abort(&mut self) {
         self.aborted = true;
-        self.cancel();
-    }
-
-    /// Mark every worker's slot `ABORT` and join them: a parked worker's
-    /// `wait` returns `None`, `sync` unwinds with `SimAbort`, and the
-    /// typed error (if any) is the sole diagnostic. Only called while
-    /// this thread holds the baton, so no worker is mid-event.
-    fn cancel(&mut self) {
-        for slot in &self.shared.slots {
-            slot.abort();
-        }
-        for j in self.joins.drain(..) {
-            let _ = j.join();
-        }
-    }
-}
-
-impl Drop for RunHandle {
-    fn drop(&mut self) {
-        // Cancellation: a handle dropped mid-run (tenant evicted, error
-        // elsewhere, panic unwinding through a worker pool) shuts its
-        // workers down exactly like a fuel abort. After `finish()` or
-        // `abort()` the joins are empty and this is a no-op.
-        if !self.joins.is_empty() {
-            self.cancel();
-        }
+        self.fibers.clear();
     }
 }
 
@@ -1184,10 +1026,10 @@ impl Scheduler {
     }
 
     /// The event loop: execute queued events until one resumes a
-    /// simulated thread or the quantum ends. Runs on whichever OS thread
-    /// holds the baton; after a [`Pass::Resume`] the resumed worker runs
-    /// to its next sync point, queues its `Exec` event and calls this
-    /// again, so across threads it is one loop over one queue.
+    /// simulated thread or the quantum ends. Runs only on the stack of
+    /// the thread inside [`RunHandle::step`]; after a [`Pass::Resume`]
+    /// `step` runs the resumed worker to its next sync point, queues its
+    /// `Exec` event and calls this again.
     ///
     /// Events are dequeued one same-timestamp batch at a time. This is
     /// trace-identical to a pop-one loop: every event pushed while a
@@ -1198,7 +1040,7 @@ impl Scheduler {
     /// mid-batch, the remaining (stale-grant) events are dropped
     /// *unhashed*, as that loop left them unpopped.
     fn advance(&mut self) -> Pass {
-        let stop = |r| Pass::Stop(Stop::Step(r));
+        let stop = Pass::Stop;
         loop {
             if self.batch_pos == self.batch.len() {
                 if self.live == 0 {

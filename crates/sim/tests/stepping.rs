@@ -2,9 +2,10 @@
 //! [`RunHandle::step`]): the serve-layer contract that any quantum
 //! series replays the monolithic run byte-identically, that a parked
 //! handle resumes on a different OS thread, and that dropping a handle
-//! mid-run cancels cleanly — plus the baton-passing transport under it:
-//! the deterministic hand-off count, and every way a quantum can end on
-//! a worker thread (budget, fuel, deadlock, panic) reaching the stepper.
+//! mid-run cancels cleanly — plus the hand-off accounting of the fiber
+//! transport under it (`fiber.rs` tests the transport itself): the
+//! deterministic hand-off count, and every way a quantum can end after a
+//! worker ran (budget, fuel, deadlock, panic) reaching the stepper.
 
 use mtmpi_locks::PathClass;
 use mtmpi_net::NetModel;
@@ -37,7 +38,7 @@ fn desc(name: &str, core: u32) -> ThreadDesc {
 
 /// Counts its drops: one rides in every worker closure, so the count
 /// says how many workers have exited (or never ran) and let go of their
-/// closure — i.e. were unwound and joined.
+/// closure — i.e. were unwound.
 struct Exited(Arc<AtomicUsize>);
 
 impl Drop for Exited {
@@ -89,8 +90,8 @@ fn quantum_series_replays_monolithic_run() {
         while let StepOutcome::Pending = h.step(quantum).expect("no deadlock") {
             grants += 1;
         }
-        // Every event resumes at most one thread and every call hands the
-        // baton back once: the transport never costs more than that.
+        // Every event resumes at most one thread and every call hands
+        // control out and back once: the transport never costs more.
         let step_calls = grants + 1;
         assert!(h.handoffs() <= reference.events + 2 * step_calls);
         let report = h.finish();
@@ -117,8 +118,8 @@ fn handle_resumes_on_a_different_os_thread() {
     let mut h = p.start();
     // Park/resume across real OS threads: each hop moves the handle to a
     // fresh thread that steps one quantum, exactly what a serve worker
-    // pool does. Every hop is a different stepper for the workers to hand
-    // the baton back to.
+    // pool does. Every hop is a different stepper for the suspended
+    // workers to run on.
     let mut hops = 0;
     let report = loop {
         hops += 1;
@@ -149,18 +150,18 @@ fn drop_mid_run_cancels_workers() {
     assert_eq!(h.step(5).expect("no deadlock"), StepOutcome::Pending);
     assert!(!h.is_finished());
     assert!(h.events() >= 5);
-    // The budget ran out on a worker thread: it handed the baton back and
-    // is parked (or about to park) on its slot like every other worker.
-    assert!(h.handoffs() >= 2, "a worker was the last baton holder");
+    // The budget ran out after a worker ran: control went out to it and
+    // came back, and it is suspended like every other worker.
+    assert!(h.handoffs() >= 2, "a worker was the last to run");
     assert_eq!(
         exited.load(Ordering::SeqCst),
         0,
         "nobody finishes in 5 events"
     );
-    // Dropping the half-finished run must abort and join every worker
-    // without panicking the test process.
+    // Dropping the half-finished run must unwind every worker without
+    // panicking the test process.
     drop(h);
-    assert_eq!(exited.load(Ordering::SeqCst), 4, "every worker joined");
+    assert_eq!(exited.load(Ordering::SeqCst), 4, "every worker unwound");
 }
 
 #[test]
@@ -178,9 +179,9 @@ fn handoff_count_is_deterministic_and_reported() {
 
 #[test]
 fn self_resume_costs_no_handoff() {
-    // One thread, N yields: every Exec event resumes the thread that is
-    // already running the loop, so the only transfers are the stepper's
-    // hand-out and the hand-back that ends each call — whatever N is.
+    // One thread, N yields: every Exec event resumes the thread that just
+    // suspended, so the only transfers are the stepper's hand-out and the
+    // hand-back that ends each call — whatever N is.
     for n in [1u64, 10, 1000] {
         let world = || {
             let p = platform(7);
@@ -221,7 +222,7 @@ fn worker_panic_is_reraised_on_the_stepping_thread() {
         Box::new(move || {
             let _guard = guard;
             // A few passes first, so the panic is raised mid-run by a
-            // worker that got the baton from another worker.
+            // worker that took over from another worker.
             for _ in 0..3 {
                 p2.yield_now();
             }
@@ -238,8 +239,8 @@ fn worker_panic_is_reraised_on_the_stepping_thread() {
         msg.starts_with("worker `bomb` panicked: boom at "),
         "got {msg:?}"
     );
-    // step() aborted and joined every worker before re-raising: all five
-    // closures are gone while the handle is still alive.
+    // step() unwound every worker before re-raising: all five closures
+    // are gone while the handle is still alive.
     assert_eq!(exited.load(Ordering::SeqCst), 5);
     assert!(h.handoffs() >= 2, "the panic came back from a worker");
 }
@@ -248,7 +249,7 @@ fn worker_panic_is_reraised_on_the_stepping_thread() {
 fn deadlock_found_on_a_worker_thread_reaches_the_stepper() {
     // ABBA: the second acquire of whichever thread runs last queues
     // behind the other, the queue drains, and that worker — not the
-    // stepper — is the one holding the baton when it does.
+    // stepper — is the context that ran last when it does.
     let p = platform(13);
     let l0 = p.lock_create(LockKind::Ticket);
     let l1 = p.lock_create(LockKind::Ticket);
@@ -294,8 +295,8 @@ fn fuel_error_surfaces_through_step() {
         }
         other => panic!("expected FuelExhausted, got {other:?}"),
     }
-    // 10 is not a multiple of 4: the fuel ran out mid-quantum, on the
-    // worker that held the baton, which handed the error back.
+    // 10 is not a multiple of 4: the fuel ran out mid-quantum, after a
+    // worker had run, so the error came with a hand-back.
     assert_eq!(h.events(), 10);
     assert!(h.handoffs() >= 6, "three calls out and back");
 }

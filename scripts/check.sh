@@ -5,19 +5,20 @@
 #
 #   fmt        rustfmt, check mode
 #   clippy     workspace lints table ([workspace.lints]) at -D warnings
-#   lint       mtmpi-lint (rules L001-L006: Relaxed hand-off mutations,
+#   lint       mtmpi-lint (rules L001-L007: Relaxed hand-off mutations,
 #              Acquire-less published loads, nested critical sections,
 #              determinism sources, panics on typed-error paths,
-#              undocumented unsafe) over the whole workspace, gated by
+#              undocumented unsafe, host guards held across a
+#              simulated-thread suspension) over the whole workspace,
+#              gated by
 #              crates/lint/baseline.txt (DESIGN.md section 13)
 #   test       workspace test suite (includes mtmpi-check negative tests
 #              and mtmpi-lint's fixture + whole-tree tests)
 #   loom       model checking of the lock algorithms, the VCI claim
-#              protocol, the stream claim word, the serve tenant word
-#              and the sim baton slot (serialized-thread shim; see
-#              crates/locks/src/sys.rs, crates/runtime/tests/
-#              loom_claim.rs + loom_stream.rs, crates/serve/tests/
-#              loom_state.rs, crates/sim/tests/loom_baton.rs)
+#              protocol, the stream claim word and the serve tenant
+#              word (serialized-thread shim; see crates/locks/src/sys.rs,
+#              crates/runtime/tests/loom_claim.rs + loom_stream.rs,
+#              crates/serve/tests/loom_state.rs)
 #   tsan       ThreadSanitizer over the locks crate. Prefers an
 #              instrumented std (`-Zbuild-std`, rust-src component):
 #              with the prebuilt std, every Mutex/Condvar edge is
@@ -100,7 +101,6 @@ else
     step loom cargo test -p mtmpi-locks --features loom-check --test loom
     step loom cargo test -p mtmpi-runtime --test loom_claim --test loom_stream
     step loom cargo test -p mtmpi-serve --test loom_state
-    step loom cargo test -p mtmpi-sim --test loom_baton
     step obs cargo run -q -p xtask -- trace fig2a
     step prof cargo run -q -p xtask -- bench-diff --cross-core
     step bench-api cargo test --offline --manifest-path benchmark/Cargo.toml
@@ -122,12 +122,8 @@ else
             step tsan env RUSTFLAGS="-Zsanitizer=thread" \
                 cargo +nightly test -p mtmpi-locks --lib \
                 -Zbuild-std --target x86_64-unknown-linux-gnu
-            # The sim's baton slot is its one hand-written cross-thread
-            # hand-off; only the instrumented std sees its Mutex/park
-            # edges, so it is not in the prebuilt-std fallback.
-            step tsan env RUSTFLAGS="-Zsanitizer=thread" \
-                cargo +nightly test -p mtmpi-sim --test stepping \
-                -Zbuild-std --target x86_64-unknown-linux-gnu
+            # No mtmpi-sim step: it has no cross-thread hand-off left
+            # (fibers), and TSan cannot follow an asm stack switch.
         else
             # -Cunsafe-allow-abi-mismatch: recent nightlies refuse to
             # link sanitized crates against the unsanitized prebuilt

@@ -35,10 +35,11 @@
 //!   (CI mode). See [`watch`].
 //!
 //! * `lint [--json] [--update-baseline]` — run mtmpi-lint, the
-//!   concurrency-contract static analysis (rules L001–L006: Relaxed
+//!   concurrency-contract static analysis (rules L001–L007: Relaxed
 //!   hand-off mutations, Acquire-less published loads, nested critical
 //!   sections, determinism sources, panics on typed-error paths,
-//!   undocumented unsafe), over the whole workspace. Exit code 1 if any
+//!   undocumented unsafe, host guards across a simulated-thread
+//!   suspension), over the whole workspace. Exit code 1 if any
 //!   finding is not covered by `crates/lint/baseline.txt`. Suppress a
 //!   deliberate site with `// lint: allow(L00x) <why>` on the same or
 //!   preceding line (the legacy `// lint: relaxed-ok` still means
@@ -89,7 +90,7 @@ fn run_lint(json: bool, update_baseline: bool) -> Result<(), String> {
 }
 
 const USAGE: &str = "usage: cargo run -p xtask -- <command>\n\n\
-    lint         [--json] [--update-baseline] mtmpi-lint static analysis (L001–L006)\n\
+    lint         [--json] [--update-baseline] mtmpi-lint static analysis (L001–L007)\n\
     \x20            vs crates/lint/baseline.txt\n\
     trace <fig>  run a figure binary traced and validate its JSON outputs (e.g. trace fig2a)\n\
     bench-diff   [--baseline <dir>] [--quick] [--cross-core] gate BENCH_*.json vs baselines\n\
