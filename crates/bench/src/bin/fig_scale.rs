@@ -1,70 +1,37 @@
-//! Scheduler-core scaling: simulator event throughput vs virtual node
-//! count, calendar queue vs the reference binary heap.
+//! Scheduler scaling: simulator events executed vs virtual node count.
 //!
-//! Not a paper figure — it evaluates the *simulator*, not the runtime:
-//! the PR 9 calendar-queue/arena core must (a) replay every committed
-//! baseline byte-identically and (b) pay off where the old global
-//! `BinaryHeap<Ev>` hurt, i.e. when the resident event set grows with
-//! the virtual cluster. Two parts:
+//! Not a paper figure — it evaluates the *simulator*, not the runtime.
+//! A real ring exchange runs on `n` virtual nodes (1 rank/node,
+//! 1 thread/rank) for each `n` in the sweep, and the document records
+//! what the event loop did: events executed (`ring_events_<n>`, the
+//! fuel-meter numerator, linear in the virtual cluster), transfers of
+//! control between contexts (`ring_handoffs_<n>`), `end_ns` and the
+//! trace hash per run. Every member is a pure function of the seed and
+//! gates at exact equality.
 //!
-//! * **Ring sims** — a real ring exchange on `n` virtual nodes
-//!   (1 rank/node, 1 thread/rank) for each `n` in the sweep. These runs
-//!   are fully deterministic (events executed, `end_ns`, trace hash);
-//!   at 64 nodes the same workload is replayed on the heap core and the
-//!   two `sched_trace_hash`es are asserted equal in-process
-//!   (`cross_core_hash_match`).
-//! * **Core churn** — a seeded hold-model microbench driving
-//!   [`CalendarQueue`] and the reference `BinaryHeap` directly: a
-//!   resident set of `1024 × n` events, each step pops the minimum and
-//!   pushes a successor on a tie-heavy 256 ns grid (with occasional
-//!   far-future jumps through the overflow path). Pop order is folded
-//!   into an FNV hash on both sides and asserted equal
-//!   (`cross_core_pop_order_match`), then the per-core rates become the
-//!   `sim_events_per_sec*` / `speedup_vs_heap*` scalars. The headline
-//!   acceptance: calendar ≥ 10× heap at 64 virtual nodes.
-//!
-//! Wall-clock scalars (`sim_events_per_sec*`, `speedup_vs_heap*`) are
-//! the only nondeterministic outputs; `scripts/check.sh scale_smoke`
-//! zeroes exactly those two name prefixes before byte-comparing repeat
-//! runs, and `xtask bench-diff` gates them with per-scalar tolerances
-//! instead of exact equality.
+//! What the event queue costs the *host* is measured pinned and
+//! repeated by `benchmark/` (`sim.queue_ns_per_op`), never here.
 
 use mtmpi::prelude::*;
 use mtmpi_bench::{print_figure_header, quick_mode, Fig};
-use mtmpi_sim::{CalendarQueue, Keyed};
-use std::collections::BinaryHeap;
-use std::time::Instant;
 
 /// Rounds of the ring exchange per node count.
 const RING_ROUNDS: i32 = 6;
-/// Resident churn events per virtual node: a loaded node keeps tens of
-/// thousands of arrivals/wakes pending, and the sweep must push the
-/// global heap's working set past the cache hierarchy the way a real
-/// scaled-up sim does (64 nodes → 2 Mi resident → ~80 MiB of 40-byte
-/// events; every heap sift is a chain of dependent misses there).
-const RESIDENT_PER_NODE: u64 = 32768;
-/// Calendar default geometry window (shift 9, 1024 slots) in ns.
-const WINDOW_NS: u64 = 512 * 1024;
 
 fn main() {
     print_figure_header(
         "Scale sweep",
-        "(no paper analogue) simulator event throughput vs virtual node count",
-        "ring sims for determinism, seeded queue churn for calendar-vs-heap rates",
+        "(no paper analogue) simulator events executed vs virtual node count",
+        "ring sims; every scalar is deterministic per seed",
     );
-    let quick = quick_mode();
-    let node_counts: &[u32] = if quick {
+    let node_counts: &[u32] = if quick_mode() {
         &[8, 64]
     } else {
         &[8, 16, 32, 64, 128, 256]
     };
-    let churn_ops: u64 = if quick { 200_000 } else { 1_500_000 };
 
     let mut fig = Fig::new("fig_scale");
 
-    // Part 1: real ring-exchange sims. Deterministic per seed; the
-    // events count is the fuel-meter numerator and scales linearly with
-    // the virtual cluster.
     let mut ev_series = Series::new("ring events".to_owned());
     for &n in node_counts {
         eprintln!("[fig_scale] ring {n} nodes ...");
@@ -80,112 +47,11 @@ fn main() {
         assert!(out.report.events > 0, "virtual runs meter every event");
         ev_series.push(f64::from(n), out.report.events as f64);
         fig.scalar(format!("ring_events_{n}"), out.report.events as f64);
+        fig.scalar(format!("ring_handoffs_{n}"), out.report.handoffs as f64);
     }
     let t = Table::from_series("nodes | events:", &[ev_series.clone()]);
     print!("{}", t.render());
     fig.series(&ev_series);
-
-    // Cross-core replay at 64 nodes: same seed, same workload, heap
-    // core — the schedule (and therefore the trace hash) must be
-    // byte-identical to the calendar run above.
-    {
-        eprintln!("[fig_scale] ring 64 nodes, cross-core replay ...");
-        let run = |core: EventCore, label: &str| {
-            fig.experiment(64).event_core(core).run(
-                RunConfig::new(Method::Mutex)
-                    .nodes(64)
-                    .ranks_per_node(1)
-                    .threads_per_rank(1)
-                    .label(label.to_owned()),
-                ring_body,
-            )
-        };
-        let cal = run(EventCore::Calendar, "ring 64 xcore calendar");
-        let heap = run(EventCore::Heap, "ring 64 xcore heap");
-        assert_eq!(
-            cal.report.sched_trace_hash, heap.report.sched_trace_hash,
-            "calendar and heap cores must replay the same schedule"
-        );
-        assert_eq!(cal.report.events, heap.report.events);
-        println!(
-            "\ncross-core replay @64 nodes: hash {:016x} on both cores",
-            cal.report.sched_trace_hash
-        );
-        fig.scalar("cross_core_hash_match", 1.0);
-    }
-
-    // Part 2: queue-core churn. Same seeded op stream through both
-    // structures; parity is asserted before any rate is reported.
-    let mut cal_series = Series::new("calendar Mev/s".to_owned());
-    let mut heap_series = Series::new("heap Mev/s".to_owned());
-    for &n in node_counts {
-        let resident = RESIDENT_PER_NODE * u64::from(n);
-        eprintln!("[fig_scale] churn {n} nodes ({resident} resident) ...");
-        // Untimed parity pass first: fold the full pop order of both
-        // cores and compare before reporting any rate.
-        let cal_hash = {
-            let mut q = CalendarQueue::new();
-            churn_hash(&mut q, resident, churn_ops, u64::from(n))
-        };
-        let heap_hash = {
-            let mut q: BinaryHeap<Rev> = BinaryHeap::new();
-            churn_hash(&mut q, resident, churn_ops, u64::from(n))
-        };
-        assert_eq!(
-            cal_hash, heap_hash,
-            "calendar pop order diverged from the reference heap at {n} nodes"
-        );
-        // Timed pass: batch dequeue + successor pushes, the scheduler's
-        // steady-state access pattern, with nothing else in the loop.
-        // The calendar core gets an 8×-longer timed window (it runs
-        // 10-25× faster, so at equal op counts its windows are ~15 ms
-        // in quick mode and best-of-2 catches cache/turbo luck) *and*
-        // the median over three independently built queues: at 64 nodes the
-        // ~80 MiB working set's physical page layout is rolled at
-        // allocation time, and an unlucky roll depresses every segment
-        // of that build by ~20% — outside the ±15% gate its scalars
-        // carry. A fresh build re-rolls the pages; the *median* build
-        // discards the unlucky layout without chasing the lucky-cache
-        // tail the way a max would. The heap reference keeps one
-        // short-window build (it is the slow side; its scalars carry
-        // the wide band instead).
-        let mut cal_builds: Vec<f64> = (0..3u64)
-            .map(|build| {
-                let mut q = CalendarQueue::new();
-                churn_rate(
-                    &mut q,
-                    resident,
-                    8 * churn_ops,
-                    u64::from(n) ^ (build << 32),
-                )
-            })
-            .collect();
-        cal_builds.sort_unstable_by(|a, b| a.total_cmp(b));
-        let cal_rate = cal_builds[1];
-        let heap_rate = {
-            let mut q: BinaryHeap<Rev> = BinaryHeap::new();
-            churn_rate(&mut q, resident, churn_ops, u64::from(n))
-        };
-        cal_series.push(f64::from(n), cal_rate / 1e6);
-        heap_series.push(f64::from(n), heap_rate / 1e6);
-        fig.scalar(format!("sim_events_per_sec_n{n}"), cal_rate);
-        fig.scalar(format!("sim_events_per_sec_heap_n{n}"), heap_rate);
-        fig.scalar(format!("speedup_vs_heap_n{n}"), cal_rate / heap_rate);
-        if n == 64 {
-            fig.scalar("sim_events_per_sec", cal_rate);
-            fig.scalar("sim_events_per_sec_heap", heap_rate);
-            fig.scalar("speedup_vs_heap", cal_rate / heap_rate);
-            println!(
-                "\n64-node churn: calendar {:.2} Mev/s, heap {:.2} Mev/s, speedup {:.1}x (target >= 10x)",
-                cal_rate / 1e6,
-                heap_rate / 1e6,
-                cal_rate / heap_rate
-            );
-        }
-    }
-    let t = Table::from_series("nodes | Mev_per_s:", &[cal_series, heap_series]);
-    print!("{}", t.render());
-    fig.scalar("cross_core_pop_order_match", 1.0);
     fig.finish();
 }
 
@@ -201,190 +67,4 @@ fn ring_body(ctx: ThreadCtx) {
         c.send(right, round, MsgData::Synthetic(64));
         let _ = c.recv(Some(left), Some(round));
     }
-}
-
-/// Event record for the churn bench: the same `(t, seq)` key the
-/// simulator orders on, padded to the real `Ev`'s 40-byte footprint
-/// (`t` + `seq` + a 24-byte `EvKind`) so both cores move the bytes the
-/// scheduler actually moves.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct It {
-    t: u64,
-    seq: u64,
-    kind: [u64; 3],
-}
-
-impl Keyed for It {
-    fn time(&self) -> u64 {
-        self.t
-    }
-    fn seq(&self) -> u64 {
-        self.seq
-    }
-}
-
-/// Reversed wrapper so `BinaryHeap` pops the minimum `(t, seq)` first —
-/// exactly the old core's ordering.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Rev(It);
-
-impl Ord for Rev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.0.t, other.0.seq).cmp(&(self.0.t, self.0.seq))
-    }
-}
-
-impl PartialOrd for Rev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The two queue cores under one interface. `pop_batch` mirrors the
-/// scheduler's `EvQueue`: the calendar batches natively, the heap
-/// emulates a batch with peek-and-pop — exactly what the old core does.
-trait EvQ {
-    fn push(&mut self, it: It);
-    fn pop(&mut self) -> Option<It>;
-    fn pop_batch(&mut self, out: &mut Vec<It>) -> usize;
-}
-
-impl EvQ for CalendarQueue<It> {
-    fn push(&mut self, it: It) {
-        CalendarQueue::push(self, it);
-    }
-    fn pop(&mut self) -> Option<It> {
-        CalendarQueue::pop(self)
-    }
-    fn pop_batch(&mut self, out: &mut Vec<It>) -> usize {
-        CalendarQueue::pop_batch(self, out)
-    }
-}
-
-impl EvQ for BinaryHeap<Rev> {
-    fn push(&mut self, it: It) {
-        BinaryHeap::push(self, Rev(it));
-    }
-    fn pop(&mut self) -> Option<It> {
-        BinaryHeap::pop(self).map(|r| r.0)
-    }
-    fn pop_batch(&mut self, out: &mut Vec<It>) -> usize {
-        let Some(first) = BinaryHeap::pop(self).map(|r| r.0) else {
-            return 0;
-        };
-        let t = first.t;
-        out.push(first);
-        let mut n = 1;
-        while self.peek().is_some_and(|r| r.0.t == t) {
-            out.push(BinaryHeap::pop(self).expect("peeked").0);
-            n += 1;
-        }
-        n
-    }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Tie-heavy successor delta: a 256 ns grid inside the calendar window
-/// (so resident events pile up ~32 deep per timestamp at 64 nodes), with
-/// a 1-in-64 far-future jump that exercises the overflow heap.
-fn delta(rng: &mut u64) -> u64 {
-    let r = splitmix64(rng);
-    if r.is_multiple_of(64) {
-        (2 + (r >> 8) % 8) * WINDOW_NS
-    } else {
-        ((r >> 8) % 2048) * 256
-    }
-}
-
-/// Prefill `resident` events from the seeded stream.
-fn prefill<Q: EvQ>(q: &mut Q, resident: u64, rng: &mut u64, seq: &mut u64) {
-    for _ in 0..resident {
-        q.push(It {
-            t: delta(rng),
-            seq: *seq,
-            kind: [*seq; 3],
-        });
-        *seq += 1;
-    }
-}
-
-/// Parity pass (untimed): pop the minimum, fold its key into an FNV-1a
-/// hash, push a successor, `ops` times. Identical hashes across cores
-/// prove identical pop order for the whole seeded stream.
-fn churn_hash<Q: EvQ>(q: &mut Q, resident: u64, ops: u64, seed: u64) -> u64 {
-    fn fold(hash: &mut u64, v: u64) {
-        for b in v.to_le_bytes() {
-            *hash ^= u64::from(b);
-            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    let mut rng = seed ^ 0x5EED;
-    let mut seq = 0u64;
-    prefill(q, resident, &mut rng, &mut seq);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for _ in 0..ops {
-        let it = q.pop().expect("resident set never empties");
-        fold(&mut hash, it.t);
-        fold(&mut hash, it.seq);
-        q.push(It {
-            t: it.t + delta(&mut rng),
-            seq,
-            kind: [seq; 3],
-        });
-        seq += 1;
-    }
-    hash
-}
-
-/// Timed pass: the scheduler's steady-state pattern — batch-dequeue a
-/// same-timestamp run, push one successor per dequeued event — over the
-/// same seeded stream (batching pops the identical `(t, seq)` sequence,
-/// so the parity pass covers this one too). The measurement is of the
-/// *steady state*: after prefill both cores churn three full resident
-/// sets untimed — that carries the hold-model past its transient (the
-/// pending-time distribution bunches up over the first turnover, and
-/// the first far-future wave comes due during the second), with every
-/// slot's storage allocated and the TLB warm — then the best of two
-/// consecutive timed segments on the warmed queue is reported.
-/// Returns events/sec.
-fn churn_rate<Q: EvQ>(q: &mut Q, resident: u64, ops: u64, seed: u64) -> f64 {
-    let mut rng = seed ^ 0x5EED;
-    let mut seq = 0u64;
-    prefill(q, resident, &mut rng, &mut seq);
-    let mut buf: Vec<It> = Vec::new();
-    let step = |q: &mut Q, buf: &mut Vec<It>, rng: &mut u64, seq: &mut u64| -> u64 {
-        buf.clear();
-        let n = q.pop_batch(buf) as u64;
-        assert!(n > 0, "resident set never empties");
-        for it in buf.iter() {
-            q.push(It {
-                t: it.t + delta(rng),
-                seq: *seq,
-                kind: [*seq; 3],
-            });
-            *seq += 1;
-        }
-        n
-    };
-    let mut warmed = 0u64;
-    while warmed < 3 * resident {
-        warmed += step(q, &mut buf, &mut rng, &mut seq);
-    }
-    let mut best = 0.0f64;
-    for _ in 0..2 {
-        let mut popped = 0u64;
-        let start = Instant::now();
-        while popped < ops {
-            popped += step(q, &mut buf, &mut rng, &mut seq);
-        }
-        best = best.max(popped as f64 / start.elapsed().as_secs_f64());
-    }
-    best
 }

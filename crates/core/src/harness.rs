@@ -7,8 +7,7 @@ use mtmpi_obs::{RingRecorder, RunRecord, Sink, Timeline, DEFAULT_SHARD_CAP};
 use mtmpi_prof::{LiveCollector, LiveConfig, LiveStats};
 use mtmpi_runtime::{Granularity, RankHandle, RankStats, RuntimeCosts, VciMap, World};
 use mtmpi_sim::{
-    EventCore, LockModelParams, Platform, PlatformReport, SimError, StepOutcome, ThreadDesc,
-    VirtualPlatform,
+    LockModelParams, Platform, PlatformReport, SimError, StepOutcome, ThreadDesc, VirtualPlatform,
 };
 use mtmpi_topology::{presets, Binding, BindingPolicy, ClusterTopology};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -67,11 +66,6 @@ pub struct Experiment {
     /// bound, a livelocked run fails [`Experiment::try_run`] with
     /// [`SimError::FuelExhausted`] instead of spinning forever.
     pub fuel: Option<u64>,
-    /// Event-queue core override (`None` = platform default, i.e. the
-    /// calendar queue unless `MTMPI_SIM_CORE` says otherwise). Set
-    /// explicitly in cross-core parity tests — unlike an env toggle this
-    /// cannot race a parallel test harness.
-    pub event_core: Option<EventCore>,
 }
 
 impl Experiment {
@@ -86,7 +80,6 @@ impl Experiment {
             obs: ObsConfig::default(),
             faults: FaultPlan::none(),
             fuel: None,
-            event_core: None,
         }
     }
 
@@ -129,13 +122,6 @@ impl Experiment {
     /// [`Experiment::fuel`] field docs).
     pub fn fuel(mut self, max_events: u64) -> Self {
         self.fuel = Some(max_events);
-        self
-    }
-
-    /// Pin the event-queue core for every run (see
-    /// [`Experiment::event_core`] field docs).
-    pub fn event_core(mut self, core: EventCore) -> Self {
-        self.event_core = Some(core);
         self
     }
 
@@ -184,9 +170,6 @@ impl Experiment {
             self.lock_params,
             self.seed,
         ));
-        if let Some(core) = self.event_core {
-            vplatform.set_event_core(core);
-        }
         let platform: Arc<dyn Platform> = vplatform.clone();
         let threads_per_rank = if cfg.method.forces_single_thread() {
             1

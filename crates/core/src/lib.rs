@@ -36,7 +36,7 @@ pub mod method;
 
 pub use harness::{Experiment, ObsConfig, RunConfig, RunOutcome, TenantRun, ThreadCtx};
 pub use method::Method;
-pub use mtmpi_sim::{EventCore, SimError, StepOutcome};
+pub use mtmpi_sim::{SimError, StepOutcome};
 
 /// Convenient glob import for examples and benches.
 pub mod prelude {
@@ -45,6 +45,6 @@ pub mod prelude {
     pub use mtmpi_metrics::{summary, BiasAnalysis, Histogram, Series, Table};
     pub use mtmpi_obs::{chrome_trace, jsonl, text_report, CsStats, RunRecord, Sink, Timeline};
     pub use mtmpi_runtime::prelude::*;
-    pub use mtmpi_sim::{EventCore, SimError, StepOutcome};
+    pub use mtmpi_sim::{SimError, StepOutcome};
     pub use mtmpi_topology::{Binding, BindingPolicy};
 }

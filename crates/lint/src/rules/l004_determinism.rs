@@ -2,8 +2,9 @@
 //!
 //! The replay contract (DESIGN.md §11/§12, enforced byte-for-byte by
 //! the faults/vci CI smoke jobs) requires every run-affecting input in
-//! `sim`/`runtime`/`net`/`vci`/`locks` to derive from the seed and the
-//! virtual clock. Banned in production code there:
+//! `sim`/`runtime`/`net`/`vci`/`locks`, and in the figure harness
+//! (`bench`) whose `BENCH_*.json` documents are replayed, to derive from
+//! the seed and the virtual clock. Banned in production code there:
 //!
 //! * wall-clock reads: `Instant::now`, `SystemTime` (any use);
 //! * OS entropy: `thread_rng`, `rand::random`, `from_entropy`;

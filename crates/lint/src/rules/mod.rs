@@ -94,13 +94,16 @@ pub fn check_file(file: &SourceFile, cs: &CsContext) -> Vec<Diagnostic> {
 }
 
 /// Crates whose source is bound by the determinism contract (DESIGN.md
-/// §11/§12): fixed seed ⇒ byte-identical replay.
+/// §11/§12): fixed seed ⇒ byte-identical replay. The figure harness is
+/// one of them — everything it writes into a `BENCH_*.json` is a pure
+/// function of the seed.
 pub const L004_SCOPE: &[&str] = &[
     "crates/sim/src/",
     "crates/runtime/src/",
     "crates/net/src/",
     "crates/vci/src/",
     "crates/locks/src/",
+    "crates/bench/src/",
 ];
 
 /// Crates with typed `MpiError` paths (the `try_*` family).

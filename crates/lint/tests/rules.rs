@@ -114,6 +114,12 @@ fn l004_determinism_sources() {
 }
 
 #[test]
+fn l004_covers_the_figure_binaries() {
+    // A wall-clock read in a figure binary could reach a BENCH document.
+    assert_fixture("l004.rs", "crates/bench/src/bin/fixture_l004.rs", "L004");
+}
+
+#[test]
 fn l005_panics_on_typed_error_paths() {
     assert_fixture("l005.rs", "crates/runtime/src/fixture_l005.rs", "L005");
 }

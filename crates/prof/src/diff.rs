@@ -36,11 +36,9 @@
 //!   look.
 //!
 //! Top-level figure **scalars** follow the same missing-value policy and
-//! gate on **exact equality** by default — they are derived from the
-//! deterministic virtual run. The exceptions are wall-clock-derived
-//! families (`sim_events_per_sec*`, `speedup_vs_heap*` from `fig_scale`)
-//! matched by name prefix in [`DiffOptions::scalar_rules`], which carry
-//! a relative tolerance like the histogram metrics.
+//! gate on **exact equality**, whatever their name: a BENCH document
+//! carries no host-measured value, so every scalar is derived from the
+//! deterministic virtual run.
 
 use crate::json::Json;
 
@@ -60,26 +58,11 @@ pub struct Rule {
     pub min_count: u64,
 }
 
-/// Tolerance for one family of top-level figure scalars, matched by
-/// name prefix (first matching rule wins). Scalars matching no rule are
-/// deterministic by contract and compare **exactly**.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalarRule {
-    /// Prefix of the scalar name (e.g. `"sim_events_per_sec"` covers
-    /// `sim_events_per_sec`, `sim_events_per_sec_n64`, ...).
-    pub name_prefix: &'static str,
-    /// Maximum tolerated `|cur − base| / base`.
-    pub tol: f64,
-}
-
 /// Gate configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffOptions {
     /// The per-metric tolerance table.
     pub rules: Vec<Rule>,
-    /// Tolerances for wall-clock-derived figure scalars; everything not
-    /// matched here gates on exact equality.
-    pub scalar_rules: Vec<ScalarRule>,
     /// When the baseline value is 0, drift below this many ns is still
     /// accepted (relative drift is undefined at 0).
     pub abs_floor_ns: f64,
@@ -130,55 +113,6 @@ impl Default for DiffOptions {
                     field: "end_ns",
                     tol: 0.10,
                     min_count: 0,
-                },
-            ],
-            scalar_rules: vec![
-                // The binary-heap reference rates (fig_scale): measured
-                // over the same short quick-mode window as the calendar
-                // rates but 10-20× slower, so the same absolute timing
-                // jitter is a much larger relative error. The reference
-                // is context, not the contract — wide band. Listed
-                // before the generic rule: first matching prefix wins.
-                ScalarRule {
-                    name_prefix: "sim_events_per_sec_heap",
-                    tol: 0.60,
-                },
-                // Host-measured event throughput (fig_scale): real
-                // wall-clock, so it drifts run to run. ±15%.
-                ScalarRule {
-                    name_prefix: "sim_events_per_sec",
-                    tol: 0.15,
-                },
-                // Ratio of two measured rates: both ends are noisy, and
-                // the gate only needs to catch the core collapsing back
-                // to heap-like behaviour, so the band is wide.
-                ScalarRule {
-                    name_prefix: "speedup_vs_heap",
-                    tol: 0.50,
-                },
-                // Service-pool wall-clock aggregates (fig_serve):
-                // throughput, completion latency, and hold-time share
-                // depend on host core count and load — a single-core CI
-                // runner and an 8-core laptop legitimately differ by
-                // orders of magnitude. Context, not contract: the
-                // deterministic serve scalars (event totals, grant
-                // counts/Gini, digest match) carry the exact gate, so
-                // these get an unbounded band rather than a guess.
-                ScalarRule {
-                    name_prefix: "serve_events_per_sec",
-                    tol: f64::INFINITY,
-                },
-                ScalarRule {
-                    name_prefix: "serve_p99_latency_ms",
-                    tol: f64::INFINITY,
-                },
-                ScalarRule {
-                    name_prefix: "serve_hold_gini",
-                    tol: f64::INFINITY,
-                },
-                ScalarRule {
-                    name_prefix: "serve_wall_ms",
-                    tol: f64::INFINITY,
                 },
             ],
             abs_floor_ns: 1000.0,
@@ -447,16 +381,15 @@ pub fn bench_diff(baseline: &str, current: &str, opts: &DiffOptions) -> Result<D
         }
     }
 
-    check_scalars(&base_doc, &cur_doc, opts, &mut report);
+    check_scalars(&base_doc, &cur_doc, &mut report);
     Ok(report)
 }
 
-/// Gate the top-level `"scalars"` maps: exact equality unless a
-/// [`ScalarRule`] prefix grants the scalar a relative tolerance. Same
+/// Gate the top-level `"scalars"` maps on exact equality. Same
 /// missing-value asymmetry as everything else — new scalars the baseline
 /// predates are informational, scalars dropped from the current side are
 /// schema regressions.
-fn check_scalars(base: &Json, cur: &Json, opts: &DiffOptions, report: &mut DiffReport) {
+fn check_scalars(base: &Json, cur: &Json, report: &mut DiffReport) {
     let empty: &[(String, Json)] = &[];
     let bs = base
         .get("scalars")
@@ -478,44 +411,21 @@ fn check_scalars(base: &Json, cur: &Json, opts: &DiffOptions, report: &mut DiffR
             continue;
         };
         report.compared += 1;
-        let rule = opts
-            .scalar_rules
-            .iter()
-            .find(|r| name.starts_with(r.name_prefix));
-        let tol = rule.map_or(0.0, |r| r.tol);
-        let (rel, failed) = if let Some(rule) = rule {
-            if bv == 0.0 {
-                (0.0, cv != 0.0)
-            } else {
-                let rel = (cv - bv) / bv;
-                (rel, rel.abs() > rule.tol)
-            }
-        } else {
-            // Deterministic scalar: bit-for-bit value equality.
-            let rel = if bv == 0.0 { 0.0 } else { (cv - bv) / bv };
-            (rel, cv != bv)
-        };
+        // Bit-for-bit value equality.
+        let failed = cv != bv;
         if failed {
-            report.failures.push(if rule.is_some() {
-                format!(
-                    "scalar `{name}` drifted {:+.1}% (baseline {bv}, current {cv}, tol \u{b1}{:.0}%)",
-                    rel * 100.0,
-                    tol * 100.0
-                )
-            } else {
-                format!(
-                    "scalar `{name}` changed: {bv} \u{2192} {cv} (deterministic scalar, \
-                     exact-equality gate)"
-                )
-            });
+            report.failures.push(format!(
+                "scalar `{name}` changed: {bv} \u{2192} {cv} (deterministic scalar, \
+                 exact-equality gate)"
+            ));
         }
         report.deltas.push(Delta {
             run: "scalars".to_owned(),
             metric: name.clone(),
             base: bv,
             cur: cv,
-            rel,
-            tol,
+            rel: if bv == 0.0 { 0.0 } else { (cv - bv) / bv },
+            tol: 0.0,
             failed,
         });
     }
@@ -735,12 +645,12 @@ mod tests {
 
     #[test]
     fn deterministic_scalars_gate_exactly() {
-        let base = scalar_doc("\"ring_events_64\":3456,\"cross_core_hash_match\":1");
+        let base = scalar_doc("\"ring_events_64\":3456,\"serve_digest_match\":1");
         let same = bench_diff(&base, &base, &DiffOptions::default()).unwrap();
         assert!(same.ok(), "failures: {:?}", same.failures);
         assert_eq!(same.compared, 2);
-        // Any drift at all fails: no rule prefix matches, so exact gate.
-        let cur = scalar_doc("\"ring_events_64\":3457,\"cross_core_hash_match\":1");
+        // Any drift at all fails.
+        let cur = scalar_doc("\"ring_events_64\":3457,\"serve_digest_match\":1");
         let r = bench_diff(&base, &cur, &DiffOptions::default()).unwrap();
         assert!(!r.ok());
         assert!(
@@ -753,68 +663,20 @@ mod tests {
     }
 
     #[test]
-    fn rate_scalars_get_prefix_tolerance() {
-        let base = scalar_doc("\"sim_events_per_sec\":1000000,\"sim_events_per_sec_n64\":1000000");
-        // +10% on both: inside the ±15% band for the whole prefix family.
-        let near = scalar_doc("\"sim_events_per_sec\":1100000,\"sim_events_per_sec_n64\":1100000");
-        assert!(bench_diff(&base, &near, &DiffOptions::default())
-            .unwrap()
-            .ok());
-        // −40%: the core got slower than measurement noise explains.
-        let far = scalar_doc("\"sim_events_per_sec\":600000,\"sim_events_per_sec_n64\":1000000");
-        let r = bench_diff(&base, &far, &DiffOptions::default()).unwrap();
+    fn no_scalar_name_is_special() {
+        // A name that once carried a ±15 % wall-clock band is an ordinary
+        // scalar now: +1 % fails like any other change.
+        let base = scalar_doc("\"sim_events_per_sec\":1000000");
+        let cur = scalar_doc("\"sim_events_per_sec\":1010000");
+        let r = bench_diff(&base, &cur, &DiffOptions::default()).unwrap();
         assert!(!r.ok());
         assert!(
             r.failures
                 .iter()
-                .any(|f| f.contains("sim_events_per_sec") && f.contains("15%")),
+                .any(|f| f.contains("sim_events_per_sec") && f.contains("exact-equality gate")),
             "failures: {:?}",
             r.failures
         );
-    }
-
-    #[test]
-    fn heap_reference_rates_get_the_wider_specific_band() {
-        // `sim_events_per_sec_heap*` starts with the generic prefix too;
-        // the more specific rule is listed first and must win. −40% is a
-        // breach for the calendar family but noise for the heap reference.
-        let base = scalar_doc("\"sim_events_per_sec_heap_n8\":1000000");
-        let near = scalar_doc("\"sim_events_per_sec_heap_n8\":600000");
-        assert!(bench_diff(&base, &near, &DiffOptions::default())
-            .unwrap()
-            .ok());
-        // −70% breaches even the wide band.
-        let far = scalar_doc("\"sim_events_per_sec_heap_n8\":300000");
-        let r = bench_diff(&base, &far, &DiffOptions::default()).unwrap();
-        assert!(!r.ok());
-        assert!(
-            r.failures
-                .iter()
-                .any(|f| f.contains("sim_events_per_sec_heap_n8") && f.contains("60%")),
-            "failures: {:?}",
-            r.failures
-        );
-    }
-
-    #[test]
-    fn speedup_scalar_band_is_wide_but_bounded() {
-        let base = scalar_doc("\"speedup_vs_heap\":20");
-        // −30%: rate-ratio noise, accepted by the ±50% band.
-        assert!(bench_diff(
-            &base,
-            &scalar_doc("\"speedup_vs_heap\":14"),
-            &DiffOptions::default()
-        )
-        .unwrap()
-        .ok());
-        // −80%: the calendar collapsed to near-heap speed.
-        assert!(!bench_diff(
-            &base,
-            &scalar_doc("\"speedup_vs_heap\":4"),
-            &DiffOptions::default()
-        )
-        .unwrap()
-        .ok());
     }
 
     #[test]

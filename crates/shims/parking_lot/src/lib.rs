@@ -1,14 +1,14 @@
 //! Offline shim for `parking_lot` 0.12.
 //!
-//! Thin non-poisoning wrappers over `std::sync` exposing the parking_lot
-//! calling convention (`lock()` returns the guard directly). Poisoning is
+//! A thin non-poisoning wrapper over `std::sync::Mutex` exposing the
+//! parking_lot calling convention (`lock()` returns the guard directly) —
+//! `Mutex` is all the workspace uses of the crate. Poisoning is
 //! deliberately swallowed: parking_lot has no poisoning, and the workspace
 //! relies on that (locks held across asserting test threads).
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::TryLockError;
-use std::time::Duration;
 
 /// Mutual exclusion primitive (parking_lot-flavoured `std::sync::Mutex`).
 #[derive(Default)]
@@ -94,182 +94,9 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Reader-writer lock (parking_lot-flavoured `std::sync::RwLock`).
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-/// Shared-read RAII guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-/// Exclusive-write RAII guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> RwLock<T> {
-    /// Create a new rwlock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        Self {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consume the lock, returning the data.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        match self.inner.read() {
-            Ok(g) => RwLockReadGuard { inner: g },
-            Err(p) => RwLockReadGuard {
-                inner: p.into_inner(),
-            },
-        }
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        match self.inner.write() {
-            Ok(g) => RwLockWriteGuard { inner: g },
-            Err(p) => RwLockWriteGuard {
-                inner: p.into_inner(),
-            },
-        }
-    }
-
-    /// Exclusive access through `&mut self`.
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockReadGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockWriteGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-/// Condition variable usable with [`MutexGuard`].
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Self {
-        Self {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Block until notified. The guard is re-acquired before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        replace_guard(&mut guard.inner, |g| match self.inner.wait(g) {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        });
-    }
-
-    /// Block until notified or `timeout` elapses. Returns `true` if the
-    /// wait timed out.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        let mut timed_out = false;
-        replace_guard(&mut guard.inner, |g| {
-            match self.inner.wait_timeout(g, timeout) {
-                Ok((g, t)) => {
-                    timed_out = t.timed_out();
-                    g
-                }
-                Err(p) => {
-                    let (g, t) = p.into_inner();
-                    timed_out = t.timed_out();
-                    g
-                }
-            }
-        });
-        timed_out
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-/// Move the std guard out of `slot`, run `f` on it (which blocks and then
-/// returns a re-acquired guard), and put the result back.
-fn replace_guard<'a, T: ?Sized>(
-    slot: &mut std::sync::MutexGuard<'a, T>,
-    f: impl FnOnce(std::sync::MutexGuard<'a, T>) -> std::sync::MutexGuard<'a, T>,
-) {
-    // SAFETY: `slot` is a valid initialized guard; we read it out, pass it
-    // through `f`, and write the returned guard straight back, so `slot`
-    // is never observed uninitialized and no guard is dropped twice. `f`
-    // (condvar wait) does not unwind short of the platform primitive
-    // aborting, in which case the duplicate-drop is unreachable anyway.
-    unsafe {
-        let guard = std::ptr::read(slot);
-        let guard = f(guard);
-        std::ptr::write(slot, guard);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn mutex_roundtrip() {
@@ -286,44 +113,5 @@ mod tests {
         assert!(m.try_lock().is_none());
         drop(g);
         assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(7u32);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!((*a, *b), (7, 7));
-        }
-        *l.write() = 8;
-        assert_eq!(*l.read(), 8);
-    }
-
-    #[test]
-    fn condvar_signals() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let h = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_one();
-        }
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        assert!(cv.wait_for(&mut g, Duration::from_millis(10)));
     }
 }

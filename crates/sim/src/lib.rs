@@ -40,4 +40,4 @@ pub use platform::{
 pub use sync::SpinBarrier;
 pub use virt::arena::Arena;
 pub use virt::calendar::{CalendarQueue, Keyed};
-pub use virt::{EventCore, RunHandle, StepOutcome, VirtualPlatform};
+pub use virt::{RunHandle, StepOutcome, VirtualPlatform};

@@ -141,8 +141,8 @@ pub struct PlatformReport {
     /// reports 0.
     pub sched_trace_hash: u64,
     /// Scheduler events processed during the run (the quantity the fuel
-    /// bound counts, and the numerator of `sim_events_per_sec`). The
-    /// native platform has no event loop and reports 0.
+    /// bound counts, and the numerator of any events-per-second rate).
+    /// The native platform has no event loop and reports 0.
     pub events: u64,
     /// Transfers of control between distinct contexts (the stepping
     /// thread and each simulated thread) during the run, see

@@ -1,5 +1,5 @@
-//! Calendar-queue event scheduler: the bucketed replacement for the
-//! global `BinaryHeap<Ev>`.
+//! Calendar-queue event scheduler: the one event queue `mtmpi-sim` runs
+//! on.
 //!
 //! Layout (DESIGN.md §16): virtual time is partitioned into epochs of
 //! `1 << shift` ns. A power-of-two ring of buckets holds the next
@@ -17,15 +17,15 @@
 //! items; ordering is recovered by the slot sort that runs anyway.
 //!
 //! Ordering contract: pops are **byte-identical** to a global
-//! `BinaryHeap` ordered by `(t, seq)` — the property test in
-//! `crates/sim/tests/calendar_prop.rs` pins this over randomized
-//! streams, same-bucket ties, and far-future overflow pushes, and the
-//! scheduler's `sched_trace_hash` equality across the two cores pins it
-//! end to end. The win over a global heap: pushes are O(1) instead of
-//! O(log n), pop cost scales with the *active-epoch population* instead
-//! of the total pending population, and same-timestamp runs batch out
-//! of the sorted run ([`CalendarQueue::pop_batch`]) without re-sifting
-//! the world per event.
+//! `BinaryHeap` ordered by `(t, seq)` — `crates/sim/tests/calendar_prop.rs`
+//! and `calendar_churn.rs` check this item for item against a reference
+//! heap over randomized streams, same-bucket ties, and far-future
+//! overflow pushes, and every committed `sched_trace_hash` (cut when the
+//! scheduler still ran on such a heap) pins it end to end. The win over
+//! a global heap: pushes are O(1) instead of O(log n), pop cost scales
+//! with the *active-epoch population* instead of the total pending
+//! population, and same-timestamp runs batch out of the sorted run
+//! ([`CalendarQueue::pop_batch`]) without re-sifting the world per event.
 
 use std::collections::BinaryHeap;
 

@@ -45,40 +45,6 @@ use std::collections::BinaryHeap;
 use std::sync::{Mutex, Once};
 use vlock::{AcquireOutcome, GrantOutcome, ReleaseOutcome, VLock};
 
-/// Which event-queue implementation the scheduler runs on.
-///
-/// The calendar core is the default; the legacy global-heap core is kept
-/// behind this toggle (env `MTMPI_SIM_CORE=heap`, or
-/// [`VirtualPlatform::set_event_core`]) so hash parity between the two
-/// can be asserted on any workload — `xtask bench-diff --cross-core`
-/// does exactly that over the committed baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventCore {
-    /// Bucketed calendar queue with batch dequeue ([`calendar`]).
-    #[default]
-    Calendar,
-    /// The pre-calendar global `BinaryHeap` core.
-    Heap,
-}
-
-impl EventCore {
-    /// Parse an `MTMPI_SIM_CORE` value; unknown strings mean "default".
-    fn parse(v: &str) -> Option<Self> {
-        match v.trim().to_ascii_lowercase().as_str() {
-            "heap" | "binaryheap" => Some(EventCore::Heap),
-            "calendar" => Some(EventCore::Calendar),
-            _ => None,
-        }
-    }
-
-    fn from_env() -> Option<Self> {
-        std::env::var("MTMPI_SIM_CORE")
-            .ok()
-            .as_deref()
-            .and_then(Self::parse)
-    }
-}
-
 /// Parse an `MTMPI_FUEL` value: a positive event count. `0`, empty, or
 /// unparsable all mean "unlimited" so `MTMPI_FUEL=0` can switch the
 /// bound off in scripts.
@@ -355,77 +321,12 @@ struct Ev {
     kind: EvKind,
 }
 
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse for the max-heap: earliest (t, seq) first.
-        (other.t, other.seq).cmp(&(self.t, self.seq))
-    }
-}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 impl calendar::Keyed for Ev {
     fn time(&self) -> u64 {
         self.t
     }
     fn seq(&self) -> u64 {
         self.seq
-    }
-}
-
-/// The scheduler's event queue: either the calendar core or the legacy
-/// global heap, selected per run by [`EventCore`]. Both pop in exact
-/// `(t, seq)` order, and `pop_batch` on both yields one full
-/// same-timestamp run, so the decision trace (and `sched_trace_hash`)
-/// is identical across cores.
-enum EvQueue {
-    Heap(BinaryHeap<Ev>),
-    Calendar(Box<CalendarQueue<Ev>>),
-}
-
-impl EvQueue {
-    fn new(core: EventCore) -> Self {
-        match core {
-            EventCore::Heap => EvQueue::Heap(BinaryHeap::new()),
-            EventCore::Calendar => EvQueue::Calendar(Box::default()),
-        }
-    }
-
-    fn push(&mut self, ev: Ev) {
-        match self {
-            EvQueue::Heap(h) => h.push(ev),
-            EvQueue::Calendar(c) => c.push(ev),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EvQueue::Heap(h) => h.len(),
-            EvQueue::Calendar(c) => c.len(),
-        }
-    }
-
-    /// Pop the minimum event and every further event sharing its `t`,
-    /// in `(t, seq)` order, into `out`. Returns the count (0 = empty).
-    fn pop_batch(&mut self, out: &mut Vec<Ev>) -> usize {
-        match self {
-            EvQueue::Heap(h) => {
-                let Some(first) = h.pop() else { return 0 };
-                let t = first.t;
-                out.push(first);
-                let mut n = 1;
-                while h.peek().is_some_and(|e| e.t == t) {
-                    out.push(h.pop().expect("peeked"));
-                    n += 1;
-                }
-                n
-            }
-            EvQueue::Calendar(c) => c.pop_batch(out),
-        }
     }
 }
 
@@ -479,7 +380,6 @@ pub struct VirtualPlatform {
     seed: u64,
     reg: Mutex<Option<Registration>>,
     fuel: Mutex<Option<u64>>,
-    core: Mutex<EventCore>,
 }
 
 impl VirtualPlatform {
@@ -501,21 +401,12 @@ impl VirtualPlatform {
                 threads: Vec::new(),
             })),
             fuel: Mutex::new(None),
-            core: Mutex::new(EventCore::from_env().unwrap_or_default()),
         }
     }
 
     /// The cluster this platform models.
     pub fn cluster(&self) -> &ClusterTopology {
         &self.cluster
-    }
-
-    /// Select the event-queue core for the next run. Overrides the
-    /// `MTMPI_SIM_CORE` env toggle read at construction (use this from
-    /// tests — it cannot race the way `set_var` does under a parallel
-    /// test harness).
-    pub fn set_event_core(&self, core: EventCore) {
-        *self.core.lock().unwrap() = core;
     }
 
     fn reg_mut<R>(&self, what: &str, f: impl FnOnce(&mut Registration) -> R) -> R {
@@ -699,8 +590,7 @@ impl VirtualPlatform {
             .lock()
             .unwrap()
             .or_else(|| fuel_from_env(std::env::var("MTMPI_FUEL").ok().as_deref()));
-        let core = *self.core.lock().unwrap();
-        RunHandle::launch(self, reg, fuel, core)
+        RunHandle::launch(self, reg, fuel)
     }
 }
 
@@ -709,7 +599,7 @@ impl VirtualPlatform {
 /// cloned in), so a run is a movable, `Send` work item.
 struct Scheduler {
     net: NetModel,
-    q: EvQueue,
+    q: CalendarQueue<Ev>,
     seq: u64,
     vlocks: Vec<VLock>,
     mailboxes: Vec<BinaryHeap<MailKey>>,
@@ -802,12 +692,7 @@ const _: () = {
 };
 
 impl RunHandle {
-    fn launch(
-        platform: &VirtualPlatform,
-        reg: Registration,
-        fuel: Option<u64>,
-        core: EventCore,
-    ) -> RunHandle {
+    fn launch(platform: &VirtualPlatform, reg: Registration, fuel: Option<u64>) -> RunHandle {
         install_abort_hook();
         let topo = platform.cluster.node.clone();
         let handoff = platform.cluster.handoff;
@@ -844,7 +729,7 @@ impl RunHandle {
 
         let mut sched = Scheduler {
             net: platform.net.clone(),
-            q: EvQueue::new(core),
+            q: CalendarQueue::new(),
             seq: 0,
             vlocks,
             mailboxes: (0..reg.endpoints.len())
@@ -1267,15 +1152,5 @@ mod tests {
         assert_eq!(fuel_from_env(Some("not-a-number")), None);
         assert_eq!(fuel_from_env(Some("50000")), Some(50_000));
         assert_eq!(fuel_from_env(Some("  1234 ")), Some(1234));
-    }
-
-    #[test]
-    fn event_core_parsing() {
-        assert_eq!(EventCore::parse("heap"), Some(EventCore::Heap));
-        assert_eq!(EventCore::parse("HEAP"), Some(EventCore::Heap));
-        assert_eq!(EventCore::parse("binaryheap"), Some(EventCore::Heap));
-        assert_eq!(EventCore::parse("calendar"), Some(EventCore::Calendar));
-        assert_eq!(EventCore::parse("banana"), None);
-        assert_eq!(EventCore::default(), EventCore::Calendar);
     }
 }

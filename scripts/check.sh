@@ -38,10 +38,10 @@
 #              (including its prof blocks) and results/fig2a.trace.json
 #              are well-formed JSON.
 #   prof       bench regression gate: re-run the baselined figures in
-#              quick mode, diff their BENCH_*.json quantiles and scalars
-#              against results/baseline/, and replay each figure under
-#              the reference heap event core requiring byte-identical
-#              sched_trace_hashes (`xtask bench-diff --cross-core`).
+#              quick mode and diff their BENCH_*.json against
+#              results/baseline/ — per-run quantiles within tolerance,
+#              every sched_trace_hash and scalar exactly
+#              (`xtask bench-diff --quick`).
 #   bench-api  build and test the standalone host-cost benchmark
 #              (benchmark/, its own workspace) against this tree, so a
 #              change that breaks the public surface it is pinned to
@@ -50,11 +50,10 @@
 #              the determinism gates, one `xtask replay-gate <name>`
 #              each (table in xtask/src/replay.rs): run the gate's test
 #              suite, then its figure binary twice in quick mode with
-#              the same seed. The two BENCH documents must be identical
-#              apart from the wall-clock scalars that mtmpi-prof's
-#              `DiffOptions::scalar_rules` names (fig_scale's measured
-#              rates, fig_serve's host throughput/latency); `serve` also
-#              compares the per-tenant digest file byte for byte, and
+#              the same seed. The two BENCH documents must be
+#              identical texts (a document holds no host-measured
+#              value); `serve` also compares the per-tenant digest
+#              file byte for byte, and
 #              `live` runs fig2a under MTMPI_LIVE=1 and compares the
 #              sched_trace_hash list, then `xtask watch fig2a
 #              --headless` validates results/fig2a.live.prom.
@@ -102,7 +101,7 @@ else
     step loom cargo test -p mtmpi-runtime --test loom_claim --test loom_stream
     step loom cargo test -p mtmpi-serve --test loom_state
     step obs cargo run -q -p xtask -- trace fig2a
-    step prof cargo run -q -p xtask -- bench-diff --cross-core
+    step prof cargo run -q -p xtask -- bench-diff --quick
     step bench-api cargo test --offline --manifest-path benchmark/Cargo.toml
     for gate in faults vci stream scale serve live; do
         step "$gate" cargo run -q -p xtask -- replay-gate "$gate"

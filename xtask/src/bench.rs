@@ -1,17 +1,13 @@
 //! `xtask bench-diff` and `xtask top` — the regression gate and the
 //! terminal contention viewer over `results/BENCH_*.json`.
 //!
-//! `bench-diff [--baseline <dir>] [--quick] [--cross-core]` compares
-//! every `BENCH_<fig>.json` committed under the baseline directory
-//! (default `results/baseline/`) against the corresponding fresh copy in
-//! `results/`, using `mtmpi_prof::bench_diff`'s per-metric tolerance
-//! table. With `--quick`, each baselined figure binary is re-run in
-//! quick mode first, so the command is self-contained in CI. With
-//! `--cross-core`, each figure is replayed a second time with the
-//! reference heap event core (`MTMPI_SIM_CORE=heap`) and every
-//! `sched_trace_hash` must match the calendar run position by position —
-//! the PR 9 replay-identity contract, enforced on all four committed
-//! baselines. The verdict
+//! `bench-diff [--baseline <dir>] [--quick]` compares every
+//! `BENCH_<fig>.json` committed under the baseline directory (default
+//! `results/baseline/`) against the corresponding fresh copy in
+//! `results/`, using `mtmpi_prof::bench_diff`: per-run quantiles within
+//! their tolerance table, every `sched_trace_hash` and every scalar
+//! exactly. With `--quick`, each baselined figure binary is re-run in
+//! quick mode first, so the command is self-contained in CI. The verdict
 //! is written to `results/bench-diff.md`; the exit code is nonzero on
 //! any breaching metric, missing run, or missing file. To accept an
 //! intentional change, regenerate and commit the baseline (see
@@ -75,64 +71,28 @@ pub(crate) fn same_trace_hashes(first: &str, second: &str) -> Result<usize, Stri
     }
 }
 
-/// Cross-core replay gate for one figure: rerun the quick figure with
-/// the reference heap core forced via `MTMPI_SIM_CORE=heap` and require
-/// every `sched_trace_hash` in the output to match the calendar run's,
-/// position by position. `cal_doc` is the calendar run's document text;
-/// the heap document left in `results/` must be rewritten by the caller
-/// afterwards (the calendar run is the one the tolerance gate reads).
-fn cross_core_check(fig: &str, root: &Path, cal_doc: &str) -> Result<(), String> {
-    println!("xtask bench-diff: running {fig} --quick (MTMPI_SIM_CORE=heap) ...");
-    run_fig(fig, root, &[("MTMPI_SIM_CORE", "heap")])?;
-    let heap_doc = read_text(&root.join(format!("results/BENCH_{fig}.json")))?;
-    let n = same_trace_hashes(cal_doc, &heap_doc).map_err(|e| {
-        format!(
-            "calendar vs heap event core: {e} — the calendar queue replayed a different schedule"
-        )
-    })?;
-    println!("xtask bench-diff: {fig}: cross-core OK ({n} hash(es) identical under both cores)");
-    Ok(())
-}
-
 /// One figure's verdict: its tolerance report, or why there is none.
 fn gate_fig(
     fig: &str,
     root: &Path,
     baseline_dir: &Path,
     rerun: bool,
-    cross_core: bool,
 ) -> Result<DiffReport, String> {
     let base = read_text(&baseline_dir.join(format!("BENCH_{fig}.json")))?;
-    let cur_path = root.join(format!("results/BENCH_{fig}.json"));
     if rerun {
         println!("xtask bench-diff: running {fig} --quick ...");
         run_fig(fig, root, &[])?;
     }
-    let cur = read_text(&cur_path).map_err(|e| {
+    let cur = read_text(&root.join(format!("results/BENCH_{fig}.json"))).map_err(|e| {
         format!(
             "{e} — run `cargo run --release -p mtmpi-bench --bin {fig} -- --quick` or pass --quick"
         )
     })?;
-    if cross_core {
-        let verdict = cross_core_check(fig, root, &cur);
-        // Leave the calendar (default-core) document on disk — it is
-        // the text the tolerance gate below reads.
-        let _ = std::fs::write(&cur_path, &cur);
-        verdict?;
-    }
     bench_diff(&base, &cur, &DiffOptions::default())
 }
 
 /// The gate. `baseline` is relative to `root` unless absolute.
-/// `cross_core` additionally reruns each figure with the reference heap
-/// event core and requires hash-identical schedules (implies rerunning,
-/// like `quick`).
-pub fn run_bench_diff(
-    root: &Path,
-    baseline: &Path,
-    quick: bool,
-    cross_core: bool,
-) -> Result<(), String> {
+pub fn run_bench_diff(root: &Path, baseline: &Path, quick: bool) -> Result<(), String> {
     let baseline_dir = if baseline.is_absolute() {
         baseline.to_path_buf()
     } else {
@@ -156,7 +116,7 @@ pub fn run_bench_diff(
     let mut md = String::from("# bench-diff\n\n");
     let mut failures = 0usize;
     for fig in &figs {
-        match gate_fig(fig, root, &baseline_dir, quick || cross_core, cross_core) {
+        match gate_fig(fig, root, &baseline_dir, quick) {
             Ok(report) => {
                 println!(
                     "xtask bench-diff: {fig}: {} — {} compared, {} skipped, {} failure(s)",

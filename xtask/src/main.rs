@@ -8,21 +8,17 @@
 //!   written and are well-formed JSON of the expected shape (parsed with
 //!   `mtmpi_prof::Json`, the workspace's one JSON reader). See [`trace`].
 //!
-//! * `bench-diff [--baseline <dir>] [--quick] [--cross-core]` — the
-//!   noise-aware bench regression gate: compare fresh
-//!   `results/BENCH_*.json` against the committed baselines (default
-//!   `results/baseline/`), write `results/bench-diff.md`, exit nonzero
-//!   on drift beyond the per-metric tolerances. `--quick` re-runs each
-//!   baselined figure binary first; `--cross-core` additionally replays
-//!   each figure with the reference heap event core
-//!   (`MTMPI_SIM_CORE=heap`) and requires every `sched_trace_hash` to
-//!   be byte-identical to the calendar run's. See [`bench`].
+//! * `bench-diff [--baseline <dir>] [--quick]` — the bench regression
+//!   gate: compare fresh `results/BENCH_*.json` against the committed
+//!   baselines (default `results/baseline/`), write
+//!   `results/bench-diff.md`, exit nonzero on a moved hash or scalar or
+//!   on per-run quantile drift beyond its tolerance. `--quick` re-runs
+//!   each baselined figure binary first. See [`bench`].
 //!
 //! * `replay-gate <name|all>` — the table-driven determinism gates
 //!   (`faults`, `vci`, `stream`, `scale`, `serve`, `live`): run the
 //!   gate's test suite, then its figure binary twice with the same seed,
-//!   and require the two outputs to agree on everything but the
-//!   wall-clock scalars. See [`replay`].
+//!   and require the two outputs to be identical. See [`replay`].
 //!
 //! * `top <fig>` — render the windowed contention view (who holds the
 //!   runtime critical section, when) of `results/BENCH_<fig>.json`.
@@ -93,7 +89,7 @@ const USAGE: &str = "usage: cargo run -p xtask -- <command>\n\n\
     lint         [--json] [--update-baseline] mtmpi-lint static analysis (L001–L007)\n\
     \x20            vs crates/lint/baseline.txt\n\
     trace <fig>  run a figure binary traced and validate its JSON outputs (e.g. trace fig2a)\n\
-    bench-diff   [--baseline <dir>] [--quick] [--cross-core] gate BENCH_*.json vs baselines\n\
+    bench-diff   [--baseline <dir>] [--quick] gate BENCH_*.json vs baselines\n\
     replay-gate  <name|all> run a figure twice, same seed: outputs must replay\n\
     top <fig>    windowed contention view of results/BENCH_<fig>.json\n\
     watch <fig>  [--headless] run a figure with the prof::live collector,\n\
@@ -119,16 +115,15 @@ fn dispatch(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<(), Str
         "trace" => trace::run_trace(&args.next().ok_or_else(missing)?, &root),
         "bench-diff" => {
             let mut baseline = PathBuf::from("results/baseline");
-            let (mut quick, mut cross_core) = (false, false);
+            let mut quick = false;
             while let Some(a) = args.next() {
                 match a.as_str() {
                     "--baseline" => baseline = PathBuf::from(args.next().ok_or_else(missing)?),
                     "--quick" => quick = true,
-                    "--cross-core" => cross_core = true,
                     other => return unknown(other),
                 }
             }
-            bench::run_bench_diff(&root, &baseline, quick, cross_core)
+            bench::run_bench_diff(&root, &baseline, quick)
         }
         "watch" => {
             let (mut fig, mut headless) = (None, false);

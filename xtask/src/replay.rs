@@ -4,21 +4,19 @@
 //! Every gate is one row of [`GATES`]: the test suite that must pass
 //! first, the figure binary, the environment it runs under, what the two
 //! `results/BENCH_<fig>.json` documents are compared on, and any extra
-//! result files that must be byte-identical. Whole-document comparison
-//! is over the parsed trees and skips exactly the numeric members whose
-//! name matches a `DiffOptions::default().scalar_rules` prefix — the one
-//! place that says which fields are wall-clock. Everything else in a
-//! document is virtual-time output and must replay exactly.
+//! result files that must be byte-identical. A BENCH document is a pure
+//! function of the seed, so whole-document comparison is equality of the
+//! two texts.
 
 use crate::bench::same_trace_hashes;
 use crate::run::{cargo, read_text, run_fig};
-use mtmpi_prof::{DiffOptions, Json};
+use mtmpi_prof::Json;
 use std::path::Path;
 
 /// What two same-seed documents must agree on.
 #[derive(Clone, Copy)]
 enum Compare {
-    /// The whole tree, wall-clock scalars aside.
+    /// The whole text.
     Document,
     /// The `sched_trace_hash` list (runs under the online collector are
     /// deterministic but their documents are never baselined).
@@ -71,28 +69,25 @@ const GATES: [Gate; 6] = [
 ];
 
 /// Path (below the two roots) at which two trees first differ, `None`
-/// when equal — skipping numeric object members whose name starts with
-/// one of `wall`.
-fn first_diff(a: &Json, b: &Json, wall: &[&str]) -> Option<String> {
+/// when equal. Only names the spot in a failure message; the gate itself
+/// is text equality.
+fn first_diff(a: &Json, b: &Json) -> Option<String> {
     match (a, b) {
         (Json::Obj(x), Json::Obj(y)) if x.len() == y.len() => {
             x.iter().zip(y).find_map(|((ka, va), (kb, vb))| {
-                let banded = wall.iter().any(|p| ka.starts_with(p));
                 let rest = if ka != kb {
                     Some(String::new())
-                } else if banded && matches!((va, vb), (Json::Num(_), Json::Num(_))) {
-                    None
                 } else {
-                    first_diff(va, vb, wall)
+                    first_diff(va, vb)
                 };
                 rest.map(|rest| format!(".{ka}{rest}"))
             })
         }
-        (Json::Arr(x), Json::Arr(y)) if x.len() == y.len() => {
-            x.iter().zip(y).enumerate().find_map(|(i, (va, vb))| {
-                first_diff(va, vb, wall).map(|rest| format!("[{i}]{rest}"))
-            })
-        }
+        (Json::Arr(x), Json::Arr(y)) if x.len() == y.len() => x
+            .iter()
+            .zip(y)
+            .enumerate()
+            .find_map(|(i, (va, vb))| first_diff(va, vb).map(|rest| format!("[{i}]{rest}"))),
         _ => (a != b).then(String::new),
     }
 }
@@ -100,14 +95,13 @@ fn first_diff(a: &Json, b: &Json, wall: &[&str]) -> Option<String> {
 /// Compare two same-seed `BENCH_*.json` texts under `compare`.
 fn replay_mismatch(first: &str, second: &str, compare: Compare) -> Result<(), String> {
     match compare {
+        Compare::Document if first == second => Ok(()),
         Compare::Document => {
-            let (a, b) = (Json::parse(first)?, Json::parse(second)?);
-            let opts = DiffOptions::default();
-            let wall: Vec<&str> = opts.scalar_rules.iter().map(|r| r.name_prefix).collect();
-            match first_diff(&a, &b, &wall) {
-                None => Ok(()),
-                Some(at) => Err(format!("same-seed documents differ at ${at}")),
-            }
+            let at = first_diff(&Json::parse(first)?, &Json::parse(second)?);
+            Err(format!(
+                "same-seed documents differ at ${}",
+                at.unwrap_or_default()
+            ))
         }
         Compare::TraceHashes => same_trace_hashes(first, second).map(|_| ()),
     }
@@ -180,23 +174,19 @@ mod tests {
         \"scalars\":{\"serve_wall_ms_w1\":12.5,\"serve_total_events\":100}}";
 
     #[test]
-    fn wall_clock_scalars_are_the_only_slack() {
+    fn any_changed_member_fails_the_document_gate() {
         assert_eq!(replay_mismatch(DOC, DOC, Compare::Document), Ok(()));
-        // Negative control: a deterministic scalar moved.
         let moved = DOC.replace("\"serve_total_events\":100", "\"serve_total_events\":101");
         let err = replay_mismatch(DOC, &moved, Compare::Document).unwrap_err();
         assert!(err.ends_with("$.scalars.serve_total_events"), "{err}");
-        // A series point is not a named scalar: no slack either.
+        // No name buys slack: a scalar that looks host-timed fails too.
+        let wall = DOC.replace("\"serve_wall_ms_w1\":12.5", "\"serve_wall_ms_w1\":99");
+        let err = replay_mismatch(DOC, &wall, Compare::Document).unwrap_err();
+        assert!(err.ends_with("$.scalars.serve_wall_ms_w1"), "{err}");
         let point = DOC.replace("[64,602]", "[64,603]");
         assert!(replay_mismatch(DOC, &point, Compare::Document).is_err());
-        // Only a banded wall-clock scalar moved: still a replay.
-        let wall = DOC.replace("\"serve_wall_ms_w1\":12.5", "\"serve_wall_ms_w1\":99");
-        assert_eq!(replay_mismatch(DOC, &wall, Compare::Document), Ok(()));
-        // ...but it must still be there, and still be a number.
         let gone = DOC.replace("\"serve_wall_ms_w1\":12.5,", "");
         assert!(replay_mismatch(DOC, &gone, Compare::Document).is_err());
-        let typed = DOC.replace("\"serve_wall_ms_w1\":12.5", "\"serve_wall_ms_w1\":null");
-        assert!(replay_mismatch(DOC, &typed, Compare::Document).is_err());
     }
 
     #[test]
