@@ -9,7 +9,7 @@
 
 use mtmpi::prelude::*;
 use mtmpi_bench::{print_figure_header, Fig};
-use mtmpi_graph500::{generate_kronecker, hybrid_bfs_thread, HybridBfs};
+use mtmpi_graph500::{generate_kronecker, hybrid_bfs_thread, Csr, HybridBfs};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -20,8 +20,10 @@ fn main() {
         "scale 17 Kronecker graph (paper: 24), 1 rank, thread sweep; threads on the remote socket pay 1.25x per edge",
     );
     let scale = 17;
-    let el = Arc::new(generate_kronecker(scale, 16, 0x5EED));
+    let el = generate_kronecker(scale, 16, 0x5EED);
     let root = el.edges[0].0;
+    // One rank owns every row; all four runs read the same ones.
+    let rows = Arc::new(Csr::from_edges(&el));
     let mut fig = Fig::new("fig10a");
     let mut t = Table::new(&["threads", "MTEPS", "speedup", "efficiency_%"]);
     let mut base = 0.0f64;
@@ -29,7 +31,7 @@ fn main() {
     for threads in [1u32, 2, 4, 8] {
         eprintln!("[fig10a] {threads} threads ...");
         let exp = fig.experiment(1);
-        let bfs = Arc::new(HybridBfs::new(&el, root, 0, 1, threads));
+        let bfs = Arc::new(HybridBfs::over(rows.clone(), root, 0, 1, threads));
         let stats = Arc::new(Mutex::new(None));
         let (b2, s2) = (bfs.clone(), stats.clone());
         let out = exp.run(

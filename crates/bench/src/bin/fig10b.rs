@@ -11,20 +11,17 @@
 
 use mtmpi::prelude::*;
 use mtmpi_bench::{print_figure_header, Fig};
-use mtmpi_graph500::{generate_kronecker, hybrid_bfs_thread, HybridBfs};
+use mtmpi_graph500::{generate_kronecker, hybrid_bfs_thread, Csr, HybridBfs};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-fn mteps(
-    fig: &Fig,
-    method: Method,
-    el: &Arc<mtmpi_graph500::EdgeList>,
-    nprocs: u32,
-    threads: u32,
-) -> f64 {
-    let root = el.edges[0].0;
-    let per_rank: Vec<Arc<HybridBfs>> = (0..nprocs)
-        .map(|r| Arc::new(HybridBfs::new(el, root, r, nprocs, threads)))
+/// One run over `parts` (a rank's rows each), which no run writes.
+fn mteps(fig: &Fig, method: Method, parts: &[Arc<Csr>], root: u64, threads: u32) -> f64 {
+    let nprocs = parts.len() as u32;
+    let per_rank: Vec<Arc<HybridBfs>> = parts
+        .iter()
+        .zip(0..)
+        .map(|(rows, r)| Arc::new(HybridBfs::over(rows.clone(), root, r, nprocs, threads)))
         .collect();
     let stats = Arc::new(Mutex::new(None));
     let exp = fig.experiment(nprocs);
@@ -52,14 +49,20 @@ fn main() {
         "BFS MTEPS vs threads/node (16 procs, scale 28, compact): fair locks speed up, mutex flat",
         "8 procs, scale 18; same thread sweep",
     );
-    let el = Arc::new(generate_kronecker(18, 16, 0x5EED));
+    let el = generate_kronecker(18, 16, 0x5EED);
+    let root = el.edges[0].0;
+    // Partitioned once: the rows depend on neither method nor threads.
+    let parts: Vec<Arc<Csr>> = Csr::partition_all(&el, 8)
+        .into_iter()
+        .map(Arc::new)
+        .collect();
     let fig = Fig::new("fig10b");
     let mut t = Table::new(&["threads", "Mutex", "Ticket", "Priority"]);
     for threads in [1u32, 2, 4, 8] {
         eprintln!("[fig10b] {threads} threads ...");
         let row: Vec<String> = Method::PAPER_TRIO
             .iter()
-            .map(|&m| format!("{:.1}", mteps(&fig, m, &el, 8, threads)))
+            .map(|&m| format!("{:.1}", mteps(&fig, m, &parts, root, threads)))
             .collect();
         let mut cells = vec![threads.to_string()];
         cells.extend(row);

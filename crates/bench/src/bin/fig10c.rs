@@ -8,7 +8,7 @@
 
 use mtmpi::prelude::*;
 use mtmpi_bench::{print_figure_header, Fig};
-use mtmpi_graph500::{generate_kronecker, hybrid_bfs_thread, HybridBfs};
+use mtmpi_graph500::{generate_kronecker, hybrid_bfs_thread, Csr, HybridBfs};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -22,16 +22,23 @@ fn main() {
     let mut t = Table::new(&["nodes", "cores", "scale", "Mutex", "Ticket", "Priority"]);
     for (nodes, scale) in [(2u32, 15u32), (4, 16), (8, 17), (16, 18)] {
         eprintln!("[fig10c] {nodes} nodes, scale {scale} ...");
-        let el = Arc::new(generate_kronecker(scale, 16, 0x5EED));
+        let el = generate_kronecker(scale, 16, 0x5EED);
         let root = el.edges[0].0;
+        // Partitioned once per row: the methods share the rows.
+        let parts: Vec<Arc<Csr>> = Csr::partition_all(&el, nodes)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
         let mut cells = vec![
             nodes.to_string(),
             (nodes * 8).to_string(),
             scale.to_string(),
         ];
         for m in Method::PAPER_TRIO {
-            let per_rank: Vec<Arc<HybridBfs>> = (0..nodes)
-                .map(|r| Arc::new(HybridBfs::new(&el, root, r, nodes, 8)))
+            let per_rank: Vec<Arc<HybridBfs>> = parts
+                .iter()
+                .zip(0..)
+                .map(|(rows, r)| Arc::new(HybridBfs::over(rows.clone(), root, r, nodes, 8)))
                 .collect();
             let stats = Arc::new(Mutex::new(None));
             let exp = fig.experiment(nodes);

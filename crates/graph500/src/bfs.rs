@@ -2,61 +2,71 @@
 
 use crate::csr::Csr;
 use crate::kronecker::EdgeList;
-use mtmpi_runtime::{RankHandle, Request, TestOutcome};
+use mtmpi_runtime::{Comm, RankHandle, Request, TestOutcome};
 use mtmpi_sim::SpinBarrier;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// Level-synchronous traversal from `root`. `discover(u, v, level)` is
+/// called for every scanned edge `u -> v` (`level` being the depth `v`
+/// would get) and says whether that was the first sight of `v`.
+fn traverse(csr: &Csr, root: u64, mut discover: impl FnMut(u32, u32, i64) -> bool) {
+    let (mut frontier, mut next) = (vec![root as u32], Vec::new());
+    let mut level = 0;
+    while !frontier.is_empty() {
+        level += 1;
+        for &u in &frontier {
+            for &v in csr.row(u as usize) {
+                if discover(u, v, level) {
+                    next.push(v);
+                }
+            }
+        }
+        frontier.clear();
+        std::mem::swap(&mut frontier, &mut next);
+    }
+}
 
 /// Serial BFS over a full CSR; returns the parent array (`-1` =
 /// unreached, root's parent is itself).
 pub fn bfs_serial(csr: &Csr, root: u64) -> Vec<i64> {
-    let n = csr.nrows();
-    let mut parent = vec![-1i64; n];
+    let mut parent = vec![-1i64; csr.nrows()];
     parent[root as usize] = root as i64;
-    let mut frontier = vec![root as u32];
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for &v in csr.row(u as usize) {
-                if parent[v as usize] < 0 {
-                    parent[v as usize] = i64::from(u);
-                    next.push(v);
-                }
-            }
+    traverse(csr, root, |u, v, _| {
+        let fresh = parent[v as usize] < 0;
+        if fresh {
+            parent[v as usize] = i64::from(u);
         }
-        frontier = next;
-    }
+        fresh
+    });
     parent
 }
 
-/// Check a parent array against the graph: root is its own parent, every
-/// reached vertex's parent is reached, every parent edge exists, and the
-/// BFS level relation holds (level(v) == level(parent(v)) + 1).
+/// Check a parent array against the graph: root is its own parent, the
+/// reached vertices are exactly the reachable ones, every parent edge
+/// exists, and the BFS level relation holds (level(v) ==
+/// level(parent(v)) + 1).
+///
+/// `csr` must be symmetric (`row(u)` holds `v` exactly as often as
+/// `row(v)` holds `u`, which [`Csr::from_edges`] guarantees): the edge
+/// `parent(v) -> v` is looked up in the shorter of the two rows.
 pub fn validate_parents(csr: &Csr, root: u64, parent: &[i64]) -> Result<(), String> {
     if parent[root as usize] != root as i64 {
         return Err(format!("root parent is {}", parent[root as usize]));
     }
-    // Compute reference levels.
-    let ref_parent = bfs_serial(csr, root);
+    // Reference levels; `level[v] >= 0` is reachability.
     let mut level = vec![-1i64; csr.nrows()];
     level[root as usize] = 0;
-    let mut frontier = vec![root as u32];
-    let mut l = 0i64;
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for &v in csr.row(u as usize) {
-                if level[v as usize] < 0 {
-                    level[v as usize] = l + 1;
-                    next.push(v);
-                }
-            }
+    traverse(csr, root, |_, v, l| {
+        let fresh = level[v as usize] < 0;
+        if fresh {
+            level[v as usize] = l;
         }
-        frontier = next;
-        l += 1;
-    }
+        fresh
+    });
     for v in 0..csr.nrows() {
-        match (parent[v] >= 0, ref_parent[v] >= 0) {
+        match (parent[v] >= 0, level[v] >= 0) {
             (true, false) => return Err(format!("vertex {v} reached but unreachable")),
             (false, true) => return Err(format!("vertex {v} unreached but reachable")),
             (false, false) => continue,
@@ -66,7 +76,12 @@ pub fn validate_parents(csr: &Csr, root: u64, parent: &[i64]) -> Result<(), Stri
             continue;
         }
         let p = parent[v] as usize;
-        if !csr.row(p).contains(&(v as u32)) {
+        let (short, other) = if csr.row(p).len() <= csr.row(v).len() {
+            (csr.row(p), v)
+        } else {
+            (csr.row(v), p)
+        };
+        if !short.contains(&(other as u32)) {
             return Err(format!("no edge {p} -> {v}"));
         }
         if level[v] != level[p] + 1 {
@@ -106,10 +121,9 @@ struct Shared {
 /// `Arc`) and hand clones of it to each of the rank's threads, which all
 /// call [`hybrid_bfs_thread`].
 pub struct HybridBfs {
-    /// Local rows (cyclic partition).
-    pub csr: Csr,
-    /// Total vertices in the global graph.
-    pub nvertices: u64,
+    /// Local rows (cyclic partition). Never written: every run over the
+    /// same graph and rank count shares them.
+    pub csr: Arc<Csr>,
     nranks: u32,
     rank: u32,
     shared: Mutex<Shared>,
@@ -131,9 +145,16 @@ pub struct HybridStats {
 impl HybridBfs {
     /// Build the per-rank state from the global edge list.
     pub fn new(el: &EdgeList, root: u64, rank: u32, nranks: u32, nthreads: u32) -> Self {
-        let csr = Csr::partition_cyclic(el, rank, nranks);
+        let rows = Arc::new(Csr::partition_cyclic(el, rank, nranks));
+        Self::over(rows, root, rank, nranks, nthreads)
+    }
+
+    /// The state of one run over rows partitioned earlier: `rows` is
+    /// `Csr::partition_all(el, nranks)[rank]`. Allocates only what a run
+    /// writes.
+    pub fn over(rows: Arc<Csr>, root: u64, rank: u32, nranks: u32, nthreads: u32) -> Self {
         let mut shared = Shared {
-            parent: vec![-1; csr.nrows()],
+            parent: vec![-1; rows.nrows()],
             frontier: Vec::new(),
             next: Vec::new(),
             traversed: 0,
@@ -145,8 +166,7 @@ impl HybridBfs {
             shared.frontier.push(root as u32);
         }
         Self {
-            csr,
-            nvertices: el.nvertices(),
+            csr: rows,
             nranks,
             rank,
             shared: Mutex::new(shared),
@@ -155,12 +175,53 @@ impl HybridBfs {
         }
     }
 
-    fn owner(&self, v: u32) -> u32 {
-        v % self.nranks
+    /// Owning rank and local row of global vertex `v` (one division).
+    fn place(&self, v: u32) -> (u32, usize) {
+        (v % self.nranks, (v / self.nranks) as usize)
     }
 
-    fn local(&self, v: u32) -> usize {
-        (v / self.nranks) as usize
+    /// Scan the frontier chunk beginning at `start` from `pos` — (slot in
+    /// the chunk, edge in that slot's row) — until the chunk ends (`None`)
+    /// or the send buffer of a rank fills (`Some(rank)`), leaving `pos`
+    /// where the next section resumes; the frontier is not written during
+    /// a compute phase. `edges` grows by the length of every row begun.
+    ///
+    /// One guard per section, not per edge: a world's threads run one at
+    /// a time, and nothing in here suspends.
+    fn scan_section(
+        &self,
+        start: usize,
+        (slot, edge): &mut (usize, usize),
+        edges: &mut u64,
+        outbuf: &mut [Vec<(u32, u32)>],
+    ) -> Option<u32> {
+        let mut guard = self.shared.lock();
+        let sh = &mut *guard;
+        let chunk = &sh.frontier[start..(start + CHUNK).min(sh.frontier.len())];
+        while let Some(&u) = chunk.get(*slot) {
+            let row = self.csr.row(self.place(u).1);
+            if *edge == 0 {
+                *edges += row.len() as u64;
+            }
+            for (k, &v) in row[*edge..].iter().enumerate() {
+                let (o, lv) = self.place(v);
+                if o == self.rank {
+                    if sh.parent[lv] < 0 {
+                        sh.parent[lv] = i64::from(u);
+                        sh.next.push(v);
+                    }
+                } else {
+                    let buf = &mut outbuf[o as usize];
+                    buf.push((v, u));
+                    if buf.len() >= FLUSH_PAIRS {
+                        *edge += k + 1;
+                        return Some(o);
+                    }
+                }
+            }
+            (*slot, *edge) = (*slot + 1, 0);
+        }
+        None
     }
 
     /// Local parents (for validation); call after the run.
@@ -176,6 +237,13 @@ fn encode_pairs(pairs: &[(u32, u32)]) -> Vec<u8> {
         out.extend_from_slice(&u.to_le_bytes());
     }
     out
+}
+
+/// Send `pairs` to rank `to` as one edge batch, leaving it empty.
+fn send_batch(c: &Comm, to: u32, tag: i32, pairs: &mut Vec<(u32, u32)>) -> Request {
+    let data = encode_pairs(pairs);
+    pairs.clear();
+    c.isend(to, tag, data.into())
 }
 
 fn decode_pairs(bytes: &[u8]) -> impl Iterator<Item = (u32, u32)> + '_ {
@@ -206,49 +274,26 @@ pub fn hybrid_bfs_thread(
     let nranks = bfs.nranks;
     let mut my_traversed = 0u64;
     let mut levels = 0u32;
+    // Every buffer is flushed empty by the end of a level.
+    let mut outbuf: Vec<Vec<(u32, u32)>> = (0..nranks).map(|_| Vec::new()).collect();
+    let mut batches_sent = vec![0u64; nranks as usize];
     loop {
         let level = bfs.shared.lock().level;
+        let etag = edge_tag(thread, level);
         // ---- compute phase: scan my chunks of the frontier ----
-        let mut outbuf: Vec<Vec<(u32, u32)>> = (0..nranks).map(|_| Vec::new()).collect();
         let mut send_reqs: Vec<Request> = Vec::new();
-        let mut batches_sent = vec![0u64; nranks as usize];
+        batches_sent.fill(0);
         loop {
             let start = bfs.cursor.fetch_add(CHUNK, Ordering::Relaxed);
-            let chunk = {
-                let sh = bfs.shared.lock();
-                if start >= sh.frontier.len() {
-                    Vec::new()
-                } else {
-                    let end = (start + CHUNK).min(sh.frontier.len());
-                    sh.frontier[start..end].to_vec()
-                }
-            };
-            if chunk.is_empty() {
+            if start >= bfs.shared.lock().frontier.len() {
                 break;
             }
-            let mut edges_here = 0u64;
-            for &u in &chunk {
-                let row = bfs.csr.row(bfs.local(u));
-                edges_here += row.len() as u64;
-                for &v in row {
-                    if bfs.owner(v) == bfs.rank {
-                        let lv = bfs.local(v);
-                        let mut sh = bfs.shared.lock();
-                        if sh.parent[lv] < 0 {
-                            sh.parent[lv] = i64::from(u);
-                            sh.next.push(v);
-                        }
-                    } else {
-                        let o = bfs.owner(v) as usize;
-                        outbuf[o].push((v, u));
-                        if outbuf[o].len() >= FLUSH_PAIRS {
-                            let data = encode_pairs(&outbuf[o]);
-                            outbuf[o].clear();
-                            send_reqs.push(c.isend(o as u32, edge_tag(thread, level), data.into()));
-                            batches_sent[o] += 1;
-                        }
-                    }
-                }
+            // A full send buffer ends a section: the guard is gone by
+            // the time `isend` suspends this thread.
+            let (mut pos, mut edges_here) = ((0, 0), 0);
+            while let Some(o) = bfs.scan_section(start, &mut pos, &mut edges_here, &mut outbuf) {
+                send_reqs.push(send_batch(&c, o, etag, &mut outbuf[o as usize]));
+                batches_sent[o as usize] += 1;
             }
             my_traversed += edges_here;
             platform.compute(edges_here * edge_ns);
@@ -261,9 +306,7 @@ pub fn hybrid_bfs_thread(
         // ---- flush remainders, then announce batch counts ----
         for (o, buf) in outbuf.iter_mut().enumerate() {
             if !buf.is_empty() {
-                let data = encode_pairs(buf);
-                buf.clear();
-                send_reqs.push(c.isend(o as u32, edge_tag(thread, level), data.into()));
+                send_reqs.push(send_batch(&c, o as u32, etag, buf));
                 batches_sent[o] += 1;
             }
         }
@@ -285,8 +328,10 @@ pub fn hybrid_bfs_thread(
         let mut global_next = 0;
         if thread == 0 {
             let local_next = {
-                let mut sh = bfs.shared.lock();
-                sh.frontier = std::mem::take(&mut sh.next);
+                let mut guard = bfs.shared.lock();
+                let sh = &mut *guard;
+                std::mem::swap(&mut sh.frontier, &mut sh.next);
+                sh.next.clear();
                 sh.level += 1;
                 sh.frontier.len() as u64
             };
@@ -377,8 +422,8 @@ fn drain_incoming(
                     {
                         let mut sh = bfs.shared.lock();
                         for (v, u) in decode_pairs(bytes) {
-                            debug_assert_eq!(bfs.owner(v), bfs.rank);
-                            let lv = bfs.local(v);
+                            let (o, lv) = bfs.place(v);
+                            debug_assert_eq!(o, bfs.rank);
                             if sh.parent[lv] < 0 {
                                 sh.parent[lv] = i64::from(u);
                                 sh.next.push(v);

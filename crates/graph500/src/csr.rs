@@ -3,85 +3,81 @@
 use crate::kronecker::EdgeList;
 
 /// CSR over `u32` vertex ids (scales ≤ 31 supported, far beyond what the
-//  host-feasible experiments use).
+/// host-feasible experiments use).
 #[derive(Debug, Clone)]
 pub struct Csr {
-    /// Row offsets, length `nvertices + 1`.
+    /// Row offsets, length `nrows + 1`.
     pub offsets: Vec<u64>,
     /// Column indices (neighbours).
     pub targets: Vec<u32>,
 }
 
+/// A fill cursor packs where a vertex's next neighbour goes: the owning
+/// part above `SLOT_BITS`, the free slot in that part's `targets` below.
+const SLOT_BITS: u32 = 40;
+const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
+
+/// Both directions of every edge that is not a self-loop, in list order.
+fn for_each_arc(el: &EdgeList, mut f: impl FnMut(usize, usize)) {
+    for &(u, v) in &el.edges {
+        if u != v {
+            f(u as usize, v as usize);
+            f(v as usize, u as usize);
+        }
+    }
+}
+
 impl Csr {
     /// Build a symmetric CSR from an edge list (each undirected edge
     /// appears in both adjacency rows; self-loops dropped, duplicates
-    /// kept, as the Graph500 reference kernels tolerate them).
+    /// kept, as the Graph500 reference kernels tolerate them). Symmetric
+    /// means `row(u)` holds `v` exactly as often as `row(v)` holds `u`.
     pub fn from_edges(el: &EdgeList) -> Self {
-        let n = el.nvertices() as usize;
-        let mut deg = vec![0u64; n];
-        for &(u, v) in &el.edges {
-            if u != v {
-                deg[u as usize] += 1;
-                deg[v as usize] += 1;
-            }
-        }
-        let mut offsets = vec![0u64; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + deg[i];
-        }
-        let mut targets = vec![0u32; offsets[n] as usize];
-        let mut cursor = offsets.clone();
-        for &(u, v) in &el.edges {
-            if u != v {
-                targets[cursor[u as usize] as usize] = v as u32;
-                cursor[u as usize] += 1;
-                targets[cursor[v as usize] as usize] = u as u32;
-                cursor[v as usize] += 1;
-            }
-        }
-        Self { offsets, targets }
+        Self::partition_cyclic(el, 0, 1)
     }
 
-    /// Build a CSR holding only the rows of vertices owned by `rank`
-    /// under cyclic ownership `owner(v) = v mod nranks`. Row `i` holds
-    /// the neighbours of global vertex `i * nranks + rank`.
+    /// Rows of every rank under cyclic ownership `owner(v) = v mod
+    /// nranks`: row `i` of part `r` holds the neighbours of global vertex
+    /// `i * nranks + r`, in edge-list order. Two passes over the edge
+    /// list (degree, fill) whatever `nranks` is, neither of which divides.
+    pub fn partition_all(el: &EdgeList, nranks: u32) -> Vec<Self> {
+        assert!(el.scale <= 31, "vertex ids must fit u32");
+        assert!(2 * el.edges.len() as u64 <= SLOT_MASK, "too many edges");
+        let n = el.nvertices() as usize;
+        // Degree of every vertex, by global id.
+        let mut cursor = vec![0u64; n];
+        for_each_arc(el, |from, _| cursor[from] += 1);
+        // Rank r owns vertices r, r + nranks, …: lay its rows out, and
+        // turn each vertex's degree into its fill cursor.
+        let mut parts: Vec<Self> = (0..nranks as usize)
+            .map(|r| {
+                let mut offsets = Vec::with_capacity(n / nranks as usize + 2);
+                let mut end = 0u64;
+                offsets.push(end);
+                for v in (r..n).step_by(nranks as usize) {
+                    let degree = std::mem::replace(&mut cursor[v], (r as u64) << SLOT_BITS | end);
+                    end += degree;
+                    offsets.push(end);
+                }
+                Self {
+                    offsets,
+                    targets: vec![0; end as usize],
+                }
+            })
+            .collect();
+        for_each_arc(el, |from, to| {
+            let at = cursor[from];
+            parts[(at >> SLOT_BITS) as usize].targets[(at & SLOT_MASK) as usize] = to as u32;
+            cursor[from] = at + 1;
+        });
+        parts
+    }
+
+    /// The rows owned by `rank` alone: `partition_all(el, nranks)[rank]`,
+    /// at the cost of building them all. A world that wants every rank's
+    /// rows calls `partition_all` once.
     pub fn partition_cyclic(el: &EdgeList, rank: u32, nranks: u32) -> Self {
-        let n = el.nvertices();
-        let local_n = (n / u64::from(nranks)) + u64::from(n % u64::from(nranks) > u64::from(rank));
-        let owned = |v: u64| v % u64::from(nranks) == u64::from(rank);
-        let local = |v: u64| (v / u64::from(nranks)) as usize;
-        let mut deg = vec![0u64; local_n as usize];
-        for &(u, v) in &el.edges {
-            if u == v {
-                continue;
-            }
-            if owned(u) {
-                deg[local(u)] += 1;
-            }
-            if owned(v) {
-                deg[local(v)] += 1;
-            }
-        }
-        let mut offsets = vec![0u64; local_n as usize + 1];
-        for i in 0..local_n as usize {
-            offsets[i + 1] = offsets[i] + deg[i];
-        }
-        let mut targets = vec![0u32; offsets[local_n as usize] as usize];
-        let mut cursor = offsets.clone();
-        for &(u, v) in &el.edges {
-            if u == v {
-                continue;
-            }
-            if owned(u) {
-                targets[cursor[local(u)] as usize] = v as u32;
-                cursor[local(u)] += 1;
-            }
-            if owned(v) {
-                targets[cursor[local(v)] as usize] = u as u32;
-                cursor[local(v)] += 1;
-            }
-        }
-        Self { offsets, targets }
+        Self::partition_all(el, nranks).swap_remove(rank as usize)
     }
 
     /// Number of rows.

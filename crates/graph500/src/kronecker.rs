@@ -42,16 +42,10 @@ pub fn generate_kronecker(scale: u32, edgefactor: u64, seed: u64) -> EdgeList {
             u <<= 1;
             v <<= 1;
             let r: f64 = rng.gen();
-            if r < A {
-                // quadrant (0,0)
-            } else if r < A + B {
-                v |= 1;
-            } else if r < A + B + C {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
+            // Quadrant pick without a branch (it would mispredict ~40 %
+            // of the time): u's bit is set in C and D, v's in B and D.
+            u |= u64::from(r >= A + B);
+            v |= u64::from((A..A + B).contains(&r) | (r >= A + B + C));
         }
         edges.push((u, v));
     }

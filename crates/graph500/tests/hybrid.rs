@@ -2,7 +2,7 @@
 
 use mtmpi::prelude::*;
 use mtmpi_graph500::{
-    bfs_serial, generate_kronecker, hybrid_bfs_thread, validate_parents, Csr, HybridBfs,
+    bfs_serial, generate_kronecker, hybrid_bfs_thread, validate_parents, Csr, EdgeList, HybridBfs,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -16,7 +16,7 @@ fn run_hybrid(
     method: Method,
     seed: u64,
 ) -> (Vec<i64>, mtmpi_graph500::HybridStats) {
-    let el = Arc::new(generate_kronecker(scale, 16, seed));
+    let el = generate_kronecker(scale, 16, seed);
     let root = el
         .edges
         .iter()
@@ -24,8 +24,10 @@ fn run_hybrid(
         .next()
         .expect("non-empty graph"); // a vertex with at least one edge
     let nranks = nodes;
-    let per_rank: Vec<Arc<HybridBfs>> = (0..nranks)
-        .map(|r| Arc::new(HybridBfs::new(&el, root, r, nranks, threads)))
+    let per_rank: Vec<Arc<HybridBfs>> = Csr::partition_all(&el, nranks)
+        .into_iter()
+        .zip(0..)
+        .map(|(rows, r)| Arc::new(HybridBfs::over(Arc::new(rows), root, r, nranks, threads)))
         .collect();
     let stats_cell = Arc::new(Mutex::new(None));
     let exp = Experiment::with_seed(nodes, seed);
@@ -100,6 +102,55 @@ fn serial_bfs_validates_itself() {
     let root = el.edges[0].0;
     let p = bfs_serial(&csr, root);
     validate_parents(&csr, root, &p).expect("serial tree valid");
+}
+
+/// The triangle 0-1-2 with the tail 2-3 and the island 4-5, and the valid
+/// tree from root 0 (levels 0, 1, 1, 2).
+fn small_graph() -> (Csr, Vec<i64>) {
+    let el = EdgeList {
+        scale: 3,
+        edges: vec![(0, 1), (0, 2), (1, 2), (2, 3), (4, 5)],
+    };
+    let csr = Csr::from_edges(&el);
+    let parent = vec![0, 0, 0, 2, -1, -1, -1, -1];
+    validate_parents(&csr, 0, &parent).expect("the tree to corrupt is valid");
+    (csr, parent)
+}
+
+/// `validate_parents` of the small graph's tree with `parent[v] = p`.
+fn corrupt(v: usize, p: i64) -> String {
+    let (csr, mut parent) = small_graph();
+    parent[v] = p;
+    validate_parents(&csr, 0, &parent).expect_err("corrupted tree")
+}
+
+#[test]
+fn validation_names_every_error_class() {
+    assert_eq!(corrupt(0, 1), "root parent is 1");
+    assert_eq!(corrupt(4, 5), "vertex 4 reached but unreachable");
+    assert_eq!(corrupt(3, -1), "vertex 3 unreached but reachable");
+    // row(3) is the shorter row both times: the child's, then the parent's.
+    assert_eq!(corrupt(3, 1), "no edge 1 -> 3");
+    assert_eq!(corrupt(1, 3), "no edge 3 -> 1");
+    // The edge 1-2 exists, but both ends sit on level 1.
+    assert_eq!(
+        corrupt(2, 1),
+        "level mismatch at 2: level 1 vs parent level 1"
+    );
+}
+
+#[test]
+fn new_partitions_for_itself() {
+    // `HybridBfs::new` is partition + `over`: same rows, same run.
+    let el = generate_kronecker(8, 16, 11);
+    let root = el.edges[0].0;
+    for (rows, r) in Csr::partition_all(&el, 3).into_iter().zip(0..) {
+        let bfs = HybridBfs::new(&el, root, r, 3, 2);
+        assert_eq!(bfs.csr.offsets, rows.offsets);
+        assert_eq!(bfs.csr.targets, rows.targets);
+        let seeded = bfs.parents_local().iter().filter(|&&p| p >= 0).count();
+        assert_eq!(seeded, usize::from(root % 3 == u64::from(r)));
+    }
 }
 
 #[test]

@@ -11,29 +11,46 @@ fn arbitrary_edge_list() -> impl Strategy<Value = EdgeList> {
     })
 }
 
+/// Adjacency rows straight from the definition: both directions of
+/// every edge that is not a self-loop, in list order.
+fn naive_rows(el: &EdgeList) -> Vec<Vec<u32>> {
+    let mut rows = vec![Vec::new(); el.nvertices() as usize];
+    for &(u, v) in el.edges.iter().filter(|(u, v)| u != v) {
+        rows[u as usize].push(v as u32);
+        rows[v as usize].push(u as u32);
+    }
+    rows
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The cyclic partition is a partition: every row of the full CSR
-    /// appears exactly once across the ranks, unchanged.
+    /// The cyclic partition is a partition: part `r` of `nranks` holds
+    /// exactly the rows of vertices `r, r + nranks, …`, each as the edge
+    /// list spells it, and the one-rank projection is that same part.
     #[test]
     fn partition_is_exact(el in arbitrary_edge_list(), nranks in 1u32..6) {
-        let full = Csr::from_edges(&el);
-        let parts: Vec<Csr> = (0..nranks).map(|r| Csr::partition_cyclic(&el, r, nranks)).collect();
+        let rows = naive_rows(&el);
+        let parts = Csr::partition_all(&el, nranks);
+        prop_assert_eq!(parts.len(), nranks as usize);
         let mut covered = 0usize;
         for (r, part) in parts.iter().enumerate() {
             for i in 0..part.nrows() {
                 let g = i * nranks as usize + r;
-                prop_assert_eq!(part.row(i), full.row(g), "vertex {}", g);
+                prop_assert_eq!(part.row(i), &rows[g][..], "vertex {}", g);
                 covered += 1;
             }
+            let alone = Csr::partition_cyclic(&el, r as u32, nranks);
+            prop_assert_eq!(&alone.offsets, &part.offsets);
+            prop_assert_eq!(&alone.targets, &part.targets);
         }
-        prop_assert_eq!(covered, full.nrows());
-        let nnz: u64 = parts.iter().map(Csr::nnz).sum();
-        prop_assert_eq!(nnz, full.nnz());
+        prop_assert_eq!(covered, rows.len());
+        let full = Csr::from_edges(&el);
+        prop_assert_eq!(&full.targets, &rows.concat());
     }
 
-    /// CSR symmetry: u appears in row(v) as many times as v in row(u).
+    /// CSR symmetry: u appears in row(v) as many times as v in row(u) —
+    /// what lets `validate_parents` look an edge up from either end.
     #[test]
     fn csr_symmetric(el in arbitrary_edge_list()) {
         let c = Csr::from_edges(&el);

@@ -41,6 +41,39 @@ pub fn inside_the_virtual_platform(c: &WorkerCtx, log: &Mutex<Vec<u64>>) {
     drop(g);
 }
 
+pub fn guard_across_runtime_calls(c: &Comm, h: &RankHandle, next: &Mutex<Vec<u32>>) {
+    let mut sh = next.lock(); // FIRE: L007
+    let r = c.isend(1, 7, encode(&sh).into());
+    sh.clear();
+    drop(sh);
+    let polled = next.lock(); // FIRE: L007
+    let _ = c.test(r);
+    drop(polled);
+    let posted = next.lock(); // FIRE: L007
+    let rx = c.irecv(None, Some(7));
+    drop(posted);
+    let all = next.lock(); // FIRE: L007
+    c.waitall(vec![rx]);
+    drop(all);
+    let sum = next.lock(); // FIRE: L007
+    h.allreduce_sum_u64(sum.len() as u64);
+}
+
+pub fn one_guard_per_section(c: &Comm, next: &Mutex<Vec<u32>>, rows: &[Vec<u32>]) {
+    // The BFS kernel's shape: the guard's block ends before `isend`, and
+    // the next section takes it again.
+    let mut reqs = Vec::new();
+    for row in rows {
+        let batch = {
+            let mut sh = next.lock();
+            sh.extend_from_slice(row);
+            encode(&sh)
+        };
+        reqs.push(c.isend(1, 7, batch.into()));
+    }
+    c.waitall(reqs);
+}
+
 pub fn scoped_before_the_call(p: &dyn Platform, visited: &Mutex<Vec<u64>>) {
     {
         let mut v = visited.lock().unwrap();

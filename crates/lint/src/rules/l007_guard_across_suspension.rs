@@ -1,7 +1,8 @@
 //! L007 — a host guard held across a simulated-thread suspension.
 //!
 //! Simulated threads are fibers (DESIGN.md §16): every `Platform` call
-//! that goes through the scheduler suspends the calling worker, and the
+//! that goes through the scheduler — and so every runtime call built on
+//! one (`isend`, `test`, `waitall`, …) — suspends the calling worker, and the
 //! OS thread goes on to run the event loop and other workers of the same
 //! world. A `Mutex`/`RwLock`/`RefCell` guard that is still alive at that
 //! point belongs to *host* state those other workers share, so the next
@@ -32,8 +33,10 @@ const GUARD_METHODS: &[&str] = &["lock", "read", "write", "borrow", "borrow_mut"
 /// Result adaptors that pass a guard through.
 const PASS_THROUGH: &[&str] = &["unwrap", "expect", "unwrap_or_else"];
 
-/// `Platform` methods that suspend the calling simulated thread, plus the
-/// sync point inside the virtual platform they all funnel into.
+/// `Platform` methods that suspend the calling simulated thread, the
+/// sync point inside the virtual platform they all funnel into, and the
+/// runtime entry points application kernels call instead of `Platform`
+/// (each enters a critical section, so each suspends).
 pub const SUSPENSIONS: &[&str] = &[
     "lock_acquire",
     "lock_release",
@@ -44,6 +47,11 @@ pub const SUSPENSIONS: &[&str] = &[
     "net_poll",
     "net_pending",
     "sync",
+    "isend",
+    "irecv",
+    "test",
+    "waitall",
+    "allreduce_sum_u64",
 ];
 
 /// End (exclusive) of the initializer of the `let` whose `=` is at `eq`:

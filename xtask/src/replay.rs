@@ -48,7 +48,7 @@ const fn gate(name: &'static str, suite: &'static [&'static str], fig: &'static 
 
 const INTEGRATION: &str = "mtmpi-integration-tests";
 
-const GATES: [Gate; 6] = [
+const GATES: [Gate; 7] = [
     gate("faults", &[], "fig_fault"),
     gate("vci", &["-p", INTEGRATION, "--test", "vci"], "fig_vci"),
     gate(
@@ -66,6 +66,7 @@ const GATES: [Gate; 6] = [
         compare: Compare::TraceHashes,
         ..gate("live", &["-p", INTEGRATION, "--test", "live"], "fig2a")
     },
+    gate("bfs", &["-p", "mtmpi-graph500"], "fig10a"),
 ];
 
 /// Path (below the two roots) at which two trees first differ, `None`
