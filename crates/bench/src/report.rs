@@ -24,7 +24,8 @@
 //! controls whether the Chrome trace document is exported.
 
 use mtmpi::prelude::*;
-use mtmpi_obs::{chrome_trace_doc, chrome_trace_multi_events, CsStats, RunRecord};
+use mtmpi_obs::json::Writer;
+use mtmpi_obs::{ChromeDoc, CsStats, RunRecord};
 use mtmpi_prof::ProfReport;
 use std::sync::Arc;
 
@@ -95,112 +96,108 @@ impl Fig {
     /// it to disk).
     pub fn summary_json(&self) -> String {
         let runs = self.sink.take();
-        let mut out = String::from("{");
-        out.push_str(&format!("\"id\":\"{}\"", self.id));
-        out.push_str(&format!(",\"traced\":{}", self.trace));
-        // Combined replay-identity hash: order-sensitive FNV-1a fold of
-        // every run's scheduler-trace hash. Hex string — JSON numbers are
-        // f64 and cannot hold a u64 exactly.
-        let mut combined: u64 = 0xcbf2_9ce4_8422_2325;
-        for r in &runs {
-            for b in r.sched_trace_hash.to_le_bytes() {
-                combined ^= u64::from(b);
-                combined = combined.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        out.push_str(&format!(",\"sched_trace_hash\":\"{combined:016x}\""));
-        out.push_str(",\"runs\":[");
-        for (i, r) in runs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"label\":\"{}\",\"threads\":{},\"nodes\":{},\"end_ns\":{},\
-                 \"sched_trace_hash\":\"{:016x}\",\
-                 \"cs_wait\":{},\"cs_hold\":{},\"msg_latency\":{}",
-                r.label.replace('"', "'"),
-                r.threads,
-                r.nodes,
-                r.end_ns,
-                r.sched_trace_hash,
-                CsStats::of(&r.cs_wait).to_json(),
-                CsStats::of(&r.cs_hold).to_json(),
-                CsStats::of(&r.msg_latency).to_json(),
-            ));
-            if let Some(t) = &r.timeline {
-                out.push_str(&format!(
-                    ",\"prof\":{}",
-                    ProfReport::analyze(t, &r.msg_latency).to_json()
-                ));
-            }
-            out.push('}');
-        }
-        out.push_str("],\"series\":[");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"label\":\"{}\",\"points\":[{}]}}",
-                s.label.replace('"', "'"),
-                s.points
-                    .iter()
-                    .map(|(x, y)| format!("[{x},{y}]"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
-        }
-        out.push_str("],\"scalars\":{");
-        for (i, (k, v)) in self.scalars.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", k.replace('"', "'"), fmt_num(*v)));
-        }
-        out.push_str("}}");
-        out.push('\n');
-        // finish() needs the runs again for the prom/trace passes.
+        let out = self.render_summary(&runs, &Self::profiles(&runs));
+        // A `&self` call leaves the sink as it found it.
         for r in runs {
             self.sink.push(r);
         }
         out
     }
 
-    /// The profiled runs (those that kept a timeline), in sink order.
-    fn profiled(runs: &[RunRecord]) -> Vec<(&RunRecord, ProfReport)> {
+    /// One profile per run that kept a timeline, index-aligned with
+    /// `runs` — computed once in [`Fig::finish`] and shared by the
+    /// summary, the prom exposition and the trace.
+    fn profiles(runs: &[RunRecord]) -> Vec<Option<ProfReport>> {
         runs.iter()
-            .filter_map(|r| {
-                r.timeline
-                    .as_ref()
-                    .map(|t| (r, ProfReport::analyze(t, &r.msg_latency)))
+            .map(|r| {
+                let t = r.timeline.as_ref()?;
+                Some(ProfReport::analyze(t, &r.msg_latency))
             })
             .collect()
+    }
+
+    fn render_summary(&self, runs: &[RunRecord], profs: &[Option<ProfReport>]) -> String {
+        let mut w = Writer::default();
+        w.raw("{\"id\":\"").raw(&self.id).raw("\",\"traced\":");
+        w.raw(if self.trace { "true" } else { "false" });
+        // Combined replay-identity hash: order-sensitive FNV-1a fold of
+        // every run's scheduler-trace hash. Hex string — JSON numbers are
+        // f64 and cannot hold a u64 exactly.
+        let mut combined: u64 = 0xcbf2_9ce4_8422_2325;
+        for r in runs {
+            for b in r.sched_trace_hash.to_le_bytes() {
+                combined ^= u64::from(b);
+                combined = combined.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        w.hex(",\"sched_trace_hash\":\"", combined, 16);
+        w.raw("\",\"runs\":[");
+        for (i, (r, prof)) in runs.iter().zip(profs).enumerate() {
+            w.comma(i)
+                .label("{\"label\":", &r.label.replace('"', "'"))
+                .uint(",\"threads\":", r.threads)
+                .uint(",\"nodes\":", r.nodes)
+                .uint(",\"end_ns\":", r.end_ns)
+                .hex(",\"sched_trace_hash\":\"", r.sched_trace_hash, 16)
+                .raw("\",\"cs_wait\":")
+                .raw(&CsStats::of(&r.cs_wait).to_json())
+                .raw(",\"cs_hold\":")
+                .raw(&CsStats::of(&r.cs_hold).to_json())
+                .raw(",\"msg_latency\":")
+                .raw(&CsStats::of(&r.msg_latency).to_json());
+            if let Some(prof) = prof {
+                w.raw(",\"prof\":").raw(&prof.to_json());
+            }
+            w.raw("}");
+        }
+        w.raw("],\"series\":[");
+        for (i, s) in self.series.iter().enumerate() {
+            w.comma(i)
+                .label("{\"label\":", &s.label.replace('"', "'"))
+                .raw(",\"points\":[");
+            for (j, &(x, y)) in s.points.iter().enumerate() {
+                number(w.comma(j), "[", x);
+                number(&mut w, ",", y).raw("]");
+            }
+            w.raw("]}");
+        }
+        w.raw("],\"scalars\":{");
+        for (i, (k, v)) in self.scalars.iter().enumerate() {
+            number(w.comma(i).label("", &k.replace('"', "'")), ":", *v);
+        }
+        w.raw("}}\n");
+        w.finish()
+    }
+
+    /// Write one result file, reporting either outcome on stderr.
+    fn write_result(&self, path: &str, text: String, hint: &str) {
+        match std::fs::write(path, text) {
+            Ok(()) => eprintln!("[{}] wrote {path}{hint}", self.id),
+            Err(e) => eprintln!("[{}] cannot write {path}: {e}", self.id),
+        }
     }
 
     /// Write `results/BENCH_<id>.json` and `results/<id>.prom` (and the
     /// merged Chrome trace when tracing). Call last, after all runs and
     /// registrations.
     pub fn finish(self) {
-        let summary = self.summary_json();
+        let runs = self.sink.take();
+        let profs = Self::profiles(&runs);
+        let summary = self.render_summary(&runs, &profs);
         if std::fs::create_dir_all("results").is_err() {
             eprintln!("[{}] cannot create results/", self.id);
             return;
         }
-        let bench_path = format!("results/BENCH_{}.json", self.id);
-        match std::fs::write(&bench_path, summary) {
-            Ok(()) => eprintln!("[{}] wrote {bench_path}", self.id),
-            Err(e) => eprintln!("[{}] cannot write {bench_path}: {e}", self.id),
-        }
+        self.write_result(&format!("results/BENCH_{}.json", self.id), summary, "");
 
-        let runs = self.sink.take();
-        let profiled = Self::profiled(&runs);
+        let profiled = profiled(&runs, &profs);
         if profiled.is_empty() {
             eprintln!("[{}] no timelines captured; skipping prom/trace", self.id);
             return;
         }
 
         let mut prom = String::new();
-        for (r, prof) in &profiled {
+        for (_, r, prof) in &profiled {
             prom.push_str(&prof.prom(&format!(
                 "fig=\"{}\",run=\"{}\",threads=\"{}\",nodes=\"{}\"",
                 self.id,
@@ -209,54 +206,57 @@ impl Fig {
                 r.nodes
             )));
         }
-        let prom_path = format!("results/{}.prom", self.id);
-        match std::fs::write(&prom_path, prom) {
-            Ok(()) => eprintln!("[{}] wrote {prom_path}", self.id),
-            Err(e) => eprintln!("[{}] cannot write {prom_path}: {e}", self.id),
-        }
+        self.write_result(&format!("results/{}.prom", self.id), prom, "");
 
         if self.trace {
-            // One Chrome process per profiled run (the sink already kept
-            // only the first timeline of each configuration), plus the
-            // prof layer's contention counter track per process.
-            let names: Vec<String> = profiled
-                .iter()
-                .map(|(r, _)| format!("{} {}t", r.label, r.threads))
-                .collect();
-            let named: Vec<(&str, &mtmpi_obs::Timeline)> = profiled
-                .iter()
-                .map(|(r, _)| (r.label.as_str(), r.timeline.as_ref().expect("profiled")))
-                .collect();
+            let names: Vec<&str> = profiled.iter().map(|p| p.0.as_str()).collect();
             eprintln!(
                 "[{}] trace keeps {} of {} runs (first per config): {}",
                 self.id,
-                named.len(),
+                profiled.len(),
                 runs.len(),
                 names.join(", ")
             );
-            let (mut events, dropped) = chrome_trace_multi_events(&named);
-            for (pid, (_, prof)) in profiled.iter().enumerate() {
-                events.extend(prof.counter_events(pid as u32));
-            }
-            let doc = chrome_trace_doc(&events, dropped);
+            let hint = " — open in Perfetto (ui.perfetto.dev) or chrome://tracing";
             let path = format!("results/{}.trace.json", self.id);
-            match std::fs::write(&path, doc) {
-                Ok(()) => eprintln!(
-                    "[{}] wrote {path} — open in Perfetto (ui.perfetto.dev) or chrome://tracing",
-                    self.id
-                ),
-                Err(e) => eprintln!("[{}] cannot write {path}: {e}", self.id),
-            }
+            self.write_result(&path, trace_doc(&profiled), hint);
         }
     }
 }
 
-/// JSON-safe number formatting (`NaN`/`inf` are not JSON).
-fn fmt_num(v: f64) -> String {
+/// A run that kept its timeline: its Chrome process name (label and
+/// thread count, which together tell a sweep's runs apart), its record
+/// and its profile.
+type Profiled<'a> = (String, &'a RunRecord, &'a ProfReport);
+
+fn profiled<'a>(runs: &'a [RunRecord], profs: &'a [Option<ProfReport>]) -> Vec<Profiled<'a>> {
+    let named = |(r, p): (&'a RunRecord, &'a Option<ProfReport>)| {
+        Some((format!("{} {}t", r.label, r.threads), r, p.as_ref()?))
+    };
+    runs.iter().zip(profs).filter_map(named).collect()
+}
+
+/// The merged Chrome trace: one process per profiled run (the sink
+/// already kept only the first timeline of each configuration), plus the
+/// prof layer's contention counter track per process.
+fn trace_doc(profiled: &[Profiled]) -> String {
+    let named: Vec<(&str, &Timeline)> = profiled
+        .iter()
+        .map(|(name, r, _)| (name.as_str(), r.timeline.as_ref().expect("profiled")))
+        .collect();
+    let mut doc = ChromeDoc::new(&named);
+    for (pid, (_, _, prof)) in profiled.iter().enumerate() {
+        prof.counter_track(pid as u32, &mut doc);
+    }
+    doc.finish()
+}
+
+/// A figure value as a JSON number (`NaN`/`inf` are not JSON: `null`).
+fn number<'w>(w: &'w mut Writer, pre: &str, v: f64) -> &'w mut Writer {
     if v.is_finite() {
-        format!("{v}")
+        w.float(pre, v)
     } else {
-        "null".to_owned()
+        w.raw(pre).raw("null")
     }
 }
 
@@ -334,7 +334,40 @@ mod tests {
 
     #[test]
     fn nonfinite_scalars_become_null() {
-        assert_eq!(fmt_num(f64::NAN), "null");
-        assert_eq!(fmt_num(2.5), "2.5");
+        let mut fig = Fig::new("figtest");
+        fig.scalar("bad", f64::NAN);
+        fig.scalar("good", 2.5);
+        let mut s = Series::new("s");
+        s.push(1.0, f64::INFINITY);
+        fig.series(&s);
+        let j = fig.summary_json();
+        assert!(j.contains("\"scalars\":{\"bad\":null,\"good\":2.5}"));
+        assert!(j.contains("\"points\":[[1,null]]"));
+    }
+
+    #[test]
+    fn merged_trace_names_each_process_by_label_and_thread_count() {
+        // One label swept over thread counts (fig2a's shape): the merged
+        // document must tell the runs apart.
+        let runs: Vec<RunRecord> = [1, 2]
+            .into_iter()
+            .map(|threads| RunRecord {
+                label: "mutex".into(),
+                threads,
+                nodes: 1,
+                timeline: Some(Timeline::default()),
+                ..Default::default()
+            })
+            .collect();
+        let profs = Fig::profiles(&runs);
+        let doc = trace_doc(&profiled(&runs, &profs));
+        let names: Vec<&str> = doc
+            .lines()
+            .filter(|l| l.contains("\"process_name\""))
+            .collect();
+        assert_eq!(names.len(), 2);
+        assert!(names[0].contains("\"pid\":0") && names[0].contains("\"name\":\"mutex 1t\""));
+        assert!(names[1].contains("\"pid\":1") && names[1].contains("\"name\":\"mutex 2t\""));
+        mtmpi_prof::Json::parse(&doc).expect("merged trace parses");
     }
 }

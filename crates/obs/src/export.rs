@@ -8,11 +8,19 @@
 //! owning thread's track — `cs wait` (request → grant) and `cs hold`
 //! (grant → release) — so contention is visible as wait bars stacking up
 //! under a long hold.
+//!
+//! Both JSON exporters stream: every event is written straight into one
+//! [`Writer`] buffer sized from the event count, separators included, and
+//! that buffer is the `String` returned — no per-event `String`, no
+//! joined copy. [`ChromeDoc`] is the one place that knows the document
+//! frame; [`chrome_trace`], [`chrome_trace_multi`], the figure harness's
+//! `--trace` export and the prof layer's counter track all go through it.
 
 use crate::event::{Event, EventKind};
-use crate::json::{escape, fmt_f64, fmt_us};
+use crate::json::{fmt_f64, Writer};
 use crate::recorder::Timeline;
 use mtmpi_metrics::{Histogram, Table};
+use std::collections::BTreeSet;
 
 /// Stable Perfetto flow-event id of one message. The link sequence
 /// number is only unique per `(src, dst)` pair, so the id must fold in
@@ -35,26 +43,44 @@ fn scramble64(v: u64) -> u64 {
     v.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// Render one event as its Chrome trace-event JSON object(s).
-fn chrome_event(ev: &Event, pid: u32, out: &mut Vec<String>) {
-    // Chrome/Perfetto match flow events by id across the whole document,
-    // but a merged multi-run trace reuses (src, dst, seq) in every run
-    // ("process"). Scoping the rendered id by pid keeps each run's
-    // arrows inside its own track group; pid 0 (single-run documents)
-    // renders `flow_id` verbatim.
-    let fid = |src: u32, dst: u32, seq: u64| flow_id(src, dst, seq) ^ scramble64(u64::from(pid));
-    let head = |name: &str, cat: &str, ph: &str, ts: u64| {
-        format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{}",
-            escape(name),
-            cat,
-            ph,
-            pid,
-            ev.tid,
-            fmt_us(ts)
+/// Synthetic Chrome thread id hosting the lane of VCI `v` (far above any
+/// real platform tid, so the lanes sort below the per-thread tracks).
+pub const VCI_LANE_TID_BASE: u64 = 1_000_000_000;
+
+/// Rendered bytes to reserve per timeline event: a CS passage becomes
+/// two ~170-byte spans, everything else one ~110-byte instant.
+const CHROME_BYTES_PER_EVENT: usize = 192;
+/// The same for one JSONL line.
+const JSONL_BYTES_PER_EVENT: usize = 112;
+
+/// A trace event's literals around its name: `{"name":"<name>` and, from
+/// the closing quote, `","cat":"<cat>","ph":"<ph>","pid":`.
+macro_rules! named {
+    ($name:literal, $cat:literal, $ph:literal) => {
+        (
+            concat!("{\"name\":\"", $name),
+            concat!("\",\"cat\":\"", $cat, "\",\"ph\":\"", $ph, "\",\"pid\":"),
         )
     };
-    match &ev.kind {
+}
+
+/// The rest of an event's object after its time and thread — what the
+/// event carries — as both JSON documents write it (one routine, so the
+/// two cannot drift apart). The documents differ in how the list opens
+/// (JSONL names the event kind, Chrome opens `args`) and closes, in JSONL
+/// listing the label that a Chrome event has in its name, and in a CS
+/// passage's last two fields.
+fn fields<const JSONL: bool>(w: &mut Writer, ev: &Event) {
+    macro_rules! rank_key {
+        ($tag:literal) => {
+            if JSONL {
+                concat!(",\"ev\":\"", $tag, "\",\"rank\":")
+            } else {
+                ",\"s\":\"t\",\"args\":{\"rank\":"
+            }
+        };
+    }
+    match ev.kind {
         EventKind::CsSpan {
             lock,
             kind,
@@ -64,72 +90,65 @@ fn chrome_event(ev: &Event, pid: u32, out: &mut Vec<String>) {
             t_req,
             t_acq,
         } => {
-            let args = format!(
-                "\"args\":{{\"lock\":{},\"kind\":\"{}\",\"path\":\"{}\",\"op\":\"{}\",\"vci\":{},\"core\":{},\"socket\":{}}}",
-                lock,
-                kind,
-                path.label(),
-                op.label(),
-                vci,
-                ev.core,
-                ev.socket
-            );
-            out.push(format!(
-                "{},\"dur\":{},{}}}",
-                head("cs wait", "cs", "X", *t_req),
-                fmt_us(t_acq.saturating_sub(*t_req)),
-                args
-            ));
-            out.push(format!(
-                "{},\"dur\":{},{}}}",
-                head("cs hold", "cs", "X", *t_acq),
-                fmt_us(ev.t_ns.saturating_sub(*t_acq)),
-                args
-            ));
+            let lock_key = if JSONL {
+                ",\"ev\":\"cs\",\"lock\":"
+            } else {
+                ",\"args\":{\"lock\":"
+            };
+            w.uint(lock_key, lock)
+                .label(",\"kind\":", kind)
+                .label(",\"path\":", path.label())
+                .label(",\"op\":", op.label())
+                .uint(",\"vci\":", vci);
+            if JSONL {
+                w.uint(",\"t_req\":", t_req).uint(",\"t_acq\":", t_acq);
+            } else {
+                w.uint(",\"core\":", ev.core)
+                    .uint(",\"socket\":", ev.socket);
+            }
         }
-        EventKind::Req { rank, vci, phase } => out.push(format!(
-            "{},\"s\":\"t\",\"args\":{{\"rank\":{},\"vci\":{}}}}}",
-            head(&format!("req {}", phase.label()), "req", "i", ev.t_ns),
-            rank,
-            vci
-        )),
+        EventKind::Req { rank, vci, phase } => {
+            w.uint(rank_key!("req"), rank).uint(",\"vci\":", vci);
+            if JSONL {
+                w.label(",\"phase\":", phase.label());
+            }
+        }
         EventKind::PollBatch {
             rank,
             vci,
             path,
             packets,
-        } => out.push(format!(
-            "{},\"s\":\"t\",\"args\":{{\"rank\":{},\"vci\":{},\"path\":\"{}\",\"packets\":{}}}}}",
-            head("poll", "progress", "i", ev.t_ns),
-            rank,
-            vci,
-            path.label(),
-            packets
-        )),
+        } => {
+            w.uint(rank_key!("poll"), rank)
+                .uint(",\"vci\":", vci)
+                .label(",\"path\":", path.label())
+                .uint(",\"packets\":", packets);
+        }
         EventKind::Rma {
             rank,
             origin,
             op,
             bytes,
-        } => out.push(format!(
-            "{},\"s\":\"t\",\"args\":{{\"rank\":{},\"origin\":{},\"bytes\":{}}}}}",
-            head(&format!("rma {op}"), "rma", "i", ev.t_ns),
-            rank,
-            origin,
-            bytes
-        )),
+        } => {
+            w.uint(rank_key!("rma"), rank).uint(",\"origin\":", origin);
+            if JSONL {
+                w.label(",\"op\":", op);
+            }
+            w.uint(",\"bytes\":", bytes);
+        }
         EventKind::FaultInjected {
             rank,
             dst,
             seq,
             fault,
-        } => out.push(format!(
-            "{},\"s\":\"t\",\"args\":{{\"rank\":{},\"dst\":{},\"seq\":{}}}}}",
-            head(&format!("fault {fault}"), "fault", "i", ev.t_ns),
-            rank,
-            dst,
-            seq
-        )),
+        } => {
+            w.uint(rank_key!("fault"), rank)
+                .uint(",\"dst\":", dst)
+                .uint(",\"seq\":", seq);
+            if JSONL {
+                w.label(",\"fault\":", fault);
+            }
+        }
         EventKind::Retransmit {
             rank,
             dst,
@@ -137,51 +156,27 @@ fn chrome_event(ev: &Event, pid: u32, out: &mut Vec<String>) {
             attempt,
             backoff_ns,
         } => {
-            out.push(format!(
-                "{},\"s\":\"t\",\"args\":{{\"rank\":{},\"dst\":{},\"seq\":{},\"attempt\":{},\"backoff_ns\":{}}}}}",
-                head("retransmit", "fault", "i", ev.t_ns),
-                rank,
-                dst,
-                seq,
-                attempt,
-                backoff_ns
-            ));
-            // Flow step: the retry becomes a waypoint on the message's
-            // arrow, so a recovered message still renders as one flow.
-            out.push(format!(
-                "{},\"id\":\"{:x}\"}}",
-                head("msg", "flow", "t", ev.t_ns),
-                fid(*rank, *dst, *seq)
-            ));
+            w.uint(rank_key!("retransmit"), rank)
+                .uint(",\"dst\":", dst)
+                .uint(",\"seq\":", seq)
+                .uint(",\"attempt\":", attempt)
+                .uint(",\"backoff_ns\":", backoff_ns);
         }
-        EventKind::DupDrop { rank, src, seq } => out.push(format!(
-            "{},\"s\":\"t\",\"args\":{{\"rank\":{},\"src\":{},\"seq\":{}}}}}",
-            head("dup drop", "fault", "i", ev.t_ns),
-            rank,
-            src,
-            seq
-        )),
+        EventKind::DupDrop { rank, src, seq } => {
+            w.uint(rank_key!("dupdrop"), rank)
+                .uint(",\"src\":", src)
+                .uint(",\"seq\":", seq);
+        }
         EventKind::FlowSend {
             rank,
             dst,
             vci,
             seq,
         } => {
-            // An instant marks the spot on the sender's track; the "s"
-            // flow event with the same (cat, id) opens the arrow there.
-            out.push(format!(
-                "{},\"s\":\"t\",\"args\":{{\"rank\":{},\"dst\":{},\"vci\":{},\"seq\":{}}}}}",
-                head("msg send", "flow", "i", ev.t_ns),
-                rank,
-                dst,
-                vci,
-                seq
-            ));
-            out.push(format!(
-                "{},\"id\":\"{:x}\"}}",
-                head("msg", "flow", "s", ev.t_ns),
-                fid(*rank, *dst, *seq)
-            ));
+            w.uint(rank_key!("flowsend"), rank)
+                .uint(",\"dst\":", dst)
+                .uint(",\"vci\":", vci)
+                .uint(",\"seq\":", seq);
         }
         EventKind::FlowRecv {
             rank,
@@ -189,235 +184,201 @@ fn chrome_event(ev: &Event, pid: u32, out: &mut Vec<String>) {
             vci,
             seq,
         } => {
-            out.push(format!(
-                "{},\"s\":\"t\",\"args\":{{\"rank\":{},\"src\":{},\"vci\":{},\"seq\":{}}}}}",
-                head("msg recv", "flow", "i", ev.t_ns),
-                rank,
-                src,
-                vci,
-                seq
-            ));
-            // "bp":"e" binds the finish to the enclosing slice's end —
-            // the binding chrome://tracing and Perfetto both accept.
-            out.push(format!(
-                "{},\"bp\":\"e\",\"id\":\"{:x}\"}}",
-                head("msg", "flow", "f", ev.t_ns),
-                fid(*src, *rank, *seq)
-            ));
+            w.uint(rank_key!("flowrecv"), rank)
+                .uint(",\"src\":", src)
+                .uint(",\"vci\":", vci)
+                .uint(",\"seq\":", seq);
+        }
+    }
+    w.raw(if JSONL { "}\n" } else { "}}" });
+}
+
+/// A Chrome trace document up to its drop count.
+const HEADER: &str = "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped\":";
+
+/// A Chrome trace document under construction: one buffer, written front
+/// to back. [`ChromeDoc::new`] streams every run's events into it,
+/// [`ChromeDoc::event`] lets a caller append more (the prof layer's
+/// counter track), [`ChromeDoc::finish`] closes the array — the document
+/// exists once in memory, as the `String` that is returned.
+pub struct ChromeDoc {
+    w: Writer,
+    /// Whether an event has been written (the next one needs a `,`).
+    any: bool,
+}
+
+impl ChromeDoc {
+    /// Open a document over `runs`: each timeline becomes its own Chrome
+    /// "process" (pid = index), labelled by a `process_name` metadata
+    /// event so Perfetto shows the run name. The runs are named up front
+    /// because their summed drop count sits in the header, ahead of the
+    /// first event.
+    pub fn new(runs: &[(&str, &Timeline)]) -> Self {
+        let mut doc = Self::open(runs.iter().map(|r| r.1));
+        for (pid, (name, t)) in runs.iter().enumerate() {
+            let pid = pid as u32;
+            doc.event()
+                .uint("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":", pid)
+                .string(",\"tid\":0,\"args\":{\"name\":", name)
+                .raw("}}");
+            doc.process(t, pid);
+        }
+        doc
+    }
+
+    /// The header, with room reserved for `timelines`' events.
+    fn open<'a>(timelines: impl Iterator<Item = &'a Timeline> + Clone) -> Self {
+        let events: usize = timelines.clone().map(Timeline::len).sum();
+        let dropped: u64 = timelines.map(|t| t.dropped).sum();
+        let mut w = Writer::with_capacity(128 + events * CHROME_BYTES_PER_EVENT);
+        w.uint(HEADER, dropped).raw("},\"traceEvents\":[\n");
+        Self { w, any: false }
+    }
+
+    /// Start one more trace event: the separator is written, the event's
+    /// JSON object is the caller's to append.
+    pub fn event(&mut self) -> &mut Writer {
+        if self.any {
+            self.w.raw(",\n");
+        }
+        self.any = true;
+        &mut self.w
+    }
+
+    /// Close the event array and hand the document over.
+    pub fn finish(mut self) -> String {
+        self.w.raw("\n]}\n");
+        self.w.finish()
+    }
+
+    /// A new event up to its timestamp:
+    /// `{"name":"<name><label>","cat":…,"ph":…,"pid":P,"tid":T,"ts":µs`.
+    fn head(
+        &mut self,
+        (opener, closer): (&str, &str),
+        label: &str,
+        (pid, tid, ts): (u32, u64, u64),
+    ) -> &mut Writer {
+        self.event()
+            .raw(opener)
+            .escaped(label)
+            .uint(closer, pid)
+            .uint(",\"tid\":", tid)
+            .us(",\"ts\":", ts)
+    }
+
+    /// Every event of `t` under Chrome process `pid`: two spans per CS
+    /// passage, an instant (plus its flow-arrow event) for anything
+    /// else, then the per-VCI lanes.
+    fn process(&mut self, t: &Timeline, pid: u32) {
+        for ev in &t.events {
+            let at = (pid, ev.tid, ev.t_ns);
+            // The instant's name, and the variable tail of it.
+            let (name, label) = match ev.kind {
+                EventKind::CsSpan { t_req, t_acq, .. } => {
+                    let wait = self.head(named!("cs wait", "cs", "X"), "", (pid, ev.tid, t_req));
+                    fields::<false>(wait.us(",\"dur\":", t_acq.saturating_sub(t_req)), ev);
+                    let hold = self.head(named!("cs hold", "cs", "X"), "", (pid, ev.tid, t_acq));
+                    fields::<false>(hold.us(",\"dur\":", ev.t_ns.saturating_sub(t_acq)), ev);
+                    continue;
+                }
+                EventKind::Req { phase, .. } => (named!("req ", "req", "i"), phase.label()),
+                EventKind::PollBatch { .. } => (named!("poll", "progress", "i"), ""),
+                EventKind::Rma { op, .. } => (named!("rma ", "rma", "i"), op),
+                EventKind::FaultInjected { fault, .. } => (named!("fault ", "fault", "i"), fault),
+                EventKind::Retransmit { .. } => (named!("retransmit", "fault", "i"), ""),
+                EventKind::DupDrop { .. } => (named!("dup drop", "fault", "i"), ""),
+                EventKind::FlowSend { .. } => (named!("msg send", "flow", "i"), ""),
+                EventKind::FlowRecv { .. } => (named!("msg recv", "flow", "i"), ""),
+            };
+            fields::<false>(self.head(name, label, at), ev);
+            // The arrow of the message: an `s` where it is sent, a `t`
+            // waypoint at each retransmit (so a recovered message still
+            // renders as one flow), an `f` where it is received — `"bp":"e"`
+            // binds that end to the enclosing slice, which chrome://tracing
+            // and Perfetto both accept.
+            let (name, id_key, (src, dst, seq)) = match ev.kind {
+                EventKind::FlowSend { rank, dst, seq, .. } => {
+                    (named!("msg", "flow", "s"), ",\"id\":\"", (rank, dst, seq))
+                }
+                EventKind::Retransmit { rank, dst, seq, .. } => {
+                    (named!("msg", "flow", "t"), ",\"id\":\"", (rank, dst, seq))
+                }
+                EventKind::FlowRecv { rank, src, seq, .. } => {
+                    let id_key = ",\"bp\":\"e\",\"id\":\"";
+                    (named!("msg", "flow", "f"), id_key, (src, rank, seq))
+                }
+                _ => continue,
+            };
+            // Chrome/Perfetto match flow events by id across the whole
+            // document, but a merged multi-run trace reuses (src, dst,
+            // seq) in every run ("process"). Scoping the rendered id by
+            // pid keeps each run's arrows inside its own track group;
+            // pid 0 (single-run documents) renders `flow_id` verbatim.
+            let id = flow_id(src, dst, seq) ^ scramble64(u64::from(pid));
+            self.head(name, "", at).hex(id_key, id, 1).raw("\"}");
+        }
+        self.vci_lanes(t, pid);
+    }
+
+    /// Per-VCI lanes: one synthetic named track per VCI, carrying every
+    /// CS *hold* span that entered that VCI's critical section — so shard
+    /// utilisation and imbalance are visible at a glance, whoever the
+    /// holding thread was.
+    ///
+    /// Nothing unless the timeline spans **more than one** distinct VCI:
+    /// unsharded runs (everything on VCI 0) keep their exact pre-VCI
+    /// trace bytes.
+    fn vci_lanes(&mut self, t: &Timeline, pid: u32) {
+        let vcis: BTreeSet<u32> = t.cs_spans().map(|s| s.vci).collect();
+        if vcis.len() <= 1 {
+            return;
+        }
+        for &v in &vcis {
+            self.event()
+                .uint("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":", pid)
+                .uint(",\"tid\":", VCI_LANE_TID_BASE + u64::from(v))
+                .uint(",\"args\":{\"name\":\"vci ", v)
+                .raw("\"}}");
+        }
+        for s in t.cs_spans() {
+            let lane = (pid, VCI_LANE_TID_BASE + u64::from(s.vci), s.t_acq);
+            self.head(named!("cs hold", "vci", "X"), "", lane)
+                .us(",\"dur\":", s.hold_ns())
+                .uint(",\"args\":{\"lock\":", s.lock)
+                .label(",\"op\":", s.op.label())
+                .label(",\"path\":", s.path.label())
+                .uint(",\"tid\":", s.tid)
+                .raw("}}");
         }
     }
 }
 
-/// All trace-event JSON objects of a timeline, with the given Chrome
-/// `pid` (use distinct pids to merge several runs into one trace).
-pub fn chrome_trace_events(t: &Timeline, pid: u32) -> Vec<String> {
-    let mut out = Vec::with_capacity(t.events.len() * 2);
-    for ev in &t.events {
-        chrome_event(ev, pid, &mut out);
-    }
-    out
-}
-
-/// Synthetic Chrome thread id hosting the lane of VCI `v` (far above any
-/// real platform tid, so the lanes sort below the per-thread tracks).
-pub const VCI_LANE_TID_BASE: u64 = 1_000_000_000;
-
-/// Per-VCI lanes: one synthetic named track per VCI, carrying every CS
-/// *hold* span that entered that VCI's critical section — so shard
-/// utilisation and imbalance are visible at a glance, whoever the
-/// holding thread was.
-///
-/// Empty unless the timeline spans **more than one** distinct VCI:
-/// unsharded runs (everything on VCI 0) keep their exact pre-VCI trace
-/// bytes.
-pub fn chrome_vci_lane_events(t: &Timeline, pid: u32) -> Vec<String> {
-    let mut vcis: Vec<u32> = t.cs_spans().map(|s| s.vci).collect();
-    vcis.sort_unstable();
-    vcis.dedup();
-    if vcis.len() <= 1 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for &v in &vcis {
-        out.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\
-             \"args\":{{\"name\":\"vci {}\"}}}}",
-            pid,
-            VCI_LANE_TID_BASE + u64::from(v),
-            v
-        ));
-    }
-    for s in t.cs_spans() {
-        out.push(format!(
-            "{{\"name\":\"cs hold\",\"cat\":\"vci\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
-             \"ts\":{},\"dur\":{},\"args\":{{\"lock\":{},\"op\":\"{}\",\"path\":\"{}\",\"tid\":{}}}}}",
-            pid,
-            VCI_LANE_TID_BASE + u64::from(s.vci),
-            fmt_us(s.t_acq),
-            fmt_us(s.hold_ns()),
-            s.lock,
-            s.op.label(),
-            s.path.label(),
-            s.tid
-        ));
-    }
-    out
-}
-
-/// Wrap pre-rendered trace-event JSON objects into a complete Chrome
-/// trace document. Building block for [`chrome_trace`] /
-/// [`chrome_trace_multi`] and for callers that append extra events (the
-/// prof layer's counter tracks).
-pub fn chrome_trace_doc(events: &[String], dropped: u64) -> String {
-    format!(
-        "{{\"displayTimeUnit\":\"ns\",\"otherData\":{{\"dropped\":{}}},\"traceEvents\":[\n{}\n]}}\n",
-        dropped,
-        events.join(",\n")
-    )
-}
-
-/// A complete Chrome trace-event JSON document for one timeline. When
-/// the run used several VCIs, per-VCI lanes are appended (see
-/// [`chrome_vci_lane_events`]).
+/// A complete Chrome trace-event JSON document for one timeline (one
+/// unnamed process, pid 0).
 pub fn chrome_trace(t: &Timeline) -> String {
-    let mut events = chrome_trace_events(t, 0);
-    events.extend(chrome_vci_lane_events(t, 0));
-    chrome_trace_doc(&events, t.dropped)
-}
-
-/// The merged event objects and total drop count of several named
-/// timelines: each timeline becomes its own Chrome "process"
-/// (pid = index), labelled via a `process_name` metadata event so
-/// Perfetto shows the run name.
-pub fn chrome_trace_multi_events(runs: &[(&str, &Timeline)]) -> (Vec<String>, u64) {
-    let mut events = Vec::new();
-    let mut dropped = 0u64;
-    for (pid, (name, t)) in runs.iter().enumerate() {
-        let pid = pid as u32;
-        dropped += t.dropped;
-        events.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            pid,
-            escape(name)
-        ));
-        events.extend(chrome_trace_events(t, pid));
-        events.extend(chrome_vci_lane_events(t, pid));
-    }
-    (events, dropped)
+    let mut doc = ChromeDoc::open(std::iter::once(t));
+    doc.process(t, 0);
+    doc.finish()
 }
 
 /// Merge several named timelines into one Chrome trace document.
 pub fn chrome_trace_multi(runs: &[(&str, &Timeline)]) -> String {
-    let (events, dropped) = chrome_trace_multi_events(runs);
-    chrome_trace_doc(&events, dropped)
+    ChromeDoc::new(runs).finish()
 }
 
 /// One JSON object per line, one line per event — greppable and
 /// stream-parseable.
 pub fn jsonl(t: &Timeline) -> String {
-    let mut out = String::new();
+    let mut w = Writer::with_capacity(t.len() * JSONL_BYTES_PER_EVENT);
     for ev in &t.events {
-        let head = format!(
-            "{{\"t\":{},\"tid\":{},\"core\":{},\"socket\":{}",
-            ev.t_ns, ev.tid, ev.core, ev.socket
-        );
-        let tail = match &ev.kind {
-            EventKind::CsSpan {
-                lock,
-                kind,
-                path,
-                op,
-                vci,
-                t_req,
-                t_acq,
-            } => format!(
-                "\"ev\":\"cs\",\"lock\":{},\"kind\":\"{}\",\"path\":\"{}\",\"op\":\"{}\",\"vci\":{},\"t_req\":{},\"t_acq\":{}",
-                lock,
-                kind,
-                path.label(),
-                op.label(),
-                vci,
-                t_req,
-                t_acq
-            ),
-            EventKind::Req { rank, vci, phase } => {
-                format!(
-                    "\"ev\":\"req\",\"rank\":{},\"vci\":{},\"phase\":\"{}\"",
-                    rank,
-                    vci,
-                    phase.label()
-                )
-            }
-            EventKind::PollBatch {
-                rank,
-                vci,
-                path,
-                packets,
-            } => format!(
-                "\"ev\":\"poll\",\"rank\":{},\"vci\":{},\"path\":\"{}\",\"packets\":{}",
-                rank,
-                vci,
-                path.label(),
-                packets
-            ),
-            EventKind::Rma {
-                rank,
-                origin,
-                op,
-                bytes,
-            } => format!(
-                "\"ev\":\"rma\",\"rank\":{},\"origin\":{},\"op\":\"{}\",\"bytes\":{}",
-                rank, origin, op, bytes
-            ),
-            EventKind::FaultInjected {
-                rank,
-                dst,
-                seq,
-                fault,
-            } => format!(
-                "\"ev\":\"fault\",\"rank\":{},\"dst\":{},\"seq\":{},\"fault\":\"{}\"",
-                rank, dst, seq, fault
-            ),
-            EventKind::Retransmit {
-                rank,
-                dst,
-                seq,
-                attempt,
-                backoff_ns,
-            } => format!(
-                "\"ev\":\"retransmit\",\"rank\":{},\"dst\":{},\"seq\":{},\"attempt\":{},\"backoff_ns\":{}",
-                rank, dst, seq, attempt, backoff_ns
-            ),
-            EventKind::DupDrop { rank, src, seq } => format!(
-                "\"ev\":\"dupdrop\",\"rank\":{},\"src\":{},\"seq\":{}",
-                rank, src, seq
-            ),
-            EventKind::FlowSend {
-                rank,
-                dst,
-                vci,
-                seq,
-            } => format!(
-                "\"ev\":\"flowsend\",\"rank\":{},\"dst\":{},\"vci\":{},\"seq\":{}",
-                rank, dst, vci, seq
-            ),
-            EventKind::FlowRecv {
-                rank,
-                src,
-                vci,
-                seq,
-            } => format!(
-                "\"ev\":\"flowrecv\",\"rank\":{},\"src\":{},\"vci\":{},\"seq\":{}",
-                rank, src, vci, seq
-            ),
-        };
-        out.push_str(&head);
-        out.push(',');
-        out.push_str(&tail);
-        out.push_str("}\n");
+        w.uint("{\"t\":", ev.t_ns)
+            .uint(",\"tid\":", ev.tid)
+            .uint(",\"core\":", ev.core)
+            .uint(",\"socket\":", ev.socket);
+        fields::<true>(&mut w, ev);
     }
-    out
+    w.finish()
 }
 
 /// Fixed-width text summary of named histograms (nanosecond samples),
@@ -539,10 +500,17 @@ mod tests {
 
     #[test]
     fn single_vci_traces_get_no_lanes_but_sharded_ones_do() {
+        /// The events a document holds in category `vci` or named
+        /// `thread_name` — one per line between the frame's two lines.
+        fn lane_events(doc: &str) -> usize {
+            doc.lines()
+                .filter(|l| l.contains("\"cat\":\"vci\"") || l.contains("\"thread_name\""))
+                .count()
+        }
         // Everything on VCI 0 (the unsharded path): no synthetic lanes,
         // so pre-VCI trace output is preserved byte-for-byte.
         let t = sample_timeline();
-        assert!(chrome_vci_lane_events(&t, 0).is_empty());
+        assert_eq!(lane_events(&chrome_trace(&t)), 0);
         assert!(!chrome_trace(&t).contains("\"vci 0\""));
 
         // Two distinct VCIs: one named lane per VCI plus a hold span on
@@ -563,13 +531,34 @@ mod tests {
                 t_acq: 8_200,
             },
         });
-        let lanes = chrome_vci_lane_events(&sharded, 0);
-        assert_eq!(lanes.len(), 2 + 2, "2 lane names + 2 hold spans");
         let doc = chrome_trace(&sharded);
+        assert_eq!(lane_events(&doc), 2 + 2, "2 lane names + 2 hold spans");
         assert!(doc.contains("\"vci 0\""));
         assert!(doc.contains("\"vci 3\""));
         assert!(doc.contains(&format!("\"tid\":{}", VCI_LANE_TID_BASE + 3)));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        // A merged document gives every sharded process its own lanes.
+        let multi = chrome_trace_multi(&[("a", &sharded), ("b", &t), ("c", &sharded)]);
+        assert_eq!(lane_events(&multi), 2 * (2 + 2));
+    }
+
+    #[test]
+    fn appended_events_join_the_array_and_an_empty_document_is_wellformed() {
+        assert_eq!(
+            chrome_trace(&Timeline::default()),
+            "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped\":0},\"traceEvents\":[\n\n]}\n"
+        );
+        let t = sample_timeline();
+        let mut doc = ChromeDoc::new(&[("run", &t)]);
+        doc.event().raw("{\"name\":\"extra\",\"ph\":\"C\"}");
+        doc.event().raw("{\"name\":\"extra2\",\"ph\":\"C\"}");
+        let s = doc.finish();
+        assert!(s.ends_with(
+            "}},\n{\"name\":\"extra\",\"ph\":\"C\"},\n{\"name\":\"extra2\",\"ph\":\"C\"}\n]}\n"
+        ));
+        let mut only = ChromeDoc::new(&[]);
+        only.event().raw("{}");
+        assert!(only.finish().ends_with("\"traceEvents\":[\n{}\n]}\n"));
     }
 
     #[test]

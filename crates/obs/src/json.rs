@@ -1,52 +1,250 @@
-//! Minimal deterministic JSON string building.
+//! The workspace's JSON writer: one append-only buffer.
 //!
-//! No serializer crate exists offline, so every JSON artifact is built
-//! by hand. These
-//! helpers keep that deterministic: fixed-decimal timestamps and plain
-//! `Display` floats, so identical inputs yield byte-identical output.
+//! No serializer crate exists offline, so every JSON artefact is written
+//! by hand — through [`Writer`]. It appends literal text, integers,
+//! fixed-3-decimal microseconds, hex, floats and escaped strings to one
+//! byte buffer and hands the buffer over as the finished `String`; no
+//! value is rendered into a temporary first. Integers are formatted two
+//! digits at a time into a stack array, and a string that needs no
+//! escaping is copied through in one piece, which is what lets the trace
+//! exporters run at memory speed. Every rendering is a pure function of
+//! its input (plain `Display` floats, fixed-width fractions), so
+//! identical inputs yield byte-identical output.
+//!
+//! [`fmt_us`] and [`fmt_f64`] are the same routines returning a fresh
+//! `String`, for table cells and other one-off values.
 
-/// Escape a string for inclusion inside JSON double quotes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+use std::io::Write as _;
+
+/// `"00" "01" … "99"`: the two ASCII digits of every value below 100.
+const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+      2021222324252627282930313233343536373839\
+      4041424344454647484950515253545556575859\
+      6061626364656667686970717273747576777879\
+      8081828384858687888990919293949596979899";
+
+/// An append-only JSON text buffer. Every value method takes the literal
+/// text that precedes the value (`,"tid":`, usually) and returns
+/// `&mut Self`, so one object reads as one chain of key-value appends.
+#[derive(Debug, Default)]
+pub struct Writer {
+    /// Only ever extended with whole `&str`s and ASCII digits, so it is
+    /// UTF-8 at every step; [`Writer::finish`] checks that once.
+    buf: Vec<u8>,
+}
+
+impl Writer {
+    /// An empty writer with room for `bytes`.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
         }
     }
-    out
-}
 
-/// Nanoseconds as a fixed-3-decimal microsecond literal (`"1.234"`), the
-/// unit Chrome's trace viewer expects for `ts`/`dur`.
-pub fn fmt_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-/// A float as a JSON number (`0` for non-finite values, which JSON cannot
-/// represent).
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_owned()
+    /// Append `s` verbatim (structure, keys, pre-rendered values).
+    #[inline]
+    pub fn raw(&mut self, s: &str) -> &mut Self {
+        self.buf.extend_from_slice(s.as_bytes());
+        self
     }
+
+    /// Append the separator ahead of element `i` of an array or object:
+    /// a comma, except before the first.
+    pub fn comma(&mut self, i: usize) -> &mut Self {
+        self.raw(if i > 0 { "," } else { "" })
+    }
+
+    /// Append `pre`, then `v` in decimal (what `to_string` prints).
+    pub fn uint(&mut self, pre: &str, v: impl Into<u64>) -> &mut Self {
+        self.raw(pre).digits(v.into(), 1)
+    }
+
+    /// Append `pre`, then nanoseconds as a fixed-3-decimal microsecond
+    /// literal (`1234567` → `1234.567`), the unit Chrome's trace viewer
+    /// expects for `ts`/`dur`.
+    pub fn us(&mut self, pre: &str, ns: u64) -> &mut Self {
+        self.raw(pre)
+            .digits(ns / 1000, 1)
+            .raw(".")
+            .digits(ns % 1000, 3)
+    }
+
+    /// Append `pre`, then `v` in lower-case hex, zero-padded to `width`
+    /// digits (`{:x}` at width 1, `{:016x}` at 16).
+    pub fn hex(&mut self, pre: &str, mut v: u64, width: usize) -> &mut Self {
+        let mut tmp = [b'0'; 16];
+        let mut i = tmp.len();
+        while v > 0 {
+            i -= 1;
+            tmp[i] = b"0123456789abcdef"[(v & 15) as usize];
+            v >>= 4;
+        }
+        let start = i.min(tmp.len() - width.clamp(1, tmp.len()));
+        self.raw(pre).buf.extend_from_slice(&tmp[start..]);
+        self
+    }
+
+    /// Append `pre`, then a float as a JSON number: shortest round-trip
+    /// `Display`, `0` for NaN and ±inf (which JSON cannot represent).
+    pub fn float(&mut self, pre: &str, v: f64) -> &mut Self {
+        if v.is_finite() {
+            write!(self.raw(pre).buf, "{v}").expect("writing to a Vec cannot fail");
+            self
+        } else {
+            self.raw(pre).raw("0")
+        }
+    }
+
+    /// Append `pre`, then `s` in quotes as it is — for the exporters'
+    /// static labels (`"mutex"`, `"isend"`), which hold nothing to escape.
+    pub fn label(&mut self, pre: &str, s: &str) -> &mut Self {
+        self.raw(pre).raw("\"").raw(s).raw("\"")
+    }
+
+    /// Append `pre`, then `s` as a JSON string: quotes around
+    /// [`Writer::escaped`].
+    pub fn string(&mut self, pre: &str, s: &str) -> &mut Self {
+        self.raw(pre).raw("\"").escaped(s).raw("\"")
+    }
+
+    /// Append `s` escaped for the inside of JSON double quotes. Runs of
+    /// bytes that need no escaping (all of `s`, usually) are copied in
+    /// one piece.
+    pub fn escaped(&mut self, s: &str) -> &mut Self {
+        let mut rest = s;
+        // The bytes that stop a run are ASCII, so every cut below falls
+        // on a character boundary.
+        while let Some(i) = rest
+            .bytes()
+            .position(|b| b < 0x20 || b == b'"' || b == b'\\')
+        {
+            self.raw(&rest[..i]);
+            match rest.as_bytes()[i] {
+                b'"' => self.raw("\\\""),
+                b'\\' => self.raw("\\\\"),
+                b'\n' => self.raw("\\n"),
+                b'\r' => self.raw("\\r"),
+                b'\t' => self.raw("\\t"),
+                b => self.hex("\\u", u64::from(b), 4),
+            };
+            rest = &rest[i + 1..];
+        }
+        self.raw(rest)
+    }
+
+    /// The finished text.
+    pub fn finish(self) -> String {
+        String::from_utf8(self.buf).expect("Writer appends only UTF-8")
+    }
+
+    /// `v` in decimal, zero-padded to at least `min` digits, two digits
+    /// per division.
+    fn digits(&mut self, mut v: u64, min: usize) -> &mut Self {
+        let mut tmp = [b'0'; 20];
+        let mut i = tmp.len();
+        while v >= 100 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            i -= 2;
+            tmp[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        }
+        if v >= 10 {
+            i -= 2;
+            tmp[i..i + 2].copy_from_slice(&PAIRS[v as usize * 2..v as usize * 2 + 2]);
+        } else {
+            i -= 1;
+            tmp[i] = b'0' + v as u8;
+        }
+        self.buf.extend_from_slice(&tmp[i.min(tmp.len() - min)..]);
+        self
+    }
+}
+
+/// One value rendered on its own.
+fn rendered(f: impl FnOnce(&mut Writer) -> &mut Writer) -> String {
+    let mut w = Writer::default();
+    f(&mut w);
+    w.finish()
+}
+
+/// Nanoseconds as a fixed-3-decimal microsecond literal (`"1.234"`).
+pub fn fmt_us(ns: u64) -> String {
+    rendered(|w| w.us("", ns))
+}
+
+/// A float as a JSON number (`0` for non-finite values).
+pub fn fmt_f64(v: f64) -> String {
+    rendered(|w| w.float("", v))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The `format!`-per-value routines the writer replaced, kept as the
+    /// reference the tests compare against.
+    mod old {
+        pub fn escape(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+
+        pub fn fmt_us(ns: u64) -> String {
+            format!("{}.{:03}", ns / 1000, ns % 1000)
+        }
+
+        pub fn fmt_f64(v: f64) -> String {
+            if v.is_finite() {
+                format!("{v}")
+            } else {
+                "0".to_owned()
+            }
+        }
+    }
+
+    fn uint(v: u64) -> String {
+        rendered(|w| w.uint("", v))
+    }
+
+    fn escape(s: &str) -> String {
+        rendered(|w| w.escaped(s))
+    }
+
+    /// Arbitrary text with the escape classes over-represented: control
+    /// characters, quotes, backslashes, and multi-byte UTF-8.
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec((0u32..8, any::<u32>()), 0..48).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(class, x)| match class {
+                    0 => char::from(x as u8 % 0x20),
+                    1 => ['"', '\\', '\n', '\r', '\t', '/', '\u{7f}'][x as usize % 7],
+                    2 => char::from_u32(x % 0x11_0000).unwrap_or('\u{fffd}'),
+                    3 => ['\u{e9}', '\u{2014}', '\u{1f980}'][x as usize % 3],
+                    _ => char::from(b' ' + x as u8 % 95),
+                })
+                .collect()
+        })
+    }
 
     #[test]
     fn escapes_specials() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
         assert_eq!(escape("plain"), "plain");
+        assert_eq!(rendered(|w| w.string("k:", "a\tb")), "k:\"a\\tb\"");
     }
 
     #[test]
@@ -60,7 +258,57 @@ mod tests {
     #[test]
     fn floats_are_plain_and_finite() {
         assert_eq!(fmt_f64(1.5), "1.5");
-        assert_eq!(fmt_f64(f64::NAN), "0");
-        assert_eq!(fmt_f64(f64::INFINITY), "0");
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(fmt_f64(v), "0");
+        }
+    }
+
+    #[test]
+    fn integers_match_to_string_at_every_digit_boundary() {
+        let mut edges = vec![0, 9, 10, 99, 100, u64::MAX];
+        let mut p = 10u64;
+        loop {
+            edges.extend([p - 1, p, p + 1]);
+            match p.checked_mul(10) {
+                Some(next) => p = next,
+                None => break,
+            }
+        }
+        for v in edges {
+            assert_eq!(uint(v), v.to_string());
+            assert_eq!(fmt_us(v), old::fmt_us(v));
+            assert_eq!(rendered(|w| w.hex("", v, 1)), format!("{v:x}"));
+            assert_eq!(rendered(|w| w.hex("", v, 16)), format!("{v:016x}"));
+        }
+    }
+
+    #[test]
+    fn calls_append_in_order() {
+        let mut w = Writer::with_capacity(64);
+        w.uint("{\"k\":", 7u32).string(",\"s\":", "x\"y");
+        w.us(",\"t\":", 1_500).float(",\"f\":", 0.25).raw("}");
+        assert_eq!(
+            w.finish(),
+            "{\"k\":7,\"s\":\"x\\\"y\",\"t\":1.500,\"f\":0.25}"
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn numbers_match_the_format_machinery(v in any::<u64>(), shift in 0u32..64) {
+            let v = v >> shift;
+            prop_assert_eq!(uint(v), v.to_string());
+            prop_assert_eq!(fmt_us(v), old::fmt_us(v));
+            prop_assert_eq!(rendered(|w| w.hex("", v, 1)), format!("{v:x}"));
+            prop_assert_eq!(rendered(|w| w.hex("", v, 16)), format!("{v:016x}"));
+            let f = f64::from_bits(v);
+            prop_assert_eq!(fmt_f64(f), old::fmt_f64(f));
+        }
+
+        #[test]
+        fn escaping_matches_the_per_char_routine(s in text()) {
+            prop_assert_eq!(escape(&s), old::escape(&s));
+            prop_assert_eq!(rendered(|w| w.string("", &s)), format!("\"{}\"", old::escape(&s)));
+        }
     }
 }

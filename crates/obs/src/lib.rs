@@ -34,9 +34,7 @@ pub mod summary;
 
 pub use event::{CsOp, Event, EventKind, Path, ReqPhase};
 pub use export::{
-    chrome_trace, chrome_trace_doc, chrome_trace_events, chrome_trace_multi,
-    chrome_trace_multi_events, chrome_vci_lane_events, flow_id, jsonl, text_report,
-    VCI_LANE_TID_BASE,
+    chrome_trace, chrome_trace_multi, flow_id, jsonl, text_report, ChromeDoc, VCI_LANE_TID_BASE,
 };
 pub use recorder::{
     swap_shard_claim, CsSpanView, DrainCursor, NullRecorder, Recorder, RingRecorder, ShardClaim,

@@ -449,4 +449,33 @@ mod tests {
             Some(1200)
         );
     }
+
+    proptest::proptest! {
+        /// What the workspace's writer emits for a string, this parser
+        /// reads back as the same string — whatever the text holds.
+        #[test]
+        fn writer_strings_round_trip(
+            picks in proptest::collection::vec((0u32..6, proptest::any::<u32>()), 0..48),
+            n in proptest::any::<u64>(),
+        ) {
+            let text: String = picks
+                .into_iter()
+                .map(|(class, x)| match class {
+                    0 => char::from(x as u8 % 0x20),
+                    1 => ['"', '\\', '\n', '\r', '\t', '/'][x as usize % 6],
+                    2 => char::from_u32(x % 0x11_0000).unwrap_or('\u{fffd}'),
+                    _ => char::from(b' ' + x as u8 % 95),
+                })
+                .collect();
+            let mut w = mtmpi_obs::json::Writer::default();
+            w.string("{\"s\":", &text).us(",\"us\":", n >> 12);
+            w.float(",\"f\":", f64::from_bits(n)).raw("}");
+            let doc = Json::parse(&w.finish());
+            proptest::prop_assert!(doc.is_ok(), "{:?}", doc);
+            let doc = doc.unwrap();
+            proptest::prop_assert_eq!(doc.get("s").and_then(Json::as_str), Some(text.as_str()));
+            let us = (n >> 12) as f64 / 1000.0;
+            proptest::prop_assert_eq!(doc.get("us").and_then(Json::as_f64), Some(us));
+        }
+    }
 }

@@ -12,8 +12,8 @@ use crate::blame::BlameMatrix;
 use crate::decomp::LatencyDecomp;
 use crate::window::Windows;
 use mtmpi_metrics::{Histogram, Table};
-use mtmpi_obs::json::{escape, fmt_f64, fmt_us};
-use mtmpi_obs::Timeline;
+use mtmpi_obs::json::{fmt_f64, fmt_us, Writer};
+use mtmpi_obs::{ChromeDoc, Timeline};
 
 /// One run's blame matrix, latency decomposition, and windowed series.
 #[derive(Debug, Clone)]
@@ -37,109 +37,76 @@ impl ProfReport {
         }
     }
 
-    /// The `"prof"` JSON block (one line, hand-rolled, deterministic).
-    /// Includes the rendered `text_report` as an escaped string member so
-    /// the artifact is self-describing.
+    /// The `"prof"` JSON block (one line, deterministic). Includes the
+    /// rendered `text_report` as an escaped string member so the artifact
+    /// is self-describing.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"blame\":{");
-        out.push_str(&format!(
-            "\"total_wait_ns\":{},\"gini\":{},",
-            self.blame.total_wait_ns,
-            fmt_f64(self.blame.gini)
-        ));
-        out.push_str("\"rows\":[");
+        let mut out = Writer::default();
+        out.uint("{\"blame\":{\"total_wait_ns\":", self.blame.total_wait_ns)
+            .float(",\"gini\":", self.blame.gini)
+            .raw(",\"rows\":[");
         for (i, r) in self.blame.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"waiter\":{},\"total_ns\":{},\"unattributed_ns\":{},\"cells\":[",
-                r.waiter_tid, r.total_ns, r.unattributed_ns
-            ));
+            out.comma(i)
+                .uint("{\"waiter\":", r.waiter_tid)
+                .uint(",\"total_ns\":", r.total_ns)
+                .uint(",\"unattributed_ns\":", r.unattributed_ns)
+                .raw(",\"cells\":[");
             for (j, c) in r.cells.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"tid\":{},\"path\":\"{}\",\"op\":\"{}\",\"ns\":{}}}",
-                    c.holder.tid,
-                    c.holder.path().label(),
-                    c.holder.op().label(),
-                    c.ns
-                ));
+                out.comma(j)
+                    .uint("{\"tid\":", c.holder.tid)
+                    .label(",\"path\":", c.holder.path().label())
+                    .label(",\"op\":", c.holder.op().label())
+                    .uint(",\"ns\":", c.ns)
+                    .raw("}");
             }
-            out.push_str("]}");
+            out.raw("]}");
         }
-        out.push_str("],\"shares\":[");
+        out.raw("],\"shares\":[");
         for (i, s) in self.blame.shares.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"tid\":{},\"acquisitions\":{},\"share\":{},\"hold_ns\":{}}}",
-                s.tid,
-                s.acquisitions,
-                fmt_f64(s.share),
-                s.hold_ns
-            ));
+            out.comma(i)
+                .uint("{\"tid\":", s.tid)
+                .uint(",\"acquisitions\":", s.acquisitions)
+                .float(",\"share\":", s.share)
+                .uint(",\"hold_ns\":", s.hold_ns)
+                .raw("}");
         }
-        let st = &self.blame.starvation;
-        out.push_str(&format!(
-            "],\"starvation\":{{\"main_spans\":{},\"progress_spans\":{},\
-             \"waitspin_spans\":{},\"stream_spans\":{},\"main_wait_mean_ns\":{},\
-             \"progress_wait_mean_ns\":{},\"waitspin_wait_mean_ns\":{},\
-             \"stream_wait_mean_ns\":{},\"ratio\":{}}}}}",
-            st.main_spans,
-            st.progress_spans,
-            st.waitspin_spans,
-            st.stream_spans,
-            fmt_f64(st.main_wait_mean_ns),
-            fmt_f64(st.progress_wait_mean_ns),
-            fmt_f64(st.waitspin_wait_mean_ns),
-            fmt_f64(st.stream_wait_mean_ns),
-            fmt_f64(st.ratio)
-        ));
-        let d = &self.decomp;
-        out.push_str(&format!(
-            ",\"decomp\":{{\"messages\":{},\"mean_ns\":{},\"cs_wait_ns\":{},\
-             \"cs_hold_ns\":{},\"poll_ns\":{},\"retry_ns\":{},\"network_ns\":{},\"scale\":{}}}",
-            d.messages,
-            fmt_f64(d.mean_ns),
-            fmt_f64(d.cs_wait_ns),
-            fmt_f64(d.cs_hold_ns),
-            fmt_f64(d.poll_ns),
-            fmt_f64(d.retry_ns),
-            fmt_f64(d.network_ns),
-            fmt_f64(d.scale)
-        ));
-        out.push_str(&format!(
-            ",\"windows\":{{\"width_ns\":{},\"dropped\":{},\"rows\":[",
-            self.windows.width_ns, self.windows.dropped
-        ));
+        let (st, d) = (&self.blame.starvation, &self.decomp);
+        out.uint("],\"starvation\":{\"main_spans\":", st.main_spans)
+            .uint(",\"progress_spans\":", st.progress_spans)
+            .uint(",\"waitspin_spans\":", st.waitspin_spans)
+            .uint(",\"stream_spans\":", st.stream_spans)
+            .float(",\"main_wait_mean_ns\":", st.main_wait_mean_ns)
+            .float(",\"progress_wait_mean_ns\":", st.progress_wait_mean_ns)
+            .float(",\"waitspin_wait_mean_ns\":", st.waitspin_wait_mean_ns)
+            .float(",\"stream_wait_mean_ns\":", st.stream_wait_mean_ns)
+            .float(",\"ratio\":", st.ratio)
+            .uint("}},\"decomp\":{\"messages\":", d.messages)
+            .float(",\"mean_ns\":", d.mean_ns)
+            .float(",\"cs_wait_ns\":", d.cs_wait_ns)
+            .float(",\"cs_hold_ns\":", d.cs_hold_ns)
+            .float(",\"poll_ns\":", d.poll_ns)
+            .float(",\"retry_ns\":", d.retry_ns)
+            .float(",\"network_ns\":", d.network_ns)
+            .float(",\"scale\":", d.scale)
+            .uint("},\"windows\":{\"width_ns\":", self.windows.width_ns)
+            .uint(",\"dropped\":", self.windows.dropped)
+            .raw(",\"rows\":[");
         for (i, w) in self.windows.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"start_ns\":{},\"spans\":{},\"wait_p50_ns\":{},\"wait_p99_ns\":{},\
-                 \"wait_ns\":{},\"hold_ns\":{},\"top_tid\":{},\"top_share\":{},\"gini\":{}}}",
-                w.start_ns,
-                w.spans,
-                w.wait_p50_ns,
-                w.wait_p99_ns,
-                w.wait_ns,
-                w.hold_ns,
-                w.top_tid,
-                fmt_f64(w.top_share),
-                fmt_f64(w.gini)
-            ));
+            out.comma(i)
+                .uint("{\"start_ns\":", w.start_ns)
+                .uint(",\"spans\":", w.spans)
+                .uint(",\"wait_p50_ns\":", w.wait_p50_ns)
+                .uint(",\"wait_p99_ns\":", w.wait_p99_ns)
+                .uint(",\"wait_ns\":", w.wait_ns)
+                .uint(",\"hold_ns\":", w.hold_ns)
+                .uint(",\"top_tid\":", w.top_tid)
+                .float(",\"top_share\":", w.top_share)
+                .float(",\"gini\":", w.gini)
+                .raw("}");
         }
-        out.push_str("]}");
-        out.push_str(&format!(
-            ",\"text_report\":\"{}\"}}",
-            escape(&self.text_report())
-        ));
-        out
+        out.string("]},\"text_report\":", &self.text_report())
+            .raw("}");
+        out.finish()
     }
 
     /// Fixed-width human rendering: decomposition, top blame pairs,
@@ -240,29 +207,22 @@ impl ProfReport {
         out
     }
 
-    /// Perfetto counter-track events (`"ph":"C"`): one sample per window
-    /// on a `contention` track under process `pid`. Append these to the
-    /// event array of a Chrome trace document; Perfetto renders each args
-    /// key as its own counter series.
-    pub fn counter_events(&self, pid: u32) -> Vec<String> {
-        self.windows
-            .rows
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"name\":\"contention\",\"ph\":\"C\",\"ts\":{},\"pid\":{},\
-                     \"args\":{{\"wait_p50_us\":{},\"wait_p99_us\":{},\"spans\":{},\
-                     \"top_share\":{},\"gini\":{}}}}}",
-                    fmt_us(w.start_ns),
-                    pid,
-                    fmt_us(w.wait_p50_ns),
-                    fmt_us(w.wait_p99_ns),
-                    w.spans,
-                    fmt_f64(w.top_share),
-                    fmt_f64(w.gini)
-                )
-            })
-            .collect()
+    /// Append the Perfetto counter track (`"ph":"C"`) to a Chrome trace
+    /// document: one sample per window on a `contention` track under
+    /// process `pid`. Perfetto renders each args key as its own counter
+    /// series.
+    pub fn counter_track(&self, pid: u32, doc: &mut ChromeDoc) {
+        for w in &self.windows.rows {
+            doc.event()
+                .us("{\"name\":\"contention\",\"ph\":\"C\",\"ts\":", w.start_ns)
+                .uint(",\"pid\":", pid)
+                .us(",\"args\":{\"wait_p50_us\":", w.wait_p50_ns)
+                .us(",\"wait_p99_us\":", w.wait_p99_ns)
+                .uint(",\"spans\":", w.spans)
+                .float(",\"top_share\":", w.top_share)
+                .float(",\"gini\":", w.gini)
+                .raw("}}");
+        }
     }
 
     /// Prometheus-style text exposition for this run. `labels` is the
@@ -401,13 +361,24 @@ mod tests {
 
     #[test]
     fn counter_events_are_valid_json_per_window() {
-        let r = ProfReport::analyze(&demo_timeline(), &demo_latency());
-        let evs = r.counter_events(7);
-        assert_eq!(evs.len(), r.windows.rows.len());
-        for e in &evs {
-            let v = crate::json::Json::parse(e).expect("counter event parses");
-            assert_eq!(v.get("ph").unwrap().as_str(), Some("C"));
+        let t = demo_timeline();
+        let mut r = ProfReport::analyze(&t, &demo_latency());
+        r.windows = Windows::compute(&t, 100);
+        assert!(r.windows.rows.len() > 1, "several windows to render");
+        let mut doc = ChromeDoc::new(&[("demo", &t)]);
+        r.counter_track(7, &mut doc);
+        let doc = doc.finish();
+        crate::json::Json::parse(&doc).expect("document with a counter track parses");
+        // One event per line; the appended ones are the `"C"` samples.
+        let samples: Vec<&str> = doc.lines().filter(|l| l.contains("\"ph\":\"C\"")).collect();
+        assert_eq!(samples.len(), r.windows.rows.len());
+        for (line, w) in samples.iter().zip(&r.windows.rows) {
+            let v = crate::json::Json::parse(line.trim_end_matches(','))
+                .expect("counter event parses on its own");
+            assert_eq!(v.get("name").unwrap().as_str(), Some("contention"));
             assert_eq!(v.get("pid").unwrap().as_u64(), Some(7));
+            let spans = v.get("args").unwrap().get("spans").unwrap();
+            assert_eq!(spans.as_u64(), Some(w.spans));
         }
     }
 

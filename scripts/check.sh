@@ -34,9 +34,11 @@
 #   miri       UB check of the locks crate under cargo miri (nightly
 #              component; skipped when not installed).
 #   obs        observability smoke test: run fig2a traced in quick mode
-#              via `xtask trace` and validate results/BENCH_fig2a.json
+#              twice via `xtask trace`, validate results/BENCH_fig2a.json
 #              (including its prof blocks) and results/fig2a.trace.json
-#              are well-formed JSON.
+#              are well-formed JSON, and require the trace and
+#              results/fig2a.prom to be byte-identical between the two
+#              same-seed runs (a trace is a pure function of the seed).
 #   prof       bench regression gate: re-run the baselined figures in
 #              quick mode and diff their BENCH_*.json against
 #              results/baseline/ — per-run quantiles within tolerance,

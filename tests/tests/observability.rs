@@ -4,6 +4,8 @@
 //! deprecated per-metric getters were removed).
 
 use mtmpi::prelude::*;
+use mtmpi_integration_tests::{pin, pinned_mutex_run};
+use mtmpi_obs::{chrome_trace_multi, CsOp, Event, EventKind, Path, ReqPhase};
 
 /// A small contended workload, traced or not.
 fn run(seed: u64, trace: bool) -> RunOutcome {
@@ -117,4 +119,169 @@ fn stats_snapshot_is_complete_and_consistent() {
     assert_eq!(&out.stats(1).window[..8], &[9u8; 8]);
     // Rank 1 matched real messages, so its latency histogram filled.
     assert!(out.stats(1).msg_latency_ns.count() > 0);
+}
+
+/// A process name every escape class appears in.
+const AWKWARD_NAME: &str = "mu\"tex \\ 8t\n\u{1}\u{e9}";
+
+/// One event of each of the nine `EventKind`s, CS passages on two
+/// distinct VCIs (so the per-VCI lanes render), timestamps on both sides
+/// of the µs boundary and above 2³², a `seq` of `u64::MAX`, a span whose
+/// grant precedes its request (the exporters clamp it to 0), and a
+/// non-zero drop count.
+fn all_kinds_timeline() -> Timeline {
+    let ev = |t_ns: u64, tid: u64, kind: EventKind| Event {
+        t_ns,
+        tid,
+        core: tid as u32 + 1,
+        socket: tid as u32 % 2,
+        kind,
+    };
+    let cs = |lock, kind, path, op, vci, t_req, t_acq| EventKind::CsSpan {
+        lock,
+        kind,
+        path,
+        op,
+        vci,
+        t_req,
+        t_acq,
+    };
+    let big = (1u64 << 32) + 1_234_567;
+    let seq = u64::MAX;
+    Timeline {
+        events: vec![
+            ev(0, 0, cs(0, "mutex", Path::Main, CsOp::Isend, 0, 0, 0)),
+            ev(
+                999,
+                1,
+                EventKind::Req {
+                    rank: 0,
+                    vci: 0,
+                    phase: ReqPhase::Issue,
+                },
+            ),
+            ev(
+                1_000,
+                1,
+                cs(1, "ticket", Path::Progress, CsOp::Progress, 3, 0, 999),
+            ),
+            ev(
+                1_001,
+                2,
+                EventKind::PollBatch {
+                    rank: 1,
+                    vci: 3,
+                    path: Path::WaitSpin,
+                    packets: 2,
+                },
+            ),
+            ev(
+                12_345,
+                2,
+                EventKind::Rma {
+                    rank: 1,
+                    origin: 0,
+                    op: "accumulate",
+                    bytes: u64::MAX,
+                },
+            ),
+            ev(
+                20_000,
+                3,
+                EventKind::FlowSend {
+                    rank: 0,
+                    dst: 1,
+                    vci: 3,
+                    seq,
+                },
+            ),
+            ev(
+                21_000,
+                3,
+                EventKind::FaultInjected {
+                    rank: 0,
+                    dst: 1,
+                    seq,
+                    fault: "drop",
+                },
+            ),
+            ev(
+                1_000_000,
+                3,
+                EventKind::Retransmit {
+                    rank: 0,
+                    dst: 1,
+                    seq,
+                    attempt: 1,
+                    backoff_ns: 979_000,
+                },
+            ),
+            ev(
+                1_000_999,
+                4,
+                EventKind::DupDrop {
+                    rank: 1,
+                    src: 0,
+                    seq,
+                },
+            ),
+            ev(
+                big,
+                4,
+                EventKind::FlowRecv {
+                    rank: 1,
+                    src: 0,
+                    vci: 3,
+                    seq,
+                },
+            ),
+            ev(
+                big + 10,
+                u64::from(u32::MAX) + 7,
+                cs(
+                    u32::MAX,
+                    "priority",
+                    Path::Stream,
+                    CsOp::Other,
+                    3,
+                    big + 5,
+                    big + 1,
+                ),
+            ),
+        ],
+        dropped: 17,
+    }
+}
+
+/// The exporters' bytes on a timeline built to reach every rendering
+/// branch, pinned to what the `Vec<String>` + `join` exporters produced
+/// (constants cut at the commit before the streaming writer landed).
+#[test]
+fn exports_of_every_event_kind_are_pinned() {
+    let t = all_kinds_timeline();
+    let unsharded = Timeline {
+        events: t.events[..2].to_vec(),
+        dropped: 1,
+    };
+    let multi = chrome_trace_multi(&[(AWKWARD_NAME, &t), ("plain", &unsharded)]);
+    assert!(multi.contains("\"name\":\"mu\\\"tex \\\\ 8t\\n\\u0001\u{e9}\""));
+    assert!(multi.contains("\"dropped\":18"));
+    assert_eq!(pin(&chrome_trace(&t)), (3_158, 5_160_348_601_879_579_426));
+    assert_eq!(pin(&jsonl(&t)), (1_306, 4_789_752_791_316_283_630));
+    assert_eq!(pin(&multi), (3_762, 5_899_107_726_613_848_398));
+}
+
+/// The same three documents over the seeded 8-thread Mutex run whose
+/// `to_json` `tests/tests/prof.rs` pins.
+#[test]
+fn exports_of_the_pinned_mutex_run_are_byte_identical() {
+    let out = pinned_mutex_run();
+    let t = out.timeline.as_ref().expect("timeline");
+    assert_eq!(
+        pin(&chrome_trace(t)),
+        (1_135_082, 5_783_571_061_619_302_331)
+    );
+    assert_eq!(pin(&jsonl(t)), (591_894, 3_029_437_841_341_398_482));
+    let multi = chrome_trace_multi(&[("mutex 8t", t), ("mutex 8t again", t)]);
+    assert_eq!(pin(&multi), (2_270_254, 11_595_743_826_388_110_321));
 }

@@ -3,6 +3,8 @@
 //! byte-identical across same-seed runs.
 
 use mtmpi::prelude::*;
+use mtmpi_integration_tests::{pin, pinned_mutex_run};
+use mtmpi_obs::ChromeDoc;
 use mtmpi_prof::{ProfReport, Windows};
 
 /// A contended multi-thread workload with tracing on.
@@ -30,6 +32,14 @@ fn traced_run(seed: u64) -> RunOutcome {
             }
         },
     )
+}
+
+/// A one-process trace document carrying `prof`'s counter track — what
+/// `Fig::finish` writes under `--trace`.
+fn trace_with_counters(name: &str, t: &Timeline, prof: &ProfReport) -> String {
+    let mut doc = ChromeDoc::new(&[(name, t)]);
+    prof.counter_track(0, &mut doc);
+    doc.finish()
 }
 
 fn merged_latency(out: &RunOutcome) -> mtmpi_metrics::Histogram {
@@ -87,40 +97,29 @@ fn windowed_aggregation_is_byte_identical_across_same_seed_runs() {
     );
     assert_eq!(pa.to_json(), pb.to_json());
     assert_eq!(pa.text_report(), pb.text_report());
-    assert_eq!(pa.counter_events(0), pb.counter_events(0));
+    assert_eq!(
+        trace_with_counters("x", ta, &pa),
+        trace_with_counters("x", tb, &pb)
+    );
     assert_eq!(pa.prom("run=\"x\""), pb.prom("run=\"x\""));
 }
 
 /// The rendered profile of a seeded 8-thread Mutex run is pinned to the
 /// bytes the pre-`BlameFold` engine produced (length + FNV-1a, captured
 /// at the commit before the fold landed): the attribution refactor must
-/// not move a single artefact byte.
+/// not move a single artefact byte. The traced document with a
+/// 39-window counter track is pinned likewise, to the bytes the
+/// `Vec<String>` exporters and `counter_events` produced.
 #[test]
 fn profile_json_is_byte_identical_to_the_pinned_engine() {
-    let exp = Experiment::with_seed(2, 29).trace(true);
-    let out = exp.run(
-        RunConfig::new(Method::Mutex)
-            .nodes(2)
-            .ranks_per_node(1)
-            .threads_per_rank(8),
-        |ctx| {
-            let h = ctx.rank.world_comm();
-            let tag = ctx.thread as i32;
-            for _ in 0..20 {
-                if h.rank() == 0 {
-                    h.send(1, tag, MsgData::Synthetic(256));
-                    let _ = h.recv(Some(1), Some(tag));
-                } else {
-                    let _ = h.recv(Some(0), Some(tag));
-                    h.send(0, tag, MsgData::Synthetic(8));
-                }
-            }
-        },
-    );
+    let out = pinned_mutex_run();
     let t = out.timeline.as_ref().expect("timeline");
-    let json = ProfReport::analyze(t, &merged_latency(&out)).to_json();
-    let fnv = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    assert_eq!((json.len(), fnv), (26_214, 8_582_480_000_443_441_094));
+    let mut prof = ProfReport::analyze(t, &merged_latency(&out));
+    assert_eq!(pin(&prof.to_json()), (26_214, 8_582_480_000_443_441_094));
+    prof.windows = Windows::compute(t, 20_000);
+    assert_eq!(prof.windows.rows.len(), 39);
+    assert_eq!(
+        pin(&trace_with_counters("mutex 8t", t, &prof)),
+        (1_141_803, 12_593_400_291_721_940_783)
+    );
 }

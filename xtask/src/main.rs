@@ -3,10 +3,12 @@
 //! Commands:
 //!
 //! * `trace <fig>` — run one `mtmpi-bench` figure binary (e.g. `fig2a`)
-//!   in quick mode with event tracing enabled, then validate that
+//!   in quick mode with event tracing enabled, twice, then validate that
 //!   `results/BENCH_<fig>.json` and `results/<fig>.trace.json` were
 //!   written and are well-formed JSON of the expected shape (parsed with
-//!   `mtmpi_prof::Json`, the workspace's one JSON reader). See [`trace`].
+//!   `mtmpi_prof::Json`, the workspace's one JSON reader), and that the
+//!   trace and `results/<fig>.prom` are byte-identical between the two
+//!   same-seed runs. See [`trace`].
 //!
 //! * `bench-diff [--baseline <dir>] [--quick]` — the bench regression
 //!   gate: compare fresh `results/BENCH_*.json` against the committed
@@ -88,7 +90,8 @@ fn run_lint(json: bool, update_baseline: bool) -> Result<(), String> {
 const USAGE: &str = "usage: cargo run -p xtask -- <command>\n\n\
     lint         [--json] [--update-baseline] mtmpi-lint static analysis (L001–L007)\n\
     \x20            vs crates/lint/baseline.txt\n\
-    trace <fig>  run a figure binary traced and validate its JSON outputs (e.g. trace fig2a)\n\
+    trace <fig>  run a figure binary traced, twice: validate its JSON outputs and that the\n\
+    \x20            trace and .prom replay byte for byte (e.g. trace fig2a)\n\
     bench-diff   [--baseline <dir>] [--quick] gate BENCH_*.json vs baselines\n\
     replay-gate  <name|all> run a figure twice, same seed: outputs must replay\n\
     top <fig>    windowed contention view of results/BENCH_<fig>.json\n\

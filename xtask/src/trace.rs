@@ -1,19 +1,22 @@
-//! `xtask trace <fig>` — run one figure binary with tracing enabled and
-//! validate its machine-readable outputs.
+//! `xtask trace <fig>` — run one figure binary with tracing enabled,
+//! validate its machine-readable outputs, and check that they replay.
 //!
 //! Runs `cargo run --release -p mtmpi-bench --bin <fig> -- --quick` with
-//! `MTMPI_TRACE=1` in the workspace root, then checks that
+//! `MTMPI_TRACE=1` in the workspace root **twice**, then checks that
 //! `results/BENCH_<fig>.json` and `results/<fig>.trace.json` exist, are
 //! valid JSON (`mtmpi_prof::Json::parse` — validation = parse), and have
 //! the expected shape (an `"id"` field and a run with a `"prof"` block
-//! in the bench summary, a non-empty `"traceEvents"` array in the trace).
+//! in the bench summary, a non-empty `"traceEvents"` array in the trace),
+//! and that `results/<fig>.trace.json` and `results/<fig>.prom` are
+//! byte-identical between the two same-seed runs: a trace document is a
+//! pure function of the seed, like a BENCH document.
 
 use crate::run::{read_text, run_fig};
 use mtmpi_prof::Json;
 use std::path::Path;
 
-/// Validate one output file: exists, parses as JSON (`Json::parse` is
-/// the workspace's one validator), and has the expected shape.
+/// Validate one output file: parses as JSON (`Json::parse` is the
+/// workspace's one validator) and has the expected shape.
 fn check_file(path: &Path, shape: &str, has_shape: fn(&Json) -> bool) -> Result<u64, String> {
     let text = read_text(path)?;
     let doc = Json::parse(&text).map_err(|e| format!("{}: invalid JSON: {e}", path.display()))?;
@@ -34,10 +37,15 @@ fn trace_shape(doc: &Json) -> bool {
 }
 
 pub fn run_trace(fig: &str, root: &Path) -> Result<(), String> {
-    println!("xtask trace: running {fig} --quick with MTMPI_TRACE=1 ...");
-    run_fig(fig, root, &[("MTMPI_TRACE", "1")])?;
     let bench = root.join(format!("results/BENCH_{fig}.json"));
     let trace = root.join(format!("results/{fig}.trace.json"));
+    let prom = root.join(format!("results/{fig}.prom"));
+    let run = |round: u32| -> Result<[String; 2], String> {
+        println!("xtask trace: running {fig} --quick with MTMPI_TRACE=1 (run {round} of 2) ...");
+        run_fig(fig, root, &[("MTMPI_TRACE", "1")])?;
+        Ok([read_text(&trace)?, read_text(&prom)?])
+    };
+    let (first, second) = (run(1)?, run(2)?);
     let checks = [
         (
             &bench,
@@ -46,7 +54,7 @@ pub fn run_trace(fig: &str, root: &Path) -> Result<(), String> {
         ),
         (&trace, "a non-empty \"traceEvents\" array", trace_shape),
     ];
-    // Check both files before failing, so one run reports everything.
+    // Check everything before failing, so one run reports everything.
     let mut failed = 0;
     for (path, shape, has_shape) in checks {
         match check_file(path, shape, has_shape) {
@@ -57,12 +65,43 @@ pub fn run_trace(fig: &str, root: &Path) -> Result<(), String> {
             }
         }
     }
+    for (path, (a, b)) in [&trace, &prom].into_iter().zip(first.iter().zip(&second)) {
+        if a == b {
+            let fnv = b.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            let (path, len) = (path.display(), b.len());
+            println!("xtask trace: REPLAY OK {path} (len {len}, fnv1a {fnv:016x})");
+        } else {
+            let (path, a, b) = (path.display(), a.len(), b.len());
+            eprintln!("xtask trace: FAIL {path} differs between same-seed runs (len {a} vs {b})");
+            failed += 1;
+        }
+    }
     if failed > 0 {
-        return Err(format!("{failed} output file(s) invalid"));
+        return Err(format!("{failed} check(s) failed"));
     }
     println!(
         "xtask trace: open {} in Perfetto (ui.perfetto.dev) or chrome://tracing",
         trace.display()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shapes_are_recognised() {
+        let bench = Json::parse(r#"{"id":"f","runs":[{"prof":{}}]}"#).unwrap();
+        assert!(bench_shape(&bench));
+        assert!(!bench_shape(
+            &Json::parse(r#"{"id":"f","runs":[{}]}"#).unwrap()
+        ));
+        assert!(trace_shape(
+            &Json::parse(r#"{"traceEvents":[{}]}"#).unwrap()
+        ));
+        assert!(!trace_shape(&Json::parse(r#"{"traceEvents":[]}"#).unwrap()));
+    }
 }
