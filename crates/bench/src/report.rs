@@ -20,8 +20,8 @@
 //! Event capture is always on: the virtual clock never advances on a
 //! clock *read*, so recording cannot perturb results, and the sink keeps
 //! only the first timeline per `(label, threads, nodes)` configuration,
-//! bounding memory across a sweep. `--trace` (or `MTMPI_TRACE=1`) only
-//! controls whether the Chrome trace document is exported.
+//! bounding memory across a sweep. `--trace` only controls whether the
+//! Chrome trace document is exported.
 
 use mtmpi::prelude::*;
 use mtmpi_obs::json::Writer;
@@ -29,10 +29,9 @@ use mtmpi_obs::{ChromeDoc, CsStats, RunRecord};
 use mtmpi_prof::ProfReport;
 use std::sync::Arc;
 
-/// Whether `--trace` was passed or `MTMPI_TRACE` is set to `1`/`true`.
+/// Whether `--trace` was passed.
 pub fn trace_mode() -> bool {
     std::env::args().any(|a| a == "--trace")
-        || std::env::var("MTMPI_TRACE").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
 }
 
 /// Per-figure collector for the machine-readable outputs.
@@ -46,8 +45,8 @@ pub struct Fig {
 
 impl Fig {
     /// Start reporting for figure `id` (e.g. `"fig2a"`). Reads the
-    /// trace-export switch from the environment/argv; event capture
-    /// itself is always on (first run per configuration).
+    /// trace-export switch from argv; event capture itself is always on
+    /// (first run per configuration).
     pub fn new(id: impl Into<String>) -> Self {
         Self {
             id: id.into(),
@@ -139,12 +138,14 @@ impl Fig {
                 .uint(",\"nodes\":", r.nodes)
                 .uint(",\"end_ns\":", r.end_ns)
                 .hex(",\"sched_trace_hash\":\"", r.sched_trace_hash, 16)
-                .raw("\",\"cs_wait\":")
-                .raw(&CsStats::of(&r.cs_wait).to_json())
-                .raw(",\"cs_hold\":")
-                .raw(&CsStats::of(&r.cs_hold).to_json())
-                .raw(",\"msg_latency\":")
-                .raw(&CsStats::of(&r.msg_latency).to_json());
+                .raw("\"");
+            for (key, h) in [
+                (",\"cs_wait\":", &r.cs_wait),
+                (",\"cs_hold\":", &r.cs_hold),
+                (",\"msg_latency\":", &r.msg_latency),
+            ] {
+                CsStats::of(h).to_json(w.raw(key));
+            }
             if let Some(prof) = prof {
                 w.raw(",\"prof\":").raw(&prof.to_json());
             }

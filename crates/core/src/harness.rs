@@ -4,7 +4,6 @@ use crate::method::Method;
 use mtmpi_metrics::{DanglingSampler, GrantFold, Histogram};
 use mtmpi_net::{FaultPlan, NetModel};
 use mtmpi_obs::{RingRecorder, RunRecord, Sink, Timeline, DEFAULT_SHARD_CAP};
-use mtmpi_prof::{LiveCollector, LiveConfig, LiveStats};
 use mtmpi_runtime::{Granularity, RankHandle, RankStats, RuntimeCosts, VciMap, World};
 use mtmpi_sim::{
     LockModelParams, Platform, PlatformReport, SimError, StepOutcome, ThreadDesc, VirtualPlatform,
@@ -23,13 +22,6 @@ pub struct ObsConfig {
     /// life-cycle, poll batches, RMA services). Off by default: the
     /// histograms are always on, the timeline costs memory.
     pub trace: bool,
-    /// Run the `mtmpi_prof::live` online collector alongside the workload (also
-    /// enabled by `MTMPI_LIVE=1`). Implies tracing. **Perturbs the
-    /// schedule**: the collector participates in the simulation as one
-    /// extra virtual thread, so `end_ns` and `sched_trace_hash` differ
-    /// from a non-live run of the same seed — which is why this is an
-    /// explicit opt-in and the committed baselines never enable it.
-    pub live: bool,
 }
 
 /// What every worker closure receives.
@@ -103,13 +95,6 @@ impl Experiment {
         self
     }
 
-    /// Run the online collector alongside every run (see
-    /// [`ObsConfig::live`] for the perturbation caveat).
-    pub fn live(mut self, on: bool) -> Self {
-        self.obs.live = on;
-        self
-    }
-
     /// Inject deterministic link faults into every run (see
     /// [`FaultPlan`]). Same experiment seed + same plan ⇒ byte-identical
     /// results, fault decisions included.
@@ -178,24 +163,18 @@ impl Experiment {
         };
         let nranks = nodes * cfg.ranks_per_node;
         let ranks_per_node = cfg.ranks_per_node;
-        let live_enabled = self.obs.live || std::env::var("MTMPI_LIVE").is_ok_and(|v| v == "1");
         // Right-size the recorder's shard table to this world's actual
-        // recording-thread population (workers + progress threads, with
-        // headroom for the scheduler thread) instead of the full
-        // 256-shard pre-allocation — a service stepping thousands of
-        // small tenant worlds would otherwise pay it per tenant.
+        // recording-thread population (workers + progress threads, plus
+        // four spare shards so an uncounted recording thread is seated,
+        // not dropped) instead of the full 256-shard pre-allocation — a
+        // service stepping thousands of small tenant worlds would
+        // otherwise pay it per tenant.
         let recording_threads =
             nranks * threads_per_rank + if cfg.progress_thread { nranks } else { 0 } + 4;
-        let recorder = (self.obs.trace || live_enabled).then(|| {
+        let recorder = self.obs.trace.then(|| {
             Arc::new(RingRecorder::with_shards(
                 (recording_threads as usize).min(mtmpi_obs::MAX_SHARDS),
                 DEFAULT_SHARD_CAP,
-            ))
-        });
-        let live = live_enabled.then(|| {
-            Arc::new(LiveCollector::new(
-                recorder.as_ref().expect("live implies trace").clone(),
-                LiveConfig::default(),
             ))
         });
         let mut builder = World::builder(platform.clone())
@@ -238,14 +217,6 @@ impl Experiment {
             };
         let binding = Binding::new(&self.cluster.node, cfg.binding, slots_per_node);
 
-        // Workload threads still running — the live collector's pump
-        // thread parks itself once this hits zero. Decrements are plain
-        // host atomics: they never advance virtual time, so counting is
-        // free even when no collector is installed.
-        let workload_threads =
-            nranks * threads_per_rank + if cfg.progress_thread { nranks } else { 0 };
-        let live_remaining = Arc::new(AtomicU32::new(workload_threads));
-
         let body = Arc::new(body);
         for r in 0..nranks {
             let local_rank = r % cfg.ranks_per_node;
@@ -261,7 +232,6 @@ impl Experiment {
                 let body = body.clone();
                 let stop = stop.clone();
                 let remaining = remaining.clone();
-                let live_remaining = live_remaining.clone();
                 platform.spawn(
                     ThreadDesc {
                         name: format!("r{r}t{t}"),
@@ -277,7 +247,6 @@ impl Experiment {
                         if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                             stop.store(true, Ordering::Release);
                         }
-                        live_remaining.fetch_sub(1, Ordering::Release);
                     }),
                 );
             }
@@ -285,68 +254,21 @@ impl Experiment {
                 let slot = (cfg.ranks_per_node * threads_per_rank + local_rank) as usize;
                 let core = binding.core_of(slot);
                 let handle = world.rank(r);
-                let live_remaining = live_remaining.clone();
                 platform.spawn(
                     ThreadDesc {
                         name: format!("r{r}prog"),
                         node,
                         core,
                     },
-                    Box::new(move || {
-                        handle.progress_loop(&stop);
-                        live_remaining.fetch_sub(1, Ordering::Release);
-                    }),
+                    Box::new(move || handle.progress_loop(&stop)),
                 );
             }
-        }
-
-        // The online collector runs as one more simulated thread: it
-        // alternates a coarse virtual-time tick with a bounded drain of
-        // the ring, so live statistics advance *on the virtual clock*,
-        // not behind a post-run barrier. It exits once every workload
-        // thread has finished, then folds the tail.
-        if let Some(c) = &live {
-            let c = c.clone();
-            let lr = live_remaining.clone();
-            let p = platform.clone();
-            let watch = std::env::var("MTMPI_LIVE_WATCH").is_ok_and(|v| v == "1");
-            platform.spawn(
-                ThreadDesc {
-                    name: "live".to_string(),
-                    node: 0,
-                    core: mtmpi_topology::CoreId(0),
-                },
-                Box::new(move || {
-                    // A quarter of the default 1ms window: frequent
-                    // enough for fresh snapshots, coarse enough that the
-                    // collector stays a spectator of the schedule.
-                    const TICK_NS: u64 = 250_000;
-                    let mut ticks = 0u64;
-                    while lr.load(Ordering::Acquire) > 0 {
-                        p.compute(TICK_NS);
-                        // The round-trip that actually lets the workload
-                        // run up to our tick (`compute` alone only banks
-                        // local virtual time).
-                        p.yield_now();
-                        c.pump(p.now_ns());
-                        ticks += 1;
-                        if watch && ticks.is_multiple_of(16) {
-                            eprintln!("{}", c.snapshot().text());
-                        }
-                    }
-                    c.finalize();
-                    if watch {
-                        eprintln!("{}", c.snapshot().text());
-                    }
-                }),
-            );
         }
 
         TenantRun {
             handle: vplatform.start(),
             world: Some(world),
             recorder,
-            live,
             sink: self.obs.sink.clone(),
             label: cfg.effective_label(),
             nodes,
@@ -367,7 +289,6 @@ pub struct TenantRun {
     // `Drop`-time abort marking still has it on error paths.
     world: Option<World>,
     recorder: Option<Arc<RingRecorder>>,
-    live: Option<Arc<LiveCollector>>,
     sink: Option<Arc<Sink>>,
     label: String,
     nodes: u32,
@@ -418,24 +339,6 @@ impl TenantRun {
     pub fn finish(mut self) -> RunOutcome {
         let report = self.handle.finish();
         let world = self.world.take().expect("finish() called once");
-        if let Some(c) = &self.live {
-            if let Ok(path) = std::env::var("MTMPI_LIVE_OUT") {
-                if !path.is_empty() {
-                    use std::io::Write as _;
-                    let mut f = std::fs::OpenOptions::new()
-                        .create(true)
-                        .append(true)
-                        .open(&path)
-                        .unwrap_or_else(|e| panic!("open MTMPI_LIVE_OUT={path}: {e}"));
-                    let _ = writeln!(
-                        f,
-                        "# mtmpi-live run label={} threads={} nodes={}",
-                        self.label, self.threads_per_rank, self.nodes
-                    );
-                    let _ = f.write_all(c.snapshot().prom().as_bytes());
-                }
-            }
-        }
         let timeline = self.recorder.take().map(|rec| {
             // SAFETY: `RunHandle::finish` has joined every worker (and
             // any progress thread) — no thread is still writing.
@@ -448,7 +351,6 @@ impl TenantRun {
             nranks: self.nranks,
             threads_per_rank: self.threads_per_rank,
             timeline,
-            live: self.live.take(),
         };
         if let Some(sink) = &self.sink {
             let mut cs_wait = Histogram::new();
@@ -617,17 +519,9 @@ pub struct RunOutcome {
     /// Structured-event timeline (present when the experiment had
     /// tracing enabled via [`Experiment::trace`]).
     pub timeline: Option<Timeline>,
-    live: Option<Arc<LiveCollector>>,
 }
 
 impl RunOutcome {
-    /// End-of-run online profiling snapshot (per-window wait quantiles,
-    /// streaming blame shares, Gini indices, starvation ratio), or
-    /// `None` unless the run had the collector on ([`Experiment::live`]).
-    pub fn live_stats(&self) -> Option<LiveStats> {
-        self.live.as_ref().map(|c| c.snapshot())
-    }
-
     /// Grant statistics of a rank's queue lock.
     pub fn grants(&self, rank: u32) -> &GrantFold {
         &self.report.lock_grants[self.world.lock_of(rank).0]

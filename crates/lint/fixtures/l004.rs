@@ -31,6 +31,15 @@ pub fn ambient_wrong() -> u64 {
     rand::random() // FIRE: L004
 }
 
+pub fn env_wrong() -> bool {
+    std::env::var("MTMPI_FUEL").is_ok() // FIRE: L004
+}
+
+pub fn argv_ok() -> bool {
+    // Arguments are explicit input, not inherited state — must not fire.
+    std::env::args().any(|a| a == "--trace")
+}
+
 pub fn hash_iter_wrong(b: &Book) -> u64 {
     b.by_rank.values().sum() // FIRE: L004
 }
@@ -61,6 +70,11 @@ pub fn membership_ok(b: &Book) -> bool {
 pub fn allowed_site() -> Instant {
     // lint: allow(L004) fixture: the pretend native backend measures wall time
     Instant::now() // ALLOWED: L004
+}
+
+pub fn allowed_env() -> bool {
+    // lint: allow(L004) fixture: the pretend shim mirrors a real crate's env interface
+    std::env::var_os("LOOM_LOG").is_some() // ALLOWED: L004
 }
 
 #[cfg(test)]

@@ -2,12 +2,16 @@
 //!
 //! The replay contract (DESIGN.md §11/§12, enforced byte-for-byte by
 //! the faults/vci CI smoke jobs) requires every run-affecting input in
-//! `sim`/`runtime`/`net`/`vci`/`locks`, and in the figure harness
-//! (`bench`) whose `BENCH_*.json` documents are replayed, to derive from
-//! the seed and the virtual clock. Banned in production code there:
+//! `sim`/`runtime`/`net`/`vci`/`locks`, in the experiment harness
+//! (`core`), and in the figure harness (`bench`) whose `BENCH_*.json`
+//! documents are replayed, to derive from the seed and the virtual
+//! clock. Banned in production code there:
 //!
 //! * wall-clock reads: `Instant::now`, `SystemTime` (any use);
 //! * OS entropy: `thread_rng`, `rand::random`, `from_entropy`;
+//! * inherited environment: `env::{var, var_os, vars, vars_os}` — a
+//!   shell's leftover variable must not move a hash (`env::args` is
+//!   explicit input and stays legal);
 //! * hash-order iteration: `.iter()`/`.keys()`/`.values()`/`.drain()`/
 //!   `.retain()`/`.into_iter()`/`for … in` over a binding whose
 //!   declared type (in the same file) is `HashMap`/`HashSet`.
@@ -89,6 +93,20 @@ pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
                 toks[i].line,
                 format!("OS entropy via `{w}` in a deterministic crate (seed a SmallRng instead)"),
             ),
+            "env"
+                if toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
+                    && toks
+                        .get(i + 3)
+                        .and_then(|t| t.ident())
+                        .is_some_and(|f| matches!(f, "var" | "var_os" | "vars" | "vars_os")) =>
+            {
+                diag(
+                    toks[i].line,
+                    "environment read in a deterministic crate (take the value as an \
+                     argument or a builder setting)"
+                        .to_string(),
+                );
+            }
             "random" if i >= 3 && toks[i - 1].is_punct(':') && toks[i - 3].is_ident("rand") => {
                 diag(
                     toks[i].line,

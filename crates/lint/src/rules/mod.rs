@@ -94,10 +94,11 @@ pub fn check_file(file: &SourceFile, cs: &CsContext) -> Vec<Diagnostic> {
 }
 
 /// Crates whose source is bound by the determinism contract (DESIGN.md
-/// §11/§12): fixed seed ⇒ byte-identical replay. The figure harness is
-/// one of them — everything it writes into a `BENCH_*.json` is a pure
-/// function of the seed.
+/// §11/§12): fixed seed ⇒ byte-identical replay. The experiment and
+/// figure harnesses are two of them — everything that reaches a
+/// `BENCH_*.json` is a pure function of the seed.
 pub const L004_SCOPE: &[&str] = &[
+    "crates/core/src/",
     "crates/sim/src/",
     "crates/runtime/src/",
     "crates/net/src/",

@@ -120,6 +120,13 @@ fn l004_covers_the_figure_binaries() {
 }
 
 #[test]
+fn l004_covers_the_experiment_harness() {
+    // An `env::var` put back into `Experiment::try_start` would let a
+    // shell's leftover variable move every hash.
+    assert_fixture("l004.rs", "crates/core/src/fixture_l004.rs", "L004");
+}
+
+#[test]
 fn l005_panics_on_typed_error_paths() {
     assert_fixture("l005.rs", "crates/runtime/src/fixture_l005.rs", "L005");
 }

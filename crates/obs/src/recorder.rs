@@ -255,9 +255,8 @@ impl Drop for Shard {
 ///
 /// Storage is chunked and append-only: committed events never move, so a
 /// concurrent reader ([`RingRecorder::drain_incremental`]) can stream the
-/// committed prefix of every shard *while writers are still recording* —
-/// the contract the `prof::live` online collector is built on. The
-/// destructive drains ([`RingRecorder::into_timeline`],
+/// committed prefix of every shard *while writers are still recording*.
+/// The destructive drains ([`RingRecorder::into_timeline`],
 /// [`RingRecorder::drain_unsynced`]) still require quiesced writers.
 pub struct RingRecorder {
     /// Identity of this recorder, to key the thread-local slot cache.

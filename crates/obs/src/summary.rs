@@ -1,6 +1,6 @@
 //! Per-run summaries and the cross-run [`Sink`] used by the bench layer.
 
-use crate::json::fmt_f64;
+use crate::json::Writer;
 use crate::recorder::Timeline;
 use mtmpi_metrics::Histogram;
 use std::sync::Mutex;
@@ -32,16 +32,14 @@ impl CsStats {
         }
     }
 
-    /// As a JSON object string.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"p50\":{},\"p99\":{},\"max\":{},\"mean\":{}}}",
-            self.count,
-            self.p50,
-            self.p99,
-            self.max,
-            fmt_f64(self.mean)
-        )
+    /// Append as a JSON object to `w`.
+    pub fn to_json(&self, w: &mut Writer) {
+        w.uint("{\"count\":", self.count)
+            .uint(",\"p50\":", self.p50)
+            .uint(",\"p99\":", self.p99)
+            .uint(",\"max\":", self.max)
+            .float(",\"mean\":", self.mean)
+            .raw("}");
     }
 }
 
@@ -147,9 +145,12 @@ mod tests {
         assert_eq!(s.count, 1);
         assert_eq!(s.p50, 1000);
         assert_eq!(s.max, 1000);
-        let j = s.to_json();
-        assert!(j.contains("\"p50\":1000"));
-        assert!(j.contains("\"mean\":1000"));
+        let mut w = Writer::default();
+        s.to_json(&mut w);
+        assert_eq!(
+            w.finish(),
+            "{\"count\":1,\"p50\":1000,\"p99\":1000,\"max\":1000,\"mean\":1000}"
+        );
     }
 
     #[test]

@@ -16,13 +16,12 @@
 //! plus any holder whose span fell out of the trace. Summed over rows the
 //! matrix therefore reproduces the total recorded CS wait exactly.
 //!
-//! [`BlameFold`] is the one implementation of that rule. The post-run
-//! [`BlameMatrix`] feeds a whole timeline through it; the online
-//! collector ([`crate::live`]) feeds it one finalized batch at a time.
-//! Both are exact because a wait can only be charged to holds that ended
-//! no later than its own grant (`t_end_h ≤ t_acq ≤ t_end`): once every
-//! passage released up to some instant has been ingested, every wait
-//! released up to that instant sees all the holds it will ever see.
+//! [`BlameFold`] is the one implementation of that rule; [`BlameMatrix`]
+//! feeds a whole timeline through it. A wait can only be charged to holds
+//! that ended no later than its own grant (`t_end_h ≤ t_acq ≤ t_end`):
+//! once every passage released up to some instant has been ingested,
+//! every wait released up to that instant sees all the holds it will
+//! ever see.
 
 use mtmpi_metrics::gini;
 use mtmpi_obs::{CsOp, CsSpanView, Path, Timeline};

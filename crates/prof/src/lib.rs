@@ -11,12 +11,6 @@
 //!   blocked-by nanoseconds, per-thread acquisition shares, a Gini
 //!   monopolization index, and the progress-path starvation ratio —
 //!   the §4.2–4.3 analysis reconstructed from traces alone.
-//! * [`live`] — the **online view of the same fold**: [`LiveCollector`]
-//!   drains the recorder in bounded batches on the virtual clock and
-//!   feeds the blame engine while the run is still going, exposing
-//!   [`LiveStats`] snapshots (windowed wait quantiles, exact + decayed
-//!   blame shares, Ginis, starvation ratio) and their `.live.prom`
-//!   exposition.
 //! * [`decomp`] — the **critical-path decomposition** of mean message
 //!   latency into CS-wait / CS-hold / poll-batch / network segments.
 //! * [`window`] — **windowed aggregation**: per-virtual-ms snapshots of
@@ -38,7 +32,6 @@ pub mod blame;
 pub mod decomp;
 pub mod diff;
 pub mod json;
-pub mod live;
 pub mod report;
 pub mod top;
 pub mod window;
@@ -49,7 +42,6 @@ pub use blame::{
 pub use decomp::LatencyDecomp;
 pub use diff::{bench_diff, DiffOptions, DiffReport};
 pub use json::Json;
-pub use live::{LiveCell, LiveCollector, LiveConfig, LiveStats, LiveWindow};
 pub use report::ProfReport;
 pub use top::top_report;
 pub use window::{default_window_ns, WindowRow, Windows};

@@ -66,8 +66,7 @@ pub fn default_window_ns(t: &Timeline) -> u64 {
     raw.div_ceil(MS).max(1) * MS
 }
 
-/// One window's passages, accumulated (shared by [`Windows::compute`]
-/// and the online collector's open window).
+/// One window's passages, accumulated.
 #[derive(Default)]
 pub(crate) struct WindowAcc {
     wait_hist: Histogram,

@@ -594,9 +594,7 @@ impl WorldBuilder {
     /// per-thread blocked-state snapshot, instead of spinning forever.
     /// Complements [`Self::liveness_limit_ns`]: fuel counts *events*, so
     /// a tight livelock (which advances virtual time only slowly) trips
-    /// it long before the virtual-time guard. The `MTMPI_FUEL` env var
-    /// provides the same bound without a code change; this builder
-    /// setting wins when both are present.
+    /// it long before the virtual-time guard.
     pub fn fuel(mut self, max_events: u64) -> Self {
         self.fuel = Some(max_events);
         self

@@ -6,9 +6,9 @@
 //! timeout or a silent hang. Two failure modes exist:
 //!
 //! * [`SimError::FuelExhausted`] — the fuel bound
-//!   (`WorldBuilder::fuel(max_events)` / `MTMPI_FUEL`) ran out. This is
-//!   how livelocks (threads spinning in `try_wait`, each spin re-pushing
-//!   events forever) become deterministic diagnoses instead of hung test
+//!   (`WorldBuilder::fuel(max_events)`) ran out. This is how livelocks
+//!   (threads spinning in `try_wait`, each spin re-pushing events
+//!   forever) become deterministic diagnoses instead of hung test
 //!   suites: the same seed + same fuel always stops on the same event,
 //!   with the same snapshot.
 //! * [`SimError::Deadlock`] — the event queue drained while threads are
@@ -145,7 +145,7 @@ impl fmt::Display for SimError {
                 write!(
                     f,
                     "  (livelock or under-fueled run: raise the fuel bound via \
-                     WorldBuilder::fuel / MTMPI_FUEL, or fix the spin)"
+                     WorldBuilder::fuel, or fix the spin)"
                 )
             }
             SimError::Deadlock {

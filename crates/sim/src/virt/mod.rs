@@ -45,14 +45,6 @@ use std::collections::BinaryHeap;
 use std::sync::{Mutex, Once};
 use vlock::{AcquireOutcome, GrantOutcome, ReleaseOutcome, VLock};
 
-/// Parse an `MTMPI_FUEL` value: a positive event count. `0`, empty, or
-/// unparsable all mean "unlimited" so `MTMPI_FUEL=0` can switch the
-/// bound off in scripts.
-fn fuel_from_env(v: Option<&str>) -> Option<u64> {
-    v.and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&f| f > 0)
-}
-
 /// Operations a worker submits to the scheduler.
 enum Op {
     /// Event-loop pass with no effect: lets other threads run up to
@@ -585,11 +577,7 @@ impl VirtualPlatform {
             .unwrap()
             .take()
             .expect("run() may only be called once");
-        let fuel = self
-            .fuel
-            .lock()
-            .unwrap()
-            .or_else(|| fuel_from_env(std::env::var("MTMPI_FUEL").ok().as_deref()));
+        let fuel = *self.fuel.lock().unwrap();
         RunHandle::launch(self, reg, fuel)
     }
 }
@@ -621,7 +609,6 @@ struct Scheduler {
     /// until the next `step`.
     batch: Vec<Ev>,
     batch_pos: usize,
-    debug_every: u64,
     /// Transfers of control between distinct contexts so far.
     handoffs: u64,
 }
@@ -749,10 +736,6 @@ impl RunHandle {
             budget_left: 0,
             batch: Vec::new(),
             batch_pos: 0,
-            debug_every: std::env::var("MTMPI_SIM_DEBUG")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
             handoffs: 0,
         };
         for tid in 0..n_threads {
@@ -959,15 +942,6 @@ impl Scheduler {
             self.n_events += 1;
             self.budget_left -= 1;
             self.hash.event(&ev);
-            if self.debug_every > 0 && self.n_events.is_multiple_of(self.debug_every) {
-                eprintln!(
-                    "[sim] {} events, t={} us, live={}, queued={}",
-                    self.n_events,
-                    ev.t / 1000,
-                    self.live,
-                    self.q.len()
-                );
-            }
             if let Some((tid, reply)) = self.dispatch(ev) {
                 return Pass::Resume(tid, reply);
             }
@@ -1137,20 +1111,5 @@ impl Scheduler {
             threads: self.blocked_threads(),
             undelivered: self.undelivered(),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fuel_env_parsing() {
-        assert_eq!(fuel_from_env(None), None);
-        assert_eq!(fuel_from_env(Some("")), None);
-        assert_eq!(fuel_from_env(Some("0")), None, "0 means unlimited");
-        assert_eq!(fuel_from_env(Some("not-a-number")), None);
-        assert_eq!(fuel_from_env(Some("50000")), Some(50_000));
-        assert_eq!(fuel_from_env(Some("  1234 ")), Some(1234));
     }
 }

@@ -48,17 +48,14 @@
 #              (benchmark/, its own workspace) against this tree, so a
 #              change that breaks the public surface it is pinned to
 #              fails here rather than in the benchmark driver.
-#   faults vci stream scale serve live bfs
+#   faults vci stream scale serve bfs
 #              the determinism gates, one `xtask replay-gate <name>`
 #              each (table in xtask/src/replay.rs): run the gate's test
 #              suite, then its figure binary twice in quick mode with
 #              the same seed. The two BENCH documents must be
 #              identical texts (a document holds no host-measured
 #              value); `serve` also compares the per-tenant digest
-#              file byte for byte, and
-#              `live` runs fig2a under MTMPI_LIVE=1 and compares the
-#              sched_trace_hash list, then `xtask watch fig2a
-#              --headless` validates results/fig2a.live.prom.
+#              file byte for byte.
 #              `bfs` is the mtmpi-graph500 suite (kernel and generator
 #              pins) and fig10a, the one gate on the application path.
 #              DESIGN.md sections 11, 12, 14-17.
@@ -97,7 +94,7 @@ if [ "$FAST" = "fast" ]; then
     skip loom "fast mode"
     skip tsan "fast mode"
     skip miri "fast mode"
-    for s in obs prof bench-api faults vci stream scale serve live bfs; do
+    for s in obs prof bench-api faults vci stream scale serve bfs; do
         skip "$s" "fast mode"
     done
 else
@@ -107,10 +104,9 @@ else
     step obs cargo run -q -p xtask -- trace fig2a
     step prof cargo run -q -p xtask -- bench-diff --quick
     step bench-api cargo test --offline --manifest-path benchmark/Cargo.toml
-    for gate in faults vci stream scale serve live bfs; do
+    for gate in faults vci stream scale serve bfs; do
         step "$gate" cargo run -q -p xtask -- replay-gate "$gate"
     done
-    step live cargo run -q -p xtask -- watch fig2a --headless
 
     if ! cargo +nightly --version >/dev/null 2>&1; then
         skip tsan "no nightly toolchain"

@@ -1,5 +1,6 @@
 //! Observability-layer integration tests: trace determinism, the
-//! zero-perturbation guarantee, the disabled path, and the unified
+//! zero-perturbation guarantee, the disabled path, the sched-trace hash
+//! as a replay witness, causal-flow pairing, and the unified
 //! `World::stats` snapshot (the sole introspection surface since the
 //! deprecated per-metric getters were removed).
 
@@ -70,6 +71,31 @@ fn disabled_tracing_records_nothing() {
     );
     // Histograms stay populated either way: they are always-on.
     assert!(out.stats(1).cs_wait_ns.count() > 0);
+}
+
+#[test]
+fn sched_trace_hash_is_stable_per_seed_and_moved_by_the_seed() {
+    let (a, b, c) = (run(33, true), run(33, true), run(34, true));
+    assert_ne!(a.report.sched_trace_hash, 0, "virtual runs hash nonzero");
+    assert_eq!(
+        a.report.sched_trace_hash, b.report.sched_trace_hash,
+        "same seed, same schedule, same hash"
+    );
+    assert_ne!(
+        a.report.sched_trace_hash, c.report.sched_trace_hash,
+        "a one-line seed change must move the hash"
+    );
+}
+
+#[test]
+fn flow_events_pair_up_on_a_fault_free_run() {
+    let t = run(35, true).timeline.expect("traced run has a timeline");
+    let count = |is: fn(&EventKind) -> bool| t.events.iter().filter(|e| is(&e.kind)).count();
+    let sends = count(|k| matches!(k, EventKind::FlowSend { .. }));
+    let recvs = count(|k| matches!(k, EventKind::FlowRecv { .. }));
+    assert!(sends > 0, "data packets stamp flow origins");
+    // Every send is eventually accepted exactly once.
+    assert_eq!(sends, recvs);
 }
 
 #[test]

@@ -37,40 +37,6 @@ fn baseline_figs(dir: &Path) -> Vec<String> {
     figs
 }
 
-/// Every `"sched_trace_hash":"..."` value in a `BENCH_*.json` document,
-/// in document order (the combined fold plus one per traced run).
-fn trace_hashes(doc: &str) -> Vec<String> {
-    let needle = "\"sched_trace_hash\":\"";
-    let mut out = Vec::new();
-    let mut rest = doc;
-    while let Some(i) = rest.find(needle) {
-        rest = &rest[i + needle.len()..];
-        let end = rest.find('"').unwrap_or(rest.len());
-        out.push(rest[..end].to_owned());
-        rest = &rest[end..];
-    }
-    out
-}
-
-/// Two documents carry the same non-empty `sched_trace_hash` list;
-/// returns its length.
-pub(crate) fn same_trace_hashes(first: &str, second: &str) -> Result<usize, String> {
-    let (a, b) = (trace_hashes(first), trace_hashes(second));
-    if a.is_empty() {
-        return Err("no sched_trace_hash in the document".to_owned());
-    }
-    if a.len() != b.len() {
-        return Err(format!("{} hash(es) vs {}", a.len(), b.len()));
-    }
-    match a.iter().zip(&b).position(|(x, y)| x != y) {
-        None => Ok(a.len()),
-        Some(i) => Err(format!(
-            "sched_trace_hash #{i} diverges ({} vs {})",
-            a[i], b[i]
-        )),
-    }
-}
-
 /// One figure's verdict: its tolerance report, or why there is none.
 fn gate_fig(
     fig: &str,
@@ -183,13 +149,5 @@ mod tests {
     #[test]
     fn missing_baseline_dir_is_empty() {
         assert!(baseline_figs(Path::new("/nonexistent/nowhere")).is_empty());
-    }
-
-    #[test]
-    fn trace_hashes_extracts_in_document_order() {
-        let doc = "{\"sched_trace_hash\":\"00aa\",\"runs\":[\
-                   {\"sched_trace_hash\":\"11bb\"},{\"sched_trace_hash\":\"22cc\"}]}";
-        assert_eq!(trace_hashes(doc), vec!["00aa", "11bb", "22cc"]);
-        assert!(trace_hashes("{\"runs\":[]}").is_empty());
     }
 }

@@ -18,19 +18,12 @@
 //!   each baselined figure binary first. See [`bench`].
 //!
 //! * `replay-gate <name|all>` — the table-driven determinism gates
-//!   (`faults`, `vci`, `stream`, `scale`, `serve`, `live`): run the
+//!   (`faults`, `vci`, `stream`, `scale`, `serve`, `bfs`): run the
 //!   gate's test suite, then its figure binary twice with the same seed,
 //!   and require the two outputs to be identical. See [`replay`].
 //!
 //! * `top <fig>` — render the windowed contention view (who holds the
 //!   runtime critical section, when) of `results/BENCH_<fig>.json`.
-//!
-//! * `watch <fig> [--headless]` — run one figure binary with the
-//!   `prof::live` online collector enabled: periodic live-stats snapshots
-//!   stream to stderr while the simulation runs, and each run appends
-//!   its Prometheus-style gauge block to `results/<fig>.live.prom`,
-//!   which is validated afterwards. `--headless` keeps only the export
-//!   (CI mode). See [`watch`].
 //!
 //! * `lint [--json] [--update-baseline]` — run mtmpi-lint, the
 //!   concurrency-contract static analysis (rules L001–L007: Relaxed
@@ -50,7 +43,6 @@ mod bench;
 mod replay;
 mod run;
 mod trace;
-mod watch;
 
 fn workspace_root() -> PathBuf {
     // xtask lives at <root>/xtask.
@@ -93,10 +85,9 @@ const USAGE: &str = "usage: cargo run -p xtask -- <command>\n\n\
     trace <fig>  run a figure binary traced, twice: validate its JSON outputs and that the\n\
     \x20            trace and .prom replay byte for byte (e.g. trace fig2a)\n\
     bench-diff   [--baseline <dir>] [--quick] gate BENCH_*.json vs baselines\n\
-    replay-gate  <name|all> run a figure twice, same seed: outputs must replay\n\
-    top <fig>    windowed contention view of results/BENCH_<fig>.json\n\
-    watch <fig>  [--headless] run a figure with the prof::live collector,\n\
-    \x20            stream snapshots, validate results/<fig>.live.prom";
+    replay-gate  <faults|vci|stream|scale|serve|bfs|all> run a figure twice, same seed:\n\
+    \x20            outputs must replay\n\
+    top <fig>    windowed contention view of results/BENCH_<fig>.json";
 
 /// Run `cmd` with its arguments; `Err` is the failure line to print.
 fn dispatch(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<(), String> {
@@ -127,17 +118,6 @@ fn dispatch(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<(), Str
                 }
             }
             bench::run_bench_diff(&root, &baseline, quick)
-        }
-        "watch" => {
-            let (mut fig, mut headless) = (None, false);
-            for a in args {
-                match a.as_str() {
-                    "--headless" => headless = true,
-                    other if fig.is_none() && !other.starts_with('-') => fig = Some(a),
-                    other => return unknown(other),
-                }
-            }
-            watch::run_watch(&fig.ok_or_else(missing)?, headless, &root)
         }
         "replay-gate" => replay::run_replay_gate(&args.next().ok_or_else(missing)?, &root),
         "top" => bench::run_top(&args.next().ok_or_else(missing)?, &root),

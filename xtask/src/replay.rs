@@ -2,53 +2,36 @@
 //! binary twice with the same seed and require the two runs to agree.
 //!
 //! Every gate is one row of [`GATES`]: the test suite that must pass
-//! first, the figure binary, the environment it runs under, what the two
-//! `results/BENCH_<fig>.json` documents are compared on, and any extra
-//! result files that must be byte-identical. A BENCH document is a pure
-//! function of the seed, so whole-document comparison is equality of the
-//! two texts.
+//! first, the figure binary, and any extra result files that must be
+//! byte-identical. A BENCH document is a pure function of the seed, so
+//! the two `results/BENCH_<fig>.json` documents are compared as texts.
 
-use crate::bench::same_trace_hashes;
 use crate::run::{cargo, read_text, run_fig};
 use mtmpi_prof::Json;
 use std::path::Path;
-
-/// What two same-seed documents must agree on.
-#[derive(Clone, Copy)]
-enum Compare {
-    /// The whole text.
-    Document,
-    /// The `sched_trace_hash` list (runs under the online collector are
-    /// deterministic but their documents are never baselined).
-    TraceHashes,
-}
 
 struct Gate {
     name: &'static str,
     /// `cargo test --release -q` arguments run first (empty: none).
     suite: &'static [&'static str],
     fig: &'static str,
-    env: &'static [(&'static str, &'static str)],
-    compare: Compare,
     /// Files under `results/` that must replay byte for byte.
     extra: &'static [&'static str],
 }
 
-/// A whole-document gate with no environment and no extra files.
+/// A gate with no extra files.
 const fn gate(name: &'static str, suite: &'static [&'static str], fig: &'static str) -> Gate {
     Gate {
         name,
         suite,
         fig,
-        env: &[],
-        compare: Compare::Document,
         extra: &[],
     }
 }
 
 const INTEGRATION: &str = "mtmpi-integration-tests";
 
-const GATES: [Gate; 7] = [
+const GATES: [Gate; 6] = [
     gate("faults", &[], "fig_fault"),
     gate("vci", &["-p", INTEGRATION, "--test", "vci"], "fig_vci"),
     gate(
@@ -60,11 +43,6 @@ const GATES: [Gate; 7] = [
     Gate {
         extra: &["fig_serve.tenants.txt"],
         ..gate("serve", &["-p", "mtmpi-serve"], "fig_serve")
-    },
-    Gate {
-        env: &[("MTMPI_LIVE", "1")],
-        compare: Compare::TraceHashes,
-        ..gate("live", &["-p", INTEGRATION, "--test", "live"], "fig2a")
     },
     gate("bfs", &["-p", "mtmpi-graph500"], "fig10a"),
 ];
@@ -93,24 +71,21 @@ fn first_diff(a: &Json, b: &Json) -> Option<String> {
     }
 }
 
-/// Compare two same-seed `BENCH_*.json` texts under `compare`.
-fn replay_mismatch(first: &str, second: &str, compare: Compare) -> Result<(), String> {
-    match compare {
-        Compare::Document if first == second => Ok(()),
-        Compare::Document => {
-            let at = first_diff(&Json::parse(first)?, &Json::parse(second)?);
-            Err(format!(
-                "same-seed documents differ at ${}",
-                at.unwrap_or_default()
-            ))
-        }
-        Compare::TraceHashes => same_trace_hashes(first, second).map(|_| ()),
+/// Compare two same-seed `BENCH_*.json` texts.
+fn replay_mismatch(first: &str, second: &str) -> Result<(), String> {
+    if first == second {
+        return Ok(());
     }
+    let at = first_diff(&Json::parse(first)?, &Json::parse(second)?);
+    Err(format!(
+        "same-seed documents differ at ${}",
+        at.unwrap_or_default()
+    ))
 }
 
 fn run_gate(g: &Gate, root: &Path) -> Result<(), String> {
     if !g.suite.is_empty() {
-        cargo(root, &[&["test", "--release", "-q"], g.suite].concat(), &[])?;
+        cargo(root, &[&["test", "--release", "-q"], g.suite].concat())?;
     }
     let results = root.join("results");
     let files: Vec<_> = std::iter::once(format!("BENCH_{}.json", g.fig))
@@ -122,11 +97,11 @@ fn run_gate(g: &Gate, root: &Path) -> Result<(), String> {
             "xtask replay-gate: {}: running {} --quick ...",
             g.name, g.fig
         );
-        run_fig(g.fig, root, g.env)?;
+        run_fig(g.fig, root, &[])?;
         files.iter().map(|f| read_text(f)).collect()
     };
     let (first, second) = (run()?, run()?);
-    replay_mismatch(&first[0], &second[0], g.compare)?;
+    replay_mismatch(&first[0], &second[0])?;
     match (1..files.len()).find(|&i| first[i] != second[i]) {
         None => Ok(()),
         Some(i) => Err(format!(
@@ -176,28 +151,17 @@ mod tests {
 
     #[test]
     fn any_changed_member_fails_the_document_gate() {
-        assert_eq!(replay_mismatch(DOC, DOC, Compare::Document), Ok(()));
+        assert_eq!(replay_mismatch(DOC, DOC), Ok(()));
         let moved = DOC.replace("\"serve_total_events\":100", "\"serve_total_events\":101");
-        let err = replay_mismatch(DOC, &moved, Compare::Document).unwrap_err();
+        let err = replay_mismatch(DOC, &moved).unwrap_err();
         assert!(err.ends_with("$.scalars.serve_total_events"), "{err}");
         // No name buys slack: a scalar that looks host-timed fails too.
         let wall = DOC.replace("\"serve_wall_ms_w1\":12.5", "\"serve_wall_ms_w1\":99");
-        let err = replay_mismatch(DOC, &wall, Compare::Document).unwrap_err();
+        let err = replay_mismatch(DOC, &wall).unwrap_err();
         assert!(err.ends_with("$.scalars.serve_wall_ms_w1"), "{err}");
         let point = DOC.replace("[64,602]", "[64,603]");
-        assert!(replay_mismatch(DOC, &point, Compare::Document).is_err());
+        assert!(replay_mismatch(DOC, &point).is_err());
         let gone = DOC.replace("\"serve_wall_ms_w1\":12.5,", "");
-        assert!(replay_mismatch(DOC, &gone, Compare::Document).is_err());
-    }
-
-    #[test]
-    fn trace_hash_gate_needs_hashes_and_equality() {
-        assert_eq!(replay_mismatch(DOC, DOC, Compare::TraceHashes), Ok(()));
-        // The document may differ elsewhere (live runs are not baselined).
-        let wall = DOC.replace("\"serve_total_events\":100", "\"serve_total_events\":7");
-        assert_eq!(replay_mismatch(DOC, &wall, Compare::TraceHashes), Ok(()));
-        let moved = DOC.replace("00aa", "00ab");
-        assert!(replay_mismatch(DOC, &moved, Compare::TraceHashes).is_err());
-        assert!(replay_mismatch("{}", "{}", Compare::TraceHashes).is_err());
+        assert!(replay_mismatch(DOC, &gone).is_err());
     }
 }

@@ -4,11 +4,10 @@
 use std::path::Path;
 use std::process::Command;
 
-/// Run `cargo <args>` in `root` under the extra environment `env`.
-pub fn cargo(root: &Path, args: &[&str], env: &[(&str, &str)]) -> Result<(), String> {
+/// Run `cargo <args>` in `root`.
+pub fn cargo(root: &Path, args: &[&str]) -> Result<(), String> {
     let status = Command::new("cargo")
         .args(args)
-        .envs(env.iter().copied())
         .current_dir(root)
         .status()
         .map_err(|e| format!("cannot run cargo: {e}"))?;
@@ -26,9 +25,9 @@ pub fn valid_fig_name(fig: &str) -> bool {
     !fig.is_empty() && fig.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Run one `mtmpi-bench` figure binary in quick mode under `env`; its
-/// outputs land in `results/`.
-pub fn run_fig(fig: &str, root: &Path, env: &[(&str, &str)]) -> Result<(), String> {
+/// Run one `mtmpi-bench` figure binary in quick mode, passing it `extra`
+/// after `--quick`; its outputs land in `results/`.
+pub fn run_fig(fig: &str, root: &Path, extra: &[&str]) -> Result<(), String> {
     if !valid_fig_name(fig) {
         return Err(format!("figure name must be alphanumeric (got {fig:?})"));
     }
@@ -43,7 +42,7 @@ pub fn run_fig(fig: &str, root: &Path, env: &[(&str, &str)]) -> Result<(), Strin
         "--",
         "--quick",
     ];
-    cargo(root, &args, env)
+    cargo(root, &[&args, extra].concat())
 }
 
 /// Read a result file, naming it in the error.
