@@ -17,11 +17,12 @@
 //!   plus a per-window `contention` counter track, loadable in Perfetto /
 //!   `chrome://tracing`.
 //!
-//! Event capture is always on: the virtual clock never advances on a
-//! clock *read*, so recording cannot perturb results, and the sink keeps
-//! only the first timeline per `(label, threads, nodes)` configuration,
-//! bounding memory across a sweep. `--trace` only controls whether the
-//! Chrome trace document is exported.
+//! Capture is on for the run whose timeline the sink keeps: the first
+//! run launched of each `(label, threads, nodes)` configuration claims
+//! the slot, and every other run of the sweep runs with its recorder off.
+//! The virtual clock never advances on a clock *read*, so recording
+//! cannot perturb results. `--trace` only controls whether the Chrome
+//! trace document is exported.
 
 use mtmpi::prelude::*;
 use mtmpi_obs::json::Writer;
@@ -45,12 +46,12 @@ pub struct Fig {
 
 impl Fig {
     /// Start reporting for figure `id` (e.g. `"fig2a"`). Reads the
-    /// trace-export switch from argv; event capture itself is always on
-    /// (first run per configuration).
+    /// trace-export switch from argv; capture is on for the run whose
+    /// timeline the sink keeps (first launched per configuration).
     pub fn new(id: impl Into<String>) -> Self {
         Self {
             id: id.into(),
-            sink: Arc::new(Sink::with_timeline_cap(1)),
+            sink: Arc::new(Sink::new()),
             trace: trace_mode(),
             series: Vec::new(),
             scalars: Vec::new(),
@@ -62,11 +63,11 @@ impl Fig {
         self.trace
     }
 
-    /// Wire an experiment into this figure's sink. Capture is always
-    /// enabled; the sink's per-config timeline cap bounds retention.
+    /// Wire an experiment into this figure's sink. Capture is on for the
+    /// run whose timeline the sink keeps, the first launched of each
+    /// configuration; the others run with the recorder off.
     pub fn wire(&self, exp: Experiment) -> Experiment {
-        let exp = exp.observe(self.sink.clone());
-        exp.trace(true)
+        exp.observe(self.sink.clone())
     }
 
     /// Shorthand: a paper-grade experiment on `nodes` nodes, wired.
@@ -316,18 +317,13 @@ mod tests {
     }
 
     #[test]
-    fn wire_always_captures_but_sink_caps_per_config() {
-        // Fig's sink drops repeat timelines of the same configuration.
+    fn wire_records_only_the_first_run_per_config() {
+        // A repeat of a configuration runs with its recorder off.
         let fig = Fig::new("figtest");
-        let rec = || RunRecord {
-            label: "mutex".into(),
-            threads: 4,
-            nodes: 1,
-            timeline: Some(Timeline::default()),
-            ..Default::default()
-        };
-        fig.sink.push(rec());
-        fig.sink.push(rec());
+        let exp = fig.experiment(1);
+        for _ in 0..2 {
+            exp.run(RunConfig::new(Method::Mutex).nodes(1), |_| {});
+        }
         let runs = fig.sink.take();
         assert!(runs[0].timeline.is_some());
         assert!(runs[1].timeline.is_none());

@@ -3,7 +3,7 @@
 use crate::method::Method;
 use mtmpi_metrics::{DanglingSampler, GrantFold, Histogram};
 use mtmpi_net::{FaultPlan, NetModel};
-use mtmpi_obs::{RingRecorder, RunRecord, Sink, Timeline, DEFAULT_SHARD_CAP};
+use mtmpi_obs::{RingRecorder, RunRecord, Sink, Timeline, TimelineClaim, DEFAULT_SHARD_CAP};
 use mtmpi_runtime::{Granularity, RankHandle, RankStats, RuntimeCosts, VciMap, World};
 use mtmpi_sim::{
     LockModelParams, Platform, PlatformReport, SimError, StepOutcome, ThreadDesc, VirtualPlatform,
@@ -16,11 +16,14 @@ use std::sync::Arc;
 #[derive(Clone, Default)]
 pub struct ObsConfig {
     /// Where per-run summaries ([`RunRecord`]) accumulate; `None` = don't
-    /// summarize.
+    /// summarize. The first run launched of each `(label, threads,
+    /// nodes)` configuration records its timeline for the sink
+    /// ([`Sink::claim`]); the others run with the recorder off.
     pub sink: Option<Arc<Sink>>,
-    /// Capture the full structured-event timeline (CS spans, request
-    /// life-cycle, poll batches, RMA services). Off by default: the
-    /// histograms are always on, the timeline costs memory.
+    /// Hand every run's full structured-event timeline (CS spans, request
+    /// life-cycle, poll batches, RMA services) back in
+    /// [`RunOutcome::timeline`]. Off by default: the histograms are
+    /// always on, the timeline costs memory and host time.
     pub trace: bool,
 }
 
@@ -89,7 +92,8 @@ impl Experiment {
         self
     }
 
-    /// Capture the structured-event timeline of every run.
+    /// Capture the structured-event timeline of every run and return it
+    /// in [`RunOutcome::timeline`].
     pub fn trace(mut self, on: bool) -> Self {
         self.obs.trace = on;
         self
@@ -171,7 +175,10 @@ impl Experiment {
         // otherwise pay it per tenant.
         let recording_threads =
             nranks * threads_per_rank + if cfg.progress_thread { nranks } else { 0 } + 4;
-        let recorder = self.obs.trace.then(|| {
+        let label = cfg.effective_label();
+        let sink = self.obs.sink.as_ref();
+        let claim = sink.and_then(|s| s.claim(&label, threads_per_rank, nodes));
+        let recorder = (self.obs.trace || claim.is_some()).then(|| {
             Arc::new(RingRecorder::with_shards(
                 (recording_threads as usize).min(mtmpi_obs::MAX_SHARDS),
                 DEFAULT_SHARD_CAP,
@@ -269,8 +276,10 @@ impl Experiment {
             handle: vplatform.start(),
             world: Some(world),
             recorder,
+            trace: self.obs.trace,
             sink: self.obs.sink.clone(),
-            label: cfg.effective_label(),
+            claim,
+            label,
             nodes,
             nranks,
             threads_per_rank,
@@ -289,7 +298,12 @@ pub struct TenantRun {
     // `Drop`-time abort marking still has it on error paths.
     world: Option<World>,
     recorder: Option<Arc<RingRecorder>>,
+    /// The caller asked for the timeline back ([`Experiment::trace`]).
+    trace: bool,
     sink: Option<Arc<Sink>>,
+    /// This run records the timeline its sink keeps; dropping the run
+    /// unfinished hands the slot to the configuration's next launch.
+    claim: Option<TimelineClaim>,
     label: String,
     nodes: u32,
     nranks: u32,
@@ -339,10 +353,20 @@ impl TenantRun {
     pub fn finish(mut self) -> RunOutcome {
         let report = self.handle.finish();
         let world = self.world.take().expect("finish() called once");
-        let timeline = self.recorder.take().map(|rec| {
+        let mut timeline = self.recorder.take().map(|rec| {
             // SAFETY: `RunHandle::finish` has joined every worker (and
             // any progress thread) — no thread is still writing.
             unsafe { rec.drain_unsynced() }
+        });
+        // The sink's timeline is moved out of the outcome; it is cloned
+        // only when the caller asked for the timeline back as well.
+        let kept = self.claim.take().and_then(|claim| {
+            claim.keep();
+            if self.trace {
+                timeline.clone()
+            } else {
+                timeline.take()
+            }
         });
         let out = RunOutcome {
             end_ns: report.end_ns,
@@ -363,7 +387,7 @@ impl TenantRun {
                 msg_latency.merge(&st.msg_latency_ns);
             }
             sink.push(RunRecord {
-                label: self.label.clone(),
+                label: self.label,
                 threads: self.threads_per_rank,
                 nodes: self.nodes,
                 end_ns: out.end_ns,
@@ -371,7 +395,7 @@ impl TenantRun {
                 cs_hold,
                 msg_latency,
                 sched_trace_hash: out.report.sched_trace_hash,
-                timeline: out.timeline.clone(),
+                timeline: kept,
             });
         }
         out

@@ -40,4 +40,4 @@ pub use recorder::{
     swap_shard_claim, CsSpanView, DrainCursor, NullRecorder, Recorder, RingRecorder, ShardClaim,
     Timeline, TimelineWindows, DEFAULT_SHARD_CAP, MAX_SHARDS,
 };
-pub use summary::{CsStats, RunRecord, Sink};
+pub use summary::{CsStats, RunRecord, Sink, TimelineClaim};

@@ -3,7 +3,8 @@
 use crate::json::Writer;
 use crate::recorder::Timeline;
 use mtmpi_metrics::Histogram;
-use std::sync::Mutex;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 /// Quantile summary of one histogram (the `BENCH_*.json` unit).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,52 +70,68 @@ pub struct RunRecord {
 }
 
 /// Thread-safe collector of [`RunRecord`]s across a figure binary's runs.
+///
+/// It keeps one event timeline per configuration: a figure sweeps many
+/// sizes per configuration, and the first run of each — the smallest
+/// sweep point — is representative. Which run that is gets decided at
+/// launch ([`Sink::claim`]), so every other run of the configuration
+/// never records at all.
 #[derive(Debug, Default)]
 pub struct Sink {
     runs: Mutex<Vec<RunRecord>>,
-    /// Max retained timelines per `(label, threads, nodes)` configuration
-    /// (`None` = unbounded). A figure sweeps many sizes per config; the
-    /// first run of each — the smallest sweep point — is representative,
-    /// and capping keeps always-on profiling capture memory-bounded.
-    timeline_cap: Option<usize>,
+    /// `(label, threads, nodes)` configurations whose timeline slot a
+    /// run holds or has filled.
+    claimed: Mutex<HashSet<(String, u32, u32)>>,
+}
+
+/// One configuration's timeline slot, held by the run that will record
+/// it. Dropped before [`TimelineClaim::keep`] — the run failed or was
+/// abandoned — it frees the slot for the configuration's next launch.
+#[derive(Debug)]
+pub struct TimelineClaim {
+    sink: Arc<Sink>,
+    config: Option<(String, u32, u32)>,
+}
+
+impl TimelineClaim {
+    /// The claiming run finished and its record carries the timeline:
+    /// the slot stays taken.
+    pub fn keep(mut self) {
+        self.config = None;
+    }
+}
+
+impl Drop for TimelineClaim {
+    fn drop(&mut self) {
+        if let Some(config) = self.config.take() {
+            let mut claimed = self.sink.claimed.lock().expect("sink poisoned");
+            claimed.remove(&config);
+        }
+    }
 }
 
 impl Sink {
-    /// An empty sink retaining every timeline.
+    /// An empty sink.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A sink keeping at most `cap` timelines per distinct
-    /// `(label, threads, nodes)` configuration; records beyond the cap
-    /// keep their histograms but drop the event timeline.
-    pub fn with_timeline_cap(cap: usize) -> Self {
-        Self {
-            runs: Mutex::new(Vec::new()),
-            timeline_cap: Some(cap),
-        }
+    /// Claim the timeline slot of configuration `(label, threads, nodes)`
+    /// for a run about to launch: `Some` only for the first claimant, so
+    /// runs claiming in grid order keep the first run's timeline whatever
+    /// order they finish in.
+    pub fn claim(self: &Arc<Self>, label: &str, threads: u32, nodes: u32) -> Option<TimelineClaim> {
+        let config = (label.to_string(), threads, nodes);
+        let mut claimed = self.claimed.lock().expect("sink poisoned");
+        claimed.insert(config.clone()).then(|| TimelineClaim {
+            sink: self.clone(),
+            config: Some(config),
+        })
     }
 
-    /// Append one run's record (applying the timeline retention policy).
-    pub fn push(&self, mut r: RunRecord) {
-        let mut runs = self.runs.lock().expect("sink poisoned");
-        if let Some(cap) = self.timeline_cap {
-            if r.timeline.is_some() {
-                let kept = runs
-                    .iter()
-                    .filter(|o| {
-                        o.timeline.is_some()
-                            && o.label == r.label
-                            && o.threads == r.threads
-                            && o.nodes == r.nodes
-                    })
-                    .count();
-                if kept >= cap {
-                    r.timeline = None;
-                }
-            }
-        }
-        runs.push(r);
+    /// Append one run's record as handed over.
+    pub fn push(&self, r: RunRecord) {
+        self.runs.lock().expect("sink poisoned").push(r);
     }
 
     /// Take all records collected so far.
@@ -155,20 +172,18 @@ mod tests {
 
     #[test]
     fn timeline_cap_keeps_first_per_config() {
-        let s = Sink::with_timeline_cap(1);
-        let rec = |label: &str, threads: u32| RunRecord {
-            label: label.into(),
-            threads,
-            timeline: Some(Timeline::default()),
-            ..Default::default()
-        };
-        s.push(rec("mutex", 4));
-        s.push(rec("mutex", 4)); // same config: timeline dropped
-        s.push(rec("mutex", 8)); // different config: kept
-        let runs = s.take();
-        assert!(runs[0].timeline.is_some());
-        assert!(runs[1].timeline.is_none(), "cap drops the second timeline");
-        assert!(runs[2].timeline.is_some());
+        let s = Arc::new(Sink::new());
+        let first = s.claim("mutex", 4, 1).expect("first claimant");
+        assert!(s.claim("mutex", 4, 1).is_none(), "same config");
+        assert!(s.claim("mutex", 8, 1).is_some(), "other threads");
+        assert!(s.claim("mutex", 4, 2).is_some(), "other nodes");
+        assert!(s.claim("ticket", 4, 1).is_some(), "other label");
+        drop(first);
+        let again = s
+            .claim("mutex", 4, 1)
+            .expect("a dropped claim frees the slot");
+        again.keep();
+        assert!(s.claim("mutex", 4, 1).is_none(), "a kept slot stays taken");
     }
 
     #[test]

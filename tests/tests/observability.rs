@@ -1,12 +1,15 @@
 //! Observability-layer integration tests: trace determinism, the
 //! zero-perturbation guarantee, the disabled path, the sched-trace hash
-//! as a replay witness, causal-flow pairing, and the unified
+//! as a replay witness, causal-flow pairing, the unified
 //! `World::stats` snapshot (the sole introspection surface since the
-//! deprecated per-metric getters were removed).
+//! deprecated per-metric getters were removed), and which run of a
+//! configuration records the timeline a sink keeps.
 
 use mtmpi::prelude::*;
+use mtmpi_bench::Fig;
 use mtmpi_integration_tests::{pin, pinned_mutex_run};
 use mtmpi_obs::{chrome_trace_multi, CsOp, Event, EventKind, Path, ReqPhase};
+use std::sync::Arc;
 
 /// A small contended workload, traced or not.
 fn run(seed: u64, trace: bool) -> RunOutcome {
@@ -310,4 +313,100 @@ fn exports_of_the_pinned_mutex_run_are_byte_identical() {
     assert_eq!(pin(&jsonl(t)), (591_894, 3_029_437_841_341_398_482));
     let multi = chrome_trace_multi(&[("mutex 8t", t), ("mutex 8t again", t)]);
     assert_eq!(pin(&multi), (2_270_254, 11_595_743_826_388_110_321));
+}
+
+/// Every thread of rank 0 sends `msgs` messages of `bytes` to its peer
+/// thread on rank 1.
+fn stream(bytes: u64, msgs: u32) -> impl Fn(ThreadCtx) + Send + Sync + 'static {
+    move |ctx| {
+        let h = ctx.rank.world_comm();
+        let tag = ctx.thread as i32;
+        for _ in 0..msgs {
+            if h.rank() == 0 {
+                h.send(1, tag, MsgData::Synthetic(bytes));
+            } else {
+                let _ = h.recv(Some(0), Some(tag));
+            }
+        }
+    }
+}
+
+fn two_threads(method: Method) -> RunConfig {
+    RunConfig::new(method).nodes(2).threads_per_rank(2)
+}
+
+/// A `Fig`-wired sweep of 2 configurations × 3 message sizes, with or
+/// without `trace(true)` on the experiment; returns its summary.
+fn wired_sweep(trace: bool) -> String {
+    let fig = Fig::new("sweep");
+    let exp = fig.wire(Experiment::with_seed(2, 16)).trace(trace);
+    for method in [Method::Mutex, Method::Ticket] {
+        for bytes in [8, 256, 4096] {
+            exp.run(two_threads(method), stream(bytes, 5));
+        }
+    }
+    fig.summary_json()
+}
+
+#[test]
+fn wired_sweep_keeps_one_timeline_per_config() {
+    assert_eq!(wired_sweep(false).matches("\"prof\":").count(), 2);
+}
+
+#[test]
+fn wired_sweep_summary_is_unmoved_by_recording_every_run() {
+    assert_eq!(wired_sweep(false), wired_sweep(true));
+}
+
+#[test]
+fn first_launched_run_keeps_the_timeline_whatever_the_finish_order() {
+    let sink = Arc::new(Sink::new());
+    let exp = Experiment::with_seed(2, 17).observe(sink.clone());
+    let mut first = exp.try_start(two_threads(Method::Mutex), stream(8, 2));
+    let mut second = exp.try_start(two_threads(Method::Mutex), stream(8, 6));
+    second.step(u64::MAX).expect("second run completes");
+    let second = second.finish();
+    first.step(u64::MAX).expect("first run completes");
+    let first = first.finish();
+    assert_ne!(first.end_ns, second.end_ns);
+    let runs = sink.take();
+    assert_eq!(runs[0].end_ns, second.end_ns);
+    assert!(
+        runs[0].timeline.is_none(),
+        "launched second: never recorded"
+    );
+    assert_eq!(runs[1].end_ns, first.end_ns);
+    assert!(
+        runs[1].timeline.is_some(),
+        "launched first: claimed the slot"
+    );
+}
+
+#[test]
+fn failed_claimed_run_hands_its_slot_to_the_next_run() {
+    let sink = Arc::new(Sink::new());
+    let exp = Experiment::with_seed(2, 18).observe(sink.clone());
+    let starved = exp.clone().fuel(10);
+    assert!(starved
+        .try_run(two_threads(Method::Mutex), stream(8, 2))
+        .is_err());
+    exp.run(two_threads(Method::Mutex), stream(8, 2));
+    let runs = sink.take();
+    assert_eq!(runs.len(), 1, "a failed run pushes no record");
+    assert!(runs[0].timeline.is_some(), "the claim came back");
+}
+
+#[test]
+fn wired_runs_return_a_timeline_only_when_traced() {
+    let fig = Fig::new("wired");
+    let exp = fig.wire(Experiment::with_seed(2, 19));
+    let out = exp.run(two_threads(Method::Mutex), stream(8, 2));
+    assert!(
+        out.timeline.is_none(),
+        "the sink's copy is moved, not cloned"
+    );
+    let out = exp
+        .trace(true)
+        .run(two_threads(Method::Ticket), stream(8, 2));
+    assert!(out.timeline.is_some());
 }

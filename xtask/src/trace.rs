@@ -7,12 +7,16 @@
 //! valid JSON (`mtmpi_prof::Json::parse` — validation = parse), and have
 //! the expected shape (an `"id"` field and a run with a `"prof"` block
 //! in the bench summary, a non-empty `"traceEvents"` array in the trace),
-//! and that `results/<fig>.trace.json` and `results/<fig>.prom` are
+//! that the figure kept exactly one timeline per run configuration (one
+//! Chrome process and one `"prof"` block each — a figure that records
+//! every run, or loses a kept one, fails here), and that
+//! `results/<fig>.trace.json` and `results/<fig>.prom` are
 //! byte-identical between the two same-seed runs: a trace document is a
 //! pure function of the seed, like a BENCH document.
 
 use crate::run::{read_text, run_fig};
 use mtmpi_prof::Json;
+use std::collections::HashSet;
 use std::path::Path;
 
 /// Validate one output file: parses as JSON (`Json::parse` is the
@@ -34,6 +38,25 @@ fn bench_shape(doc: &Json) -> bool {
 fn trace_shape(doc: &Json) -> bool {
     let events = doc.get("traceEvents").and_then(Json::as_array);
     events.is_some_and(|a| !a.is_empty())
+}
+
+/// The figure kept one timeline per `(label, threads, nodes)`
+/// configuration of its runs: that many runs carry a `prof` block and
+/// the trace names that many Chrome processes.
+fn retention(bench: &str, trace: &str) -> Result<(), String> {
+    let doc = Json::parse(bench)?;
+    let runs = doc.get("runs").and_then(Json::as_array).unwrap_or_default();
+    let config = |r: &Json| format!("{:?}", ["label", "threads", "nodes"].map(|k| r.get(k)));
+    let want = runs.iter().map(config).collect::<HashSet<_>>().len();
+    let profiled = runs.iter().filter(|r| r.get("prof").is_some()).count();
+    let processes = trace.matches("\"name\":\"process_name\"").count();
+    if (profiled, processes) == (want, want) {
+        println!("xtask trace: OK one timeline per configuration ({want})");
+        return Ok(());
+    }
+    Err(format!(
+        "{want} configurations, {profiled} prof blocks, {processes} trace processes"
+    ))
 }
 
 pub fn run_trace(fig: &str, root: &Path) -> Result<(), String> {
@@ -64,6 +87,10 @@ pub fn run_trace(fig: &str, root: &Path) -> Result<(), String> {
                 failed += 1;
             }
         }
+    }
+    if let Err(e) = read_text(&bench).and_then(|b| retention(&b, &second[0])) {
+        eprintln!("xtask trace: FAIL retention: {e}");
+        failed += 1;
     }
     for (path, (a, b)) in [&trace, &prom].into_iter().zip(first.iter().zip(&second)) {
         if a == b {
@@ -103,5 +130,21 @@ mod tests {
             &Json::parse(r#"{"traceEvents":[{}]}"#).unwrap()
         ));
         assert!(!trace_shape(&Json::parse(r#"{"traceEvents":[]}"#).unwrap()));
+    }
+
+    #[test]
+    fn retention_wants_one_timeline_per_config() {
+        // Two sizes of one configuration, one of another.
+        let bench = |second: &str| {
+            format!(
+                r#"{{"runs":[{{"label":"mutex","threads":2,"nodes":1,"prof":{{}}}},
+                {{"label":"mutex","threads":2,"nodes":1{second}}},
+                {{"label":"mutex","threads":4,"nodes":1,"prof":{{}}}}]}}"#
+            )
+        };
+        let trace = |n| r#"{"name":"process_name"},"#.repeat(n);
+        assert_eq!(retention(&bench(""), &trace(2)), Ok(()));
+        assert!(retention(&bench(r#","prof":{}"#), &trace(2)).is_err());
+        assert!(retention(&bench(""), &trace(3)).is_err());
     }
 }
