@@ -1,6 +1,8 @@
 //! Diagnostics: the engine's output unit, with stable fingerprints for
 //! baselining and text/JSON renderings.
 
+use mtmpi_obs::json::Writer;
+
 /// One finding of one rule at one site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -62,37 +64,22 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Minimal JSON string escape (the workspace carries no JSON
-/// dependency; same convention as mtmpi-obs' exporters).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Diagnostic {
     /// One JSON object (no trailing newline).
     pub fn to_json(&self, baselined: bool) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"msg\":\"{}\",\"snippet\":\"{}\",\"fingerprint\":\"{:016x}\",\"baselined\":{}}}",
-            self.rule,
-            json_escape(&self.path),
-            self.line,
-            json_escape(&self.msg),
-            json_escape(&self.snippet),
-            self.fingerprint(),
-            baselined
-        )
+        let mut w = Writer::default();
+        w.label("{\"rule\":", self.rule)
+            .string(",\"path\":", &self.path)
+            .uint(",\"line\":", self.line)
+            .string(",\"msg\":", &self.msg)
+            .string(",\"snippet\":", &self.snippet)
+            .hex(",\"fingerprint\":\"", self.fingerprint(), 16)
+            .raw(if baselined {
+                "\",\"baselined\":true}"
+            } else {
+                "\",\"baselined\":false}"
+            });
+        w.finish()
     }
 }
 
@@ -140,5 +127,16 @@ mod tests {
         let j = x.to_json(false);
         assert!(j.contains("\\\""));
         assert!(j.starts_with('{') && j.ends_with('}'));
+    }
+
+    #[test]
+    fn json_bytes_are_pinned_for_every_escape_class() {
+        let x = d("L004", "a \"b\".rs", 7, "s = \"q\\\tx\u{1}\u{e9}\";");
+        assert_eq!(
+            x.to_json(true),
+            "{\"rule\":\"L004\",\"path\":\"a \\\"b\\\".rs\",\"line\":7,\"msg\":\"m\",\
+             \"snippet\":\"s = \\\"q\\\\\\tx\\u0001\u{e9}\\\";\",\
+             \"fingerprint\":\"07a0a59988bc45b0\",\"baselined\":true}"
+        );
     }
 }

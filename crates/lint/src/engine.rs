@@ -5,6 +5,7 @@ use crate::baseline::{self, BaselineEntry};
 use crate::diag::Diagnostic;
 use crate::rules::{self, CsContext, L003_SCOPE};
 use crate::source::SourceFile;
+use mtmpi_obs::json::Writer;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -61,44 +62,29 @@ impl Report {
         out
     }
 
-    /// Machine-readable rendering (RFC 8259, hand-built — the workspace
-    /// carries no JSON dependency).
+    /// Machine-readable rendering (RFC 8259), through the workspace's
+    /// one JSON writer.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"version\":1,\"rules\":[");
+        let mut w = Writer::default();
+        w.raw("{\"version\":1,\"rules\":[");
         for (i, r) in rules::RULES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"id\":\"{}\",\"summary\":\"{}\"}}",
-                r.id,
-                crate::diag::json_escape(r.summary)
-            );
+            w.comma(i)
+                .label("{\"id\":", r.id)
+                .string(",\"summary\":", r.summary)
+                .raw("}");
         }
-        out.push_str("],\"diagnostics\":[");
-        let mut first = true;
-        for (d, baselined) in self
-            .fresh
-            .iter()
-            .map(|d| (d, false))
-            .chain(self.baselined.iter().map(|d| (d, true)))
-        {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&d.to_json(baselined));
+        w.raw("],\"diagnostics\":[");
+        let fresh = self.fresh.iter().map(|d| (d, false));
+        let all = fresh.chain(self.baselined.iter().map(|d| (d, true)));
+        for (i, (d, baselined)) in all.enumerate() {
+            w.comma(i).raw(&d.to_json(baselined));
         }
-        let _ = write!(
-            out,
-            "],\"summary\":{{\"files\":{},\"fresh\":{},\"baselined\":{},\"stale\":{}}}}}",
-            self.files_scanned,
-            self.fresh.len(),
-            self.baselined.len(),
-            self.stale.len()
-        );
-        out
+        w.uint("],\"summary\":{\"files\":", self.files_scanned as u64)
+            .uint(",\"fresh\":", self.fresh.len() as u64)
+            .uint(",\"baselined\":", self.baselined.len() as u64)
+            .uint(",\"stale\":", self.stale.len() as u64)
+            .raw("}}");
+        w.finish()
     }
 }
 

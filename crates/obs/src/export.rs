@@ -261,7 +261,7 @@ impl ChromeDoc {
     ) -> &mut Writer {
         self.event()
             .raw(opener)
-            .escaped(label)
+            .raw(label)
             .uint(closer, pid)
             .uint(",\"tid\":", tid)
             .us(",\"ts\":", ts)
@@ -276,10 +276,14 @@ impl ChromeDoc {
             // The instant's name, and the variable tail of it.
             let (name, label) = match ev.kind {
                 EventKind::CsSpan { t_req, t_acq, .. } => {
+                    // The two spans share their `args`: render it once.
                     let wait = self.head(named!("cs wait", "cs", "X"), "", (pid, ev.tid, t_req));
-                    fields::<false>(wait.us(",\"dur\":", t_acq.saturating_sub(t_req)), ev);
+                    let args = wait.us(",\"dur\":", t_acq.saturating_sub(t_req)).len();
+                    fields::<false>(wait, ev);
+                    let args = args..wait.len();
                     let hold = self.head(named!("cs hold", "cs", "X"), "", (pid, ev.tid, t_acq));
-                    fields::<false>(hold.us(",\"dur\":", ev.t_ns.saturating_sub(t_acq)), ev);
+                    hold.us(",\"dur\":", ev.t_ns.saturating_sub(t_acq))
+                        .repeat(args);
                     continue;
                 }
                 EventKind::Req { phase, .. } => (named!("req ", "req", "i"), phase.label()),

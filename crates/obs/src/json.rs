@@ -4,8 +4,8 @@
 //! by hand — through [`Writer`]. It appends literal text, integers,
 //! fixed-3-decimal microseconds, hex, floats and escaped strings to one
 //! byte buffer and hands the buffer over as the finished `String`; no
-//! value is rendered into a temporary first. Integers are formatted two
-//! digits at a time into a stack array, and a string that needs no
+//! value is rendered into a temporary first. An integer's digits are
+//! counted, then written in place two at a time, and a string that needs no
 //! escaping is copied through in one piece, which is what lets the trace
 //! exporters run at memory speed. Every rendering is a pure function of
 //! its input (plain `Display` floats, fixed-width fractions), so
@@ -50,11 +50,13 @@ impl Writer {
 
     /// Append the separator ahead of element `i` of an array or object:
     /// a comma, except before the first.
+    #[inline]
     pub fn comma(&mut self, i: usize) -> &mut Self {
         self.raw(if i > 0 { "," } else { "" })
     }
 
     /// Append `pre`, then `v` in decimal (what `to_string` prints).
+    #[inline]
     pub fn uint(&mut self, pre: &str, v: impl Into<u64>) -> &mut Self {
         self.raw(pre).digits(v.into(), 1)
     }
@@ -62,6 +64,7 @@ impl Writer {
     /// Append `pre`, then nanoseconds as a fixed-3-decimal microsecond
     /// literal (`1234567` → `1234.567`), the unit Chrome's trace viewer
     /// expects for `ts`/`dur`.
+    #[inline]
     pub fn us(&mut self, pre: &str, ns: u64) -> &mut Self {
         self.raw(pre)
             .digits(ns / 1000, 1)
@@ -97,6 +100,7 @@ impl Writer {
 
     /// Append `pre`, then `s` in quotes as it is — for the exporters'
     /// static labels (`"mutex"`, `"isend"`), which hold nothing to escape.
+    #[inline]
     pub fn label(&mut self, pre: &str, s: &str) -> &mut Self {
         self.raw(pre).raw("\"").raw(s).raw("\"")
     }
@@ -137,25 +141,39 @@ impl Writer {
         String::from_utf8(self.buf).expect("Writer appends only UTF-8")
     }
 
-    /// `v` in decimal, zero-padded to at least `min` digits, two digits
-    /// per division.
+    /// Bytes written so far: where the next append starts.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Append a copy of bytes `range` already written (whole appends, so
+    /// the copy is UTF-8 too).
+    pub(crate) fn repeat(&mut self, range: std::ops::Range<usize>) -> &mut Self {
+        self.buf.extend_from_within(range);
+        self
+    }
+
+    /// `v` in decimal, zero-padded to at least `min` digits: the length
+    /// is counted first, then the digits are written in place, two per
+    /// division, from the back.
+    #[inline]
     fn digits(&mut self, mut v: u64, min: usize) -> &mut Self {
-        let mut tmp = [b'0'; 20];
-        let mut i = tmp.len();
+        let n = v.checked_ilog10().map_or(1, |d| d as usize + 1).max(min);
+        let start = self.buf.len();
+        self.buf.resize(start + n, b'0');
+        let out = &mut self.buf[start..];
+        let mut i = n;
         while v >= 100 {
             let pair = (v % 100) as usize * 2;
             v /= 100;
             i -= 2;
-            tmp[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+            out[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
         }
         if v >= 10 {
-            i -= 2;
-            tmp[i..i + 2].copy_from_slice(&PAIRS[v as usize * 2..v as usize * 2 + 2]);
+            out[i - 2..i].copy_from_slice(&PAIRS[v as usize * 2..v as usize * 2 + 2]);
         } else {
-            i -= 1;
-            tmp[i] = b'0' + v as u8;
+            out[i - 1] = b'0' + v as u8;
         }
-        self.buf.extend_from_slice(&tmp[i.min(tmp.len() - min)..]);
         self
     }
 }

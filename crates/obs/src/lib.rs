@@ -37,7 +37,7 @@ pub use export::{
     chrome_trace, chrome_trace_multi, flow_id, jsonl, text_report, ChromeDoc, VCI_LANE_TID_BASE,
 };
 pub use recorder::{
-    swap_shard_claim, CsSpanView, DrainCursor, NullRecorder, Recorder, RingRecorder, ShardClaim,
-    Timeline, TimelineWindows, DEFAULT_SHARD_CAP, MAX_SHARDS,
+    swap_shard_claim, CsSpanView, NullRecorder, Recorder, RingRecorder, ShardClaim, Timeline,
+    TimelineWindows, DEFAULT_SHARD_CAP, MAX_SHARDS,
 };
 pub use summary::{CsStats, RunRecord, Sink, TimelineClaim};

@@ -167,7 +167,7 @@ impl<'a> Iterator for TimelineWindows<'a> {
 
 /// Events per storage chunk. Chunks are allocated lazily by the owning
 /// writer and never moved or freed while the recorder lives, so a
-/// concurrent reader holding a pointer into one stays valid.
+/// pointer into one stays valid.
 const CHUNK: usize = 1024;
 
 /// One fixed-size block of event storage. Slots are written exactly once
@@ -253,11 +253,9 @@ impl Drop for Shard {
 /// overflow increments a shared drop counter instead of reallocating
 /// without bound, so a runaway trace degrades gracefully.
 ///
-/// Storage is chunked and append-only: committed events never move, so a
-/// concurrent reader ([`RingRecorder::drain_incremental`]) can stream the
-/// committed prefix of every shard *while writers are still recording*.
-/// The destructive drains ([`RingRecorder::into_timeline`],
-/// [`RingRecorder::drain_unsynced`]) still require quiesced writers.
+/// Storage is chunked and append-only: committed events never move. Both
+/// drains ([`RingRecorder::into_timeline`],
+/// [`RingRecorder::drain_unsynced`]) require quiesced writers.
 pub struct RingRecorder {
     /// Identity of this recorder, to key the thread-local slot cache.
     id: u64,
@@ -327,9 +325,9 @@ impl RingRecorder {
     /// pre-allocation.
     ///
     /// # Panics
-    /// If `shards` is 0 or exceeds [`MAX_SHARDS`] ([`DrainCursor`] is a
-    /// fixed-size array). Builders gate the 0 case with a typed error
-    /// before reaching here (`BuildError::ZeroRecorderShards`).
+    /// If `shards` is 0 or exceeds [`MAX_SHARDS`]. Builders gate the 0
+    /// case with a typed error before reaching here
+    /// (`BuildError::ZeroRecorderShards`).
     pub fn with_shards(shards: usize, cap_per_thread: usize) -> Self {
         assert!(
             (1..=MAX_SHARDS).contains(&shards),
@@ -395,9 +393,7 @@ impl RingRecorder {
     ///
     /// Every thread that ever called [`Recorder::record`] on this
     /// recorder must have quiesced (e.g. `Platform::run` has returned),
-    /// and no thread may record concurrently with this call. Any
-    /// outstanding [`DrainCursor`] is invalidated by the reset and must
-    /// not be reused afterwards.
+    /// and no thread may record concurrently with this call.
     pub unsafe fn drain_unsynced(&self) -> Timeline {
         let dropped = self.dropped.swap(0, Ordering::Relaxed);
         // Sized exactly: a timeline is tens of MB, and growing it by
@@ -423,64 +419,6 @@ impl RingRecorder {
         }
         events.sort_by_key(|e| (e.t_ns, e.tid));
         Timeline { events, dropped }
-    }
-
-    /// Incrementally drain up to `max` *newly committed* events across all
-    /// shards, resuming from `cursor`. Safe to call while writers are
-    /// still recording: only the committed prefix of each shard (its
-    /// Acquire-loaded `published` watermark) is read, and nothing is
-    /// consumed — the cursor just advances.
-    ///
-    /// Returns the batch (each shard's slice is in program order; batches
-    /// from different shards are concatenated, *not* globally sorted) and
-    /// whether every shard was drained to its current watermark. A
-    /// `false` means `max` was hit and another call will make progress
-    /// immediately.
-    ///
-    /// The drop counter is *not* consumed; read it via
-    /// [`RingRecorder::dropped`].
-    pub fn drain_incremental(&self, cursor: &mut DrainCursor, max: usize) -> (Vec<Event>, bool) {
-        let mut out = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            let n = shard.published.load(Ordering::Acquire);
-            let seen = &mut cursor.seen[s];
-            while *seen < n {
-                if out.len() >= max {
-                    return (out, false);
-                }
-                out.push(shard.get(*seen));
-                *seen += 1;
-            }
-        }
-        (out, true)
-    }
-}
-
-/// Resume point for [`RingRecorder::drain_incremental`]: how many
-/// committed events of each shard have already been handed out. A fresh
-/// cursor starts at the beginning of every shard.
-#[derive(Debug, Clone)]
-pub struct DrainCursor {
-    seen: [usize; MAX_SHARDS],
-}
-
-impl Default for DrainCursor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DrainCursor {
-    /// A cursor positioned at the start of every shard.
-    pub fn new() -> Self {
-        Self {
-            seen: [0; MAX_SHARDS],
-        }
-    }
-
-    /// Total events handed out through this cursor so far.
-    pub fn drained(&self) -> usize {
-        self.seen.iter().sum()
     }
 }
 
@@ -670,101 +608,6 @@ mod tests {
         let t2 = unsafe { r.drain_unsynced() };
         assert!(t2.is_empty());
         assert_eq!(t2.dropped, 0);
-    }
-
-    #[test]
-    fn incremental_drain_matches_full_drain_under_concurrent_writers() {
-        // Writers record while the main thread streams the committed
-        // prefix in small bounded batches. The union of all incremental
-        // batches must equal a post-run full drain as a multiset: no
-        // event lost, none double-counted.
-        let r = std::sync::Arc::new(RingRecorder::new(4096));
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let handles: Vec<_> = (0..4u64)
-            .map(|tid| {
-                let r = r.clone();
-                std::thread::spawn(move || {
-                    for i in 0..500u64 {
-                        r.record(ev(tid * 10_000 + i, tid));
-                        if i % 64 == 0 {
-                            std::thread::yield_now();
-                        }
-                    }
-                })
-            })
-            .collect();
-        let reader = {
-            let r = r.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                let mut cursor = DrainCursor::new();
-                let mut got = Vec::new();
-                loop {
-                    let (batch, done) = r.drain_incremental(&mut cursor, 97);
-                    got.extend(batch);
-                    if done && stop.load(Ordering::Relaxed) {
-                        // One more pass after the writers are known to
-                        // have finished, to pick up the tail.
-                        let (tail, done) = r.drain_incremental(&mut cursor, usize::MAX);
-                        assert!(done);
-                        got.extend(tail);
-                        return got;
-                    }
-                    std::thread::yield_now();
-                }
-            })
-        };
-        for h in handles {
-            h.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        let mut inc = reader.join().unwrap();
-        assert_eq!(r.dropped(), 0);
-        let full = std::sync::Arc::try_unwrap(r).ok().unwrap().into_timeline();
-        inc.sort_by_key(|e| (e.t_ns, e.tid));
-        assert_eq!(inc.len(), 2000);
-        assert_eq!(
-            inc, full.events,
-            "incremental union == full drain, as a multiset"
-        );
-    }
-
-    #[test]
-    fn incremental_drain_sees_exact_drop_count_under_mid_stream_overflow() {
-        // A shard overflows while an incremental reader is mid-stream:
-        // the reader ends with exactly the bounded prefix, and the
-        // recorder's drop counter accounts for each overflowed event —
-        // no drift from the concurrent draining.
-        let r = std::sync::Arc::new(RingRecorder::new(8));
-        let writer = {
-            let r = r.clone();
-            std::thread::spawn(move || {
-                for i in 0..20u64 {
-                    r.record(ev(i, 7));
-                    std::thread::yield_now();
-                }
-            })
-        };
-        let mut cursor = DrainCursor::new();
-        let mut got = Vec::new();
-        loop {
-            let (batch, _) = r.drain_incremental(&mut cursor, 3);
-            got.extend(batch);
-            if writer.is_finished() && got.len() >= 8 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        writer.join().unwrap();
-        let (tail, done) = r.drain_incremental(&mut cursor, usize::MAX);
-        assert!(done);
-        got.extend(tail);
-        assert_eq!(got.len(), 8, "exactly the bounded prefix");
-        let times: Vec<u64> = got.iter().map(|e| e.t_ns).collect();
-        assert_eq!(times, (0..8).collect::<Vec<u64>>());
-        assert_eq!(r.dropped(), 12, "every overflowed event counted once");
-        // Incremental draining never consumes the counter.
-        assert_eq!(r.dropped(), 12);
     }
 
     #[test]

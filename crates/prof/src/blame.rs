@@ -16,15 +16,16 @@
 //! plus any holder whose span fell out of the trace. Summed over rows the
 //! matrix therefore reproduces the total recorded CS wait exactly.
 //!
-//! [`BlameFold`] is the one implementation of that rule; [`BlameMatrix`]
-//! feeds a whole timeline through it. A wait can only be charged to holds
-//! that ended no later than its own grant (`t_end_h ≤ t_acq ≤ t_end`):
-//! once every passage released up to some instant has been ingested,
-//! every wait released up to that instant sees all the holds it will
-//! ever see.
+//! `BlameFold` is the one implementation of that rule; [`BlameMatrix`]
+//! feeds a whole timeline through it in one pass. A wait can only be
+//! charged to holds that ended no later than its own grant
+//! (`t_end_h ≤ t_acq ≤ t_end`): once every passage released up to some
+//! instant has been ingested, every wait released up to that instant sees
+//! all the holds it will ever see — and they are the tail of its lock's
+//! hold list.
 
 use mtmpi_metrics::gini;
-use mtmpi_obs::{CsOp, CsSpanView, Path, Timeline};
+use mtmpi_obs::{CsOp, CsSpanView, Event, Path, Timeline};
 use std::collections::BTreeMap;
 
 /// Identity of a lock holder being blamed.
@@ -188,12 +189,33 @@ impl PathTally {
     }
 }
 
-/// One ingested hold interval `[t_acq, t_end)` of a lock.
+/// One ingested hold interval `[t_acq, t_end)` of a lock, with the
+/// column of its holder.
 #[derive(Debug, Clone, Copy)]
 struct Hold {
     t_acq: u64,
     t_end: u64,
-    key: HolderKey,
+    tid: u64,
+    col: usize,
+}
+
+impl Hold {
+    /// The order of a lock's hold list.
+    fn order(&self) -> (u64, u64, u64) {
+        (self.t_acq, self.t_end, self.tid)
+    }
+}
+
+/// One thread's tallies: its waits, charged by holder column, and its
+/// own passages.
+#[derive(Debug, Default)]
+struct ThreadTally {
+    /// Charged nanoseconds, indexed by holder column.
+    cells: Vec<u64>,
+    unattributed_ns: u64,
+    wait_ns: u64,
+    acquisitions: u64,
+    hold_ns: u64,
 }
 
 /// The attribution engine: ingest passages' holds, then charge their
@@ -201,159 +223,118 @@ struct Hold {
 ///
 /// Contract: before [`Self::charge`] is called for a passage, every
 /// passage of the same lock released no later than it (itself included)
-/// must have been [`Self::ingest`]ed — see the module docs for why that
-/// is enough.
+/// must have been [`Self::ingest`]ed, and passages are ingested in
+/// release order — see the module docs for why that is enough.
 #[derive(Debug, Default)]
-pub(crate) struct BlameFold {
+struct BlameFold {
     /// Per-lock holds, sorted by `(t_acq, t_end, tid)`; disjoint, so
     /// `t_end` is ordered too.
     holds: BTreeMap<u32, Vec<Hold>>,
-    /// Per-thread `(acquisitions, hold_ns)`.
-    per_tid: BTreeMap<u64, (u64, u64)>,
+    /// Column of every holder identity seen, fixed at first sight.
+    cols: BTreeMap<HolderKey, usize>,
+    per_tid: BTreeMap<u64, ThreadTally>,
     paths: PathTally,
-    /// Per-VCI `(hold_ns, per-path tallies)`.
-    per_vci: BTreeMap<u32, (u64, PathTally)>,
 }
 
 impl BlameFold {
     /// Make a passage's hold visible to later [`Self::charge`] calls.
-    pub(crate) fn ingest(&mut self, s: &CsSpanView) {
+    fn ingest(&mut self, s: &CsSpanView) {
+        let next = self.cols.len();
+        let col = *self.cols.entry(HolderKey::of(s)).or_insert(next);
+        let h = Hold {
+            t_acq: s.t_acq,
+            t_end: s.t_end,
+            tid: s.tid,
+            col,
+        };
+        // Holds arrive in release order, so a new one sorts at the tail
+        // or, on a tie of release instants, a few slots before it.
         let hs = self.holds.entry(s.lock).or_default();
-        let at = hs.partition_point(|h| (h.t_acq, h.t_end, h.key.tid) <= (s.t_acq, s.t_end, s.tid));
-        hs.insert(
-            at,
-            Hold {
-                t_acq: s.t_acq,
-                t_end: s.t_end,
-                key: HolderKey::of(s),
-            },
-        );
-    }
-
-    /// Count a passage into the per-thread / per-path / per-VCI tallies.
-    fn tally(&mut self, s: &CsSpanView) {
-        let (wait, hold) = (s.wait_ns(), s.hold_ns());
-        let t = self.per_tid.entry(s.tid).or_default();
-        t.0 += 1;
-        t.1 += hold;
-        self.paths.add(s.path, wait);
-        let v = self.per_vci.entry(s.vci).or_default();
-        v.0 += hold;
-        v.1.add(s.path, wait);
+        let later = hs.iter().rev().take_while(|x| x.order() > h.order());
+        hs.insert(hs.len() - later.count(), h);
     }
 
     /// Tally a passage and charge its wait to the concurrent holders of
-    /// its lock: `sink(holder, ns)` once per overlapping hold. Returns the
-    /// unattributed remainder, so `Σ sink ns + returned == s.wait_ns()`.
-    pub(crate) fn charge(&mut self, s: &CsSpanView, mut sink: impl FnMut(HolderKey, u64)) -> u64 {
-        self.tally(s);
-        let mut unattributed = s.wait_ns();
-        if unattributed == 0 {
-            return 0;
+    /// its lock; the rest of the wait is its thread's unattributed time.
+    fn charge(&mut self, s: &CsSpanView) {
+        let wait = s.wait_ns();
+        self.paths.add(s.path, wait);
+        let row = self.per_tid.entry(s.tid).or_default();
+        row.acquisitions += 1;
+        row.hold_ns += s.hold_ns();
+        row.wait_ns += wait;
+        if wait == 0 {
+            return;
         }
+        row.cells.resize(self.cols.len(), 0);
+        let mut unattributed = wait;
+        // Every hold this wait overlaps ended by its grant, so it is in
+        // the list already, and ends are ordered: walk back from the tail
+        // until a hold ends before the wait starts. Holds that start at
+        // or after the grant (the passage's own among them) overlap
+        // nothing.
         let hs = self.holds.get(&s.lock).map_or(&[][..], Vec::as_slice);
-        // Holds that end before the wait starts cannot overlap it; holds
-        // that start at or after the grant cannot either.
-        let first = hs.partition_point(|h| h.t_end <= s.t_req);
-        for h in hs[first..].iter().take_while(|h| h.t_acq < s.t_acq) {
+        for h in hs.iter().rev().take_while(|h| h.t_end > s.t_req) {
             let (lo, hi) = (h.t_acq.max(s.t_req), h.t_end.min(s.t_acq));
             if hi > lo {
                 unattributed -= hi - lo;
-                sink(h.key, hi - lo);
+                row.cells[h.col] += hi - lo;
             }
         }
-        unattributed
+        row.unattributed_ns += unattributed;
     }
 
-    /// Total wait of every passage charged so far.
-    pub(crate) fn total_wait_ns(&self) -> u64 {
-        self.paths.wait_ns()
-    }
-
-    /// Passages charged so far.
-    pub(crate) fn spans(&self) -> u64 {
-        self.paths.spans()
-    }
-
-    /// Per-thread acquisition shares, ordered by tid.
-    pub(crate) fn shares(&self) -> Vec<ThreadShare> {
-        let total = self.spans();
-        self.per_tid
-            .iter()
-            .map(|(&tid, &(acquisitions, hold_ns))| ThreadShare {
+    /// The matrix over everything charged: rows and shares by tid, cells
+    /// by holder key.
+    fn finish(self) -> BlameMatrix {
+        let total = self.paths.spans();
+        let mut rows = Vec::with_capacity(self.per_tid.len());
+        let mut shares = Vec::with_capacity(self.per_tid.len());
+        for (&tid, t) in &self.per_tid {
+            let cells = self.cols.iter().filter_map(|(&holder, &col)| {
+                let ns = t.cells.get(col).copied().unwrap_or(0);
+                (ns > 0).then_some(BlameCell { holder, ns })
+            });
+            rows.push(BlameRow {
+                waiter_tid: tid,
+                cells: cells.collect(),
+                unattributed_ns: t.unattributed_ns,
+                total_ns: t.wait_ns,
+            });
+            shares.push(ThreadShare {
                 tid,
-                acquisitions,
+                acquisitions: t.acquisitions,
                 share: if total == 0 {
                     0.0
                 } else {
-                    acquisitions as f64 / total as f64
+                    t.acquisitions as f64 / total as f64
                 },
-                hold_ns,
-            })
-            .collect()
-    }
-
-    /// Main/progress/wait-spin asymmetry over everything charged so far.
-    pub(crate) fn starvation(&self) -> Starvation {
-        self.paths.starvation()
-    }
-
-    /// One [`VciLoad`] per shard seen (ordered by VCI) and the Gini index
-    /// over the per-shard acquisition counts.
-    pub(crate) fn vci_loads(&self) -> (Vec<VciLoad>, f64) {
-        let loads: Vec<VciLoad> = self
-            .per_vci
-            .iter()
-            .map(|(&vci, (hold_ns, paths))| VciLoad {
-                vci,
-                acquisitions: paths.spans(),
-                hold_ns: *hold_ns,
-                wait_ns: paths.wait_ns(),
-                starvation: paths.starvation(),
-            })
-            .collect();
-        let counts: Vec<u64> = loads.iter().map(|l| l.acquisitions).collect();
-        let g = gini(&counts);
-        (loads, g)
+                hold_ns: t.hold_ns,
+            });
+        }
+        let counts: Vec<u64> = shares.iter().map(|s| s.acquisitions).collect();
+        BlameMatrix {
+            rows,
+            total_wait_ns: self.paths.wait_ns(),
+            shares,
+            gini: gini(&counts),
+            starvation: self.paths.starvation(),
+        }
     }
 }
 
 impl BlameMatrix {
-    /// Run the attribution over a timeline's CS spans.
+    /// Run the attribution over a timeline's CS spans in one pass, one
+    /// release instant at a time: every passage released at the instant
+    /// is ingested, then each of them is charged.
     pub fn from_timeline(t: &Timeline) -> Self {
         let mut fold = BlameFold::default();
-        for s in t.cs_spans() {
-            fold.ingest(&s);
+        for instant in t.events.chunk_by(|a, b| a.t_ns == b.t_ns) {
+            let spans = || instant.iter().filter_map(Event::cs_span);
+            spans().for_each(|s| fold.ingest(&s));
+            spans().for_each(|s| fold.charge(&s));
         }
-        // Per waiter: `(cells, unattributed_ns, total_ns)`.
-        let mut rows: BTreeMap<u64, (BTreeMap<HolderKey, u64>, u64, u64)> = BTreeMap::new();
-        for s in t.cs_spans() {
-            let row = rows.entry(s.tid).or_default();
-            row.1 += fold.charge(&s, |holder, ns| *row.0.entry(holder).or_default() += ns);
-            row.2 += s.wait_ns();
-        }
-        let shares = fold.shares();
-        let counts: Vec<u64> = shares.iter().map(|s| s.acquisitions).collect();
-        Self {
-            rows: rows
-                .into_iter()
-                .map(
-                    |(waiter_tid, (cells, unattributed_ns, total_ns))| BlameRow {
-                        waiter_tid,
-                        cells: cells
-                            .into_iter()
-                            .map(|(holder, ns)| BlameCell { holder, ns })
-                            .collect(),
-                        unattributed_ns,
-                        total_ns,
-                    },
-                )
-                .collect(),
-            total_wait_ns: fold.total_wait_ns(),
-            shares,
-            gini: gini(&counts),
-            starvation: fold.starvation(),
-        }
+        fold.finish()
     }
 
     /// Per-pair blocked-by nanoseconds: `(waiter_tid, holder_tid) → ns`,
@@ -404,17 +385,32 @@ pub struct VciLoad {
 /// traffic evenly, approaching 1 when one shard soaks up everything
 /// (at which point sharding has bought nothing over the global CS).
 pub fn vci_loads(t: &Timeline) -> (Vec<VciLoad>, f64) {
-    let mut fold = BlameFold::default();
+    // Per VCI: `(hold_ns, per-path tallies)`.
+    let mut per_vci: BTreeMap<u32, (u64, PathTally)> = BTreeMap::new();
     for s in t.cs_spans() {
-        fold.tally(&s);
+        let v = per_vci.entry(s.vci).or_default();
+        v.0 += s.hold_ns();
+        v.1.add(s.path, s.wait_ns());
     }
-    fold.vci_loads()
+    let loads: Vec<VciLoad> = per_vci
+        .into_iter()
+        .map(|(vci, (hold_ns, paths))| VciLoad {
+            vci,
+            acquisitions: paths.spans(),
+            hold_ns,
+            wait_ns: paths.wait_ns(),
+            starvation: paths.starvation(),
+        })
+        .collect();
+    let counts: Vec<u64> = loads.iter().map(|l| l.acquisitions).collect();
+    let g = gini(&counts);
+    (loads, g)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtmpi_obs::{Event, EventKind};
+    use mtmpi_obs::EventKind;
 
     fn cs(tid: u64, lock: u32, path: Path, op: CsOp, t_req: u64, t_acq: u64, t_end: u64) -> Event {
         Event {
@@ -455,6 +451,26 @@ mod tests {
         assert_eq!(row2.cells[0].holder.op(), CsOp::Isend);
         assert_eq!(row2.cells[0].ns, 90);
         assert_eq!(row2.unattributed_ns, 0);
+        assert_eq!(m.check_conservation(), (0, 0));
+    }
+
+    #[test]
+    fn a_wait_sees_every_hold_released_at_its_own_instant() {
+        // t2 holds [0,100); t1 waited [10,100) and held for no time, so
+        // both release at 100, and t1's passage comes first in the
+        // timeline. Charging t1 before t2's hold of the same instant is
+        // ingested would leave all 90 ns unattributed.
+        let t = timeline(vec![
+            cs(1, 0, Path::Main, CsOp::Irecv, 10, 100, 100),
+            cs(2, 0, Path::Main, CsOp::Isend, 0, 0, 100),
+        ]);
+        assert_eq!(t.events[0].tid, 1, "the waiter sorts first");
+        let m = BlameMatrix::from_timeline(&t);
+        let row1 = m.rows.iter().find(|r| r.waiter_tid == 1).unwrap();
+        assert_eq!(row1.total_ns, 90);
+        assert_eq!(row1.cells.len(), 1);
+        assert_eq!((row1.cells[0].holder.tid, row1.cells[0].ns), (2, 90));
+        assert_eq!(row1.unattributed_ns, 0);
         assert_eq!(m.check_conservation(), (0, 0));
     }
 

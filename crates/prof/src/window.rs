@@ -15,7 +15,6 @@
 
 use mtmpi_metrics::{gini, Histogram};
 use mtmpi_obs::{CsSpanView, Event, Timeline};
-use std::collections::BTreeMap;
 
 /// One virtual-time window's contention summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,8 +71,8 @@ pub(crate) struct WindowAcc {
     wait_hist: Histogram,
     wait_ns: u64,
     hold_ns: u64,
-    /// Per-thread acquisitions.
-    acq: BTreeMap<u64, u64>,
+    /// Per-thread `(tid, acquisitions)`, sorted by tid.
+    acq: Vec<(u64, u64)>,
 }
 
 impl WindowAcc {
@@ -81,18 +80,21 @@ impl WindowAcc {
         self.wait_hist.record(s.wait_ns());
         self.wait_ns += s.wait_ns();
         self.hold_ns += s.hold_ns();
-        *self.acq.entry(s.tid).or_default() += 1;
+        match self.acq.binary_search_by_key(&s.tid, |a| a.0) {
+            Ok(i) => self.acq[i].1 += 1,
+            Err(i) => self.acq.insert(i, (s.tid, 1)),
+        }
     }
 
     pub(crate) fn finish(&self, start_ns: u64) -> WindowRow {
-        let spans: u64 = self.acq.values().sum();
+        let spans: u64 = self.acq.iter().map(|a| a.1).sum();
         let (top_tid, top_n) = self
             .acq
             .iter()
-            .map(|(&tid, &n)| (tid, n))
+            .copied()
             .max_by_key(|&(tid, n)| (n, std::cmp::Reverse(tid)))
             .unwrap_or((0, 0));
-        let counts: Vec<u64> = self.acq.values().copied().collect();
+        let counts: Vec<u64> = self.acq.iter().map(|a| a.1).collect();
         WindowRow {
             start_ns,
             spans,

@@ -8,7 +8,7 @@
 
 use mtmpi_locks::PathClass;
 use mtmpi_net::NetModel;
-use mtmpi_obs::{DrainCursor, Event, EventKind, Path, Recorder, RingRecorder};
+use mtmpi_obs::{Event, EventKind, Path, Recorder, RingRecorder};
 use mtmpi_sim::{
     LockKind, LockModelParams, Platform, PlatformReport, RunHandle, SimError, StepOutcome,
     ThreadDesc, VirtualPlatform,
@@ -222,23 +222,18 @@ fn a_migrating_run_replays_the_monolithic_one() {
     drop(p);
     assert_eq!(summary(&report), summary(&reference));
 
-    // Shard by shard: exactly one simulated thread per shard, i.e. every
-    // thread stayed in the shard it claimed first whichever OS thread ran
-    // it, and nobody had to claim a second one (there are none spare).
-    let (by_shard, drained_all) = rec.drain_incremental(&mut DrainCursor::default(), usize::MAX);
-    assert!(drained_all);
-    let owners: Vec<u64> = by_shard
-        .chunk_by(|a, b| a.tid == b.tid)
-        .map(|c| c[0].tid)
-        .collect();
-    assert_eq!(owners.len(), MIGRANTS as usize, "shard owners {owners:?}");
-    assert_eq!(rec.dropped(), 0);
-    for ev in &by_shard {
+    // One shard per simulated thread: there are no spare shards, so a
+    // thread that claimed a second one would have left another without
+    // any, and its events would have been dropped. Every event is here,
+    // so every thread stayed in the shard it claimed first whichever OS
+    // thread ran it.
+    let timeline = Arc::into_inner(rec).expect("run is over").into_timeline();
+    assert_eq!(timeline.dropped, 0);
+    assert_eq!(timeline.events.len(), 12 * MIGRANTS as usize);
+    for ev in &timeline.events {
         assert_eq!(u64::from(ev.core), ev.tid, "placement travelled: {ev:?}");
         assert_eq!(ev.socket, u32::from(ev.tid >= 4), "{ev:?}");
     }
-    let timeline = Arc::into_inner(rec).expect("run is over").into_timeline();
-    assert_eq!(timeline.dropped, 0);
     assert_eq!(timeline.events, reference_timeline.events);
 
     // And it did migrate: every simulated thread ran on both OS threads.

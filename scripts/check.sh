@@ -33,12 +33,14 @@
 #              match — see the policy comment in that file).
 #   miri       UB check of the locks crate under cargo miri (nightly
 #              component; skipped when not installed).
-#   obs        observability smoke test: run fig2a traced in quick mode
-#              twice via `xtask trace`, validate results/BENCH_fig2a.json
-#              (including its prof blocks) and results/fig2a.trace.json
-#              are well-formed JSON, and require the trace and
-#              results/fig2a.prom to be byte-identical between the two
-#              same-seed runs (a trace is a pure function of the seed).
+#   obs        observability smoke test: run fig2a (one lock per rank)
+#              and fig_vci (several locks per rank) traced in quick mode
+#              twice each via `xtask trace`, validate each
+#              results/BENCH_<fig>.json (including its prof blocks) and
+#              results/<fig>.trace.json are well-formed JSON, and require
+#              the trace and results/<fig>.prom to be byte-identical
+#              between the two same-seed runs (a trace is a pure
+#              function of the seed).
 #   prof       bench regression gate: re-run the baselined figures in
 #              quick mode and diff their BENCH_*.json against
 #              results/baseline/ — per-run quantiles within tolerance,
@@ -102,6 +104,7 @@ else
     step loom cargo test -p mtmpi-runtime --test loom_claim --test loom_stream
     step loom cargo test -p mtmpi-serve --test loom_state
     step obs cargo run -q -p xtask -- trace fig2a
+    step obs cargo run -q -p xtask -- trace fig_vci
     step prof cargo run -q -p xtask -- bench-diff --quick
     step bench-api cargo test --offline --manifest-path benchmark/Cargo.toml
     for gate in faults vci stream scale serve bfs; do

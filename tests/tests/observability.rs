@@ -315,6 +315,38 @@ fn exports_of_the_pinned_mutex_run_are_byte_identical() {
     assert_eq!(pin(&multi), (2_270_254, 11_595_743_826_388_110_321));
 }
 
+/// Every CS passage's `cs wait` and `cs hold` spans, parsed back: they
+/// sit next to each other on one thread's track and carry equal `args`
+/// (the exporter renders a passage's `args` once and copies it).
+#[test]
+fn cs_wait_and_hold_spans_carry_equal_args() {
+    let out = pinned_mutex_run();
+    for t in [
+        &all_kinds_timeline(),
+        out.timeline.as_ref().expect("timeline"),
+    ] {
+        let doc = mtmpi_prof::Json::parse(&chrome_trace(t)).expect("trace parses");
+        let events = doc.get("traceEvents").and_then(|e| e.as_array()).unwrap();
+        let str_of = |e: &mtmpi_prof::Json, k| e.get(k).and_then(|v| v.as_str()).map(str::to_owned);
+        let cs: Vec<_> = events
+            .iter()
+            .filter(|e| str_of(e, "cat").as_deref() == Some("cs"))
+            .collect();
+        assert_eq!(cs.len(), 2 * t.cs_spans().count());
+        for pair in cs.chunks(2) {
+            let (wait, hold) = (pair[0], pair[1]);
+            assert_eq!(str_of(wait, "name").as_deref(), Some("cs wait"));
+            assert_eq!(str_of(hold, "name").as_deref(), Some("cs hold"));
+            for k in ["pid", "tid"] {
+                assert_eq!(wait.get(k), hold.get(k), "{k}");
+            }
+            let args = wait.get("args").expect("wait args");
+            assert!(args.get("lock").is_some() && args.get("socket").is_some());
+            assert_eq!(Some(args), hold.get("args"));
+        }
+    }
+}
+
 /// Every thread of rank 0 sends `msgs` messages of `bytes` to its peer
 /// thread on rank 1.
 fn stream(bytes: u64, msgs: u32) -> impl Fn(ThreadCtx) + Send + Sync + 'static {

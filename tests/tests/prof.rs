@@ -5,14 +5,19 @@
 use mtmpi::prelude::*;
 use mtmpi_integration_tests::{pin, pinned_mutex_run};
 use mtmpi_obs::ChromeDoc;
-use mtmpi_prof::{ProfReport, Windows};
+use mtmpi_prof::{BlameMatrix, HolderKey, ProfReport, Windows};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A contended multi-thread workload with tracing on.
 fn traced_run(seed: u64) -> RunOutcome {
+    traced_run_on(seed, RunConfig::new(Method::Mutex))
+}
+
+/// [`traced_run`]'s workload on `cfg`'s method and VCI map.
+fn traced_run_on(seed: u64, cfg: RunConfig) -> RunOutcome {
     let exp = Experiment::with_seed(2, seed).trace(true);
     exp.run(
-        RunConfig::new(Method::Mutex)
-            .nodes(2)
+        cfg.nodes(2)
             .ranks_per_node(1)
             .threads_per_rank(4)
             .window_bytes(128),
@@ -68,6 +73,68 @@ fn blame_matrix_conserves_recorded_wait_on_a_real_run() {
     // This workload contends: somebody must be blamed.
     assert!(prof.blame.total_wait_ns > 0, "no contention recorded?");
     assert!(prof.blame.rows.iter().any(|r| !r.cells.is_empty()));
+}
+
+/// Per waiter: `(cells by holder, unattributed_ns, total_ns)`.
+type Rows = BTreeMap<u64, (BTreeMap<HolderKey, u64>, u64, u64)>;
+
+/// The independent oracle: every wait against every hold of its lock,
+/// O(n²), no ordering, no early exit.
+fn overlap_oracle(t: &Timeline) -> Rows {
+    let spans: Vec<_> = t.cs_spans().collect();
+    let mut rows = Rows::new();
+    for w in &spans {
+        let row = rows.entry(w.tid).or_default();
+        row.1 += w.wait_ns();
+        row.2 += w.wait_ns();
+        for h in spans.iter().filter(|h| h.lock == w.lock) {
+            let ns = h.t_end.min(w.t_acq).saturating_sub(h.t_acq.max(w.t_req));
+            if ns > 0 {
+                let holder = HolderKey {
+                    tid: h.tid,
+                    path_idx: h.path.idx(),
+                    op_idx: h.op.idx(),
+                    vci: h.vci,
+                };
+                *row.0.entry(holder).or_default() += ns;
+                row.1 -= ns;
+            }
+        }
+    }
+    rows
+}
+
+fn matrix_rows(m: &BlameMatrix) -> Rows {
+    let cells = |r: &mtmpi_prof::BlameRow| r.cells.iter().map(|c| (c.holder, c.ns)).collect();
+    m.rows
+        .iter()
+        .map(|r| (r.waiter_tid, (cells(r), r.unattributed_ns, r.total_ns)))
+        .collect()
+}
+
+#[test]
+fn blame_matches_the_overlap_oracle_on_real_runs() {
+    let one_lock = traced_run(21);
+    let sharded = traced_run_on(24, RunConfig::new(Method::Mutex).vci_map(VciMap::by_tag(4)));
+    for (name, out) in [("one lock per rank", &one_lock), ("4 VCIs", &sharded)] {
+        let t = out.timeline.as_ref().expect("traced run has a timeline");
+        let m = BlameMatrix::from_timeline(t);
+        let rows = matrix_rows(&m);
+        assert!(
+            rows.values().any(|r| !r.0.is_empty()),
+            "{name}: nobody blamed"
+        );
+        assert_eq!(rows, overlap_oracle(t), "{name}");
+    }
+    let t = sharded
+        .timeline
+        .as_ref()
+        .expect("traced run has a timeline");
+    let locks: BTreeSet<u32> = t.cs_spans().map(|s| s.lock).collect();
+    assert!(
+        locks.len() > sharded.nranks as usize,
+        "several locks per rank: {locks:?}"
+    );
 }
 
 #[test]
