@@ -21,16 +21,13 @@
 //!   exposition renderings (all hand-rolled; the workspace carries no
 //!   JSON or HTTP dependency).
 //! * [`json`] — a minimal JSON *value* parser (the consuming side of the
-//!   artifacts the bench layer writes).
-//! * [`diff`] — `xtask bench-diff`'s engine: compares `BENCH_*.json`
-//!   quantiles against a committed baseline with per-metric noise-aware
-//!   tolerances and a min-count floor.
+//!   artifacts the bench layer writes; `xtask`'s gates compare those
+//!   artifacts as texts and use it to name the first differing path).
 //! * [`top`] — the fixed-width `xtask top` view over a figure's windowed
 //!   aggregation.
 
 pub mod blame;
 pub mod decomp;
-pub mod diff;
 pub mod json;
 pub mod report;
 pub mod top;
@@ -40,7 +37,6 @@ pub use blame::{
     vci_loads, BlameCell, BlameMatrix, BlameRow, HolderKey, Starvation, ThreadShare, VciLoad,
 };
 pub use decomp::LatencyDecomp;
-pub use diff::{bench_diff, DiffOptions, DiffReport};
 pub use json::Json;
 pub use report::ProfReport;
 pub use top::top_report;

@@ -47,8 +47,8 @@ impl ServeReport {
 
     /// Gini index over per-tenant wall *hold* time (ns spent RUNNING on
     /// a worker) — the cross-tenant analogue of the paper's per-thread
-    /// lock monopolization index. Wall-clock derived, so tolerance-band
-    /// this in gates.
+    /// lock monopolization index. Wall-clock derived, so it is printed
+    /// and never written to a BENCH document.
     pub fn hold_gini(&self) -> f64 {
         let holds: Vec<u64> = self.tenants.iter().map(|t| t.hold_ns).collect();
         gini(&holds)

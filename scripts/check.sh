@@ -41,11 +41,10 @@
 #              the trace and results/<fig>.prom to be byte-identical
 #              between the two same-seed runs (a trace is a pure
 #              function of the seed).
-#   prof       bench regression gate: re-run the baselined figures in
-#              quick mode and diff their BENCH_*.json against
-#              results/baseline/ — per-run quantiles within tolerance,
-#              every sched_trace_hash and scalar exactly
-#              (`xtask bench-diff --quick`).
+#   bench-diff baseline gate: re-run the baselined figures in quick
+#              mode and require each fresh BENCH_*.json to equal its
+#              committed text under results/baseline/ (`xtask
+#              bench-diff`; a mismatch names the first differing path).
 #   bench-api  build and test the standalone host-cost benchmark
 #              (benchmark/, its own workspace) against this tree, so a
 #              change that breaks the public surface it is pinned to
@@ -96,7 +95,7 @@ if [ "$FAST" = "fast" ]; then
     skip loom "fast mode"
     skip tsan "fast mode"
     skip miri "fast mode"
-    for s in obs prof bench-api faults vci stream scale serve bfs; do
+    for s in obs bench-diff bench-api faults vci stream scale serve bfs; do
         skip "$s" "fast mode"
     done
 else
@@ -105,7 +104,7 @@ else
     step loom cargo test -p mtmpi-serve --test loom_state
     step obs cargo run -q -p xtask -- trace fig2a
     step obs cargo run -q -p xtask -- trace fig_vci
-    step prof cargo run -q -p xtask -- bench-diff --quick
+    step bench-diff cargo run -q -p xtask -- bench-diff
     step bench-api cargo test --offline --manifest-path benchmark/Cargo.toml
     for gate in faults vci stream scale serve bfs; do
         step "$gate" cargo run -q -p xtask -- replay-gate "$gate"

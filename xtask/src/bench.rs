@@ -1,23 +1,19 @@
-//! `xtask bench-diff` and `xtask top` — the regression gate and the
+//! `xtask bench-diff` and `xtask top` — the baseline gate and the
 //! terminal contention viewer over `results/BENCH_*.json`.
 //!
-//! `bench-diff [--baseline <dir>] [--quick]` compares every
-//! `BENCH_<fig>.json` committed under the baseline directory (default
-//! `results/baseline/`) against the corresponding fresh copy in
-//! `results/`, using `mtmpi_prof::bench_diff`: per-run quantiles within
-//! their tolerance table, every `sched_trace_hash` and every scalar
-//! exactly. With `--quick`, each baselined figure binary is re-run in
-//! quick mode first, so the command is self-contained in CI. The verdict
-//! is written to `results/bench-diff.md`; the exit code is nonzero on
-//! any breaching metric, missing run, or missing file. To accept an
-//! intentional change, regenerate and commit the baseline (see
-//! EXPERIMENTS.md).
+//! `bench-diff` re-runs every figure with a `BENCH_<fig>.json` committed
+//! under `results/baseline/` in quick mode and requires the fresh
+//! `results/BENCH_<fig>.json` to equal the committed text, byte for
+//! byte ([`same_text`]). A BENCH document is a pure function of the
+//! seed, so any difference is a behaviour change; the failure names the
+//! first differing `$`-path. A change that moves a document refreshes
+//! its baseline in the same commit (see EXPERIMENTS.md).
 //!
 //! `top <fig>` renders the windowed contention view (`mtmpi_prof::top`)
 //! of an already-generated `results/BENCH_<fig>.json`.
 
-use crate::run::{read_text, run_fig};
-use mtmpi_prof::{bench_diff, top_report, DiffOptions, DiffReport};
+use crate::run::{check_all, read_text, run_fig, same_text};
+use mtmpi_prof::top_report;
 use std::path::Path;
 
 /// Baselined figure ids: every `BENCH_<fig>.json` under `dir`, sorted.
@@ -37,89 +33,29 @@ fn baseline_figs(dir: &Path) -> Vec<String> {
     figs
 }
 
-/// One figure's verdict: its tolerance report, or why there is none.
-fn gate_fig(
-    fig: &str,
-    root: &Path,
-    baseline_dir: &Path,
-    rerun: bool,
-) -> Result<DiffReport, String> {
-    let base = read_text(&baseline_dir.join(format!("BENCH_{fig}.json")))?;
-    if rerun {
-        println!("xtask bench-diff: running {fig} --quick ...");
-        run_fig(fig, root, &[])?;
-    }
-    let cur = read_text(&root.join(format!("results/BENCH_{fig}.json"))).map_err(|e| {
-        format!(
-            "{e} — run `cargo run --release -p mtmpi-bench --bin {fig} -- --quick` or pass --quick"
-        )
-    })?;
-    bench_diff(&base, &cur, &DiffOptions::default())
+/// Re-run `fig` and compare its fresh document with the committed one.
+fn gate_fig(fig: &str, root: &Path) -> Result<(), String> {
+    let file = format!("BENCH_{fig}.json");
+    let baseline = read_text(&root.join("results/baseline").join(&file))?;
+    println!("xtask bench-diff: running {fig} --quick ...");
+    run_fig(fig, root, &[])?;
+    let fresh = read_text(&root.join("results").join(&file))?;
+    let what = format!("results/{file} and its baseline");
+    same_text(&what, &baseline, &fresh)
 }
 
-/// The gate. `baseline` is relative to `root` unless absolute.
-pub fn run_bench_diff(root: &Path, baseline: &Path, quick: bool) -> Result<(), String> {
-    let baseline_dir = if baseline.is_absolute() {
-        baseline.to_path_buf()
-    } else {
-        root.join(baseline)
-    };
-    let figs = baseline_figs(&baseline_dir);
+/// The gate: fresh text == committed text, for every baseline.
+pub fn run_baseline_gate(root: &Path) -> Result<(), String> {
+    let figs = baseline_figs(&root.join("results/baseline"));
     if figs.is_empty() {
-        return Err(format!(
-            "no BENCH_*.json baselines under {} — \
-             run the figure binaries and copy results/BENCH_*.json there first",
-            baseline_dir.display()
-        ));
+        return Err("no BENCH_*.json under results/baseline/".to_owned());
     }
     println!(
-        "xtask bench-diff: gating {} figure(s) against {}: {}",
+        "xtask bench-diff: gating {} figure(s) against results/baseline/: {}",
         figs.len(),
-        baseline_dir.display(),
         figs.join(", ")
     );
-
-    let mut md = String::from("# bench-diff\n\n");
-    let mut failures = 0usize;
-    for fig in &figs {
-        match gate_fig(fig, root, &baseline_dir, quick) {
-            Ok(report) => {
-                println!(
-                    "xtask bench-diff: {fig}: {} — {} compared, {} skipped, {} failure(s)",
-                    if report.ok() { "PASS" } else { "FAIL" },
-                    report.compared,
-                    report.skipped,
-                    report.failures.len()
-                );
-                for f in &report.failures {
-                    eprintln!("xtask bench-diff:   {f}");
-                }
-                if !report.ok() {
-                    failures += 1;
-                }
-                md.push_str(&report.markdown());
-                md.push('\n');
-            }
-            Err(e) => {
-                eprintln!("xtask bench-diff: FAIL {fig}: {e}");
-                md.push_str(&format!("## {fig} — FAIL\n\n{e}\n\n"));
-                failures += 1;
-            }
-        }
-    }
-
-    let md_path = root.join("results/bench-diff.md");
-    if std::fs::create_dir_all(root.join("results")).is_ok() {
-        match std::fs::write(&md_path, &md) {
-            Ok(()) => println!("xtask bench-diff: wrote {}", md_path.display()),
-            Err(e) => eprintln!("xtask bench-diff: cannot write {}: {e}", md_path.display()),
-        }
-    }
-    if failures > 0 {
-        return Err(format!("{failures} figure(s) breaching"));
-    }
-    println!("xtask bench-diff: PASS ({} figure(s))", figs.len());
-    Ok(())
+    check_all("bench-diff", &figs, |f| f, |f| gate_fig(f, root))
 }
 
 /// The viewer.

@@ -10,17 +10,17 @@
 //!   trace and `results/<fig>.prom` are byte-identical between the two
 //!   same-seed runs. See [`trace`].
 //!
-//! * `bench-diff [--baseline <dir>] [--quick]` — the bench regression
-//!   gate: compare fresh `results/BENCH_*.json` against the committed
-//!   baselines (default `results/baseline/`), write
-//!   `results/bench-diff.md`, exit nonzero on a moved hash or scalar or
-//!   on per-run quantile drift beyond its tolerance. `--quick` re-runs
-//!   each baselined figure binary first. See [`bench`].
+//! * `bench-diff` — the baseline gate: re-run every figure baselined
+//!   under `results/baseline/` in quick mode and require the fresh
+//!   `results/BENCH_<fig>.json` to equal the committed text; a mismatch
+//!   names the first differing `$`-path. See [`bench`].
 //!
 //! * `replay-gate <name|all>` — the table-driven determinism gates
 //!   (`faults`, `vci`, `stream`, `scale`, `serve`, `bfs`): run the
 //!   gate's test suite, then its figure binary twice with the same seed,
 //!   and require the two outputs to be identical. See [`replay`].
+//!   `bench-diff`, `replay-gate` and `trace` compare texts through one
+//!   routine, `run::same_text`.
 //!
 //! * `top <fig>` — render the windowed contention view (who holds the
 //!   runtime critical section, when) of `results/BENCH_<fig>.json`.
@@ -84,7 +84,8 @@ const USAGE: &str = "usage: cargo run -p xtask -- <command>\n\n\
     \x20            vs crates/lint/baseline.txt\n\
     trace <fig>  run a figure binary traced, twice: validate its JSON outputs and that the\n\
     \x20            trace and .prom replay byte for byte (e.g. trace fig2a)\n\
-    bench-diff   [--baseline <dir>] [--quick] gate BENCH_*.json vs baselines\n\
+    bench-diff   re-run every figure baselined in results/baseline/: the fresh\n\
+    \x20            BENCH_<fig>.json must equal the committed text\n\
     replay-gate  <faults|vci|stream|scale|serve|bfs|all> run a figure twice, same seed:\n\
     \x20            outputs must replay\n\
     top <fig>    windowed contention view of results/BENCH_<fig>.json";
@@ -107,18 +108,10 @@ fn dispatch(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<(), Str
             run_lint(json, update)
         }
         "trace" => trace::run_trace(&args.next().ok_or_else(missing)?, &root),
-        "bench-diff" => {
-            let mut baseline = PathBuf::from("results/baseline");
-            let mut quick = false;
-            while let Some(a) = args.next() {
-                match a.as_str() {
-                    "--baseline" => baseline = PathBuf::from(args.next().ok_or_else(missing)?),
-                    "--quick" => quick = true,
-                    other => return unknown(other),
-                }
-            }
-            bench::run_bench_diff(&root, &baseline, quick)
-        }
+        "bench-diff" => match args.next() {
+            Some(a) => unknown(&a),
+            None => bench::run_baseline_gate(&root),
+        },
         "replay-gate" => replay::run_replay_gate(&args.next().ok_or_else(missing)?, &root),
         "top" => bench::run_top(&args.next().ok_or_else(missing)?, &root),
         other => Err(format!("unknown command {other:?}\n{USAGE}")),

@@ -11,10 +11,11 @@
 //! Chrome process and one `"prof"` block each — a figure that records
 //! every run, or loses a kept one, fails here), and that
 //! `results/<fig>.trace.json` and `results/<fig>.prom` are
-//! byte-identical between the two same-seed runs: a trace document is a
-//! pure function of the seed, like a BENCH document.
+//! byte-identical between the two same-seed runs (`run::same_text`, the
+//! compare every gate uses): a trace document is a pure function of the
+//! seed, like a BENCH document.
 
-use crate::run::{read_text, run_fig};
+use crate::run::{read_text, run_fig, same_text};
 use mtmpi_prof::Json;
 use std::collections::HashSet;
 use std::path::Path;
@@ -93,16 +94,21 @@ pub fn run_trace(fig: &str, root: &Path) -> Result<(), String> {
         failed += 1;
     }
     for (path, (a, b)) in [&trace, &prom].into_iter().zip(first.iter().zip(&second)) {
-        if a == b {
-            let fnv = b.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
-                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-            });
-            let (path, len) = (path.display(), b.len());
-            println!("xtask trace: REPLAY OK {path} (len {len}, fnv1a {fnv:016x})");
-        } else {
-            let (path, a, b) = (path.display(), a.len(), b.len());
-            eprintln!("xtask trace: FAIL {path} differs between same-seed runs (len {a} vs {b})");
-            failed += 1;
+        let path = path.display();
+        match same_text(&format!("same-seed runs of {path}"), a, b) {
+            Ok(()) => {
+                let fnv = b.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+                    (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+                println!(
+                    "xtask trace: REPLAY OK {path} (len {}, fnv1a {fnv:016x})",
+                    b.len()
+                );
+            }
+            Err(e) => {
+                eprintln!("xtask trace: FAIL {e}");
+                failed += 1;
+            }
         }
     }
     if failed > 0 {
