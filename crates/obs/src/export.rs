@@ -332,12 +332,14 @@ impl ChromeDoc {
     ///
     /// Nothing unless the timeline spans **more than one** distinct VCI:
     /// unsharded runs (everything on VCI 0) keep their exact pre-VCI
-    /// trace bytes.
+    /// trace bytes. That is learned by a scan that stops at the first
+    /// span off the first span's VCI; the set is built only past it.
     fn vci_lanes(&mut self, t: &Timeline, pid: u32) {
-        let vcis: BTreeSet<u32> = t.cs_spans().map(|s| s.vci).collect();
-        if vcis.len() <= 1 {
+        let first = t.cs_spans().next().map(|s| s.vci);
+        if t.cs_spans().all(|s| Some(s.vci) == first) {
             return;
         }
+        let vcis: BTreeSet<u32> = t.cs_spans().map(|s| s.vci).collect();
         for &v in &vcis {
             self.event()
                 .uint("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":", pid)
@@ -516,6 +518,22 @@ mod tests {
         let t = sample_timeline();
         assert_eq!(lane_events(&chrome_trace(&t)), 0);
         assert!(!chrome_trace(&t).contains("\"vci 0\""));
+
+        // Every CS span on one non-zero VCI is still one VCI: no lanes.
+        let mut on_3 = sample_timeline();
+        on_3.events.push(on_3.events[0].clone());
+        for ev in &mut on_3.events {
+            if let EventKind::CsSpan { vci, .. } = &mut ev.kind {
+                *vci = 3;
+            }
+        }
+        assert_eq!(lane_events(&chrome_trace(&on_3)), 0);
+        // No CS span at all: no lanes either.
+        let mut no_cs = sample_timeline();
+        no_cs
+            .events
+            .retain(|ev| !matches!(ev.kind, EventKind::CsSpan { .. }));
+        assert_eq!(lane_events(&chrome_trace(&no_cs)), 0);
 
         // Two distinct VCIs: one named lane per VCI plus a hold span on
         // each lane's synthetic tid.

@@ -5,11 +5,13 @@
 //! fixed-3-decimal microseconds, hex, floats and escaped strings to one
 //! byte buffer and hands the buffer over as the finished `String`; no
 //! value is rendered into a temporary first. An integer's digits are
-//! counted, then written in place two at a time, and a string that needs no
-//! escaping is copied through in one piece, which is what lets the trace
-//! exporters run at memory speed. Every rendering is a pure function of
-//! its input (plain `Display` floats, fixed-width fractions), so
-//! identical inputs yield byte-identical output.
+//! counted, then written into the buffer's spare capacity two at a time;
+//! a string that needs no escaping is copied through in one piece; and the
+//! finished buffer becomes the `String` without a UTF-8 re-scan — each
+//! byte is written once, which is what lets the trace exporters run at
+//! memory speed. Every rendering is a pure function of its input (plain
+//! `Display` floats, fixed-width fractions), so identical inputs yield
+//! byte-identical output.
 //!
 //! [`fmt_us`] and [`fmt_f64`] are the same routines returning a fresh
 //! `String`, for table cells and other one-off values.
@@ -28,8 +30,8 @@ const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
 /// `&mut Self`, so one object reads as one chain of key-value appends.
 #[derive(Debug, Default)]
 pub struct Writer {
-    /// Only ever extended with whole `&str`s and ASCII digits, so it is
-    /// UTF-8 at every step; [`Writer::finish`] checks that once.
+    /// Only ever extended with whole `&str`s and ASCII, so it is UTF-8 at
+    /// every step; [`Writer::finish`] relies on that without re-checking.
     buf: Vec<u8>,
 }
 
@@ -58,18 +60,24 @@ impl Writer {
     /// Append `pre`, then `v` in decimal (what `to_string` prints).
     #[inline]
     pub fn uint(&mut self, pre: &str, v: impl Into<u64>) -> &mut Self {
-        self.raw(pre).digits(v.into(), 1)
+        self.raw(pre).digits(v.into())
     }
 
     /// Append `pre`, then nanoseconds as a fixed-3-decimal microsecond
     /// literal (`1234567` → `1234.567`), the unit Chrome's trace viewer
-    /// expects for `ts`/`dur`.
+    /// expects for `ts`/`dur`. The point and the three fraction digits
+    /// are one 4-byte append.
     #[inline]
     pub fn us(&mut self, pre: &str, ns: u64) -> &mut Self {
-        self.raw(pre)
-            .digits(ns / 1000, 1)
-            .raw(".")
-            .digits(ns % 1000, 3)
+        let frac = (ns % 1000) as usize;
+        let pair = frac % 100 * 2;
+        self.raw(pre).digits(ns / 1000).buf.extend_from_slice(&[
+            b'.',
+            b'0' + (frac / 100) as u8,
+            PAIRS[pair],
+            PAIRS[pair + 1],
+        ]);
+        self
     }
 
     /// Append `pre`, then `v` in lower-case hex, zero-padded to `width`
@@ -136,9 +144,15 @@ impl Writer {
         self.raw(rest)
     }
 
-    /// The finished text.
+    /// The finished text, handed over without a second pass over it.
     pub fn finish(self) -> String {
-        String::from_utf8(self.buf).expect("Writer appends only UTF-8")
+        debug_assert!(std::str::from_utf8(&self.buf).is_ok());
+        // SAFETY: every append is a whole `&str` (`raw`, `escaped`'s
+        // runs), ASCII (`digits`, `hex`, `float`'s `Display`) or a copy of
+        // whole earlier appends (`repeat`), so `buf` is UTF-8 at every
+        // step — `tests::any_append_sequence_is_the_reference_text`
+        // checks it over arbitrary call sequences.
+        unsafe { String::from_utf8_unchecked(self.buf) }
     }
 
     /// Bytes written so far: where the next append starts.
@@ -153,26 +167,36 @@ impl Writer {
         self
     }
 
-    /// `v` in decimal, zero-padded to at least `min` digits: the length
-    /// is counted first, then the digits are written in place, two per
-    /// division, from the back.
+    /// `v` in decimal: the length is counted first, then the digits are
+    /// written straight into the spare capacity, two per division, from
+    /// the back — each byte once.
     #[inline]
-    fn digits(&mut self, mut v: u64, min: usize) -> &mut Self {
-        let n = v.checked_ilog10().map_or(1, |d| d as usize + 1).max(min);
-        let start = self.buf.len();
-        self.buf.resize(start + n, b'0');
-        let out = &mut self.buf[start..];
+    fn digits(&mut self, mut v: u64) -> &mut Self {
+        let n = v.checked_ilog10().map_or(1, |d| d as usize + 1);
+        self.buf.reserve(n);
+        let out = self.buf.spare_capacity_mut().as_mut_ptr().cast::<u8>();
+        let pairs = PAIRS.as_ptr();
         let mut i = n;
-        while v >= 100 {
-            let pair = (v % 100) as usize * 2;
-            v /= 100;
-            i -= 2;
-            out[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-        }
-        if v >= 10 {
-            out[i - 2..i].copy_from_slice(&PAIRS[v as usize * 2..v as usize * 2 + 2]);
-        } else {
-            out[i - 1] = b'0' + v as u8;
+        // SAFETY: `reserve` made room for `n` bytes at `out`, and `n` is
+        // the digit count of `v`: each pair taken off the back moves `i`
+        // down by 2 while `v` keeps at least one more digit, so the loop
+        // leaves `i` at 2 or 1 for the last one or two digits, written at
+        // `out`. Every write lands in `..n` and together they cover it, so
+        // `set_len` exposes only initialised bytes. A pair index is below
+        // 200, inside `PAIRS`.
+        unsafe {
+            while v >= 100 {
+                let pair = (v % 100) as usize * 2;
+                v /= 100;
+                i -= 2;
+                out.add(i).copy_from_nonoverlapping(pairs.add(pair), 2);
+            }
+            if v >= 10 {
+                out.copy_from_nonoverlapping(pairs.add(v as usize * 2), 2);
+            } else {
+                out.write(b'0' + v as u8);
+            }
+            self.buf.set_len(self.buf.len() + n);
         }
         self
     }
@@ -257,6 +281,64 @@ mod tests {
         })
     }
 
+    /// Printable ASCII, what `raw` and `label` are given.
+    fn ascii() -> impl Strategy<Value = String> {
+        proptest::collection::vec(b' '..0x7f, 0..12)
+            .prop_map(|b| b.into_iter().map(char::from).collect())
+    }
+
+    /// One append of every kind the writer has, on the writer and on the
+    /// reference text: `(kind, value, shift, text, ascii)`.
+    fn append(
+        w: &mut Writer,
+        want: &mut String,
+        marks: &[usize],
+        (kind, v, shift, s, a): (u8, u64, u32, String, String),
+    ) {
+        let (pre, rest) = a.split_at(a.len() / 2);
+        let x = v >> shift;
+        match kind {
+            0 => {
+                w.raw(&a);
+                want.push_str(&a);
+            }
+            1 => {
+                w.label(pre, rest);
+                *want += &format!("{pre}\"{rest}\"");
+            }
+            2 => {
+                w.string(pre, &s);
+                *want += &format!("{pre}\"{}\"", old::escape(&s));
+            }
+            3 => {
+                w.uint(pre, x);
+                *want += &format!("{pre}{x}");
+            }
+            4 => {
+                w.us(pre, x);
+                *want += &format!("{pre}{}", old::fmt_us(x));
+            }
+            5 => {
+                w.hex(pre, x, 1);
+                *want += &format!("{pre}{x:x}");
+            }
+            6 => {
+                w.hex(pre, x, 16);
+                *want += &format!("{pre}{x:016x}");
+            }
+            7 => {
+                w.float(pre, f64::from_bits(x));
+                *want += &format!("{pre}{}", old::fmt_f64(f64::from_bits(x)));
+            }
+            _ => {
+                let (i, j) = (v as usize % marks.len(), (v >> 32) as usize % marks.len());
+                let range = marks[i.min(j)]..marks[i.max(j)];
+                w.repeat(range.clone());
+                want.extend_from_within(range);
+            }
+        }
+    }
+
     #[test]
     fn escapes_specials() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
@@ -327,6 +409,25 @@ mod tests {
         fn escaping_matches_the_per_char_routine(s in text()) {
             prop_assert_eq!(escape(&s), old::escape(&s));
             prop_assert_eq!(rendered(|w| w.string("", &s)), format!("\"{}\"", old::escape(&s)));
+        }
+
+        /// The invariant `finish` relies on instead of checking: whatever
+        /// the appends, the buffer is UTF-8 and is the reference text.
+        #[test]
+        fn any_append_sequence_is_the_reference_text(
+            ops in proptest::collection::vec((0u8..9, any::<u64>(), 0u32..64, text(), ascii()), 0..24)
+        ) {
+            let mut w = Writer::default();
+            let mut want = String::new();
+            // Where each append ended: `repeat` copies whole appends.
+            let mut marks = vec![0];
+            for op in ops {
+                append(&mut w, &mut want, &marks, op);
+                prop_assert_eq!(w.len(), want.len());
+                marks.push(w.len());
+            }
+            prop_assert!(std::str::from_utf8(&w.buf).is_ok());
+            prop_assert_eq!(w.finish(), want);
         }
     }
 }

@@ -31,8 +31,9 @@
 #              the narrowest guarded accessor functions (the
 #              uninstrumented std leaves no std frames in the stacks to
 #              match — see the policy comment in that file).
-#   miri       UB check of the locks crate under cargo miri (nightly
-#              component; skipped when not installed).
+#   miri       UB check of the locks crate and of the obs JSON writer
+#              (`json::` tests) under cargo miri (nightly component;
+#              skipped when not installed).
 #   obs        observability smoke test: run fig2a (one lock per rank)
 #              and fig_vci (several locks per rank) traced in quick mode
 #              twice each via `xtask trace`, validate each
@@ -139,6 +140,7 @@ else
         if cargo +nightly miri --version >/dev/null 2>&1; then
             step miri env MIRIFLAGS="-Zmiri-ignore-leaks" \
                 cargo +nightly miri test -p mtmpi-locks --lib
+            step miri cargo +nightly miri test -p mtmpi-obs --lib json::
         else
             skip miri "miri component not installed"
         fi
