@@ -167,12 +167,9 @@ impl Experiment {
         };
         let nranks = nodes * cfg.ranks_per_node;
         let ranks_per_node = cfg.ranks_per_node;
-        // Right-size the recorder's shard table to this world's actual
-        // recording-thread population (workers + progress threads, plus
-        // four spare shards so an uncounted recording thread is seated,
-        // not dropped) instead of the full 256-shard pre-allocation — a
-        // service stepping thousands of small tenant worlds would
-        // otherwise pay it per tenant.
+        // One recorder shard per recording thread (workers + progress
+        // threads), plus four spares so an uncounted recording thread is
+        // seated, not dropped.
         let recording_threads =
             nranks * threads_per_rank + if cfg.progress_thread { nranks } else { 0 } + 4;
         let label = cfg.effective_label();
@@ -180,7 +177,7 @@ impl Experiment {
         let claim = sink.and_then(|s| s.claim(&label, threads_per_rank, nodes));
         let recorder = (self.obs.trace || claim.is_some()).then(|| {
             Arc::new(RingRecorder::with_shards(
-                (recording_threads as usize).min(mtmpi_obs::MAX_SHARDS),
+                recording_threads as usize,
                 DEFAULT_SHARD_CAP,
             ))
         });
@@ -205,9 +202,7 @@ impl Experiment {
             builder = builder.fuel(f);
         }
         if let Some(rec) = &recorder {
-            builder = builder
-                .recorder(rec.clone())
-                .recorder_shards(rec.shard_count());
+            builder = builder.recorder(rec.clone());
         }
         let world = builder
             .build()

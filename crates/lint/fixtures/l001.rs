@@ -12,7 +12,6 @@ pub struct Handoff {
     claim: AtomicU8,
     ready: AtomicBool,
     stream_owner: AtomicU64,
-    published: AtomicU64,
     tenant_state: AtomicU8,
     count: AtomicU64,
 }
@@ -57,16 +56,6 @@ impl Handoff {
 
     pub fn stream_unbind_right(&self) {
         self.stream_owner.store(0, Ordering::Release);
-    }
-
-    pub fn publish_watermark_wrong(&self, n: u64) {
-        // Relaxed advance of the recorder watermark: the reader's
-        // Acquire load would see the count without the event slots.
-        self.published.store(n, Ordering::Relaxed); // FIRE: L001
-    }
-
-    pub fn publish_watermark_right(&self, n: u64) {
-        self.published.store(n, Ordering::Release);
     }
 
     pub fn tenant_enqueue_wrong(&self) -> bool {

@@ -11,7 +11,7 @@ pub struct Published {
     ack: AtomicU64,
     mail_ready: AtomicBool,
     stream_owner: AtomicU64,
-    published: AtomicU64,
+    claim: AtomicU8,
     tenant_state: AtomicU8,
     scratch: AtomicU32,
 }
@@ -43,14 +43,14 @@ impl Published {
         self.stream_owner.load(Ordering::Acquire)
     }
 
-    pub fn watermark_wrong(&self) -> u64 {
-        // Draining up to the watermark without the Acquire can read
-        // uninitialised slots the writer published after.
-        self.published.load(Ordering::Relaxed) // FIRE: L002
+    pub fn claim_wrong(&self) -> u8 {
+        // Seeing the wildcard claim token without the Acquire misses the
+        // claimant's writes to the request it completed.
+        self.claim.load(Ordering::Relaxed) // FIRE: L002
     }
 
-    pub fn watermark_right(&self) -> u64 {
-        self.published.load(Ordering::Acquire)
+    pub fn claim_right(&self) -> u8 {
+        self.claim.load(Ordering::Acquire)
     }
 
     pub fn tenant_state_wrong(&self) -> u8 {
@@ -63,9 +63,9 @@ impl Published {
         self.tenant_state.load(Ordering::Acquire)
     }
 
-    pub fn watermark_self_read_allowed(&self) -> u64 {
-        // lint: allow(L002) single-writer shard reads back its own watermark
-        self.published.load(Ordering::Relaxed) // ALLOWED: L002
+    pub fn claim_self_read_allowed(&self) -> u8 {
+        // lint: allow(L002) fixture: the claimant reads back its own token
+        self.claim.load(Ordering::Relaxed) // ALLOWED: L002
     }
 
     pub fn scratch_ok(&self) -> u32 {

@@ -13,11 +13,9 @@
 use crate::path::PathClass;
 use crate::raw::{CsLock, CsToken};
 use mtmpi_metrics::{Grant, GrantFold};
-use mtmpi_obs::{CsOp, Event, EventKind, Path, Recorder};
 use mtmpi_topology::{CoreId, SocketId};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 thread_local! {
@@ -76,18 +74,10 @@ pub struct Traced<L> {
     /// The fold, updated while holding the inner lock (so it sees grants
     /// in order and needs no extra synchronization beyond the UnsafeCell).
     grants: std::cell::UnsafeCell<GrantFold>,
-    epoch: Instant,
-    /// Optional structured-event sink: one `CsSpan` per passage, emitted
-    /// at release time, tagged with this lock's id.
-    recorder: Option<(Arc<dyn Recorder>, u32)>,
-    /// `(t_req, t_acq)` of the current holder, written at grant and read
-    /// at release (both while the inner lock is held).
-    pending: std::cell::UnsafeCell<(u64, u64)>,
 }
 
-// SAFETY: `grants` and `pending` are only touched while the inner lock is
-// held, so shared access is serialized; the recorder is `Send + Sync` by
-// trait bound; every other field is an atomic.
+// SAFETY: `grants` is only touched while the inner lock is held, so
+// shared access is serialized; every other field is an atomic.
 unsafe impl<L: CsLock> Sync for Traced<L> {}
 // SAFETY: the grants cell owns its GrantFold outright; moving the wrapper
 // moves it along with the (Send) inner lock.
@@ -101,19 +91,7 @@ impl<L: CsLock> Traced<L> {
             waiting_per_socket: Default::default(),
             waiting_total: AtomicU32::new(0),
             grants: std::cell::UnsafeCell::new(GrantFold::new()),
-            // lint: allow(L004) Traced measures real wall time by design (host-timing wrapper)
-            epoch: Instant::now(),
-            recorder: None,
-            pending: std::cell::UnsafeCell::new((0, 0)),
         }
-    }
-
-    /// Stream one [`EventKind::CsSpan`] per lock passage into `recorder`,
-    /// tagging events with `lock_id`. Timestamps are wall-clock
-    /// nanoseconds since this wrapper's construction.
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>, lock_id: u32) -> Self {
-        self.recorder = Some((recorder, lock_id));
-        self
     }
 
     /// Threads currently blocked in `acquire` (instantaneous; racy by
@@ -169,44 +147,10 @@ impl<L: CsLock> CsLock for Traced<L> {
         };
         // SAFETY: serialized by the inner lock which we currently hold.
         unsafe { (*self.grants.get()).record(grant) };
-        if self.recorder.is_some() {
-            let t_acq = self.epoch.elapsed().as_nanos() as u64;
-            // SAFETY: serialized by the inner lock which we currently hold.
-            unsafe { *self.pending.get() = (t_acq.saturating_sub(wait_ns), t_acq) };
-        }
         token
     }
 
     fn release(&self, class: PathClass, token: CsToken) {
-        if let Some((r, lock_id)) = &self.recorder {
-            if r.enabled() {
-                // SAFETY: the inner lock is still held until the
-                // `release` below, serializing `pending`.
-                let (t_req, t_acq) = unsafe { *self.pending.get() };
-                let (core, socket) = self.placement();
-                r.record(Event {
-                    t_ns: self.epoch.elapsed().as_nanos() as u64,
-                    tid: u64::from(current_thread_id()),
-                    core: core.0,
-                    socket: socket.0,
-                    kind: EventKind::CsSpan {
-                        lock: *lock_id,
-                        kind: self.inner.name(),
-                        path: match class {
-                            PathClass::Main => Path::Main,
-                            PathClass::Progress => Path::Progress,
-                        },
-                        // A bare instrumented lock has no runtime-op or
-                        // shard context; the runtime stamps real ops
-                        // (and VCI ids) itself.
-                        op: CsOp::Other,
-                        vci: 0,
-                        t_req,
-                        t_acq,
-                    },
-                });
-            }
-        }
         self.inner.release(class, token);
     }
 }
@@ -315,50 +259,6 @@ mod tests {
         // three candidates (waiting or winning) sits on the holder's
         // socket; at the second nobody is left on the first winner's.
         assert!((bias.ps_fair - (1.0 / 3.0) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recorder_sees_one_span_per_passage() {
-        use mtmpi_obs::RingRecorder;
-        let rec = Arc::new(RingRecorder::new(mtmpi_obs::DEFAULT_SHARD_CAP));
-        let lock = Arc::new(Traced::new(TicketLock::new()).with_recorder(rec.clone(), 7));
-        let handles: Vec<_> = (0..2u32)
-            .map(|i| {
-                let lock = lock.clone();
-                std::thread::spawn(move || {
-                    set_current_core(CoreId(i), SocketId(0));
-                    for _ in 0..100 {
-                        let t = lock.acquire(PathClass::Main);
-                        lock.release(PathClass::Main, t);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        drop(lock);
-        let timeline = Arc::try_unwrap(rec)
-            .ok()
-            .expect("sole owner")
-            .into_timeline();
-        assert_eq!(timeline.len(), 200);
-        for e in &timeline.events {
-            match e.kind {
-                mtmpi_obs::EventKind::CsSpan {
-                    lock: id,
-                    kind,
-                    t_req,
-                    t_acq,
-                    ..
-                } => {
-                    assert_eq!(id, 7);
-                    assert_eq!(kind, "ticket");
-                    assert!(t_req <= t_acq && t_acq <= e.t_ns);
-                }
-                ref other => panic!("unexpected event {other:?}"),
-            }
-        }
     }
 
     #[test]

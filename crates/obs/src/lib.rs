@@ -10,9 +10,10 @@
 //!   lock kind, path class, core/socket), request life-cycle transitions
 //!   (Issue → Post → Complete → Free), progress-engine poll batches, and
 //!   RMA service events, all stamped with the platform clock.
-//! * [`recorder`] — the [`Recorder`] trait, the per-thread lock-free
-//!   [`RingRecorder`], and the no-op [`NullRecorder`]. The runtime holds
-//!   an `Option<Arc<dyn Recorder>>`; `None` costs one branch per site.
+//! * [`recorder`] — the [`RingRecorder`]: single-writer per-thread
+//!   shards, drained once after the run into a [`Timeline`]. The runtime
+//!   holds an `Option<Arc<RingRecorder>>`; `None` is recording off and
+//!   costs one branch per site.
 //! * [`export`] — Chrome trace-event JSON (loadable in `chrome://tracing`
 //!   and Perfetto), JSONL, and a fixed-width text report reusing
 //!   [`mtmpi_metrics::Table`].
@@ -37,7 +38,7 @@ pub use export::{
     chrome_trace, chrome_trace_multi, flow_id, jsonl, text_report, ChromeDoc, VCI_LANE_TID_BASE,
 };
 pub use recorder::{
-    swap_shard_claim, CsSpanView, NullRecorder, Recorder, RingRecorder, ShardClaim, Timeline,
-    TimelineWindows, DEFAULT_SHARD_CAP, MAX_SHARDS,
+    swap_shard_claim, CsSpanView, RingRecorder, ShardClaim, Timeline, TimelineWindows,
+    DEFAULT_SHARD_CAP,
 };
 pub use summary::{CsStats, RunRecord, Sink, TimelineClaim};

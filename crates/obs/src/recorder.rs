@@ -1,48 +1,20 @@
-//! Recorder trait and implementations.
+//! The event recorder.
 //!
-//! The hot path is [`Recorder::record`], called from inside the runtime's
-//! critical section and progress loops. [`RingRecorder`] keeps one
+//! The hot path is [`RingRecorder::record`], called from inside the
+//! runtime's critical section and progress loops. The recorder keeps one
 //! append-only buffer per recording thread (claimed on first use with a
 //! single `fetch_add`), so recording is a thread-local vector push — no
-//! locks, no cross-thread traffic. [`NullRecorder`] is the disabled
-//! implementation: `enabled()` is `false` and `record` is a no-op, so
-//! callers that check `enabled()` first skip event construction entirely.
+//! locks, no cross-thread traffic. Nothing reads a buffer while the run
+//! is live: the one drain runs after every writer has stopped. Recording
+//! off is no recorder at all (`None` where the runtime would hold one).
 
 use crate::event::{CsOp, Event, Path};
 use std::cell::{Cell, UnsafeCell};
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-
-/// Maximum concurrently recording threads per [`RingRecorder`].
-pub const MAX_SHARDS: usize = 256;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Default per-thread event capacity (events beyond it are counted, not
 /// stored — see [`Timeline::dropped`]).
 pub const DEFAULT_SHARD_CAP: usize = 1 << 14;
-
-/// Sink for runtime events.
-pub trait Recorder: Send + Sync {
-    /// Whether events will actually be kept. Callers should skip event
-    /// construction when this is `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Record one event.
-    fn record(&self, ev: Event);
-}
-
-/// The disabled recorder: keeps nothing, costs nothing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _ev: Event) {}
-}
 
 /// A drained, time-ordered event stream.
 #[derive(Debug, Clone, Default)]
@@ -165,111 +137,41 @@ impl<'a> Iterator for TimelineWindows<'a> {
     }
 }
 
-/// Events per storage chunk. Chunks are allocated lazily by the owning
-/// writer and never moved or freed while the recorder lives, so a
-/// pointer into one stays valid.
+/// Events per storage chunk. A shard grows one chunk at a time, so an
+/// append never copies the events already stored.
 const CHUNK: usize = 1024;
 
-/// One fixed-size block of event storage. Slots are written exactly once
-/// by the shard's owning thread before the shard's `published` watermark
-/// covers them; after that they are immutable until the recorder is
-/// reset (`drain_unsynced`) or dropped.
-struct Chunk {
-    slots: [UnsafeCell<MaybeUninit<Event>>; CHUNK],
-}
-
-impl Chunk {
-    fn new_boxed() -> Box<Chunk> {
-        Box::new(Chunk {
-            slots: [const { UnsafeCell::new(MaybeUninit::uninit()) }; CHUNK],
-        })
-    }
-}
-
-// SAFETY: slots below a shard's `published` watermark are immutable and
-// only ever read; the single slot being written at any moment is touched
-// only by the shard's unique owning thread. The Release store of
-// `published` / Acquire load by readers orders the slot write before any
-// cross-thread read.
-unsafe impl Sync for Chunk {}
-// SAFETY: `Event` is `Send` (plain data, `&'static str` labels); moving
-// the storage to another thread moves only owned plain data.
-unsafe impl Send for Chunk {}
-
-struct Shard {
-    /// Stable chunk table (fixed length `cap.div_ceil(CHUNK)`): each
-    /// entry is null until the owning writer allocates it. Entries are
-    /// published with Release *before* `published` covers any slot in
-    /// them, and never change again until reset/drop.
-    chunks: Vec<AtomicPtr<Chunk>>,
-    /// Number of committed events: the owning writer stores `n + 1` with
-    /// Release only after slot `n` is fully written, so a reader that
-    /// Acquire-loads `published` may safely read every slot below it.
-    published: AtomicUsize,
-}
-
-impl Shard {
-    fn new(cap: usize) -> Self {
-        Self {
-            chunks: (0..cap.div_ceil(CHUNK))
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
-            published: AtomicUsize::new(0),
-        }
-    }
-
-    /// Read committed event `i` (must be `< published` as Acquire-loaded
-    /// by the caller).
-    fn get(&self, i: usize) -> Event {
-        let chunk = self.chunks[i / CHUNK].load(Ordering::Acquire);
-        debug_assert!(!chunk.is_null(), "published index without a chunk");
-        // SAFETY: `i < published` (caller contract, Acquire-loaded), so
-        // the owning writer fully initialized this slot before the
-        // Release store of `published` that made `i` visible, and
-        // committed slots are never written again.
-        unsafe { (*(*chunk).slots[i % CHUNK].get()).assume_init_ref().clone() }
-    }
-}
-
-impl Drop for Shard {
-    fn drop(&mut self) {
-        for c in &self.chunks {
-            let p = c.load(Ordering::Relaxed);
-            if !p.is_null() {
-                // SAFETY: chunk pointers come from `Box::into_raw` in
-                // `record` and are freed exactly once, here. `Event` has
-                // no drop glue, so skipping per-slot drops leaks nothing.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
-    }
-}
-
-/// Per-thread lock-free event buffers.
+/// Per-thread event buffers, drained once after the run.
 ///
 /// Each recording thread claims a private shard on its first `record`
-/// (one `fetch_add`) and appends to it with no further synchronization
-/// beyond one Release store per event. Shards have a fixed capacity;
-/// overflow increments a shared drop counter instead of reallocating
-/// without bound, so a runaway trace degrades gracefully.
-///
-/// Storage is chunked and append-only: committed events never move. Both
-/// drains ([`RingRecorder::into_timeline`],
-/// [`RingRecorder::drain_unsynced`]) require quiesced writers.
+/// (one `fetch_add`) and appends to it with no further synchronization.
+/// Shards have a fixed capacity; overflow increments a shared drop
+/// counter instead of growing without bound, so a runaway trace degrades
+/// gracefully.
 pub struct RingRecorder {
     /// Identity of this recorder, to key the thread-local slot cache.
     id: u64,
-    shards: Vec<Shard>,
+    /// Per shard, its events in `CHUNK`-sized chunks (the last one may be
+    /// partly filled).
+    shards: Vec<UnsafeCell<Vec<Vec<Event>>>>,
     next_slot: AtomicUsize,
     cap: usize,
     dropped: AtomicU64,
 }
 
+// SAFETY: a shard is written only by the recording thread that claimed
+// its slot (`next_slot` hands each slot out once; a simulated thread
+// carries its claim with its fiber), and read only by `drain_unsynced`,
+// which runs after that writer has stopped. Every other field is atomic
+// or immutable.
+unsafe impl Sync for RingRecorder {}
+
 static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
 
-/// The shard a thread claimed last, and in which recorder. Opaque: only
-/// [`swap_shard_claim`] moves one around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The shard a thread claimed last, and in which recorder. Opaque and not
+/// `Copy`: [`RingRecorder`] makes one claim per shard and only
+/// [`swap_shard_claim`] moves it around, so a shard has one writer.
+#[derive(Debug, PartialEq, Eq)]
 pub struct ShardClaim {
     recorder: u64,
     slot: usize,
@@ -300,61 +202,47 @@ pub fn swap_shard_claim(new: ShardClaim) -> ShardClaim {
     CLAIM.with(|c| c.replace(new))
 }
 
+/// `(recorder, slot)` of the calling thread's claim.
 #[inline(never)]
-fn claim() -> ShardClaim {
-    CLAIM.with(Cell::get)
-}
-
-impl Default for RingRecorder {
-    fn default() -> Self {
-        Self::new(DEFAULT_SHARD_CAP)
-    }
+fn claim() -> (u64, usize) {
+    CLAIM.with(|c| {
+        let claim = c.replace(ShardClaim::NONE);
+        let ids = (claim.recorder, claim.slot);
+        c.set(claim);
+        ids
+    })
 }
 
 impl RingRecorder {
-    /// A recorder keeping up to `cap_per_thread` events per thread, with
-    /// the full [`MAX_SHARDS`] shard table.
-    pub fn new(cap_per_thread: usize) -> Self {
-        Self::with_shards(MAX_SHARDS, cap_per_thread)
-    }
-
-    /// A recorder with exactly `shards` per-thread buffers — the
-    /// `shards + 1`-th recording thread starts dropping. Small worlds
-    /// (e.g. mtmpi-serve tenants, a few simulated threads each) size
-    /// this to their thread count instead of paying the full 256-shard
-    /// pre-allocation.
+    /// A recorder with exactly `shards` per-thread buffers of up to
+    /// `cap_per_thread` events each — the `shards + 1`-th recording
+    /// thread drops every event, so size `shards` to the world's
+    /// recording threads.
     ///
     /// # Panics
-    /// If `shards` is 0 or exceeds [`MAX_SHARDS`]. Builders gate the 0
-    /// case with a typed error before reaching here
-    /// (`BuildError::ZeroRecorderShards`).
+    /// If `shards` is 0: that recorder would drop every event.
     pub fn with_shards(shards: usize, cap_per_thread: usize) -> Self {
-        assert!(
-            (1..=MAX_SHARDS).contains(&shards),
-            "recorder shards must be in 1..={MAX_SHARDS}, got {shards}"
-        );
+        assert!(shards > 0, "recorder shards must be at least 1");
         let cap = cap_per_thread.max(1);
+        // Each chunk list is sized once, for a full shard, so appending
+        // a chunk never reallocates it.
+        let chunk_list = || UnsafeCell::new(Vec::with_capacity(cap.div_ceil(CHUNK)));
         Self {
             id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
-            shards: (0..shards).map(|_| Shard::new(cap)).collect(),
+            shards: (0..shards).map(|_| chunk_list()).collect(),
             next_slot: AtomicUsize::new(0),
             cap,
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// How many concurrent recording threads this recorder can seat.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Slot of the calling thread, claiming one on first use. `None` when
-    /// more than [`RingRecorder::shard_count`] threads record. The cache
+    /// more threads record than the recorder has shards. The cache
     /// holds one entry per thread, so a thread alternating between two
     /// live recorders re-claims a fresh slot at each switch — fine for
     /// the intended one-recorder-per-run usage, wasteful otherwise.
     fn slot(&self) -> Option<usize> {
-        let ShardClaim { recorder, slot } = claim();
+        let (recorder, slot) = claim();
         if recorder == self.id {
             return Some(slot).filter(|&s| s < self.shards.len());
         }
@@ -366,97 +254,73 @@ impl RingRecorder {
         (slot < self.shards.len()).then_some(slot)
     }
 
+    /// Append `ev` to the calling thread's shard, or count it dropped
+    /// when the thread has no shard or its shard is full.
+    pub fn record(&self, ev: Event) {
+        let Some(slot) = self.slot() else {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        // SAFETY: this thread claimed `slot`, so it is the shard's only
+        // writer, and no drain runs while a writer records.
+        let chunks = unsafe { &mut *self.shards[slot].get() };
+        let kept = chunks.len().saturating_sub(1) * CHUNK + chunks.last().map_or(0, Vec::len);
+        if kept >= self.cap {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        match chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(ev),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK.min(self.cap - kept));
+                chunk.push(ev);
+                chunks.push(chunk);
+            }
+        }
+    }
+
     /// Events dropped so far (capacity overflow or shard exhaustion).
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Drain all shards into a time-ordered [`Timeline`], consuming the
-    /// recorder (sole ownership proves no thread is still recording).
-    pub fn into_timeline(self) -> Timeline {
-        let dropped = self.dropped();
-        let mut events = Vec::new();
-        for shard in &self.shards {
-            let n = shard.published.load(Ordering::Acquire);
-            for i in 0..n {
-                events.push(shard.get(i));
-            }
-        }
-        events.sort_by_key(|e| (e.t_ns, e.tid));
-        Timeline { events, dropped }
-    }
-
-    /// Drain all shards into a time-ordered [`Timeline`] through a shared
-    /// reference, leaving the buffers empty.
+    /// Drain every shard into one time-ordered [`Timeline`] through a
+    /// shared reference, leaving the recorder empty with a drop count
+    /// of 0.
     ///
     /// # Safety
     ///
-    /// Every thread that ever called [`Recorder::record`] on this
-    /// recorder must have quiesced (e.g. `Platform::run` has returned),
+    /// Every thread that ever called [`RingRecorder::record`] on this
+    /// recorder must have stopped (e.g. `Platform::run` has returned),
     /// and no thread may record concurrently with this call.
     pub unsafe fn drain_unsynced(&self) -> Timeline {
-        let dropped = self.dropped.swap(0, Ordering::Relaxed);
+        let chunks: Vec<Vec<Event>> = self
+            .shards
+            .iter()
+            .flat_map(|shard| {
+                // SAFETY: the caller guarantees no writer is left, so
+                // this drain is the only access to the shard.
+                std::mem::take(unsafe { &mut *shard.get() })
+            })
+            .collect();
         // Sized exactly: a timeline is tens of MB, and growing it by
         // doubling both overshoots by up to 2× and leaves it wherever
         // the allocator's in-place `realloc` happened to succeed.
-        let total = self
-            .shards
-            .iter()
-            .map(|s| s.published.load(Ordering::Acquire))
-            .sum();
-        let mut events = Vec::with_capacity(total);
-        for shard in &self.shards {
-            let n = shard.published.load(Ordering::Acquire);
-            for i in 0..n {
-                events.push(shard.get(i));
-            }
-            // Reset the watermark so the recorder reads as empty. Chunk
-            // storage is retained (stale contents are unreachable — they
-            // sit above the watermark and will be overwritten before
-            // being republished). Release pairs with the next reader's
-            // Acquire.
-            shard.published.store(0, Ordering::Release);
+        let mut events = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+        for chunk in chunks {
+            events.extend(chunk);
         }
         events.sort_by_key(|e| (e.t_ns, e.tid));
-        Timeline { events, dropped }
+        Timeline {
+            events,
+            dropped: self.dropped.swap(0, Ordering::Relaxed),
+        }
     }
-}
 
-impl Recorder for RingRecorder {
-    fn record(&self, ev: Event) {
-        let Some(slot) = self.slot() else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let shard = &self.shards[slot];
-        // Single-writer shard: this thread is the only one that ever
-        // stores `published`, so a Relaxed self-read is exact.
-        let n = shard.published.load(Ordering::Relaxed); // lint: allow(L002) single-writer shard reads back its own watermark
-        if n >= self.cap {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let slot_in_chunk = n % CHUNK;
-        let chunk_idx = n / CHUNK;
-        let mut chunk = shard.chunks[chunk_idx].load(Ordering::Relaxed); // lint: allow(L002) single-writer shard reads back its own chunk table
-        if chunk.is_null() {
-            chunk = Box::into_raw(Chunk::new_boxed());
-            // Release: the chunk's initialization happens-before any
-            // reader that observes the pointer.
-            shard.chunks[chunk_idx].store(chunk, Ordering::Release);
-        }
-        // SAFETY: slot `n` is above the published watermark, so no reader
-        // touches it, and this thread is the shard's unique writer, so no
-        // other writer does either. The chunk pointer is valid: allocated
-        // above or by this same thread earlier, freed only on drop.
-        unsafe {
-            (*chunk).slots[slot_in_chunk]
-                .get()
-                .write(MaybeUninit::new(ev));
-        }
-        // Commit: Release orders the slot write (and chunk store) before
-        // any reader's Acquire load of the new watermark.
-        shard.published.store(n + 1, Ordering::Release);
+    /// [`RingRecorder::drain_unsynced`], consuming the recorder.
+    pub fn into_timeline(self) -> Timeline {
+        // SAFETY: sole ownership proves no thread is still recording.
+        unsafe { self.drain_unsynced() }
     }
 }
 
@@ -480,16 +344,8 @@ mod tests {
     }
 
     #[test]
-    fn null_recorder_is_disabled_and_keeps_nothing() {
-        let r = NullRecorder;
-        assert!(!r.enabled());
-        r.record(ev(1, 0));
-        // Nothing observable: NullRecorder has no state at all.
-    }
-
-    #[test]
     fn ring_recorder_orders_across_threads() {
-        let r = std::sync::Arc::new(RingRecorder::new(1024));
+        let r = std::sync::Arc::new(RingRecorder::with_shards(4, 1024));
         let handles: Vec<_> = (0..4u64)
             .map(|tid| {
                 let r = r.clone();
@@ -514,7 +370,7 @@ mod tests {
 
     #[test]
     fn capacity_overflow_counts_drops() {
-        let r = RingRecorder::new(8);
+        let r = RingRecorder::with_shards(1, 8);
         for i in 0..20 {
             r.record(ev(i, 0));
         }
@@ -527,9 +383,10 @@ mod tests {
     #[test]
     fn two_recorders_do_not_share_thread_slots() {
         // The same thread records into two recorders alternately; the
-        // slot cache must re-resolve per recorder.
-        let a = RingRecorder::new(64);
-        let b = RingRecorder::new(64);
+        // slot cache must re-resolve per recorder, claiming a fresh shard
+        // at each switch (hence one shard per record).
+        let a = RingRecorder::with_shards(10, 64);
+        let b = RingRecorder::with_shards(10, 64);
         for i in 0..10 {
             a.record(ev(i, 0));
             b.record(ev(i, 0));
@@ -539,36 +396,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_exhaustion_drops_exactly_the_excess_threads() {
-        // More recording threads than MAX_SHARDS: the first MAX_SHARDS
-        // claimants keep all their events, every later thread drops all
-        // of its — the counter must account for each event exactly.
-        const EXTRA: usize = 8;
-        const PER_THREAD: usize = 2;
-        let r = std::sync::Arc::new(RingRecorder::new(64));
-        let handles: Vec<_> = (0..(MAX_SHARDS + EXTRA) as u64)
-            .map(|tid| {
-                let r = r.clone();
-                std::thread::spawn(move || {
-                    for i in 0..PER_THREAD as u64 {
-                        r.record(ev(i, tid));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let t = std::sync::Arc::try_unwrap(r).ok().unwrap().into_timeline();
-        assert_eq!(t.len(), MAX_SHARDS * PER_THREAD);
-        assert_eq!(t.dropped, (EXTRA * PER_THREAD) as u64);
-    }
-
-    #[test]
     fn capacity_overflow_drop_count_is_exact_per_thread() {
         // Two threads, each overflowing its own shard: drops accumulate
         // per event, not per thread or per shard.
-        let r = std::sync::Arc::new(RingRecorder::new(8));
+        let r = std::sync::Arc::new(RingRecorder::with_shards(2, 8));
         let handles: Vec<_> = (0..2u64)
             .map(|tid| {
                 let r = r.clone();
@@ -592,7 +423,7 @@ mod tests {
         // A shard keeps the *first* `cap` events of its thread (appends
         // stop at capacity), so the drained timeline is the ordered
         // prefix of what was recorded — never a mix or a suffix.
-        let r = RingRecorder::new(8);
+        let r = RingRecorder::with_shards(1, 8);
         for i in 0..20 {
             r.record(ev(i, 0));
         }
@@ -615,7 +446,6 @@ mod tests {
         // A 2-shard recorder: the first two recording threads keep
         // their events, the third drops all of its.
         let r = std::sync::Arc::new(RingRecorder::with_shards(2, 64));
-        assert_eq!(r.shard_count(), 2);
         let handles: Vec<_> = (0..3u64)
             .map(|tid| {
                 let r = r.clone();
@@ -635,19 +465,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "recorder shards must be in 1..=")]
+    #[should_panic(expected = "recorder shards must be at least 1")]
     fn zero_shards_is_rejected_loudly() {
         let _ = RingRecorder::with_shards(0, 64);
     }
 
     #[test]
-    fn default_keeps_the_full_shard_table() {
-        assert_eq!(RingRecorder::new(8).shard_count(), MAX_SHARDS);
-    }
-
-    #[test]
     fn drain_unsynced_empties_buffers() {
-        let r = RingRecorder::new(64);
+        let r = RingRecorder::with_shards(1, 64);
         r.record(ev(5, 1));
         r.record(ev(3, 1));
         // SAFETY: single-threaded test; no concurrent recording.
@@ -657,5 +482,39 @@ mod tests {
         // SAFETY: as above.
         let t2 = unsafe { r.drain_unsynced() };
         assert!(t2.is_empty());
+    }
+
+    #[test]
+    fn drain_crosses_chunk_boundaries() {
+        // Two threads each record past two chunk boundaries into shards
+        // capped mid-chunk, every timestamp tied across the threads: each
+        // keeps exactly its first `CAP` events, drops the rest, and the
+        // drain breaks every tie by tid.
+        const CAP: usize = 2 * 1024 + 5;
+        const PER_THREAD: u64 = 3 * 1024 + 7;
+        let r = std::sync::Arc::new(RingRecorder::with_shards(2, CAP));
+        let handles: Vec<_> = (0..2u64)
+            .map(|tid| {
+                let r = r.clone();
+                std::thread::spawn(move || {
+                    for i in 0..PER_THREAD {
+                        r.record(ev(i, tid));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        // SAFETY: both writers have been joined.
+        let t = unsafe { r.drain_unsynced() };
+        assert_eq!(t.dropped, 2 * (PER_THREAD - CAP as u64));
+        let got: Vec<(u64, u64)> = t.events.iter().map(|e| (e.t_ns, e.tid)).collect();
+        let want: Vec<(u64, u64)> = (0..CAP as u64).flat_map(|i| [(i, 0), (i, 1)]).collect();
+        assert_eq!(got, want);
+        // SAFETY: as above.
+        let t2 = unsafe { r.drain_unsynced() };
+        assert!(t2.is_empty());
+        assert_eq!(t2.dropped, 0);
     }
 }

@@ -29,9 +29,6 @@ pub enum BuildError {
         /// How many streams were requested.
         streams: u32,
     },
-    /// `recorder_shards(0)`: a recorder with no per-thread shards would
-    /// silently drop every event — reject it loudly instead.
-    ZeroRecorderShards,
 }
 
 impl std::fmt::Display for BuildError {
@@ -57,13 +54,6 @@ impl std::fmt::Display for BuildError {
                 "streams({streams}) requested with vci_count 0: stream shards \
                  extend the sharded pool, so keep at least one regular VCI \
                  for unbound and wildcard traffic"
-            ),
-            BuildError::ZeroRecorderShards => write!(
-                f,
-                "recorder_shards(0): a zero-shard recorder would drop every \
-                 event; size it to the world's recording thread count \
-                 (default {})",
-                mtmpi_obs::MAX_SHARDS
             ),
         }
     }

@@ -24,9 +24,10 @@
 //! * built-in **profiling**: the dangling-request sampler of §4.4, the
 //!   acquisition traces consumed by the §4.3 bias analysis, and — via the
 //!   [`mtmpi_obs`] observability layer — always-on CS wait/hold and
-//!   message-latency histograms plus an optional structured event
-//!   timeline (install a recorder with [`WorldBuilder::recorder`], read
-//!   everything back with [`World::stats`]).
+//!   message-latency histograms (read back with [`World::stats`]) plus
+//!   an optional structured event timeline: install a
+//!   [`mtmpi_obs::RingRecorder`] with [`WorldBuilder::recorder`] and
+//!   drain it once the run is over. Without one, recording is off.
 //!
 //! Usage sketch (see `examples/` for runnable versions):
 //!
@@ -106,7 +107,7 @@ pub mod prelude {
     };
     pub use mtmpi_locks::PathClass;
     pub use mtmpi_net::{FaultPlan, NetModel};
-    pub use mtmpi_obs::{NullRecorder, Recorder, RingRecorder, Timeline};
+    pub use mtmpi_obs::{RingRecorder, Timeline};
     pub use mtmpi_sim::{
         LockKind, LockModelParams, NativePlatform, Platform, PlatformReport, ThreadDesc,
         VirtualPlatform,

@@ -15,7 +15,7 @@ use crate::stats::RankStats;
 use mtmpi_check::SharedLedger;
 use mtmpi_locks::{CsToken, PathClass};
 use mtmpi_net::FaultPlan;
-use mtmpi_obs::{CsOp, Event, EventKind, Recorder, RingRecorder, DEFAULT_SHARD_CAP, MAX_SHARDS};
+use mtmpi_obs::{CsOp, Event, EventKind, RingRecorder};
 use mtmpi_sim::{LockId, LockKind, Platform};
 use mtmpi_vci::{VciMap, VciPool};
 use std::cell::UnsafeCell;
@@ -90,8 +90,9 @@ pub(crate) struct WorldInner {
     /// Stream shards appended after the sharded VCIs (0 = none; the
     /// pre-stream layout, byte-identical to PR-5 builds).
     pub(crate) streams: u32,
-    /// Structured-event sink; `None` costs one branch per record site.
-    pub(crate) recorder: Option<Arc<dyn Recorder>>,
+    /// Structured-event recorder; `None` is recording off and costs one
+    /// branch per record site.
+    pub(crate) recorder: Option<Arc<RingRecorder>>,
     /// Whether an active fault plan was installed (mirrors
     /// `SharedState::faults`, readable without the CS).
     pub(crate) faults_enabled: bool,
@@ -103,36 +104,26 @@ pub(crate) struct WorldInner {
 }
 
 impl WorldInner {
-    /// Whether events are being kept (callers should skip any expensive
-    /// event preparation when this is false).
-    #[inline]
-    pub(crate) fn rec_enabled(&self) -> bool {
-        self.recorder.as_ref().is_some_and(|r| r.enabled())
-    }
-
     /// Record an event stamped with `t_ns`. The kind closure runs only
-    /// when an enabled recorder is installed.
+    /// when a recorder is installed.
     #[inline]
     pub(crate) fn rec_at(&self, t_ns: u64, kind: impl FnOnce() -> EventKind) {
         if let Some(r) = &self.recorder {
-            if r.enabled() {
-                let (core, socket) =
-                    mtmpi_locks::current_core().map_or((0, 0), |(c, s)| (c.0, s.0));
-                r.record(Event {
-                    t_ns,
-                    tid: self.platform.current_tid(),
-                    core,
-                    socket,
-                    kind: kind(),
-                });
-            }
+            let (core, socket) = mtmpi_locks::current_core().map_or((0, 0), |(c, s)| (c.0, s.0));
+            r.record(Event {
+                t_ns,
+                tid: self.platform.current_tid(),
+                core,
+                socket,
+                kind: kind(),
+            });
         }
     }
 
     /// Record an event stamped with the current platform clock.
     #[inline]
     pub(crate) fn rec_now(&self, kind: impl FnOnce() -> EventKind) {
-        if self.rec_enabled() {
+        if self.recorder.is_some() {
             self.rec_at(self.platform.now_ns(), kind);
         }
     }
@@ -382,8 +373,7 @@ pub struct WorldBuilder {
     window_bytes: usize,
     liveness_limit_ns: u64,
     expect_rma: bool,
-    recorder: Option<Arc<dyn Recorder>>,
-    recorder_shards: Option<usize>,
+    recorder: Option<Arc<RingRecorder>>,
     fault_plan: Option<FaultPlan>,
     vci_count: u32,
     vci_map: Option<VciMap>,
@@ -401,13 +391,6 @@ impl World {
         self.inner.aborted.store(true, Ordering::Release);
     }
 
-    /// The installed structured-event recorder, if any — explicit
-    /// ([`WorldBuilder::recorder`]) or the right-sized one
-    /// [`WorldBuilder::recorder_shards`] auto-installed.
-    pub fn recorder(&self) -> Option<&Arc<dyn Recorder>> {
-        self.inner.recorder.as_ref()
-    }
-
     /// Start building a world on `platform`.
     pub fn builder(platform: Arc<dyn Platform>) -> WorldBuilder {
         WorldBuilder {
@@ -421,7 +404,6 @@ impl World {
             liveness_limit_ns: 120_000_000_000, // 120 virtual seconds
             expect_rma: false,
             recorder: None,
-            recorder_shards: None,
             fault_plan: None,
             vci_count: 1,
             vci_map: None,
@@ -561,23 +543,9 @@ impl WorldBuilder {
     }
 
     /// Install a structured-event recorder (see [`mtmpi_obs`]). Without
-    /// one, event sites cost a single branch.
-    pub fn recorder(mut self, r: Arc<dyn Recorder>) -> Self {
+    /// one, recording is off and event sites cost a single branch.
+    pub fn recorder(mut self, r: Arc<RingRecorder>) -> Self {
         self.recorder = Some(r);
-        self
-    }
-
-    /// Size the world's event recorder to `shards` concurrent recording
-    /// threads instead of the full [`mtmpi_obs::MAX_SHARDS`]-shard
-    /// pre-allocation — a small world (an mtmpi-serve tenant runs a
-    /// handful of simulated threads) has no use for 256 buffers. Without
-    /// [`WorldBuilder::recorder`], `build` installs a right-sized
-    /// [`RingRecorder`] itself; with one, the knob only validates (the
-    /// caller already chose the recorder's geometry). Values above
-    /// `MAX_SHARDS` are clamped; 0 is a loud
-    /// [`BuildError::ZeroRecorderShards`].
-    pub fn recorder_shards(mut self, shards: usize) -> Self {
-        self.recorder_shards = Some(shards);
         self
     }
 
@@ -660,19 +628,6 @@ impl WorldBuilder {
         if self.expect_rma && self.window_bytes == 0 {
             return Err(BuildError::ZeroWindowWithRma);
         }
-        let recorder = match self.recorder_shards {
-            Some(0) => return Err(BuildError::ZeroRecorderShards),
-            // Right-size the recorder to the requested seat count. An
-            // explicitly installed recorder wins — the caller already
-            // chose its geometry — so the knob only validated.
-            Some(n) => self.recorder.or_else(|| {
-                Some(Arc::new(RingRecorder::with_shards(
-                    n.min(MAX_SHARDS),
-                    DEFAULT_SHARD_CAP,
-                )) as Arc<dyn Recorder>)
-            }),
-            None => self.recorder,
-        };
         let vci_map = self.vci_map.unwrap_or_else(|| VciMap::new(self.vci_count));
         if let Some(f) = self.fuel {
             self.platform.set_fuel(Some(f));
@@ -737,7 +692,7 @@ impl WorldBuilder {
                 lock: self.lock,
                 vci_map,
                 streams: self.streams,
-                recorder,
+                recorder: self.recorder,
                 faults_enabled: active_plan.is_some(),
                 aborted: AtomicBool::new(false),
             }),

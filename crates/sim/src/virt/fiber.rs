@@ -333,7 +333,7 @@ impl Fiber {
         let inner = unsafe { self.inner.as_ref() };
         inner.reply.set(Some(reply));
         let host_core = mtmpi_locks::swap_current_core(inner.core.get());
-        let host_claim = mtmpi_obs::swap_shard_claim(inner.claim.get());
+        let host_claim = mtmpi_obs::swap_shard_claim(inner.claim.replace(ShardClaim::NONE));
         let outer = swap_current(self.inner.as_ptr());
         // SAFETY: `fiber_sp` is the initial frame or what the fiber's last
         // `switch` saved, and the fiber is suspended there: it has not

@@ -8,7 +8,7 @@
 
 use mtmpi_locks::PathClass;
 use mtmpi_net::NetModel;
-use mtmpi_obs::{Event, EventKind, Path, Recorder, RingRecorder};
+use mtmpi_obs::{Event, EventKind, Path, RingRecorder};
 use mtmpi_sim::{
     LockKind, LockModelParams, Platform, PlatformReport, RunHandle, SimError, StepOutcome,
     ThreadDesc, VirtualPlatform,

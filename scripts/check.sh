@@ -31,8 +31,9 @@
 #              the narrowest guarded accessor functions (the
 #              uninstrumented std leaves no std frames in the stacks to
 #              match — see the policy comment in that file).
-#   miri       UB check of the locks crate and of the obs JSON writer
-#              (`json::` tests) under cargo miri (nightly component;
+#   miri       UB check of the locks crate, the obs JSON writer
+#              (`json::` tests) and the obs recorder's shards and drain
+#              (`recorder::` tests) under cargo miri (nightly component;
 #              skipped when not installed).
 #   obs        observability smoke test: run fig2a (one lock per rank)
 #              and fig_vci (several locks per rank) traced in quick mode
@@ -141,6 +142,7 @@ else
             step miri env MIRIFLAGS="-Zmiri-ignore-leaks" \
                 cargo +nightly miri test -p mtmpi-locks --lib
             step miri cargo +nightly miri test -p mtmpi-obs --lib json::
+            step miri cargo +nightly miri test -p mtmpi-obs --lib recorder::
         else
             skip miri "miri component not installed"
         fi
