@@ -67,9 +67,13 @@ impl KmerGraph {
         self.map.is_empty()
     }
 
-    /// Iterate over (kmer, info).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, KmerInfo)> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
+    /// Iterate over (kmer, info) in ascending k-mer order, the same in
+    /// every process whatever the map's hasher.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, KmerInfo)> {
+        // lint: allow(L004) sorted before it is yielded
+        let mut all: Vec<(u64, KmerInfo)> = self.map.iter().map(|(&k, &v)| (k, v)).collect();
+        all.sort_unstable_by_key(|&(k, _)| k);
+        all.into_iter()
     }
 }
 

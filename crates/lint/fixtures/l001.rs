@@ -12,7 +12,6 @@ pub struct Handoff {
     claim: AtomicU8,
     ready: AtomicBool,
     stream_owner: AtomicU64,
-    tenant_state: AtomicU8,
     count: AtomicU64,
 }
 
@@ -56,26 +55,6 @@ impl Handoff {
 
     pub fn stream_unbind_right(&self) {
         self.stream_owner.store(0, Ordering::Release);
-    }
-
-    pub fn tenant_enqueue_wrong(&self) -> bool {
-        // Relaxed success on the Idle→Pending CAS: the worker that later
-        // takes the tenant has no edge to the enqueuer's parked state.
-        self.tenant_state.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed).is_ok() // FIRE: L001
-    }
-
-    pub fn tenant_park_wrong(&self) {
-        // Relaxed park back to Idle: the next enqueuer's Acquire CAS has
-        // nothing to pair with, so the parked work item is unpublished.
-        self.tenant_state.store(0, Ordering::Relaxed); // FIRE: L001
-    }
-
-    pub fn tenant_enqueue_right(&self) -> bool {
-        self.tenant_state.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire).is_ok()
-    }
-
-    pub fn tenant_park_right(&self) {
-        self.tenant_state.store(0, Ordering::Release);
     }
 
     pub fn stat_ok(&self) {

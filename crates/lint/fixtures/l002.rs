@@ -12,7 +12,6 @@ pub struct Published {
     mail_ready: AtomicBool,
     stream_owner: AtomicU64,
     claim: AtomicU8,
-    tenant_state: AtomicU8,
     scratch: AtomicU32,
 }
 
@@ -51,16 +50,6 @@ impl Published {
 
     pub fn claim_right(&self) -> u8 {
         self.claim.load(Ordering::Acquire)
-    }
-
-    pub fn tenant_state_wrong(&self) -> u8 {
-        // Observing Pending/Running without the Acquire misses the
-        // parker's Release of the tenant's work item.
-        self.tenant_state.load(Ordering::Relaxed) // FIRE: L002
-    }
-
-    pub fn tenant_state_right(&self) -> u8 {
-        self.tenant_state.load(Ordering::Acquire)
     }
 
     pub fn claim_self_read_allowed(&self) -> u8 {

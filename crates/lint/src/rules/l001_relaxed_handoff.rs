@@ -26,7 +26,6 @@ pub const HANDOFF_FIELDS: &[&str] = &[
     "claim",           // VCI wildcard claim token (NONE→COMPLETER/CANCELLER)
     "ready",           // multi-request completion publication flag
     "stream_owner",    // stream claim word (bind CAS / unbind Release)
-    "tenant_state",    // serve tenant cell word (Idle→Pending→Running)
 ];
 
 /// Mutating atomic operations. Loads are L002's concern.

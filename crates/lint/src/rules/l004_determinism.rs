@@ -3,9 +3,10 @@
 //! The replay contract (DESIGN.md §11/§12, enforced byte-for-byte by
 //! the faults/vci CI smoke jobs) requires every run-affecting input in
 //! `sim`/`runtime`/`net`/`vci`/`locks`, in the experiment harness
-//! (`core`), and in the figure harness (`bench`) whose `BENCH_*.json`
-//! documents are replayed, to derive from the seed and the virtual
-//! clock. Banned in production code there:
+//! (`core`), in the figure harness (`bench`) whose `BENCH_*.json`
+//! documents are replayed, and in the application kernels
+//! (`assembly`/`graph500`/`stencil`), to derive from the seed and the
+//! virtual clock. Banned in production code there:
 //!
 //! * wall-clock reads: `Instant::now`, `SystemTime` (any use);
 //! * OS entropy: `thread_rng`, `rand::random`, `from_entropy`;

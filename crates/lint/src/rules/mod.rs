@@ -96,7 +96,8 @@ pub fn check_file(file: &SourceFile, cs: &CsContext) -> Vec<Diagnostic> {
 /// Crates whose source is bound by the determinism contract (DESIGN.md
 /// §11/§12): fixed seed ⇒ byte-identical replay. The experiment and
 /// figure harnesses are two of them — everything that reaches a
-/// `BENCH_*.json` is a pure function of the seed.
+/// `BENCH_*.json` is a pure function of the seed — and so are the three
+/// application kernels, whose iteration order feeds virtual time.
 pub const L004_SCOPE: &[&str] = &[
     "crates/core/src/",
     "crates/sim/src/",
@@ -105,6 +106,9 @@ pub const L004_SCOPE: &[&str] = &[
     "crates/vci/src/",
     "crates/locks/src/",
     "crates/bench/src/",
+    "crates/assembly/src/",
+    "crates/graph500/src/",
+    "crates/stencil/src/",
 ];
 
 /// Crates with typed `MpiError` paths (the `try_*` family).

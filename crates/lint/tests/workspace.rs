@@ -68,6 +68,36 @@ fn seeding_a_violation_fails_the_run() {
     assert_eq!(d.rule, "L001");
 }
 
+/// Hash-order iteration in an application kernel, whose walk order
+/// would feed virtual time.
+const SEEDED_HASH_ORDER: &str = r#"
+use std::collections::HashMap;
+pub fn walk_starts(shard: &HashMap<u64, u32>) -> Vec<u64> {
+    shard.keys().copied().collect()
+}
+"#;
+
+#[test]
+fn seeding_hash_order_iteration_in_a_kernel_fails_the_run() {
+    let mut files = engine::load_workspace(&root());
+    let before = engine::check_files(&files).len();
+    files.push(SourceFile::parse(
+        Path::new("crates/assembly/src/seeded_violation.rs"),
+        SEEDED_HASH_ORDER,
+    ));
+    let after = engine::check_files(&files);
+    assert_eq!(
+        after.len(),
+        before + 1,
+        "the seeded hash-order iteration must add exactly one finding"
+    );
+    let d = after
+        .iter()
+        .find(|d| d.path == "crates/assembly/src/seeded_violation.rs")
+        .expect("finding points at the seeded file");
+    assert_eq!(d.rule, "L004");
+}
+
 #[test]
 fn baselining_the_seeded_violation_silences_it() {
     let seeded = SourceFile::parse(Path::new("crates/runtime/src/seeded_violation.rs"), SEEDED);

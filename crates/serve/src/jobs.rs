@@ -6,20 +6,19 @@
 use crate::config::{JobSpec, JobTemplate};
 use crate::tenant::LiveTenant;
 use mtmpi::prelude::*;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Launch `spec` as a parked run. Worlds are intentionally small (a few
 /// hundred to a few thousand scheduler events): the service's scale
 /// axis is *tenant count*, not per-tenant size.
-pub(crate) fn launch(spec: &JobSpec, fuel: Option<u64>, trace: bool) -> LiveTenant {
+pub(crate) fn launch(spec: JobSpec, fuel: Option<u64>, trace: bool) -> LiveTenant {
     let (run, payload) = match spec.template {
-        JobTemplate::Pt2pt { msgs, bytes } => launch_pt2pt(spec, fuel, trace, msgs, bytes),
-        JobTemplate::Rma { ops, bytes } => launch_rma(spec, fuel, trace, ops, bytes),
-        JobTemplate::Bfs { scale, threads } => launch_bfs(spec, fuel, trace, scale, threads),
+        JobTemplate::Pt2pt { msgs, bytes } => launch_pt2pt(&spec, fuel, trace, msgs, bytes),
+        JobTemplate::Rma { ops, bytes } => launch_rma(&spec, fuel, trace, ops, bytes),
+        JobTemplate::Bfs { scale, threads } => launch_bfs(&spec, fuel, trace, scale, threads),
     };
     LiveTenant {
-        spec: spec.clone(),
+        spec,
         run,
         payload,
         grants: 0,
@@ -116,12 +115,13 @@ fn launch_bfs(
             // socket pay extra for the graph's memory.
             let edge_ns = if ctx.thread >= 4 { 5 } else { 4 };
             if let Some(s) = hybrid_bfs_thread(&b2, &ctx.rank, ctx.thread, edge_ns) {
-                *s2.lock() = Some(s);
+                *s2.lock().expect("stats lock") = Some(s);
             }
         },
     );
-    (
-        run,
-        Box::new(move |_| stats.lock().map_or(0, |s| s.traversed_edges)),
-    )
+    let payload = move |_: &RunOutcome| {
+        let s = stats.lock().expect("stats lock");
+        s.map_or(0, |s| s.traversed_edges)
+    };
+    (run, Box::new(payload))
 }

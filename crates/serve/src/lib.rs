@@ -4,19 +4,19 @@
 //! fixed pool of dedicated OS-thread workers** — the ROADMAP's
 //! "millions of users" service shape over the deterministic platform.
 //!
-//! Architecture (katana's shard-scheduler design, SNIPPETS.md §1):
+//! Architecture (the FIFO-and-quantum shape of katana's shard
+//! scheduler, SNIPPETS.md §1):
 //!
-//! * each admitted tenant is a [`TenantCell`]: an atomic
-//!   `Idle→Pending→Running` state word guarding the tenant's work item
-//!   (a parked [`mtmpi::TenantRun`] — the `Send` work-item refactor of
-//!   the harness);
-//! * a strictly-FIFO queue of tenant ids feeds `workers` dedicated OS
-//!   threads; enqueue is only legal from `Idle` (CAS), so a tenant is
-//!   queued at most once and wakeups are never lost;
+//! * a tenant is a value — its spec until the first grant, then a
+//!   parked [`mtmpi::TenantRun`] (the `Send` work item of the harness) —
+//!   owned by exactly one of the FIFO or the worker stepping it;
+//! * one mutex over the FIFO of tenants, the next admission and the
+//!   finished reports, plus one condvar, is the pool's entire shared
+//!   state, feeding `workers` dedicated OS threads;
 //! * a worker steps a tenant's event loop for at most a
-//!   [`ServeConfig::quantum`]-event grant (PR 9's fuel machinery is the
-//!   preemption point), then re-enqueues it at the back — cooperative
-//!   round-robin, no tenant monopolizes a core;
+//!   [`ServeConfig::quantum`]-event grant (the fuel machinery is the
+//!   preemption point), then pushes it back — cooperative round-robin,
+//!   no tenant monopolizes a core;
 //! * completion admits the next tenant ([`ServeConfig::max_live`]
 //!   window), so worlds/threads materialize lazily and the footprint
 //!   stays bounded at any tenant count.
@@ -51,4 +51,4 @@ pub mod tenant;
 pub use config::{JobSpec, JobTemplate, ServeConfig};
 pub use report::ServeReport;
 pub use scheduler::serve;
-pub use tenant::{TenantCell, TenantReport, TenantWork, DONE, IDLE, PENDING, RUNNING};
+pub use tenant::TenantReport;

@@ -45,8 +45,8 @@ impl ServeReport {
         gini(&counts)
     }
 
-    /// Gini index over per-tenant wall *hold* time (ns spent RUNNING on
-    /// a worker) — the cross-tenant analogue of the paper's per-thread
+    /// Gini index over per-tenant wall *hold* time (ns spent held by a
+    /// worker) — the cross-tenant analogue of the paper's per-thread
     /// lock monopolization index. Wall-clock derived, so it is printed
     /// and never written to a BENCH document.
     pub fn hold_gini(&self) -> f64 {

@@ -1,61 +1,27 @@
-//! The tenant cell: one slot per admitted world, guarded by an atomic
-//! `Idle → Pending → Running` state word.
+//! A tenant is a value: a [`JobSpec`] until its first grant, then a
+//! launched world between grants, then a [`TenantReport`].
 //!
-//! The state word is the entire synchronization story of the pool
-//! (katana's shard-scheduler shape, SNIPPETS.md §1):
-//!
-//! * **enqueue only from `Idle`** — `try_enqueue` CASes `IDLE→PENDING`;
-//!   exactly one caller wins, so a tenant appears in the FIFO at most
-//!   once (no double-enqueue) and a lost CAS means someone else already
-//!   queued it (no lost wakeup);
-//! * **`Pending→Running` hand-off publishes the work item** — the
-//!   parking worker writes [`TenantWork`] non-atomically while it holds
-//!   the `RUNNING` claim, then parks with a `Release` store; the next
-//!   worker's `AcqRel` CAS to `RUNNING` synchronizes with that store
-//!   (through the intervening `IDLE→PENDING` RMW — release sequences
-//!   chain through RMWs), so the resumed tenant state is fully visible
-//!   on a *different* OS thread;
-//! * **`Done` is terminal** — a `Release` store after the report is
-//!   written; the collector Acquire-loads it before reading reports.
-//!
-//! `crates/serve/tests/loom_state.rs` model-checks exactly this
-//! protocol (same field name, values, and orderings), and mtmpi-lint's
-//! L001/L002 pin the `tenant_state` orderings in this source.
+//! The pool moves tenants through its one mutex, and a tenant has
+//! exactly one owner at any moment — the FIFO, or the worker that popped
+//! it — so nothing about a tenant is shared and nothing guards it.
 
 use crate::config::JobSpec;
-use mtmpi::TenantRun;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU8, Ordering};
+use mtmpi::{SimError, TenantRun};
+use std::time::Instant;
 
-/// Tenant is not queued and not held by any worker; its cell may be
-/// claimed for enqueue.
-pub const IDLE: u8 = 0;
-/// Tenant sits in the FIFO work queue awaiting a worker.
-pub const PENDING: u8 = 1;
-/// A worker holds the tenant and is stepping its event loop.
-pub const RUNNING: u8 = 2;
-/// Terminal: the tenant finished (or failed) and its report is written.
-pub const DONE: u8 = 3;
-
-/// What a tenant slot holds over its life cycle.
-pub enum TenantWork {
+/// A tenant in the FIFO.
+pub(crate) enum Tenant {
     /// Admitted but not yet launched: the world (and its fiber stacks)
-    /// materializes lazily at the first quantum, so queued tenants cost
+    /// materializes lazily at the first grant, so queued tenants cost
     /// nothing until a worker reaches them.
     Queued(JobSpec),
-    /// Launched: the parked run plus scheduling bookkeeping (boxed —
-    /// a live run dwarfs the other variants, and the box keeps the
-    /// per-tenant cell small for the thousands of queued tenants).
+    /// Launched and parked between grants (boxed: a live run dwarfs a
+    /// spec).
     Live(Box<LiveTenant>),
-    /// Finished: the report, awaiting collection.
-    Finished(TenantReport),
-    /// Transient placeholder while a worker converts `Live` into
-    /// `Finished`; never observable outside that worker's claim.
-    Taken,
 }
 
-/// A launched tenant between quanta.
-pub struct LiveTenant {
+/// A launched tenant.
+pub(crate) struct LiveTenant {
     /// The resolved spec (id, seed, template).
     pub spec: JobSpec,
     /// The parked `Send` run (harness layer).
@@ -65,8 +31,53 @@ pub struct LiveTenant {
     pub payload: Box<dyn FnOnce(&mtmpi::RunOutcome) -> u64 + Send>,
     /// Quantum grants so far (== `step` calls).
     pub grants: u64,
-    /// Wall nanoseconds spent `RUNNING` on any worker.
+    /// Wall nanoseconds spent held by a worker.
     pub hold_ns: u64,
+}
+
+impl LiveTenant {
+    /// The report of a tenant whose last grant ended it: `Ok` when its
+    /// world reached `Done` (finished here, blame included), the typed
+    /// error when the grant failed. `t0` is the service epoch.
+    pub(crate) fn into_report(self, stepped: Result<(), SimError>, t0: Instant) -> TenantReport {
+        let mut report = TenantReport {
+            id: self.spec.id,
+            seed: self.spec.seed,
+            template: self.spec.template.label(),
+            end_ns: self.run.end_ns(),
+            events: self.run.events(),
+            sched_trace_hash: 0,
+            grants: self.grants,
+            payload: 0,
+            cs_wait_p50_ns: 0,
+            cs_wait_p99_ns: 0,
+            blame_wait_ns: 0,
+            error: None,
+            hold_ns: self.hold_ns,
+            latency_ns: 0,
+        };
+        match stepped {
+            Err(e) => report.error = Some(e.to_string()),
+            Ok(()) => {
+                let out = self.run.finish();
+                let mut cs_wait = mtmpi_metrics::Histogram::new();
+                for r in 0..out.nranks {
+                    cs_wait.merge(&out.stats(r).cs_wait_ns);
+                }
+                report.end_ns = out.end_ns;
+                report.events = out.report.events;
+                report.sched_trace_hash = out.report.sched_trace_hash;
+                report.cs_wait_p50_ns = cs_wait.p50();
+                report.cs_wait_p99_ns = cs_wait.p99();
+                report.blame_wait_ns = out.timeline.as_ref().map_or(0, |t| {
+                    mtmpi_prof::BlameMatrix::from_timeline(t).total_wait_ns
+                });
+                report.payload = (self.payload)(&out);
+            }
+        }
+        report.latency_ns = t0.elapsed().as_nanos() as u64;
+        report
+    }
 }
 
 /// Per-tenant result: the deterministic fields feed the byte-identical
@@ -100,7 +111,7 @@ pub struct TenantReport {
     pub blame_wait_ns: u64,
     /// Typed failure rendering (`None` = completed).
     pub error: Option<String>,
-    /// Wall ns spent `RUNNING` (not in the digest).
+    /// Wall ns spent held by a worker (not in the digest).
     pub hold_ns: u64,
     /// Wall ns from service start to completion (not in the digest).
     pub latency_ns: u64,
@@ -136,124 +147,9 @@ impl TenantReport {
     }
 }
 
-/// One admitted tenant: the state word plus the work item it guards.
-pub struct TenantCell {
-    /// The `Idle→Pending→Running` guard. All access to `work` is
-    /// serialized by holding the `RUNNING` claim (or by being the
-    /// collector after workers joined).
-    tenant_state: AtomicU8,
-    work: UnsafeCell<TenantWork>,
-}
-
-// SAFETY: `work` is only touched by the worker that won the
-// `PENDING→RUNNING` CAS (exclusive until its park/complete store) or by
-// the collector after every worker joined; the Release/Acquire pairs on
-// `tenant_state` publish the writes across threads.
-unsafe impl Send for TenantCell {}
-// SAFETY: same contract as Send — the state-word protocol serializes
-// all access to `work`.
-unsafe impl Sync for TenantCell {}
-
-impl TenantCell {
-    /// A freshly admitted (idle, unlaunched) tenant.
-    pub fn new(spec: JobSpec) -> Self {
-        Self {
-            tenant_state: AtomicU8::new(IDLE),
-            work: UnsafeCell::new(TenantWork::Queued(spec)),
-        }
-    }
-
-    /// Claim the enqueue right: `IDLE→PENDING`. Exactly one concurrent
-    /// caller succeeds; the winner (and only the winner) must push the
-    /// tenant onto the FIFO.
-    pub fn try_enqueue(&self) -> bool {
-        self.tenant_state
-            .compare_exchange(IDLE, PENDING, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Take the run claim after dequeueing: `PENDING→RUNNING`. The
-    /// Acquire success ordering synchronizes with the parking worker's
-    /// Release store, publishing the tenant's work item to this thread.
-    /// Panics if the tenant was not `PENDING` — a dequeued id is always
-    /// pending, anything else is a scheduler protocol bug.
-    pub fn begin_running(&self) {
-        self.tenant_state
-            .compare_exchange(PENDING, RUNNING, Ordering::AcqRel, Ordering::Acquire)
-            .expect("dequeued tenant must be PENDING");
-    }
-
-    /// Park a still-runnable tenant: publish the work item and drop the
-    /// claim (`RUNNING→IDLE`, Release). The parker then re-enqueues via
-    /// [`TenantCell::try_enqueue`] like any other scheduler.
-    pub fn park_idle(&self) {
-        self.tenant_state.store(IDLE, Ordering::Release);
-    }
-
-    /// Terminal transition: publish the report (`RUNNING→DONE`,
-    /// Release).
-    pub fn complete(&self) {
-        self.tenant_state.store(DONE, Ordering::Release);
-    }
-
-    /// Current state (Acquire: pairs with the publishing stores).
-    pub fn state(&self) -> u8 {
-        self.tenant_state.load(Ordering::Acquire)
-    }
-
-    /// Exclusive access to the work item.
-    ///
-    /// # Safety
-    /// The caller must hold the `RUNNING` claim (its own successful
-    /// [`TenantCell::begin_running`], with no intervening park/complete)
-    /// — or be the post-join collector, when no worker can hold a claim.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn work_mut(&self) -> &mut TenantWork {
-        // SAFETY: exclusivity is the caller's contract (doc above); the
-        // state-word protocol makes the claim unique.
-        unsafe { &mut *self.work.get() }
-    }
-
-    /// Consume the cell into its final work item (post-join collection).
-    pub fn into_work(self) -> TenantWork {
-        self.work.into_inner()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::JobTemplate;
-
-    fn spec() -> JobSpec {
-        JobSpec {
-            id: 7,
-            seed: 0xAB,
-            template: JobTemplate::Pt2pt { msgs: 1, bytes: 8 },
-        }
-    }
-
-    #[test]
-    fn enqueue_is_exclusive_until_parked() {
-        let c = TenantCell::new(spec());
-        assert_eq!(c.state(), IDLE);
-        assert!(c.try_enqueue());
-        assert!(!c.try_enqueue(), "no double-enqueue from PENDING");
-        c.begin_running();
-        assert!(!c.try_enqueue(), "no enqueue while RUNNING");
-        c.park_idle();
-        assert!(c.try_enqueue(), "parked tenant is enqueueable again");
-    }
-
-    #[test]
-    fn done_is_terminal_for_enqueue() {
-        let c = TenantCell::new(spec());
-        assert!(c.try_enqueue());
-        c.begin_running();
-        c.complete();
-        assert_eq!(c.state(), DONE);
-        assert!(!c.try_enqueue());
-    }
 
     #[test]
     fn digest_line_is_stable_shape() {

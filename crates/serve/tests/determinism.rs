@@ -98,6 +98,17 @@ fn fuel_exhaustion_is_deterministic_across_workers() {
         ..cfg.clone()
     });
     assert_eq!(a.tenant_digest(), solo.tenant_digest());
+    // Behind a full admission window, each failed tenant must admit its
+    // successor, or the pool never drains.
+    let narrow = cfg.max_live(2);
+    for workers in [1u32, 2] {
+        let run = serve(&ServeConfig {
+            workers,
+            ..narrow.clone()
+        });
+        assert_eq!(run.failed(), 8, "every tenant must hit the fuel wall");
+        assert_eq!(a.tenant_digest(), run.tenant_digest(), "{workers} workers");
+    }
 }
 
 /// A tenant parked after a quantum is resumed by whichever worker is free,

@@ -15,10 +15,9 @@
 #   test       workspace test suite (includes mtmpi-check negative tests
 #              and mtmpi-lint's fixture + whole-tree tests)
 #   loom       model checking of the lock algorithms, the VCI claim
-#              protocol, the stream claim word and the serve tenant
-#              word (serialized-thread shim; see crates/locks/src/sys.rs,
-#              crates/runtime/tests/loom_claim.rs + loom_stream.rs,
-#              crates/serve/tests/loom_state.rs)
+#              protocol and the stream claim word (serialized-thread
+#              shim; see crates/locks/src/sys.rs,
+#              crates/runtime/tests/loom_claim.rs + loom_stream.rs)
 #   tsan       ThreadSanitizer over the locks crate. Prefers an
 #              instrumented std (`-Zbuild-std`, rust-src component):
 #              with the prebuilt std, every Mutex/Condvar edge is
@@ -103,7 +102,6 @@ if [ "$FAST" = "fast" ]; then
 else
     step loom cargo test -p mtmpi-locks --features loom-check --test loom
     step loom cargo test -p mtmpi-runtime --test loom_claim --test loom_stream
-    step loom cargo test -p mtmpi-serve --test loom_state
     step obs cargo run -q -p xtask -- trace fig2a
     step obs cargo run -q -p xtask -- trace fig_vci
     step bench-diff cargo run -q -p xtask -- bench-diff
