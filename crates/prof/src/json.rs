@@ -2,7 +2,7 @@
 //!
 //! The workspace writes all its artifacts (`BENCH_*.json`, traces) with
 //! hand-rolled emitters (no serializer crate exists offline).
-//! `bench-diff`, `top`, `replay-gate` and `xtask trace` must *read* those
+//! `bench-diff`, `top` and `xtask trace` must *read* those
 //! artifacts back, so this module supplies the missing half: a small
 //! recursive-descent parser producing an owned [`Json`] tree. It is also
 //! the workspace's only JSON validator — validation = parse. Objects keep insertion order (a `Vec` of

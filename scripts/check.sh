@@ -42,25 +42,16 @@
 #              the trace and results/<fig>.prom to be byte-identical
 #              between the two same-seed runs (a trace is a pure
 #              function of the seed).
-#   bench-diff baseline gate: re-run the baselined figures in quick
-#              mode and require each fresh BENCH_*.json to equal its
-#              committed text under results/baseline/ (`xtask
-#              bench-diff`; a mismatch names the first differing path).
+#   bench-diff the one figure gate (`xtask bench-diff`): run every
+#              figure with a BENCH_<fig>.json under results/baseline/
+#              once in quick mode and require each of its files there
+#              (the document, plus fig_serve's per-tenant digest file)
+#              to equal the fresh text; a mismatch names the first
+#              differing path or line. DESIGN.md sections 10-17.
 #   bench-api  build and test the standalone host-cost benchmark
 #              (benchmark/, its own workspace) against this tree, so a
 #              change that breaks the public surface it is pinned to
 #              fails here rather than in the benchmark driver.
-#   faults vci stream scale serve bfs
-#              the determinism gates, one `xtask replay-gate <name>`
-#              each (table in xtask/src/replay.rs): run the gate's test
-#              suite, then its figure binary twice in quick mode with
-#              the same seed. The two BENCH documents must be
-#              identical texts (a document holds no host-measured
-#              value); `serve` also compares the per-tenant digest
-#              file byte for byte.
-#              `bfs` is the mtmpi-graph500 suite (kernel and generator
-#              pins) and fig10a, the one gate on the application path.
-#              DESIGN.md sections 11, 12, 14-17.
 #
 # Usage: scripts/check.sh [fast]   ("fast" runs only fmt, clippy, lint and
 #        test; every other step above is skipped)
@@ -96,7 +87,7 @@ if [ "$FAST" = "fast" ]; then
     skip loom "fast mode"
     skip tsan "fast mode"
     skip miri "fast mode"
-    for s in obs bench-diff bench-api faults vci stream scale serve bfs; do
+    for s in obs bench-diff bench-api; do
         skip "$s" "fast mode"
     done
 else
@@ -106,9 +97,6 @@ else
     step obs cargo run -q -p xtask -- trace fig_vci
     step bench-diff cargo run -q -p xtask -- bench-diff
     step bench-api cargo test --offline --manifest-path benchmark/Cargo.toml
-    for gate in faults vci stream scale serve bfs; do
-        step "$gate" cargo run -q -p xtask -- replay-gate "$gate"
-    done
 
     if ! cargo +nightly --version >/dev/null 2>&1; then
         skip tsan "no nightly toolchain"

@@ -1,61 +1,116 @@
-//! `xtask bench-diff` and `xtask top` — the baseline gate and the
+//! `xtask bench-diff` and `xtask top` — the figure gate and the
 //! terminal contention viewer over `results/BENCH_*.json`.
 //!
-//! `bench-diff` re-runs every figure with a `BENCH_<fig>.json` committed
-//! under `results/baseline/` in quick mode and requires the fresh
-//! `results/BENCH_<fig>.json` to equal the committed text, byte for
-//! byte ([`same_text`]). A BENCH document is a pure function of the
-//! seed, so any difference is a behaviour change; the failure names the
-//! first differing `$`-path. A change that moves a document refreshes
-//! its baseline in the same commit (see EXPERIMENTS.md).
+//! `bench-diff` is the one figure gate, and `results/baseline/` is its
+//! table: `BENCH_<fig>.json` names a gated figure, and any other
+//! `<fig>.<rest>` file there (e.g. `fig_serve.tenants.txt`) belongs to
+//! that figure. Each figure runs once in quick mode, then each of its
+//! files must equal the fresh `results/<same name>`, byte for byte
+//! ([`same_text`]). A figure's outputs are a pure function of the seed,
+//! so any difference is a behaviour change; the failure names the first
+//! differing `$`-path (JSON) or line. A change that moves an output
+//! refreshes its baseline in the same commit (see EXPERIMENTS.md).
 //!
 //! `top <fig>` renders the windowed contention view (`mtmpi_prof::top`)
 //! of an already-generated `results/BENCH_<fig>.json`.
 
-use crate::run::{check_all, read_text, run_fig, same_text};
+use crate::run::{read_text, run_fig, same_text};
 use mtmpi_prof::top_report;
+use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Baselined figure ids: every `BENCH_<fig>.json` under `dir`, sorted.
-fn baseline_figs(dir: &Path) -> Vec<String> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut figs: Vec<String> = entries
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name().into_string().ok()?;
-            let fig = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
-            Some(fig.to_owned())
-        })
-        .collect();
-    figs.sort();
-    figs
+/// A gated figure and the baseline files its run must reproduce.
+type Gate = (String, Vec<String>);
+
+/// The figure a `BENCH_<fig>.json` file name names.
+fn bench_fig(name: &str) -> Option<&str> {
+    name.strip_prefix("BENCH_")?.strip_suffix(".json")
 }
 
-/// Re-run `fig` and compare its fresh document with the committed one.
-fn gate_fig(fig: &str, root: &Path) -> Result<(), String> {
-    let file = format!("BENCH_{fig}.json");
-    let baseline = read_text(&root.join("results/baseline").join(&file))?;
+/// The gate's table: every file under `dir`, grouped by the figure that
+/// writes it, figures sorted. A file that names no gated figure is an
+/// error, not skipped. A missing `dir` lists nothing.
+fn baseline_figs(dir: &Path) -> Result<Vec<Gate>, String> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Ok(Vec::new());
+    };
+    let mut names: Vec<String> = entries
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let mut figs: BTreeMap<String, Vec<String>> = names
+        .iter()
+        .filter_map(|n| Some((bench_fig(n)?.to_owned(), Vec::new())))
+        .collect();
+    let mut orphans = Vec::new();
+    for name in names {
+        let fig = bench_fig(&name).or_else(|| Some(name.split_once('.')?.0));
+        match fig.and_then(|f| figs.get_mut(f)) {
+            Some(files) => files.push(name),
+            None => orphans.push(name),
+        }
+    }
+    if !orphans.is_empty() {
+        return Err(format!(
+            "no gated figure for {} under {} (a baseline is BENCH_<fig>.json, \
+             or <fig>.<rest> beside one)",
+            orphans.join(", "),
+            dir.display()
+        ));
+    }
+    Ok(figs.into_iter().collect())
+}
+
+/// Run `fig` once; each of its baseline files must equal the fresh file
+/// of the same name under `results/`.
+fn gate_fig(fig: &str, files: &[String], root: &Path) -> Result<(), String> {
     println!("xtask bench-diff: running {fig} --quick ...");
     run_fig(fig, root, &[])?;
-    let fresh = read_text(&root.join("results").join(&file))?;
-    let what = format!("results/{file} and its baseline");
-    same_text(&what, &baseline, &fresh)
+    files.iter().try_for_each(|file| {
+        let baseline = read_text(&root.join("results/baseline").join(file))?;
+        let fresh = read_text(&root.join("results").join(file))?;
+        same_text(
+            &format!("results/{file} and its baseline"),
+            &baseline,
+            &fresh,
+        )
+    })
 }
 
-/// The gate: fresh text == committed text, for every baseline.
+/// The gate: fresh text == committed text, for every baseline file.
+/// Every figure runs before the gate fails, so one run reports them all.
 pub fn run_baseline_gate(root: &Path) -> Result<(), String> {
-    let figs = baseline_figs(&root.join("results/baseline"));
+    let figs = baseline_figs(&root.join("results/baseline"))?;
     if figs.is_empty() {
         return Err("no BENCH_*.json under results/baseline/".to_owned());
     }
+    let names: Vec<&str> = figs.iter().map(|(fig, _)| fig.as_str()).collect();
     println!(
-        "xtask bench-diff: gating {} figure(s) against results/baseline/: {}",
+        "xtask bench-diff: gating {} figure(s), {} file(s) against results/baseline/: {}",
         figs.len(),
-        figs.join(", ")
+        figs.iter().map(|(_, files)| files.len()).sum::<usize>(),
+        names.join(", ")
     );
-    check_all("bench-diff", &figs, |f| f, |f| gate_fig(f, root))
+    let mut failed = Vec::new();
+    for (fig, files) in &figs {
+        match gate_fig(fig, files, root) {
+            Ok(()) => println!("xtask bench-diff: {fig}: PASS"),
+            Err(e) => {
+                eprintln!("xtask bench-diff: {fig}: FAIL {e}");
+                failed.push(fig.as_str());
+            }
+        }
+    }
+    if failed.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "{} of {}: {}",
+        failed.len(),
+        figs.len(),
+        failed.join(", ")
+    ))
 }
 
 /// The viewer.
@@ -71,19 +126,71 @@ pub fn run_top(fig: &str, root: &Path) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn baseline_listing_extracts_fig_ids() {
-        let dir = std::env::temp_dir().join(format!("xtask-bd-{}", std::process::id()));
+    /// A fresh directory holding `files`, each empty.
+    fn listing(tag: &str, files: &[&str]) -> Result<Vec<Gate>, String> {
+        let dir = std::env::temp_dir().join(format!("xtask-bd-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("BENCH_fig2a.json"), "{}").unwrap();
-        std::fs::write(dir.join("BENCH_fig6a.json"), "{}").unwrap();
-        std::fs::write(dir.join("README.md"), "").unwrap();
-        assert_eq!(baseline_figs(&dir), vec!["fig2a", "fig6a"]);
+        for f in files {
+            std::fs::write(dir.join(f), "").unwrap();
+        }
+        let figs = baseline_figs(&dir);
         std::fs::remove_dir_all(&dir).unwrap();
+        figs
+    }
+
+    fn gate(fig: &str, files: &[&str]) -> Gate {
+        (
+            fig.to_owned(),
+            files.iter().map(|f| (*f).to_owned()).collect(),
+        )
+    }
+
+    #[test]
+    fn a_figures_files_group_into_one_run() {
+        let figs = listing("group", &["fig_serve.tenants.txt", "BENCH_fig_serve.json"]);
+        assert_eq!(
+            figs,
+            Ok(vec![gate(
+                "fig_serve",
+                &["BENCH_fig_serve.json", "fig_serve.tenants.txt"]
+            )])
+        );
+    }
+
+    #[test]
+    fn a_file_naming_no_gated_figure_fails_the_listing() {
+        for orphan in ["README.md", "fig_x.tenants.txt", "BENCH_fig_x.txt"] {
+            let err = listing("orphan", &["BENCH_fig2a.json", orphan]).unwrap_err();
+            assert!(
+                err.starts_with(&format!("no gated figure for {orphan} under ")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn figures_come_back_sorted_each_listed_once() {
+        let figs = listing(
+            "sorted",
+            &[
+                "BENCH_fig6a.json",
+                "fig2a.prom",
+                "BENCH_fig2a.json",
+                "BENCH_fig10a.json",
+            ],
+        );
+        assert_eq!(
+            figs,
+            Ok(vec![
+                gate("fig10a", &["BENCH_fig10a.json"]),
+                gate("fig2a", &["BENCH_fig2a.json", "fig2a.prom"]),
+                gate("fig6a", &["BENCH_fig6a.json"]),
+            ])
+        );
     }
 
     #[test]
     fn missing_baseline_dir_is_empty() {
-        assert!(baseline_figs(Path::new("/nonexistent/nowhere")).is_empty());
+        assert_eq!(baseline_figs(Path::new("/nonexistent/nowhere")), Ok(vec![]));
     }
 }

@@ -10,17 +10,12 @@
 //!   trace and `results/<fig>.prom` are byte-identical between the two
 //!   same-seed runs. See [`trace`].
 //!
-//! * `bench-diff` — the baseline gate: re-run every figure baselined
-//!   under `results/baseline/` in quick mode and require the fresh
-//!   `results/BENCH_<fig>.json` to equal the committed text; a mismatch
-//!   names the first differing `$`-path. See [`bench`].
-//!
-//! * `replay-gate <name|all>` — the table-driven determinism gates
-//!   (`faults`, `vci`, `stream`, `scale`, `serve`, `bfs`): run the
-//!   gate's test suite, then its figure binary twice with the same seed,
-//!   and require the two outputs to be identical. See [`replay`].
-//!   `bench-diff`, `replay-gate` and `trace` compare texts through one
-//!   routine, `run::same_text`.
+//! * `bench-diff` — the one figure gate: run every figure with a
+//!   `BENCH_<fig>.json` under `results/baseline/` once in quick mode and
+//!   require each of its baseline files to equal the fresh file of the
+//!   same name under `results/`; a mismatch names the first differing
+//!   `$`-path or line. See [`bench`]. `bench-diff` and `trace` compare
+//!   texts through one routine, `run::same_text`.
 //!
 //! * `top <fig>` — render the windowed contention view (who holds the
 //!   runtime critical section, when) of `results/BENCH_<fig>.json`.
@@ -40,7 +35,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 mod bench;
-mod replay;
 mod run;
 mod trace;
 
@@ -84,10 +78,8 @@ const USAGE: &str = "usage: cargo run -p xtask -- <command>\n\n\
     \x20            vs crates/lint/baseline.txt\n\
     trace <fig>  run a figure binary traced, twice: validate its JSON outputs and that the\n\
     \x20            trace and .prom replay byte for byte (e.g. trace fig2a)\n\
-    bench-diff   re-run every figure baselined in results/baseline/: the fresh\n\
-    \x20            BENCH_<fig>.json must equal the committed text\n\
-    replay-gate  <faults|vci|stream|scale|serve|bfs|all> run a figure twice, same seed:\n\
-    \x20            outputs must replay\n\
+    bench-diff   run every figure baselined in results/baseline/ once: each fresh\n\
+    \x20            output must equal its committed text\n\
     top <fig>    windowed contention view of results/BENCH_<fig>.json";
 
 /// Run `cmd` with its arguments; `Err` is the failure line to print.
@@ -112,7 +104,6 @@ fn dispatch(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<(), Str
             Some(a) => unknown(&a),
             None => bench::run_baseline_gate(&root),
         },
-        "replay-gate" => replay::run_replay_gate(&args.next().ok_or_else(missing)?, &root),
         "top" => bench::run_top(&args.next().ok_or_else(missing)?, &root),
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
     }

@@ -1,23 +1,10 @@
-//! What every xtask command does: run cargo in the workspace root, read
-//! a result file back, and compare it with the text it must equal.
+//! What every xtask gate does: run a figure binary in the workspace
+//! root, read a result file back, and compare it with the text it must
+//! equal.
 
 use mtmpi_prof::Json;
 use std::path::Path;
 use std::process::Command;
-
-/// Run `cargo <args>` in `root`.
-pub fn cargo(root: &Path, args: &[&str]) -> Result<(), String> {
-    let status = Command::new("cargo")
-        .args(args)
-        .current_dir(root)
-        .status()
-        .map_err(|e| format!("cannot run cargo: {e}"))?;
-    if status.success() {
-        Ok(())
-    } else {
-        Err(format!("cargo {} exited with {status}", args.join(" ")))
-    }
-}
 
 /// Figure names are plain binary names; anything else (path separators,
 /// dashes that cargo would parse as flags) is rejected before it
@@ -43,37 +30,22 @@ pub fn run_fig(fig: &str, root: &Path, extra: &[&str]) -> Result<(), String> {
         "--",
         "--quick",
     ];
-    cargo(root, &[&args, extra].concat())
+    let args = [&args, extra].concat();
+    let status = Command::new("cargo")
+        .args(&args)
+        .current_dir(root)
+        .status()
+        .map_err(|e| format!("cannot run cargo: {e}"))?;
+    if status.success() {
+        Ok(())
+    } else {
+        Err(format!("cargo {} exited with {status}", args.join(" ")))
+    }
 }
 
 /// Read a result file, naming it in the error.
 pub fn read_text(path: &Path) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
-}
-
-/// Run `check` on every item before failing, so one run reports them
-/// all: one `PASS`/`FAIL` line per item, named by `name`.
-pub fn check_all<T>(
-    cmd: &str,
-    items: &[T],
-    name: impl Fn(&T) -> &str,
-    check: impl Fn(&T) -> Result<(), String>,
-) -> Result<(), String> {
-    let mut failed = Vec::new();
-    for item in items {
-        match check(item) {
-            Ok(()) => println!("xtask {cmd}: {}: PASS", name(item)),
-            Err(e) => {
-                eprintln!("xtask {cmd}: {}: FAIL {e}", name(item));
-                failed.push(name(item));
-            }
-        }
-    }
-    if failed.is_empty() {
-        return Ok(());
-    }
-    let names = failed.join(", ");
-    Err(format!("{} of {}: {names}", failed.len(), items.len()))
 }
 
 /// The one compare every gate uses: `got` must equal `expected` byte for
