@@ -49,7 +49,7 @@ pub fn sequential_ok(w: &World) {
 
 pub fn allowed_site(w: &World) {
     w.cs(|| {
-        // lint: allow(L003) fixture: ordered two-tier hold, checked by lockdep
+        // lint: allow(L003) fixture: proves suppression; no runtime site nests a CS
         helper_enters(w); // ALLOWED: L003
     });
 }

@@ -17,9 +17,9 @@
 //!    collide with std-container methods on a name-based graph.
 //!
 //! The split progress lock (`progress_lock` → queue CS in PerQueue
-//! granularity) is an *ordered* two-tier hold checked dynamically by
-//! mtmpi-check's lockdep; it does not route through `cs`'s closure, so
-//! it does not trip this rule.
+//! granularity) is never held together with the queue CS:
+//! `progress_once` releases it before it enters the queue CS, so the two
+//! are sequential sections, and this rule bans any nested entry.
 
 use crate::diag::Diagnostic;
 use crate::source::{matching, SourceFile};

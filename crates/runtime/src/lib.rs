@@ -66,6 +66,7 @@ pub mod costs;
 pub mod errors;
 pub mod faults;
 pub mod granularity;
+mod ledger;
 pub mod p2p;
 pub mod packet;
 pub mod progress;
@@ -81,6 +82,7 @@ pub use comm::Comm;
 pub use costs::RuntimeCosts;
 pub use errors::{BuildError, MpiError, StreamBindError};
 pub use granularity::Granularity;
+pub use ledger::{LeakReport, RequestLedger};
 pub use request::{Request, TestOutcome};
 pub use stats::RankStats;
 pub use stream::Stream;

@@ -1,10 +1,10 @@
 //! Per-process runtime state, guarded by the process's critical section.
 
 use crate::errors::MpiError;
+use crate::ledger::RequestLedger;
 use crate::packet::Packet;
 use crate::request::ReqInner;
 use crate::types::{CommId, MsgData, Tag};
-use mtmpi_check::RequestLedger;
 use mtmpi_metrics::{DanglingSampler, Histogram};
 use mtmpi_net::FaultPlan;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};

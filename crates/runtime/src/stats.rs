@@ -7,7 +7,7 @@
 //! alongside. Obtain one with [`crate::World::stats`] after
 //! `Platform::run` has returned.
 
-use mtmpi_check::RequestLedger;
+use crate::ledger::RequestLedger;
 use mtmpi_metrics::{DanglingSampler, Histogram};
 use mtmpi_sim::LockKind;
 

@@ -10,9 +10,9 @@
 use crate::costs::RuntimeCosts;
 use crate::errors::{BuildError, StreamBindError};
 use crate::granularity::Granularity;
+use crate::ledger::SharedLedger;
 use crate::state::SharedState;
 use crate::stats::RankStats;
-use mtmpi_check::SharedLedger;
 use mtmpi_locks::{CsToken, PathClass};
 use mtmpi_net::FaultPlan;
 use mtmpi_obs::{CsOp, Event, EventKind, RingRecorder};
@@ -330,7 +330,7 @@ impl Drop for WorldInner {
     /// goes away, every issued request must have completed its
     /// Issue→(Post)→Complete→Free life cycle (paper Fig 3b). A dropped
     /// `Request` handle or a lost completion panics here with the
-    /// per-rank [`mtmpi_check::LeakReport`]. Quiescence is checked *per
+    /// per-rank [`crate::LeakReport`]. Quiescence is checked *per
     /// VCI* — each shard's ledger must balance on its own — plus the
     /// process-level wildcard ledger for multi-shard receives.
     fn drop(&mut self) {

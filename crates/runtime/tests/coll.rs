@@ -6,8 +6,7 @@ use mtmpi_runtime::World;
 use mtmpi_sim::{LockKind, LockModelParams, Platform, ThreadDesc, VirtualPlatform};
 use mtmpi_topology::presets::nehalem_cluster_scaled;
 use mtmpi_topology::CoreId;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn run_all_ranks(
     n: u32,
@@ -75,11 +74,11 @@ fn allreduce_f64_is_deterministic_order() {
             let x = 0.1f64 * f64::from(h.rank() + 1);
             let s = h.allreduce_sum_f64(x);
             if h.rank() == 0 {
-                vals.lock().push(s.to_bits());
+                vals.lock().expect("vals lock").push(s.to_bits());
             }
         });
     }
-    let vals = vals.lock();
+    let vals = vals.lock().expect("vals lock");
     assert_eq!(vals[0], vals[1], "bitwise reproducible float reduction");
 }
 

@@ -12,8 +12,8 @@
 #              simulated-thread suspension) over the whole workspace,
 #              gated by
 #              crates/lint/baseline.txt (DESIGN.md section 13)
-#   test       workspace test suite (includes mtmpi-check negative tests
-#              and mtmpi-lint's fixture + whole-tree tests)
+#   test       workspace test suite (includes the runtime's request-ledger
+#              negative tests and mtmpi-lint's fixture + whole-tree tests)
 #   loom       model checking of the lock algorithms, the VCI claim
 #              protocol and the stream claim word (serialized-thread
 #              shim; see crates/locks/src/sys.rs,
