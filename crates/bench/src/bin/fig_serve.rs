@@ -172,8 +172,9 @@ fn main() {
     fig.series(&grants_series);
     fig.scalar("serve_quantum_invariance", 1.0);
 
-    // The CI determinism gate `cmp`s this file across repeat runs (and
-    // it is pure virtual-platform output, so it is host-independent).
+    // `xtask bench-diff` compares this file with
+    // `results/baseline/fig_serve.tenants.txt` (it is pure
+    // virtual-platform output, so it is host-independent).
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/fig_serve.tenants.txt", reference.tenant_digest())
         .expect("write per-tenant digest");

@@ -1,8 +1,10 @@
 //! Negative tests: prove the request ledger's leak check actually fires.
 //!
 //! Each test *seeds* a leaked request and asserts the ledger reports it
-//! and the debug-build check at `World` drop panics. A checker that only
-//! ever sees clean runs is untested; these are the runs that must fail.
+//! and the check at `World` drop panics — in debug builds, the only ones
+//! it runs in; a release build must drop the same `World` quietly. A
+//! checker that only ever sees clean runs is untested; these are the
+//! runs that must fail.
 
 use mtmpi_net::NetModel;
 use mtmpi_runtime::{MsgData, RequestLedger, VciMap, World};
@@ -32,6 +34,24 @@ fn spawn(p: &Arc<dyn Platform>, name: &str, node: u32, f: impl FnOnce() + Send +
     );
 }
 
+/// Drop `w`, and return the message of the World-drop leak check's panic
+/// in a debug build. The check is compiled out of release builds, where
+/// the drop must not panic and this returns `None`.
+fn drop_world(w: World) -> Option<String> {
+    let dropped = catch_unwind(AssertUnwindSafe(move || drop(w)));
+    if !cfg!(debug_assertions) {
+        assert!(dropped.is_ok(), "a release build runs no leak check");
+        return None;
+    }
+    let panic = dropped.expect_err("World drop must panic on the leaked request");
+    Some(panic.downcast_ref::<String>().cloned().unwrap_or_else(|| {
+        panic
+            .downcast_ref::<&str>()
+            .map(ToString::to_string)
+            .unwrap_or_default()
+    }))
+}
+
 /// Seed a leaked posted receive (irecv dropped without wait) and assert
 /// the World-drop leak check panics with the ledger report.
 #[test]
@@ -56,18 +76,12 @@ fn seeded_leaked_request_is_detected_at_world_drop() {
         ledger.check_quiescent().is_err(),
         "leak must be visible in the ledger"
     );
-    let panic = catch_unwind(AssertUnwindSafe(move || drop(w)))
-        .expect_err("World drop must panic on the leaked request");
-    let msg = panic.downcast_ref::<String>().cloned().unwrap_or_else(|| {
-        panic
-            .downcast_ref::<&str>()
-            .map(ToString::to_string)
-            .unwrap_or_default()
-    });
-    assert!(
-        msg.contains("leaked requests") && msg.contains("never completed"),
-        "unexpected panic message: {msg}"
-    );
+    if let Some(msg) = drop_world(w) {
+        assert!(
+            msg.contains("leaked requests") && msg.contains("never completed"),
+            "unexpected panic message: {msg}"
+        );
+    }
 }
 
 /// Seed a leaked fan-out wildcard receive: under a multi-VCI map an
@@ -96,15 +110,12 @@ fn seeded_leaked_wildcard_request_is_detected_at_world_drop() {
             "a fan-out receive leaves every shard ledger balanced"
         );
     }
-    let panic = catch_unwind(AssertUnwindSafe(move || drop(w)))
-        .expect_err("World drop must panic on the leaked wildcard receive");
-    let msg = panic
-        .downcast_ref::<String>()
-        .expect("formatted panic message");
-    assert!(
-        msg.contains("leaked wildcard (multi-VCI) requests") && msg.contains("never completed"),
-        "unexpected panic message: {msg}"
-    );
+    if let Some(msg) = drop_world(w) {
+        assert!(
+            msg.contains("leaked wildcard (multi-VCI) requests") && msg.contains("never completed"),
+            "unexpected panic message: {msg}"
+        );
+    }
 }
 
 /// Seed a completed-but-unfreed request (isend dropped without wait):
@@ -135,8 +146,12 @@ fn seeded_unfreed_send_is_detected_at_world_drop() {
         "the send completed eagerly but was never freed"
     );
     assert_eq!(err.uncompleted(), 0);
-    catch_unwind(AssertUnwindSafe(move || drop(w)))
-        .expect_err("World drop must panic on the unfreed send");
+    if let Some(msg) = drop_world(w) {
+        assert!(
+            msg.contains("1 completed but never freed"),
+            "unexpected panic message: {msg}"
+        );
+    }
 }
 
 /// The complement: a clean exchange leaves every rank's ledger quiescent

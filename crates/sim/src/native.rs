@@ -13,13 +13,12 @@ use mtmpi_locks::{
 };
 use mtmpi_net::NetModel;
 use mtmpi_topology::ClusterTopology;
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 struct Arriving {
@@ -50,6 +49,13 @@ struct NetState {
     nic_free: Vec<AtomicU64>,
     ep_node: Vec<u32>,
     seq: AtomicU64,
+}
+
+/// Lock `m` even if a worker panicked while holding it: no critical
+/// section here can panic once it has begun to change its data, so none
+/// leaves it half-updated.
+fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A spawned-but-not-yet-run worker thread.
@@ -174,24 +180,24 @@ impl Platform for NativePlatform {
 
     fn lock_create(&self, kind: LockKind) -> LockId {
         let lock = Arc::new(Traced::new(self.build_lock(kind)));
-        let mut locks = self.locks.lock();
+        let mut locks = lock_unpoisoned(&self.locks);
         locks.push(lock);
         LockId(locks.len() - 1)
     }
 
     fn lock_acquire(&self, lock: LockId, class: PathClass) -> CsToken {
-        let l = self.locks.lock()[lock.0].clone();
+        let l = lock_unpoisoned(&self.locks)[lock.0].clone();
         l.acquire(class)
     }
 
     fn lock_release(&self, lock: LockId, class: PathClass, token: CsToken) {
-        let l = self.locks.lock()[lock.0].clone();
+        let l = lock_unpoisoned(&self.locks)[lock.0].clone();
         l.release(class, token);
     }
 
     fn register_endpoint(&self, node: u32) -> usize {
         assert!(node < self.cluster.nodes, "endpoint node out of range");
-        let mut ns = self.netstate.lock();
+        let mut ns = lock_unpoisoned(&self.netstate);
         ns.ep_node.push(node);
         ns.mailboxes.push(Mutex::new(BinaryHeap::new()));
         while ns.nic_free.len() < self.cluster.nodes as usize {
@@ -201,12 +207,12 @@ impl Platform for NativePlatform {
     }
 
     fn endpoint_count(&self) -> usize {
-        self.netstate.lock().ep_node.len()
+        lock_unpoisoned(&self.netstate).ep_node.len()
     }
 
     fn net_send(&self, src: usize, dst: usize, bytes: u64, payload: Payload) {
         let now = self.now_ns();
-        let ns = self.netstate.lock();
+        let ns = lock_unpoisoned(&self.netstate);
         let src_node = ns.ep_node[src] as usize;
         let same = ns.ep_node[src] == ns.ep_node[dst];
         let mt = self.net.timing(same, bytes);
@@ -228,13 +234,13 @@ impl Platform for NativePlatform {
         }
         let at = start + mt.inject_ns + mt.wire_ns;
         let seq = ns.seq.fetch_add(1, Ordering::Relaxed);
-        ns.mailboxes[dst].lock().push(Arriving { at, seq, payload });
+        lock_unpoisoned(&ns.mailboxes[dst]).push(Arriving { at, seq, payload });
     }
 
     fn net_poll(&self, endpoint: usize) -> Vec<Payload> {
         let now = self.now_ns();
-        let ns = self.netstate.lock();
-        let mut mb = ns.mailboxes[endpoint].lock();
+        let ns = lock_unpoisoned(&self.netstate);
+        let mut mb = lock_unpoisoned(&ns.mailboxes[endpoint]);
         let mut pkts = Vec::new();
         while mb.peek().is_some_and(|a| a.at <= now) {
             pkts.push(mb.pop().expect("peeked").payload);
@@ -243,8 +249,8 @@ impl Platform for NativePlatform {
     }
 
     fn net_pending(&self, endpoint: usize) -> bool {
-        let ns = self.netstate.lock();
-        let pending = !ns.mailboxes[endpoint].lock().is_empty();
+        let ns = lock_unpoisoned(&self.netstate);
+        let pending = !lock_unpoisoned(&ns.mailboxes[endpoint]).is_empty();
         pending
     }
 
@@ -269,11 +275,11 @@ impl Platform for NativePlatform {
             desc.core.0 < self.cluster.node.total_cores(),
             "thread core out of range"
         );
-        self.threads.lock().push((desc, f));
+        lock_unpoisoned(&self.threads).push((desc, f));
     }
 
     fn run(&self) -> PlatformReport {
-        let threads: Vec<_> = std::mem::take(&mut *self.threads.lock());
+        let threads: Vec<_> = std::mem::take(&mut *lock_unpoisoned(&self.threads));
         let topo = self.cluster.node.clone();
         let handles: Vec<_> = threads
             .into_iter()
@@ -292,7 +298,10 @@ impl Platform for NativePlatform {
         for h in handles {
             h.join().expect("worker panicked");
         }
-        let lock_grants = self.locks.lock().iter().map(|l| l.grants()).collect();
+        let lock_grants = lock_unpoisoned(&self.locks)
+            .iter()
+            .map(|l| l.grants())
+            .collect();
         PlatformReport {
             end_ns: self.now_ns(),
             lock_grants,

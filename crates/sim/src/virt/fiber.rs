@@ -4,8 +4,10 @@
 //! A [`Fiber`] owns a recycled 2 MiB stack and a heap-allocated `Inner`
 //! holding the simulated thread's identity ([`WorkerCtx`], placement,
 //! recorder shard claim) and the hand-over cells. [`Fiber::resume`]
-//! switches the calling OS thread onto the fiber's stack; [`suspend`],
-//! called from the worker's sync point, switches back. A switch saves the
+//! switches the calling OS thread onto the fiber's stack and lends the
+//! fiber the run's [`Scheduler`] for as long as it runs; a sync point
+//! borrows it through [`with_scheduler`] to execute its own event in
+//! place, or calls [`suspend`] to switch back. A switch saves the
 //! six callee-saved registers and swaps `rsp` — no syscall, no other OS
 //! thread. Because a suspended fiber may next be resumed by a *different*
 //! OS thread, nothing the worker depends on may live in OS thread-local
@@ -22,7 +24,7 @@ compile_error!(
      port `switch`, `trampoline` and `Stack` in crates/sim/src/virt/fiber.rs"
 );
 
-use super::{Reply, WorkerCtx, Yield};
+use super::{Reply, Scheduler, WorkerCtx, Yield};
 use mtmpi_obs::ShardClaim;
 use mtmpi_topology::{CoreId, SocketId};
 use std::cell::Cell;
@@ -187,6 +189,10 @@ struct Inner {
     fiber_sp: Cell<*mut u8>,
     /// Host → fiber on resume, fiber → host on suspend.
     reply: Cell<Option<Reply>>,
+    /// The scheduler `resume` lends the fiber while it runs; null while
+    /// it does not, while [`with_scheduler`] holds it, and during the
+    /// abort resume of `Fiber::drop`.
+    sched: Cell<*mut Scheduler>,
     yielded: Cell<Option<Yield>>,
 }
 
@@ -219,15 +225,44 @@ pub(super) fn with_worker<R>(f: impl FnOnce(Option<&WorkerCtx>) -> R) -> R {
     f(unsafe { current().as_ref() }.map(|inner| &inner.worker))
 }
 
+/// Run `f` with the scheduler of the run the calling fiber belongs to.
+/// The host that resumed the fiber is suspended inside `Fiber::resume`
+/// meanwhile, so `f` has the scheduler to itself; `f` must not reach a
+/// sync point, and [`suspend`] refuses to run while it holds it.
+///
+/// # Panics
+/// If the caller is not running on a fiber, or the fiber holds no
+/// scheduler (a nested call, or the abort resume of `Fiber::drop`).
+pub(super) fn with_scheduler<R>(f: impl FnOnce(&mut Scheduler) -> R) -> R {
+    // SAFETY: as in `with_worker`.
+    let inner = unsafe { current().as_ref() }.expect("scheduler outside a simulated thread");
+    let lent = inner.sched.replace(ptr::null_mut());
+    // SAFETY: a non-null `sched` is the `&mut Scheduler` of the
+    // `Fiber::resume` call running this fiber, whose host frame is
+    // suspended in `switch` and does not touch it until the fiber
+    // switches back. Taking it out of the cell makes this borrow the only
+    // one: a nested call finds null, and `suspend` — the only way back to
+    // the host while `f` runs (a panic out of `f` ends the borrow before
+    // the fiber's final switch) — panics on null.
+    let r = f(unsafe { lent.as_mut() }.expect("the scheduler is not lent to this fiber"));
+    inner.sched.set(lent);
+    r
+}
+
 /// Hand `y` to the host and suspend the calling fiber until the host
 /// resumes it; returns the reply it was resumed with. May return on a
 /// different OS thread than it was called on.
 ///
 /// # Panics
-/// If the caller is not running on a fiber.
+/// If the caller is not running on a fiber, or is inside
+/// [`with_scheduler`].
 pub(super) fn suspend(y: Yield) -> Reply {
     // SAFETY: as in `with_worker`.
     let inner = unsafe { current().as_ref() }.expect("suspend outside a simulated thread");
+    assert!(
+        !inner.sched.get().is_null(),
+        "suspend while the scheduler is borrowed"
+    );
     inner.yielded.set(Some(y));
     // SAFETY: we are on `inner`'s fiber (see above), so `host_sp` is what
     // `resume`'s `switch` saved when it entered it and that host frame is
@@ -284,6 +319,7 @@ impl Fiber {
             host_sp: Cell::new(ptr::null_mut()),
             fiber_sp: Cell::new(ptr::null_mut()),
             reply: Cell::new(None),
+            sched: Cell::new(ptr::null_mut()),
             yielded: Cell::new(None),
         }));
         // The frame `switch` pops on the first resume, lowest address
@@ -319,32 +355,39 @@ impl Fiber {
         self.stack.is_none()
     }
 
-    /// Run the fiber on the calling OS thread, handing it `reply`, until
-    /// it suspends or its body ends. A final yield (anything but
-    /// [`Yield::Sync`]) finishes the fiber and recycles its stack.
+    /// Run the fiber on the calling OS thread, handing it `reply` and
+    /// lending it `sched`, until it suspends or its body ends. A final
+    /// yield (anything but [`Yield::Sync`] or [`Yield::Parked`]) finishes
+    /// the fiber and recycles its stack.
     ///
     /// # Panics
     /// If the fiber has finished.
-    pub(super) fn resume(&mut self, reply: Reply) -> Yield {
+    pub(super) fn resume(&mut self, reply: Reply, sched: Option<&mut Scheduler>) -> Yield {
         assert!(!self.is_finished(), "resume of a finished fiber");
         self.started = true;
         // SAFETY: `inner` is live until `drop`, and only shared
         // references to it are ever formed.
         let inner = unsafe { self.inner.as_ref() };
         inner.reply.set(Some(reply));
+        inner
+            .sched
+            .set(sched.map_or(ptr::null_mut(), ptr::from_mut));
         let host_core = mtmpi_locks::swap_current_core(inner.core.get());
         let host_claim = mtmpi_obs::swap_shard_claim(inner.claim.replace(ShardClaim::NONE));
         let outer = swap_current(self.inner.as_ptr());
         // SAFETY: `fiber_sp` is the initial frame or what the fiber's last
         // `switch` saved, and the fiber is suspended there: it has not
         // finished (checked above) and `&mut self` excludes a concurrent
-        // resume. `CURRENT` names it for exactly the time it runs.
+        // resume. `CURRENT` names it for exactly the time it runs, and
+        // `sched` — the caller's exclusive borrow, which it cannot use
+        // before this call returns — is lent for that time only.
         unsafe { switch(inner.host_sp.as_ptr(), inner.fiber_sp.get()) };
         swap_current(outer);
+        inner.sched.set(ptr::null_mut());
         inner.claim.set(mtmpi_obs::swap_shard_claim(host_claim));
         inner.core.set(mtmpi_locks::swap_current_core(host_core));
         let y = inner.yielded.take().expect("suspended without a yield");
-        if !matches!(y, Yield::Sync { .. }) {
+        if !matches!(y, Yield::Sync { .. } | Yield::Parked) {
             self.stack.take().expect("checked above").give();
         }
         y
@@ -352,13 +395,14 @@ impl Fiber {
 }
 
 impl Drop for Fiber {
-    /// A fiber suspended mid-body is resumed once with [`Reply::Abort`],
-    /// which unwinds the body (`WorkerCtx::sync` raises `SimAbort` and
-    /// refuses every later sync point), so its destructors run before the
-    /// stack is reused. One never started just drops its body.
+    /// A fiber suspended mid-body is resumed once with [`Reply::Abort`]
+    /// and no scheduler, which unwinds the body (`WorkerCtx::sync` raises
+    /// `SimAbort` and refuses every later sync point), so its destructors
+    /// run before the stack is reused. One never started just drops its
+    /// body.
     fn drop(&mut self) {
         if self.started && !self.is_finished() {
-            self.resume(Reply::Abort);
+            self.resume(Reply::Abort, None);
         }
         match self.stack.take() {
             // Still suspended mid-body: frames on the stack are live.

@@ -3,15 +3,18 @@
 //! A run uses **no OS threads of its own**. Every simulated thread is a
 //! fiber ([`fiber`]): its worker closure runs on a private stack, on
 //! whichever OS thread is inside [`RunHandle::step`]. The event loop
-//! ([`Scheduler::advance`]) runs only on that stepping thread's own stack.
+//! ([`Scheduler::advance`]) runs on that stepping thread's own stack.
 //! When an event resumes a simulated thread, `step` switches onto its
-//! fiber; when the worker reaches a synchronization point (lock or
-//! network operation) it switches back, carrying its operation, and
-//! `step` queues the worker's `Exec` event and goes on with the loop. A
-//! hand-off from one simulated thread to the next is those two stack
-//! switches — tens of nanoseconds, no syscall. Budget, fuel, completion,
-//! a deadlock or a worker panic end the quantum where the loop runs, so
-//! `step` simply returns.
+//! fiber and lends it the scheduler. At each synchronization point (lock
+//! or network operation) the worker checks whether its own `Exec` event
+//! would be the very next event the loop pops; if so it executes that
+//! event in place ([`Scheduler::exec_inline`]) and runs on. Otherwise it
+//! switches back, carrying its operation, and `step` queues the worker's
+//! `Exec` event and goes on with the loop. A hand-off from one simulated
+//! thread to the next is those two stack switches — tens of nanoseconds,
+//! no syscall — and a thread that is next after itself pays neither.
+//! Budget, fuel, completion, a deadlock or a worker panic end the quantum
+//! where the loop runs, so `step` simply returns.
 //!
 //! Local computation ([`Platform::compute`]) accumulates in the worker's
 //! own context without touching the scheduler, so simulation cost scales
@@ -134,6 +137,9 @@ impl Reply {
 enum Yield {
     /// The worker reached a sync point at virtual time `at`.
     Sync { at: u64, op: Op },
+    /// The worker ran its own `Exec` event in place and is now blocked
+    /// (a queued or steal-pending acquire); nothing is left to queue.
+    Parked,
     /// The worker's closure returned at virtual time `at`.
     Retired { at: u64 },
     /// The worker's closure unwound, with this panic message.
@@ -191,11 +197,17 @@ impl WorkerCtx {
         self.offset.set(self.offset.get() + ns);
     }
 
-    /// Submit `op` and suspend until an event resumes this thread.
+    /// Submit `op` and suspend until an event resumes this thread —
+    /// unless its `Exec` event would be the very next one the loop runs,
+    /// which then runs here, on this fiber's stack, without a switch.
     fn sync(&self, op: Op) -> Reply {
         if !self.aborted.get() {
             let at = self.now();
-            match fiber::suspend(Yield::Sync { at, op }) {
+            let reply = match fiber::with_scheduler(|s| s.exec_inline(at, self.tid, op)) {
+                Ok(reply) => reply,
+                Err(y) => fiber::suspend(y),
+            };
+            match reply {
                 Reply::Abort => self.aborted.set(true),
                 reply => {
                     self.resume_at(reply.now());
@@ -664,6 +676,11 @@ pub struct RunHandle {
 //   `Fiber::resume` before each resume and taken back out after, and are
 //   read only through `#[inline(never)]` accessors, so no thread-local
 //   address survives a suspension;
+// * the one pointer into the handle a fiber keeps, to the `Scheduler`
+//   `Fiber::resume` lends it, is set for the length of that call only
+//   and null whenever the handle can move — so a suspended fiber's
+//   frames hold no `&mut Scheduler` either (`fiber::with_scheduler`
+//   refuses to suspend while it lends one);
 // * worker code holds nothing else that is bound to an OS thread across
 //   a `Platform` suspension call — no host lock guard
 //   (`std::sync::MutexGuard` must be released by the thread that locked),
@@ -775,8 +792,11 @@ impl RunHandle {
     ///
     /// The calling thread runs the event loop ([`Scheduler::advance`]) on
     /// its own stack. Each event that resumes a simulated thread switches
-    /// onto that thread's fiber until its next sync point (or the end of
-    /// its closure) switches back; the quantum ends — budget, completion,
+    /// onto that thread's fiber. The worker executes in place every sync
+    /// point whose event the loop would pop next
+    /// ([`Scheduler::exec_inline`]), and switches back at the first one
+    /// that must be queued, at an acquire that leaves it blocked, or at
+    /// the end of its closure; the quantum ends — budget, completion,
     /// fuel, deadlock, or a worker's panic — where the loop runs, here.
     /// On return every worker is suspended at a sync point, not yet
     /// started, or finished.
@@ -806,11 +826,12 @@ impl RunHandle {
                 Pass::Stop(stop) => break stop,
             };
             sched.handoffs += u64::from(on.replace(tid) != Some(tid));
-            match self.fibers[tid].resume(reply) {
+            match self.fibers[tid].resume(reply, Some(sched)) {
                 Yield::Sync { at, op } => {
                     sched.pending_op[tid] = Some(op);
                     sched.push(at, EvKind::Exec(tid));
                 }
+                Yield::Parked => {}
                 Yield::Retired { at } => {
                     sched.done[tid] = true;
                     sched.live -= 1;
@@ -894,10 +915,10 @@ impl Scheduler {
     }
 
     /// The event loop: execute queued events until one resumes a
-    /// simulated thread or the quantum ends. Runs only on the stack of
-    /// the thread inside [`RunHandle::step`]; after a [`Pass::Resume`]
-    /// `step` runs the resumed worker to its next sync point, queues its
-    /// `Exec` event and calls this again.
+    /// simulated thread or the quantum ends. Runs on the stack of the
+    /// thread inside [`RunHandle::step`]; after a [`Pass::Resume`] `step`
+    /// runs the resumed worker to its next sync point that must be
+    /// queued, queues its `Exec` event and calls this again.
     ///
     /// Events are dequeued one same-timestamp batch at a time. This is
     /// trace-identical to a pop-one loop: every event pushed while a
@@ -946,6 +967,35 @@ impl Scheduler {
                 return Pass::Resume(tid, reply);
             }
         }
+    }
+
+    /// Run `tid`'s sync point at `at` in place, on the worker's stack, when
+    /// its `Exec` event is provably the next event [`Scheduler::advance`]
+    /// would pop, alone: the current batch is drained, the quantum and
+    /// the fuel allow one more event, and every queued event is strictly
+    /// later (a queued event at `at` has a smaller `seq` and goes first).
+    /// The event is consumed exactly as `advance` + `dispatch` would —
+    /// same `seq`, hash fold and counters — so the decision trace is
+    /// unchanged; `Ok` is the reply, [`Yield::Parked`] a thread the op
+    /// left blocked. Otherwise `Err(Yield::Sync)` takes the queued path.
+    fn exec_inline(&mut self, at: u64, tid: usize, op: Op) -> Result<Reply, Yield> {
+        let next = self.batch_pos == self.batch.len()
+            && self.budget_left > 0
+            && self.fuel.is_none_or(|f| self.n_events < f)
+            && self.q.peek_key().is_none_or(|(t, _)| at < t);
+        if !next {
+            return Err(Yield::Sync { at, op });
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        self.n_events += 1;
+        self.budget_left -= 1;
+        self.hash.event(&Ev {
+            t: at,
+            seq,
+            kind: EvKind::Exec(tid),
+        });
+        self.exec(at, tid, op).ok_or(Yield::Parked)
     }
 
     /// Execute one dequeued event; `Some` when it resumes a thread.

@@ -4,8 +4,10 @@
 //! handle resumes on a different OS thread, and that dropping a handle
 //! mid-run cancels cleanly — plus the hand-off accounting of the fiber
 //! transport under it (`fiber.rs` tests the transport itself): the
-//! deterministic hand-off count, and every way a quantum can end after a
-//! worker ran (budget, fuel, deadlock, panic) reaching the stepper.
+//! deterministic hand-off count, every way a quantum can end after a
+//! worker ran (budget, fuel, deadlock, panic) reaching the stepper, and
+//! a worker running its own next event in place replaying the queued
+//! path op by op.
 
 use mtmpi_locks::PathClass;
 use mtmpi_net::NetModel;
@@ -17,7 +19,7 @@ use mtmpi_topology::presets::nehalem_cluster_scaled;
 use mtmpi_topology::CoreId;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn platform(seed: u64) -> Arc<VirtualPlatform> {
     Arc::new(VirtualPlatform::new(
@@ -299,6 +301,260 @@ fn fuel_error_surfaces_through_step() {
     // worker had run, so the error came with a hand-back.
     assert_eq!(h.events(), 10);
     assert!(h.handoffs() >= 6, "three calls out and back");
+}
+
+/// Compute up to virtual time `t`, then let every other thread catch up.
+fn wait_until(p: &dyn Platform, t: u64) {
+    p.compute(t.saturating_sub(p.now_ns()));
+    p.yield_now();
+}
+
+/// A world that reaches every kind of sync point, each both when its own
+/// event is the next one the loop would run and when it is not: an
+/// uncontended acquire and release, an acquire that queues behind a
+/// holder, a mutex re-acquire that steals a scheduled hand-off, sends,
+/// polls, pending checks, yields, and two threads syncing at the same
+/// instant. Every thread logs its tid each time it is resumed.
+fn mixed_world(seed: u64, log: &Arc<Mutex<Vec<usize>>>) -> Arc<VirtualPlatform> {
+    let p = platform(seed);
+    let ticket = p.lock_create(LockKind::Ticket);
+    let mutex = p.lock_create(LockKind::Mutex);
+    let (e0, e1) = (p.register_endpoint(0), p.register_endpoint(1));
+    let resumed = |tid: usize| {
+        let log = log.clone();
+        move || log.lock().expect("log").push(tid)
+    };
+
+    let (p2, mark) = (p.clone(), resumed(0));
+    p.spawn(
+        desc("holder", 0),
+        Box::new(move || {
+            mark();
+            for _ in 0..3 {
+                let tok = p2.lock_acquire(ticket, PathClass::Main);
+                mark();
+                p2.compute(50);
+                p2.lock_release(ticket, PathClass::Main, tok);
+                mark();
+                let tok = p2.lock_acquire(mutex, PathClass::Main);
+                mark();
+                // Long enough that a queued waiter falls asleep, so the
+                // hand-off scheduled at release is slow and the holder's
+                // quick re-acquire steals it.
+                p2.compute(10_000);
+                p2.lock_release(mutex, PathClass::Main, tok);
+                mark();
+                p2.compute(100);
+                let tok = p2.lock_acquire(mutex, PathClass::Main);
+                mark();
+                p2.compute(200);
+                p2.lock_release(mutex, PathClass::Main, tok);
+                mark();
+                p2.yield_now();
+                mark();
+            }
+        }),
+    );
+    let (p2, mark) = (p.clone(), resumed(1));
+    p.spawn(
+        desc("waiter", 4),
+        Box::new(move || {
+            mark();
+            for _ in 0..3 {
+                p2.compute(500);
+                let tok = p2.lock_acquire(mutex, PathClass::Main);
+                mark();
+                p2.compute(300);
+                p2.lock_release(mutex, PathClass::Main, tok);
+                mark();
+                p2.yield_now();
+                mark();
+                let tok = p2.lock_acquire(ticket, PathClass::Main);
+                mark();
+                p2.compute(20);
+                p2.lock_release(ticket, PathClass::Main, tok);
+                mark();
+            }
+            // Holds the ticket lock across the sender's late acquire.
+            wait_until(&*p2, 70_000);
+            mark();
+            let tok = p2.lock_acquire(ticket, PathClass::Main);
+            mark();
+            p2.compute(20_000);
+            p2.lock_release(ticket, PathClass::Main, tok);
+            mark();
+        }),
+    );
+    let (p2, mark) = (p.clone(), resumed(2));
+    p.spawn(
+        desc("sender", 1),
+        Box::new(move || {
+            mark();
+            for i in 0..4u64 {
+                p2.compute(400 * i);
+                p2.net_send(e0, e1, 64 << i, Box::new(i));
+                mark();
+                let _ = p2.net_pending(e0);
+                mark();
+            }
+            // Late, with only the tie threads' events queued, and those
+            // later: a loopback send, check and poll, then an acquire
+            // that queues behind the waiter.
+            wait_until(&*p2, 60_000);
+            mark();
+            p2.net_send(e0, e0, 32, Box::new(()));
+            mark();
+            let _ = p2.net_pending(e0);
+            mark();
+            p2.compute(5_000);
+            assert_eq!(p2.net_poll(e0).len(), 1);
+            mark();
+            wait_until(&*p2, 80_000);
+            mark();
+            let tok = p2.lock_acquire(ticket, PathClass::Main);
+            mark();
+            p2.lock_release(ticket, PathClass::Main, tok);
+            mark();
+        }),
+    );
+    let (p2, mark) = (p.clone(), resumed(3));
+    p.spawn(
+        ThreadDesc {
+            node: 1,
+            ..desc("receiver", 0)
+        },
+        Box::new(move || {
+            mark();
+            let mut got = 0;
+            while got < 4 {
+                let _ = p2.net_pending(e1);
+                mark();
+                p2.compute(250);
+                got += p2.net_poll(e1).len();
+                mark();
+            }
+        }),
+    );
+    // Every 100 µs both tie threads sync at the same instant, after the
+    // rest have gone quiet. `tie5` gets there from its own event 50 µs
+    // earlier, so the loop is idle up to `tie4`'s queued event at that
+    // very time, which has the smaller `seq` and must run first.
+    for (tid, core, strides) in [(4, 2, 1), (5, 3, 2)] {
+        let (p2, mark) = (p.clone(), resumed(tid));
+        p.spawn(
+            desc(&format!("tie{tid}"), core),
+            Box::new(move || {
+                mark();
+                for _ in 0..4 * strides {
+                    // `yield_now` adds 1 ns.
+                    p2.compute(100_000 / strides - 1);
+                    p2.yield_now();
+                    mark();
+                }
+            }),
+        );
+    }
+    p
+}
+
+/// `handoffs` as the stepping loop counts it, for events that each
+/// resumed `resumed[i]` (or nobody), stepped in quanta of `quantum`.
+fn expected_handoffs(resumed: &[Option<usize>], quantum: u64) -> u64 {
+    let quantum = usize::try_from(quantum).unwrap_or(usize::MAX);
+    resumed
+        .chunks(quantum)
+        .map(|step| {
+            let mut on = None;
+            let mut n = 0;
+            for &tid in step.iter().flatten() {
+                n += u64::from(on.replace(tid) != Some(tid));
+            }
+            n + u64::from(on.is_some())
+        })
+        .sum()
+}
+
+#[test]
+fn running_the_next_event_in_place_replays_the_queued_path() {
+    const SEED: u64 = 0x5EED;
+    // Quantum 1 is the reference: the budget is spent by the event that
+    // resumes a worker, so every sync point it reaches is queued. One
+    // step per event also says which thread each event resumed.
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut h = mixed_world(SEED, &log).start();
+    let mut resumed = Vec::new();
+    loop {
+        let before = log.lock().expect("log").len();
+        let outcome = h.step(1).expect("no deadlock");
+        let log = log.lock().expect("log");
+        assert!(log.len() <= before + 1, "one event resumes one thread");
+        resumed.push(log.get(before).copied());
+        if outcome == StepOutcome::Done {
+            break;
+        }
+    }
+    let reference_log = std::mem::take(&mut *log.lock().expect("log"));
+    let reference = h.finish();
+    assert_eq!(resumed.len() as u64, reference.events);
+    assert_eq!(reference.handoffs, expected_handoffs(&resumed, 1));
+
+    for quantum in [2u64, 3, 7, u64::MAX] {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut h = mixed_world(SEED, &log).start();
+        while h.step(quantum).expect("no deadlock") == StepOutcome::Pending {}
+        let report = h.finish();
+        assert_eq!(report.events, reference.events, "quantum {quantum}");
+        assert_eq!(
+            report.handoffs,
+            expected_handoffs(&resumed, quantum),
+            "quantum {quantum}"
+        );
+        assert_eq!(report.end_ns, reference.end_ns, "quantum {quantum}");
+        assert_eq!(
+            report.sched_trace_hash, reference.sched_trace_hash,
+            "quantum {quantum}"
+        );
+        assert_eq!(
+            format!("{:?}", report.lock_grants),
+            format!("{:?}", reference.lock_grants),
+            "quantum {quantum}"
+        );
+        assert_eq!(
+            *log.lock().expect("log"),
+            reference_log,
+            "quantum {quantum}"
+        );
+    }
+
+    // Fuel stops on the same event with the same queue either way.
+    for fuel in [
+        3,
+        10,
+        25,
+        40,
+        61,
+        reference.events / 2,
+        reference.events - 1,
+    ] {
+        let stop = |quantum: u64| {
+            let p = mixed_world(SEED, &Arc::new(Mutex::new(Vec::new())));
+            p.set_fuel(Some(fuel));
+            let mut h = p.start();
+            loop {
+                match h.step(quantum) {
+                    Ok(StepOutcome::Pending) => {}
+                    Err(SimError::FuelExhausted {
+                        executed,
+                        now_ns,
+                        queued_events,
+                        ..
+                    }) => break (executed, now_ns, queued_events),
+                    other => panic!("fuel {fuel}: expected FuelExhausted, got {other:?}"),
+                }
+            }
+        };
+        assert_eq!(stop(1), stop(u64::MAX), "fuel {fuel}");
+    }
 }
 
 #[test]

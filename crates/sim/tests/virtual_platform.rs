@@ -45,7 +45,7 @@ fn compute_advances_virtual_time() {
 #[test]
 fn threads_interleave_in_time_order() {
     let p = platform(2);
-    let order = Arc::new(parking_lot::Mutex::new(Vec::<(u64, u32)>::new()));
+    let order = Arc::new(Mutex::new(Vec::<(u64, u32)>::new()));
     let lock = p.lock_create(LockKind::Ticket);
     for i in 0..3u32 {
         let p2 = p.clone();
@@ -56,14 +56,14 @@ fn threads_interleave_in_time_order() {
                 // Thread i starts working at t = i * 100.
                 p2.compute(u64::from(i) * 100);
                 let tok = p2.lock_acquire(lock, PathClass::Main);
-                order.lock().push((p2.now_ns(), i));
+                order.lock().unwrap().push((p2.now_ns(), i));
                 p2.compute(1_000); // hold the lock for 1 µs
                 p2.lock_release(lock, PathClass::Main, tok);
             }),
         );
     }
     p.run();
-    let order = order.lock();
+    let order = order.lock().unwrap();
     let ids: Vec<u32> = order.iter().map(|&(_, i)| i).collect();
     assert_eq!(ids, vec![0, 1, 2], "FIFO arrival order under ticket lock");
     // Each holder entered after the previous released (1 µs holds).

@@ -14,6 +14,9 @@
 #              crates/lint/baseline.txt (DESIGN.md section 13)
 #   test       workspace test suite (includes the runtime's request-ledger
 #              negative tests and mtmpi-lint's fixture + whole-tree tests)
+#   release    the simulator, runtime, facade and serve test suites again,
+#              optimised: the fiber transport's unsafe paths and the
+#              debug-only checks' release branches
 #   loom       model checking of the lock algorithms, the VCI claim
 #              protocol and the stream claim word (serialized-thread
 #              shim; see crates/locks/src/sys.rs,
@@ -84,6 +87,7 @@ step lint   cargo run -q -p xtask -- lint
 step test   cargo test --workspace -q
 
 if [ "$FAST" = "fast" ]; then
+    skip release "fast mode"
     skip loom "fast mode"
     skip tsan "fast mode"
     skip miri "fast mode"
@@ -91,6 +95,7 @@ if [ "$FAST" = "fast" ]; then
         skip "$s" "fast mode"
     done
 else
+    step release cargo test --release -q -p mtmpi-sim -p mtmpi-runtime -p mtmpi -p mtmpi-serve
     step loom cargo test -p mtmpi-locks --features loom-check --test loom
     step loom cargo test -p mtmpi-runtime --test loom_claim --test loom_stream
     step obs cargo run -q -p xtask -- trace fig2a
