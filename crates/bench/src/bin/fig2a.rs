@@ -6,9 +6,7 @@
 //! sizes where the wire dominates.
 
 use mtmpi::prelude::*;
-use mtmpi_bench::{
-    msg_sizes, msg_sizes_quick, print_figure_header, quick_mode, throughput_series, Fig,
-};
+use mtmpi_bench::{msg_sizes, print_figure_header, throughput_series, Fig};
 
 fn main() {
     print_figure_header(
@@ -16,11 +14,7 @@ fn main() {
         "mutex message rate vs size for 1/2/4/8 tpn; up to 4x degradation at 8 tpn",
         "same benchmark on the virtual Nehalem pair (windows of 64, per-window ack)",
     );
-    let sizes = if quick_mode() {
-        msg_sizes_quick()
-    } else {
-        msg_sizes()
-    };
+    let sizes = msg_sizes();
     let mut fig = Fig::new("fig2a");
     let exp = fig.experiment(2);
     let mut series = Vec::new();

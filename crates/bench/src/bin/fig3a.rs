@@ -6,7 +6,7 @@
 //! arbitration's factor is 1 by definition).
 
 use mtmpi::prelude::*;
-use mtmpi_bench::{print_figure_header, quick_mode, throughput_run, Fig, ThroughputParams};
+use mtmpi_bench::{print_figure_header, throughput_run, Fig, ThroughputParams};
 
 fn main() {
     print_figure_header(
@@ -14,11 +14,7 @@ fn main() {
         "mutex bias factors from CS traces: ~2x core level, ~1.25x socket level",
         "Pc/Ps estimators (paper's equations) over the receiving rank's CS trace, 8 tpn",
     );
-    let sizes: Vec<u64> = if quick_mode() {
-        vec![1, 64, 4096]
-    } else {
-        vec![1, 8, 64, 512, 4096, 32768]
-    };
+    let sizes = [1u64, 8, 64, 512, 4096, 32768];
     let mut fig = Fig::new("fig3a");
     let exp = fig.experiment(2);
     let mut t = Table::new(&[

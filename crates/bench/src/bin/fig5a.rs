@@ -4,7 +4,7 @@
 //! low" while mutex strands up to ~250.
 
 use mtmpi::prelude::*;
-use mtmpi_bench::{print_figure_header, quick_mode, throughput_run, Fig, ThroughputParams};
+use mtmpi_bench::{print_figure_header, throughput_run, Fig, ThroughputParams};
 
 fn main() {
     print_figure_header(
@@ -12,11 +12,7 @@ fn main() {
         "avg dangling: mutex high (up to ~250), ticket very low",
         "same workload, both methods, 8 tpn",
     );
-    let sizes: Vec<u64> = if quick_mode() {
-        vec![1, 64, 1024]
-    } else {
-        vec![1, 4, 16, 64, 256, 1024]
-    };
+    let sizes = [1u64, 4, 16, 64, 256, 1024];
     let mut fig = Fig::new("fig5a");
     let exp = fig.experiment(2);
     let mut t = Table::new(&["size_B", "Mutex", "Ticket"]);

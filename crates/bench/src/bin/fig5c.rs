@@ -4,9 +4,7 @@
 //! beyond (wire-dominated).
 
 use mtmpi::prelude::*;
-use mtmpi_bench::{
-    msg_sizes, msg_sizes_quick, print_figure_header, quick_mode, throughput_series, Fig,
-};
+use mtmpi_bench::{msg_sizes, print_figure_header, throughput_series, Fig};
 
 fn main() {
     print_figure_header(
@@ -14,11 +12,7 @@ fn main() {
         "ticket vs mutex vs size (8 tpn): +30% below 4KB, converged by 32KB",
         "size sweep, both methods",
     );
-    let sizes = if quick_mode() {
-        msg_sizes_quick()
-    } else {
-        msg_sizes()
-    };
+    let sizes = msg_sizes();
     let mut fig = Fig::new("fig5c");
     let exp = fig.experiment(2);
     eprintln!("[fig5c] mutex ...");

@@ -6,7 +6,7 @@
 //! source-selective matching cannot borrow another thread's receive.
 
 use mtmpi::prelude::*;
-use mtmpi_bench::{n2n_series, print_figure_header, quick_mode, Fig};
+use mtmpi_bench::{n2n_series, print_figure_header, Fig};
 
 fn main() {
     print_figure_header(
@@ -14,11 +14,7 @@ fn main() {
         "N2N: priority +33% over ticket below 32KB, 4 procs",
         "4 ranks x 4 threads all-to-all windows",
     );
-    let sizes: Vec<u64> = if quick_mode() {
-        vec![1, 1024, 32768]
-    } else {
-        vec![1, 32, 1024, 8192, 32768, 262144, 1048576]
-    };
+    let sizes = [1u64, 32, 1024, 8192, 32768, 262144, 1048576];
     let mut fig = Fig::new("fig6b");
     let exp = fig.experiment(4);
     let rounds = 4;

@@ -4,9 +4,7 @@
 //! only ~36% of single-threaded (serialization floor of a global CS).
 
 use mtmpi::prelude::*;
-use mtmpi_bench::{
-    msg_sizes, msg_sizes_quick, print_figure_header, quick_mode, throughput_series, Fig,
-};
+use mtmpi_bench::{msg_sizes, print_figure_header, throughput_series, Fig};
 
 fn main() {
     print_figure_header(
@@ -14,11 +12,7 @@ fn main() {
         "throughput: single > ticket ~= priority > mutex (8 tpn); multithreaded ~36% of single",
         "size sweep, all four methods",
     );
-    let sizes = if quick_mode() {
-        msg_sizes_quick()
-    } else {
-        msg_sizes()
-    };
+    let sizes = msg_sizes();
     let mut fig = Fig::new("fig8a");
     let exp = fig.experiment(2);
     let mut series = Vec::new();

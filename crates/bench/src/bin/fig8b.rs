@@ -6,9 +6,7 @@
 //! concurrent round-trips keep the network fed.
 
 use mtmpi::prelude::*;
-use mtmpi_bench::{
-    latency_series, msg_sizes, msg_sizes_quick, print_figure_header, quick_mode, Fig,
-};
+use mtmpi_bench::{latency_series, msg_sizes, print_figure_header, Fig};
 
 fn main() {
     print_figure_header(
@@ -16,11 +14,7 @@ fn main() {
         "latency: ticket 3.5x better than mutex; >128B fair multithreaded beats single",
         "multithreaded ping-pong, 8 tpn, per-thread tag pairs",
     );
-    let sizes = if quick_mode() {
-        msg_sizes_quick()
-    } else {
-        msg_sizes()
-    };
+    let sizes = msg_sizes();
     let mut fig = Fig::new("fig8b");
     let exp = fig.experiment(2);
     let iters = 30;

@@ -6,7 +6,7 @@
 //! monopolizes a biased lock; fairness releases the origin's operations.
 
 use mtmpi::prelude::*;
-use mtmpi_bench::{print_figure_header, quick_mode, rma_series, Fig, RmaOpKind};
+use mtmpi_bench::{print_figure_header, rma_series, Fig, RmaOpKind};
 
 fn main() {
     print_figure_header(
@@ -14,12 +14,8 @@ fn main() {
         "RMA put/get/acc rate: ticket/priority up to 5x mutex (async progress)",
         "4 ranks (paper: 8), origin rank 0, progress thread per rank",
     );
-    let sizes: Vec<u64> = if quick_mode() {
-        vec![8, 4096, 262144]
-    } else {
-        vec![8, 512, 32 * 1024, 256 * 1024, 2 * 1024 * 1024]
-    };
-    let iters = if quick_mode() { 12 } else { 30 };
+    let sizes = [8u64, 512, 32 * 1024, 256 * 1024, 2 * 1024 * 1024];
+    let iters = 30;
     let mut fig = Fig::new("fig9");
     for op in [RmaOpKind::Put, RmaOpKind::Get, RmaOpKind::Accumulate] {
         println!("--- {} ---", op.label());

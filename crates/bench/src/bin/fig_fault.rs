@@ -13,7 +13,7 @@
 //! §11).
 
 use mtmpi::prelude::*;
-use mtmpi_bench::{print_figure_header, quick_mode, throughput_run, Fig, ThroughputParams};
+use mtmpi_bench::{print_figure_header, throughput_run, Fig, ThroughputParams};
 
 /// Deterministic seed for the fault decision hash (independent of the
 /// experiment seed, so fault patterns replay across schedule changes).
@@ -25,14 +25,9 @@ fn main() {
         "(no paper analogue) throughput vs link drop rate per lock kind",
         "seeded per-link drop injection with runtime retransmit/ack recovery",
     );
-    let quick = quick_mode();
-    let drops_ppm: &[u32] = if quick {
-        &[0, 10_000, 50_000]
-    } else {
-        &[0, 5_000, 10_000, 20_000, 50_000]
-    };
-    let threads = if quick { 2 } else { 4 };
-    let windows = if quick { 2 } else { 4 };
+    let drops_ppm: &[u32] = &[0, 10_000, 50_000];
+    let threads = 2;
+    let windows = 2;
     let size = 1024u64;
 
     let mut fig = Fig::new("fig_fault");

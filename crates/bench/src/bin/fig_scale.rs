@@ -13,7 +13,7 @@
 //! repeated by `benchmark/` (`sim.queue_ns_per_op`), never here.
 
 use mtmpi::prelude::*;
-use mtmpi_bench::{print_figure_header, quick_mode, Fig};
+use mtmpi_bench::{print_figure_header, Fig};
 
 /// Rounds of the ring exchange per node count.
 const RING_ROUNDS: i32 = 6;
@@ -24,11 +24,7 @@ fn main() {
         "(no paper analogue) simulator events executed vs virtual node count",
         "ring sims; every scalar is deterministic per seed",
     );
-    let node_counts: &[u32] = if quick_mode() {
-        &[8, 64]
-    } else {
-        &[8, 16, 32, 64, 128, 256]
-    };
+    let node_counts: &[u32] = &[8, 64];
 
     let mut fig = Fig::new("fig_scale");
 

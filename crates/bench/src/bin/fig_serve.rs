@@ -7,7 +7,7 @@
 //! pool itself and fairness is measured across tenants instead of
 //! threads. Two sweeps:
 //!
-//! * **Worker sweep** — the quick grid serves ≥1000 tenants (mixed
+//! * **Worker sweep** — the grid serves 1000 tenants (mixed
 //!   pt2pt / RMA / BFS templates) on 1, 2, 4, and 8 workers. Every
 //!   per-tenant outcome (virtual end time, events, `sched_trace_hash`,
 //!   grants, payload) must be byte-identical across pool sizes
@@ -27,7 +27,7 @@
 //! `serve.*` rows measure them pinned and repeated.
 
 use mtmpi::prelude::*;
-use mtmpi_bench::{print_figure_header, quick_mode, Fig};
+use mtmpi_bench::{print_figure_header, Fig};
 use mtmpi_serve::{serve, JobTemplate, ServeConfig, ServeReport};
 
 /// Worker-pool sizes swept (the acceptance grid).
@@ -55,12 +55,11 @@ fn main() {
         "(no paper analogue) multi-tenant worlds on a fixed OS-thread worker pool",
         "tenant digests for determinism, grant Gini for fairness, wall rates for context",
     );
-    let quick = quick_mode();
     // The scale axis is tenant count: the acceptance grid is ≥1000
     // concurrent worlds through a 64-wide admission window on ≤8
     // workers.
-    let tenants: u32 = if quick { 1000 } else { 4000 };
-    let quantum_tenants: u32 = if quick { 240 } else { 1000 };
+    let tenants: u32 = 1000;
+    let quantum_tenants: u32 = 240;
 
     let mut fig = Fig::new("fig_serve");
 

@@ -25,8 +25,7 @@
 
 use mtmpi::prelude::*;
 use mtmpi_bench::{
-    print_figure_header, quick_mode, stream_throughput_run, vci_throughput_run, Fig,
-    ThroughputParams,
+    print_figure_header, stream_throughput_run, vci_throughput_run, Fig, ThroughputParams,
 };
 
 fn main() {
@@ -35,9 +34,8 @@ fn main() {
         "(no paper analogue) throughput vs threads: stream-bound vs sharded",
         "single-owner lock-free stream shards; contender is mutex @ 8 tag-routed VCIs",
     );
-    let quick = quick_mode();
     let thread_counts: &[u32] = &[1, 2, 4, 8];
-    let windows = if quick { 2 } else { 4 };
+    let windows = 2;
     let size = 32u64;
 
     let mut fig = Fig::new("fig_stream");

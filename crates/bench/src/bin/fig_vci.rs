@@ -18,7 +18,7 @@
 //! for a fixed seed (the determinism contract, DESIGN.md §11).
 
 use mtmpi::prelude::*;
-use mtmpi_bench::{print_figure_header, quick_mode, vci_throughput_run, Fig, ThroughputParams};
+use mtmpi_bench::{print_figure_header, vci_throughput_run, Fig, ThroughputParams};
 
 fn main() {
     print_figure_header(
@@ -26,13 +26,12 @@ fn main() {
         "(no paper analogue) throughput vs VCI count per lock kind",
         "tag-routed sharded critical sections; vci_count=1 is the paper's global CS",
     );
-    let quick = quick_mode();
     // 16 shards oversubscribes the partition (threads < shards): the
     // point where the burst steal in `try_wait` matters — one victim
     // per spin window cannot keep 15 other mailboxes drained.
     let vci_counts: &[u32] = &[1, 2, 4, 8, 16];
     let threads = 8u32;
-    let windows = if quick { 2 } else { 4 };
+    let windows = 2;
     let size = 32u64;
 
     let mut fig = Fig::new("fig_vci");

@@ -33,4 +33,4 @@ pub use throughput::{
     stream_throughput_run, throughput_run, throughput_series, vci_throughput_run, ThroughputParams,
     ThroughputResult, WINDOW,
 };
-pub use util::{msg_sizes, msg_sizes_quick, print_figure_header, quick_mode, rma_sizes};
+pub use util::{msg_sizes, print_figure_header, rma_sizes};

@@ -18,11 +18,6 @@ pub fn msg_sizes() -> Vec<u64> {
     ]
 }
 
-/// Smaller sweep for quick runs.
-pub fn msg_sizes_quick() -> Vec<u64> {
-    vec![1, 64, 1024, 16 * 1024, 256 * 1024]
-}
-
 /// Element sizes for the RMA sweep (paper: 8 B – 2 MB).
 pub fn rma_sizes() -> Vec<u64> {
     vec![8, 64, 512, 4096, 32 * 1024, 256 * 1024, 2 * 1024 * 1024]
@@ -36,18 +31,13 @@ pub fn print_figure_header(id: &str, paper: &str, ours: &str) {
     println!();
 }
 
-/// Whether `--quick` was passed (reduced sweeps for smoke runs).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sweeps_are_sorted() {
-        for v in [msg_sizes(), msg_sizes_quick(), rma_sizes()] {
+        for v in [msg_sizes(), rma_sizes()] {
             assert!(v.windows(2).all(|w| w[0] < w[1]));
         }
     }

@@ -55,8 +55,7 @@ pub struct Windows {
 
 /// Default window width for a timeline: the run span divided into ~24
 /// windows, rounded *up* to a whole virtual millisecond, never below
-/// 1 ms. Short `--quick` runs get one or two windows; long runs stay
-/// readable.
+/// 1 ms. Short runs get one or two windows; long runs stay readable.
 pub fn default_window_ns(t: &Timeline) -> u64 {
     const MS: u64 = 1_000_000;
     let (first, last) = t.span_bounds();

@@ -38,8 +38,7 @@
 #              (`recorder::` tests) under cargo miri (nightly component;
 #              skipped when not installed).
 #   obs        observability smoke test: run fig2a (one lock per rank)
-#              and fig_vci (several locks per rank) traced in quick mode
-#              twice each via `xtask trace`, validate each
+#              and fig_vci (several locks per rank) traced twice each via `xtask trace`, validate each
 #              results/BENCH_<fig>.json (including its prof blocks) and
 #              results/<fig>.trace.json are well-formed JSON, and require
 #              the trace and results/<fig>.prom to be byte-identical
@@ -47,7 +46,7 @@
 #              function of the seed).
 #   bench-diff the one figure gate (`xtask bench-diff`): run every
 #              figure with a BENCH_<fig>.json under results/baseline/
-#              once in quick mode and require each of its files there
+#              once and require each of its files there
 #              (the document, plus fig_serve's per-tenant digest file)
 #              to equal the fresh text; a mismatch names the first
 #              differing path or line. DESIGN.md sections 10-17.

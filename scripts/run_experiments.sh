@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Regenerate every paper figure/table and collect the outputs under
-# results/. EXPERIMENTS.md references these files.
+# Run every paper figure/table binary and collect each one's printed
+# table under results/<bin>.txt (stderr in results/<bin>.log). These
+# files are not tracked; EXPERIMENTS.md quotes the binaries' output.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results

@@ -4,12 +4,13 @@
 //! `bench-diff` is the one figure gate, and `results/baseline/` is its
 //! table: `BENCH_<fig>.json` names a gated figure, and any other
 //! `<fig>.<rest>` file there (e.g. `fig_serve.tenants.txt`) belongs to
-//! that figure. Each figure runs once in quick mode, then each of its
-//! files must equal the fresh `results/<same name>`, byte for byte
-//! ([`same_text`]). A figure's outputs are a pure function of the seed,
-//! so any difference is a behaviour change; the failure names the first
-//! differing `$`-path (JSON) or line. A change that moves an output
-//! refreshes its baseline in the same commit (see EXPERIMENTS.md).
+//! that figure. Each figure runs once, with its files first deleted from
+//! `results/`; then each must equal the fresh `results/<same name>`,
+//! byte for byte ([`same_text`]). A figure's outputs are a pure function
+//! of the seed, so any difference is a behaviour change; the failure
+//! names the first differing `$`-path (JSON) or line. A change that
+//! moves an output refreshes its baseline in the same commit (see
+//! EXPERIMENTS.md).
 //!
 //! `top <fig>` renders the windowed contention view (`mtmpi_prof::top`)
 //! of an already-generated `results/BENCH_<fig>.json`.
@@ -63,13 +64,22 @@ fn baseline_figs(dir: &Path) -> Result<Vec<Gate>, String> {
 }
 
 /// Run `fig` once; each of its baseline files must equal the fresh file
-/// of the same name under `results/`.
+/// of the same name under `results/`. Copies left by an earlier run are
+/// deleted first, so a file the run no longer writes fails as unread.
 fn gate_fig(fig: &str, files: &[String], root: &Path) -> Result<(), String> {
-    println!("xtask bench-diff: running {fig} --quick ...");
+    let fresh = |file: &String| root.join("results").join(file);
+    for file in files {
+        if let Err(e) = std::fs::remove_file(fresh(file)) {
+            if e.kind() != std::io::ErrorKind::NotFound {
+                return Err(format!("cannot delete {}: {e}", fresh(file).display()));
+            }
+        }
+    }
+    println!("xtask bench-diff: running {fig} ...");
     run_fig(fig, root, &[])?;
     files.iter().try_for_each(|file| {
         let baseline = read_text(&root.join("results/baseline").join(file))?;
-        let fresh = read_text(&root.join("results").join(file))?;
+        let fresh = read_text(&fresh(file))?;
         same_text(
             &format!("results/{file} and its baseline"),
             &baseline,
@@ -115,9 +125,8 @@ pub fn run_baseline_gate(root: &Path) -> Result<(), String> {
 
 /// The viewer.
 pub fn run_top(fig: &str, root: &Path) -> Result<(), String> {
-    let text = read_text(&root.join(format!("results/BENCH_{fig}.json"))).map_err(|e| {
-        format!("{e} — run `cargo run --release -p mtmpi-bench --bin {fig} -- --quick` first")
-    })?;
+    let text = read_text(&root.join(format!("results/BENCH_{fig}.json")))
+        .map_err(|e| format!("{e} — run `cargo run --release -p mtmpi-bench --bin {fig}` first"))?;
     print!("{}", top_report(&text)?);
     Ok(())
 }

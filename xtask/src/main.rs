@@ -3,7 +3,7 @@
 //! Commands:
 //!
 //! * `trace <fig>` — run one `mtmpi-bench` figure binary (e.g. `fig2a`)
-//!   in quick mode with event tracing enabled, twice, then validate that
+//!   with event tracing enabled, twice, then validate that
 //!   `results/BENCH_<fig>.json` and `results/<fig>.trace.json` were
 //!   written and are well-formed JSON of the expected shape (parsed with
 //!   `mtmpi_prof::Json`, the workspace's one JSON reader), and that the
@@ -11,8 +11,7 @@
 //!   same-seed runs. See [`trace`].
 //!
 //! * `bench-diff` — the one figure gate: run every figure with a
-//!   `BENCH_<fig>.json` under `results/baseline/` once in quick mode and
-//!   require each of its baseline files to equal the fresh file of the
+//!   `BENCH_<fig>.json` under `results/baseline/` once and require each of its baseline files to equal the fresh file of the
 //!   same name under `results/`; a mismatch names the first differing
 //!   `$`-path or line. See [`bench`]. `bench-diff` and `trace` compare
 //!   texts through one routine, `run::same_text`.

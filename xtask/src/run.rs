@@ -13,8 +13,8 @@ pub fn valid_fig_name(fig: &str) -> bool {
     !fig.is_empty() && fig.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Run one `mtmpi-bench` figure binary in quick mode, passing it `extra`
-/// after `--quick`; its outputs land in `results/`.
+/// Run one `mtmpi-bench` figure binary, passing it `extra`; its outputs
+/// land in `results/`.
 pub fn run_fig(fig: &str, root: &Path, extra: &[&str]) -> Result<(), String> {
     if !valid_fig_name(fig) {
         return Err(format!("figure name must be alphanumeric (got {fig:?})"));
@@ -28,7 +28,6 @@ pub fn run_fig(fig: &str, root: &Path, extra: &[&str]) -> Result<(), String> {
         "--bin",
         fig,
         "--",
-        "--quick",
     ];
     let args = [&args, extra].concat();
     let status = Command::new("cargo")
@@ -187,7 +186,7 @@ mod tests {
             (
                 "[64,2385.3894893775623]",
                 "[64,2400]",
-                "$.series[0].points[1][1]: 2385.3894893775623 \u{2192} 2400",
+                "$.series[0].points[3][1]: 2385.3894893775623 \u{2192} 2400",
             ),
             // An added member fails too: a refresh adds it to the baseline.
             (
@@ -207,9 +206,9 @@ mod tests {
     fn a_length_change_is_named_at_the_first_extra_entry() {
         let (base, got) = perturbed("}}],\"series\"", "}},{\"label\":\"new\"}],\"series\"");
         let err = same_text("doc", base, &got).unwrap_err();
-        assert!(err.ends_with("at $.runs[20]: absent \u{2192} {…}"), "{err}");
+        assert!(err.ends_with("at $.runs[44]: absent \u{2192} {…}"), "{err}");
         let err = same_text("doc", &got, base).unwrap_err();
-        assert!(err.ends_with("at $.runs[20]: {…} \u{2192} absent"), "{err}");
+        assert!(err.ends_with("at $.runs[44]: {…} \u{2192} absent"), "{err}");
         let err = same_text("doc", "{\"a\":1,\"b\":2}", "{\"a\":1}").unwrap_err();
         assert!(err.ends_with("at $.b: 2 \u{2192} absent"), "{err}");
     }

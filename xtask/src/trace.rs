@@ -1,8 +1,8 @@
 //! `xtask trace <fig>` — run one figure binary with tracing enabled,
 //! validate its machine-readable outputs, and check that they replay.
 //!
-//! Runs `cargo run --release -p mtmpi-bench --bin <fig> -- --quick
-//! --trace` in the workspace root **twice**, then checks that
+//! Runs `cargo run --release -p mtmpi-bench --bin <fig> -- --trace` in
+//! the workspace root **twice**, then checks that
 //! `results/BENCH_<fig>.json` and `results/<fig>.trace.json` exist, are
 //! valid JSON (`mtmpi_prof::Json::parse` — validation = parse), and have
 //! the expected shape (an `"id"` field and a run with a `"prof"` block
@@ -65,7 +65,7 @@ pub fn run_trace(fig: &str, root: &Path) -> Result<(), String> {
     let trace = root.join(format!("results/{fig}.trace.json"));
     let prom = root.join(format!("results/{fig}.prom"));
     let run = |round: u32| -> Result<[String; 2], String> {
-        println!("xtask trace: running {fig} --quick --trace (run {round} of 2) ...");
+        println!("xtask trace: running {fig} --trace (run {round} of 2) ...");
         run_fig(fig, root, &["--trace"])?;
         Ok([read_text(&trace)?, read_text(&prom)?])
     };
