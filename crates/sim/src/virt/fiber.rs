@@ -3,18 +3,24 @@
 //!
 //! A [`Fiber`] owns a recycled 2 MiB stack and a heap-allocated `Inner`
 //! holding the simulated thread's identity ([`WorkerCtx`], placement,
-//! recorder shard claim) and the hand-over cells. [`Fiber::resume`]
-//! switches the calling OS thread onto the fiber's stack and lends the
-//! fiber the run's [`Scheduler`] for as long as it runs; a sync point
-//! borrows it through [`with_scheduler`] to execute its own event in
-//! place, or calls [`suspend`] to switch back. A switch saves the
-//! six callee-saved registers and swaps `rsp` — no syscall, no other OS
-//! thread. Because a suspended fiber may next be resumed by a *different*
-//! OS thread, nothing the worker depends on may live in OS thread-local
-//! storage: the host installs the fiber's identity into the three
-//! thread-local cells involved before each resume and takes it back out
-//! after, and all three are read only through `#[inline(never)]`
-//! accessors, so no thread-local address is ever held across a switch.
+//! recorder shard claim) and the hand-over cells. [`resume`] switches the
+//! calling OS thread — the stepping thread — onto a fiber's stack and
+//! lends the fiber the run's [`Scheduler`]. A sync point borrows it
+//! through [`with_scheduler`] to run its own event in place or to run the
+//! event loop; when the loop resumes another thread, [`hand_off`] passes
+//! the lend, the stepping thread's saved stack pointer and the reply
+//! straight to that thread's fiber and switches onto it. Only the end of
+//! a quantum ([`suspend`]) and the end of a body switch back to the
+//! stepping thread, whichever fiber the run has reached by then. A switch
+//! saves the six callee-saved registers and swaps `rsp` — no syscall, no
+//! other OS thread. Because a suspended fiber may next be resumed by a
+//! *different* OS thread, nothing the worker depends on may live in OS
+//! thread-local storage: whoever switches onto a fiber installs its
+//! identity into the three thread-local cells involved and keeps the
+//! identity it displaces — the stepping thread's own, or the handing
+//! fiber's, which goes back into that fiber's `Inner` — and all three are
+//! read only through `#[inline(never)]` accessors, so no thread-local
+//! address is ever held across a switch.
 //!
 //! Only x86_64 Linux is implemented (System V calling convention, `mmap`).
 
@@ -184,17 +190,35 @@ struct Inner {
     core: Cell<Option<(CoreId, SocketId)>>,
     claim: Cell<ShardClaim>,
     body: Cell<Option<Box<dyn FnOnce() + Send>>>,
-    /// `rsp` of the side that is not running.
+    /// Whether anything has switched onto the fiber yet: the stepping
+    /// thread, or another fiber handing the run on.
+    started: Cell<bool>,
+    /// `rsp` of the stepping thread inside [`resume`], passed on from
+    /// fiber to fiber by [`hand_off`]; a fiber switches back to it.
     host_sp: Cell<*mut u8>,
+    /// `rsp` of the fiber while it is suspended.
     fiber_sp: Cell<*mut u8>,
-    /// Host → fiber on resume, fiber → host on suspend.
+    /// What the fiber resumes with, set by whoever switches onto it.
     reply: Cell<Option<Reply>>,
-    /// The scheduler `resume` lends the fiber while it runs; null while
-    /// it does not, while [`with_scheduler`] holds it, and during the
-    /// abort resume of `Fiber::drop`.
+    /// The scheduler [`resume`] lends the run while the fiber runs; null
+    /// while it does not, while [`with_scheduler`] holds it, and during
+    /// the abort resume of `Fiber::drop`. [`hand_off`] moves it on.
     sched: Cell<*mut Scheduler>,
+    /// Fiber → stepping thread: why it switched back.
     yielded: Cell<Option<Yield>>,
 }
+
+/// The address of a fiber's `Inner`, for the scheduler's table: what
+/// [`hand_off`] switches to.
+#[derive(Clone, Copy)]
+pub(super) struct FiberRef(NonNull<Inner>);
+
+// SAFETY: a `FiberRef` is an address. It is dereferenced only by
+// `hand_off`, which reads it from the table of the scheduler lent to the
+// calling fiber — so on the one OS thread inside that run's
+// `RunHandle::step`, while the `RunHandle` owning both the table and the
+// `Fiber` whose `Inner` it names is mutably borrowed by that call.
+unsafe impl Send for FiberRef {}
 
 thread_local! {
     /// The fiber this OS thread is running, null on a host stack.
@@ -218,17 +242,21 @@ fn current() -> *const Inner {
 /// (`None` on a host stack).
 pub(super) fn with_worker<R>(f: impl FnOnce(Option<&WorkerCtx>) -> R) -> R {
     // SAFETY: `CURRENT` is non-null only between the two `swap_current`
-    // calls of `Fiber::resume`, i.e. while the `Inner` it names is alive
-    // (its `Fiber` is mutably borrowed by that call) and the code reading
-    // it runs on that fiber. `Inner` is only ever accessed through shared
-    // references, so this one aliases soundly.
+    // calls of `Fiber::enter`, and then names the fiber running on this OS
+    // thread: the one entered, or one `hand_off` passed the run to, which
+    // renames it before switching. Either `Inner` is alive — the
+    // `RunHandle` owning every `Fiber` of the run is mutably borrowed by
+    // the `step` (or its `Fiber` by the `drop`) that entered — and the
+    // code reading it runs on that fiber. `Inner` is only ever accessed
+    // through shared references, so this one aliases soundly.
     f(unsafe { current().as_ref() }.map(|inner| &inner.worker))
 }
 
 /// Run `f` with the scheduler of the run the calling fiber belongs to.
-/// The host that resumed the fiber is suspended inside `Fiber::resume`
-/// meanwhile, so `f` has the scheduler to itself; `f` must not reach a
-/// sync point, and [`suspend`] refuses to run while it holds it.
+/// The stepping thread is suspended inside [`resume`] meanwhile, and
+/// every other fiber of the run is suspended too, so `f` has the
+/// scheduler to itself; `f` must not reach a sync point, and [`suspend`]
+/// and [`hand_off`] refuse to run while it holds it.
 ///
 /// # Panics
 /// If the caller is not running on a fiber, or the fiber holds no
@@ -238,20 +266,22 @@ pub(super) fn with_scheduler<R>(f: impl FnOnce(&mut Scheduler) -> R) -> R {
     let inner = unsafe { current().as_ref() }.expect("scheduler outside a simulated thread");
     let lent = inner.sched.replace(ptr::null_mut());
     // SAFETY: a non-null `sched` is the `&mut Scheduler` of the
-    // `Fiber::resume` call running this fiber, whose host frame is
-    // suspended in `switch` and does not touch it until the fiber
-    // switches back. Taking it out of the cell makes this borrow the only
-    // one: a nested call finds null, and `suspend` — the only way back to
-    // the host while `f` runs (a panic out of `f` ends the borrow before
-    // the fiber's final switch) — panics on null.
+    // `resume` call running this run, whose host frame is suspended in
+    // `switch` and does not touch it until a fiber switches back; it is
+    // lent to one fiber at a time (`hand_off` moves it). Taking it out of
+    // the cell makes this borrow the only one: a nested call finds null,
+    // and `suspend` and `hand_off` — the only ways off this fiber while
+    // `f` runs (a panic out of `f` ends the borrow before the fiber's
+    // final switch) — panic on null.
     let r = f(unsafe { lent.as_mut() }.expect("the scheduler is not lent to this fiber"));
     inner.sched.set(lent);
     r
 }
 
-/// Hand `y` to the host and suspend the calling fiber until the host
-/// resumes it; returns the reply it was resumed with. May return on a
-/// different OS thread than it was called on.
+/// Hand `y` to the stepping thread and suspend the calling fiber until it
+/// is resumed — by the stepping thread or by a [`hand_off`]; returns the
+/// reply it was resumed with. May return on a different OS thread than
+/// it was called on.
 ///
 /// # Panics
 /// If the caller is not running on a fiber, or is inside
@@ -265,15 +295,55 @@ pub(super) fn suspend(y: Yield) -> Reply {
     );
     inner.yielded.set(Some(y));
     // SAFETY: we are on `inner`'s fiber (see above), so `host_sp` is what
-    // `resume`'s `switch` saved when it entered it and that host frame is
+    // `Fiber::enter`'s `switch` saved when the stepping thread entered
+    // this run — passed on by every `hand_off` since — and that frame is
     // still suspended in that call.
     unsafe { switch(inner.fiber_sp.as_ptr(), inner.host_sp.get()) };
     inner.reply.take().expect("resumed without a reply")
 }
 
+/// Hand the run from the calling fiber straight to the fiber of thread
+/// `to`, which resumes (or starts) with `reply`: the scheduler lend and
+/// the stepping thread's stack pointer go with it, the thread-local
+/// identity is swapped from the caller's to its, and one switch replaces
+/// the two a trip through the stepping thread would cost. Returns the
+/// reply the caller is next resumed with, by the stepping thread or by
+/// another hand-off; may return on a different OS thread.
+///
+/// # Panics
+/// If the caller is not running on a fiber, or is inside
+/// [`with_scheduler`].
+pub(super) fn hand_off(to: usize, reply: Reply) -> Reply {
+    // SAFETY: as in `with_worker`.
+    let from = unsafe { current().as_ref() }.expect("hand-off outside a simulated thread");
+    let sched = from.sched.replace(ptr::null_mut());
+    assert!(!sched.is_null(), "hand-off while the scheduler is borrowed");
+    // SAFETY: `sched` is the lent scheduler (see `with_scheduler`), which
+    // nothing borrows now; its table names a live `Inner` of this run for
+    // every thread (see `FiberRef`). The scheduler only resumes a thread
+    // whose body has not ended, and the caller hands off only to another
+    // thread, so `to` is suspended — in `suspend` or `hand_off`, or at its
+    // initial frame — and nothing else runs it.
+    let to = unsafe { (&(*sched).fibers)[to].0.as_ref() };
+    to.reply.set(Some(reply));
+    to.sched.set(sched);
+    to.host_sp.set(from.host_sp.get());
+    to.started.set(true);
+    from.core.set(mtmpi_locks::swap_current_core(to.core.get()));
+    from.claim.set(mtmpi_obs::swap_shard_claim(
+        to.claim.replace(ShardClaim::NONE),
+    ));
+    swap_current(to);
+    // SAFETY: `to.fiber_sp` is its initial frame or what its last
+    // `switch` saved (see above), and `CURRENT` and the lend now name it;
+    // the caller is suspended here until something switches back onto it.
+    unsafe { switch(from.fiber_sp.as_ptr(), to.fiber_sp.get()) };
+    from.reply.take().expect("resumed without a reply")
+}
+
 /// Entry point of every fiber, reached through [`trampoline`] on the
-/// first resume. A panic escaping `worker_main` would abort the process
-/// at this `extern "C"` boundary; `worker_main` catches them all.
+/// first switch onto it. A panic escaping `worker_main` would abort the
+/// process at this `extern "C"` boundary; `worker_main` catches them all.
 extern "C" fn fiber_main(inner: *const Inner) -> ! {
     // SAFETY: `Fiber::new` put this fiber's `Inner` in the initial frame;
     // it outlives the fiber's execution (see `Fiber::drop`).
@@ -283,7 +353,8 @@ extern "C" fn fiber_main(inner: *const Inner) -> ! {
     let last = super::worker_main(&inner.worker, first, body);
     inner.yielded.set(Some(last));
     // SAFETY: as in `suspend`. This frame is never resumed: `last` is a
-    // final yield, after which `resume` refuses to run.
+    // final yield, after which the stack goes back and `enter` refuses to
+    // run.
     unsafe { switch(inner.fiber_sp.as_ptr(), inner.host_sp.get()) };
     unreachable!("a finished fiber was resumed")
 }
@@ -296,7 +367,6 @@ pub(super) struct Fiber {
     inner: NonNull<Inner>,
     /// `None` once the body has finished and the stack went back.
     stack: Option<Stack>,
-    started: bool,
 }
 
 impl Fiber {
@@ -316,6 +386,7 @@ impl Fiber {
             core: Cell::new(Some(placement)),
             claim: Cell::new(ShardClaim::NONE),
             body: Cell::new(Some(body)),
+            started: Cell::new(false),
             host_sp: Cell::new(ptr::null_mut()),
             fiber_sp: Cell::new(ptr::null_mut()),
             reply: Cell::new(None),
@@ -347,69 +418,97 @@ impl Fiber {
         Fiber {
             inner: NonNull::new(inner).expect("Box::into_raw is non-null"),
             stack: Some(stack),
-            started: false,
         }
+    }
+
+    /// This fiber's entry in the scheduler's table.
+    pub(super) fn handle(&self) -> FiberRef {
+        FiberRef(self.inner)
     }
 
     fn is_finished(&self) -> bool {
         self.stack.is_none()
     }
 
-    /// Run the fiber on the calling OS thread, handing it `reply` and
-    /// lending it `sched`, until it suspends or its body ends. A final
-    /// yield (anything but [`Yield::Sync`] or [`Yield::Parked`]) finishes
-    /// the fiber and recycles its stack.
+    /// Switch the calling OS thread onto the fiber, handing it `reply`
+    /// and lending it `sched` (null: none), until a fiber switches back:
+    /// this one, or one the run was handed on to. Returns that fiber's
+    /// tid and its yield, with its identity taken back out of
+    /// thread-local storage.
     ///
     /// # Panics
     /// If the fiber has finished.
-    pub(super) fn resume(&mut self, reply: Reply, sched: Option<&mut Scheduler>) -> Yield {
+    fn enter(&mut self, reply: Reply, sched: *mut Scheduler) -> (usize, Yield) {
         assert!(!self.is_finished(), "resume of a finished fiber");
-        self.started = true;
         // SAFETY: `inner` is live until `drop`, and only shared
         // references to it are ever formed.
         let inner = unsafe { self.inner.as_ref() };
+        inner.started.set(true);
         inner.reply.set(Some(reply));
-        inner
-            .sched
-            .set(sched.map_or(ptr::null_mut(), ptr::from_mut));
+        inner.sched.set(sched);
         let host_core = mtmpi_locks::swap_current_core(inner.core.get());
         let host_claim = mtmpi_obs::swap_shard_claim(inner.claim.replace(ShardClaim::NONE));
         let outer = swap_current(self.inner.as_ptr());
         // SAFETY: `fiber_sp` is the initial frame or what the fiber's last
         // `switch` saved, and the fiber is suspended there: it has not
         // finished (checked above) and `&mut self` excludes a concurrent
-        // resume. `CURRENT` names it for exactly the time it runs, and
-        // `sched` — the caller's exclusive borrow, which it cannot use
-        // before this call returns — is lent for that time only.
+        // resume. `CURRENT` names it, and `sched` — the caller's exclusive
+        // borrow, which it cannot use before this call returns — is lent
+        // to it, until a fiber switches back; a `hand_off` in between
+        // moves both on.
         unsafe { switch(inner.host_sp.as_ptr(), inner.fiber_sp.get()) };
-        swap_current(outer);
-        inner.sched.set(ptr::null_mut());
-        inner.claim.set(mtmpi_obs::swap_shard_claim(host_claim));
-        inner.core.set(mtmpi_locks::swap_current_core(host_core));
-        let y = inner.yielded.take().expect("suspended without a yield");
-        if !matches!(y, Yield::Sync { .. } | Yield::Parked) {
-            self.stack.take().expect("checked above").give();
-        }
-        y
+        // SAFETY: a fiber switches back only from `suspend` or
+        // `fiber_main`, and `CURRENT` names it then (see `with_worker`).
+        let back = unsafe { &*swap_current(outer) };
+        back.sched.set(ptr::null_mut());
+        back.claim.set(mtmpi_obs::swap_shard_claim(host_claim));
+        back.core.set(mtmpi_locks::swap_current_core(host_core));
+        let y = back.yielded.take().expect("suspended without a yield");
+        (back.worker.tid, y)
     }
+}
+
+/// Resume thread `tid` of a run, whose fibers are `fibers` by tid, on the
+/// calling OS thread with `reply`, lending the run `sched`, until a fiber
+/// switches back: `tid`'s, or one the run was handed on to. Returns that
+/// fiber's tid and its yield. A final yield (anything but
+/// [`Yield::Stop`]) ended that fiber's body, and its stack goes back.
+///
+/// # Panics
+/// If `tid`'s fiber has finished.
+pub(super) fn resume(
+    fibers: &mut [Fiber],
+    tid: usize,
+    reply: Reply,
+    sched: &mut Scheduler,
+) -> (usize, Yield) {
+    let (back, y) = fibers[tid].enter(reply, sched);
+    if !matches!(y, Yield::Stop(_)) {
+        fibers[back].stack.take().expect("a body ends once").give();
+    }
+    (back, y)
 }
 
 impl Drop for Fiber {
     /// A fiber suspended mid-body is resumed once with [`Reply::Abort`]
     /// and no scheduler, which unwinds the body (`WorkerCtx::sync` raises
     /// `SimAbort` and refuses every later sync point), so its destructors
-    /// run before the stack is reused. One never started just drops its
-    /// body.
+    /// run before the stack is reused; with no scheduler it hands nothing
+    /// on, so it is the fiber that comes back. One never started just
+    /// drops its body.
     fn drop(&mut self) {
-        if self.started && !self.is_finished() {
-            self.resume(Reply::Abort, None);
-        }
-        match self.stack.take() {
+        // SAFETY: as in `enter`.
+        let started = unsafe { self.inner.as_ref() }.started.get();
+        if started
+            && !self.is_finished()
+            && matches!(self.enter(Reply::Abort, ptr::null_mut()).1, Yield::Stop(_))
+        {
             // Still suspended mid-body: frames on the stack are live.
             // Leak it and `inner` rather than reuse memory they refer to.
-            Some(_) if self.started => return,
-            Some(stack) => stack.give(),
-            None => {}
+            return;
+        }
+        if let Some(stack) = self.stack.take() {
+            stack.give();
         }
         // SAFETY: `inner` came from `Box::into_raw`; the fiber has
         // finished or never started, so nothing else can reach it.

@@ -2,19 +2,21 @@
 //!
 //! A run uses **no OS threads of its own**. Every simulated thread is a
 //! fiber ([`fiber`]): its worker closure runs on a private stack, on
-//! whichever OS thread is inside [`RunHandle::step`]. The event loop
-//! ([`Scheduler::advance`]) runs on that stepping thread's own stack.
-//! When an event resumes a simulated thread, `step` switches onto its
-//! fiber and lends it the scheduler. At each synchronization point (lock
+//! whichever OS thread is inside [`RunHandle::step`]. `step` runs the
+//! event loop ([`Scheduler::advance`]) until an event resumes a simulated
+//! thread, then switches onto its fiber and lends it the scheduler. From
+//! there the loop runs on the fibers. At each synchronization point (lock
 //! or network operation) the worker checks whether its own `Exec` event
 //! would be the very next event the loop pops; if so it executes that
 //! event in place ([`Scheduler::exec_inline`]) and runs on. Otherwise it
-//! switches back, carrying its operation, and `step` queues the worker's
-//! `Exec` event and goes on with the loop. A hand-off from one simulated
-//! thread to the next is those two stack switches — tens of nanoseconds,
-//! no syscall — and a thread that is next after itself pays neither.
-//! Budget, fuel, completion, a deadlock or a worker panic end the quantum
-//! where the loop runs, so `step` simply returns.
+//! queues the event and runs the loop itself, on its own stack
+//! ([`Scheduler::sync`]): an event that resumes it lets it run on, and
+//! one that resumes another thread hands the run straight to that
+//! thread's fiber ([`fiber::hand_off`]). A hand-off from one simulated
+//! thread to the next is that one stack switch — a few nanoseconds, no
+//! syscall — and a thread that is next after itself pays none. Only the
+//! end of a quantum (budget, fuel, completion, a deadlock) and the end of
+//! a worker's closure (returned or panicked) switch back to `step`.
 //!
 //! Local computation ([`Platform::compute`]) accumulates in the worker's
 //! own context without touching the scheduler, so simulation cost scales
@@ -135,11 +137,9 @@ impl Reply {
 
 /// What a fiber hands the stepping thread when it switches back.
 enum Yield {
-    /// The worker reached a sync point at virtual time `at`.
-    Sync { at: u64, op: Op },
-    /// The worker ran its own `Exec` event in place and is now blocked
-    /// (a queued or steal-pending acquire); nothing is left to queue.
-    Parked,
+    /// The event loop, running on the fiber, ended the quantum; the
+    /// worker is suspended at a sync point.
+    Stop(Result<StepOutcome, SimError>),
     /// The worker's closure returned at virtual time `at`.
     Retired { at: u64 },
     /// The worker's closure unwound, with this panic message.
@@ -197,15 +197,18 @@ impl WorkerCtx {
         self.offset.set(self.offset.get() + ns);
     }
 
-    /// Submit `op` and suspend until an event resumes this thread —
-    /// unless its `Exec` event would be the very next one the loop runs,
-    /// which then runs here, on this fiber's stack, without a switch.
+    /// Submit `op` and run the event loop on this fiber's stack until an
+    /// event resumes this thread. An event that resumes another thread
+    /// first hands the run to that thread's fiber, and this one waits to
+    /// be handed it back; the end of the quantum suspends it until a later
+    /// `step`.
     fn sync(&self, op: Op) -> Reply {
         if !self.aborted.get() {
             let at = self.now();
-            let reply = match fiber::with_scheduler(|s| s.exec_inline(at, self.tid, op)) {
-                Ok(reply) => reply,
-                Err(y) => fiber::suspend(y),
+            let reply = match fiber::with_scheduler(|s| s.sync(at, self.tid, op)) {
+                Pass::Resume(tid, reply) if tid == self.tid => reply,
+                Pass::Resume(tid, reply) => fiber::hand_off(tid, reply),
+                Pass::Stop(stop) => fiber::suspend(Yield::Stop(stop)),
             };
             match reply {
                 Reply::Abort => self.aborted.set(true),
@@ -276,12 +279,28 @@ impl SchedHash {
         Self(Self::OFFSET)
     }
 
-    fn mix(&mut self, word: u64) {
-        // FNV-1a over the 8 little-endian bytes of `word`.
-        for b in word.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+    /// `PRIME^k` for `k` in `0..=8`.
+    const PRIME_POW: [u64; 9] = {
+        let mut pow = [1u64; 9];
+        let mut k = 1;
+        while k < pow.len() {
+            pow[k] = pow[k - 1].wrapping_mul(Self::PRIME);
+            k += 1;
         }
+        pow
+    };
+
+    /// FNV-1a over the 8 little-endian bytes of `word`. A zero byte's
+    /// step is a multiply by `PRIME` (the xor is a no-op), so the run of
+    /// zero high bytes folds into one multiply by `PRIME^k`: exact, and
+    /// most words (times, tids, kinds) have few significant bytes.
+    fn mix(&mut self, word: u64) {
+        let significant = (u64::BITS - word.leading_zeros()).div_ceil(8) as usize;
+        let mut h = self.0;
+        for &b in &word.to_le_bytes()[..significant] {
+            h = (h ^ u64::from(b)).wrapping_mul(Self::PRIME);
+        }
+        self.0 = h.wrapping_mul(Self::PRIME_POW[8 - significant]);
     }
 
     fn event(&mut self, ev: &Ev) {
@@ -621,8 +640,15 @@ struct Scheduler {
     /// until the next `step`.
     batch: Vec<Ev>,
     batch_pos: usize,
+    /// The context control is on: `None` is the stepping thread. A
+    /// hand-off is a transfer between two distinct ones; a thread resumed
+    /// by its own `Exec` event is not one.
+    running: Option<usize>,
     /// Transfers of control between distinct contexts so far.
     handoffs: u64,
+    /// Every simulated thread's fiber, by tid: where a hand-off goes.
+    /// Owned by the [`RunHandle`]'s `fibers`.
+    fibers: Vec<fiber::FiberRef>,
 }
 
 /// Progress report from one [`RunHandle::step`] call.
@@ -673,14 +699,20 @@ pub struct RunHandle {
 // * the simulated thread's identity travels with the fiber, not with the
 //   OS thread: its `WorkerCtx`, its `mtmpi_locks` placement and its
 //   `mtmpi_obs` shard claim are installed into thread-local storage by
-//   `Fiber::resume` before each resume and taken back out after, and are
+//   whatever switches onto the fiber (`fiber::resume` or
+//   `fiber::hand_off`) and taken back out when it switches away, and are
 //   read only through `#[inline(never)]` accessors, so no thread-local
 //   address survives a suspension;
 // * the one pointer into the handle a fiber keeps, to the `Scheduler`
-//   `Fiber::resume` lends it, is set for the length of that call only
-//   and null whenever the handle can move — so a suspended fiber's
-//   frames hold no `&mut Scheduler` either (`fiber::with_scheduler`
-//   refuses to suspend while it lends one);
+//   `fiber::resume` lends the run, is held by one fiber at a time —
+//   `fiber::hand_off` moves it on — for the length of that call only,
+//   and null in every fiber whenever the handle can move: the fiber that
+//   switches back to `step` has it cleared, and a handing fiber clears
+//   its own. So a suspended fiber's frames hold no `&mut Scheduler`
+//   either (`fiber::with_scheduler` refuses to suspend or hand off while
+//   it lends one);
+// * the scheduler's table of fiber addresses (`fiber::FiberRef`) points
+//   into this same handle's `fibers`, and is read only inside `step`;
 // * worker code holds nothing else that is bound to an OS thread across
 //   a `Platform` suspension call — no host lock guard
 //   (`std::sync::MutexGuard` must be released by the thread that locked),
@@ -688,8 +720,9 @@ pub struct RunHandle {
 //   half workspace-wide.
 unsafe impl Send for RunHandle {}
 
-// The impl above must only be vouching for the fibers: compile-time
-// proof that a stray `Rc`/borrow in the scheduler can't ride along.
+// The impl above must only be vouching for the fibers (the table's
+// `FiberRef`s included): compile-time proof that a stray `Rc`/borrow in
+// the scheduler can't ride along.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Scheduler>();
@@ -731,6 +764,27 @@ impl RunHandle {
             })
             .collect();
 
+        let fibers: Vec<Fiber> = reg
+            .threads
+            .into_iter()
+            .enumerate()
+            .map(|(tid, (desc, f))| {
+                let worker = WorkerCtx {
+                    tid,
+                    base: Cell::new(0),
+                    offset: Cell::new(0),
+                    rng: RefCell::new(SmallRng::seed_from_u64(
+                        platform.seed ^ (0xA5A5_5A5A_u64.wrapping_mul(tid as u64 + 1)),
+                    )),
+                    aborted: Cell::new(false),
+                };
+                // The placement travels with the fiber so traced locks and
+                // the obs event layer stamp events with real core/socket,
+                // matching the native platform's workers.
+                Fiber::new(worker, (desc.core, topo.socket_of(desc.core)), f)
+            })
+            .collect();
+
         let mut sched = Scheduler {
             net: platform.net.clone(),
             q: CalendarQueue::new(),
@@ -753,32 +807,13 @@ impl RunHandle {
             budget_left: 0,
             batch: Vec::new(),
             batch_pos: 0,
+            running: None,
             handoffs: 0,
+            fibers: fibers.iter().map(Fiber::handle).collect(),
         };
         for tid in 0..n_threads {
             sched.push(0, EvKind::Start(tid));
         }
-
-        let fibers = reg
-            .threads
-            .into_iter()
-            .enumerate()
-            .map(|(tid, (desc, f))| {
-                let worker = WorkerCtx {
-                    tid,
-                    base: Cell::new(0),
-                    offset: Cell::new(0),
-                    rng: RefCell::new(SmallRng::seed_from_u64(
-                        platform.seed ^ (0xA5A5_5A5A_u64.wrapping_mul(tid as u64 + 1)),
-                    )),
-                    aborted: Cell::new(false),
-                };
-                // The placement travels with the fiber so traced locks and
-                // the obs event layer stamp events with real core/socket,
-                // matching the native platform's workers.
-                Fiber::new(worker, (desc.core, topo.socket_of(desc.core)), f)
-            })
-            .collect();
 
         RunHandle {
             sched,
@@ -791,15 +826,14 @@ impl RunHandle {
     /// Execute up to `budget` further scheduler events.
     ///
     /// The calling thread runs the event loop ([`Scheduler::advance`]) on
-    /// its own stack. Each event that resumes a simulated thread switches
-    /// onto that thread's fiber. The worker executes in place every sync
-    /// point whose event the loop would pop next
-    /// ([`Scheduler::exec_inline`]), and switches back at the first one
-    /// that must be queued, at an acquire that leaves it blocked, or at
-    /// the end of its closure; the quantum ends — budget, completion,
-    /// fuel, deadlock, or a worker's panic — where the loop runs, here.
-    /// On return every worker is suspended at a sync point, not yet
-    /// started, or finished.
+    /// its own stack until an event resumes a simulated thread, and
+    /// switches onto that thread's fiber. From there the loop runs on the
+    /// fibers ([`Scheduler::sync`]), each handing the run straight to the
+    /// next, and control comes back here only when the quantum ends —
+    /// budget, completion, fuel or deadlock — or a worker's closure
+    /// returns or panics, on whichever fiber the run has reached. On
+    /// return every worker is suspended at a sync point, not yet started,
+    /// or finished.
     ///
     /// Errors (deadlock, [`SimError::FuelExhausted`]) abort the run —
     /// workers are unwound before the error returns, and the handle
@@ -816,28 +850,19 @@ impl RunHandle {
         }
         let sched = &mut self.sched;
         sched.budget_left = budget;
-        // The context control is on: `None` is this stepping thread. A
-        // hand-off is a transfer between two distinct ones; a thread
-        // resumed by its own `Exec` event is not one.
-        let mut on: Option<usize> = None;
         let stop = loop {
             let (tid, reply) = match sched.advance() {
                 Pass::Resume(tid, reply) => (tid, reply),
                 Pass::Stop(stop) => break stop,
             };
-            sched.handoffs += u64::from(on.replace(tid) != Some(tid));
-            match self.fibers[tid].resume(reply, Some(sched)) {
-                Yield::Sync { at, op } => {
-                    sched.pending_op[tid] = Some(op);
-                    sched.push(at, EvKind::Exec(tid));
-                }
-                Yield::Parked => {}
-                Yield::Retired { at } => {
+            match fiber::resume(&mut self.fibers, tid, reply, sched) {
+                (_, Yield::Stop(stop)) => break stop,
+                (tid, Yield::Retired { at }) => {
                     sched.done[tid] = true;
                     sched.live -= 1;
                     sched.end_ns = sched.end_ns.max(at);
                 }
-                Yield::Panicked(msg) => {
+                (tid, Yield::Panicked(msg)) => {
                     sched.handoffs += 1;
                     let report = format!("worker `{}` panicked: {msg}", sched.threads[tid].name);
                     self.abort();
@@ -845,7 +870,7 @@ impl RunHandle {
                 }
             }
         };
-        sched.handoffs += u64::from(on.is_some());
+        sched.handoffs += u64::from(sched.running.take().is_some());
         match stop {
             Ok(outcome) => self.finished = outcome == StepOutcome::Done,
             Err(_) => self.abort(),
@@ -915,10 +940,10 @@ impl Scheduler {
     }
 
     /// The event loop: execute queued events until one resumes a
-    /// simulated thread or the quantum ends. Runs on the stack of the
-    /// thread inside [`RunHandle::step`]; after a [`Pass::Resume`] `step`
-    /// runs the resumed worker to its next sync point that must be
-    /// queued, queues its `Exec` event and calls this again.
+    /// simulated thread or the quantum ends, counting the hand-off to the
+    /// thread it resumes. Runs on the stack of the thread inside
+    /// [`RunHandle::step`] at the start of a quantum and after a worker's
+    /// closure ends, and on a worker's fiber from [`Scheduler::sync`].
     ///
     /// Events are dequeued one same-timestamp batch at a time. This is
     /// trace-identical to a pop-one loop: every event pushed while a
@@ -964,9 +989,28 @@ impl Scheduler {
             self.budget_left -= 1;
             self.hash.event(&ev);
             if let Some((tid, reply)) = self.dispatch(ev) {
+                self.handoffs += u64::from(self.running.replace(tid) != Some(tid));
                 return Pass::Resume(tid, reply);
             }
         }
+    }
+
+    /// `tid`'s sync point at `at`, on the worker's own fiber: run its
+    /// event in place if it is the next one ([`Scheduler::exec_inline`]),
+    /// otherwise queue it, then run the loop until an event resumes a
+    /// thread — this one or another — or the quantum ends. The queue sees
+    /// the same pushes and pops whichever stack runs the loop, so the
+    /// events, their order and the hash do not depend on it.
+    fn sync(&mut self, at: u64, tid: usize, op: Op) -> Pass {
+        match self.exec_inline(at, tid, op) {
+            Ok(Some(reply)) => return Pass::Resume(tid, reply),
+            Ok(None) => {}
+            Err(op) => {
+                self.pending_op[tid] = Some(op);
+                self.push(at, EvKind::Exec(tid));
+            }
+        }
+        self.advance()
     }
 
     /// Run `tid`'s sync point at `at` in place, on the worker's stack, when
@@ -976,15 +1020,16 @@ impl Scheduler {
     /// later (a queued event at `at` has a smaller `seq` and goes first).
     /// The event is consumed exactly as `advance` + `dispatch` would —
     /// same `seq`, hash fold and counters — so the decision trace is
-    /// unchanged; `Ok` is the reply, [`Yield::Parked`] a thread the op
-    /// left blocked. Otherwise `Err(Yield::Sync)` takes the queued path.
-    fn exec_inline(&mut self, at: u64, tid: usize, op: Op) -> Result<Reply, Yield> {
+    /// unchanged; `Ok` holds the reply, or `None` for a thread the op left
+    /// blocked (a queued or steal-pending acquire). Otherwise `Err` hands
+    /// the op back, to be queued.
+    fn exec_inline(&mut self, at: u64, tid: usize, op: Op) -> Result<Option<Reply>, Op> {
         let next = self.batch_pos == self.batch.len()
             && self.budget_left > 0
             && self.fuel.is_none_or(|f| self.n_events < f)
             && self.q.peek_key().is_none_or(|(t, _)| at < t);
         if !next {
-            return Err(Yield::Sync { at, op });
+            return Err(op);
         }
         let seq = self.seq;
         self.seq += 1;
@@ -995,7 +1040,7 @@ impl Scheduler {
             seq,
             kind: EvKind::Exec(tid),
         });
-        self.exec(at, tid, op).ok_or(Yield::Parked)
+        Ok(self.exec(at, tid, op))
     }
 
     /// Execute one dequeued event; `Some` when it resumes a thread.
@@ -1160,6 +1205,53 @@ impl Scheduler {
             queued_events: queued,
             threads: self.blocked_threads(),
             undelivered: self.undelivered(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SchedHash;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The byte-wise FNV-1a step `SchedHash::mix` replaces.
+    fn bytewise(mut h: u64, word: u64) -> u64 {
+        for b in word.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(SchedHash::PRIME);
+        }
+        h
+    }
+
+    fn mixed(h: u64, word: u64) -> u64 {
+        let mut s = SchedHash(h);
+        s.mix(word);
+        s.0
+    }
+
+    #[test]
+    fn mix_equals_the_bytewise_fold() {
+        // Every count of significant bytes, 0 through 8, at both ends.
+        let mut words = vec![0, 1, 0xff, 0x100, 1 << 56, u64::MAX];
+        for bytes in 1..=8u32 {
+            let top = 8 * bytes;
+            words.push(1 << (top - 8));
+            words.push(u64::MAX >> (64 - top));
+        }
+        for word in words {
+            for h in [SchedHash::OFFSET, 0, u64::MAX] {
+                assert_eq!(mixed(h, word), bytewise(h, word), "{h:#x} {word:#x}");
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(0xF1A5);
+        let (mut fast, mut slow) = (SchedHash::new(), SchedHash::OFFSET);
+        for _ in 0..10_000 {
+            // Uniform in the number of significant bytes, not in value.
+            let word = rng.gen::<u64>() >> (8 * rng.gen_range(0..8u32));
+            fast.mix(word);
+            slow = bytewise(slow, word);
+            assert_eq!(fast.0, slow, "after {word:#x}");
         }
     }
 }

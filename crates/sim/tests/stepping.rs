@@ -5,15 +5,16 @@
 //! mid-run cancels cleanly — plus the hand-off accounting of the fiber
 //! transport under it (`fiber.rs` tests the transport itself): the
 //! deterministic hand-off count, every way a quantum can end after a
-//! worker ran (budget, fuel, deadlock, panic) reaching the stepper, and
-//! a worker running its own next event in place replaying the queued
-//! path op by op.
+//! worker ran (budget, fuel, deadlock, panic) reaching the stepper, a
+//! worker running its own next event in place replaying the queued path
+//! op by op, a hand-off-heavy world pinned to literals, and every abort
+//! raised on a fiber the run was handed to surfacing unchanged.
 
 use mtmpi_locks::PathClass;
 use mtmpi_net::NetModel;
 use mtmpi_sim::{
-    LockKind, LockModelParams, Platform, RunHandle, SimError, StepOutcome, ThreadDesc,
-    VirtualPlatform,
+    BlockedOn, BlockedThread, LockDiag, LockKind, LockModelParams, Platform, RunHandle, SimError,
+    StepOutcome, ThreadDesc, VirtualPlatform,
 };
 use mtmpi_topology::presets::nehalem_cluster_scaled;
 use mtmpi_topology::CoreId;
@@ -555,6 +556,248 @@ fn running_the_next_event_in_place_replays_the_queued_path() {
         };
         assert_eq!(stop(1), stop(u64::MAX), "fuel {fuel}");
     }
+}
+
+/// Sixteen threads passing one barging mutex, yielding between passages:
+/// more than half of all events hand the run to another thread.
+fn contended_mutex_world() -> Arc<VirtualPlatform> {
+    let p = platform(0x16);
+    let lock = p.lock_create(LockKind::Mutex);
+    for i in 0..16u32 {
+        let p2 = p.clone();
+        p.spawn(
+            desc(&format!("t{i}"), i % 8),
+            Box::new(move || {
+                for round in 0..12u64 {
+                    let tok = p2.lock_acquire(lock, PathClass::Main);
+                    p2.compute(40 + round);
+                    p2.lock_release(lock, PathClass::Main, tok);
+                    p2.compute(150 + u64::from(i) * 13);
+                    p2.yield_now();
+                }
+            }),
+        );
+    }
+    p
+}
+
+#[test]
+fn a_handoff_heavy_world_replays_its_pinned_trace() {
+    // Literals, not a reference run: how control travels between
+    // simulated threads is transport, so no change to it may move the
+    // events, the end time, the decision trace or the logical hand-off
+    // count (which depends on the quantum: one hand-out and one
+    // hand-back per `step` call).
+    for (quantum, handoffs) in [(1, 1184), (3, 785), (1024, 462), (u64::MAX, 462)] {
+        let mut h = contended_mutex_world().start();
+        while h.step(quantum).expect("no deadlock") == StepOutcome::Pending {}
+        let r = h.finish();
+        assert_eq!(
+            (r.events, r.end_ns, r.sched_trace_hash, r.handoffs),
+            (816, 98_078, 8_172_738_309_353_957_238, handoffs),
+            "quantum {quantum}"
+        );
+    }
+}
+
+// In one `step(u64::MAX)` call the stepping thread resumes only the
+// thread of the first event; every later resume is a hand-off from the
+// thread that ran before it, until one retires. The worlds below raise
+// their error before any thread retires, so it is raised while the
+// event loop runs on a fiber reached by such a hand-off.
+
+/// `n` workers contending one ticket lock, each counting its drop into
+/// `exited`; tids `0..n`.
+fn spawn_passers(p: &Arc<VirtualPlatform>, n: u32, exited: &Arc<AtomicUsize>) {
+    let lock = p.lock_create(LockKind::Ticket);
+    for i in 0..n {
+        let (p2, guard) = (p.clone(), Exited(exited.clone()));
+        p.spawn(
+            desc(&format!("t{i}"), i),
+            Box::new(move || {
+                let _guard = guard;
+                for round in 0..40u64 {
+                    let tok = p2.lock_acquire(lock, PathClass::Main);
+                    p2.compute(300 + u64::from(i) * 11 + round);
+                    p2.lock_release(lock, PathClass::Main, tok);
+                    p2.yield_now();
+                }
+            }),
+        );
+    }
+}
+
+#[test]
+fn a_panic_on_a_handed_off_fiber_surfaces_from_step() {
+    let p = platform(0xBAD);
+    let exited = Arc::new(AtomicUsize::new(0));
+    spawn_passers(&p, 3, &exited);
+    let (p2, guard) = (p.clone(), Exited(exited.clone()));
+    p.spawn(
+        desc("bomb", 3),
+        Box::new(move || {
+            let _guard = guard;
+            for _ in 0..5 {
+                p2.compute(2_000);
+                p2.yield_now();
+            }
+            panic!("boom at {} ns", p2.now_ns());
+        }),
+    );
+    let mut h = p.start();
+    let payload = catch_unwind(AssertUnwindSafe(|| h.step(u64::MAX)))
+        .expect_err("the worker's panic must surface from step()");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("formatted panic message");
+    assert_eq!(msg, "worker `bomb` panicked: boom at 10005 ns");
+    assert_eq!(exited.load(Ordering::SeqCst), 4, "every closure dropped");
+    assert_eq!((h.events(), h.handoffs()), (72, 30));
+}
+
+/// A live thread of node 0 in a failure snapshot.
+fn blocked(tid: usize, name: &str, on: BlockedOn) -> BlockedThread {
+    BlockedThread {
+        tid,
+        name: name.into(),
+        node: 0,
+        on,
+    }
+}
+
+#[test]
+fn typed_errors_on_a_handed_off_fiber_surface_from_step() {
+    // Fuel runs out mid-run of four lock passers.
+    let p = platform(0xF0E1);
+    let exited = Arc::new(AtomicUsize::new(0));
+    spawn_passers(&p, 4, &exited);
+    p.set_fuel(Some(57));
+    let mut h = p.start();
+    let err = h.step(u64::MAX).expect_err("fuel runs out");
+    assert_eq!(exited.load(Ordering::SeqCst), 4, "every closure dropped");
+    let fence = || BlockedOn::Op {
+        desc: "Fence".into(),
+    };
+    let on_lock = |lock| BlockedOn::Lock { lock };
+    assert_eq!(
+        err,
+        SimError::FuelExhausted {
+            fuel: 57,
+            executed: 57,
+            now_ns: 8629,
+            queued_events: 2,
+            threads: vec![
+                blocked(0, "t0", fence()),
+                blocked(1, "t1", on_lock(0)),
+                blocked(2, "t2", on_lock(0)),
+                blocked(3, "t3", on_lock(0)),
+            ],
+            undelivered: vec![],
+        }
+    );
+    assert_eq!((h.events(), h.handoffs()), (57, 18));
+
+    // recv/recv: each thread spins on its own mailbox before it sends,
+    // so neither send is reached and only the fuel bound ends the run.
+    let p = platform(0x2EC);
+    let exited = Arc::new(AtomicUsize::new(0));
+    let eps = [p.register_endpoint(0), p.register_endpoint(1)];
+    for i in 0..2usize {
+        let (p2, guard) = (p.clone(), Exited(exited.clone()));
+        p.spawn(
+            desc(&format!("r{i}"), i as u32),
+            Box::new(move || {
+                let _guard = guard;
+                while p2.net_poll(eps[i]).is_empty() {
+                    p2.compute(50);
+                    p2.yield_now();
+                }
+                p2.net_send(eps[i], eps[1 - i], 64, Box::new(()));
+            }),
+        );
+    }
+    p.set_fuel(Some(101));
+    let mut h = p.start();
+    let err = h.step(u64::MAX).expect_err("recv/recv never completes");
+    assert_eq!(exited.load(Ordering::SeqCst), 2, "every closure dropped");
+    assert_eq!(
+        err,
+        SimError::FuelExhausted {
+            fuel: 101,
+            executed: 101,
+            now_ns: 1275,
+            queued_events: 2,
+            threads: vec![
+                blocked(
+                    0,
+                    "r0",
+                    BlockedOn::Op {
+                        desc: "NetPoll(0)".into()
+                    }
+                ),
+                blocked(1, "r1", fence()),
+            ],
+            undelivered: vec![],
+        }
+    );
+    assert_eq!((h.events(), h.handoffs()), (101, 102));
+
+    // ABBA behind two passers: the queue drains with both stuck.
+    let p = platform(13);
+    let exited = Arc::new(AtomicUsize::new(0));
+    let (l0, l1) = (
+        p.lock_create(LockKind::Ticket),
+        p.lock_create(LockKind::Ticket),
+    );
+    for (i, (first, second)) in [(l0, l1), (l1, l0)].into_iter().enumerate() {
+        let (p2, guard) = (p.clone(), Exited(exited.clone()));
+        p.spawn(
+            desc(&format!("ab{i}"), i as u32),
+            Box::new(move || {
+                let _guard = guard;
+                p2.yield_now();
+                let t1 = p2.lock_acquire(first, PathClass::Main);
+                p2.compute(1_000);
+                let t2 = p2.lock_acquire(second, PathClass::Main);
+                p2.lock_release(second, PathClass::Main, t2);
+                p2.lock_release(first, PathClass::Main, t1);
+            }),
+        );
+    }
+    let mut h = p.start();
+    let err = h.step(u64::MAX).expect_err("ABBA must deadlock");
+    assert_eq!(exited.load(Ordering::SeqCst), 2, "every closure dropped");
+    let queued_on = |lock, waiter| LockDiag {
+        lock,
+        pending: None,
+        waiters: vec![waiter],
+        queued: 1,
+    };
+    assert_eq!(
+        err,
+        SimError::Deadlock {
+            threads: vec![blocked(0, "ab0", on_lock(1)), blocked(1, "ab1", on_lock(0))],
+            locks: vec![queued_on(0, 1), queued_on(1, 0)],
+            undelivered: vec![],
+        }
+    );
+    assert_eq!((h.events(), h.handoffs()), (8, 7));
+}
+
+#[test]
+fn dropping_a_handle_unwinds_fibers_started_by_a_hand_off() {
+    // Three Start events at time 0, then one more: thread 0 is resumed
+    // by the stepping thread, threads 1 and 2 are started by hand-offs
+    // and suspend mid-body (handing on, or ending the quantum).
+    let p = platform(0xD0);
+    let exited = Arc::new(AtomicUsize::new(0));
+    spawn_passers(&p, 3, &exited);
+    let mut h = p.start();
+    assert_eq!(h.step(4), Ok(StepOutcome::Pending));
+    assert_eq!(exited.load(Ordering::SeqCst), 0, "all three mid-body");
+    assert_eq!((h.events(), h.handoffs()), (4, 5));
+    drop(h);
+    assert_eq!(exited.load(Ordering::SeqCst), 3, "every worker unwound");
 }
 
 #[test]

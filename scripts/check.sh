@@ -14,9 +14,10 @@
 #              crates/lint/baseline.txt (DESIGN.md section 13)
 #   test       workspace test suite (includes the runtime's request-ledger
 #              negative tests and mtmpi-lint's fixture + whole-tree tests)
-#   release    the simulator, runtime, facade and serve test suites again,
-#              optimised: the fiber transport's unsafe paths and the
-#              debug-only checks' release branches
+#   release    the simulator, runtime, facade, serve and Graph500 test
+#              suites again, optimised: the fiber transport's unsafe paths,
+#              the debug-only checks' release branches, and the BFS path's
+#              literal hash pins as the figures run them
 #   loom       model checking of the lock algorithms, the VCI claim
 #              protocol and the stream claim word (serialized-thread
 #              shim; see crates/locks/src/sys.rs,
@@ -94,7 +95,7 @@ if [ "$FAST" = "fast" ]; then
         skip "$s" "fast mode"
     done
 else
-    step release cargo test --release -q -p mtmpi-sim -p mtmpi-runtime -p mtmpi -p mtmpi-serve
+    step release cargo test --release -q -p mtmpi-sim -p mtmpi-runtime -p mtmpi -p mtmpi-serve -p mtmpi-graph500
     step loom cargo test -p mtmpi-locks --features loom-check --test loom
     step loom cargo test -p mtmpi-runtime --test loom_claim --test loom_stream
     step obs cargo run -q -p xtask -- trace fig2a
