@@ -4,9 +4,9 @@
 use crate::genome::Read;
 use crate::graph::{owner_of, pack_kmer, shift_kmer, KmerGraph, KmerInfo};
 use mtmpi_runtime::{MsgData, RankHandle, ANY_SOURCE, ANY_TAG};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 const TAG_BATCH: i32 = 3_000;
 const TAG_DONE: i32 = 3_001;
@@ -126,7 +126,7 @@ pub fn assembly_receiver(sh: &AssemblyShared, h: &RankHandle) {
             TAG_BATCH => {
                 let bytes = m.data.as_bytes();
                 let n = (bytes.len() / 14) as u64;
-                let mut g = sh.graph.lock();
+                let mut g = sh.graph.lock().unwrap_or_else(PoisonError::into_inner);
                 for (kmer, count, succ, pred) in decode_records(bytes) {
                     g.absorb(kmer, count, succ, pred);
                 }
@@ -139,7 +139,11 @@ pub fn assembly_receiver(sh: &AssemblyShared, h: &RankHandle) {
                 let b = m.data.as_bytes();
                 let kmer = u64::from_le_bytes(b[..8].try_into().expect("8"));
                 let token = u64::from_le_bytes(b[8..16].try_into().expect("8"));
-                let info = sh.graph.lock().get(kmer);
+                let info = sh
+                    .graph
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get(kmer);
                 platform.compute(QUERY_NS);
                 let mut reply = Vec::with_capacity(16);
                 reply.extend_from_slice(&token.to_le_bytes());
@@ -166,7 +170,10 @@ pub fn assembly_receiver(sh: &AssemblyShared, h: &RankHandle) {
                 } else {
                     None
                 };
-                sh.replies.lock().insert(token, info);
+                sh.replies
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(token, info);
             }
             TAG_WALKDONE => {
                 let n = sh.walkdone_count.fetch_add(1, Ordering::AcqRel) + 1;
@@ -185,7 +192,11 @@ fn query_kmer(sh: &AssemblyShared, h: &RankHandle, kmer: u64) -> Option<KmerInfo
     let owner = owner_of(kmer, sh.nranks);
     if owner == sh.rank {
         platform.compute(QUERY_NS);
-        return sh.graph.lock().get(kmer);
+        return sh
+            .graph
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(kmer);
     }
     let token = sh.next_token.fetch_add(1, Ordering::Relaxed);
     let mut req = Vec::with_capacity(16);
@@ -194,7 +205,12 @@ fn query_kmer(sh: &AssemblyShared, h: &RankHandle, kmer: u64) -> Option<KmerInfo
     h.world_comm().send(owner, TAG_QUERY, MsgData::Bytes(req));
     // The reply is routed back through this rank's receiver thread.
     loop {
-        if let Some(info) = sh.replies.lock().remove(&token) {
+        if let Some(info) = sh
+            .replies
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&token)
+        {
             return info;
         }
         platform.compute(120);
@@ -258,7 +274,7 @@ pub fn assembly_worker(sh: &AssemblyShared, h: &RankHandle) -> Option<ContigStat
     h.barrier();
     // ---- phase 3: unitig walking with remote queries ----
     let starts: Vec<(u64, KmerInfo)> = {
-        let g = sh.graph.lock();
+        let g = sh.graph.lock().unwrap_or_else(PoisonError::into_inner);
         g.iter().filter(|(_, i)| i.in_degree() != 1).collect()
     };
     let mut my_contigs = Vec::new();
@@ -284,7 +300,7 @@ pub fn assembly_worker(sh: &AssemblyShared, h: &RankHandle) -> Option<ContigStat
         my_contigs.push(len);
     }
     {
-        let mut c = sh.contigs.lock();
+        let mut c = sh.contigs.lock().unwrap_or_else(PoisonError::into_inner);
         *c = my_contigs.clone();
     }
     for o in 0..nranks {
@@ -294,7 +310,12 @@ pub fn assembly_worker(sh: &AssemblyShared, h: &RankHandle) -> Option<ContigStat
     let contigs = h.allreduce_sum_u64(my_contigs.len() as u64);
     let total_bases = h.allreduce_sum_u64(my_contigs.iter().sum());
     let longest = h.allreduce_max_u64(my_contigs.iter().copied().max().unwrap_or(0));
-    let distinct = h.allreduce_sum_u64(sh.graph.lock().len() as u64);
+    let distinct = h.allreduce_sum_u64(
+        sh.graph
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len() as u64,
+    );
     (sh.rank == 0).then_some(ContigStats {
         contigs,
         total_bases,

@@ -6,8 +6,7 @@ use mtmpi_assembly::{
     assembly_receiver, assembly_worker, random_genome, sample_reads, AssemblyConfig,
     AssemblyShared, ContigStats,
 };
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Run the assembler on `nranks` ranks (2 threads each: worker +
 /// receiver, the SWAP process structure).
@@ -52,14 +51,17 @@ fn run_assembly(
             let sh = sh2[ctx.rank.rank() as usize].clone();
             if ctx.thread == 0 {
                 if let Some(s) = assembly_worker(&sh, &ctx.rank) {
-                    *st2.lock() = Some(s);
+                    *st2.lock().unwrap_or_else(PoisonError::into_inner) = Some(s);
                 }
             } else {
                 assembly_receiver(&sh, &ctx.rank);
             }
         },
     );
-    let s = stats.lock().expect("rank 0 worker reports");
+    let s = stats
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .expect("rank 0 worker reports");
     s
 }
 

@@ -1,6 +1,6 @@
 //! Ablation: the full lock zoo on the throughput workload, including the
 //! socket-aware cohort lock (§7's idea, made starvation-safe with a
-//! hand-over budget) and the spinlock baselines.
+//! hand-over budget) and the test-and-set baseline.
 
 use mtmpi::prelude::*;
 use mtmpi_bench::{print_figure_header, throughput_run, Fig, ThroughputParams};
@@ -18,7 +18,6 @@ fn main() {
         Method::Cohort(4),
         Method::Cohort(16),
         Method::Tas,
-        Method::Mcs,
     ];
     let fig = Fig::new("ablation_locks");
     let mut t = Table::new(&["method", "compact_rate", "scatter_rate", "dangling_compact"]);

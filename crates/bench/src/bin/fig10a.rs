@@ -10,8 +10,7 @@
 use mtmpi::prelude::*;
 use mtmpi_bench::{print_figure_header, Fig};
 use mtmpi_graph500::{generate_kronecker, hybrid_bfs_thread, Csr, HybridBfs};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 fn main() {
     print_figure_header(
@@ -44,11 +43,14 @@ fn main() {
                 // remote memory for the graph (allocated by socket 0).
                 let edge_ns = if ctx.thread >= 4 { 5 } else { 4 };
                 if let Some(s) = hybrid_bfs_thread(&b2, &ctx.rank, ctx.thread, edge_ns) {
-                    *s2.lock() = Some(s);
+                    *s2.lock().unwrap_or_else(PoisonError::into_inner) = Some(s);
                 }
             },
         );
-        let st = stats.lock().expect("thread 0 reports");
+        let st = stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .expect("thread 0 reports");
         let mteps = st.traversed_edges as f64 / out.end_ns as f64 * 1e3;
         if threads == 1 {
             base = mteps;

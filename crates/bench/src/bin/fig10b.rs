@@ -12,8 +12,7 @@
 use mtmpi::prelude::*;
 use mtmpi_bench::{print_figure_header, Fig};
 use mtmpi_graph500::{generate_kronecker, hybrid_bfs_thread, Csr, HybridBfs};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One run over `parts` (a rank's rows each), which no run writes.
 fn mteps(fig: &Fig, method: Method, parts: &[Arc<Csr>], root: u64, threads: u32) -> f64 {
@@ -35,11 +34,14 @@ fn mteps(fig: &Fig, method: Method, parts: &[Arc<Csr>], root: u64, threads: u32)
             let bfs = pr[ctx.rank.rank() as usize].clone();
             let edge_ns = if ctx.thread >= 4 { 5 } else { 4 };
             if let Some(s) = hybrid_bfs_thread(&bfs, &ctx.rank, ctx.thread, edge_ns) {
-                *s2.lock() = Some(s);
+                *s2.lock().unwrap_or_else(PoisonError::into_inner) = Some(s);
             }
         },
     );
-    let st = stats.lock().expect("rank0 thread0 reports");
+    let st = stats
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .expect("rank0 thread0 reports");
     st.traversed_edges as f64 / out.end_ns as f64 * 1e3
 }
 

@@ -9,8 +9,7 @@
 use mtmpi::prelude::*;
 use mtmpi_bench::{print_figure_header, Fig};
 use mtmpi_graph500::{generate_kronecker, hybrid_bfs_thread, Csr, HybridBfs};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 fn main() {
     print_figure_header(
@@ -52,11 +51,14 @@ fn main() {
                     let bfs = pr[ctx.rank.rank() as usize].clone();
                     let edge_ns = if ctx.thread >= 4 { 5 } else { 4 };
                     if let Some(s) = hybrid_bfs_thread(&bfs, &ctx.rank, ctx.thread, edge_ns) {
-                        *s2.lock() = Some(s);
+                        *s2.lock().unwrap_or_else(PoisonError::into_inner) = Some(s);
                     }
                 },
             );
-            let st = stats.lock().expect("reported");
+            let st = stats
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("reported");
             cells.push(format!(
                 "{:.1}",
                 st.traversed_edges as f64 / out.end_ns as f64 * 1e3

@@ -10,8 +10,7 @@
 use mtmpi::prelude::*;
 use mtmpi_bench::{print_figure_header, Fig};
 use mtmpi_stencil::{stencil_thread, RankStencil, StencilConfig};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 fn gflops(
     fig: &Fig,
@@ -33,11 +32,11 @@ fn gflops(
         move |ctx| {
             let st = pr[ctx.rank.rank() as usize].clone();
             if let Some(ps) = stencil_thread(&st, &ctx.rank, ctx.thread) {
-                s2.lock().merge(&ps);
+                s2.lock().unwrap_or_else(PoisonError::into_inner).merge(&ps);
             }
         },
     );
-    let s = *stats.lock();
+    let s = *stats.lock().unwrap_or_else(PoisonError::into_inner);
     (cfg.total_flops() as f64 / out.end_ns as f64, s)
 }
 

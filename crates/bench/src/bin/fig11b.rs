@@ -8,8 +8,7 @@
 use mtmpi::prelude::*;
 use mtmpi_bench::{print_figure_header, Fig};
 use mtmpi_stencil::{stencil_thread, PhaseStats, RankStencil, StencilConfig};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 fn main() {
     print_figure_header(
@@ -43,11 +42,11 @@ fn main() {
             move |ctx| {
                 let st = pr[ctx.rank.rank() as usize].clone();
                 if let Some(ps) = stencil_thread(&st, &ctx.rank, ctx.thread) {
-                    s2.lock().merge(&ps);
+                    s2.lock().unwrap_or_else(PoisonError::into_inner).merge(&ps);
                 }
             },
         );
-        let s = *stats.lock();
+        let s = *stats.lock().unwrap_or_else(PoisonError::into_inner);
         let total = s.total_ns().max(1) as f64;
         t.row(vec![
             format!("{g}^3"),

@@ -11,8 +11,7 @@ use mtmpi_assembly::{
     assembly_receiver, assembly_worker, random_genome, sample_reads, AssemblyConfig, AssemblyShared,
 };
 use mtmpi_bench::{print_figure_header, Fig};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 fn run(fig: &Fig, method: Method, reads: &[mtmpi_assembly::Read], nranks: u32) -> f64 {
     let shared: Vec<Arc<AssemblyShared>> = (0..nranks)
@@ -44,14 +43,17 @@ fn run(fig: &Fig, method: Method, reads: &[mtmpi_assembly::Read], nranks: u32) -
             let s = sh[ctx.rank.rank() as usize].clone();
             if ctx.thread == 0 {
                 if let Some(r) = assembly_worker(&s, &ctx.rank) {
-                    *st.lock() = Some(r);
+                    *st.lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
                 }
             } else {
                 assembly_receiver(&s, &ctx.rank);
             }
         },
     );
-    let s = stats.lock().expect("rank0 reports");
+    let s = stats
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .expect("rank0 reports");
     assert!(s.total_bases > 0, "assembly produced output");
     out.end_ns as f64 / 1e6 // ms
 }

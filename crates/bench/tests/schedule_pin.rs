@@ -32,3 +32,45 @@ fn fig2a_workload_replays_the_pinned_schedule() {
         assert_eq!((r.end_ns, r.messages), (end_ns, messages));
     }
 }
+
+/// The method after `m` in the pinned walk, and `m`'s
+/// `(sched_trace_hash, end_ns)` at 1 B, 8 threads/node, one window,
+/// `Experiment::quick(2)` — cut at commit `4227227`. The `match` names
+/// every variant, so one added to `Method` does not compile until it
+/// has a place in the walk and a pin.
+fn pinned(m: Method) -> (Option<Method>, u64, u64) {
+    match m {
+        Method::Mutex => (Some(Method::Ticket), 0x3cfa_b2df_5e34_916f, 379_462),
+        Method::Ticket => (Some(Method::Priority), 0x4b6f_777f_7ecc_e59c, 395_010),
+        Method::Priority => (Some(Method::Single), 0xbe24_31e6_8f66_f031, 397_085),
+        Method::Single => (Some(Method::Cohort(4)), 0xc1cc_d3b1_8cb9_1abf, 28_095),
+        Method::Cohort(4) => (Some(Method::Cohort(16)), 0x74e4_34e5_aba2_6950, 379_740),
+        Method::Cohort(16) => (Some(Method::Tas), 0x1506_86d7_5043_4701, 339_515),
+        Method::Cohort(b) => panic!("cohort({b}) has no pin"),
+        Method::Tas => (Some(Method::Selective), 0x717b_2b62_5938_18d1, 344_208),
+        Method::Selective => (None, 0x268f_6315_99b0_55d1, 397_085),
+    }
+}
+
+#[test]
+fn every_method_is_its_own_world() {
+    // A method whose model is another method's reproduces that method's
+    // schedule exactly; each one listed must instead produce its own.
+    let mut seen: Vec<(Method, u64)> = Vec::new();
+    let mut next = Some(Method::Mutex);
+    while let Some(m) = next {
+        let (after, hash, end_ns) = pinned(m);
+        let r = throughput_run(
+            &Experiment::quick(2),
+            m,
+            ThroughputParams::new(1, 8).windows(1),
+        );
+        assert_eq!((r.sched_trace_hash, r.end_ns), (hash, end_ns), "{m:?}");
+        if let Some((twin, _)) = seen.iter().find(|(_, h)| *h == hash) {
+            panic!("{m:?} replays {twin:?}'s schedule");
+        }
+        seen.push((m, hash));
+        next = after;
+    }
+    assert_eq!(seen.len(), 8);
+}

@@ -20,12 +20,6 @@ pub enum Method {
     Cohort(u32),
     /// Test-and-set baseline.
     Tas,
-    /// Test-and-test-and-set baseline.
-    Ttas,
-    /// MCS queue lock baseline.
-    Mcs,
-    /// CLH queue lock baseline.
-    Clh,
     /// Selective wake-up (§9 future work): FIFO plus completion-driven
     /// queue jumping.
     Selective,
@@ -51,9 +45,6 @@ impl Method {
             Method::Priority => LockKind::Priority,
             Method::Cohort(budget) => LockKind::Cohort { budget },
             Method::Tas => LockKind::Tas,
-            Method::Ttas => LockKind::Ttas,
-            Method::Mcs => LockKind::Mcs,
-            Method::Clh => LockKind::Clh,
             Method::Selective => LockKind::Selective,
         }
     }
@@ -67,9 +58,6 @@ impl Method {
             Method::Single => "Single",
             Method::Cohort(_) => "Cohort",
             Method::Tas => "TAS",
-            Method::Ttas => "TTAS",
-            Method::Mcs => "MCS",
-            Method::Clh => "CLH",
             Method::Selective => "Selective",
         }
     }

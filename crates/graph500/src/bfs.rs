@@ -4,9 +4,8 @@ use crate::csr::Csr;
 use crate::kronecker::EdgeList;
 use mtmpi_runtime::{Comm, RankHandle, Request, TestOutcome};
 use mtmpi_sim::SpinBarrier;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Level-synchronous traversal from `root`. `discover(u, v, level)` is
 /// called for every scanned edge `u -> v` (`level` being the depth `v`
@@ -195,7 +194,7 @@ impl HybridBfs {
         edges: &mut u64,
         outbuf: &mut [Vec<(u32, u32)>],
     ) -> Option<u32> {
-        let mut guard = self.shared.lock();
+        let mut guard = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
         let sh = &mut *guard;
         let chunk = &sh.frontier[start..(start + CHUNK).min(sh.frontier.len())];
         while let Some(&u) = chunk.get(*slot) {
@@ -226,7 +225,11 @@ impl HybridBfs {
 
     /// Local parents (for validation); call after the run.
     pub fn parents_local(&self) -> Vec<i64> {
-        self.shared.lock().parent.clone()
+        self.shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .parent
+            .clone()
     }
 }
 
@@ -278,14 +281,25 @@ pub fn hybrid_bfs_thread(
     let mut outbuf: Vec<Vec<(u32, u32)>> = (0..nranks).map(|_| Vec::new()).collect();
     let mut batches_sent = vec![0u64; nranks as usize];
     loop {
-        let level = bfs.shared.lock().level;
+        let level = bfs
+            .shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .level;
         let etag = edge_tag(thread, level);
         // ---- compute phase: scan my chunks of the frontier ----
         let mut send_reqs: Vec<Request> = Vec::new();
         batches_sent.fill(0);
         loop {
             let start = bfs.cursor.fetch_add(CHUNK, Ordering::Relaxed);
-            if start >= bfs.shared.lock().frontier.len() {
+            if start
+                >= bfs
+                    .shared
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .frontier
+                    .len()
+            {
                 break;
             }
             // A full send buffer ends a section: the guard is gone by
@@ -328,7 +342,7 @@ pub fn hybrid_bfs_thread(
         let mut global_next = 0;
         if thread == 0 {
             let local_next = {
-                let mut guard = bfs.shared.lock();
+                let mut guard = bfs.shared.lock().unwrap_or_else(PoisonError::into_inner);
                 let sh = &mut *guard;
                 std::mem::swap(&mut sh.frontier, &mut sh.next);
                 sh.next.clear();
@@ -337,11 +351,18 @@ pub fn hybrid_bfs_thread(
             };
             bfs.cursor.store(0, Ordering::Release);
             global_next = h.allreduce_sum_u64(local_next);
-            bfs.shared.lock().global_next = global_next;
+            bfs.shared
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .global_next = global_next;
         }
         bfs.barrier.wait(platform.as_ref());
         if thread != 0 {
-            global_next = bfs.shared.lock().global_next;
+            global_next = bfs
+                .shared
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .global_next;
         }
         levels += 1;
         if global_next == 0 {
@@ -350,13 +371,13 @@ pub fn hybrid_bfs_thread(
     }
     // ---- wind-down: aggregate stats ----
     {
-        let mut sh = bfs.shared.lock();
+        let mut sh = bfs.shared.lock().unwrap_or_else(PoisonError::into_inner);
         sh.traversed += my_traversed;
     }
     bfs.barrier.wait(platform.as_ref());
     if thread == 0 {
         let (local_traversed, local_reached) = {
-            let sh = bfs.shared.lock();
+            let sh = bfs.shared.lock().unwrap_or_else(PoisonError::into_inner);
             (
                 sh.traversed,
                 sh.parent.iter().filter(|&&p| p >= 0).count() as u64,
@@ -420,7 +441,7 @@ fn drain_incoming(
                     let bytes = m.data.as_bytes();
                     let mut newly = 0u64;
                     {
-                        let mut sh = bfs.shared.lock();
+                        let mut sh = bfs.shared.lock().unwrap_or_else(PoisonError::into_inner);
                         for (v, u) in decode_pairs(bytes) {
                             let (o, lv) = bfs.place(v);
                             debug_assert_eq!(o, bfs.rank);

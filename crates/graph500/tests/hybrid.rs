@@ -4,8 +4,7 @@ use mtmpi::prelude::*;
 use mtmpi_graph500::{
     bfs_serial, generate_kronecker, hybrid_bfs_thread, validate_parents, Csr, EdgeList, HybridBfs,
 };
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Run the hybrid BFS on `nodes` ranks × `threads` threads and return
 /// (global parent array, stats).
@@ -41,7 +40,7 @@ fn run_hybrid(
         move |ctx| {
             let bfs = per_rank2[ctx.rank.rank() as usize].clone();
             if let Some(s) = hybrid_bfs_thread(&bfs, &ctx.rank, ctx.thread, 4) {
-                *stats2.lock() = Some(s);
+                *stats2.lock().unwrap_or_else(PoisonError::into_inner) = Some(s);
             }
         },
     );
@@ -56,7 +55,10 @@ fn run_hybrid(
             parent[g] = p;
         }
     }
-    let stats = stats_cell.lock().expect("thread 0 of rank 0 reported");
+    let stats = stats_cell
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .expect("thread 0 of rank 0 reported");
     (parent, stats)
 }
 

@@ -7,7 +7,7 @@ use mtmpi::prelude::*;
 use mtmpi_graph500::{
     generate_kronecker, hybrid_bfs_thread, Csr, EdgeList, HybridBfs, HybridStats,
 };
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// FNV-1a 64 over the little-endian bytes of every `(u, v)`.
 fn fnv1a(el: &EdgeList) -> u64 {
@@ -53,11 +53,14 @@ fn run(nodes: u32, threads: u32, method: Method) -> [u64; 6] {
             let bfs = &per_rank[ctx.rank.rank() as usize];
             let edge_ns = if ctx.thread >= 4 { 5 } else { 4 };
             if let Some(s) = hybrid_bfs_thread(bfs, &ctx.rank, ctx.thread, edge_ns) {
-                *s2.lock() = Some(s);
+                *s2.lock().unwrap_or_else(PoisonError::into_inner) = Some(s);
             }
         },
     );
-    let st = stats.lock().expect("thread 0 reports");
+    let st = stats
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .expect("thread 0 reports");
     [
         out.report.events,
         out.end_ns,

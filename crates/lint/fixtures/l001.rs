@@ -66,9 +66,4 @@ impl Handoff {
         // lint: allow(L001) fixture: proves per-site suppression works
         self.locked.store(false, Ordering::Relaxed); // ALLOWED: L001
     }
-
-    pub fn legacy_allowed_site(&self) {
-        // deliberate, lint: relaxed-ok (legacy spelling == allow(L001))
-        self.locked.store(false, Ordering::Relaxed); // ALLOWED: L001
-    }
 }

@@ -22,19 +22,14 @@
 //! # Workflow
 //!
 //! * `cargo run -p xtask -- lint` — full-workspace run, exit 1 on any
-//!   finding not in the committed baseline (`crates/lint/baseline.txt`).
-//! * `… lint --json` — machine-readable report.
-//! * `… lint --update-baseline` — regenerate the baseline (justify
-//!   every entry before committing!).
-//! * Per-site suppression: `// lint: allow(L002) <why>` on the same or
-//!   the preceding line (the legacy `// lint: relaxed-ok` still means
-//!   `allow(L001)`).
+//!   finding.
+//! * A deliberate site is accepted with `// lint: allow(L002) <why>` on
+//!   the same or the preceding line — the one way to accept a finding.
 //!
-//! Rule catalogue: see [`rules::RULES`] and DESIGN.md §13. Each rule
+//! Rule catalogue: see [`rules`] and DESIGN.md §13. Each rule
 //! has a negative fixture under `crates/lint/fixtures/` proving it
 //! fires; `tests/rules.rs` pins the exact sites.
 
-pub mod baseline;
 pub mod diag;
 pub mod engine;
 pub mod lexer;
@@ -42,5 +37,5 @@ pub mod rules;
 pub mod source;
 
 pub use diag::Diagnostic;
-pub use engine::{run, update_baseline, Report, BASELINE_PATH};
+pub use engine::{run, Report};
 pub use source::SourceFile;

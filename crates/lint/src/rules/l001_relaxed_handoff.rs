@@ -1,8 +1,7 @@
 //! L001 — `Relaxed` mutation of a lock hand-off or claim-token field.
 //!
 //! The store (or RMW) that transfers ownership — a ticket lock's
-//! `now_serving`, a TAS flag, an MCS `next`/`tail` pointer, the VCI
-//! wildcard claim token, the multi-request `ready` flag — is the
+//! `now_serving`, a TAS flag, the VCI wildcard claim token, the multi-request `ready` flag — is the
 //! Release half of the edge that makes the critical section's writes
 //! visible to the next owner. `Ordering::Relaxed` there is a missing
 //! Release: the successor can acquire the lock yet read stale data.
@@ -17,10 +16,8 @@ use crate::source::{effective_relaxed, matching, receiver_field, SourceFile};
 /// absent: it is documented as never carrying a hand-off.)
 pub const HANDOFF_FIELDS: &[&str] = &[
     "now_serving",     // ticket / priority ticket grant counter
-    "locked",          // TAS/TTAS flag, MCS node spin flag
+    "locked",          // TAS flag
     "state",           // futex mutex word
-    "tail",            // MCS/CLH queue tail
-    "next",            // MCS successor pointer
     "already_blocked", // priority lock's burst hand-off flag
     "grant",           // generic grant words
     "claim",           // VCI wildcard claim token (NONE→COMPLETER/CANCELLER)

@@ -1,6 +1,6 @@
 //! The rule catalogue. Each rule is a function from a parsed
 //! [`SourceFile`] (plus, for L003, cross-file context) to diagnostics;
-//! the engine applies path scoping, allow comments, and the baseline.
+//! the engine applies path scoping and allow comments.
 //!
 //! | id   | guards                                                        |
 //! |------|---------------------------------------------------------------|
@@ -25,55 +25,9 @@ mod l007_guard_across_suspension;
 
 pub use l003_nested_cs::{cs_entering_fns, CsContext};
 
-/// Static description of one rule, for `--json` output and DESIGN.md.
-pub struct RuleInfo {
-    pub id: &'static str,
-    pub summary: &'static str,
-}
-
-/// The full catalogue, in id order.
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "L001",
-        summary: "Relaxed store/RMW on a lock hand-off or claim-token field breaks the \
-                  Release edge that publishes the critical section's writes",
-    },
-    RuleInfo {
-        id: "L002",
-        summary: "Relaxed load of cross-thread-published state (claim token, ready flag, \
-                  seq/ack, hand-off words) misses the Acquire edge pairing the publisher's \
-                  Release",
-    },
-    RuleInfo {
-        id: "L003",
-        summary: "entering a second critical section while one is held — the no-two-shard-locks \
-                  ban that keeps the VCI fan-out deadlock-free",
-    },
-    RuleInfo {
-        id: "L004",
-        summary: "nondeterminism source (wall clock, OS entropy, hash-order iteration) in the \
-                  deterministic-replay core crates",
-    },
-    RuleInfo {
-        id: "L005",
-        summary: "panic!/unwrap/expect on a runtime path that has a typed MpiError equivalent \
-                  (the try_* family)",
-    },
-    RuleInfo {
-        id: "L006",
-        summary: "unsafe block or unsafe impl without a `// SAFETY:` comment",
-    },
-    RuleInfo {
-        id: "L007",
-        summary: "host Mutex/RwLock/RefCell guard still bound when a Platform call suspends \
-                  the simulated thread (fibers share one OS thread per world and migrate \
-                  between serve workers)",
-    },
-];
-
 /// Run every rule applicable to `file` (path scoping included),
-/// returning raw diagnostics — allow comments and the baseline are
-/// applied by the engine, not here, so tests can see everything.
+/// returning raw diagnostics — allow comments are applied by the
+/// engine, not here, so tests can see everything.
 pub fn check_file(file: &SourceFile, cs: &CsContext) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     out.extend(l001_relaxed_handoff::check(file));

@@ -16,8 +16,7 @@ pub struct FnItem {
 
 /// A per-site suppression parsed from a comment:
 /// `// lint: allow(L004) justification…` (several ids may be listed,
-/// comma-separated). The legacy `// lint: relaxed-ok` form is accepted
-/// as `allow(L001)`.
+/// comma-separated).
 #[derive(Debug, Clone)]
 pub struct Allow {
     /// 1-based line the comment covers. A diagnostic on this line or
@@ -34,7 +33,7 @@ pub struct Allow {
 #[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators (stable across
-    /// platforms — it feeds diagnostics and baseline fingerprints).
+    /// platforms — it feeds diagnostics).
     pub path: String,
     pub lexed: Lexed,
     pub fns: Vec<FnItem>,
@@ -261,8 +260,7 @@ fn matching_attr_end(toks: &[Tok], open_bracket: usize) -> usize {
     matching(toks, open_bracket)
 }
 
-/// Parse allow comments: `lint: allow(L001, L004) justification` plus
-/// the legacy `lint: relaxed-ok` (≡ `allow(L001)`).
+/// Parse allow comments: `lint: allow(L001, L004) justification`.
 fn collect_allows(lexed: &Lexed) -> Vec<Allow> {
     let mut out = Vec::new();
     for c in &lexed.comments {
@@ -284,17 +282,6 @@ fn collect_allows(lexed: &Lexed) -> Vec<Allow> {
                     });
                 }
             }
-        } else if text.contains("lint: relaxed-ok") {
-            out.push(Allow {
-                line: c.end_line,
-                rules: vec!["L001".to_string()],
-                justification: text
-                    .split("lint: relaxed-ok")
-                    .next()
-                    .unwrap_or("")
-                    .trim()
-                    .to_string(),
-            });
         }
     }
     out
@@ -357,12 +344,12 @@ mod tests {
     #[test]
     fn allow_comments() {
         let f = parse(
-            "// lint: allow(L002, L004) deliberate relaxed peek\nx.load(Relaxed);\n// lint: relaxed-ok legacy\ny.store(1, Relaxed);",
+            "// lint: allow(L002, L004) deliberate relaxed peek\nx.load(Relaxed);\ny.store(1, Relaxed);",
         );
         assert!(f.allowed("L002", 2));
         assert!(f.allowed("L004", 2));
         assert!(!f.allowed("L001", 2));
-        assert!(f.allowed("L001", 4));
+        assert!(!f.allowed("L002", 3));
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! the CI contract (`cargo run -p xtask -- lint` exits 0 today, and
 //! would not if someone broke a concurrency contract).
 
-use mtmpi_lint::baseline::{self, BaselineEntry};
 use mtmpi_lint::{engine, SourceFile};
 use std::path::{Path, PathBuf};
 
@@ -17,16 +16,11 @@ fn root() -> PathBuf {
 }
 
 #[test]
-fn workspace_has_no_unbaselined_findings() {
-    let report = mtmpi_lint::run(&root()).expect("baseline parses");
+fn workspace_has_no_findings() {
+    let report = mtmpi_lint::run(&root());
     assert!(
         report.ok(),
-        "unbaselined findings — fix, allow with justification, or baseline:\n{}",
-        report.render_text()
-    );
-    assert!(
-        report.stale.is_empty(),
-        "stale baseline entries — prune them:\n{}",
+        "findings — fix, or allow with a justification:\n{}",
         report.render_text()
     );
     assert!(
@@ -96,33 +90,4 @@ fn seeding_hash_order_iteration_in_a_kernel_fails_the_run() {
         .find(|d| d.path == "crates/assembly/src/seeded_violation.rs")
         .expect("finding points at the seeded file");
     assert_eq!(d.rule, "L004");
-}
-
-#[test]
-fn baselining_the_seeded_violation_silences_it() {
-    let seeded = SourceFile::parse(Path::new("crates/runtime/src/seeded_violation.rs"), SEEDED);
-    let diags = engine::check_files(std::slice::from_ref(&seeded));
-    assert_eq!(diags.len(), 1);
-    let entry = BaselineEntry {
-        rule: diags[0].rule.to_string(),
-        fingerprint: diags[0].fingerprint(),
-        path: diags[0].path.clone(),
-        snippet: diags[0].snippet.trim().to_string(),
-    };
-    let (fresh, baselined, stale) = baseline::apply(diags, &[entry]);
-    assert!(fresh.is_empty(), "baselined finding still fresh: {fresh:?}");
-    assert_eq!(baselined.len(), 1);
-    assert!(stale.is_empty());
-}
-
-#[test]
-fn json_report_is_well_formed_enough() {
-    let report = mtmpi_lint::run(&root()).expect("baseline parses");
-    let json = report.render_json();
-    assert!(json.starts_with("{\"version\":1,"));
-    assert!(json.ends_with('}'));
-    // All six rules are described for downstream tooling.
-    for id in ["L001", "L002", "L003", "L004", "L005", "L006", "L007"] {
-        assert!(json.contains(&format!("\"id\":\"{id}\"")), "missing {id}");
-    }
 }

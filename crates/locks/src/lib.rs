@@ -1,8 +1,8 @@
 //! Synchronization primitives for multithreaded MPI runtimes.
 //!
-//! This crate implements, as real usable Rust locks, every synchronization
-//! construct discussed in *MPI+Threads: Runtime Contention and Remedies*
-//! (PPoPP'15):
+//! This crate implements, as real usable Rust locks, the synchronization
+//! constructs of *MPI+Threads: Runtime Contention and Remedies* (PPoPP'15)
+//! plus one lock per extra behaviour the reproduction compares:
 //!
 //! * [`TicketLock`] — the FCFS lock of Fig 4 (one `fetch_add`, local-ish
 //!   spinning on `now_serving`), the paper's first remedy (§5.1);
@@ -14,9 +14,8 @@
 //!   mutex the paper analyses (§2.2): user-space CAS fast path, parked
 //!   waiters, and *no* fairness guarantee — a woken waiter races new
 //!   arrivals, so the fastest (cache-closest) thread wins;
-//! * [`TasLock`], [`TtasLock`] — test-and-set baselines;
-//! * [`McsLock`], [`ClhLock`] — queue-based FIFO locks that spin on local
-//!   cache lines (§8 related work);
+//! * [`TasLock`] — the test-and-set baseline (§8): an unordered CAS race
+//!   with no parked waiters;
 //! * [`CohortTicketLock`] — the §7 "socket-aware" idea: a NUMA cohort lock
 //!   built from per-socket ticket locks with a bounded hand-over budget so
 //!   it cannot starve remote sockets.
@@ -28,10 +27,8 @@
 //! the [`mtmpi_metrics`] format for the §4.3 fairness analysis.
 
 pub mod cell;
-pub mod clh;
 pub mod cohort;
 pub mod futex;
-pub mod mcs;
 pub mod path;
 pub mod priority;
 pub mod raw;
@@ -41,13 +38,11 @@ pub mod ticket;
 pub mod traced;
 
 pub use cell::LockCell;
-pub use clh::ClhLock;
 pub use cohort::CohortTicketLock;
 pub use futex::FutexMutex;
-pub use mcs::McsLock;
 pub use path::PathClass;
 pub use priority::PriorityTicketLock;
 pub use raw::{CsLock, CsToken, RawLock};
-pub use spin::{Backoff, TasLock, TtasLock};
+pub use spin::{Backoff, TasLock};
 pub use ticket::TicketLock;
 pub use traced::{current_core, set_current_core, swap_current_core, Traced};

@@ -3,19 +3,19 @@
 //! Two layers:
 //!
 //! * [`RawLock`] — a flat mutual-exclusion primitive (`lock`/`unlock`),
-//!   implemented by the simple locks (TAS, TTAS, ticket, futex mutex).
+//!   implemented by the simple locks (TAS, ticket, futex mutex).
 //! * [`CsLock`] — what the MPI runtime's *global critical section* needs:
 //!   class-aware acquisition (so priority locks can distinguish main-path
 //!   from progress-loop entries) and a token threading through to release
-//!   (so queue-based locks like MCS can carry their queue node without
+//!   (so the cohort lock can carry the acquirer's socket without
 //!   thread-local state). Every `RawLock` is a `CsLock` that ignores the
 //!   class and uses a zero token.
 
 use crate::path::PathClass;
 
 /// Opaque per-acquisition token returned by [`CsLock::acquire`] and given
-/// back to [`CsLock::release`]. Flat locks use [`CsToken::NONE`];
-/// queue-based locks smuggle a queue-node pointer through it.
+/// back to [`CsLock::release`]. Flat locks use [`CsToken::NONE`]; the
+/// cohort lock carries the socket whose local lock it took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsToken(pub usize);
 

@@ -1,4 +1,4 @@
-//! Test-and-set spinlocks and the shared backoff helper.
+//! The test-and-set spinlock and the shared backoff helper.
 
 use crate::raw::RawLock;
 use crate::sys::{AtomicBool, Ordering};
@@ -76,37 +76,6 @@ impl RawLock for TasLock {
     }
 }
 
-/// Test-and-test-and-set spinlock: spins on a read, attempts the swap only
-/// when the lock looks free — far less coherence traffic than TAS.
-#[derive(Debug, Default)]
-pub struct TtasLock {
-    locked: AtomicBool,
-}
-
-impl RawLock for TtasLock {
-    const NAME: &'static str = "ttas";
-
-    fn lock(&self) {
-        let mut backoff = Backoff::new();
-        loop {
-            // lint: allow(L002) TTAS peek; the winning swap carries the Acquire edge
-            if !self.locked.load(Ordering::Relaxed) && !self.locked.swap(true, Ordering::Acquire) {
-                return;
-            }
-            backoff.snooze();
-        }
-    }
-
-    fn try_lock(&self) -> bool {
-        // lint: allow(L002) TTAS peek; the winning swap carries the Acquire edge
-        !self.locked.load(Ordering::Relaxed) && !self.locked.swap(true, Ordering::Acquire)
-    }
-
-    fn unlock(&self) {
-        self.locked.store(false, Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,13 +115,8 @@ mod tests {
     }
 
     #[test]
-    fn ttas_mutual_exclusion() {
-        hammer::<TtasLock>(4, 2000);
-    }
-
-    #[test]
     fn try_lock_behaviour() {
-        let l = TtasLock::default();
+        let l = TasLock::default();
         assert!(l.try_lock());
         assert!(!l.try_lock());
         l.unlock();

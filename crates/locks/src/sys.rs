@@ -20,10 +20,10 @@
 //! * No `std::thread::sleep` or OS blocking on the protocol paths.
 
 #[cfg(not(feature = "loom-check"))]
-pub use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(feature = "loom-check")]
-pub use loom::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+pub use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Spin-wait hint; a parking decision point under the model.
 #[inline]

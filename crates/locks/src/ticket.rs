@@ -106,7 +106,7 @@ impl RawLock for TicketLock {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, PoisonError};
 
     #[test]
     fn mutual_exclusion() {
@@ -139,7 +139,7 @@ mod tests {
         // two waiters take tickets in a known order; they must be served in
         // that order.
         let lock = Arc::new(TicketLock::new());
-        let order = Arc::new(parking_lot::Mutex::new(Vec::<u32>::new()));
+        let order = Arc::new(Mutex::new(Vec::<u32>::new()));
         lock.lock();
         let mut handles = Vec::new();
         for id in 0..3u32 {
@@ -155,7 +155,10 @@ mod tests {
                 while lock.now_serving.0.load(Ordering::Acquire) != my {
                     backoff.snooze();
                 }
-                order.lock().push(id);
+                order
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(id);
                 lock.unlock();
             }));
             while !ready.load(Ordering::Acquire) {
@@ -166,7 +169,11 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*order.lock(), vec![0, 1, 2], "ticket lock must serve FIFO");
+        assert_eq!(
+            *order.lock().unwrap_or_else(PoisonError::into_inner),
+            vec![0, 1, 2],
+            "ticket lock must serve FIFO"
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! deadlock in *any* schedule fails the test with a replayable trace.
 //!
 //! Invariants checked (ISSUE tier 1):
-//! * mutual exclusion for `TicketLock`, `PriorityTicketLock` (mixed
-//!   classes), `McsLock`, and `ClhLock`;
+//! * mutual exclusion for `TicketLock` and `PriorityTicketLock` (mixed
+//!   classes);
 //! * FIFO grant order for `TicketLock` (service order == arrival order);
 //! * the high-before-low grant invariant for `PriorityTicketLock`: while
 //!   a high-priority burst is pending (`high_pressure() >= 2` observed by
@@ -21,7 +21,7 @@ use loom::sync::Arc;
 use loom::EventLog;
 use mtmpi_locks::raw::RawLock;
 use mtmpi_locks::sys::{AtomicUsize, Ordering};
-use mtmpi_locks::{ClhLock, McsLock, PriorityTicketLock, TicketLock};
+use mtmpi_locks::{PriorityTicketLock, TicketLock};
 
 /// Assert single occupancy of a critical section guarded by `enter`/`exit`
 /// closures: increments must never observe a nonzero occupancy.
@@ -172,48 +172,6 @@ fn priority_high_before_low_when_burst_pending() {
         burst_observed.load(std::sync::atomic::Ordering::SeqCst),
         "no schedule ever observed the pending burst; invariant untested"
     );
-}
-
-#[test]
-fn mcs_mutual_exclusion_two_threads() {
-    loom::model(|| {
-        let lock = Arc::new(McsLock::new());
-        let occ = Arc::new(Occupancy::new());
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let (lock, occ) = (lock.clone(), occ.clone());
-            handles.push(loom::thread::spawn(move || {
-                let t = lock.lock();
-                occ.enter();
-                occ.exit();
-                lock.unlock(t);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    });
-}
-
-#[test]
-fn clh_mutual_exclusion_two_threads() {
-    loom::model(|| {
-        let lock = Arc::new(ClhLock::new());
-        let occ = Arc::new(Occupancy::new());
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let (lock, occ) = (lock.clone(), occ.clone());
-            handles.push(loom::thread::spawn(move || {
-                let t = lock.lock();
-                occ.enter();
-                occ.exit();
-                lock.unlock(t);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    });
 }
 
 #[test]

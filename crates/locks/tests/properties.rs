@@ -7,12 +7,11 @@
 //! safety, and clean final states.
 
 use mtmpi_locks::{
-    CohortTicketLock, CsLock, CsToken, FutexMutex, McsLock, PathClass, PriorityTicketLock, TasLock,
-    TicketLock, TtasLock,
+    CohortTicketLock, CsLock, FutexMutex, PathClass, PriorityTicketLock, TasLock, TicketLock,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Run `threads` threads doing `iters` increments of a shared (non-atomic
 /// in spirit) counter guarded by the lock; verify exclusion + the sum.
@@ -71,14 +70,8 @@ proptest! {
     }
 
     #[test]
-    fn mcs_no_lost_updates(threads in 2u32..5, iters in 1u32..300) {
-        exclusion_stress(McsLock::new(), threads, iters, &[PathClass::Main]);
-    }
-
-    #[test]
-    fn tas_ttas_no_lost_updates(threads in 2u32..4, iters in 1u32..300) {
+    fn tas_no_lost_updates(threads in 2u32..4, iters in 1u32..300) {
         exclusion_stress(TasLock::default(), threads, iters, &[PathClass::Main]);
-        exclusion_stress(TtasLock::default(), threads, iters, &[PathClass::Main]);
     }
 
     #[test]
@@ -131,7 +124,7 @@ proptest! {
 fn ticket_fifo_service_order_many_waiters() {
     use mtmpi_locks::RawLock;
     let lock = Arc::new(TicketLock::new());
-    let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let order = Arc::new(Mutex::new(Vec::new()));
     lock.lock();
     let mut handles = Vec::new();
     for id in 0..6u32 {
@@ -141,7 +134,10 @@ fn ticket_fifo_service_order_many_waiters() {
         handles.push(std::thread::spawn(move || {
             s2.store(true, Ordering::Release);
             lock.lock();
-            order.lock().push(id);
+            order
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(id);
             lock.unlock();
         }));
         while !started.load(Ordering::Acquire) {
@@ -157,7 +153,7 @@ fn ticket_fifo_service_order_many_waiters() {
     for h in handles {
         h.join().unwrap();
     }
-    let order = order.lock();
+    let order = order.lock().unwrap_or_else(PoisonError::into_inner);
     let sorted: Vec<u32> = {
         let mut v = order.clone();
         v.sort_unstable();
@@ -191,23 +187,4 @@ fn priority_burst_blocks_low() {
     lock.unlock_high();
     low.join().unwrap();
     assert!(low_entered.load(Ordering::SeqCst));
-}
-
-#[test]
-fn mcs_token_roundtrip_under_contention() {
-    let lock = Arc::new(McsLock::new());
-    let handles: Vec<_> = (0..4)
-        .map(|_| {
-            let lock = lock.clone();
-            std::thread::spawn(move || {
-                for _ in 0..500 {
-                    let t: CsToken = lock.lock();
-                    lock.unlock(t);
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
 }

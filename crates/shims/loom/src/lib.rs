@@ -606,11 +606,6 @@ pub mod sync {
         //! (orderings are accepted for API compatibility and ignored).
         pub use std::sync::atomic::Ordering;
 
-        /// SC fence: a pure decision point under the model.
-        pub fn fence(_order: Ordering) {
-            crate::op_decision(false);
-        }
-
         macro_rules! model_atomic {
             ($name:ident, $std:ident, $t:ty) => {
                 /// Model-aware atomic; see module docs.
@@ -720,66 +715,6 @@ pub mod sync {
         model_atomic_arith!(AtomicU32, u32);
         model_atomic_arith!(AtomicU64, u64);
         model_atomic_arith!(AtomicUsize, usize);
-
-        /// Model-aware atomic pointer.
-        #[derive(Debug)]
-        pub struct AtomicPtr<T> {
-            inner: std::sync::atomic::AtomicPtr<T>,
-        }
-
-        impl<T> Default for AtomicPtr<T> {
-            fn default() -> Self {
-                Self::new(std::ptr::null_mut())
-            }
-        }
-
-        impl<T> AtomicPtr<T> {
-            /// Create a new atomic pointer.
-            pub const fn new(p: *mut T) -> Self {
-                Self {
-                    inner: std::sync::atomic::AtomicPtr::new(p),
-                }
-            }
-
-            /// Atomic load (decision point).
-            pub fn load(&self, _o: Ordering) -> *mut T {
-                crate::op_decision(false);
-                let v = self.inner.load(Ordering::SeqCst);
-                crate::op_note(false);
-                v
-            }
-
-            /// Atomic store.
-            pub fn store(&self, p: *mut T, _o: Ordering) {
-                crate::op_decision(false);
-                let old = self.inner.swap(p, Ordering::SeqCst);
-                crate::op_note(old != p);
-            }
-
-            /// Atomic swap.
-            pub fn swap(&self, p: *mut T, _o: Ordering) -> *mut T {
-                crate::op_decision(false);
-                let old = self.inner.swap(p, Ordering::SeqCst);
-                crate::op_note(old != p);
-                old
-            }
-
-            /// Atomic compare-exchange.
-            pub fn compare_exchange(
-                &self,
-                current: *mut T,
-                new: *mut T,
-                _ok: Ordering,
-                _err: Ordering,
-            ) -> Result<*mut T, *mut T> {
-                crate::op_decision(false);
-                let r =
-                    self.inner
-                        .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst);
-                crate::op_note(r.is_ok() && current != new);
-                r
-            }
-        }
     }
 }
 

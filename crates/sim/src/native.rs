@@ -8,8 +8,8 @@
 
 use crate::platform::{LockId, LockKind, Payload, Platform, PlatformReport, ThreadDesc};
 use mtmpi_locks::{
-    ClhLock, CohortTicketLock, CsLock, CsToken, FutexMutex, McsLock, PathClass, PriorityTicketLock,
-    TasLock, TicketLock, Traced, TtasLock,
+    CohortTicketLock, CsLock, CsToken, FutexMutex, PathClass, PriorityTicketLock, TasLock,
+    TicketLock, Traced,
 };
 use mtmpi_net::NetModel;
 use mtmpi_topology::ClusterTopology;
@@ -120,9 +120,6 @@ impl NativePlatform {
                 Box::new(CohortTicketLock::new(self.cluster.node.sockets, budget))
             }
             LockKind::Tas => Box::new(TasLock::default()),
-            LockKind::Ttas => Box::new(TtasLock::default()),
-            LockKind::Mcs => Box::new(McsLock::new()),
-            LockKind::Clh => Box::new(ClhLock::new()),
             // Natively the selective hint has no consumer; FIFO is the
             // closest behaviour.
             LockKind::Selective => Box::new(TicketLock::new()),

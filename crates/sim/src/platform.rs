@@ -30,12 +30,6 @@ pub enum LockKind {
     },
     /// Test-and-set spinlock baseline.
     Tas,
-    /// Test-and-test-and-set spinlock baseline.
-    Ttas,
-    /// MCS queue lock baseline (native only; modelled as FIFO virtually).
-    Mcs,
-    /// CLH queue lock baseline (native only; modelled as FIFO virtually).
-    Clh,
     /// Selective wake-up (the paper's §9 future-work idea): FIFO order,
     /// but a waiter whose request was just completed (signalled by the
     /// runtime via [`Platform::lock_boost`]) jumps the queue — it is the
@@ -52,9 +46,6 @@ impl LockKind {
             LockKind::Priority => "priority",
             LockKind::Cohort { .. } => "cohort",
             LockKind::Tas => "tas",
-            LockKind::Ttas => "ttas",
-            LockKind::Mcs => "mcs",
-            LockKind::Clh => "clh",
             LockKind::Selective => "selective",
         }
     }

@@ -257,7 +257,7 @@ impl VLock {
             State::HandOff { winner, at } => {
                 let pending_at = *at;
                 let loser = winner.clone();
-                if matches!(self.kind, LockKind::Mutex | LockKind::Tas | LockKind::Ttas) {
+                if matches!(self.kind, LockKind::Mutex | LockKind::Tas) {
                     // CAS race: the newcomer observes the free line after
                     // the fetch latency from the *releaser's* core, plus
                     // the lock-call turnaround overhead.
@@ -316,7 +316,7 @@ impl VLock {
     /// Choose the next owner among `self.waiters`; returns (index, time).
     fn select_winner(&mut self, t: u64, rel_core: CoreId, rel_socket: SocketId) -> (usize, u64) {
         match self.kind {
-            LockKind::Ticket | LockKind::Mcs | LockKind::Clh => {
+            LockKind::Ticket => {
                 let w = &self.waiters[0];
                 let at = t + self.handoff.between(&self.topo, rel_core, w.core);
                 (0, at)
@@ -392,7 +392,7 @@ impl VLock {
                 (idx, at)
             }
             LockKind::Mutex => self.select_mutex_winner(t, rel_core),
-            LockKind::Tas | LockKind::Ttas => {
+            LockKind::Tas => {
                 // Pure CAS race among all (busy-waiting) waiters.
                 let mut best = (0usize, u64::MAX);
                 let n = self.waiters.len();

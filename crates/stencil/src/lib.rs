@@ -24,9 +24,8 @@
 
 use mtmpi_runtime::{MsgData, RankHandle, Request};
 use mtmpi_sim::SpinBarrier;
-use parking_lot::Mutex;
 use std::cell::UnsafeCell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Diffusion coefficient used by every run in the workspace.
 pub const ALPHA: f64 = 0.1;
@@ -429,10 +428,13 @@ pub fn stencil_thread(st: &RankStencil, h: &RankHandle, thread: u32) -> Option<P
         st.barrier.wait(platform.as_ref());
         mine.sync_ns += platform.now_ns() - t_sync;
     }
-    st.stats.lock().merge(&mine);
+    st.stats
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .merge(&mine);
     st.barrier.wait(platform.as_ref());
     if thread == 0 {
-        Some(*st.stats.lock())
+        Some(*st.stats.lock().unwrap_or_else(PoisonError::into_inner))
     } else {
         None
     }

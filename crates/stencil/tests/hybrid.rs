@@ -2,7 +2,7 @@
 
 use mtmpi::prelude::*;
 use mtmpi_stencil::{assemble_global, stencil_serial, stencil_thread, RankStencil, StencilConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 fn run_distributed(cfg: &StencilConfig, method: Method, nodes: u32, seed: u64) -> Vec<f64> {
     let per_rank: Vec<Arc<RankStencil>> = (0..cfg.nranks())
@@ -103,7 +103,7 @@ fn phase_stats_cover_time() {
     let per_rank: Vec<Arc<RankStencil>> = (0..cfg.nranks())
         .map(|r| Arc::new(RankStencil::new(&cfg, r)))
         .collect();
-    let stats = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let stats = Arc::new(Mutex::new(Vec::new()));
     let exp = Experiment::with_seed(2, 5);
     let (pr, st2) = (per_rank.clone(), stats.clone());
     exp.run(
@@ -114,11 +114,11 @@ fn phase_stats_cover_time() {
         move |ctx| {
             let st = pr[ctx.rank.rank() as usize].clone();
             if let Some(s) = stencil_thread(&st, &ctx.rank, ctx.thread) {
-                st2.lock().push(s);
+                st2.lock().unwrap_or_else(PoisonError::into_inner).push(s);
             }
         },
     );
-    let stats = stats.lock();
+    let stats = stats.lock().unwrap_or_else(PoisonError::into_inner);
     assert_eq!(stats.len(), 2, "one report per rank");
     for s in stats.iter() {
         assert!(s.compute_ns > 0, "compute time accounted");

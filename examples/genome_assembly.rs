@@ -11,8 +11,7 @@ use mtmpi::prelude::*;
 use mtmpi_assembly::{
     assembly_receiver, assembly_worker, random_genome, sample_reads, AssemblyConfig, AssemblyShared,
 };
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 fn main() {
     let genome_len = 10_000;
@@ -53,14 +52,17 @@ fn main() {
                 let s = sh[ctx.rank.rank() as usize].clone();
                 if ctx.thread == 0 {
                     if let Some(r) = assembly_worker(&s, &ctx.rank) {
-                        *st.lock() = Some(r);
+                        *st.lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
                     }
                 } else {
                     assembly_receiver(&s, &ctx.rank);
                 }
             },
         );
-        let s = stats.lock().expect("rank 0 reports");
+        let s = stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .expect("rank 0 reports");
         assert_eq!(s.total_bases, genome_len as u64, "genome reconstructed");
         println!(
             "{:>8}: {:>8.2} ms virtual | contigs {} | longest {} | k-mers {}",

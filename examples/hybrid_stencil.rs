@@ -8,8 +8,7 @@
 
 use mtmpi::prelude::*;
 use mtmpi_stencil::{assemble_global, stencil_serial, stencil_thread, RankStencil, StencilConfig};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 fn main() {
     let cfg = StencilConfig {
@@ -40,7 +39,7 @@ fn main() {
             move |ctx| {
                 let s = pr[ctx.rank.rank() as usize].clone();
                 if let Some(ps) = stencil_thread(&s, &ctx.rank, ctx.thread) {
-                    st.lock().merge(&ps);
+                    st.lock().unwrap_or_else(PoisonError::into_inner).merge(&ps);
                 }
             },
         );
@@ -51,7 +50,7 @@ fn main() {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(err < 1e-12, "numerical mismatch {err}");
-        let s = *stats.lock();
+        let s = *stats.lock().unwrap_or_else(PoisonError::into_inner);
         let total = s.total_ns().max(1) as f64;
         let gflops = cfg.total_flops() as f64 / out.end_ns as f64; // flops/ns = Gflops
         println!(

@@ -9,17 +9,17 @@
 #              Acquire-less published loads, nested critical sections,
 #              determinism sources, panics on typed-error paths,
 #              undocumented unsafe, host guards held across a
-#              simulated-thread suspension) over the whole workspace,
-#              gated by
-#              crates/lint/baseline.txt (DESIGN.md section 13)
+#              simulated-thread suspension) over the whole workspace;
+#              any finding fails, and only a `// lint: allow(Lxxx) <why>`
+#              comment at the site accepts one (DESIGN.md section 13)
 #   test       workspace test suite (includes the runtime's request-ledger
 #              negative tests and mtmpi-lint's fixture + whole-tree tests)
 #   release    the simulator, runtime, facade, serve and Graph500 test
 #              suites again, optimised: the fiber transport's unsafe paths,
 #              the debug-only checks' release branches, and the BFS path's
 #              literal hash pins as the figures run them
-#   loom       model checking of the lock algorithms, the VCI claim
-#              protocol and the stream claim word (serialized-thread
+#   loom       model checking of the ticket and priority ticket locks,
+#              the VCI claim protocol and the stream claim word (serialized-thread
 #              shim; see crates/locks/src/sys.rs,
 #              crates/runtime/tests/loom_claim.rs + loom_stream.rs)
 #   tsan       ThreadSanitizer over the locks crate. Prefers an

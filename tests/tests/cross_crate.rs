@@ -161,7 +161,8 @@ fn native_platform_end_to_end() {
         LockKind::Mutex,
         LockKind::Ticket,
         LockKind::Priority,
-        LockKind::Mcs,
+        LockKind::Cohort { budget: 4 },
+        LockKind::Tas,
     ] {
         let p: Arc<dyn Platform> = Arc::new(NativePlatform::new(
             presets::nehalem_cluster_scaled(2),

@@ -8,7 +8,7 @@
 use mtmpi::prelude::*;
 use mtmpi_obs::EventKind;
 use mtmpi_topology::CoreId;
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 const N_MSGS: i32 = 30;
 
@@ -32,7 +32,9 @@ fn wildcard_run(seed: u64, plan: Option<FaultPlan>) -> (RunOutcome, Vec<(u32, i3
             if h.rank() == 0 {
                 for _ in 0..2 * N_MSGS {
                     let m = h.recv(None, None);
-                    log.lock().push((m.src, m.tag));
+                    log.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push((m.src, m.tag));
                 }
             } else {
                 for i in 0..N_MSGS {
@@ -41,7 +43,7 @@ fn wildcard_run(seed: u64, plan: Option<FaultPlan>) -> (RunOutcome, Vec<(u32, i3
             }
         },
     );
-    let v = order.lock().clone();
+    let v = order.lock().unwrap_or_else(PoisonError::into_inner).clone();
     (out, v)
 }
 

@@ -11,7 +11,7 @@
 
 use mtmpi::prelude::*;
 use mtmpi_topology::CoreId;
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 fn assert_quiescent(out: &RunOutcome) {
     for rank in 0..out.nranks {
@@ -281,13 +281,15 @@ fn wildcard_irecv_falls_back_to_the_sharded_fanout() {
                 let s = ctx.rank.stream_at(0);
                 for _ in 0..10 {
                     let m = s.recv(None, None);
-                    log.lock().push(m.tag);
+                    log.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(m.tag);
                 }
             }
         },
     );
     assert_quiescent(&out);
-    let mut tags = order.lock().clone();
+    let mut tags = order.lock().unwrap_or_else(PoisonError::into_inner).clone();
     tags.sort_unstable();
     assert_eq!(tags, (0..10).collect::<Vec<_>>(), "every message once");
 }

@@ -13,7 +13,7 @@
 
 use mtmpi::prelude::*;
 use mtmpi_prof::{vci_loads, BlameMatrix};
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 const N_MSGS: i32 = 30;
 
@@ -41,7 +41,9 @@ fn cross_shard_wildcard_run(seed: u64, plan: Option<FaultPlan>) -> (RunOutcome, 
             if h.rank() == 0 {
                 for _ in 0..2 * N_MSGS {
                     let m = h.recv(None, None);
-                    log.lock().push((m.src, m.tag));
+                    log.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push((m.src, m.tag));
                 }
             } else {
                 for i in 0..N_MSGS {
@@ -50,7 +52,7 @@ fn cross_shard_wildcard_run(seed: u64, plan: Option<FaultPlan>) -> (RunOutcome, 
             }
         },
     );
-    let v = order.lock().clone();
+    let v = order.lock().unwrap_or_else(PoisonError::into_inner).clone();
     (out, v)
 }
 
@@ -149,7 +151,9 @@ fn tag_spread_wildcard_recv_survives_drops_and_dups() {
                 for _ in 0..N_MSGS {
                     // Tag unknown + tags routed ⇒ fan-out to all shards.
                     let m = h.recv(Some(0), None);
-                    log.lock().push(m.tag);
+                    log.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(m.tag);
                 }
                 h.send(0, 900, MsgData::Synthetic(1));
                 let _ = h.recv(Some(0), Some(901));
@@ -166,7 +170,7 @@ fn tag_spread_wildcard_recv_survives_drops_and_dups() {
         .filter(|e| matches!(e.kind, mtmpi_obs::EventKind::FaultInjected { .. }))
         .count();
     assert!(injected > 0, "no faults injected — plan not wired through");
-    let tags = order.lock().clone();
+    let tags = order.lock().unwrap_or_else(PoisonError::into_inner).clone();
     assert_eq!(tags.len(), N_MSGS as usize);
     // Exactly-once: every tag seen once.
     let mut sorted = tags.clone();

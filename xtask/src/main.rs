@@ -19,16 +19,14 @@
 //! * `top <fig>` — render the windowed contention view (who holds the
 //!   runtime critical section, when) of `results/BENCH_<fig>.json`.
 //!
-//! * `lint [--json] [--update-baseline]` — run mtmpi-lint, the
-//!   concurrency-contract static analysis (rules L001–L007: Relaxed
-//!   hand-off mutations, Acquire-less published loads, nested critical
-//!   sections, determinism sources, panics on typed-error paths,
-//!   undocumented unsafe, host guards across a simulated-thread
-//!   suspension), over the whole workspace. Exit code 1 if any
-//!   finding is not covered by `crates/lint/baseline.txt`. Suppress a
-//!   deliberate site with `// lint: allow(L00x) <why>` on the same or
-//!   preceding line (the legacy `// lint: relaxed-ok` still means
-//!   `allow(L001)`). See DESIGN.md §13 and `crates/lint`.
+//! * `lint` — run mtmpi-lint, the concurrency-contract static analysis
+//!   (rules L001–L007: Relaxed hand-off mutations, Acquire-less
+//!   published loads, nested critical sections, determinism sources,
+//!   panics on typed-error paths, undocumented unsafe, host guards
+//!   across a simulated-thread suspension), over the whole workspace.
+//!   Exit code 1 on any finding. Accept a deliberate site with
+//!   `// lint: allow(L00x) <why>` on the same or preceding line. See
+//!   DESIGN.md §13 and `crates/lint`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -46,35 +44,20 @@ fn workspace_root() -> PathBuf {
 }
 
 /// The mtmpi-lint gate. Exit-code contract (unchanged since the
-/// original regex pass): 0 when clean, 1 when any unbaselined finding
-/// survives; findings go to stdout, the failure summary to stderr.
-fn run_lint(json: bool, update_baseline: bool) -> Result<(), String> {
-    let root = workspace_root();
-    if update_baseline {
-        let n = mtmpi_lint::update_baseline(&root)
-            .map_err(|e| format!("cannot write baseline: {e}"))?;
-        println!(
-            "xtask lint: baseline rewritten with {n} entr{} — justify each before committing",
-            if n == 1 { "y" } else { "ies" }
-        );
-        return Ok(());
-    }
-    let report = mtmpi_lint::run(&root).map_err(|e| e.to_string())?;
-    if json {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
+/// original regex pass): 0 when clean, 1 on any finding; findings go to
+/// stdout, the failure summary to stderr.
+fn run_lint(root: &Path) -> Result<(), String> {
+    let report = mtmpi_lint::run(root);
+    print!("{}", report.render_text());
     if report.ok() {
         Ok(())
     } else {
-        Err(format!("{} finding(s)", report.fresh.len()))
+        Err(format!("{} finding(s)", report.findings.len()))
     }
 }
 
 const USAGE: &str = "usage: cargo run -p xtask -- <command>\n\n\
-    lint         [--json] [--update-baseline] mtmpi-lint static analysis (L001–L007)\n\
-    \x20            vs crates/lint/baseline.txt\n\
+    lint         mtmpi-lint static analysis (L001–L007)\n\
     trace <fig>  run a figure binary traced, twice: validate its JSON outputs and that the\n\
     \x20            trace and .prom replay byte for byte (e.g. trace fig2a)\n\
     bench-diff   run every figure baselined in results/baseline/ once: each fresh\n\
@@ -87,17 +70,10 @@ fn dispatch(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<(), Str
     let unknown = |a: &str| Err(format!("unknown argument {a:?}\n{USAGE}"));
     let missing = || format!("missing argument\n{USAGE}");
     match cmd {
-        "lint" => {
-            let (mut json, mut update) = (false, false);
-            for a in args {
-                match a.as_str() {
-                    "--json" => json = true,
-                    "--update-baseline" => update = true,
-                    other => return unknown(other),
-                }
-            }
-            run_lint(json, update)
-        }
+        "lint" => match args.next() {
+            Some(a) => unknown(&a),
+            None => run_lint(&root),
+        },
         "trace" => trace::run_trace(&args.next().ok_or_else(missing)?, &root),
         "bench-diff" => match args.next() {
             Some(a) => unknown(&a),
