@@ -8,8 +8,9 @@
 //!   record per run (label, grid, end time, CS wait/hold and
 //!   message-latency p50/p99/max), the registered series and scalars, and
 //!   — for the first run of each configuration — a `prof` block (blame
-//!   matrix, critical-path latency decomposition, windowed aggregation,
-//!   embedded text report) produced by `mtmpi-prof`;
+//!   matrix, critical-path latency decomposition, windowed aggregation)
+//!   produced by `mtmpi-prof`, stored as data only (`xtask top <id>`
+//!   renders its human view);
 //! * `results/<id>.prom` (always) — the same profile as a Prometheus-style
 //!   text exposition, one gauge family per metric;
 //! * `results/<id>.trace.json` (only when tracing is on) — a merged
@@ -312,7 +313,7 @@ mod tests {
         let j = fig.summary_json();
         assert_eq!(j.matches("\"prof\":").count(), 1, "only the traced run");
         assert!(j.contains("\"blame\":"));
-        assert!(j.contains("\"text_report\":"));
+        assert!(!j.contains("\"text_report\":"), "the view is not stored");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 

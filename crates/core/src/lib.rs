@@ -43,7 +43,7 @@ pub mod prelude {
     pub use crate::harness::{Experiment, ObsConfig, RunConfig, RunOutcome, TenantRun, ThreadCtx};
     pub use crate::method::Method;
     pub use mtmpi_metrics::{summary, BiasAnalysis, Histogram, Series, Table};
-    pub use mtmpi_obs::{chrome_trace, jsonl, text_report, CsStats, RunRecord, Sink, Timeline};
+    pub use mtmpi_obs::{chrome_trace, jsonl, CsStats, RunRecord, Sink, Timeline};
     pub use mtmpi_runtime::prelude::*;
     pub use mtmpi_sim::{SimError, StepOutcome};
     pub use mtmpi_topology::{Binding, BindingPolicy};

@@ -15,7 +15,7 @@
 //! * [`hist`] — log2-bucketed histograms (CS wait/hold, message latency)
 //!   with p50/p99/max summaries, cheap enough to keep always-on.
 //! * [`series`] — simple labelled series and statistics helpers.
-//! * [`table`] — fixed-width table / CSV rendering used by every figure
+//! * [`table`] — fixed-width table rendering used by every figure
 //!   binary so outputs look like the paper's data.
 
 pub mod bias;

@@ -1,8 +1,8 @@
 //! Fixed-width table rendering for figure binaries.
 //!
-//! Every experiment binary prints its results as one of these tables (and
-//! optionally CSV), so `cargo run -p mtmpi-bench --bin figXX` output reads
-//! like the corresponding figure's data.
+//! Every experiment binary prints its results as one of these tables, so
+//! `cargo run -p mtmpi-bench --bin figXX` output reads like the
+//! corresponding figure's data.
 
 use crate::series::Series;
 
@@ -84,18 +84,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.header.join(","));
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Human-friendly number formatting: integers plain, large values with few
@@ -134,11 +122,11 @@ mod tests {
         let mut b = Series::new("B");
         b.push(2.0, 200.0);
         let t = Table::from_series("x", &[a, b]);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().count(), 3);
+        let s = t.render();
+        assert_eq!(s.lines().count(), 4, "header, rule and two x rows: {s}");
         assert!(
-            csv.lines().nth(1).unwrap().contains("-"),
-            "missing cell dashed: {csv}"
+            s.lines().nth(2).unwrap().ends_with(" -"),
+            "missing cell dashed: {s}"
         );
     }
 

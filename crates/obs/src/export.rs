@@ -1,5 +1,4 @@
-//! Timeline exporters: Chrome trace-event JSON, JSONL, and a fixed-width
-//! text report.
+//! Timeline exporters: Chrome trace-event JSON and JSONL.
 //!
 //! The Chrome format is the trace-event JSON understood by
 //! `chrome://tracing` and Perfetto: an object with a `traceEvents` array
@@ -13,13 +12,12 @@
 //! [`Writer`] buffer sized from the event count, separators included, and
 //! that buffer is the `String` returned — no per-event `String`, no
 //! joined copy. [`ChromeDoc`] is the one place that knows the document
-//! frame; [`chrome_trace`], [`chrome_trace_multi`], the figure harness's
+//! frame; [`chrome_trace`], the figure harness's
 //! `--trace` export and the prof layer's counter track all go through it.
 
 use crate::event::{Event, EventKind};
-use crate::json::{fmt_f64, Writer};
+use crate::json::Writer;
 use crate::recorder::Timeline;
-use mtmpi_metrics::{Histogram, Table};
 use std::collections::BTreeSet;
 
 /// Stable Perfetto flow-event id of one message. The link sequence
@@ -368,11 +366,6 @@ pub fn chrome_trace(t: &Timeline) -> String {
     doc.finish()
 }
 
-/// Merge several named timelines into one Chrome trace document.
-pub fn chrome_trace_multi(runs: &[(&str, &Timeline)]) -> String {
-    ChromeDoc::new(runs).finish()
-}
-
 /// One JSON object per line, one line per event — greppable and
 /// stream-parseable.
 pub fn jsonl(t: &Timeline) -> String {
@@ -385,23 +378,6 @@ pub fn jsonl(t: &Timeline) -> String {
         fields::<true>(&mut w, ev);
     }
     w.finish()
-}
-
-/// Fixed-width text summary of named histograms (nanosecond samples),
-/// rendered with [`mtmpi_metrics::Table`].
-pub fn text_report(entries: &[(&str, &Histogram)]) -> String {
-    let mut t = Table::new(&["metric", "count", "p50_ns", "p99_ns", "max_ns", "mean_ns"]);
-    for (name, h) in entries {
-        t.row(vec![
-            (*name).to_owned(),
-            h.count().to_string(),
-            h.p50().to_string(),
-            h.p99().to_string(),
-            h.max().to_string(),
-            fmt_f64(h.mean()),
-        ]);
-    }
-    t.render()
 }
 
 #[cfg(test)]
@@ -496,7 +472,7 @@ mod tests {
     #[test]
     fn multi_trace_names_processes() {
         let t = sample_timeline();
-        let s = chrome_trace_multi(&[("mutex", &t), ("ticket", &t)]);
+        let s = ChromeDoc::new(&[("mutex", &t), ("ticket", &t)]).finish();
         assert!(s.contains("\"process_name\""));
         assert!(s.contains("\"name\":\"mutex\""));
         assert!(s.contains("\"name\":\"ticket\""));
@@ -560,7 +536,7 @@ mod tests {
         assert!(doc.contains(&format!("\"tid\":{}", VCI_LANE_TID_BASE + 3)));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
         // A merged document gives every sharded process its own lanes.
-        let multi = chrome_trace_multi(&[("a", &sharded), ("b", &t), ("c", &sharded)]);
+        let multi = ChromeDoc::new(&[("a", &sharded), ("b", &t), ("c", &sharded)]).finish();
         assert_eq!(lane_events(&multi), 2 * (2 + 2));
     }
 
@@ -679,24 +655,12 @@ mod tests {
         // must NOT reuse one flow id, or Perfetto stitches run 0's send
         // to run 1's receive.
         let (a, b) = (mk(0, 1, 7), mk(0, 1, 7));
-        let doc = chrome_trace_multi(&[("run0", &a), ("run1", &b)]);
+        let doc = ChromeDoc::new(&[("run0", &a), ("run1", &b)]).finish();
         let raw = format!("\"id\":\"{:x}\"", flow_id(0, 1, 7));
         // pid 0 keeps the raw id (so single-run docs are unchanged)...
         assert_eq!(doc.matches(&raw).count(), 1, "pid 0 renders the raw id");
         // ...and pid 1's id differs.
         let scoped = format!("\"id\":\"{:x}\"", flow_id(0, 1, 7) ^ scramble64(1));
         assert_eq!(doc.matches(&scoped).count(), 1, "pid 1 is scoped");
-    }
-
-    #[test]
-    fn text_report_renders_rows() {
-        let mut h = Histogram::new();
-        for v in [100u64, 200, 300] {
-            h.record(v);
-        }
-        let s = text_report(&[("cs_wait", &h), ("cs_hold", &Histogram::new())]);
-        assert!(s.contains("cs_wait"));
-        assert!(s.contains("cs_hold"));
-        assert!(s.contains("p99_ns"));
     }
 }

@@ -15,8 +15,7 @@
 //!   holds an `Option<Arc<RingRecorder>>`; `None` is recording off and
 //!   costs one branch per site.
 //! * [`export`] — Chrome trace-event JSON (loadable in `chrome://tracing`
-//!   and Perfetto), JSONL, and a fixed-width text report reusing
-//!   [`mtmpi_metrics::Table`].
+//!   and Perfetto) and JSONL.
 //! * [`summary`] — p50/p99/max summaries of [`mtmpi_metrics::Histogram`]
 //!   and the [`Sink`] the bench layer uses to collect per-run records
 //!   into `BENCH_*.json`.
@@ -34,9 +33,7 @@ pub mod recorder;
 pub mod summary;
 
 pub use event::{CsOp, Event, EventKind, Path, ReqPhase};
-pub use export::{
-    chrome_trace, chrome_trace_multi, flow_id, jsonl, text_report, ChromeDoc, VCI_LANE_TID_BASE,
-};
+pub use export::{chrome_trace, flow_id, jsonl, ChromeDoc, VCI_LANE_TID_BASE};
 pub use recorder::{
     swap_shard_claim, CsSpanView, RingRecorder, ShardClaim, Timeline, TimelineWindows,
     DEFAULT_SHARD_CAP,

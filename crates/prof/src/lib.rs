@@ -17,14 +17,15 @@
 //!   wait quantiles and acquisition shares, powering `xtask top` and the
 //!   Perfetto counter track.
 //! * [`report`] — [`ProfReport`]: one run's blame + decomposition +
-//!   windows, with deterministic JSON / text / counter-track / Prometheus
+//!   windows, with deterministic JSON / counter-track / Prometheus
 //!   exposition renderings (all hand-rolled; the workspace carries no
 //!   JSON or HTTP dependency).
 //! * [`json`] — a minimal JSON *value* parser (the consuming side of the
 //!   artifacts the bench layer writes; `xtask`'s gates compare those
 //!   artifacts as texts and use it to name the first differing path).
-//! * [`top`] — the fixed-width `xtask top` view over a figure's windowed
-//!   aggregation.
+//! * [`top`] — `xtask top`, the one human view of a profile: rendered
+//!   from a figure's `prof` blocks (decomposition, top blocked-by pairs,
+//!   acquisition shares, windowed aggregation) as fixed-width tables.
 
 pub mod blame;
 pub mod decomp;

@@ -1,18 +1,20 @@
-//! [`ProfReport`]: one run's full profile, with every rendering.
+//! [`ProfReport`]: one run's full profile, with its machine renderings.
 //!
 //! The bench layer calls [`ProfReport::analyze`] on each traced run and
 //! embeds [`ProfReport::to_json`] as the run's `"prof"` block inside
-//! `BENCH_<id>.json`; the same struct renders the human `text_report`,
-//! the Perfetto counter-track events appended to `results/<id>.trace.json`,
-//! and the Prometheus-style exposition written to `results/<id>.prom`.
-//! All four renderings are pure functions of the deterministic timeline,
-//! so they are byte-identical across same-seed runs.
+//! `BENCH_<id>.json`; the same struct renders the Perfetto counter-track
+//! events appended to `results/<id>.trace.json` and the Prometheus-style
+//! exposition written to `results/<id>.prom`. The human view is not
+//! stored: `xtask top` renders it from the `"prof"` block
+//! ([`crate::top`]). All three renderings are pure functions of the
+//! deterministic timeline, so they are byte-identical across same-seed
+//! runs.
 
 use crate::blame::BlameMatrix;
 use crate::decomp::LatencyDecomp;
 use crate::window::Windows;
-use mtmpi_metrics::{Histogram, Table};
-use mtmpi_obs::json::{fmt_f64, fmt_us, Writer};
+use mtmpi_metrics::Histogram;
+use mtmpi_obs::json::{fmt_f64, Writer};
 use mtmpi_obs::{ChromeDoc, Timeline};
 
 /// One run's blame matrix, latency decomposition, and windowed series.
@@ -37,9 +39,8 @@ impl ProfReport {
         }
     }
 
-    /// The `"prof"` JSON block (one line, deterministic). Includes the
-    /// rendered `text_report` as an escaped string member so the artifact
-    /// is self-describing.
+    /// The `"prof"` JSON block (one line, deterministic): the profile as
+    /// data. `xtask top` renders its human view from this block.
     pub fn to_json(&self) -> String {
         let mut out = Writer::default();
         out.uint("{\"blame\":{\"total_wait_ns\":", self.blame.total_wait_ns)
@@ -104,107 +105,8 @@ impl ProfReport {
                 .float(",\"gini\":", w.gini)
                 .raw("}");
         }
-        out.string("]},\"text_report\":", &self.text_report())
-            .raw("}");
+        out.raw("]}}");
         out.finish()
-    }
-
-    /// Fixed-width human rendering: decomposition, top blame pairs,
-    /// acquisition shares, starvation.
-    pub fn text_report(&self) -> String {
-        let mut out = String::new();
-        let d = &self.decomp;
-
-        out.push_str("critical-path decomposition (mean ns/message)\n");
-        let mut t = Table::new(&["segment", "ns/msg", "%"]);
-        let pct = |v: f64| {
-            if d.mean_ns > 0.0 {
-                format!("{:.1}", 100.0 * v / d.mean_ns)
-            } else {
-                "0.0".into()
-            }
-        };
-        for (name, v) in [
-            ("cs-wait", d.cs_wait_ns),
-            ("cs-hold", d.cs_hold_ns),
-            ("poll-batch", d.poll_ns),
-            ("retry", d.retry_ns),
-            ("network", d.network_ns),
-        ] {
-            t.row(vec![name.into(), format!("{v:.1}"), pct(v)]);
-        }
-        t.row(vec![
-            "total".into(),
-            format!("{:.1}", d.mean_ns),
-            "100.0".into(),
-        ]);
-        out.push_str(&t.render());
-        if d.scale < 1.0 {
-            out.push_str(&format!(
-                "(runtime segments scaled by {:.3}: trace covers more work than the latency window)\n",
-                d.scale
-            ));
-        }
-
-        out.push_str("\nblame matrix: top blocked-by pairs\n");
-        let mut pairs: Vec<(u64, u64, &'static str, &'static str, u64)> = Vec::new();
-        for r in &self.blame.rows {
-            for c in &r.cells {
-                pairs.push((
-                    r.waiter_tid,
-                    c.holder.tid,
-                    c.holder.path().label(),
-                    c.holder.op().label(),
-                    c.ns,
-                ));
-            }
-        }
-        pairs.sort_by_key(|p| (std::cmp::Reverse(p.4), p.0, p.1));
-        let mut t = Table::new(&["waiter", "holder", "path", "op", "blocked_us", "%wait"]);
-        let shown = pairs.len().min(10);
-        for &(w, h, path, op, ns) in &pairs[..shown] {
-            let pct = if self.blame.total_wait_ns > 0 {
-                format!("{:.1}", 100.0 * ns as f64 / self.blame.total_wait_ns as f64)
-            } else {
-                "0.0".into()
-            };
-            t.row(vec![
-                format!("t{w}"),
-                format!("t{h}"),
-                path.into(),
-                op.into(),
-                fmt_us(ns),
-                pct,
-            ]);
-        }
-        out.push_str(&t.render());
-        if pairs.len() > shown {
-            out.push_str(&format!("({} more pairs omitted)\n", pairs.len() - shown));
-        }
-        let unattributed: u64 = self.blame.rows.iter().map(|r| r.unattributed_ns).sum();
-        out.push_str(&format!(
-            "total cs-wait {} us; unattributed (hand-off) {} us\n",
-            fmt_us(self.blame.total_wait_ns),
-            fmt_us(unattributed)
-        ));
-
-        out.push_str("\nacquisition shares\n");
-        let mut t = Table::new(&["thread", "acq", "share", "hold_us"]);
-        for s in &self.blame.shares {
-            t.row(vec![
-                format!("t{}", s.tid),
-                s.acquisitions.to_string(),
-                format!("{:.3}", s.share),
-                fmt_us(s.hold_ns),
-            ]);
-        }
-        out.push_str(&t.render());
-        let st = &self.blame.starvation;
-        out.push_str(&format!(
-            "gini {:.3}; progress starvation ratio {:.2} ({} progress vs {} main spans)\n",
-            self.blame.gini, st.ratio, st.progress_spans, st.main_spans
-        ));
-        out
     }
 
     /// Append the Perfetto counter track (`"ph":"C"`) to a Chrome trace
@@ -337,7 +239,6 @@ mod tests {
             .map(|row| row.get("total_ns").unwrap().as_u64().unwrap())
             .sum();
         assert_eq!(sum, total);
-        assert!(parsed.get("text_report").unwrap().as_str().is_some());
         assert!(
             parsed
                 .get("decomp")
@@ -352,7 +253,12 @@ mod tests {
     #[test]
     fn text_report_names_the_players() {
         let r = ProfReport::analyze(&demo_timeline(), &demo_latency());
-        let txt = r.text_report();
+        let doc = format!(
+            "{{\"id\":\"demo\",\"runs\":[{{\"label\":\"mutex\",\"threads\":3,\
+             \"nodes\":1,\"prof\":{}}}]}}",
+            r.to_json()
+        );
+        let txt = crate::top::top_report(&doc).unwrap();
         assert!(txt.contains("critical-path decomposition"));
         assert!(txt.contains("blame matrix"));
         assert!(txt.contains("progress"));

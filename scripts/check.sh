@@ -44,7 +44,8 @@
 #              results/<fig>.trace.json are well-formed JSON, and require
 #              the trace and results/<fig>.prom to be byte-identical
 #              between the two same-seed runs (a trace is a pure
-#              function of the seed).
+#              function of the seed); then render fig2a's profiles
+#              with `xtask top`, the one human view of a prof block.
 #   bench-diff the one figure gate (`xtask bench-diff`): run every
 #              figure with a BENCH_<fig>.json under results/baseline/
 #              once and require each of its files there
@@ -99,6 +100,7 @@ else
     step loom cargo test -p mtmpi-locks --features loom-check --test loom
     step loom cargo test -p mtmpi-runtime --test loom_claim --test loom_stream
     step obs cargo run -q -p xtask -- trace fig2a
+    step obs cargo run -q -p xtask -- top fig2a
     step obs cargo run -q -p xtask -- trace fig_vci
     step bench-diff cargo run -q -p xtask -- bench-diff
     step bench-api cargo test --offline --manifest-path benchmark/Cargo.toml

@@ -8,7 +8,7 @@
 use mtmpi::prelude::*;
 use mtmpi_bench::Fig;
 use mtmpi_integration_tests::{pin, pinned_mutex_run};
-use mtmpi_obs::{chrome_trace_multi, CsOp, Event, EventKind, Path, ReqPhase};
+use mtmpi_obs::{ChromeDoc, CsOp, Event, EventKind, Path, ReqPhase};
 use std::sync::Arc;
 
 /// A small contended workload, traced or not.
@@ -292,7 +292,7 @@ fn exports_of_every_event_kind_are_pinned() {
         events: t.events[..2].to_vec(),
         dropped: 1,
     };
-    let multi = chrome_trace_multi(&[(AWKWARD_NAME, &t), ("plain", &unsharded)]);
+    let multi = ChromeDoc::new(&[(AWKWARD_NAME, &t), ("plain", &unsharded)]).finish();
     assert!(multi.contains("\"name\":\"mu\\\"tex \\\\ 8t\\n\\u0001\u{e9}\""));
     assert!(multi.contains("\"dropped\":18"));
     assert_eq!(pin(&chrome_trace(&t)), (3_158, 5_160_348_601_879_579_426));
@@ -311,7 +311,7 @@ fn exports_of_the_pinned_mutex_run_are_byte_identical() {
         (1_135_082, 5_783_571_061_619_302_331)
     );
     assert_eq!(pin(&jsonl(t)), (591_894, 3_029_437_841_341_398_482));
-    let multi = chrome_trace_multi(&[("mutex 8t", t), ("mutex 8t again", t)]);
+    let multi = ChromeDoc::new(&[("mutex 8t", t), ("mutex 8t again", t)]).finish();
     assert_eq!(pin(&multi), (2_270_254, 11_595_743_826_388_110_321));
 }
 

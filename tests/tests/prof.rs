@@ -5,7 +5,7 @@
 use mtmpi::prelude::*;
 use mtmpi_integration_tests::{pin, pinned_mutex_run};
 use mtmpi_obs::ChromeDoc;
-use mtmpi_prof::{BlameMatrix, HolderKey, ProfReport, Windows};
+use mtmpi_prof::{top_report, BlameMatrix, HolderKey, ProfReport, Windows};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A contended multi-thread workload with tracing on.
@@ -163,7 +163,6 @@ fn windowed_aggregation_is_byte_identical_across_same_seed_runs() {
         ProfReport::analyze(tb, &merged_latency(&b)),
     );
     assert_eq!(pa.to_json(), pb.to_json());
-    assert_eq!(pa.text_report(), pb.text_report());
     assert_eq!(
         trace_with_counters("x", ta, &pa),
         trace_with_counters("x", tb, &pb)
@@ -173,8 +172,9 @@ fn windowed_aggregation_is_byte_identical_across_same_seed_runs() {
 
 /// The rendered profile of a seeded 8-thread Mutex run is pinned to the
 /// bytes the pre-`BlameFold` engine produced (length + FNV-1a, captured
-/// at the commit before the fold landed): the attribution refactor must
-/// not move a single artefact byte. The traced document with a
+/// at the commit before the fold landed), less the `text_report` member
+/// the block no longer carries: the attribution refactor must not move a
+/// single artefact byte. The traced document with a
 /// 39-window counter track is pinned likewise, to the bytes the
 /// `Vec<String>` exporters and `counter_events` produced.
 #[test]
@@ -182,11 +182,31 @@ fn profile_json_is_byte_identical_to_the_pinned_engine() {
     let out = pinned_mutex_run();
     let t = out.timeline.as_ref().expect("timeline");
     let mut prof = ProfReport::analyze(t, &merged_latency(&out));
-    assert_eq!(pin(&prof.to_json()), (26_214, 8_582_480_000_443_441_094));
+    assert_eq!(pin(&prof.to_json()), (24_489, 16_471_084_289_131_513_321));
     prof.windows = Windows::compute(t, 20_000);
     assert_eq!(prof.windows.rows.len(), 39);
     assert_eq!(
         pin(&trace_with_counters("mutex 8t", t, &prof)),
         (1_141_803, 12_593_400_291_721_940_783)
     );
+}
+
+/// `xtask top`'s profile view of the pinned run — the text between the
+/// run's header line and its windows table — is pinned to the bytes the
+/// `prof` block embedded as its `text_report` member before the view
+/// moved out of the document, plus the blank line before the table.
+#[test]
+fn top_renders_the_profile_view_the_block_used_to_embed() {
+    let out = pinned_mutex_run();
+    let t = out.timeline.as_ref().expect("timeline");
+    let prof = ProfReport::analyze(t, &merged_latency(&out)).to_json();
+    let doc = format!(
+        "{{\"id\":\"pin\",\"runs\":[{{\"label\":\"mutex\",\"threads\":8,\
+         \"nodes\":2,\"prof\":{prof}}}]}}"
+    );
+    let top = top_report(&doc).expect("one profiled run");
+    let (_header, rest) = top.split_once('\n').expect("header line");
+    let table = rest.find("window_ms").expect("windows table");
+    let view = rest[..table].trim_end_matches(' ');
+    assert_eq!(pin(view), (1_662, 13_486_839_342_071_937_900));
 }

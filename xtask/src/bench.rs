@@ -12,10 +12,13 @@
 //! moves an output refreshes its baseline in the same commit (see
 //! EXPERIMENTS.md).
 //!
-//! `top <fig>` renders the windowed contention view (`mtmpi_prof::top`)
-//! of an already-generated `results/BENCH_<fig>.json`.
+//! `top <fig>` renders the human view of an already-generated
+//! `results/BENCH_<fig>.json` (`mtmpi_prof::top`): per profiled run, the
+//! latency decomposition, top blocked-by pairs, acquisition shares and
+//! windowed contention table, read from the run's `prof` block — the
+//! document stores a profile only as data.
 
-use crate::run::{read_text, run_fig, same_text};
+use crate::run::{check_fig_name, read_text, run_fig, same_text};
 use mtmpi_prof::top_report;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -123,8 +126,9 @@ pub fn run_baseline_gate(root: &Path) -> Result<(), String> {
     ))
 }
 
-/// The viewer.
+/// The viewer. `fig` passes the figure-name check before it names a file.
 pub fn run_top(fig: &str, root: &Path) -> Result<(), String> {
+    check_fig_name(fig)?;
     let text = read_text(&root.join(format!("results/BENCH_{fig}.json")))
         .map_err(|e| format!("{e} — run `cargo run --release -p mtmpi-bench --bin {fig}` first"))?;
     print!("{}", top_report(&text)?);
@@ -196,6 +200,14 @@ mod tests {
                 gate("fig6a", &["BENCH_fig6a.json"]),
             ])
         );
+    }
+
+    #[test]
+    fn top_refuses_names_that_are_not_figures() {
+        for fig in ["../x", "--flag"] {
+            let err = run_top(fig, Path::new("/nonexistent/nowhere")).unwrap_err();
+            assert!(err.starts_with("figure name must be alphanumeric"), "{err}");
+        }
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!   `$`-path or line. See [`bench`]. `bench-diff` and `trace` compare
 //!   texts through one routine, `run::same_text`.
 //!
-//! * `top <fig>` — render the windowed contention view (who holds the
-//!   runtime critical section, when) of `results/BENCH_<fig>.json`.
+//! * `top <fig>` — render the human view of `results/BENCH_<fig>.json`'s
+//!   profiles: per profiled run, where message latency went, who blocked
+//!   whom, acquisition shares, and who held the runtime critical section
+//!   when (the document stores the profile only as data).
 //!
 //! * `lint` — run mtmpi-lint, the concurrency-contract static analysis
 //!   (rules L001–L007: Relaxed hand-off mutations, Acquire-less
@@ -62,7 +64,8 @@ const USAGE: &str = "usage: cargo run -p xtask -- <command>\n\n\
     \x20            trace and .prom replay byte for byte (e.g. trace fig2a)\n\
     bench-diff   run every figure baselined in results/baseline/ once: each fresh\n\
     \x20            output must equal its committed text\n\
-    top <fig>    windowed contention view of results/BENCH_<fig>.json";
+    top <fig>    profile view of results/BENCH_<fig>.json: latency decomposition,\n\
+    \x20            blocked-by pairs, acquisition shares, windowed contention";
 
 /// Run `cmd` with its arguments; `Err` is the failure line to print.
 fn dispatch(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<(), String> {

@@ -8,17 +8,19 @@ use std::process::Command;
 
 /// Figure names are plain binary names; anything else (path separators,
 /// dashes that cargo would parse as flags) is rejected before it
-/// reaches the command line.
-pub fn valid_fig_name(fig: &str) -> bool {
-    !fig.is_empty() && fig.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+/// reaches a command line or a file path.
+pub fn check_fig_name(fig: &str) -> Result<(), String> {
+    if !fig.is_empty() && fig.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+        Ok(())
+    } else {
+        Err(format!("figure name must be alphanumeric (got {fig:?})"))
+    }
 }
 
 /// Run one `mtmpi-bench` figure binary, passing it `extra`; its outputs
 /// land in `results/`.
 pub fn run_fig(fig: &str, root: &Path, extra: &[&str]) -> Result<(), String> {
-    if !valid_fig_name(fig) {
-        return Err(format!("figure name must be alphanumeric (got {fig:?})"));
-    }
+    check_fig_name(fig)?;
     let args = [
         "run",
         "--release",
@@ -228,11 +230,11 @@ mod tests {
 
     #[test]
     fn fig_name_is_sanitised() {
-        assert!(valid_fig_name("fig2a"));
-        assert!(valid_fig_name("ablation_locks"));
-        assert!(!valid_fig_name("../evil"));
-        assert!(!valid_fig_name("--flag"));
-        assert!(!valid_fig_name(""));
+        assert!(check_fig_name("fig2a").is_ok());
+        assert!(check_fig_name("ablation_locks").is_ok());
+        assert!(check_fig_name("../evil").is_err());
+        assert!(check_fig_name("--flag").is_err());
+        assert!(check_fig_name("").is_err());
         assert!(run_fig("--flag", Path::new("."), &[]).is_err());
     }
 }
