@@ -74,3 +74,42 @@ fn every_method_is_its_own_world() {
     }
     assert_eq!(seen.len(), 8);
 }
+
+/// `(nodes, events, handoffs, end_ns, sched_trace_hash)` of a six-round
+/// ring exchange (1 rank/node, 1 thread/rank, `Method::Mutex`) on
+/// `Experiment::quick(nodes)`. Events and hand-offs grow linearly with
+/// the virtual cluster while virtual time stays flat.
+const RING_PINNED: [(u32, u64, u64, u64, u64); 2] = [
+    (8, 632, 633, 15_330, 0x311a_151e_2ae9_0ee5),
+    (64, 5_056, 5_057, 15_330, 0xb4f2_01fc_3034_2365),
+];
+
+#[test]
+fn ring_events_scale_linearly_with_nodes() {
+    for (nodes, events, handoffs, end_ns, hash) in RING_PINNED {
+        let out = Experiment::quick(nodes).run(
+            RunConfig::new(Method::Mutex)
+                .nodes(nodes)
+                .ranks_per_node(1)
+                .threads_per_rank(1),
+            |ctx| {
+                let c = ctx.rank.world_comm();
+                let (me, n) = (c.rank(), c.nranks());
+                for round in 0..6 {
+                    c.send((me + 1) % n, round, MsgData::Synthetic(64));
+                    let _ = c.recv(Some((me + n - 1) % n), Some(round));
+                }
+            },
+        );
+        assert_eq!(
+            (
+                out.report.events,
+                out.report.handoffs,
+                out.end_ns,
+                out.report.sched_trace_hash
+            ),
+            (events, handoffs, end_ns, hash),
+            "ring on {nodes} nodes"
+        );
+    }
+}

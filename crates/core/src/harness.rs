@@ -188,10 +188,8 @@ impl Experiment {
             .granularity(cfg.granularity)
             .costs(self.costs)
             .window_bytes(cfg.window_bytes)
-            .expect_rma(cfg.progress_thread);
-        if let Some(map) = &cfg.vci_map {
-            builder = builder.vci_map(map.clone());
-        }
+            .expect_rma(cfg.progress_thread)
+            .vci_map(cfg.vci_map);
         if cfg.streams > 0 {
             builder = builder.streams(cfg.streams);
         }
@@ -416,10 +414,11 @@ pub struct RunConfig {
     pub window_bytes: usize,
     /// Spawn an asynchronous progress thread per rank.
     pub progress_thread: bool,
-    /// VCI sharding policy; `None` = the single global critical section.
-    pub vci_map: Option<VciMap>,
+    /// VCI sharding policy (`VciMap::new(1)` = the single global
+    /// critical section).
+    pub vci_map: VciMap,
     /// Single-owner stream shards appended after the sharded VCIs
-    /// (0 = none; requires a sharded pool, i.e. `vci_map`/`vci_count`).
+    /// (0 = none).
     pub streams: u32,
     /// Run label recorded in bench output (`None` = the method label).
     /// Labels key baseline diffing and timeline retention, so runs of
@@ -441,7 +440,7 @@ impl RunConfig {
             granularity: Granularity::Global,
             window_bytes: 0,
             progress_thread: false,
-            vci_map: None,
+            vci_map: VciMap::new(1),
             streams: 0,
             label: None,
         }
@@ -489,21 +488,16 @@ impl RunConfig {
         self
     }
 
-    /// Shard every rank's runtime into `n` VCIs with the default hash
-    /// routing (1 = the unsharded global critical section).
-    pub fn vci_count(mut self, n: u32) -> Self {
-        self.vci_map = if n == 1 { None } else { Some(VciMap::new(n)) };
-        self
-    }
-
-    /// Shard with an explicit [`VciMap`] policy.
+    /// Shard every rank's runtime into the VCIs `map` routes across
+    /// (default `VciMap::new(1)`, the unsharded global critical
+    /// section).
     pub fn vci_map(mut self, map: VciMap) -> Self {
-        self.vci_map = Some(map);
+        self.vci_map = map;
         self
     }
 
     /// Give every rank `n` single-owner stream shards (bound at run time
-    /// with `ctx.rank.stream_at(..)`); needs a sharded pool.
+    /// with `ctx.rank.stream_at(..)`).
     pub fn streams(mut self, n: u32) -> Self {
         self.streams = n;
         self
@@ -555,15 +549,6 @@ impl RunOutcome {
     /// Dangling-request profile of a rank.
     pub fn dangling(&self, rank: u32) -> DanglingSampler {
         self.stats(rank).dangling
-    }
-
-    /// Aggregate dangling profile over all ranks.
-    pub fn dangling_all(&self) -> DanglingSampler {
-        let mut acc = DanglingSampler::new();
-        for r in 0..self.nranks {
-            acc.merge(&self.stats(r).dangling);
-        }
-        acc
     }
 
     /// End-to-end wall (virtual) seconds.

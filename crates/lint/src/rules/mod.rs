@@ -57,7 +57,6 @@ pub const L004_SCOPE: &[&str] = &[
     "crates/sim/src/",
     "crates/runtime/src/",
     "crates/net/src/",
-    "crates/vci/src/",
     "crates/locks/src/",
     "crates/bench/src/",
     "crates/assembly/src/",
@@ -66,7 +65,7 @@ pub const L004_SCOPE: &[&str] = &[
 ];
 
 /// Crates with typed `MpiError` paths (the `try_*` family).
-pub const L005_SCOPE: &[&str] = &["crates/runtime/src/", "crates/vci/src/"];
+pub const L005_SCOPE: &[&str] = &["crates/runtime/src/"];
 
 /// The critical-section discipline lives in the runtime.
 pub const L003_SCOPE: &[&str] = &["crates/runtime/src/"];

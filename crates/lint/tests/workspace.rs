@@ -3,6 +3,7 @@
 //! the CI contract (`cargo run -p xtask -- lint` exits 0 today, and
 //! would not if someone broke a concurrency contract).
 
+use mtmpi_lint::rules::{L003_SCOPE, L004_SCOPE, L005_SCOPE};
 use mtmpi_lint::{engine, SourceFile};
 use std::path::{Path, PathBuf};
 
@@ -28,6 +29,23 @@ fn workspace_has_no_findings() {
         "suspiciously few files scanned ({}) — did file discovery break?",
         report.files_scanned
     );
+}
+
+#[test]
+fn every_scoped_rule_names_directories_that_exist() {
+    // A prefix whose directory is gone would silently check nothing.
+    for (rule, scope) in [
+        ("L003", L003_SCOPE),
+        ("L004", L004_SCOPE),
+        ("L005", L005_SCOPE),
+    ] {
+        for prefix in scope {
+            assert!(
+                root().join(prefix).is_dir(),
+                "{rule} scope names `{prefix}`, which is not a directory"
+            );
+        }
+    }
 }
 
 /// A hand-off store with `Relaxed`, as someone would actually type it.

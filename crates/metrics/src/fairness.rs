@@ -1,22 +1,12 @@
-//! Share and concentration helpers for blame attribution (prof layer).
+//! Concentration measure for blame attribution (prof layer).
 //!
 //! The paper's monopolization story (§4.2–4.3) is about *how unevenly*
 //! critical-section acquisitions distribute over threads: a fair
 //! arbitration spreads them uniformly, a biased one lets a single thread
-//! (often the progress thread) dominate. [`shares`] normalizes raw
-//! counts; [`gini`] compresses the whole distribution into one
-//! monopolization index (0 = perfectly even, → 1 = one thread owns
-//! everything), the standard inequality measure over a small population.
-
-/// Normalize counts to shares summing to 1.0 (empty or all-zero input
-/// yields an all-zero vector).
-pub fn shares(counts: &[u64]) -> Vec<f64> {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return vec![0.0; counts.len()];
-    }
-    counts.iter().map(|&c| c as f64 / total as f64).collect()
-}
+//! (often the progress thread) dominate. [`gini`] compresses the whole
+//! distribution into one monopolization index (0 = perfectly even, → 1 =
+//! one thread owns everything), the standard inequality measure over a
+//! small population.
 
 /// Gini coefficient of a count distribution: `0.0` when all participants
 /// hold equal counts, approaching `1.0` as one participant takes
@@ -43,15 +33,6 @@ pub fn gini(counts: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shares_normalize() {
-        let s = shares(&[1, 3]);
-        assert!((s[0] - 0.25).abs() < 1e-12);
-        assert!((s[1] - 0.75).abs() < 1e-12);
-        assert_eq!(shares(&[]), Vec::<f64>::new());
-        assert_eq!(shares(&[0, 0]), vec![0.0, 0.0]);
-    }
 
     #[test]
     fn gini_of_uniform_is_zero() {

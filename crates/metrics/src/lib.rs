@@ -10,8 +10,8 @@
 //!   fair arbitration, and their ratios (the *bias factors* of Fig 3a).
 //! * [`dangling`] — the §4.4 dangling-request metric: completed-but-unfreed
 //!   requests sampled at lock acquisitions.
-//! * [`fairness`] — acquisition-share normalization and the Gini
-//!   monopolization index used by the prof layer's blame matrix.
+//! * [`fairness`] — the Gini monopolization index used by the prof
+//!   layer's blame matrix.
 //! * [`hist`] — log2-bucketed histograms (CS wait/hold, message latency)
 //!   with p50/p99/max summaries, cheap enough to keep always-on.
 //! * [`series`] — simple labelled series and statistics helpers.
@@ -28,7 +28,7 @@ pub mod table;
 
 pub use bias::{BiasAnalysis, BiasFactors};
 pub use dangling::DanglingSampler;
-pub use fairness::{gini, shares};
+pub use fairness::gini;
 pub use grants::{FifoViolation, Grant, GrantFold, LastGrant};
 pub use hist::Histogram;
 pub use series::{summary, Series, Summary};

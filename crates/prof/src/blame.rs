@@ -381,7 +381,7 @@ pub struct VciLoad {
 
 /// Per-VCI balance analysis: one [`VciLoad`] per shard seen in the
 /// timeline (ordered by VCI), plus the Gini index over per-shard
-/// acquisition counts — 0 when the [`mtmpi_vci`-style] map spreads
+/// acquisition counts — 0 when the runtime's VCI map spreads
 /// traffic evenly, approaching 1 when one shard soaks up everything
 /// (at which point sharding has bought nothing over the global CS).
 pub fn vci_loads(t: &Timeline) -> (Vec<VciLoad>, f64) {

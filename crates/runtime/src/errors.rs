@@ -19,12 +19,13 @@ pub enum BuildError {
     /// RMA use was declared (`expect_rma`) but no window memory was
     /// configured — every one-sided operation would fault at the target.
     ZeroWindowWithRma,
-    /// `vci_count(0)` (or a zero-count [`mtmpi_vci::VciMap`]): every
-    /// rank needs at least one virtual communication interface.
+    /// `vci_map` with a zero-count [`crate::VciMap`]: every rank needs
+    /// at least one virtual communication interface.
     ZeroVcis,
-    /// `streams(n)` with `n > 0` but `vci_count(0)`: stream-bound shards
-    /// extend the sharded pool, so a world with streams still needs at
-    /// least one regular VCI for unbound and wildcard traffic.
+    /// `streams(n)` with `n > 0` but a zero-count [`crate::VciMap`]:
+    /// stream-bound shards extend the sharded pool, so a world with
+    /// streams still needs at least one regular VCI for unbound and
+    /// wildcard traffic.
     StreamsWithoutVcis {
         /// How many streams were requested.
         streams: u32,
@@ -46,12 +47,12 @@ impl std::fmt::Display for BuildError {
             ),
             BuildError::ZeroVcis => write!(
                 f,
-                "vci_count is 0: every rank needs at least one virtual \
+                "the VCI map has 0 VCIs: every rank needs at least one virtual \
                  communication interface (1 = the unsharded global CS)"
             ),
             BuildError::StreamsWithoutVcis { streams } => write!(
                 f,
-                "streams({streams}) requested with vci_count 0: stream shards \
+                "streams({streams}) requested with a 0-VCI map: stream shards \
                  extend the sharded pool, so keep at least one regular VCI \
                  for unbound and wildcard traffic"
             ),

@@ -76,6 +76,7 @@ pub mod state;
 pub mod stats;
 pub mod stream;
 pub mod types;
+mod vci;
 pub mod world;
 
 pub use comm::Comm;
@@ -87,10 +88,8 @@ pub use request::{Request, TestOutcome};
 pub use stats::RankStats;
 pub use stream::Stream;
 pub use types::{CommId, Msg, MsgData, Tag, ANY_SOURCE, ANY_TAG};
+pub use vci::VciMap;
 pub use world::{RankHandle, World, WorldBuilder};
-// Re-exported so builder callers can configure sharding without naming
-// the vci crate.
-pub use mtmpi_vci::{VciKey, VciMap};
 
 /// One-stop imports for programs built on the runtime.
 ///
@@ -104,7 +103,7 @@ pub use mtmpi_vci::{VciKey, VciMap};
 pub mod prelude {
     pub use crate::{
         BuildError, Comm, CommId, Granularity, MpiError, Msg, MsgData, RankHandle, RankStats,
-        Request, RuntimeCosts, Stream, StreamBindError, Tag, TestOutcome, VciKey, VciMap, World,
+        Request, RuntimeCosts, Stream, StreamBindError, Tag, TestOutcome, VciMap, World,
         WorldBuilder, ANY_SOURCE, ANY_TAG,
     };
     pub use mtmpi_locks::PathClass;

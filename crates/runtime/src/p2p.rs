@@ -1,8 +1,8 @@
 //! Two-sided point-to-point operations.
 //!
 //! With VCI sharding, every fully-addressed operation (send, or receive
-//! with known source and — when the map buckets tags — known tag) is
-//! routed to exactly one shard by the world's [`mtmpi_vci::VciMap`] and
+//! with known source and — when the map routes by tag — known tag) is
+//! routed to exactly one shard by the world's [`crate::VciMap`] and
 //! runs the classic single-CS protocol against that shard. Wildcard
 //! receives that no single shard can serve become *multi* (fan-out)
 //! requests: one posted entry per shard, cross-shard exactly-once
@@ -22,6 +22,7 @@ use crate::progress::{deliver, poll, progress_once};
 use crate::request::{ReqInner, ReqKind, Request, TestOutcome};
 use crate::state::{matches, SharedState};
 use crate::types::{CommId, Msg, MsgData, Tag};
+use crate::vci::pick_starved_burst;
 use crate::world::{RankHandle, WorldInner};
 use mtmpi_locks::PathClass;
 use mtmpi_obs::{CsOp, EventKind, Path, ReqPhase};
@@ -100,6 +101,28 @@ fn free_multi(w: &WorldInner, rank: u32, req: &Request) -> Option<Msg> {
     });
     retract_multi(w, rank, &req.inner);
     Some(m)
+}
+
+/// Work stealing: progress the most-starved sharded VCIs of `rank`
+/// outside `exclude`, so a shard whose owner threads are all blocked
+/// elsewhere still advances. The burst scales with the shard count (1 up
+/// to 4 shards, then `vci_n / 4`, capped at 4): at 16 shards a single
+/// victim per spin window serializes recovery on one mailbox while the
+/// others starve. Callers test `vci_n() > 1` first, so an unsharded
+/// spin never makes the call.
+fn steal(w: &WorldInner, rank: u32, exclude: &[u32]) {
+    // Stream shards (past vci_n) are never steal victims: only their
+    // bound owner may progress them.
+    let snap: Vec<u64> = w.procs[rank as usize]
+        .shards
+        .iter()
+        .take(w.vci_n() as usize)
+        .map(|s| s.last_poll_ns.load(Ordering::Relaxed))
+        .collect();
+    let burst = (w.vci_n() as usize / 4).clamp(1, 4);
+    for victim in pick_starved_burst(&snap, exclude, burst) {
+        let _ = progress_once(w, rank, victim, PathClass::Progress, Path::WaitSpin);
+    }
 }
 
 /// Remove a fan-out request's posted entries from every shard (one CS
@@ -584,28 +607,11 @@ impl RankHandle {
                 WaitStep::Pending => {}
             }
             class = PathClass::Progress;
-            // Work stealing: a spinner parked on one shard occasionally
-            // progresses the most-starved *other* shards, so a shard whose
-            // owner threads are all blocked elsewhere still advances.
-            // Burst size scales with the shard count (1 up to 4 shards —
-            // identical to the old single-victim steal — then vci_n/4,
-            // capped at 4): at 16 shards a single victim per spin window
-            // serializes recovery on one mailbox while the other 14
-            // starve. Never runs unsharded (vci_n() == 1 ⇒ no candidates).
+            // A spinner parked on one shard occasionally progresses the
+            // most-starved *other* shards.
             spins += 1;
             if spins.is_multiple_of(4) && w.vci_n() > 1 {
-                // Stream shards (past vci_n) are never steal victims:
-                // only their bound owner may progress them.
-                let snap: Vec<u64> = w.procs[rank as usize]
-                    .shards
-                    .iter()
-                    .take(w.vci_n() as usize)
-                    .map(|s| s.last_poll_ns.load(Ordering::Relaxed))
-                    .collect();
-                let burst = (w.vci_n() as usize / 4).clamp(1, 4);
-                for victim in mtmpi_vci::pick_starved_burst(&snap, &[vci], burst) {
-                    let _ = progress_once(w, rank, victim, PathClass::Progress, Path::WaitSpin);
-                }
+                steal(w, rank, &[vci]);
             }
             w.platform.compute(costs.poll_gap_ns);
             if let Some(waited_ns) = self.liveness_exceeded(start) {
@@ -790,16 +796,7 @@ impl RankHandle {
                 // advance at high shard counts.
                 spins += 1;
                 if spins.is_multiple_of(4) && w.vci_n() > 1 && !singles.is_empty() {
-                    let snap: Vec<u64> = w.procs[rank as usize]
-                        .shards
-                        .iter()
-                        .take(w.vci_n() as usize)
-                        .map(|s| s.last_poll_ns.load(Ordering::Relaxed))
-                        .collect();
-                    let burst = (w.vci_n() as usize / 4).clamp(1, 4);
-                    for victim in mtmpi_vci::pick_starved_burst(&snap, &vcis, burst) {
-                        let _ = progress_once(w, rank, victim, PathClass::Progress, Path::WaitSpin);
-                    }
+                    steal(w, rank, &vcis);
                 }
                 class = PathClass::Progress;
                 w.platform.compute(costs.poll_gap_ns);

@@ -270,11 +270,6 @@ impl Request {
         self.inner.owner_rank
     }
 
-    /// Whether this is a receive request.
-    pub fn is_recv(&self) -> bool {
-        self.inner.kind == ReqKind::Recv
-    }
-
     /// Home VCI of this request (the shard whose critical section guards
     /// it; for fan-out wildcards, the issuing thread's hash shard).
     pub fn vci(&self) -> u32 {

@@ -184,9 +184,10 @@ impl RankHandle {
         let mut class = PathClass::Main;
         // Round-robin over the rank's shards (one per iteration); with a
         // single VCI this is exactly the pre-VCI loop.
-        let mut rotor = mtmpi_vci::Rotor::new();
+        let mut turn = 0u64;
         while !stop.load(Ordering::Acquire) {
-            let vci = rotor.next(w.vci_n());
+            let vci = (turn % u64::from(w.vci_n())) as u32;
+            turn += 1;
             let _ = progress_once(w, self.rank, vci, class, obs_path(class));
             class = PathClass::Progress;
             w.platform.compute(w.costs.poll_gap_ns);

@@ -13,11 +13,11 @@ use crate::granularity::Granularity;
 use crate::ledger::SharedLedger;
 use crate::state::SharedState;
 use crate::stats::RankStats;
+use crate::vci::VciMap;
 use mtmpi_locks::{CsToken, PathClass};
 use mtmpi_net::FaultPlan;
 use mtmpi_obs::{CsOp, Event, EventKind, RingRecorder};
 use mtmpi_sim::{LockId, LockKind, Platform};
-use mtmpi_vci::{VciMap, VciPool};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,7 +44,8 @@ pub(crate) struct Shard {
 /// One MPI process: its shards plus the cross-shard accounting that no
 /// single shard lock could guard.
 pub(crate) struct Process {
-    pub(crate) shards: VciPool<Shard>,
+    /// Shards in VCI order: the sharded VCIs, then the stream shards.
+    pub(crate) shards: Vec<Shard>,
     /// Life-cycle ledger for *multi-shard* wildcard receives (requests
     /// fanned out to every shard). Their transitions happen under
     /// varying shard locks — or none — so the counters are atomic.
@@ -153,7 +154,7 @@ impl WorldInner {
     /// One shard of one rank.
     #[inline]
     pub(crate) fn shard(&self, rank: u32, vci: u32) -> &Shard {
-        &self.procs[rank as usize].shards[vci]
+        &self.procs[rank as usize].shards[vci as usize]
     }
 
     /// Route a fully known envelope (send side, or a selective receive)
@@ -375,8 +376,7 @@ pub struct WorldBuilder {
     expect_rma: bool,
     recorder: Option<Arc<RingRecorder>>,
     fault_plan: Option<FaultPlan>,
-    vci_count: u32,
-    vci_map: Option<VciMap>,
+    vci_map: VciMap,
     streams: u32,
     fuel: Option<u64>,
 }
@@ -405,8 +405,7 @@ impl World {
             expect_rma: false,
             recorder: None,
             fault_plan: None,
-            vci_count: 1,
-            vci_map: None,
+            vci_map: VciMap::new(1),
             streams: 0,
             fuel: None,
         }
@@ -580,21 +579,12 @@ impl WorldBuilder {
         self
     }
 
-    /// Shard every rank's runtime state into `n` virtual communication
-    /// interfaces routed by the default hash [`VciMap`] (default 1 — the
-    /// paper's single global critical section). Zero is rejected by
-    /// [`Self::build`].
-    pub fn vci_count(mut self, n: u32) -> Self {
-        self.vci_count = n;
-        self.vci_map = None;
-        self
-    }
-
-    /// Shard with an explicit [`VciMap`] (hash policy, tag buckets, or a
-    /// custom binding); the map's count decides the number of shards.
+    /// Shard every rank's runtime state into the virtual communication
+    /// interfaces `map` routes across (default `VciMap::new(1)` — the
+    /// paper's single global critical section). A zero-VCI map is
+    /// rejected by [`Self::build`].
     pub fn vci_map(mut self, map: VciMap) -> Self {
-        self.vci_count = map.count();
-        self.vci_map = Some(map);
+        self.vci_map = map;
         self
     }
 
@@ -602,8 +592,9 @@ impl WorldBuilder {
     /// a thread binds to with [`RankHandle::stream`] for the lock-free
     /// fast path. They extend the pool *after* the sharded VCIs, so
     /// `streams(0)` leaves the build byte-identical to a pre-stream
-    /// world. Requires `vci_count >= 1` (checked by [`Self::build`]) —
-    /// unbound and wildcard traffic still needs the sharded path.
+    /// world. Unbound and wildcard traffic still needs the sharded path,
+    /// so a zero-count [`Self::vci_map`] with streams fails
+    /// [`Self::build`] as [`BuildError::StreamsWithoutVcis`].
     pub fn streams(mut self, n: u32) -> Self {
         self.streams = n;
         self
@@ -617,18 +608,18 @@ impl WorldBuilder {
         if self.ranks == 0 {
             return Err(BuildError::ZeroRanks);
         }
-        if self.streams > 0 && self.vci_count == 0 {
+        let vci_count = self.vci_map.count();
+        if self.streams > 0 && vci_count == 0 {
             return Err(BuildError::StreamsWithoutVcis {
                 streams: self.streams,
             });
         }
-        if self.vci_count == 0 {
+        if vci_count == 0 {
             return Err(BuildError::ZeroVcis);
         }
         if self.expect_rma && self.window_bytes == 0 {
             return Err(BuildError::ZeroWindowWithRma);
         }
-        let vci_map = self.vci_map.unwrap_or_else(|| VciMap::new(self.vci_count));
         if let Some(f) = self.fuel {
             self.platform.set_fuel(Some(f));
         }
@@ -653,29 +644,31 @@ impl WorldBuilder {
             // locks exist but are never taken: a bound stream reaches
             // its state through `stream_pass`. With `streams == 0` the
             // creation sequence is exactly the PR-5 one (byte-identity).
-            let shards = VciPool::build(self.vci_count + self.streams, |vci| {
-                let endpoint = self.platform.register_endpoint(node);
-                let cs_queue = self.platform.lock_create(self.lock);
-                let cs_progress = if self.granularity.split_progress_lock() {
-                    self.platform.lock_create(self.lock)
-                } else {
-                    cs_queue
-                };
-                Shard {
-                    endpoint,
-                    cs_queue,
-                    cs_progress,
-                    last_poll_ns: AtomicU64::new(0),
-                    stream_owner: AtomicU64::new(0),
-                    // RMA state is pinned to VCI 0 (one window per rank,
-                    // one token space); other shards carry none.
-                    state: UnsafeCell::new(SharedState::new(
-                        self.ranks,
-                        if vci == 0 { self.window_bytes } else { 0 },
-                        active_plan.clone(),
-                    )),
-                }
-            });
+            let shards = (0..vci_count + self.streams)
+                .map(|vci| {
+                    let endpoint = self.platform.register_endpoint(node);
+                    let cs_queue = self.platform.lock_create(self.lock);
+                    let cs_progress = if self.granularity.split_progress_lock() {
+                        self.platform.lock_create(self.lock)
+                    } else {
+                        cs_queue
+                    };
+                    Shard {
+                        endpoint,
+                        cs_queue,
+                        cs_progress,
+                        last_poll_ns: AtomicU64::new(0),
+                        stream_owner: AtomicU64::new(0),
+                        // RMA state is pinned to VCI 0 (one window per rank,
+                        // one token space); other shards carry none.
+                        state: UnsafeCell::new(SharedState::new(
+                            self.ranks,
+                            if vci == 0 { self.window_bytes } else { 0 },
+                            active_plan.clone(),
+                        )),
+                    }
+                })
+                .collect();
             procs.push(Process {
                 shards,
                 wild: SharedLedger::new(),
@@ -690,21 +683,13 @@ impl WorldBuilder {
                 liveness_limit_ns: self.liveness_limit_ns,
                 selective: matches!(self.lock, LockKind::Selective),
                 lock: self.lock,
-                vci_map,
+                vci_map: self.vci_map,
                 streams: self.streams,
                 recorder: self.recorder,
                 faults_enabled: active_plan.is_some(),
                 aborted: AtomicBool::new(false),
             }),
         })
-    }
-
-    /// [`Self::build`], panicking on an invalid configuration — the
-    /// `expect` path for examples and tests where misconfiguration is a
-    /// bug, not an input.
-    pub fn build_unchecked(self) -> World {
-        self.build()
-            .unwrap_or_else(|e| panic!("invalid world configuration: {e}"))
     }
 }
 

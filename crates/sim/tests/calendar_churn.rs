@@ -1,6 +1,6 @@
 //! Hold-model churn regression for the calendar queue: pop the minimum,
 //! push a successor on a tie-heavy grid — the exact access pattern of
-//! the steady-state scheduler (and of `fig_scale`'s microbench), which
+//! the steady-state scheduler (and of `benchmark/`'s queue probe), which
 //! the randomized interleaving property test does not generate because
 //! its push times are independent of the pop frontier.
 

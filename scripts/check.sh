@@ -14,10 +14,10 @@
 #              comment at the site accepts one (DESIGN.md section 13)
 #   test       workspace test suite (includes the runtime's request-ledger
 #              negative tests and mtmpi-lint's fixture + whole-tree tests)
-#   release    the simulator, runtime, facade, serve and Graph500 test
-#              suites again, optimised: the fiber transport's unsafe paths,
-#              the debug-only checks' release branches, and the BFS path's
-#              literal hash pins as the figures run them
+#   release    the simulator, runtime, facade, serve, Graph500 and bench
+#              test suites again, optimised: the fiber transport's unsafe
+#              paths, the debug-only checks' release branches, and the BFS
+#              and schedule pins' literal hashes as the figures run them
 #   loom       model checking of the ticket and priority ticket locks,
 #              the VCI claim protocol and the stream claim word (serialized-thread
 #              shim; see crates/locks/src/sys.rs,
@@ -96,7 +96,7 @@ if [ "$FAST" = "fast" ]; then
         skip "$s" "fast mode"
     done
 else
-    step release cargo test --release -q -p mtmpi-sim -p mtmpi-runtime -p mtmpi -p mtmpi-serve -p mtmpi-graph500
+    step release cargo test --release -q -p mtmpi-sim -p mtmpi-runtime -p mtmpi -p mtmpi-serve -p mtmpi-graph500 -p mtmpi-bench
     step loom cargo test -p mtmpi-locks --features loom-check --test loom
     step loom cargo test -p mtmpi-runtime --test loom_claim --test loom_stream
     step obs cargo run -q -p xtask -- trace fig2a

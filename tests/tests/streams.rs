@@ -306,7 +306,7 @@ fn streams_without_vcis_is_a_typed_build_error() {
         .ranks(1)
         .rank_on_node(|r| r)
         .lock(LockKind::Mutex)
-        .vci_count(0)
+        .vci_map(VciMap::new(0))
         .streams(2)
         .build()
     {

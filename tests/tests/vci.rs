@@ -1,6 +1,6 @@
 //! VCI (sharded critical section) integration tests: cross-shard
 //! wildcard matching, determinism, per-shard quiescence, and profiler
-//! attribution with `vci_count > 1`.
+//! attribution with more than one VCI.
 //!
 //! The cross-shard wildcard protocol is the delicate part of sharding:
 //! a `recv(ANY_SOURCE, ..)` cannot resolve its shard from the envelope,
@@ -17,13 +17,21 @@ use std::sync::{Mutex, PoisonError};
 
 const N_MSGS: i32 = 30;
 
+/// The map of [`cross_shard_wildcard_run`]: the pair hash over four
+/// VCIs routes src 1 → VCI 0 and src 2 → VCI 2 on `CommId::WORLD`.
+const CROSS_SHARD_MAP: VciMap = VciMap::new(4);
+
 /// Three ranks; ranks 1 and 2 each stream `N_MSGS` tagged messages to
 /// rank 0, which drains them through wildcard `recv(None, None)`. The
-/// source-routed map pins each sender's stream to its own shard
-/// (src 1 → VCI 1, src 2 → VCI 2), so every wildcard receive is a
-/// cross-shard fan-out whose two candidate matches live on *different*
-/// VCIs — the exact race the claim token exists for.
+/// hash map pins each sender's stream to its own shard, so every
+/// wildcard receive is a cross-shard fan-out whose two candidate matches
+/// live on *different* VCIs — the exact race the claim token exists for.
 fn cross_shard_wildcard_run(seed: u64, plan: Option<FaultPlan>) -> (RunOutcome, Vec<(u32, i32)>) {
+    assert_ne!(
+        CROSS_SHARD_MAP.select_for(CommId::WORLD.0, 1, 0, 0),
+        CROSS_SHARD_MAP.select_for(CommId::WORLD.0, 2, 0, 0),
+        "the two senders must land on different shards"
+    );
     let order = Arc::new(Mutex::new(Vec::new()));
     let log = order.clone();
     let mut exp = Experiment::with_seed(3, seed);
@@ -35,7 +43,7 @@ fn cross_shard_wildcard_run(seed: u64, plan: Option<FaultPlan>) -> (RunOutcome, 
             .nodes(3)
             .ranks_per_node(1)
             .threads_per_rank(1)
-            .vci_map(VciMap::with_select(3, 1, |k| k.src)),
+            .vci_map(CROSS_SHARD_MAP),
         move |ctx| {
             let h = ctx.rank.world_comm();
             if h.rank() == 0 {
@@ -221,7 +229,7 @@ fn sharded_run(seed: u64, map: Option<VciMap>, trace: bool) -> RunOutcome {
 
 #[test]
 fn explicit_single_vci_map_is_byte_identical_to_the_default_build() {
-    // vci_count = 1 must be the unsharded code path exactly — same
+    // One VCI must be the unsharded code path exactly — same
     // virtual end time, same event stream to the byte.
     let plain = sharded_run(41, None, true);
     let one = sharded_run(41, Some(VciMap::new(1)), true);
@@ -288,7 +296,9 @@ fn per_vci_ledgers_are_quiescent_at_world_drop() {
 #[test]
 fn rma_and_sharded_pt2pt_coexist() {
     // RMA state is pinned to VCI 0 (§12); pt2pt hash-routes across 4
-    // shards; the async progress thread round-robins all of them.
+    // shards; the async progress thread round-robins all of them — the
+    // only world whose progress thread rotates over several VCIs, so its
+    // schedule is pinned.
     let exp = Experiment::with_seed(2, 45);
     let out = exp.run(
         RunConfig::new(Method::Ticket)
@@ -297,7 +307,7 @@ fn rma_and_sharded_pt2pt_coexist() {
             .threads_per_rank(2)
             .window_bytes(64)
             .progress_thread(true)
-            .vci_count(4),
+            .vci_map(VciMap::new(4)),
         |ctx| {
             let h = &ctx.rank;
             let c = h.world_comm();
@@ -324,4 +334,9 @@ fn rma_and_sharded_pt2pt_coexist() {
     assert_quiescent(&out);
     let win = out.stats(1).window;
     assert_eq!(&win[..16], &[7u8; 16], "put through shard 0 landed");
+    assert_eq!(
+        (out.end_ns, out.report.sched_trace_hash, out.report.events),
+        (75_421, 0x331d_79d2_f510_ff57, 1_094),
+        "progress-thread shard rotation moved"
+    );
 }
