@@ -25,8 +25,8 @@ pub struct ThroughputResult {
     pub end_ns: u64,
     /// Total messages moved.
     pub messages: u64,
-    /// Scheduler decision-trace hash of the run — byte-identical across
-    /// event cores (calendar vs heap) for the same seed and workload.
+    /// Scheduler decision-trace hash of the run — a pure function of the
+    /// seed and workload.
     pub sched_trace_hash: u64,
 }
 

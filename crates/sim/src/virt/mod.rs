@@ -618,6 +618,8 @@ impl VirtualPlatform {
 /// cloned in), so a run is a movable, `Send` work item.
 struct Scheduler {
     net: NetModel,
+    /// Pending events: at most one `Start`/`Exec` per simulated thread
+    /// plus the lock `Grant`s not yet due (packets wait in `mailboxes`).
     q: CalendarQueue<Ev>,
     seq: u64,
     vlocks: Vec<VLock>,
@@ -635,11 +637,6 @@ struct Scheduler {
     n_events: u64,
     /// Events the current [`RunHandle::step`] call may still execute.
     budget_left: u64,
-    /// Current same-timestamp batch plus the resume cursor into it: a
-    /// quantum boundary may land mid-batch, so the remainder must survive
-    /// until the next `step`.
-    batch: Vec<Ev>,
-    batch_pos: usize,
     /// The context control is on: `None` is the stepping thread. A
     /// hand-off is a transfer between two distinct ones; a thread resumed
     /// by its own `Exec` event is not one.
@@ -805,8 +802,6 @@ impl RunHandle {
             fuel,
             n_events: 0,
             budget_left: 0,
-            batch: Vec::new(),
-            batch_pos: 0,
             running: None,
             handoffs: 0,
             fibers: fibers.iter().map(Fiber::handle).collect(),
@@ -840,9 +835,9 @@ impl RunHandle {
     /// refuses further stepping. A worker panic is re-raised here as
     /// ``worker `<name>` panicked: <msg>``, likewise after every worker
     /// is unwound. A quantum boundary is *not* a deadlock probe: when the
-    /// budget expires exactly at a batch edge, the next batch stays
-    /// queued for the next call, so `Pending` never converts a would-be
-    /// deadlock report into silence (the next `step` reports it).
+    /// budget runs out the loop stops before it looks at the queue, so
+    /// `Pending` never converts a would-be deadlock report into silence
+    /// (the next `step` reports it).
     pub fn step(&mut self, budget: u64) -> Result<StepOutcome, SimError> {
         assert!(!self.aborted, "step() after the run aborted");
         if self.finished {
@@ -945,46 +940,28 @@ impl Scheduler {
     /// [`RunHandle::step`] at the start of a quantum and after a worker's
     /// closure ends, and on a worker's fiber from [`Scheduler::sync`].
     ///
-    /// Events are dequeued one same-timestamp batch at a time. This is
-    /// trace-identical to a pop-one loop: every event pushed while a
-    /// batch is processed carries `t` ≥ the batch time (virtual time is
-    /// monotone) and, at equal `t`, a `seq` above every batched event —
-    /// so it sorts after the whole batch either way. One asymmetry of
-    /// the pop-one loop is kept: when the last thread finishes
-    /// mid-batch, the remaining (stale-grant) events are dropped
-    /// *unhashed*, as that loop left them unpopped.
+    /// Events are popped one at a time, in `(t, seq)` order. Before each
+    /// pop the loop stops if every thread has finished (events still
+    /// queued then are stale grants, neither counted nor hashed), if the
+    /// quantum's budget is spent, if the queue is empty (a deadlock), or
+    /// if the fuel is spent (the error's `queued_events` counts the event
+    /// that would have run).
     fn advance(&mut self) -> Pass {
         let stop = Pass::Stop;
         loop {
-            if self.batch_pos == self.batch.len() {
-                if self.live == 0 {
-                    return stop(Ok(StepOutcome::Done));
-                }
-                if self.budget_left == 0 {
-                    return stop(Ok(StepOutcome::Pending));
-                }
-                self.batch.clear();
-                self.batch_pos = 0;
-                if self.q.pop_batch(&mut self.batch) == 0 {
-                    return stop(Err(self.deadlock_error()));
-                }
-            }
             if self.live == 0 {
-                // Last thread finished mid-batch: drop the remaining
-                // (stale-grant) events unhashed.
                 return stop(Ok(StepOutcome::Done));
             }
             if self.budget_left == 0 {
                 return stop(Ok(StepOutcome::Pending));
             }
-            let ev = self.batch[self.batch_pos];
-            if let Some(f) = self.fuel {
-                if self.n_events >= f {
-                    let queued = self.q.len() + (self.batch.len() - self.batch_pos);
-                    return stop(Err(self.fuel_error(f, self.n_events, ev.t, queued)));
-                }
+            let Some((t, _)) = self.q.peek_key() else {
+                return stop(Err(self.deadlock_error()));
+            };
+            if let Some(f) = self.fuel.filter(|&f| self.n_events >= f) {
+                return stop(Err(self.fuel_error(f, self.n_events, t, self.q.len())));
             }
-            self.batch_pos += 1;
+            let ev = self.q.pop().expect("peeked");
             self.n_events += 1;
             self.budget_left -= 1;
             self.hash.event(&ev);
@@ -1015,17 +992,16 @@ impl Scheduler {
 
     /// Run `tid`'s sync point at `at` in place, on the worker's stack, when
     /// its `Exec` event is provably the next event [`Scheduler::advance`]
-    /// would pop, alone: the current batch is drained, the quantum and
-    /// the fuel allow one more event, and every queued event is strictly
-    /// later (a queued event at `at` has a smaller `seq` and goes first).
+    /// would pop: the quantum and the fuel allow one more event, and
+    /// every queued event is strictly later (a queued event at `at` has a
+    /// smaller `seq` and goes first).
     /// The event is consumed exactly as `advance` + `dispatch` would —
     /// same `seq`, hash fold and counters — so the decision trace is
     /// unchanged; `Ok` holds the reply, or `None` for a thread the op left
     /// blocked (a queued or steal-pending acquire). Otherwise `Err` hands
     /// the op back, to be queued.
     fn exec_inline(&mut self, at: u64, tid: usize, op: Op) -> Result<Option<Reply>, Op> {
-        let next = self.batch_pos == self.batch.len()
-            && self.budget_left > 0
+        let next = self.budget_left > 0
             && self.fuel.is_none_or(|f| self.n_events < f)
             && self.q.peek_key().is_none_or(|(t, _)| at < t);
         if !next {

@@ -1,12 +1,10 @@
-//! Property: the calendar queue dequeues in **byte-identical** `(t, seq)`
-//! order to a reference `BinaryHeap` — over randomized seeded streams,
-//! same-bucket ties, far-future overflow pushes, and interleaved
-//! push/pop/pop_batch traffic. This is the ordering contract the
-//! scheduler's `sched_trace_hash` stability rests on.
+//! The event queue's ordering contract, checked against a sorted-`Vec`
+//! oracle: interleaved pushes and pops return the current `(t, seq)`
+//! minimum, equal times pop by `seq`, and concatenated `pop_batch`es equal
+//! single pops. The scheduler's `sched_trace_hash` stability rests on it.
 
 use mtmpi_sim::{CalendarQueue, Keyed};
 use proptest::prelude::*;
-use std::collections::BinaryHeap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct It {
@@ -23,87 +21,88 @@ impl Keyed for It {
     }
 }
 
-/// Min-order wrapper for the reference heap.
-#[derive(PartialEq, Eq)]
-struct Rev(It);
-impl Ord for Rev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.0.t, other.0.seq).cmp(&(self.0.t, self.0.seq))
+/// The oracle: every queued item, kept sorted ascending by `(t, seq)`.
+#[derive(Default)]
+struct Sorted(Vec<It>);
+
+impl Sorted {
+    fn push(&mut self, it: It) {
+        let at = self.0.partition_point(|x| (x.t, x.seq) < (it.t, it.seq));
+        self.0.insert(at, it);
     }
-}
-impl PartialOrd for Rev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    fn pop(&mut self) -> Option<It> {
+        (!self.0.is_empty()).then(|| self.0.remove(0))
+    }
+
+    /// The leading run of items sharing the minimum's `t`.
+    fn pop_batch(&mut self) -> Vec<It> {
+        let n = self.0.iter().take_while(|x| x.t == self.0[0].t).count();
+        self.0.drain(..n).collect()
     }
 }
 
 #[derive(Debug, Clone)]
 enum Step {
+    /// Push at an absolute time.
     Push(u64),
+    /// Push `d` ns after the last popped time: the scheduler's shape,
+    /// where an event's successor is due a little after it.
+    PushAhead(u64),
     Pop,
     PopBatch,
 }
 
-/// Mixed op stream biased toward the shapes that stress the calendar:
-/// pushes on a same-bucket tie grid, generic in-window pushes,
-/// far-future overflow pushes, and interleaved pops.
+/// Pushes on a coarse tie grid, anywhere, and just ahead of the pop
+/// frontier, interleaved with pops and batch pops.
 fn step_strategy() -> impl Strategy<Value = Step> {
     (0u64..10, 0u64..64, 0u64..(1u64 << 34)).prop_map(|(kind, bucket, raw)| match kind {
-        0..=2 => Step::Push(bucket * 256),
-        3 | 4 => Step::Push(raw % 100_000),
-        5 => Step::Push(raw),
+        0 | 1 => Step::Push(bucket * 256),
+        2 => Step::Push(raw),
+        3..=5 => Step::PushAhead(raw % 2_048),
         6..=8 => Step::Pop,
         _ => Step::PopBatch,
     })
 }
 
-fn drain_batch_reference(reference: &mut BinaryHeap<Rev>) -> Vec<It> {
-    let mut out = Vec::new();
-    let Some(first) = reference.pop() else {
-        return out;
-    };
-    let t = first.0.t;
-    out.push(first.0);
-    while reference.peek().is_some_and(|r| r.0.t == t) {
-        out.push(reference.pop().expect("peeked").0);
-    }
-    out
-}
-
 proptest! {
     #[test]
-    fn interleaved_ops_match_reference_heap(
+    fn interleaved_ops_match_sorted_oracle(
         steps in proptest::collection::vec(step_strategy(), 1..300),
     ) {
-        // Small geometry (16 ns buckets × 32 slots = 512 ns window) so
-        // the test exercises rotation and overflow constantly.
-        let mut cal = CalendarQueue::with_geometry(4, 32);
-        let mut reference: BinaryHeap<Rev> = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut q = CalendarQueue::new();
+        let mut oracle = Sorted::default();
+        let (mut seq, mut frontier) = (0u64, 0u64);
         for step in &steps {
-            match step {
-                Step::Push(t) => {
-                    cal.push(It { t: *t, seq });
-                    reference.push(Rev(It { t: *t, seq }));
-                    seq += 1;
-                }
+            prop_assert_eq!(q.len(), oracle.0.len());
+            let t = match *step {
+                Step::Push(t) => t,
+                Step::PushAhead(d) => frontier + d,
                 Step::Pop => {
-                    prop_assert_eq!(cal.pop(), reference.pop().map(|r| r.0));
-                    prop_assert_eq!(cal.len(), reference.len());
+                    let want = oracle.pop();
+                    prop_assert_eq!(q.peek_key(), want.map(|it| (it.t, it.seq)));
+                    prop_assert_eq!(q.pop(), want);
+                    frontier = want.map_or(frontier, |it| it.t);
+                    continue;
                 }
                 Step::PopBatch => {
                     let mut got = Vec::new();
-                    cal.pop_batch(&mut got);
-                    let want = drain_batch_reference(&mut reference);
+                    prop_assert_eq!(q.pop_batch(&mut got), got.len());
+                    let want = oracle.pop_batch();
+                    frontier = want.first().map_or(frontier, |it| it.t);
                     prop_assert_eq!(got, want);
+                    continue;
                 }
-            }
+            };
+            q.push(It { t, seq });
+            oracle.push(It { t, seq });
+            seq += 1;
         }
-        // Full drain: the tails must agree element-for-element too.
-        while let Some(want) = reference.pop() {
-            prop_assert_eq!(cal.pop(), Some(want.0));
+        // Full drain: the tails must agree element for element too.
+        while let Some(want) = oracle.pop() {
+            prop_assert_eq!(q.pop(), Some(want));
         }
-        prop_assert!(cal.is_empty());
+        prop_assert!(q.is_empty());
     }
 }
 
@@ -116,46 +115,46 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Equal times pop by `seq`, whatever order they were pushed in: every
+/// time is one of 64 grid points, and the `seq`s are pushed as a
+/// permutation (an odd multiplier is a bijection modulo 2^13).
 #[test]
 fn seeded_bulk_streams_drain_identically() {
     for seed in [1u64, 42, 0xDEAD_BEEF] {
         let mut s = seed;
-        let mut cal = CalendarQueue::new();
-        let mut reference: BinaryHeap<Rev> = BinaryHeap::new();
-        for seq in 0..10_000u64 {
-            let r = splitmix(&mut s);
-            // Tie-heavy grid with a 1-in-16 far-future overflow jump.
-            let t = if r.is_multiple_of(16) {
-                (r >> 8) % (1 << 36)
-            } else {
-                ((r >> 8) % 4096) * 256
+        let mut q = CalendarQueue::new();
+        let mut oracle = Sorted::default();
+        for i in 0..8_192u64 {
+            let it = It {
+                t: (splitmix(&mut s) % 64) * 256,
+                seq: i.wrapping_mul(0x9E37) & 0x1FFF,
             };
-            cal.push(It { t, seq });
-            reference.push(Rev(It { t, seq }));
+            q.push(it);
+            oracle.push(it);
         }
         let mut n = 0u64;
-        while let Some(want) = reference.pop() {
-            assert_eq!(cal.pop(), Some(want.0), "seed {seed}, position {n}");
+        while let Some(want) = oracle.pop() {
+            assert_eq!(q.pop(), Some(want), "seed {seed}, position {n}");
             n += 1;
         }
-        assert!(cal.is_empty());
+        assert_eq!(n, 8_192);
+        assert!(q.is_empty());
     }
 }
 
 #[test]
 fn batched_drain_concatenation_equals_single_pops() {
     let mut s = 7u64;
-    let mut cal = CalendarQueue::with_geometry(6, 64);
-    let mut reference: BinaryHeap<Rev> = BinaryHeap::new();
+    let mut q = CalendarQueue::new();
+    let mut oracle = Sorted::default();
     for seq in 0..4_000u64 {
-        let r = splitmix(&mut s);
-        let t = ((r >> 8) % 512) * 64;
-        cal.push(It { t, seq });
-        reference.push(Rev(It { t, seq }));
+        let t = (splitmix(&mut s) % 512) * 64;
+        q.push(It { t, seq });
+        oracle.push(It { t, seq });
     }
     let mut got = Vec::new();
     let mut batch = Vec::new();
-    while cal.pop_batch(&mut batch) > 0 {
+    while q.pop_batch(&mut batch) > 0 {
         assert!(
             batch.iter().all(|it| it.t == batch[0].t),
             "batch spans timestamps"
@@ -163,8 +162,8 @@ fn batched_drain_concatenation_equals_single_pops() {
         got.append(&mut batch);
     }
     let mut want = Vec::new();
-    while let Some(r) = reference.pop() {
-        want.push(r.0);
+    while let Some(it) = oracle.pop() {
+        want.push(it);
     }
     assert_eq!(got, want);
 }

@@ -7,8 +7,9 @@
 //! deterministic hand-off count, every way a quantum can end after a
 //! worker ran (budget, fuel, deadlock, panic) reaching the stepper, a
 //! worker running its own next event in place replaying the queued path
-//! op by op, a hand-off-heavy world pinned to literals, and every abort
-//! raised on a fiber the run was handed to surfacing unchanged.
+//! op by op, a hand-off-heavy world and a world that ends with a stale
+//! grant still queued pinned to literals, and every abort raised on a
+//! fiber the run was handed to surfacing unchanged.
 
 use mtmpi_locks::PathClass;
 use mtmpi_net::NetModel;
@@ -561,8 +562,13 @@ fn running_the_next_event_in_place_replays_the_queued_path() {
 /// Sixteen threads passing one barging mutex, yielding between passages:
 /// more than half of all events hand the run to another thread.
 fn contended_mutex_world() -> Arc<VirtualPlatform> {
-    let p = platform(0x16);
-    let lock = p.lock_create(LockKind::Mutex);
+    contended_world(platform(0x16), LockKind::Mutex)
+}
+
+/// Sixteen threads of `p` passing one lock of `kind`, yielding between
+/// passages.
+fn contended_world(p: Arc<VirtualPlatform>, kind: LockKind) -> Arc<VirtualPlatform> {
+    let lock = p.lock_create(kind);
     for i in 0..16u32 {
         let p2 = p.clone();
         p.spawn(
@@ -595,6 +601,36 @@ fn a_handoff_heavy_world_replays_its_pinned_trace() {
         assert_eq!(
             (r.events, r.end_ns, r.sched_trace_hash, r.handoffs),
             (816, 98_078, 8_172_738_309_353_957_238, handoffs),
+            "quantum {quantum}"
+        );
+    }
+}
+
+#[test]
+fn events_queued_after_the_last_retirement_are_not_run() {
+    // TAS with 20 µs of CAS-race jitter: a waiter whose scheduled grant
+    // was stolen can win the lock back at a later release, finish and
+    // retire before the stale grant is due. In this world the last thread
+    // retires at 402 567 ns with one stale `Grant` still queued, due
+    // 7 µs later. The run ends there: popping it would count one more
+    // event and fold it into the hash.
+    let params = LockModelParams {
+        jitter_ns: 20_000,
+        ..LockModelParams::default()
+    };
+    for (quantum, handoffs) in [(1, 1184), (3, 618), (u64::MAX, 234)] {
+        let p = Arc::new(VirtualPlatform::new(
+            nehalem_cluster_scaled(2),
+            NetModel::qdr(),
+            params,
+            21,
+        ));
+        let mut h = contended_world(p, LockKind::Tas).start();
+        while h.step(quantum).expect("no deadlock") == StepOutcome::Pending {}
+        let r = h.finish();
+        assert_eq!(
+            (r.events, r.handoffs, r.end_ns, r.sched_trace_hash),
+            (795, handoffs, 402_567, 4_948_336_474_578_737_805),
             "quantum {quantum}"
         );
     }
