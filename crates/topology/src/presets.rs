@@ -62,6 +62,12 @@ mod tests {
         assert_eq!(c.node.clock_mhz, 2600);
         assert_eq!(c.node.l2_bytes, 256 * 1024);
         assert_eq!(c.node.l3_bytes, 8192 * 1024);
+        assert_eq!(c.node.processor, "Xeon E5540 (Nehalem)");
+        assert_eq!(c.interconnect, "Mellanox InfiniBand QDR (model)");
+        // Model additions, not Table 1 values: the lock hand-off costs.
+        assert_eq!(c.handoff.same_core_ns, 5);
+        assert_eq!(c.handoff.same_socket_ns, 25);
+        assert_eq!(c.handoff.cross_socket_ns, 120);
     }
 
     #[test]

@@ -34,6 +34,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 mod bench;
+#[cfg(test)]
+mod claims;
 mod run;
 mod trace;
 
