@@ -47,8 +47,7 @@ fn pinned(m: Method) -> (Option<Method>, u64, u64) {
         Method::Cohort(4) => (Some(Method::Cohort(16)), 0x74e4_34e5_aba2_6950, 379_740),
         Method::Cohort(16) => (Some(Method::Tas), 0x1506_86d7_5043_4701, 339_515),
         Method::Cohort(b) => panic!("cohort({b}) has no pin"),
-        Method::Tas => (Some(Method::Selective), 0x717b_2b62_5938_18d1, 344_208),
-        Method::Selective => (None, 0x268f_6315_99b0_55d1, 397_085),
+        Method::Tas => (None, 0x717b_2b62_5938_18d1, 344_208),
     }
 }
 
@@ -72,7 +71,7 @@ fn every_method_is_its_own_world() {
         seen.push((m, hash));
         next = after;
     }
-    assert_eq!(seen.len(), 8);
+    assert_eq!(seen.len(), 7);
 }
 
 /// `(nodes, events, handoffs, end_ns, sched_trace_hash)` of a six-round

@@ -20,9 +20,6 @@ pub enum Method {
     Cohort(u32),
     /// Test-and-set baseline.
     Tas,
-    /// Selective wake-up (§9 future work): FIFO plus completion-driven
-    /// queue jumping.
-    Selective,
 }
 
 impl Method {
@@ -45,7 +42,6 @@ impl Method {
             Method::Priority => LockKind::Priority,
             Method::Cohort(budget) => LockKind::Cohort { budget },
             Method::Tas => LockKind::Tas,
-            Method::Selective => LockKind::Selective,
         }
     }
 
@@ -58,7 +54,6 @@ impl Method {
             Method::Single => "Single",
             Method::Cohort(_) => "Cohort",
             Method::Tas => "TAS",
-            Method::Selective => "Selective",
         }
     }
 

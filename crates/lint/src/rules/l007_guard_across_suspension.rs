@@ -40,7 +40,6 @@ const PASS_THROUGH: &[&str] = &["unwrap", "expect", "unwrap_or_else"];
 pub const SUSPENSIONS: &[&str] = &[
     "lock_acquire",
     "lock_release",
-    "lock_boost",
     "yield_now",
     "net_send",
     "net_send_delayed",

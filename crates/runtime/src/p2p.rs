@@ -198,7 +198,6 @@ pub(crate) fn issue_send(
     st: &mut SharedState,
     src_rank: u32,
     vci: u32,
-    tid: u64,
     comm: CommId,
     dst: u32,
     tag: Tag,
@@ -239,7 +238,6 @@ pub(crate) fn issue_send(
     });
     ReqInner::new_completed(
         src_rank,
-        tid,
         ReqKind::Send,
         vci,
         Msg {
@@ -258,13 +256,11 @@ pub(crate) fn issue_send(
 ///
 /// Caller must hold the shard exclusively (queue lock or stream
 /// ownership).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn issue_recv(
     w: &WorldInner,
     st: &mut SharedState,
     rank: u32,
     vci: u32,
-    tid: u64,
     comm: CommId,
     src: Option<u32>,
     tag: Option<Tag>,
@@ -307,7 +303,6 @@ pub(crate) fn issue_recv(
             });
             ReqInner::new_completed(
                 rank,
-                tid,
                 ReqKind::Recv,
                 vci,
                 Msg {
@@ -319,7 +314,7 @@ pub(crate) fn issue_recv(
         }
         None => {
             w.platform.compute(costs.enqueue_ns);
-            let req = ReqInner::new(rank, tid, ReqKind::Recv, vci);
+            let req = ReqInner::new(rank, ReqKind::Recv, vci);
             st.ledger.note_issued();
             st.ledger.note_posted();
             w.rec_now(|| EventKind::Req {
@@ -356,11 +351,10 @@ impl RankHandle {
             w.platform.compute(costs.alloc_ns + 2 * costs.atomic_ns);
         }
         let src_rank = self.rank;
-        let tid = w.platform.current_tid();
         // Sends are always fully addressed: route to one shard.
         let vci = w.vci_for(comm, src_rank, dst, tag);
         let inner = w.cs(self.rank, vci, PathClass::Main, CsOp::Isend, |st| {
-            issue_send(w, st, src_rank, vci, tid, comm, dst, tag, data)
+            issue_send(w, st, src_rank, vci, comm, dst, tag, data)
         });
         Request { inner }
     }
@@ -383,9 +377,8 @@ impl RankHandle {
         let Some(vci) = w.vci_map.select_recv(comm.0, src, rank, tag) else {
             return self.irecv_multi(comm, src, tag);
         };
-        let tid = w.platform.current_tid();
         let inner = w.cs(rank, vci, PathClass::Main, CsOp::Irecv, |st| {
-            issue_recv(w, st, rank, vci, tid, comm, src, tag)
+            issue_recv(w, st, rank, vci, comm, src, tag)
         });
         Request { inner }
     }
@@ -400,8 +393,7 @@ impl RankHandle {
         let w = &self.world;
         let costs = w.costs;
         let rank = self.rank;
-        let tid = w.platform.current_tid();
-        let req = ReqInner::new_multi(rank, tid, 0);
+        let req = ReqInner::new_multi(rank, 0);
         let wild = &w.procs[rank as usize].wild;
         wild.note_issued();
         w.rec_now(|| EventKind::Req {

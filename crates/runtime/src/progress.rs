@@ -209,13 +209,6 @@ fn process_in_order(w: &WorldInner, rank: u32, vci: u32, st: &mut SharedState, p
                         vci,
                         phase: ReqPhase::Complete,
                     });
-                    if w.selective {
-                        // Selective wake-up (§9 future work): the owner of
-                        // the freshly completed request is the thread most
-                        // likely to do useful work next.
-                        let sh = w.shard(rank, vci);
-                        w.platform.lock_boost(sh.cs_queue, pr.req.owner_tid);
-                    }
                 }
                 None => {
                     w.platform.compute(w.costs.enqueue_ns);

@@ -52,8 +52,6 @@ const CLAIM_CANCELLER: u8 = 2;
 pub(crate) struct ReqInner {
     /// Rank whose critical section(s) guard this request.
     pub(crate) owner_rank: u32,
-    /// Platform thread id of the issuing thread (selective wake-up hint).
-    pub(crate) owner_tid: u64,
     pub(crate) kind: ReqKind,
     /// Home shard. For single-shard requests this is the VCI whose lock
     /// guards `state`; for multi requests it is the issuing key's hash
@@ -89,10 +87,9 @@ unsafe impl Send for ReqInner {}
 unsafe impl Sync for ReqInner {}
 
 impl ReqInner {
-    pub(crate) fn new(owner_rank: u32, owner_tid: u64, kind: ReqKind, vci: u32) -> Arc<Self> {
+    pub(crate) fn new(owner_rank: u32, kind: ReqKind, vci: u32) -> Arc<Self> {
         Arc::new(Self {
             owner_rank,
-            owner_tid,
             kind,
             vci,
             multi: false,
@@ -102,16 +99,9 @@ impl ReqInner {
         })
     }
 
-    pub(crate) fn new_completed(
-        owner_rank: u32,
-        owner_tid: u64,
-        kind: ReqKind,
-        vci: u32,
-        msg: Msg,
-    ) -> Arc<Self> {
+    pub(crate) fn new_completed(owner_rank: u32, kind: ReqKind, vci: u32, msg: Msg) -> Arc<Self> {
         Arc::new(Self {
             owner_rank,
-            owner_tid,
             kind,
             vci,
             multi: false,
@@ -122,10 +112,9 @@ impl ReqInner {
     }
 
     /// A multi-shard wildcard receive, to be posted to every shard.
-    pub(crate) fn new_multi(owner_rank: u32, owner_tid: u64, home_vci: u32) -> Arc<Self> {
+    pub(crate) fn new_multi(owner_rank: u32, home_vci: u32) -> Arc<Self> {
         Arc::new(Self {
             owner_rank,
-            owner_tid,
             kind: ReqKind::Recv,
             vci: home_vci,
             multi: true,
@@ -311,7 +300,7 @@ mod tests {
 
     #[test]
     fn multi_claim_admits_exactly_one_completer() {
-        let r = ReqInner::new_multi(0, 1, 2);
+        let r = ReqInner::new_multi(0, 2);
         assert!(!r.is_claimed());
         assert!(r.claim_complete());
         assert!(!r.claim_complete(), "second completer must lose");
@@ -326,7 +315,7 @@ mod tests {
 
     #[test]
     fn multi_cancel_blocks_later_completers() {
-        let r = ReqInner::new_multi(0, 1, 0);
+        let r = ReqInner::new_multi(0, 0);
         assert!(r.claim_cancel());
         assert!(!r.claim_complete(), "matcher must lose to the canceller");
         assert!(r.is_claimed());
@@ -335,7 +324,7 @@ mod tests {
 
     #[test]
     fn claim_races_from_many_threads_have_one_winner() {
-        let r = ReqInner::new_multi(0, 1, 0);
+        let r = ReqInner::new_multi(0, 0);
         let wins: usize = std::thread::scope(|s| {
             (0..8)
                 .map(|_| s.spawn(|| r.claim_complete()))

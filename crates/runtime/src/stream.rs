@@ -149,10 +149,9 @@ impl Stream {
             w.platform.compute(costs.alloc_ns + 2 * costs.atomic_ns);
         }
         let src_rank = self.h.rank;
-        let tid = w.platform.current_tid();
         let shard = self.shard;
         let inner = self.pass(CsOp::Isend, |st| {
-            issue_send(w, st, src_rank, shard, tid, CommId::WORLD, dst, tag, data)
+            issue_send(w, st, src_rank, shard, CommId::WORLD, dst, tag, data)
         });
         Request { inner }
     }
@@ -175,10 +174,9 @@ impl Stream {
             w.platform.compute(costs.alloc_ns + 2 * costs.atomic_ns);
         }
         let rank = self.h.rank;
-        let tid = w.platform.current_tid();
         let shard = self.shard;
         let inner = self.pass(CsOp::Irecv, |st| {
-            issue_recv(w, st, rank, shard, tid, CommId::WORLD, Some(s), tag)
+            issue_recv(w, st, rank, shard, CommId::WORLD, Some(s), tag)
         });
         Request { inner }
     }

@@ -79,8 +79,6 @@ pub(crate) struct WorldInner {
     pub(crate) granularity: Granularity,
     pub(crate) procs: Vec<Process>,
     pub(crate) liveness_limit_ns: u64,
-    /// Whether the CS lock consumes selective wake-up hints.
-    pub(crate) selective: bool,
     /// Arbitration of the CS locks (stamped into CS span events).
     pub(crate) lock: LockKind,
     /// Envelope → VCI routing (count 1 = the unsharded global CS).
@@ -681,7 +679,6 @@ impl WorldBuilder {
                 granularity: self.granularity,
                 procs,
                 liveness_limit_ns: self.liveness_limit_ns,
-                selective: matches!(self.lock, LockKind::Selective),
                 lock: self.lock,
                 vci_map: self.vci_map,
                 streams: self.streams,

@@ -84,7 +84,7 @@ thread_local! {
 }
 
 /// Process-wide native thread-id source (stable ids for obs events and
-/// `lock_boost` addressing).
+/// stream binds).
 static NEXT_NATIVE_TID: AtomicU64 = AtomicU64::new(0);
 
 impl NativePlatform {
@@ -120,9 +120,6 @@ impl NativePlatform {
                 Box::new(CohortTicketLock::new(self.cluster.node.sockets, budget))
             }
             LockKind::Tas => Box::new(TasLock::default()),
-            // Natively the selective hint has no consumer; FIFO is the
-            // closest behaviour.
-            LockKind::Selective => Box::new(TicketLock::new()),
         }
     }
 

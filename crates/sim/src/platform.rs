@@ -30,11 +30,6 @@ pub enum LockKind {
     },
     /// Test-and-set spinlock baseline.
     Tas,
-    /// Selective wake-up (the paper's §9 future-work idea): FIFO order,
-    /// but a waiter whose request was just completed (signalled by the
-    /// runtime via [`Platform::lock_boost`]) jumps the queue — it is the
-    /// thread most likely to do useful work (free + reissue).
-    Selective,
 }
 
 impl LockKind {
@@ -46,7 +41,6 @@ impl LockKind {
             LockKind::Priority => "priority",
             LockKind::Cohort { .. } => "cohort",
             LockKind::Tas => "tas",
-            LockKind::Selective => "selective",
         }
     }
 }
@@ -220,17 +214,11 @@ pub trait Platform: Send + Sync {
         None
     }
 
-    /// Stable id of the calling worker thread (used to address
-    /// [`Platform::lock_boost`] hints).
+    /// Stable id of the calling worker thread (the thread of a recorded
+    /// event, and a stream's bind claim).
     fn current_tid(&self) -> u64 {
         u64::MAX
     }
-
-    /// Hint that thread `tid` — currently waiting on `lock` or about to
-    /// request it — just became likely to do useful work (e.g. its
-    /// request completed). Only the `Selective` lock kind consumes this;
-    /// others ignore it.
-    fn lock_boost(&self, _lock: LockId, _tid: u64) {}
 
     /// Register a worker thread. Pre-run only.
     fn spawn(&self, desc: ThreadDesc, f: Box<dyn FnOnce() + Send>);

@@ -56,10 +56,6 @@ enum Op {
     /// this thread's current virtual time (used by `yield_now` so that
     /// busy-waits on shared memory stay live).
     Fence,
-    LockBoost {
-        lock: usize,
-        tid: u64,
-    },
     LockAcquire {
         lock: usize,
         class: PathClass,
@@ -86,7 +82,6 @@ impl std::fmt::Debug for Op {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Op::Fence => write!(f, "Fence"),
-            Op::LockBoost { lock, tid } => write!(f, "LockBoost({lock}, t{tid})"),
             Op::LockAcquire { lock, class } => write!(f, "LockAcquire({lock}, {class:?})"),
             Op::LockRelease { lock } => write!(f, "LockRelease({lock})"),
             Op::NetSend {
@@ -486,12 +481,6 @@ impl Platform for VirtualPlatform {
 
     fn node_count(&self) -> Option<u32> {
         Some(self.cluster.nodes)
-    }
-
-    fn lock_boost(&self, lock: LockId, tid: u64) {
-        with_ctx(|c| {
-            c.sync(Op::LockBoost { lock: lock.0, tid });
-        });
     }
 
     fn lock_acquire(&self, lock: LockId, class: PathClass) -> CsToken {
@@ -1042,10 +1031,6 @@ impl Scheduler {
     fn exec(&mut self, t: u64, tid: usize, op: Op) -> Option<Reply> {
         match op {
             Op::Fence => Some(Reply::Go { now: t }),
-            Op::LockBoost { lock, tid: boosted } => {
-                self.vlocks[lock].boost(boosted as usize);
-                Some(Reply::Go { now: t })
-            }
             Op::LockAcquire { lock, class } => {
                 let info = &self.threads[tid];
                 match self.vlocks[lock].acquire(t, tid, info.core, info.socket, class) {

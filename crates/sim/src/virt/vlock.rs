@@ -34,15 +34,25 @@
 //!
 //! ## The priority model (§5.2)
 //!
-//! Two FIFO classes; `Main` beats `Progress`. This is the idealized
-//! behaviour of the three-ticket-lock construction of Fig 7 (the real
-//! lock lets an already-queued low-priority thread slip in at a burst
-//! boundary; the idealization is noted in DESIGN.md).
+//! A burst counter: while progress-path waiters exist, the oldest
+//! main-path waiter wins up to `priority_burst` (3 by default)
+//! consecutive grants, then the oldest progress-path waiter is served
+//! and the count restarts. With waiters of one class only, it is FIFO
+//! within that class. This is not the three-ticket-lock construction of
+//! Fig 7 (`mtmpi_locks::PriorityTicketLock`); replacing it with that
+//! lock's grant order is ROADMAP items 10 and 19.
 //!
 //! ## The cohort model (§7 extension)
 //!
 //! FIFO, but prefers waiters on the releaser's socket for up to `budget`
 //! consecutive hand-overs.
+//!
+//! ## The TAS model
+//!
+//! A pure CAS race among all waiters, who all busy-wait: each observes
+//! the release after the hand-off latency from the releaser's core plus
+//! jitter, and the earliest wins. Like the mutex, a newcomer can steal a
+//! pending hand-off; unlike it, nobody sleeps.
 
 use crate::platform::{LockKind, LockModelParams};
 use mtmpi_locks::PathClass;
@@ -123,12 +133,9 @@ pub(crate) struct VLock {
     /// home until someone else takes it).
     last_owner: Option<(CoreId, SocketId)>,
     /// Thread id of the last owner (for the working-set migration cost).
-    last_owner_tid: Option<usize>,
+    last_tid: Option<usize>,
     cohort_passes: u32,
     prio_burst: u32,
-    /// Threads flagged by the runtime as "has useful work now"
-    /// (selective wake-up, §9 future work).
-    boosted: std::collections::HashSet<usize>,
     rng: SmallRng,
 }
 
@@ -151,10 +158,9 @@ impl VLock {
             grants: GrantFold::new(),
             gen: 0,
             last_owner: None,
-            last_owner_tid: None,
+            last_tid: None,
             cohort_passes: 0,
             prio_burst: 0,
-            boosted: std::collections::HashSet::new(),
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -175,7 +181,7 @@ impl VLock {
     /// threads: the new owner's first touches of the runtime's shared
     /// structures miss in its private caches.
     fn migration_cost(&self, tid: usize, socket: SocketId) -> u64 {
-        match (self.last_owner_tid, self.last_owner) {
+        match (self.last_tid, self.last_owner) {
             (Some(prev_tid), Some((_, prev_socket))) if prev_tid != tid => {
                 if prev_socket == socket {
                     self.params.migrate_same_socket_ns
@@ -217,13 +223,6 @@ impl VLock {
         });
     }
 
-    /// Flag `tid` as likely to do useful work on its next acquisition.
-    pub(crate) fn boost(&mut self, tid: usize) {
-        if matches!(self.kind, LockKind::Selective) {
-            self.boosted.insert(tid);
-        }
-    }
-
     /// A thread requests the lock at time `t`.
     pub(crate) fn acquire(
         &mut self,
@@ -247,7 +246,7 @@ impl VLock {
                 self.record_grant(&me, at);
                 self.state = State::Held { tid };
                 self.last_owner = Some((core, socket));
-                self.last_owner_tid = Some(tid);
+                self.last_tid = Some(tid);
                 AcquireOutcome::Granted { at }
             }
             State::Held { .. } => {
@@ -320,21 +319,6 @@ impl VLock {
                 let w = &self.waiters[0];
                 let at = t + self.handoff.between(&self.topo, rel_core, w.core);
                 (0, at)
-            }
-            LockKind::Selective => {
-                // FIFO, except boosted waiters (threads whose requests
-                // just completed) jump the queue.
-                let idx = self
-                    .waiters
-                    .iter()
-                    .position(|w| self.boosted.contains(&w.tid))
-                    .unwrap_or(0);
-                let winner_tid = self.waiters[idx].tid;
-                self.boosted.remove(&winner_tid);
-                let at = t + self
-                    .handoff
-                    .between(&self.topo, rel_core, self.waiters[idx].core);
-                (idx, at)
             }
             LockKind::Priority => {
                 // Main-path waiters are served first, but a burst of
@@ -462,7 +446,7 @@ impl VLock {
                 self.record_grant(&winner, at);
                 self.state = State::Held { tid: winner.tid };
                 self.last_owner = Some((winner.core, winner.socket));
-                self.last_owner_tid = Some(winner.tid);
+                self.last_tid = Some(winner.tid);
                 GrantOutcome::Granted {
                     tid: winner.tid,
                     at,
@@ -723,67 +707,6 @@ mod tests {
         ));
         let (c1, s1) = place(1);
         let _ = l.release(10, 1, c1, s1);
-    }
-
-    #[test]
-    fn selective_boost_jumps_queue() {
-        let mut l = lock(LockKind::Selective);
-        let (c0, s0) = place(0);
-        assert!(matches!(
-            l.acquire(0, 0, c0, s0, PathClass::Main),
-            AcquireOutcome::Granted { .. }
-        ));
-        for tid in 1..4 {
-            let (c, s) = place(tid);
-            assert!(matches!(
-                l.acquire(10, tid, c, s, PathClass::Main),
-                AcquireOutcome::Queued
-            ));
-        }
-        // Boost thread 3 (its request "just completed"): it must be
-        // served before the FIFO-earlier threads 1 and 2.
-        l.boost(3);
-        match l.release(1_000, 0, c0, s0) {
-            ReleaseOutcome::Scheduled { gen, .. } => match l.try_finalize(gen) {
-                GrantOutcome::Granted { tid, .. } => assert_eq!(tid, 3, "boosted thread wins"),
-                o => panic!("unexpected {o:?}"),
-            },
-            o => panic!("unexpected {o:?}"),
-        }
-        // Without further boosts it degrades to plain FIFO.
-        let (c3, s3) = place(3);
-        match l.release(2_000, 3, c3, s3) {
-            ReleaseOutcome::Scheduled { gen, .. } => match l.try_finalize(gen) {
-                GrantOutcome::Granted { tid, .. } => assert_eq!(tid, 1, "FIFO after boost"),
-                o => panic!("unexpected {o:?}"),
-            },
-            o => panic!("unexpected {o:?}"),
-        }
-    }
-
-    #[test]
-    fn boost_is_ignored_by_other_kinds() {
-        let mut l = lock(LockKind::Ticket);
-        let (c0, s0) = place(0);
-        assert!(matches!(
-            l.acquire(0, 0, c0, s0, PathClass::Main),
-            AcquireOutcome::Granted { .. }
-        ));
-        for tid in 1..3 {
-            let (c, s) = place(tid);
-            assert!(matches!(
-                l.acquire(10, tid, c, s, PathClass::Main),
-                AcquireOutcome::Queued
-            ));
-        }
-        l.boost(2); // no-op for ticket
-        match l.release(1_000, 0, c0, s0) {
-            ReleaseOutcome::Scheduled { gen, .. } => match l.try_finalize(gen) {
-                GrantOutcome::Granted { tid, .. } => assert_eq!(tid, 1, "ticket stays FIFO"),
-                o => panic!("unexpected {o:?}"),
-            },
-            o => panic!("unexpected {o:?}"),
-        }
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //! block between [`BEGIN`] and [`END`] to equal the rendered text; a
 //! failure names the first differing row and prints the whole block to
 //! copy in. `bench-diff` keeps each committed document equal to a fresh
-//! run, so the rows read what the figures produce.
+//! run, so the rows read what the figures produce. A second check keeps
+//! the verdict rows and the figure and ablation binaries naming each
+//! other.
 
 use crate::run::same_text;
 use mtmpi_prof::Json;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 const BEGIN: &str = "<!-- claims:begin -->\n";
@@ -497,9 +500,58 @@ fn check(generated: &str, experiments: &str) -> Result<(), String> {
     })
 }
 
+/// Whether `word` names a figure or ablation binary
+/// (`crates/bench/src/bin/<word>.rs`).
+fn is_binary_name(word: &str) -> bool {
+    (word.starts_with("fig") || word.starts_with("ablation_"))
+        && word.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
+/// Every figure or ablation binary a verdict row names in backticks:
+/// the rows of the generated block and of the hand-written table after
+/// it, up to the next heading.
+fn named_binaries(experiments: &str) -> Result<BTreeSet<&str>, String> {
+    let (_, rest) = experiments
+        .split_once(BEGIN)
+        .ok_or_else(|| format!("EXPERIMENTS.md has no {BEGIN:?} marker"))?;
+    let table = rest.split("\n## ").next().unwrap_or(rest);
+    let rows = table.lines().filter(|l| l.starts_with('|'));
+    let spans = rows.flat_map(|row| row.split('`').skip(1).step_by(2));
+    Ok(spans.filter(|w| is_binary_name(w)).collect())
+}
+
+/// The rows and the binaries must name each other: a row whose binary
+/// is gone, or a binary no row names, fails by name.
+fn check_binaries(named: &BTreeSet<&str>, bins: &BTreeSet<String>) -> Result<(), String> {
+    let gone: Vec<_> = named.iter().filter(|n| !bins.contains(**n)).collect();
+    let unnamed: Vec<_> = bins
+        .iter()
+        .filter(|b| !named.contains(b.as_str()))
+        .collect();
+    if gone.is_empty() && unnamed.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "verdict rows name binaries that do not exist: {gone:?}; \
+         binaries no verdict row names: {unnamed:?}"
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The figure and ablation binaries under `crates/bench/src/bin/`.
+    fn binaries() -> BTreeSet<String> {
+        let dir = crate::workspace_root().join("crates/bench/src/bin");
+        let entries = std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+        entries
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .filter_map(|p| Some(p.file_stem()?.to_str()?.to_owned()))
+            .filter(|n| is_binary_name(n))
+            .collect()
+    }
 
     const COMMITTED: [(&str, &str); 8] = [
         (
@@ -563,6 +615,41 @@ mod tests {
         if let Err(e) = check(&generated, EXPERIMENTS) {
             panic!("{e}");
         }
+    }
+
+    #[test]
+    fn every_verdict_row_names_a_binary_and_every_binary_has_a_row() {
+        let named = named_binaries(EXPERIMENTS).unwrap_or_else(|e| panic!("{e}"));
+        if let Err(e) = check_binaries(&named, &binaries()) {
+            panic!("{e}");
+        }
+    }
+
+    /// A row left behind by a deleted binary, and a binary whose row is
+    /// deleted, each fail by name.
+    #[test]
+    fn a_stale_row_or_an_unnamed_binary_fails_by_name() {
+        let stale = EXPERIMENTS.replacen(
+            "\n| — | Ablation: granularity",
+            "\n| — | Ablation: selective wake-up | extension | `ablation_selective` |\n\
+             | — | Ablation: granularity",
+            1,
+        );
+        let named = named_binaries(&stale).unwrap();
+        let err = check_binaries(&named, &binaries()).unwrap_err();
+        assert!(
+            err.starts_with(
+                "verdict rows name binaries that do not exist: [\"ablation_selective\"];"
+            ),
+            "{err}"
+        );
+        let mut named = named_binaries(EXPERIMENTS).unwrap();
+        named.remove("fig_fault");
+        let err = check_binaries(&named, &binaries()).unwrap_err();
+        assert!(
+            err.ends_with("binaries no verdict row names: [\"fig_fault\"]"),
+            "{err}"
+        );
     }
 
     /// Each bend moves one number the table reads; its row leaves the
