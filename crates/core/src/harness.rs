@@ -4,7 +4,7 @@ use crate::method::Method;
 use mtmpi_metrics::{DanglingSampler, GrantFold, Histogram};
 use mtmpi_net::{FaultPlan, NetModel};
 use mtmpi_obs::{RingRecorder, RunRecord, Sink, Timeline, TimelineClaim, DEFAULT_SHARD_CAP};
-use mtmpi_runtime::{Granularity, RankHandle, RankStats, RuntimeCosts, VciMap, World};
+use mtmpi_runtime::{RankHandle, RankStats, RuntimeCosts, VciMap, World};
 use mtmpi_sim::{
     LockModelParams, Platform, PlatformReport, SimError, StepOutcome, ThreadDesc, VirtualPlatform,
 };
@@ -185,7 +185,6 @@ impl Experiment {
             .ranks(nranks)
             .rank_on_node(move |r| r / ranks_per_node)
             .lock(cfg.method.lock_kind())
-            .granularity(cfg.granularity)
             .costs(self.costs)
             .window_bytes(cfg.window_bytes)
             .expect_rma(cfg.progress_thread)
@@ -408,8 +407,6 @@ pub struct RunConfig {
     pub threads_per_rank: u32,
     /// Thread-to-core binding policy.
     pub binding: BindingPolicy,
-    /// Critical-section granularity.
-    pub granularity: Granularity,
     /// RMA window size per rank (0 = no window).
     pub window_bytes: usize,
     /// Spawn an asynchronous progress thread per rank.
@@ -437,7 +434,6 @@ impl RunConfig {
             ranks_per_node: 1,
             threads_per_rank: 1,
             binding: BindingPolicy::Compact,
-            granularity: Granularity::Global,
             window_bytes: 0,
             progress_thread: false,
             vci_map: VciMap::new(1),
@@ -467,12 +463,6 @@ impl RunConfig {
     /// Set the binding policy.
     pub fn binding(mut self, b: BindingPolicy) -> Self {
         self.binding = b;
-        self
-    }
-
-    /// Set the CS granularity.
-    pub fn granularity(mut self, g: Granularity) -> Self {
-        self.granularity = g;
         self
     }
 

@@ -6,7 +6,7 @@
 //! flags any code that can enter a second critical section while one is
 //! held:
 //!
-//! 1. a direct `cs`/`cs_on`/`lock_acquire`/`progress_lock` call inside
+//! 1. a direct `cs`/`cs_on`/`lock_acquire` call inside
 //!    the argument extent (i.e. the state closure) of an enclosing
 //!    `cs`/`cs_on` call, and
 //! 2. interprocedurally, a *free-function* call inside that closure to
@@ -15,18 +15,13 @@
 //!    free calls propagate: the runtime's in-CS helpers are free
 //!    functions by convention, and method names (`get`, `put`, …)
 //!    collide with std-container methods on a name-based graph.
-//!
-//! The split progress lock (`progress_lock` → queue CS in PerQueue
-//! granularity) is never held together with the queue CS:
-//! `progress_once` releases it before it enters the queue CS, so the two
-//! are sequential sections, and this rule bans any nested entry.
 
 use crate::diag::Diagnostic;
 use crate::source::{matching, SourceFile};
 use std::collections::BTreeSet;
 
 /// The primitive entry points into a shard's critical section.
-const PRIMITIVES: &[&str] = &["cs", "cs_on", "lock_acquire", "progress_lock"];
+const PRIMITIVES: &[&str] = &["cs", "cs_on", "lock_acquire"];
 
 /// Cross-file context: the names of functions known to (transitively)
 /// enter a critical section.

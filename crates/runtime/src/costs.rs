@@ -33,9 +33,6 @@ pub struct RuntimeCosts {
     /// Gap between progress-loop iterations, spent outside the CS
     /// (re-acquire happens after this).
     pub poll_gap_ns: u64,
-    /// One lock-free atomic update (reference counts in the finer
-    /// granularity modes).
-    pub atomic_ns: u64,
     /// Envelope bytes added to every wire message.
     pub header_bytes: u64,
     /// Copy cost per byte when an eager message is matched from the
@@ -54,7 +51,6 @@ impl Default for RuntimeCosts {
             free_ns: 40,
             poll_base_ns: 350,
             poll_gap_ns: 900,
-            atomic_ns: 12,
             header_bytes: 64,
             unexpected_copy_ns_per_byte: 0.05,
         }

@@ -19,8 +19,7 @@
 //!   progress thread that makes single-threaded RMA exercise
 //!   `MPI_THREAD_MULTIPLE` (the Fig 9 experiment);
 //! * the **global critical section** protecting all of the above, with a
-//!   pluggable arbitration ([`mtmpi_sim::LockKind`]) and three
-//!   granularity modes (Fig 1): `Global`, `BriefGlobal`, `PerQueue`;
+//!   pluggable arbitration ([`mtmpi_sim::LockKind`]);
 //! * built-in **profiling**: the dangling-request sampler of §4.4, the
 //!   acquisition traces consumed by the §4.3 bias analysis, and — via the
 //!   [`mtmpi_obs`] observability layer — always-on CS wait/hold and
@@ -65,7 +64,6 @@ pub mod comm;
 pub mod costs;
 pub mod errors;
 pub mod faults;
-pub mod granularity;
 mod ledger;
 pub mod p2p;
 pub mod packet;
@@ -82,7 +80,6 @@ pub mod world;
 pub use comm::Comm;
 pub use costs::RuntimeCosts;
 pub use errors::{BuildError, MpiError, StreamBindError};
-pub use granularity::Granularity;
 pub use ledger::{LeakReport, RequestLedger};
 pub use request::{Request, TestOutcome};
 pub use stats::RankStats;
@@ -98,13 +95,13 @@ pub use world::{RankHandle, World, WorldBuilder};
 /// ```
 ///
 /// brings in the world-building API, message types, the platform layer
-/// (virtual and native), lock/granularity knobs, topology presets, and
+/// (virtual and native), lock knobs, topology presets, and
 /// the observability entry points — everything the `examples/` need.
 pub mod prelude {
     pub use crate::{
-        BuildError, Comm, CommId, Granularity, MpiError, Msg, MsgData, RankHandle, RankStats,
-        Request, RuntimeCosts, Stream, StreamBindError, Tag, TestOutcome, VciMap, World,
-        WorldBuilder, ANY_SOURCE, ANY_TAG,
+        BuildError, Comm, CommId, MpiError, Msg, MsgData, RankHandle, RankStats, Request,
+        RuntimeCosts, Stream, StreamBindError, Tag, TestOutcome, VciMap, World, WorldBuilder,
+        ANY_SOURCE, ANY_TAG,
     };
     pub use mtmpi_locks::PathClass;
     pub use mtmpi_net::{FaultPlan, NetModel};

@@ -204,9 +204,7 @@ pub(crate) fn issue_send(
     data: MsgData,
 ) -> Arc<ReqInner> {
     let costs = w.costs;
-    if !w.granularity.alloc_outside_cs() {
-        w.platform.compute(costs.alloc_ns);
-    }
+    w.platform.compute(costs.alloc_ns);
     w.platform.compute(costs.enqueue_ns);
     let bytes = data.len() + costs.header_bytes;
     crate::faults::send_data(
@@ -266,9 +264,7 @@ pub(crate) fn issue_recv(
     tag: Option<Tag>,
 ) -> Arc<ReqInner> {
     let costs = w.costs;
-    if !w.granularity.alloc_outside_cs() {
-        w.platform.compute(costs.alloc_ns);
-    }
+    w.platform.compute(costs.alloc_ns);
     // First look in the unexpected queue (Fig 3b "found in
     // UnexpectedQ" arc); charge per scanned entry.
     let mut scanned = 0u64;
@@ -345,11 +341,6 @@ impl RankHandle {
         assert!(dst < w.nranks(), "destination rank out of range");
         let costs = w.costs;
         w.platform.compute(costs.call_overhead_ns);
-        if w.granularity.alloc_outside_cs() {
-            // Brief-global / per-queue: allocation + refcounts are
-            // lock-free, outside the CS.
-            w.platform.compute(costs.alloc_ns + 2 * costs.atomic_ns);
-        }
         let src_rank = self.rank;
         // Sends are always fully addressed: route to one shard.
         let vci = w.vci_for(comm, src_rank, dst, tag);
@@ -370,9 +361,6 @@ impl RankHandle {
         }
         let costs = w.costs;
         w.platform.compute(costs.call_overhead_ns);
-        if w.granularity.alloc_outside_cs() {
-            w.platform.compute(costs.alloc_ns + 2 * costs.atomic_ns);
-        }
         let rank = self.rank;
         let Some(vci) = w.vci_map.select_recv(comm.0, src, rank, tag) else {
             return self.irecv_multi(comm, src, tag);
@@ -404,7 +392,7 @@ impl RankHandle {
         let mut posted_any = false;
         for v in 0..w.vci_n() {
             let pass = w.cs(rank, v, PathClass::Main, CsOp::Irecv, |st| {
-                if v == 0 && !w.granularity.alloc_outside_cs() {
+                if v == 0 {
                     w.platform.compute(costs.alloc_ns);
                 }
                 if req.is_claimed() {
@@ -503,27 +491,7 @@ impl RankHandle {
             return TestOutcome::Pending(req);
         }
         let vci = req.inner.vci;
-        if w.granularity.split_progress_lock() {
-            // Fine-grained: check under the queue lock; if pending, run a
-            // separate progress iteration and re-check.
-            let first = w.cs(rank, vci, PathClass::Main, CsOp::Test, |st| {
-                // SAFETY: queue lock held.
-                unsafe { try_free_in_cs(w, st, rank, &req) }
-            });
-            if let Some(m) = first {
-                return TestOutcome::Done(m);
-            }
-            let _ = progress_once(w, rank, vci, PathClass::Main, Path::Main);
-            let second = w.cs(rank, vci, PathClass::Main, CsOp::Test, |st| {
-                // SAFETY: queue lock held.
-                unsafe { try_free_in_cs(w, st, rank, &req) }
-            });
-            return match second {
-                Some(m) => TestOutcome::Done(m),
-                None => TestOutcome::Pending(req),
-            };
-        }
-        // Global / brief-global: single CS covering check + poll + check.
+        // One CS passage covering check + poll + check.
         let out = w.cs(rank, vci, PathClass::Main, CsOp::Test, |st| {
             // SAFETY: queue lock held.
             if let Some(m) = unsafe { try_free_in_cs(w, st, rank, &req) } {
@@ -573,26 +541,15 @@ impl RankHandle {
         let mut spins = 0u32;
         loop {
             let opath = wait_path(class);
-            let step = if w.granularity.split_progress_lock() {
-                let s = w.cs_on(rank, vci, class, opath, CsOp::Wait, |st| {
-                    // SAFETY: queue lock held.
-                    wait_step(w, st, rank, &req)
-                });
-                if matches!(s, WaitStep::Pending) {
-                    let _ = progress_once(w, rank, vci, class, opath);
+            let step = w.cs_on(rank, vci, class, opath, CsOp::Wait, |st| {
+                // SAFETY: queue lock held.
+                if let Some(m) = unsafe { try_free_in_cs(w, st, rank, &req) } {
+                    return WaitStep::Done(m);
                 }
-                s
-            } else {
-                w.cs_on(rank, vci, class, opath, CsOp::Wait, |st| {
-                    // SAFETY: queue lock held.
-                    if let Some(m) = unsafe { try_free_in_cs(w, st, rank, &req) } {
-                        return WaitStep::Done(m);
-                    }
-                    let pkts = poll(w, rank, vci, class, opath);
-                    deliver(w, rank, vci, st, pkts);
-                    wait_step(w, st, rank, &req)
-                })
-            };
+                let pkts = poll(w, rank, vci, class, opath);
+                deliver(w, rank, vci, st, pkts);
+                wait_step(w, st, rank, &req)
+            });
             match step {
                 WaitStep::Done(m) => return Ok(m),
                 WaitStep::Fail(e) => return Err(e),
@@ -751,9 +708,7 @@ impl RankHandle {
                             None => true,
                         }
                     });
-                    if singles.iter().any(|(_, r)| r.inner.vci == v)
-                        && !w.granularity.split_progress_lock()
-                    {
+                    if singles.iter().any(|(_, r)| r.inner.vci == v) {
                         let pkts = poll(w, rank, v, class, opath);
                         deliver(w, rank, v, st, pkts);
                     }
@@ -775,11 +730,6 @@ impl RankHandle {
                 return Err(e);
             }
             if !singles.is_empty() || !multis.is_empty() {
-                if w.granularity.split_progress_lock() {
-                    for &v in &vcis {
-                        let _ = progress_once(w, rank, v, class, opath);
-                    }
-                }
                 // Multi-shard steal sweep (the waitall counterpart of the
                 // try_wait burst steal): a waitall pinned to a few shards
                 // occasionally progresses the most-starved shards *outside*

@@ -325,11 +325,11 @@ fn apply_rma(
     );
 }
 
-/// One progress iteration of one shard from the given path class,
-/// honouring the granularity mode's locking. `opath` is the observability
-/// attribution (see [`poll`]). Returns the shard's sticky escalated fault
-/// (if any) so multi-shard wait loops can surface errors from every shard
-/// they pump, not just their home shard.
+/// One progress iteration of one shard from the given path class, in
+/// one passage of the shard's critical section. `opath` is the
+/// observability attribution (see [`poll`]). Returns the shard's sticky
+/// escalated fault (if any) so multi-shard wait loops can surface errors
+/// from every shard they pump, not just their home shard.
 pub(crate) fn progress_once(
     w: &WorldInner,
     rank: u32,
@@ -337,39 +337,9 @@ pub(crate) fn progress_once(
     class: PathClass,
     opath: Path,
 ) -> Option<MpiError> {
-    if w.granularity.split_progress_lock() {
-        // The split progress lock is taken manually (no state access), so
-        // its CS span is recorded here rather than in `WorldInner::cs`.
-        let t_req = w.platform.now_ns();
-        let (lock, token) = w.progress_lock(rank, vci, class);
-        let t_acq = w.platform.now_ns();
+    w.cs_on(rank, vci, class, opath, CsOp::Progress, |st| {
         let pkts = poll(w, rank, vci, class, opath);
-        let t_rel = w.platform.now_ns();
-        w.platform.lock_release(lock, class, token);
-        w.rec_at(t_rel, || EventKind::CsSpan {
-            lock: lock.0 as u32,
-            kind: w.lock.label(),
-            path: opath,
-            op: CsOp::Progress,
-            vci,
-            t_req,
-            t_acq,
-        });
-        // On fault runs the queue CS is entered even with nothing polled:
-        // the retransmit queue must be pumped for recovery to progress.
-        if !pkts.is_empty() || w.faults_enabled {
-            w.cs_on(rank, vci, class, opath, CsOp::Progress, |st| {
-                deliver(w, rank, vci, st, pkts);
-                st.fault_error.clone()
-            })
-        } else {
-            None
-        }
-    } else {
-        w.cs_on(rank, vci, class, opath, CsOp::Progress, |st| {
-            let pkts = poll(w, rank, vci, class, opath);
-            deliver(w, rank, vci, st, pkts);
-            st.fault_error.clone()
-        })
-    }
+        deliver(w, rank, vci, st, pkts);
+        st.fault_error.clone()
+    })
 }

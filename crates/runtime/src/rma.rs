@@ -74,13 +74,11 @@ impl RankHandle {
                     w.platform.compute(costs.free_ns);
                     return Ok(Some(d));
                 }
-                if !w.granularity.split_progress_lock() {
-                    let pkts = crate::progress::poll(w, rank, 0, class, opath);
-                    crate::progress::deliver(w, rank, 0, st, pkts);
-                    if let Some(d) = st.rma_acks.remove(&token) {
-                        w.platform.compute(costs.free_ns);
-                        return Ok(Some(d));
-                    }
+                let pkts = crate::progress::poll(w, rank, 0, class, opath);
+                crate::progress::deliver(w, rank, 0, st, pkts);
+                if let Some(d) = st.rma_acks.remove(&token) {
+                    w.platform.compute(costs.free_ns);
+                    return Ok(Some(d));
                 }
                 match st.fault_error.clone() {
                     Some(e) => Err(e),
@@ -89,9 +87,6 @@ impl RankHandle {
             });
             if let Some(d) = got? {
                 return Ok(d);
-            }
-            if w.granularity.split_progress_lock() {
-                let _ = progress_once(w, rank, 0, class, opath);
             }
             class = PathClass::Progress;
             w.platform.compute(costs.poll_gap_ns);

@@ -145,9 +145,6 @@ impl Stream {
         assert!(dst < w.nranks(), "destination rank out of range");
         let costs = w.costs;
         w.platform.compute(costs.call_overhead_ns);
-        if w.granularity.alloc_outside_cs() {
-            w.platform.compute(costs.alloc_ns + 2 * costs.atomic_ns);
-        }
         let src_rank = self.h.rank;
         let shard = self.shard;
         let inner = self.pass(CsOp::Isend, |st| {
@@ -170,9 +167,6 @@ impl Stream {
         assert!(s < w.nranks(), "source rank out of range");
         let costs = w.costs;
         w.platform.compute(costs.call_overhead_ns);
-        if w.granularity.alloc_outside_cs() {
-            w.platform.compute(costs.alloc_ns + 2 * costs.atomic_ns);
-        }
         let rank = self.h.rank;
         let shard = self.shard;
         let inner = self.pass(CsOp::Irecv, |st| {

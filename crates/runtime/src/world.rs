@@ -2,19 +2,18 @@
 //!
 //! Since the VCI work, a process is a pool of *shards* (virtual
 //! communication interfaces): each shard owns its own endpoint, its own
-//! critical-section lock(s), and its own [`SharedState`] (match queues,
+//! critical-section lock, and its own [`SharedState`] (match queues,
 //! sequence/ack space, retransmit queue, histograms). With one VCI —
 //! the default — the layout, platform-call order, and code paths are
 //! exactly the pre-VCI runtime's, so unsharded runs stay byte-identical.
 
 use crate::costs::RuntimeCosts;
 use crate::errors::{BuildError, StreamBindError};
-use crate::granularity::Granularity;
 use crate::ledger::SharedLedger;
 use crate::state::SharedState;
 use crate::stats::RankStats;
 use crate::vci::VciMap;
-use mtmpi_locks::{CsToken, PathClass};
+use mtmpi_locks::PathClass;
 use mtmpi_net::FaultPlan;
 use mtmpi_obs::{CsOp, Event, EventKind, RingRecorder};
 use mtmpi_sim::{LockId, LockKind, Platform};
@@ -27,7 +26,6 @@ use std::sync::Arc;
 pub(crate) struct Shard {
     pub(crate) endpoint: usize,
     pub(crate) cs_queue: LockId,
-    pub(crate) cs_progress: LockId,
     /// Platform clock at this shard's last mailbox poll — the
     /// work-stealing starvation signal. Monitoring only (plain
     /// store/load, never a synchronization hand-off).
@@ -76,7 +74,6 @@ pub(crate) fn obs_path(class: PathClass) -> mtmpi_obs::Path {
 pub(crate) struct WorldInner {
     pub(crate) platform: Arc<dyn Platform>,
     pub(crate) costs: RuntimeCosts,
-    pub(crate) granularity: Granularity,
     pub(crate) procs: Vec<Process>,
     pub(crate) liveness_limit_ns: u64,
     /// Arbitration of the CS locks (stamped into CS span events).
@@ -92,9 +89,6 @@ pub(crate) struct WorldInner {
     /// Structured-event recorder; `None` is recording off and costs one
     /// branch per record site.
     pub(crate) recorder: Option<Arc<RingRecorder>>,
-    /// Whether an active fault plan was installed (mirrors
-    /// `SharedState::faults`, readable without the CS).
-    pub(crate) faults_enabled: bool,
     /// Set when the platform run failed (fuel exhaustion, deadlock).
     /// An aborted run has in-flight requests *by definition* — they are
     /// the content of the error snapshot, not leaks — so the drop-time
@@ -299,18 +293,6 @@ impl WorldInner {
             .store(0, Ordering::Release);
     }
 
-    /// Acquire a shard's progress lock (PerQueue mode only; otherwise
-    /// this is the shard's queue lock). Does NOT grant state access.
-    pub(crate) fn progress_lock(&self, rank: u32, vci: u32, class: PathClass) -> (LockId, CsToken) {
-        let p = self.shard(rank, vci);
-        let id = if self.granularity.split_progress_lock() {
-            p.cs_progress
-        } else {
-            p.cs_queue
-        };
-        (id, self.platform.lock_acquire(id, class))
-    }
-
     pub(crate) fn nranks(&self) -> u32 {
         self.procs.len() as u32
     }
@@ -367,7 +349,6 @@ pub struct WorldBuilder {
     ranks: u32,
     node_of: Box<dyn Fn(u32) -> u32>,
     lock: LockKind,
-    granularity: Granularity,
     costs: RuntimeCosts,
     window_bytes: usize,
     liveness_limit_ns: u64,
@@ -396,7 +377,6 @@ impl World {
             ranks: 1,
             node_of: Box::new(|_| 0),
             lock: LockKind::Mutex,
-            granularity: Granularity::Global,
             costs: RuntimeCosts::default(),
             window_bytes: 0,
             liveness_limit_ns: 120_000_000_000, // 120 virtual seconds
@@ -513,12 +493,6 @@ impl WorldBuilder {
         self
     }
 
-    /// Critical-section granularity (default global).
-    pub fn granularity(mut self, g: Granularity) -> Self {
-        self.granularity = g;
-        self
-    }
-
     /// Override the runtime cost model.
     pub fn costs(mut self, c: RuntimeCosts) -> Self {
         self.costs = c;
@@ -599,8 +573,7 @@ impl WorldBuilder {
     }
 
     /// Construct the world: validates the configuration, then registers
-    /// one endpoint and one (or two, for [`Granularity::PerQueue`]) locks
-    /// per rank *per VCI* on the platform, in (rank, vci) order — the
+    /// one endpoint and one lock per rank *per VCI* on the platform, in (rank, vci) order — the
     /// creation order is part of the deterministic-replay contract.
     pub fn build(self) -> Result<World, BuildError> {
         if self.ranks == 0 {
@@ -646,15 +619,9 @@ impl WorldBuilder {
                 .map(|vci| {
                     let endpoint = self.platform.register_endpoint(node);
                     let cs_queue = self.platform.lock_create(self.lock);
-                    let cs_progress = if self.granularity.split_progress_lock() {
-                        self.platform.lock_create(self.lock)
-                    } else {
-                        cs_queue
-                    };
                     Shard {
                         endpoint,
                         cs_queue,
-                        cs_progress,
                         last_poll_ns: AtomicU64::new(0),
                         stream_owner: AtomicU64::new(0),
                         // RMA state is pinned to VCI 0 (one window per rank,
@@ -676,14 +643,12 @@ impl WorldBuilder {
             inner: Arc::new(WorldInner {
                 platform: self.platform,
                 costs: self.costs,
-                granularity: self.granularity,
                 procs,
                 liveness_limit_ns: self.liveness_limit_ns,
                 lock: self.lock,
                 vci_map: self.vci_map,
                 streams: self.streams,
                 recorder: self.recorder,
-                faults_enabled: active_plan.is_some(),
                 aborted: AtomicBool::new(false),
             }),
         })

@@ -112,40 +112,36 @@ fn ticket_beats_mutex_under_heavy_contention() {
 }
 
 #[test]
-fn granularity_modes_are_correct() {
-    for g in [
-        Granularity::Global,
-        Granularity::BriefGlobal,
-        Granularity::PerQueue,
-    ] {
-        let exp = Experiment::with_seed(2, 5);
-        let got = Arc::new(AtomicU64::new(0));
-        let g2 = got.clone();
-        exp.run(
-            RunConfig::new(Method::Ticket)
-                .nodes(2)
-                .ranks_per_node(1)
-                .threads_per_rank(2)
-                .granularity(g),
-            move |ctx| {
-                let h = ctx.rank.world_comm();
-                let tag = ctx.thread as i32;
-                if h.rank() == 0 {
-                    for i in 0..30u64 {
-                        h.send(1, tag, MsgData::Bytes(i.to_le_bytes().to_vec()));
-                    }
-                } else {
-                    for i in 0..30u64 {
-                        let m = h.recv(Some(0), Some(tag));
-                        let v = u64::from_le_bytes(m.data.as_bytes().try_into().unwrap());
-                        assert_eq!(v, i);
-                        g2.fetch_add(1, Ordering::Relaxed);
-                    }
+fn per_source_tag_delivery_is_in_order() {
+    // Each of two sender threads streams 30 numbered `Bytes` payloads
+    // on its own tag; each receiver thread must see its tag's payloads
+    // in issue order (MPI's non-overtaking rule per `(src, tag)`).
+    let exp = Experiment::with_seed(2, 5);
+    let got = Arc::new(AtomicU64::new(0));
+    let g2 = got.clone();
+    exp.run(
+        RunConfig::new(Method::Ticket)
+            .nodes(2)
+            .ranks_per_node(1)
+            .threads_per_rank(2),
+        move |ctx| {
+            let h = ctx.rank.world_comm();
+            let tag = ctx.thread as i32;
+            if h.rank() == 0 {
+                for i in 0..30u64 {
+                    h.send(1, tag, MsgData::Bytes(i.to_le_bytes().to_vec()));
                 }
-            },
-        );
-        assert_eq!(got.load(Ordering::Relaxed), 60, "granularity {g:?}");
-    }
+            } else {
+                for i in 0..30u64 {
+                    let m = h.recv(Some(0), Some(tag));
+                    let v = u64::from_le_bytes(m.data.as_bytes().try_into().unwrap());
+                    assert_eq!(v, i);
+                    g2.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        },
+    );
+    assert_eq!(got.load(Ordering::Relaxed), 60);
 }
 
 #[test]

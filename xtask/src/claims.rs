@@ -630,10 +630,14 @@ mod tests {
     #[test]
     fn a_stale_row_or_an_unnamed_binary_fails_by_name() {
         let stale = EXPERIMENTS.replacen(
-            "\n| — | Ablation: granularity",
+            "\n| — | Ablation: full lock zoo",
             "\n| — | Ablation: selective wake-up | extension | `ablation_selective` |\n\
-             | — | Ablation: granularity",
+             | — | Ablation: full lock zoo",
             1,
+        );
+        assert_ne!(
+            stale, EXPERIMENTS,
+            "the `ablation_locks` row this test splices at is gone from EXPERIMENTS.md"
         );
         let named = named_binaries(&stale).unwrap();
         let err = check_binaries(&named, &binaries()).unwrap_err();
