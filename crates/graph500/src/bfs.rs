@@ -49,8 +49,79 @@ pub fn bfs_serial(csr: &Csr, root: u64) -> Vec<i64> {
 ///
 /// `csr` must be symmetric (`row(u)` holds `v` exactly as often as
 /// `row(v)` holds `u`, which [`Csr::from_edges`] guarantees): the edge
-/// `parent(v) -> v` is looked up in the shorter of the two rows.
+/// `parent(v) -> v` exists iff `row(v)` holds `parent(v)`.
+///
+/// A tree that passes [`tree_is_bfs`] is valid and costs no traversal;
+/// any other is handed to the reference check, whose error names the
+/// first fault.
 pub fn validate_parents(csr: &Csr, root: u64, parent: &[i64]) -> Result<(), String> {
+    if tree_is_bfs(csr, root, parent) {
+        Ok(())
+    } else {
+        reference_check(csr, root, parent)
+    }
+}
+
+/// The Graph 500 specification's validation of a BFS tree, in one pass
+/// over the rows and no traversal: the root is its own parent, every
+/// reached vertex's parent chain ends at the root without a cycle (which
+/// gives it a tree level), every arc joins two reached or two unreached
+/// vertices whose levels differ by at most one, and every tree edge is
+/// an arc. Levels so accepted are BFS distances: a chain is a path, so a
+/// level is no less than the distance, and along a shortest path it
+/// grows by at most one per arc. So this accepts exactly the trees
+/// [`reference_check`] accepts.
+fn tree_is_bfs(csr: &Csr, root: u64, parent: &[i64]) -> bool {
+    const UNREACHED: i32 = -1;
+    const ON_CHAIN: i32 = -2;
+    let n = csr.nrows();
+    if parent.len() < n || parent.get(root as usize) != Some(&(root as i64)) {
+        return false;
+    }
+    let mut level = vec![UNREACHED; n];
+    level[root as usize] = 0;
+    let mut chain = Vec::new();
+    for v in 0..n {
+        if parent[v] < 0 || level[v] != UNREACHED {
+            continue;
+        }
+        // Climb to a vertex of known level, marking the way.
+        let mut w = v;
+        while level[w] == UNREACHED {
+            level[w] = ON_CHAIN;
+            chain.push(w);
+            match usize::try_from(parent[w]) {
+                Ok(p) if p < n => w = p,
+                _ => return false,
+            }
+        }
+        if level[w] == ON_CHAIN {
+            return false; // a cycle
+        }
+        let mut l = level[w];
+        while let Some(u) = chain.pop() {
+            l += 1;
+            level[u] = l;
+        }
+    }
+    (0..n).all(|u| {
+        let (lu, p) = (level[u], parent[u]);
+        let mut tree_edge = u as u64 == root || lu < 0;
+        for &w in csr.row(u) {
+            let lw = level[w as usize];
+            if (lu < 0) != (lw < 0) || (lu - lw).abs() > 1 {
+                return false;
+            }
+            tree_edge |= i64::from(w) == p;
+        }
+        tree_edge
+    })
+}
+
+/// The check [`validate_parents`] makes of a tree it could not accept
+/// at once: a reference BFS from `root`, then every vertex against it,
+/// naming the first fault found.
+fn reference_check(csr: &Csr, root: u64, parent: &[i64]) -> Result<(), String> {
     if parent[root as usize] != root as i64 {
         return Err(format!("root parent is {}", parent[root as usize]));
     }
@@ -105,6 +176,15 @@ fn done_tag(thread: u32, level: u32) -> i32 {
     edge_tag(thread, level) + 2
 }
 
+/// `ceil(2^63 / d)`: `(v * reciprocal(d)) >> 63` is `v / d` for every
+/// `u32` `v`. For `v < 2^32` and `d <= 2^31`, `v * ceil(2^63 / d) / 2^63`
+/// exceeds `v / d` by less than `2^32 * d / (d * 2^63) = 2^-31 <= 1 / d`,
+/// too little to carry it past the next multiple of `1 / d`.
+fn reciprocal(d: u32) -> u64 {
+    assert!((1..=1 << 31).contains(&d), "divisor {d} out of range");
+    (1u64 << 63).div_ceil(u64::from(d))
+}
+
 struct Shared {
     /// Parent of each *local* vertex (global id / nranks), -1 unset.
     parent: Vec<i64>,
@@ -124,6 +204,8 @@ pub struct HybridBfs {
     /// same graph and rank count shares them.
     pub csr: Arc<Csr>,
     nranks: u32,
+    /// `reciprocal(nranks)`, by which `place` divides.
+    recip: u64,
     rank: u32,
     shared: Mutex<Shared>,
     cursor: AtomicUsize,
@@ -167,6 +249,7 @@ impl HybridBfs {
         Self {
             csr: rows,
             nranks,
+            recip: reciprocal(nranks),
             rank,
             shared: Mutex::new(shared),
             cursor: AtomicUsize::new(0),
@@ -174,9 +257,11 @@ impl HybridBfs {
         }
     }
 
-    /// Owning rank and local row of global vertex `v` (one division).
+    /// Owning rank and local row of global vertex `v`: `v mod nranks`
+    /// and `v / nranks`, by one multiply with the reciprocal.
     fn place(&self, v: u32) -> (u32, usize) {
-        (v % self.nranks, (v / self.nranks) as usize)
+        let q = ((u128::from(v) * u128::from(self.recip)) >> 63) as u32;
+        (v - q * self.nranks, q as usize)
     }
 
     /// Scan the frontier chunk beginning at `start` from `pos` — (slot in
@@ -461,5 +546,92 @@ fn drain_incoming(
             return;
         }
         platform.compute(150); // polling pause between test rounds
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `place` of a run over `nranks` ranks (one empty row, one thread).
+    fn placer(nranks: u32) -> HybridBfs {
+        let rows = Csr {
+            offsets: vec![0, 0],
+            targets: Vec::new(),
+        };
+        HybridBfs::over(Arc::new(rows), 0, 0, nranks, 1)
+    }
+
+    #[test]
+    fn place_divides_exactly() {
+        let mut rng = SmallRng::seed_from_u64(46);
+        for d in (1..=64).chain([(1 << 31) - 1, 1 << 31]) {
+            let bfs = placer(d);
+            let fixed = [0, 1, d - 1, d, d + 1, u32::MAX - 1, u32::MAX];
+            for v in fixed.into_iter().chain((0..4096).map(|_| rng.gen::<u32>())) {
+                assert_eq!(
+                    bfs.place(v),
+                    (v % d, (v / d) as usize),
+                    "{v} over {d} ranks"
+                );
+            }
+        }
+    }
+
+    /// A graph, a root, and which single entry of the root's BFS tree to
+    /// corrupt: `kind` 0 leaves the tree whole; 1 unsets `parent[v]`, 2
+    /// makes `v` its own parent, 3 points `v` at `w`, 4 changes the
+    /// root's parent. `v` is picked among the reached vertices when
+    /// `reached` says so and there are any besides the root.
+    fn case() -> impl Strategy<Value = (EdgeList, u64, u8, bool, prop::sample::Index, u64)> {
+        (2u32..7).prop_flat_map(|scale| {
+            let n = 1u64 << scale;
+            (
+                proptest::collection::vec((0..n, 0..n), 0..150),
+                0..n,
+                0u8..5,
+                any::<bool>(),
+                any::<prop::sample::Index>(),
+                0..n,
+            )
+                .prop_map(move |(edges, root, kind, reached, v, w)| {
+                    (EdgeList { scale, edges }, root, kind, reached, v, w)
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// The one-pass rules accept exactly what the reference check
+        /// accepts, so `validate_parents` gives its verdict and error.
+        #[test]
+        fn one_pass_verdict_is_the_reference_verdict(c in case()) {
+            let (el, root, kind, reached, pick, w) = c;
+            let csr = Csr::from_edges(&el);
+            let mut parent = bfs_serial(&csr, root);
+            let tree: Vec<usize> = (0..parent.len())
+                .filter(|&u| parent[u] >= 0 && u as u64 != root)
+                .collect();
+            let v = if reached && !tree.is_empty() {
+                tree[pick.index(tree.len())]
+            } else {
+                pick.index(parent.len())
+            };
+            let w = w as i64;
+            match kind {
+                1 => parent[v] = -1,
+                2 => parent[v] = v as i64,
+                3 => parent[v] = w,
+                4 => parent[root as usize] = if w == root as i64 { -1 } else { w },
+                _ => {}
+            }
+            let reference = reference_check(&csr, root, &parent);
+            prop_assert_eq!(tree_is_bfs(&csr, root, &parent), reference.is_ok());
+            prop_assert_eq!(validate_parents(&csr, root, &parent), reference);
+        }
     }
 }

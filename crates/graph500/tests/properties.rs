@@ -22,8 +22,70 @@ fn naive_rows(el: &EdgeList) -> Vec<Vec<u32>> {
     rows
 }
 
+/// Edge lists that surely hold duplicates, a self-loop and isolated
+/// vertices: random edges among the lower half of the ids (the upper
+/// half stays isolated), every third of them listed again, and a loop.
+fn messy_edge_list() -> impl Strategy<Value = EdgeList> {
+    (3u32..8).prop_flat_map(|scale| {
+        let half = 1u64 << (scale - 1);
+        (
+            proptest::collection::vec((0..half, 0..half), 1..200),
+            0..half,
+        )
+            .prop_map(move |(mut edges, x)| {
+                let again: Vec<_> = edges.iter().step_by(3).copied().collect();
+                edges.extend(again);
+                edges.push((x, x));
+                EdgeList { scale, edges }
+            })
+    })
+}
+
+/// Every part's `(offsets, targets)` built one arc at a time, sharing no
+/// code with `Csr`: scan the list in order and append both directions of
+/// each edge that is not a self-loop to row `v / nranks` of part
+/// `v % nranks`.
+fn naive_parts(el: &EdgeList, nranks: u32) -> Vec<(Vec<u64>, Vec<u32>)> {
+    let (n, nr) = (el.nvertices(), u64::from(nranks));
+    let mut parts: Vec<Vec<Vec<u32>>> = (0..nr)
+        .map(|r| vec![Vec::new(); (n.saturating_sub(r)).div_ceil(nr) as usize])
+        .collect();
+    for &(u, v) in &el.edges {
+        if u != v {
+            for (from, to) in [(u, v), (v, u)] {
+                parts[(from % nr) as usize][(from / nr) as usize].push(to as u32);
+            }
+        }
+    }
+    parts
+        .into_iter()
+        .map(|rows| {
+            let mut offsets = vec![0u64];
+            for row in &rows {
+                offsets.push(offsets[offsets.len() - 1] + row.len() as u64);
+            }
+            (offsets, rows.concat())
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// `partition_all` lays out exactly the rows the naive oracle builds,
+    /// neighbour order included, for every rank count the figures use.
+    #[test]
+    fn partition_matches_naive_oracle(el in messy_edge_list()) {
+        for nranks in [1u32, 2, 3, 5, 8] {
+            let parts = Csr::partition_all(&el, nranks);
+            let oracle = naive_parts(&el, nranks);
+            prop_assert_eq!(parts.len(), oracle.len());
+            for (r, (part, (offsets, targets))) in parts.iter().zip(&oracle).enumerate() {
+                prop_assert_eq!(&part.offsets, offsets, "offsets of part {} of {}", r, nranks);
+                prop_assert_eq!(&part.targets, targets, "targets of part {} of {}", r, nranks);
+            }
+        }
+    }
 
     /// The cyclic partition is a partition: part `r` of `nranks` holds
     /// exactly the rows of vertices `r, r + nranks, …`, each as the edge

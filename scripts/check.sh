@@ -55,7 +55,10 @@
 #   bench-api  build and test the standalone host-cost benchmark
 #              (benchmark/, its own workspace) against this tree, so a
 #              change that breaks the public surface it is pinned to
-#              fails here rather than in the benchmark driver.
+#              fails here rather than in the benchmark driver; then run
+#              every workload once through the driver contract (1 s,
+#              seed 1, release), which exits non-zero unless the
+#              workload's result is `correct` (needs `taskset`).
 #
 # Usage: scripts/check.sh [fast]   ("fast" runs only fmt, clippy, lint and
 #        test; every other step above is skipped)
@@ -104,6 +107,10 @@ else
     step obs cargo run -q -p xtask -- trace fig_vci
     step bench-diff cargo run -q -p xtask -- bench-diff
     step bench-api cargo test --offline --manifest-path benchmark/Cargo.toml
+    for w in pt2pt_figure profile_export bfs_compute serve_pool; do
+        step bench-api cargo run --release --offline -q --manifest-path benchmark/Cargo.toml \
+            -- --workload "$w" --seed 1 --seconds 1 --trace 0
+    done
 
     if ! cargo +nightly --version >/dev/null 2>&1; then
         skip tsan "no nightly toolchain"
