@@ -569,6 +569,104 @@ mod tests {
         assert!(s.contains("\"ev\":\"poll\""));
     }
 
+    /// A single-VCI timeline of `n` events cycling through CS passages,
+    /// request phases, poll batches, flow ends and retransmits.
+    fn mixed_timeline(n: u64) -> Timeline {
+        let events = (0..n)
+            .map(|i| {
+                let (t_ns, tid, rank, seq) = (1_000 + 7 * i * i, i % 5, (i % 3) as u32, i / 6);
+                let kind = match i % 6 {
+                    0 => EventKind::CsSpan {
+                        lock: 0,
+                        kind: "ticket",
+                        path: [Path::Main, Path::Progress, Path::WaitSpin][(i % 3) as usize],
+                        op: [CsOp::Isend, CsOp::Irecv, CsOp::Test, CsOp::Wait][(i % 4) as usize],
+                        vci: 0,
+                        t_req: t_ns - 900 - i % 97,
+                        t_acq: t_ns - 400,
+                    },
+                    1 => EventKind::Req {
+                        rank,
+                        vci: 0,
+                        phase: [
+                            ReqPhase::Issue,
+                            ReqPhase::Post,
+                            ReqPhase::Complete,
+                            ReqPhase::Free,
+                        ][(i % 4) as usize],
+                    },
+                    2 => EventKind::PollBatch {
+                        rank,
+                        vci: 0,
+                        path: Path::Progress,
+                        packets: (i % 11) as u32,
+                    },
+                    3 => EventKind::FlowSend {
+                        rank,
+                        dst: rank + 1,
+                        vci: 0,
+                        seq,
+                    },
+                    4 => EventKind::Retransmit {
+                        rank,
+                        dst: rank + 1,
+                        seq,
+                        attempt: 1,
+                        backoff_ns: i,
+                    },
+                    _ => EventKind::FlowRecv {
+                        rank: rank + 1,
+                        src: rank,
+                        vci: 0,
+                        seq,
+                    },
+                };
+                Event {
+                    t_ns,
+                    tid,
+                    core: tid as u32,
+                    socket: 0,
+                    kind,
+                }
+            })
+            .collect();
+        Timeline { events, dropped: 0 }
+    }
+
+    /// Documents of several MiB, whose buffers are hinted to huge pages,
+    /// hold exactly the bytes of their events rendered one at a time.
+    #[test]
+    fn multi_mib_documents_are_their_events_rendered_one_by_one() {
+        let t = mixed_timeline(48_000);
+        let alone = |ev: &Event| Timeline {
+            events: vec![ev.clone()],
+            dropped: 0,
+        };
+        let lines = jsonl(&t);
+        assert!(lines.len() > 4 << 20, "{} bytes", lines.len());
+        assert_eq!(
+            lines,
+            t.events
+                .iter()
+                .map(|ev| jsonl(&alone(ev)))
+                .collect::<String>()
+        );
+
+        // The event lines between the frame's opening and closing lines.
+        fn body(doc: &str) -> &str {
+            let open = doc.find("[\n").expect("array opens") + 2;
+            &doc[open..doc.len() - "\n]}\n".len()]
+        }
+        let doc = chrome_trace(&t);
+        assert!(doc.len() > 4 << 20, "{} bytes", doc.len());
+        let one_by_one: Vec<String> = t
+            .events
+            .iter()
+            .map(|ev| body(&chrome_trace(&alone(ev))).to_owned())
+            .collect();
+        assert_eq!(body(&doc), one_by_one.join(",\n"));
+    }
+
     #[test]
     fn flow_send_recv_and_retransmit_share_one_id() {
         let t = Timeline {

@@ -36,11 +36,16 @@ pub struct Writer {
 }
 
 impl Writer {
-    /// An empty writer with room for `bytes`.
+    /// An empty writer with room for `bytes`. The 2 MiB-aligned interior
+    /// of a buffer this large (the trace exporters' hold tens of MB) is
+    /// hinted to transparent huge pages: written front to back once, it
+    /// would otherwise take a minor fault per 4 KiB page, which was about
+    /// half of a Chrome export's time.
     pub fn with_capacity(bytes: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(bytes),
-        }
+        let buf = Vec::with_capacity(bytes);
+        #[cfg(all(target_os = "linux", not(miri)))]
+        advise_huge_pages(&buf);
+        Self { buf }
     }
 
     /// Append `s` verbatim (structure, keys, pre-rendered values).
@@ -202,6 +207,30 @@ impl Writer {
     }
 }
 
+/// `madvise(MADV_HUGEPAGE)` over the 2 MiB-aligned interior of `buf`'s
+/// allocation; nothing when the interior is empty. The result is ignored:
+/// it is a hint, and with transparent huge pages off nothing changes.
+#[cfg(all(target_os = "linux", not(miri)))]
+fn advise_huge_pages(buf: &Vec<u8>) {
+    use std::ffi::{c_int, c_void};
+    // A libc symbol std already links; declared here because the
+    // workspace builds offline without the `libc` crate.
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    const MADV_HUGEPAGE: c_int = 14;
+    const HUGE_PAGE: usize = 2 << 20;
+    let start = buf.as_ptr() as usize;
+    let lo = start.next_multiple_of(HUGE_PAGE);
+    let hi = (start + buf.capacity()) / HUGE_PAGE * HUGE_PAGE;
+    if lo < hi {
+        // SAFETY: `lo..hi` lies inside the allocation `buf` owns, and
+        // `MADV_HUGEPAGE` changes only how its pages are backed, never
+        // their contents, so no byte the `Vec` holds or will hold moves.
+        unsafe { madvise(lo as *mut c_void, hi - lo, MADV_HUGEPAGE) };
+    }
+}
+
 /// One value rendered on its own.
 fn rendered(f: impl FnOnce(&mut Writer) -> &mut Writer) -> String {
     let mut w = Writer::default();
@@ -287,14 +316,12 @@ mod tests {
             .prop_map(|b| b.into_iter().map(char::from).collect())
     }
 
+    /// One append: `(kind, value, shift, text, ascii)`.
+    type Append = (u8, u64, u32, String, String);
+
     /// One append of every kind the writer has, on the writer and on the
-    /// reference text: `(kind, value, shift, text, ascii)`.
-    fn append(
-        w: &mut Writer,
-        want: &mut String,
-        marks: &[usize],
-        (kind, v, shift, s, a): (u8, u64, u32, String, String),
-    ) {
+    /// reference text.
+    fn append(w: &mut Writer, want: &mut String, marks: &[usize], (kind, v, shift, s, a): Append) {
         let (pre, rest) = a.split_at(a.len() / 2);
         let x = v >> shift;
         match kind {
@@ -414,20 +441,44 @@ mod tests {
         /// The invariant `finish` relies on instead of checking: whatever
         /// the appends, the buffer is UTF-8 and is the reference text.
         #[test]
-        fn any_append_sequence_is_the_reference_text(
-            ops in proptest::collection::vec((0u8..9, any::<u64>(), 0u32..64, text(), ascii()), 0..24)
-        ) {
-            let mut w = Writer::default();
-            let mut want = String::new();
-            // Where each append ended: `repeat` copies whole appends.
-            let mut marks = vec![0];
-            for op in ops {
-                append(&mut w, &mut want, &marks, op);
-                prop_assert_eq!(w.len(), want.len());
-                marks.push(w.len());
-            }
-            prop_assert!(std::str::from_utf8(&w.buf).is_ok());
-            prop_assert_eq!(w.finish(), want);
+        fn any_append_sequence_is_the_reference_text(ops in appends()) {
+            appends_are_the_reference_text(Writer::default(), String::new(), ops)?;
         }
+
+        /// The same on a buffer large enough to be hinted to huge pages,
+        /// with the appends straddling a 2 MiB boundary inside the hinted
+        /// range. (Miri runs no `madvise`.)
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn any_append_sequence_on_a_hinted_buffer_is_the_reference_text(ops in appends()) {
+            let mut w = Writer::with_capacity(4 << 20);
+            let start = w.buf.as_ptr() as usize;
+            let filler = " ".repeat((start + 64).next_multiple_of(2 << 20) - start - 64);
+            w.raw(&filler);
+            appends_are_the_reference_text(w, filler, ops)?;
+        }
+    }
+
+    /// Up to 24 appends of any kind.
+    fn appends() -> impl Strategy<Value = Vec<Append>> {
+        proptest::collection::vec((0u8..9, any::<u64>(), 0u32..64, text(), ascii()), 0..24)
+    }
+
+    /// Apply `ops` to `w` and to `want`, which holds what `w` holds.
+    fn appends_are_the_reference_text(
+        mut w: Writer,
+        mut want: String,
+        ops: Vec<Append>,
+    ) -> Result<(), TestCaseError> {
+        // Where each append ended: `repeat` copies whole appends.
+        let mut marks = vec![w.len()];
+        for op in ops {
+            append(&mut w, &mut want, &marks, op);
+            prop_assert_eq!(w.len(), want.len());
+            marks.push(w.len());
+        }
+        prop_assert!(std::str::from_utf8(&w.buf).is_ok());
+        prop_assert_eq!(w.finish(), want);
+        Ok(())
     }
 }

@@ -14,10 +14,11 @@
 #              comment at the site accepts one (DESIGN.md section 13)
 #   test       workspace test suite (includes the runtime's request-ledger
 #              negative tests and mtmpi-lint's fixture + whole-tree tests)
-#   release    the simulator, runtime, facade, serve, Graph500 and bench
-#              test suites again, optimised: the fiber transport's unsafe
-#              paths, the debug-only checks' release branches, and the BFS
-#              and schedule pins' literal hashes as the figures run them
+#   release    the simulator, runtime, facade, serve, Graph500, bench and
+#              obs test suites again, optimised: the fiber transport's unsafe
+#              paths, the debug-only checks' release branches, the BFS and
+#              schedule pins' literal hashes as the figures run them, and
+#              the exporters' multi-MiB, huge-page-hinted buffers
 #   loom       model checking of the ticket and priority ticket locks,
 #              the VCI claim protocol and the stream claim word (serialized-thread
 #              shim; see crates/locks/src/sys.rs,
@@ -99,7 +100,7 @@ if [ "$FAST" = "fast" ]; then
         skip "$s" "fast mode"
     done
 else
-    step release cargo test --release -q -p mtmpi-sim -p mtmpi-runtime -p mtmpi -p mtmpi-serve -p mtmpi-graph500 -p mtmpi-bench
+    step release cargo test --release -q -p mtmpi-sim -p mtmpi-runtime -p mtmpi -p mtmpi-serve -p mtmpi-graph500 -p mtmpi-bench -p mtmpi-obs
     step loom cargo test -p mtmpi-locks --features loom-check --test loom
     step loom cargo test -p mtmpi-runtime --test loom_claim --test loom_stream
     step obs cargo run -q -p xtask -- trace fig2a
