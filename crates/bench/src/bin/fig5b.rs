@@ -10,13 +10,21 @@
 use mtmpi::prelude::*;
 use mtmpi_bench::{print_figure_header, throughput_run, Fig, ThroughputParams};
 
+/// The four curves, labelled as `throughput_series` labels them.
+const CURVES: [(&str, Method, BindingPolicy); 4] = [
+    ("Mutex", Method::Mutex, BindingPolicy::Compact),
+    ("Ticket", Method::Ticket, BindingPolicy::Compact),
+    ("Mutex_Scatter", Method::Mutex, BindingPolicy::Scatter),
+    ("Ticket_Scatter", Method::Ticket, BindingPolicy::Scatter),
+];
+
 fn main() {
     print_figure_header(
         "Figure 5b",
         "1B msg rate vs tpn: ticket +68% @4 compact; ticket loses @2 scatter; wins @8",
         "mutex/ticket x compact/scatter sweep",
     );
-    let fig = Fig::new("fig5b");
+    let mut fig = Fig::new("fig5b");
     let exp = fig.experiment(2);
     let mut t = Table::new(&[
         "threads",
@@ -25,23 +33,20 @@ fn main() {
         "Mutex_Scatter",
         "Ticket_Scatter",
     ]);
+    let mut series = CURVES.map(|(label, ..)| Series::new(label));
     for threads in [2u32, 4, 8] {
         eprintln!("[fig5b] {threads} tpn ...");
-        let cell = |m: Method, b: BindingPolicy| {
-            format!(
-                "{:.0}",
-                throughput_run(&exp, m, ThroughputParams::new(1, threads).binding(b)).rate / 1e3
-            )
-        };
-        t.row(vec![
-            threads.to_string(),
-            cell(Method::Mutex, BindingPolicy::Compact),
-            cell(Method::Ticket, BindingPolicy::Compact),
-            cell(Method::Mutex, BindingPolicy::Scatter),
-            cell(Method::Ticket, BindingPolicy::Scatter),
-        ]);
+        let mut row = vec![threads.to_string()];
+        for (s, &(_, m, b)) in series.iter_mut().zip(&CURVES) {
+            let p = ThroughputParams::new(1, threads).binding(b);
+            let rate = throughput_run(&exp, m, p).rate / 1e3;
+            s.push(threads as f64, rate);
+            row.push(format!("{rate:.0}"));
+        }
+        t.row(row);
     }
     print!("{}", t.render());
     println!("\n(units: 1e3 msgs/s)");
+    fig.series_all(&series);
     fig.finish();
 }
