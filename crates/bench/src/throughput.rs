@@ -28,6 +28,8 @@ pub struct ThroughputResult {
     /// Scheduler decision-trace hash of the run — a pure function of the
     /// seed and workload.
     pub sched_trace_hash: u64,
+    /// Simulator events the run executed.
+    pub events: u64,
 }
 
 /// Parameters of a throughput run.
@@ -99,6 +101,7 @@ fn result(out: &RunOutcome, windows: u32) -> ThroughputResult {
         end_ns: out.end_ns,
         messages,
         sched_trace_hash: out.report.sched_trace_hash,
+        events: out.report.events,
     }
 }
 

@@ -7,7 +7,7 @@
 //! stress same-timestamp tie-breaking much harder than a ring does.
 
 use mtmpi::prelude::*;
-use mtmpi_bench::{throughput_run, ThroughputParams};
+use mtmpi_bench::{throughput_run, vci_throughput_run, ThroughputParams};
 
 /// `(threads/node, sched_trace_hash, end_ns, messages)` at 64 B,
 /// 2 windows, `Experiment::quick(2)`, `Method::Mutex`.
@@ -72,6 +72,33 @@ fn every_method_is_its_own_world() {
         next = after;
     }
     assert_eq!(seen.len(), 7);
+}
+
+/// `(method, sched_trace_hash, end_ns, events)` of the VCI sweep's world
+/// at 64 B, 4 threads/node, one window, `Experiment::quick(2)`, with
+/// `VciMap::by_tag(4)`: each thread's window lands on its own shard, so
+/// every `waitall` runs the sharded path and its steal sweep. Cut at
+/// commit `d310285`.
+const VCI_PINNED: [(Method, u64, u64, u64); 2] = [
+    (Method::Mutex, 0xf061_953a_b340_0e30, 71_887, 2_051),
+    (Method::Ticket, 0x2b36_70c7_1d38_817b, 67_725, 2_193),
+];
+
+#[test]
+fn sharded_waitall_replays_the_pinned_schedule() {
+    for (method, hash, end_ns, events) in VCI_PINNED {
+        let r = vci_throughput_run(
+            &Experiment::quick(2),
+            method,
+            ThroughputParams::new(64, 4).windows(1),
+            4,
+        );
+        assert_eq!(
+            (r.sched_trace_hash, r.end_ns, r.events),
+            (hash, end_ns, events),
+            "{method:?} over 4 VCIs"
+        );
+    }
 }
 
 /// `(nodes, events, handoffs, end_ns, sched_trace_hash)` of a six-round

@@ -40,6 +40,7 @@ use std::sync::Arc;
 /// bound owner of that stream shard (run inside
 /// [`WorldInner::stream_pass`]). Either way both the request state and
 /// the shared state are exclusively held.
+#[inline]
 pub(crate) unsafe fn try_free_in_cs(
     w: &WorldInner,
     st: &mut SharedState,
@@ -49,16 +50,24 @@ pub(crate) unsafe fn try_free_in_cs(
     // SAFETY: queue lock held (this function's contract).
     let m = unsafe { req.inner.try_free() };
     if m.is_some() {
-        w.platform.compute(w.costs.free_ns);
-        st.dangling_now -= u64::from(req.inner.kind == ReqKind::Recv);
-        st.ledger.note_freed();
-        w.rec_now(|| EventKind::Req {
-            rank,
-            vci: req.inner.vci,
-            phase: ReqPhase::Free,
-        });
+        note_free(w, st, rank, req);
     }
     m
+}
+
+/// The bookkeeping of a successful [`try_free_in_cs`], kept out of line
+/// so that the wait sweeps' common case — still active — stays a
+/// state check.
+#[inline(never)]
+fn note_free(w: &WorldInner, st: &mut SharedState, rank: u32, req: &Request) {
+    w.platform.compute(w.costs.free_ns);
+    st.dangling_now -= u64::from(req.inner.kind == ReqKind::Recv);
+    st.ledger.note_freed();
+    w.rec_now(|| EventKind::Req {
+        rank,
+        vci: req.inner.vci,
+        phase: ReqPhase::Free,
+    });
 }
 
 /// Cancel `req` if it is still active (timeout/fault escalation):
@@ -654,7 +663,7 @@ impl RankHandle {
         let costs = w.costs;
         let n = reqs.len();
         let mut out: Vec<Option<Msg>> = (0..n).map(|_| None).collect();
-        let mut singles: Vec<(usize, Request)> = Vec::new();
+        let mut singles: Vec<(usize, Request)> = Vec::with_capacity(n);
         let mut multis: Vec<(usize, Request)> = Vec::new();
         for (i, r) in reqs.into_iter().enumerate() {
             assert_eq!(
@@ -671,6 +680,13 @@ impl RankHandle {
                 singles.push((i, r));
             }
         }
+        // The distinct shards with pending single-shard requests,
+        // ascending, each with its ledger's completion count at this
+        // call's last sweep of it (`None` before the first).
+        let mut shards: Vec<(u32, Option<u64>)> =
+            singles.iter().map(|(_, r)| (r.inner.vci, None)).collect();
+        shards.sort_unstable_by_key(|&(v, _)| v);
+        shards.dedup_by_key(|&mut (v, _)| v);
         w.platform.compute(costs.call_overhead_ns);
         let mut class = PathClass::Main;
         let start = w.platform.now_ns();
@@ -688,26 +704,37 @@ impl RankHandle {
             // One CS entry per distinct pending shard: sweep-free that
             // shard's completed requests, then poll it once if any remain
             // (the batched progress of the throughput benchmark, Fig 3b
-            // bottom).
-            let mut vcis: Vec<u32> = singles.iter().map(|(_, r)| r.inner.vci).collect();
-            vcis.sort_unstable();
-            vcis.dedup();
+            // bottom). A single-shard request completes only under its
+            // shard's lock, and every such completion bumps that shard's
+            // ledger (eager completions inside `isend`/`irecv`, caught by
+            // the first sweep, and `progress::process_in_order`). So after
+            // the first sweep at most as many of ours have completed as
+            // the count moved since the last one: the sweep stops freeing
+            // once it has found that many, and is skipped while the count
+            // stands still. Freeing stays in `singles` order.
             let mut fail: Option<MpiError> = None;
-            for &v in &vcis {
+            for (v, swept) in &mut shards {
+                let v = *v;
                 let f = w.cs_on(rank, v, class, opath, CsOp::Waitall, |st| {
-                    singles.retain(|(i, r)| {
-                        if r.inner.vci != v {
-                            return true;
-                        }
-                        // SAFETY: queue lock held.
-                        match unsafe { try_free_in_cs(w, st, rank, r) } {
-                            Some(m) => {
-                                out[*i] = Some(m);
-                                false
+                    let completed = st.ledger.completed();
+                    let mut fresh = swept.map_or(u64::MAX, |c| completed - c);
+                    *swept = Some(completed);
+                    if fresh > 0 {
+                        singles.retain(|(i, r)| {
+                            if fresh == 0 || r.inner.vci != v {
+                                return true;
                             }
-                            None => true,
-                        }
-                    });
+                            // SAFETY: queue lock held.
+                            match unsafe { try_free_in_cs(w, st, rank, r) } {
+                                Some(m) => {
+                                    out[*i] = Some(m);
+                                    fresh -= 1;
+                                    false
+                                }
+                                None => true,
+                            }
+                        });
+                    }
                     if singles.iter().any(|(_, r)| r.inner.vci == v) {
                         let pkts = poll(w, rank, v, class, opath);
                         deliver(w, rank, v, st, pkts);
@@ -738,8 +765,10 @@ impl RankHandle {
                 // advance at high shard counts.
                 spins += 1;
                 if spins.is_multiple_of(4) && w.vci_n() > 1 && !singles.is_empty() {
+                    let vcis: Vec<u32> = shards.iter().map(|&(v, _)| v).collect();
                     steal(w, rank, &vcis);
                 }
+                shards.retain(|&(v, _)| singles.iter().any(|(_, r)| r.inner.vci == v));
                 class = PathClass::Progress;
                 w.platform.compute(costs.poll_gap_ns);
                 if let Some(waited_ns) = self.liveness_exceeded(start) {

@@ -14,6 +14,7 @@ use crate::types::{Msg, MsgData};
 use crate::world::WorldInner;
 use mtmpi_locks::PathClass;
 use mtmpi_obs::{CsOp, EventKind, Path, ReqPhase};
+use mtmpi_sim::Payload;
 use std::sync::atomic::Ordering;
 
 /// Drain the platform mailbox for one shard of `rank`. Charges the poll
@@ -29,21 +30,13 @@ pub(crate) fn poll(
     vci: u32,
     _class: PathClass,
     opath: Path,
-) -> Vec<Packet> {
+) -> Vec<Payload> {
     let sh = w.shard(rank, vci);
     w.platform.compute(w.costs.poll_base_ns);
     // Starvation signal for work stealing (monitoring only).
     sh.last_poll_ns
         .store(w.platform.now_ns(), Ordering::Relaxed);
-    let pkts: Vec<Packet> = w
-        .platform
-        .net_poll(sh.endpoint)
-        .into_iter()
-        .map(|b| {
-            *b.downcast::<Packet>()
-                .expect("mailbox carries runtime packets")
-        })
-        .collect();
+    let pkts = w.platform.net_poll(sh.endpoint);
     w.rec_now(|| EventKind::PollBatch {
         rank,
         vci,
@@ -51,6 +44,13 @@ pub(crate) fn poll(
         packets: pkts.len() as u32,
     });
     pkts
+}
+
+/// A polled payload as the runtime packet every mailbox carries.
+fn unpack(payload: Payload) -> Packet {
+    *payload
+        .downcast::<Packet>()
+        .expect("mailbox carries runtime packets")
 }
 
 /// Deliver polled packets into one shard's matching engine. Caller must
@@ -62,11 +62,18 @@ pub(crate) fn deliver(
     rank: u32,
     vci: u32,
     st: &mut SharedState,
-    pkts: Vec<Packet>,
+    pkts: Vec<Payload>,
 ) {
     if st.faults.is_none() {
-        for pkt in pkts {
+        for pkt in pkts.into_iter().map(unpack) {
             let src = pkt.src as usize;
+            if pkt.seq == st.recv_next_seq[src] && st.reorder[src].is_empty() {
+                // The common case: in order with nothing buffered, so
+                // the reorder heap would hand it straight back.
+                st.recv_next_seq[src] += 1;
+                process_in_order(w, rank, vci, st, pkt);
+                continue;
+            }
             st.reorder[src].push(SeqPacket(pkt));
             // Deliver every in-order packet from this source (MPI
             // non-overtaking: matching order follows send order per pair).
@@ -85,7 +92,7 @@ pub(crate) fn deliver(
     // or be pure acks; every advance (and every duplicate, whose sender
     // evidently missed our ack) is re-acknowledged.
     let mut want_ack = vec![false; st.recv_next_seq.len()];
-    for pkt in pkts {
+    for pkt in pkts.into_iter().map(unpack) {
         let src = pkt.src as usize;
         process_ack(st, pkt.src, pkt.ack);
         if matches!(pkt.kind, PacketKind::Ack) {

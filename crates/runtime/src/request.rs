@@ -212,6 +212,7 @@ impl ReqInner {
 
     /// If completed, take the message and mark freed. Caller must hold
     /// the owner shard's CS.
+    #[inline]
     pub(crate) unsafe fn try_free(&self) -> Option<Msg> {
         // SAFETY: forwarding our own contract — the caller holds the CS.
         let st = unsafe { self.state_mut() };

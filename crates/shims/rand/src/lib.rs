@@ -145,6 +145,23 @@ pub trait UniformInt: Copy + PartialOrd {
     fn uniform<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self;
 }
 
+/// `(hi · 2^64 + lo) % span`, with `span >= 1`. A span that fits in 32
+/// bits takes the remainder in three 64-bit steps (32 bits of the word
+/// at a time after `hi`): each partial remainder is below `span`, so
+/// `r << 32 | next 32 bits` never overflows, and the result equals the
+/// `u128` remainder without the 128-bit division routine.
+#[allow(clippy::cast_possible_truncation)]
+fn wide_rem(hi: u64, lo: u64, span: u128) -> u128 {
+    if span <= 1 << 32 {
+        let s = span as u64;
+        let r = hi % s;
+        let r = (r << 32 | lo >> 32) % s;
+        u128::from((r << 32 | lo & 0xffff_ffff) % s)
+    } else {
+        (u128::from(hi) << 64 | u128::from(lo)) % span
+    }
+}
+
 macro_rules! impl_uniform_int {
     ($($t:ty),*) => {$(
         impl UniformInt for $t {
@@ -155,7 +172,9 @@ macro_rules! impl_uniform_int {
                 // Rejection-free modulo; the bias is < 2^-64 per draw for
                 // the spans used in this workspace, far below what any
                 // consumer here can observe.
-                let draw = ((rng.next_u64() as u128) << 64 | rng.next_u64() as u128) % span;
+                // Arguments evaluate left to right: the first draw is
+                // the high word, as it always was.
+                let draw = wide_rem(rng.next_u64(), rng.next_u64(), span);
                 (lo as i128 + draw as i128) as $t
             }
         }
@@ -270,7 +289,32 @@ pub mod prelude {
 mod tests {
     use super::rngs::SmallRng;
     use super::seq::SliceRandom;
-    use super::{Rng, SeedableRng};
+    use super::{wide_rem, Rng, SeedableRng};
+    use proptest::prelude::*;
+
+    /// The jitter spans, both sides of the 32-bit cut, and the widest.
+    const SPANS: [u128; 8] = [
+        1,
+        2,
+        61,
+        1_201,
+        (1 << 32) - 1,
+        1 << 32,
+        (1 << 32) + 1,
+        u64::MAX as u128,
+    ];
+
+    proptest! {
+        #[test]
+        fn wide_rem_is_the_u128_remainder(hi in any::<u64>(), lo in any::<u64>()) {
+            for (hi, lo) in [(hi, lo), (hi, u64::MAX), (u64::MAX, lo), (hi, 0)] {
+                for span in SPANS {
+                    let reference = (u128::from(hi) << 64 | u128::from(lo)) % span;
+                    prop_assert_eq!(wide_rem(hi, lo, span), reference, "span {}", span);
+                }
+            }
+        }
+    }
 
     #[test]
     fn deterministic_in_seed() {

@@ -1,7 +1,10 @@
 //! The event queue's ordering contract, checked against a sorted-`Vec`
 //! oracle: interleaved pushes and pops return the current `(t, seq)`
 //! minimum, equal times pop by `seq`, and concatenated `pop_batch`es equal
-//! single pops. The scheduler's `sched_trace_hash` stability rests on it.
+//! single pops — at the populations the queue must survive: above the
+//! figures' peak, the benchmark probe's hold model, and the scheduler's
+//! back-loaded arrivals. The scheduler's `sched_trace_hash` stability
+//! rests on it.
 
 use mtmpi_sim::{CalendarQueue, Keyed};
 use proptest::prelude::*;
@@ -166,4 +169,158 @@ fn batched_drain_concatenation_equals_single_pops() {
         want.push(it);
     }
     assert_eq!(got, want);
+}
+
+/// Drain `q` and `oracle` in alternating batch and single pops: every
+/// batch must be one timestamp and equal the oracle's leading run.
+fn drain_in_batches(q: &mut CalendarQueue<It>, oracle: &mut Sorted) {
+    let mut batch = Vec::new();
+    loop {
+        let want = oracle.pop_batch();
+        assert_eq!(q.pop_batch(&mut batch), want.len());
+        assert_eq!(batch, want);
+        if want.is_empty() {
+            break;
+        }
+        batch.clear();
+        let want = oracle.pop();
+        assert_eq!(q.pop(), want);
+    }
+    assert!(q.is_empty());
+}
+
+/// Above DESIGN.md §16's peak population (182, `fig10c`): 256 pending
+/// events on a tie-heavy grid, then interleaved pops, batch pops and
+/// pushes just ahead of the frontier that keep the population there.
+#[test]
+fn population_above_the_figure_peak_matches_oracle() {
+    for seed in [3u64, 17, 0xC0FFEE] {
+        let mut s = seed;
+        let mut q = CalendarQueue::new();
+        let mut oracle = Sorted::default();
+        let mut seq = 0u64;
+        for _ in 0..256 {
+            let it = It {
+                t: (splitmix(&mut s) % 128) * 64,
+                seq,
+            };
+            q.push(it);
+            oracle.push(it);
+            seq += 1;
+        }
+        for round in 0..4_000u64 {
+            let frontier = if round % 3 == 0 {
+                let mut got = Vec::new();
+                q.pop_batch(&mut got);
+                let want = oracle.pop_batch();
+                assert_eq!(got, want, "seed {seed}, round {round}");
+                want.len()
+            } else {
+                assert_eq!(q.pop(), oracle.pop(), "seed {seed}, round {round}");
+                1
+            };
+            let base = oracle.0.first().map_or(0, |it| it.t);
+            for _ in 0..frontier {
+                let it = It {
+                    t: base + (splitmix(&mut s) % 32) * 64,
+                    seq,
+                };
+                q.push(it);
+                oracle.push(it);
+                seq += 1;
+            }
+            assert!(q.len() >= 200, "population fell to {}", q.len());
+            assert_eq!(q.peek_key(), oracle.0.first().map(|it| (it.t, it.seq)));
+        }
+        drain_in_batches(&mut q, &mut oracle);
+    }
+}
+
+/// The benchmark probe's hold model: 4 096 resident events; each step
+/// batch-pops one timestamp and pushes a successor per popped event on
+/// a 256 ns grid, with a 1-in-64 jump far past the frontier.
+#[test]
+fn hold_model_churn_matches_oracle() {
+    const WINDOW_NS: u64 = 512 * 1024;
+    let mut s = 99u64;
+    let mut delta = move || {
+        let r = splitmix(&mut s);
+        if r.is_multiple_of(64) {
+            (2 + (r >> 8) % 8) * WINDOW_NS
+        } else {
+            ((r >> 8) % 2048) * 256
+        }
+    };
+    let mut q = CalendarQueue::new();
+    let mut oracle = Sorted::default();
+    let mut seq = 0u64;
+    for _ in 0..4_096 {
+        let it = It { t: delta(), seq };
+        q.push(it);
+        oracle.push(it);
+        seq += 1;
+    }
+    let mut batch = Vec::new();
+    for step in 0..20_000u64 {
+        batch.clear();
+        let n = q.pop_batch(&mut batch);
+        let want = oracle.pop_batch();
+        assert_eq!(batch, want, "step {step}");
+        for _ in 0..n {
+            let it = It {
+                t: want[0].t + delta(),
+                seq,
+            };
+            q.push(it);
+            oracle.push(it);
+            seq += 1;
+        }
+        assert_eq!(q.len(), 4_096);
+    }
+    drain_in_batches(&mut q, &mut oracle);
+}
+
+/// The scheduler's measured arrival shape: a handful of pending events,
+/// and most pushes landing behind every queued event or within a few
+/// places of the back (ties on `t` included).
+#[test]
+fn back_loaded_arrivals_match_oracle() {
+    let mut s = 5u64;
+    let mut q = CalendarQueue::new();
+    let mut oracle = Sorted::default();
+    // One push per step, so the step is the push's `seq`.
+    for step in 0..50_000u64 {
+        let r = splitmix(&mut s);
+        let back = oracle.0.last().map_or(0, |it| it.t);
+        let t = match r % 16 {
+            // Behind everything queued, or tied with the back.
+            0..=6 => back + (r >> 8) % 4 * 128,
+            7 => back,
+            // A few places in front of the back.
+            8..=13 => {
+                let rank = ((r >> 8) % 4) as usize;
+                let i = oracle.0.len().saturating_sub(rank + 1);
+                oracle.0.get(i).map_or(back, |it| it.t)
+            }
+            // Anywhere after the frontier.
+            _ => oracle.0.first().map_or(0, |it| it.t) + (r >> 8) % 4_096,
+        };
+        let it = It { t, seq: step };
+        q.push(it);
+        oracle.push(it);
+        // Pops keep the population small (mostly ≤ 6, at most 32).
+        while oracle.0.len() > 32 || (oracle.0.len() > 3 && !(r >> 40).is_multiple_of(3)) {
+            if (r >> 50).is_multiple_of(4) {
+                let mut got = Vec::new();
+                q.pop_batch(&mut got);
+                assert_eq!(got, oracle.pop_batch(), "step {step}");
+            } else {
+                assert_eq!(q.pop(), oracle.pop(), "step {step}");
+            }
+            if oracle.0.len() <= 3 {
+                break;
+            }
+        }
+    }
+    drain_in_batches(&mut q, &mut oracle);
 }

@@ -59,7 +59,9 @@
 #              fails here rather than in the benchmark driver; then run
 #              every workload once through the driver contract (1 s,
 #              seed 1, release), which exits non-zero unless the
-#              workload's result is `correct` (needs `taskset`).
+#              workload's result is `correct` (needs `taskset`), and
+#              once traced (`--trace 1`: every workload's traced path
+#              plus the `probes` child, ~2 s).
 #
 # Usage: scripts/check.sh [fast]   ("fast" runs only fmt, clippy, lint and
 #        test; every other step above is skipped)
@@ -112,6 +114,8 @@ else
         step bench-api cargo run --release --offline -q --manifest-path benchmark/Cargo.toml \
             -- --workload "$w" --seed 1 --seconds 1 --trace 0
     done
+    step bench-api cargo run --release --offline -q --manifest-path benchmark/Cargo.toml \
+        -- --workload pt2pt_figure --seed 1 --seconds 1 --trace 1
 
     if ! cargo +nightly --version >/dev/null 2>&1; then
         skip tsan "no nightly toolchain"
