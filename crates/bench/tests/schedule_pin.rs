@@ -43,12 +43,13 @@ fn pinned(m: Method) -> (Option<Method>, u64, u64) {
         Method::Mutex => (Some(Method::Ticket), 0x3cfa_b2df_5e34_916f, 379_462),
         Method::Ticket => (Some(Method::Priority), 0x4b6f_777f_7ecc_e59c, 395_010),
         Method::Priority => (Some(Method::Single), 0xbe24_31e6_8f66_f031, 397_085),
-        Method::Single => (Some(Method::Cohort(4)), 0xc1cc_d3b1_8cb9_1abf, 28_095),
-        Method::Cohort(4) => (Some(Method::Cohort(16)), 0x74e4_34e5_aba2_6950, 379_740),
-        Method::Cohort(16) => (Some(Method::Tas), 0x1506_86d7_5043_4701, 339_515),
-        Method::Cohort(b) => panic!("cohort({b}) has no pin"),
-        Method::Tas => (None, 0x717b_2b62_5938_18d1, 344_208),
+        Method::Single => (None, 0xc1cc_d3b1_8cb9_1abf, 28_095),
     }
+}
+
+/// Every method, in the pinned walk's order.
+fn methods() -> impl Iterator<Item = Method> {
+    std::iter::successors(Some(Method::Mutex), |&m| pinned(m).0)
 }
 
 #[test]
@@ -56,9 +57,8 @@ fn every_method_is_its_own_world() {
     // A method whose model is another method's reproduces that method's
     // schedule exactly; each one listed must instead produce its own.
     let mut seen: Vec<(Method, u64)> = Vec::new();
-    let mut next = Some(Method::Mutex);
-    while let Some(m) = next {
-        let (after, hash, end_ns) = pinned(m);
+    for m in methods() {
+        let (_, hash, end_ns) = pinned(m);
         let r = throughput_run(
             &Experiment::quick(2),
             m,
@@ -69,9 +69,34 @@ fn every_method_is_its_own_world() {
             panic!("{m:?} replays {twin:?}'s schedule");
         }
         seen.push((m, hash));
-        next = after;
     }
-    assert_eq!(seen.len(), 7);
+    assert_eq!(seen.len(), 4);
+}
+
+/// Whether `m`'s world draws from the seeded RNG. Only the Mutex model
+/// does (its CAS race and futex wake jitter); a FIFO-family grant order
+/// is a function of arrival order alone. The `match` names every
+/// variant, so one added to `Method` does not compile until it is
+/// classed here.
+fn draws_randomness(m: Method) -> bool {
+    match m {
+        Method::Mutex => true,
+        Method::Ticket | Method::Priority | Method::Single => false,
+    }
+}
+
+#[test]
+fn only_seeded_methods_move_with_the_seed() {
+    // The world of `every_method_is_its_own_world`, at the figures' seed
+    // and at one other: a method that draws no randomness replays its
+    // schedule, and one that does must not.
+    let hash = |exp: &Experiment, m: Method| {
+        throughput_run(exp, m, ThroughputParams::new(1, 8).windows(1)).sched_trace_hash
+    };
+    for m in methods() {
+        let moved = hash(&Experiment::quick(2), m) != hash(&Experiment::with_seed(2, 1), m);
+        assert_eq!(moved, draws_randomness(m), "{m:?}");
+    }
 }
 
 /// `(method, sched_trace_hash, end_ns, events)` of the VCI sweep's world

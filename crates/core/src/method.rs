@@ -2,8 +2,7 @@
 
 use mtmpi_sim::LockKind;
 
-/// Legend entries of the paper's figures, plus the extra baselines this
-/// reproduction implements.
+/// Legend entries of the paper's figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// NPTL-style mutex (the baseline whose bias the paper analyses).
@@ -16,10 +15,6 @@ pub enum Method {
     /// harness forces one thread per rank; the lock is an uncontended
     /// mutex.
     Single,
-    /// Socket-aware cohort lock (§7 extension) with a hand-over budget.
-    Cohort(u32),
-    /// Test-and-set baseline.
-    Tas,
 }
 
 impl Method {
@@ -40,8 +35,6 @@ impl Method {
             Method::Mutex | Method::Single => LockKind::Mutex,
             Method::Ticket => LockKind::Ticket,
             Method::Priority => LockKind::Priority,
-            Method::Cohort(budget) => LockKind::Cohort { budget },
-            Method::Tas => LockKind::Tas,
         }
     }
 
@@ -52,8 +45,6 @@ impl Method {
             Method::Ticket => "Ticket",
             Method::Priority => "Priority",
             Method::Single => "Single",
-            Method::Cohort(_) => "Cohort",
-            Method::Tas => "TAS",
         }
     }
 
@@ -74,9 +65,5 @@ mod tests {
         assert_eq!(Method::Ticket.lock_kind(), LockKind::Ticket);
         assert!(Method::Single.forces_single_thread());
         assert!(!Method::Priority.forces_single_thread());
-        assert_eq!(
-            Method::Cohort(4).lock_kind(),
-            LockKind::Cohort { budget: 4 }
-        );
     }
 }

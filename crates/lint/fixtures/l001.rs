@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 pub struct Handoff {
-    locked: AtomicBool,
+    state: AtomicU32,
     now_serving: AtomicU32,
     claim: AtomicU8,
     ready: AtomicBool,
@@ -17,7 +17,7 @@ pub struct Handoff {
 
 impl Handoff {
     pub fn unlock_wrong(&self) {
-        self.locked.store(false, Ordering::Relaxed); // FIRE: L001
+        self.state.store(0, Ordering::Relaxed); // FIRE: L001
     }
 
     pub fn serve_next_wrong(&self) {
@@ -64,6 +64,6 @@ impl Handoff {
 
     pub fn allowed_site(&self) {
         // lint: allow(L001) fixture: proves per-site suppression works
-        self.locked.store(false, Ordering::Relaxed); // ALLOWED: L001
+        self.state.store(0, Ordering::Relaxed); // ALLOWED: L001
     }
 }

@@ -16,9 +16,9 @@ pub fn guard_across_yield(p: &dyn Platform, visited: &Mutex<Vec<u64>>) {
 
 pub fn guard_across_cs_entry(p: &dyn Platform, l: LockId, sums: &Mutex<u64>) {
     let mut total = sums.lock().expect("poisoned"); // FIRE: L007
-    let tok = p.lock_acquire(l, PathClass::Main);
+    p.lock_acquire(l, PathClass::Main);
     *total += 1;
-    p.lock_release(l, PathClass::Main, tok);
+    p.lock_release(l, PathClass::Main);
 }
 
 pub fn rwlock_and_refcell(p: &dyn Platform, ep: usize, t: &RwLock<Vec<u8>>, c: &RefCell<u32>) {

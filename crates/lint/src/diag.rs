@@ -3,7 +3,7 @@
 /// One finding of one rule at one site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id (`L001` … `L007`).
+    /// Rule id (`L001`, `L002`, …).
     pub rule: &'static str,
     /// Workspace-relative path, `/`-separated.
     pub path: String,

@@ -6,9 +6,8 @@
 //! it produces a flat stream of spanned tokens with comments and string
 //! bodies separated out, which is exactly the fidelity the rule
 //! catalogue needs: rules match token *patterns* (`.store(` on a
-//! hand-off field with a `Relaxed` argument, `unsafe {` without a
-//! preceding `SAFETY:` comment, …) and never confuse code with comment
-//! or string contents the way the old regex pass could have.
+//! hand-off field with a `Relaxed` argument, …) and never confuse code
+//! with comment or string contents the way the old regex pass could have.
 //!
 //! Handled faithfully: line (`//`) and nested block (`/* */`) comments,
 //! string/byte/raw-string literals (`"…"`, `b"…"`, `r#"…"#`, …), char
@@ -89,25 +88,6 @@ impl Lexed {
         self.lines
             .get(line as usize - 1)
             .map_or("", |l| l.as_str().trim())
-    }
-
-    /// Whether `line` (1-based) is covered by any comment.
-    pub fn line_has_comment(&self, line: u32) -> bool {
-        self.comments
-            .iter()
-            .any(|c| c.start_line <= line && line <= c.end_line)
-    }
-
-    /// All comment text covering a 1-based line, concatenated.
-    pub fn comment_text_on(&self, line: u32) -> String {
-        let mut out = String::new();
-        for c in &self.comments {
-            if c.start_line <= line && line <= c.end_line {
-                out.push_str(&c.text);
-                out.push('\n');
-            }
-        }
-        out
     }
 }
 

@@ -1,10 +1,11 @@
 //! L001 — `Relaxed` mutation of a lock hand-off or claim-token field.
 //!
 //! The store (or RMW) that transfers ownership — a ticket lock's
-//! `now_serving`, a TAS flag, the VCI wildcard claim token, the multi-request `ready` flag — is the
-//! Release half of the edge that makes the critical section's writes
-//! visible to the next owner. `Ordering::Relaxed` there is a missing
-//! Release: the successor can acquire the lock yet read stale data.
+//! `now_serving`, a futex mutex's `state` word, the VCI wildcard claim
+//! token, the multi-request `ready` flag — is the Release half of the
+//! edge that makes the critical section's writes visible to the next
+//! owner. `Ordering::Relaxed` there is a missing Release: the successor
+//! can acquire the lock yet read stale data.
 //! This rule is the engine descendant of the original `xtask lint`
 //! regex pass, now token-accurate and workspace-wide.
 
@@ -16,7 +17,6 @@ use crate::source::{effective_relaxed, matching, receiver_field, SourceFile};
 /// absent: it is documented as never carrying a hand-off.)
 pub const HANDOFF_FIELDS: &[&str] = &[
     "now_serving",     // ticket / priority ticket grant counter
-    "locked",          // TAS flag
     "state",           // futex mutex word
     "already_blocked", // priority lock's burst hand-off flag
     "grant",           // generic grant words

@@ -9,7 +9,6 @@
 //! | L003 | no nested critical-section entry (the two-shard-lock ban)     |
 //! | L004 | no nondeterminism sources in the deterministic core crates    |
 //! | L005 | no panic/unwrap/expect on typed-error (`try_*`) paths         |
-//! | L006 | no `unsafe` block/impl without a `// SAFETY:` comment         |
 //! | L007 | no host lock/`RefCell` guard held across a simulated-thread suspension |
 
 use crate::diag::Diagnostic;
@@ -20,7 +19,6 @@ mod l002_acquireless_load;
 mod l003_nested_cs;
 mod l004_determinism;
 mod l005_panic_paths;
-mod l006_undocumented_unsafe;
 mod l007_guard_across_suspension;
 
 pub use l003_nested_cs::{cs_entering_fns, CsContext};
@@ -41,7 +39,6 @@ pub fn check_file(file: &SourceFile, cs: &CsContext) -> Vec<Diagnostic> {
     if in_scope(&file.path, L005_SCOPE) {
         out.extend(l005_panic_paths::check(file));
     }
-    out.extend(l006_undocumented_unsafe::check(file));
     out.extend(l007_guard_across_suspension::check(file));
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out

@@ -50,11 +50,11 @@ fn every_scoped_rule_names_directories_that_exist() {
 
 /// A hand-off store with `Relaxed`, as someone would actually type it.
 const SEEDED: &str = r#"
-use std::sync::atomic::{AtomicBool, Ordering};
-pub struct S { locked: AtomicBool }
+use std::sync::atomic::{AtomicU32, Ordering};
+pub struct S { state: AtomicU32 }
 impl S {
     pub fn unlock(&self) {
-        self.locked.store(false, Ordering::Relaxed);
+        self.state.store(0, Ordering::Relaxed);
     }
 }
 "#;

@@ -7,7 +7,7 @@ use std::cell::UnsafeCell;
 /// Mutex-like container pairing a [`CsLock`] with the data it protects.
 ///
 /// Access is closure-scoped (`with` / `with_main` / `with_progress`) rather
-/// than guard-based so the lock's class+token bookkeeping cannot be
+/// than guard-based so the lock's class bookkeeping cannot be
 /// mismatched by callers.
 #[derive(Debug)]
 pub struct LockCell<L, T> {
@@ -34,10 +34,10 @@ impl<L: CsLock, T> LockCell<L, T> {
 
     /// Run `f` with exclusive access, entering from the given path class.
     pub fn with<R>(&self, class: PathClass, f: impl FnOnce(&mut T) -> R) -> R {
-        let token = self.lock.acquire(class);
+        self.lock.acquire(class);
         // SAFETY: we hold the lock; the lock serializes all access.
         let r = f(unsafe { &mut *self.data.get() });
-        self.lock.release(class, token);
+        self.lock.release(class);
         r
     }
 

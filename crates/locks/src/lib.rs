@@ -1,8 +1,7 @@
 //! Synchronization primitives for multithreaded MPI runtimes.
 //!
 //! This crate implements, as real usable Rust locks, the synchronization
-//! constructs of *MPI+Threads: Runtime Contention and Remedies* (PPoPP'15)
-//! plus one lock per extra behaviour the reproduction compares:
+//! constructs of *MPI+Threads: Runtime Contention and Remedies* (PPoPP'15):
 //!
 //! * [`TicketLock`] — the FCFS lock of Fig 4 (one `fetch_add`, local-ish
 //!   spinning on `now_serving`), the paper's first remedy (§5.1);
@@ -13,12 +12,7 @@
 //! * [`FutexMutex`] — a barging sleep/wake mutex modelling the NPTL default
 //!   mutex the paper analyses (§2.2): user-space CAS fast path, parked
 //!   waiters, and *no* fairness guarantee — a woken waiter races new
-//!   arrivals, so the fastest (cache-closest) thread wins;
-//! * [`TasLock`] — the test-and-set baseline (§8): an unordered CAS race
-//!   with no parked waiters;
-//! * [`CohortTicketLock`] — the §7 "socket-aware" idea: a NUMA cohort lock
-//!   built from per-socket ticket locks with a bounded hand-over budget so
-//!   it cannot starve remote sockets.
+//!   arrivals, so the fastest (cache-closest) thread wins.
 //!
 //! The runtime consumes locks through the [`CsLock`] trait, which carries
 //! the paper's *path class* ([`PathClass::Main`] vs [`PathClass::Progress`])
@@ -27,22 +21,18 @@
 //! the [`mtmpi_metrics`] format for the §4.3 fairness analysis.
 
 pub mod cell;
-pub mod cohort;
 pub mod futex;
 pub mod path;
 pub mod priority;
 pub mod raw;
-pub mod spin;
 pub mod sys;
 pub mod ticket;
 pub mod traced;
 
 pub use cell::LockCell;
-pub use cohort::CohortTicketLock;
 pub use futex::FutexMutex;
 pub use path::PathClass;
 pub use priority::PriorityTicketLock;
-pub use raw::{CsLock, CsToken, RawLock};
-pub use spin::{Backoff, TasLock};
-pub use ticket::TicketLock;
+pub use raw::{CsLock, RawLock};
+pub use ticket::{Backoff, TicketLock};
 pub use traced::{current_core, set_current_core, swap_current_core, Traced};

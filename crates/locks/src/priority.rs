@@ -24,7 +24,7 @@
 //! simultaneously, and within a class `ticket_H`/`ticket_B` serialize.
 
 use crate::path::PathClass;
-use crate::raw::{CsLock, CsToken, RawLock};
+use crate::raw::{CsLock, RawLock};
 use crate::sys::{AtomicBool, AtomicUsize, Ordering};
 use crate::ticket::TicketLock;
 
@@ -98,15 +98,14 @@ impl CsLock for PriorityTicketLock {
         "priority"
     }
 
-    fn acquire(&self, class: PathClass) -> CsToken {
+    fn acquire(&self, class: PathClass) {
         match class {
             PathClass::Main => self.lock_high(),
             PathClass::Progress => self.lock_low(),
         }
-        CsToken::NONE
     }
 
-    fn release(&self, class: PathClass, _token: CsToken) {
+    fn release(&self, class: PathClass) {
         match class {
             PathClass::Main => self.unlock_high(),
             PathClass::Progress => self.unlock_low(),
@@ -235,10 +234,10 @@ mod tests {
     #[test]
     fn cs_lock_mapping() {
         let lock = PriorityTicketLock::new();
-        let t = CsLock::acquire(&lock, PathClass::Main);
-        CsLock::release(&lock, PathClass::Main, t);
-        let t = CsLock::acquire(&lock, PathClass::Progress);
-        CsLock::release(&lock, PathClass::Progress, t);
+        CsLock::acquire(&lock, PathClass::Main);
+        CsLock::release(&lock, PathClass::Main);
+        CsLock::acquire(&lock, PathClass::Progress);
+        CsLock::release(&lock, PathClass::Progress);
         assert_eq!(CsLock::name(&lock), "priority");
     }
 

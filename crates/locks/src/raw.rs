@@ -3,26 +3,13 @@
 //! Two layers:
 //!
 //! * [`RawLock`] — a flat mutual-exclusion primitive (`lock`/`unlock`),
-//!   implemented by the simple locks (TAS, ticket, futex mutex).
+//!   implemented by the simple locks (ticket, futex mutex).
 //! * [`CsLock`] — what the MPI runtime's *global critical section* needs:
-//!   class-aware acquisition (so priority locks can distinguish main-path
-//!   from progress-loop entries) and a token threading through to release
-//!   (so the cohort lock can carry the acquirer's socket without
-//!   thread-local state). Every `RawLock` is a `CsLock` that ignores the
-//!   class and uses a zero token.
+//!   class-aware acquisition, so priority locks can distinguish main-path
+//!   from progress-loop entries. Every `RawLock` is a `CsLock` that
+//!   ignores the class.
 
 use crate::path::PathClass;
-
-/// Opaque per-acquisition token returned by [`CsLock::acquire`] and given
-/// back to [`CsLock::release`]. Flat locks use [`CsToken::NONE`]; the
-/// cohort lock carries the socket whose local lock it took.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CsToken(pub usize);
-
-impl CsToken {
-    /// Token for locks that need no per-acquisition state.
-    pub const NONE: CsToken = CsToken(0);
-}
 
 /// A flat blocking mutual-exclusion lock.
 ///
@@ -44,25 +31,25 @@ pub trait RawLock: Send + Sync + Default {
     fn unlock(&self);
 }
 
-/// A critical-section lock as used by the MPI runtime: class-aware and
-/// token-carrying. Object-safe so the runtime can hold `Arc<dyn CsLock>`.
+/// A critical-section lock as used by the MPI runtime: class-aware.
+/// Object-safe so the runtime can hold `Arc<dyn CsLock>`.
 pub trait CsLock: Send + Sync {
     /// Name used in tables.
     fn name(&self) -> &'static str;
 
     /// Acquire the critical section from the given runtime path.
-    fn acquire(&self, class: PathClass) -> CsToken;
+    fn acquire(&self, class: PathClass);
 
-    /// Release the critical section. `class` and `token` must be the values
-    /// from the matching `acquire`.
-    fn release(&self, class: PathClass, token: CsToken);
+    /// Release the critical section. `class` must be the value from the
+    /// matching `acquire`.
+    fn release(&self, class: PathClass);
 
-    /// Try to acquire without blocking; `None` if contended.
+    /// Try to acquire without blocking; `false` if contended.
     ///
     /// The default conservatively fails, which is always correct: callers
     /// fall back to the blocking path.
-    fn try_acquire(&self, _class: PathClass) -> Option<CsToken> {
-        None
+    fn try_acquire(&self, _class: PathClass) -> bool {
+        false
     }
 }
 
@@ -71,15 +58,15 @@ impl CsLock for Box<dyn CsLock> {
         (**self).name()
     }
 
-    fn acquire(&self, class: PathClass) -> CsToken {
-        (**self).acquire(class)
+    fn acquire(&self, class: PathClass) {
+        (**self).acquire(class);
     }
 
-    fn release(&self, class: PathClass, token: CsToken) {
-        (**self).release(class, token);
+    fn release(&self, class: PathClass) {
+        (**self).release(class);
     }
 
-    fn try_acquire(&self, class: PathClass) -> Option<CsToken> {
+    fn try_acquire(&self, class: PathClass) -> bool {
         (**self).try_acquire(class)
     }
 }
@@ -89,17 +76,16 @@ impl<L: RawLock> CsLock for L {
         L::NAME
     }
 
-    fn acquire(&self, _class: PathClass) -> CsToken {
+    fn acquire(&self, _class: PathClass) {
         self.lock();
-        CsToken::NONE
     }
 
-    fn release(&self, _class: PathClass, _token: CsToken) {
+    fn release(&self, _class: PathClass) {
         self.unlock();
     }
 
-    fn try_acquire(&self, _class: PathClass) -> Option<CsToken> {
-        self.try_lock().then_some(CsToken::NONE)
+    fn try_acquire(&self, _class: PathClass) -> bool {
+        self.try_lock()
     }
 }
 
@@ -111,11 +97,10 @@ mod tests {
     #[test]
     fn raw_lock_is_cs_lock() {
         let l = TicketLock::default();
-        let t = CsLock::acquire(&l, PathClass::Main);
-        assert_eq!(t, CsToken::NONE);
-        assert!(CsLock::try_acquire(&l, PathClass::Progress).is_none());
-        CsLock::release(&l, PathClass::Main, t);
-        let t2 = CsLock::try_acquire(&l, PathClass::Progress).expect("uncontended");
-        CsLock::release(&l, PathClass::Progress, t2);
+        CsLock::acquire(&l, PathClass::Main);
+        assert!(!CsLock::try_acquire(&l, PathClass::Progress));
+        CsLock::release(&l, PathClass::Main);
+        assert!(CsLock::try_acquire(&l, PathClass::Progress), "uncontended");
+        CsLock::release(&l, PathClass::Progress);
     }
 }

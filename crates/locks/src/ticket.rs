@@ -1,8 +1,54 @@
 //! The ticket lock (paper Fig 4) — the FCFS remedy of §5.1.
 
 use crate::raw::RawLock;
-use crate::spin::Backoff;
 use crate::sys::{AtomicU64, Ordering};
+
+/// Bounded exponential backoff that degrades to `yield_now`, so spinning
+/// code stays live on oversubscribed hosts (more runnable threads than
+/// cores — always the case on the single-core CI host this reproduction
+/// targets).
+#[derive(Debug, Default)]
+pub struct Backoff {
+    step: u32,
+}
+
+impl Backoff {
+    /// Spin budget (in `spin_loop` hints) before the first yield.
+    const SPIN_LIMIT: u32 = 7;
+
+    /// Fresh backoff state.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Wait a little; successive calls wait longer, then start yielding the
+    /// OS thread.
+    #[cfg(not(feature = "loom-check"))]
+    pub fn snooze(&mut self) {
+        if self.step <= Self::SPIN_LIMIT {
+            for _ in 0..(1u32 << self.step) {
+                crate::sys::spin_loop();
+            }
+            self.step += 1;
+        } else {
+            crate::sys::yield_now();
+        }
+    }
+
+    /// Under the model checker a snooze is a single parking decision
+    /// point: the exponential spin would only multiply identical states
+    /// (the model parks until shared state changes anyway).
+    #[cfg(feature = "loom-check")]
+    pub fn snooze(&mut self) {
+        self.step = self.step.saturating_add(1);
+        crate::sys::spin_loop();
+    }
+
+    /// Whether the backoff has escalated to yielding.
+    pub fn is_yielding(&self) -> bool {
+        self.step > Self::SPIN_LIMIT
+    }
+}
 
 /// FIFO ticket lock.
 ///
@@ -189,6 +235,16 @@ mod tests {
         lock.unlock();
         assert!(lock.try_lock());
         lock.unlock();
+    }
+
+    #[test]
+    fn backoff_escalates_to_yield() {
+        let mut b = Backoff::new();
+        assert!(!b.is_yielding());
+        for _ in 0..16 {
+            b.snooze();
+        }
+        assert!(b.is_yielding());
     }
 
     #[test]

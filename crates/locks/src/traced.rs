@@ -11,7 +11,7 @@
 //! [`set_current_core`]; the harness does this when it spawns workers.
 
 use crate::path::PathClass;
-use crate::raw::{CsLock, CsToken};
+use crate::raw::CsLock;
 use mtmpi_metrics::{Grant, GrantFold};
 use mtmpi_topology::{CoreId, SocketId};
 use std::cell::Cell;
@@ -26,7 +26,7 @@ thread_local! {
 static NEXT_THREAD_ID: AtomicU32 = AtomicU32::new(0);
 
 /// Register the calling thread's logical core/socket placement (used by
-/// traced locks and the cohort lock). Harnesses call this right after
+/// traced locks). Harnesses call this right after
 /// spawning a worker.
 pub fn set_current_core(core: CoreId, socket: SocketId) {
     CURRENT_CORE.with(|c| c.set(Some((core, socket))));
@@ -108,10 +108,10 @@ impl<L: CsLock> Traced<L> {
     /// Copy of the grant statistics so far, taken while briefly holding
     /// the lock (safe any time; the passage itself is not counted).
     pub fn grants(&self) -> GrantFold {
-        let token = self.inner.acquire(PathClass::Main);
+        self.inner.acquire(PathClass::Main);
         // SAFETY: we hold the inner lock.
         let g = unsafe { (*self.grants.get()).clone() };
-        self.inner.release(PathClass::Main, token);
+        self.inner.release(PathClass::Main);
         g
     }
 
@@ -125,14 +125,14 @@ impl<L: CsLock> CsLock for Traced<L> {
         self.inner.name()
     }
 
-    fn acquire(&self, class: PathClass) -> CsToken {
+    fn acquire(&self, class: PathClass) {
         let (_, socket) = self.placement();
         let s = socket.0 as usize % MAX_SOCKETS;
         self.waiting_total.fetch_add(1, Ordering::AcqRel);
         self.waiting_per_socket[s].fetch_add(1, Ordering::AcqRel);
         // lint: allow(L004) Traced measures real wall time by design (host-timing wrapper)
         let t0 = Instant::now();
-        let token = self.inner.acquire(class);
+        self.inner.acquire(class);
         // We hold the lock: snapshot contention *excluding ourselves*.
         self.waiting_total.fetch_sub(1, Ordering::AcqRel);
         self.waiting_per_socket[s].fetch_sub(1, Ordering::AcqRel);
@@ -147,11 +147,10 @@ impl<L: CsLock> CsLock for Traced<L> {
         };
         // SAFETY: serialized by the inner lock which we currently hold.
         unsafe { (*self.grants.get()).record(grant) };
-        token
     }
 
-    fn release(&self, class: PathClass, token: CsToken) {
-        self.inner.release(class, token);
+    fn release(&self, class: PathClass) {
+        self.inner.release(class);
     }
 }
 
@@ -170,8 +169,8 @@ mod tests {
                 std::thread::spawn(move || {
                     set_current_core(CoreId(i), SocketId(i / 2));
                     for _ in 0..500 {
-                        let t = lock.acquire(PathClass::Main);
-                        lock.release(PathClass::Main, t);
+                        lock.acquire(PathClass::Main);
+                        lock.release(PathClass::Main);
                     }
                 })
             })
@@ -190,8 +189,8 @@ mod tests {
     #[test]
     fn placement_defaults_to_socket0() {
         let lock = Traced::new(TicketLock::new());
-        let t = lock.acquire(PathClass::Main);
-        lock.release(PathClass::Main, t);
+        lock.acquire(PathClass::Main);
+        lock.release(PathClass::Main);
         let last = lock.grants().last().expect("one grant");
         assert_eq!(last.socket, SocketId(0));
     }
@@ -201,8 +200,8 @@ mod tests {
         // Single-threaded: no waiters ever.
         let lock = Traced::new(TicketLock::new());
         for _ in 0..10 {
-            let t = lock.acquire(PathClass::Main);
-            lock.release(PathClass::Main, t);
+            lock.acquire(PathClass::Main);
+            lock.release(PathClass::Main);
         }
         let grants = lock.grants();
         assert_eq!(grants.total(), 10);
@@ -218,7 +217,7 @@ mod tests {
         let lock = Arc::new(Traced::new(TicketLock::new()));
         // The holder shares socket 1 with one waiter.
         set_current_core(CoreId(9), SocketId(1));
-        let held = lock.acquire(PathClass::Main);
+        lock.acquire(PathClass::Main);
         let handles: Vec<_> = (0..3u32)
             .map(|i| {
                 let lock = lock.clone();
@@ -226,8 +225,8 @@ mod tests {
                     // Distinct sockets so the per-socket breakdown is
                     // distinguishable: waiter i on socket i+1.
                     set_current_core(CoreId(i), SocketId(i + 1));
-                    let t = lock.acquire(PathClass::Main);
-                    lock.release(PathClass::Main, t);
+                    lock.acquire(PathClass::Main);
+                    lock.release(PathClass::Main);
                 })
             })
             .collect();
@@ -238,7 +237,7 @@ mod tests {
         let per_socket = lock.waiting_per_socket_now();
         assert_eq!(&per_socket[1..4], &[1, 1, 1], "{per_socket:?}");
         assert_eq!(per_socket[0], 0);
-        lock.release(PathClass::Main, held);
+        lock.release(PathClass::Main);
         for h in handles {
             h.join().unwrap();
         }
@@ -272,8 +271,8 @@ mod tests {
                 let lock = lock.clone();
                 std::thread::spawn(move || {
                     for _ in 0..2 {
-                        let t = lock.acquire(PathClass::Main);
-                        lock.release(PathClass::Main, t);
+                        lock.acquire(PathClass::Main);
+                        lock.release(PathClass::Main);
                     }
                 })
             })

@@ -6,9 +6,7 @@
 //! no two holders, no lost updates, ticket FIFO order, priority-class
 //! safety, and clean final states.
 
-use mtmpi_locks::{
-    CohortTicketLock, CsLock, FutexMutex, PathClass, PriorityTicketLock, TasLock, TicketLock,
-};
+use mtmpi_locks::{CsLock, FutexMutex, PathClass, PriorityTicketLock, TicketLock};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -25,14 +23,14 @@ fn exclusion_stress<L: CsLock + 'static>(lock: L, threads: u32, iters: u32, clas
             let class = classes[i as usize % classes.len()];
             std::thread::spawn(move || {
                 for _ in 0..iters {
-                    let t = lock.acquire(class);
+                    lock.acquire(class);
                     assert!(!inside.swap(true, Ordering::SeqCst), "two holders");
                     // Non-atomic-style read-modify-write under the lock.
                     let v = counter.load(Ordering::Relaxed);
                     std::hint::spin_loop();
                     counter.store(v + 1, Ordering::Relaxed);
                     inside.store(false, Ordering::SeqCst);
-                    lock.release(class, t);
+                    lock.release(class);
                 }
             })
         })
@@ -69,21 +67,6 @@ proptest! {
         );
     }
 
-    #[test]
-    fn tas_no_lost_updates(threads in 2u32..4, iters in 1u32..300) {
-        exclusion_stress(TasLock::default(), threads, iters, &[PathClass::Main]);
-    }
-
-    #[test]
-    fn cohort_no_lost_updates(threads in 2u32..5, iters in 1u32..300, budget in 1u32..16) {
-        exclusion_stress(
-            CohortTicketLock::new(2, budget),
-            threads,
-            iters,
-            &[PathClass::Main],
-        );
-    }
-
     /// Single-threaded acquire/release sequences of arbitrary length and
     /// class pattern leave every lock reusable (no leaked state).
     #[test]
@@ -94,14 +77,14 @@ proptest! {
         for &op in &ops {
             let class = if op == 0 { PathClass::Main } else { PathClass::Progress };
             for lock in [&ticket as &dyn CsLock, &prio, &mutex] {
-                let t = lock.acquire(class);
-                lock.release(class, t);
+                lock.acquire(class);
+                lock.release(class);
             }
         }
         // Still usable afterwards.
         for lock in [&ticket as &dyn CsLock, &prio, &mutex] {
-            let t = lock.acquire(PathClass::Main);
-            lock.release(PathClass::Main, t);
+            lock.acquire(PathClass::Main);
+            lock.release(PathClass::Main);
         }
     }
 
@@ -110,11 +93,11 @@ proptest! {
     fn try_acquire_consistency(n in 1usize..60) {
         let lock = TicketLock::new();
         for _ in 0..n {
-            let t = lock.acquire(PathClass::Main);
-            prop_assert!(lock.try_acquire(PathClass::Main).is_none());
-            lock.release(PathClass::Main, t);
-            let t2 = lock.try_acquire(PathClass::Main).expect("free after release");
-            lock.release(PathClass::Main, t2);
+            lock.acquire(PathClass::Main);
+            prop_assert!(!lock.try_acquire(PathClass::Main));
+            lock.release(PathClass::Main);
+            prop_assert!(lock.try_acquire(PathClass::Main), "free after release");
+            lock.release(PathClass::Main);
         }
     }
 }

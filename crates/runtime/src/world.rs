@@ -192,7 +192,7 @@ impl WorldInner {
     ) -> R {
         let p = self.shard(rank, vci);
         let t_req = self.platform.now_ns();
-        let token = self.platform.lock_acquire(p.cs_queue, class);
+        self.platform.lock_acquire(p.cs_queue, class);
         let t_acq = self.platform.now_ns();
         // SAFETY: we hold the queue lock for this shard.
         let st = unsafe { &mut *p.state.get() };
@@ -203,7 +203,7 @@ impl WorldInner {
         let r = f(st);
         let t_rel = self.platform.now_ns();
         st.cs_hold_ns.record(t_rel.saturating_sub(t_acq));
-        self.platform.lock_release(p.cs_queue, class, token);
+        self.platform.lock_release(p.cs_queue, class);
         self.rec_at(t_rel, || EventKind::CsSpan {
             lock: p.cs_queue.0 as u32,
             kind: self.lock.label(),

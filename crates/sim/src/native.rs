@@ -7,10 +7,7 @@
 //! mailbox applies the same [`NetModel`] delays in model-time.
 
 use crate::platform::{LockId, LockKind, Payload, Platform, PlatformReport, ThreadDesc};
-use mtmpi_locks::{
-    CohortTicketLock, CsLock, CsToken, FutexMutex, PathClass, PriorityTicketLock, TasLock,
-    TicketLock, Traced,
-};
+use mtmpi_locks::{CsLock, FutexMutex, PathClass, PriorityTicketLock, TicketLock, Traced};
 use mtmpi_net::NetModel;
 use mtmpi_topology::ClusterTopology;
 use rand::rngs::SmallRng;
@@ -116,10 +113,6 @@ impl NativePlatform {
             LockKind::Mutex => Box::new(FutexMutex::new()),
             LockKind::Ticket => Box::new(TicketLock::new()),
             LockKind::Priority => Box::new(PriorityTicketLock::new()),
-            LockKind::Cohort { budget } => {
-                Box::new(CohortTicketLock::new(self.cluster.node.sockets, budget))
-            }
-            LockKind::Tas => Box::new(TasLock::default()),
         }
     }
 
@@ -179,14 +172,14 @@ impl Platform for NativePlatform {
         LockId(locks.len() - 1)
     }
 
-    fn lock_acquire(&self, lock: LockId, class: PathClass) -> CsToken {
+    fn lock_acquire(&self, lock: LockId, class: PathClass) {
         let l = lock_unpoisoned(&self.locks)[lock.0].clone();
-        l.acquire(class)
+        l.acquire(class);
     }
 
-    fn lock_release(&self, lock: LockId, class: PathClass, token: CsToken) {
+    fn lock_release(&self, lock: LockId, class: PathClass) {
         let l = lock_unpoisoned(&self.locks)[lock.0].clone();
-        l.release(class, token);
+        l.release(class);
     }
 
     fn register_endpoint(&self, node: u32) -> usize {

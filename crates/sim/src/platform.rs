@@ -13,8 +13,7 @@ pub type Payload = Box<dyn Any + Send>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LockId(pub usize);
 
-/// Which arbitration the lock uses — the paper's three contenders plus the
-/// extra baselines.
+/// Which arbitration the lock uses — the paper's three contenders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockKind {
     /// NPTL-style barging mutex (the baseline under study).
@@ -23,13 +22,6 @@ pub enum LockKind {
     Ticket,
     /// Two-level priority ticket lock (remedy 2, §5.2).
     Priority,
-    /// Socket-aware cohort lock with a hand-over budget (§7 extension).
-    Cohort {
-        /// Maximum consecutive same-socket hand-overs.
-        budget: u32,
-    },
-    /// Test-and-set spinlock baseline.
-    Tas,
 }
 
 impl LockKind {
@@ -39,8 +31,6 @@ impl LockKind {
             LockKind::Mutex => "mutex",
             LockKind::Ticket => "ticket",
             LockKind::Priority => "priority",
-            LockKind::Cohort { .. } => "cohort",
-            LockKind::Tas => "tas",
         }
     }
 }
@@ -161,15 +151,10 @@ pub trait Platform: Send + Sync {
     fn lock_create(&self, kind: LockKind) -> LockId;
 
     /// Enter the critical section from the given path class.
-    fn lock_acquire(&self, lock: LockId, class: mtmpi_locks::PathClass) -> mtmpi_locks::CsToken;
+    fn lock_acquire(&self, lock: LockId, class: mtmpi_locks::PathClass);
 
     /// Leave the critical section.
-    fn lock_release(
-        &self,
-        lock: LockId,
-        class: mtmpi_locks::PathClass,
-        token: mtmpi_locks::CsToken,
-    );
+    fn lock_release(&self, lock: LockId, class: mtmpi_locks::PathClass);
 
     /// Register a communication endpoint (an MPI rank) living on `node`.
     /// Returns the endpoint id. Pre-run only.

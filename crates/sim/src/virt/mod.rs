@@ -40,7 +40,7 @@ use crate::platform::{
 use arena::Arena;
 use calendar::CalendarQueue;
 use fiber::{with_worker, Fiber};
-use mtmpi_locks::{CsToken, PathClass};
+use mtmpi_locks::PathClass;
 use mtmpi_net::NetModel;
 use mtmpi_topology::{ClusterTopology, CoreId, SocketId};
 use rand::rngs::SmallRng;
@@ -483,17 +483,16 @@ impl Platform for VirtualPlatform {
         Some(self.cluster.nodes)
     }
 
-    fn lock_acquire(&self, lock: LockId, class: PathClass) -> CsToken {
+    fn lock_acquire(&self, lock: LockId, class: PathClass) {
         with_ctx(|c| {
             c.sync(Op::LockAcquire {
                 lock: lock.0,
                 class,
             });
         });
-        CsToken::NONE
     }
 
-    fn lock_release(&self, lock: LockId, _class: PathClass, _token: CsToken) {
+    fn lock_release(&self, lock: LockId, _class: PathClass) {
         with_ctx(|c| {
             c.sync(Op::LockRelease { lock: lock.0 });
         });
@@ -1172,9 +1171,72 @@ impl Scheduler {
 
 #[cfg(test)]
 mod tests {
-    use super::SchedHash;
+    use super::{EvKind, SchedHash, StepOutcome, VirtualPlatform};
+    use crate::platform::{LockKind, LockModelParams, Platform, ThreadDesc};
+    use mtmpi_locks::PathClass;
+    use mtmpi_net::NetModel;
+    use mtmpi_topology::presets::nehalem_cluster_scaled;
+    use mtmpi_topology::CoreId;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+
+    #[test]
+    fn events_queued_after_the_last_retirement_are_not_run() {
+        // `tests/stepping.rs`'s hand-off-heavy world: sixteen threads
+        // passing one barging mutex, the last retiring at 98 078 ns. Only
+        // a stale lock `Grant` can outlive every thread, and no remaining
+        // lock model leaves one behind: a mutex waiter robbed of its
+        // hand-off is re-queued as in transit until that grant is due, so
+        // its next grant comes later. So one is queued by hand, due 1 ns
+        // after the last retirement, with a generation no hand-off
+        // carries. The run ends at the retirement: popping the grant would
+        // count one more event and fold it into the hash.
+        for (quantum, handoffs) in [(1, 1184), (3, 785), (u64::MAX, 462)] {
+            let p = Arc::new(VirtualPlatform::new(
+                nehalem_cluster_scaled(2),
+                NetModel::qdr(),
+                LockModelParams::default(),
+                0x16,
+            ));
+            let lock = p.lock_create(LockKind::Mutex);
+            for i in 0..16u32 {
+                let p2 = p.clone();
+                let desc = ThreadDesc {
+                    name: format!("t{i}"),
+                    node: 0,
+                    core: CoreId(i % 8),
+                };
+                p.spawn(
+                    desc,
+                    Box::new(move || {
+                        for round in 0..12u64 {
+                            p2.lock_acquire(lock, PathClass::Main);
+                            p2.compute(40 + round);
+                            p2.lock_release(lock, PathClass::Main);
+                            p2.compute(150 + u64::from(i) * 13);
+                            p2.yield_now();
+                        }
+                    }),
+                );
+            }
+            let mut h = p.start();
+            h.sched.push(
+                98_079,
+                EvKind::Grant {
+                    lock: lock.0,
+                    gen: u64::MAX,
+                },
+            );
+            while h.step(quantum).expect("no deadlock") == StepOutcome::Pending {}
+            let r = h.finish();
+            assert_eq!(
+                (r.events, r.handoffs, r.end_ns, r.sched_trace_hash),
+                (816, handoffs, 98_078, 8_172_738_309_353_957_238),
+                "quantum {quantum}"
+            );
+        }
+    }
 
     /// The byte-wise FNV-1a step `SchedHash::mix` replaces.
     fn bytewise(mut h: u64, word: u64) -> u64 {

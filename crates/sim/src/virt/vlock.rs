@@ -41,18 +41,6 @@
 //! within that class. This is not the three-ticket-lock construction of
 //! Fig 7 (`mtmpi_locks::PriorityTicketLock`); replacing it with that
 //! lock's grant order is ROADMAP items 10 and 19.
-//!
-//! ## The cohort model (§7 extension)
-//!
-//! FIFO, but prefers waiters on the releaser's socket for up to `budget`
-//! consecutive hand-overs.
-//!
-//! ## The TAS model
-//!
-//! A pure CAS race among all waiters, who all busy-wait: each observes
-//! the release after the hand-off latency from the releaser's core plus
-//! jitter, and the earliest wins. Like the mutex, a newcomer can steal a
-//! pending hand-off; unlike it, nobody sleeps.
 
 use crate::platform::{LockKind, LockModelParams};
 use mtmpi_locks::PathClass;
@@ -134,7 +122,6 @@ pub(crate) struct VLock {
     last_owner: Option<(CoreId, SocketId)>,
     /// Thread id of the last owner (for the working-set migration cost).
     last_tid: Option<usize>,
-    cohort_passes: u32,
     prio_burst: u32,
     rng: SmallRng,
 }
@@ -159,7 +146,6 @@ impl VLock {
             gen: 0,
             last_owner: None,
             last_tid: None,
-            cohort_passes: 0,
             prio_burst: 0,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -256,7 +242,7 @@ impl VLock {
             State::HandOff { winner, at } => {
                 let pending_at = *at;
                 let loser = winner.clone();
-                if matches!(self.kind, LockKind::Mutex | LockKind::Tas) {
+                if self.kind == LockKind::Mutex {
                     // CAS race: the newcomer observes the free line after
                     // the fetch latency from the *releaser's* core, plus
                     // the lock-call turnaround overhead.
@@ -305,7 +291,7 @@ impl VLock {
             self.state = State::Free;
             return ReleaseOutcome::Idle;
         }
-        let (idx, at) = self.select_winner(t, core, socket);
+        let (idx, at) = self.select_winner(t, core);
         let winner = self.waiters.remove(idx).expect("selected index valid");
         self.state = State::HandOff { winner, at };
         self.gen += 1;
@@ -313,7 +299,7 @@ impl VLock {
     }
 
     /// Choose the next owner among `self.waiters`; returns (index, time).
-    fn select_winner(&mut self, t: u64, rel_core: CoreId, rel_socket: SocketId) -> (usize, u64) {
+    fn select_winner(&mut self, t: u64, rel_core: CoreId) -> (usize, u64) {
         match self.kind {
             LockKind::Ticket => {
                 let w = &self.waiters[0];
@@ -354,42 +340,7 @@ impl VLock {
                     .between(&self.topo, rel_core, self.waiters[idx].core);
                 (idx, at)
             }
-            LockKind::Cohort { budget } => {
-                let local = self
-                    .waiters
-                    .iter()
-                    .position(|w| w.socket == rel_socket)
-                    .filter(|_| self.cohort_passes < budget);
-                let idx = match local {
-                    Some(i) => {
-                        self.cohort_passes += 1;
-                        i
-                    }
-                    None => {
-                        self.cohort_passes = 0;
-                        0
-                    }
-                };
-                let at = t + self
-                    .handoff
-                    .between(&self.topo, rel_core, self.waiters[idx].core);
-                (idx, at)
-            }
             LockKind::Mutex => self.select_mutex_winner(t, rel_core),
-            LockKind::Tas => {
-                // Pure CAS race among all (busy-waiting) waiters.
-                let mut best = (0usize, u64::MAX);
-                let n = self.waiters.len();
-                for i in 0..n {
-                    let core = self.waiters[i].core;
-                    let t_obs =
-                        t + self.handoff.between(&self.topo, rel_core, core) + self.jitter();
-                    if t_obs < best.1 {
-                        best = (i, t_obs);
-                    }
-                }
-                best
-            }
         }
     }
 

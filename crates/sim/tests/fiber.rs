@@ -81,9 +81,9 @@ fn child_counts_os_threads() {
             desc(&format!("t{i}"), i),
             Box::new(move || {
                 for _ in 0..4 {
-                    let tok = p2.lock_acquire(lock, PathClass::Main);
+                    p2.lock_acquire(lock, PathClass::Main);
                     mid_run.lock().unwrap().push(os_thread_count());
-                    p2.lock_release(lock, PathClass::Main, tok);
+                    p2.lock_release(lock, PathClass::Main);
                 }
             }),
         );
@@ -148,7 +148,7 @@ fn spawn_recording_workload(
             Box::new(move || {
                 for round in 0..12u32 {
                     p2.compute(50 + u64::from(i) * 7);
-                    let tok = p2.lock_acquire(lock, PathClass::Main);
+                    p2.lock_acquire(lock, PathClass::Main);
                     let (core, socket) = mtmpi_locks::current_core().expect("placement");
                     rec.record(Event {
                         t_ns: p2.now_ns(),
@@ -163,7 +163,7 @@ fn spawn_recording_workload(
                         },
                     });
                     p2.compute(200);
-                    p2.lock_release(lock, PathClass::Main, tok);
+                    p2.lock_release(lock, PathClass::Main);
                     seen_on.lock().unwrap()[i as usize].insert(std::thread::current().id());
                     p2.yield_now();
                     seen_on.lock().unwrap()[i as usize].insert(std::thread::current().id());
@@ -265,9 +265,9 @@ fn spawn_counted(p: &Arc<VirtualPlatform>) -> Vec<Arc<AtomicUsize>> {
                 Box::new(move || {
                     let _guard = guard;
                     for _ in 0..8 {
-                        let tok = p2.lock_acquire(lock, PathClass::Main);
+                        p2.lock_acquire(lock, PathClass::Main);
                         p2.compute(300);
-                        p2.lock_release(lock, PathClass::Main, tok);
+                        p2.lock_release(lock, PathClass::Main);
                         p2.yield_now();
                     }
                 }),
@@ -329,11 +329,11 @@ fn fuel_and_deadlock_aborts_unwind_each_worker_once() {
                 Box::new(move || {
                     let _guard = guard;
                     let Some((first, second)) = locks else { return };
-                    let t1 = p2.lock_acquire(first, PathClass::Main);
+                    p2.lock_acquire(first, PathClass::Main);
                     p2.compute(1_000);
-                    let t2 = p2.lock_acquire(second, PathClass::Main);
-                    p2.lock_release(second, PathClass::Main, t2);
-                    p2.lock_release(first, PathClass::Main, t1);
+                    p2.lock_acquire(second, PathClass::Main);
+                    p2.lock_release(second, PathClass::Main);
+                    p2.lock_release(first, PathClass::Main);
                 }),
             );
             counter

@@ -127,11 +127,11 @@ fn abba_deadlock_is_typed_and_names_both_threads() {
         p.spawn(
             desc(name, if name == "fwd" { 0 } else { 1 }),
             Box::new(move || {
-                let t1 = p2.lock_acquire(first, PathClass::Main);
+                p2.lock_acquire(first, PathClass::Main);
                 p2.compute(1_000);
-                let t2 = p2.lock_acquire(second, PathClass::Main); // ABBA: never granted
-                p2.lock_release(second, PathClass::Main, t2);
-                p2.lock_release(first, PathClass::Main, t1);
+                p2.lock_acquire(second, PathClass::Main); // ABBA: never granted
+                p2.lock_release(second, PathClass::Main);
+                p2.lock_release(first, PathClass::Main);
             }),
         );
     }
@@ -170,9 +170,9 @@ fn fuel_does_not_perturb_a_completing_run() {
                 desc(&format!("t{i}"), i),
                 Box::new(move || {
                     for _ in 0..10 {
-                        let tok = p2.lock_acquire(lock, PathClass::Main);
+                        p2.lock_acquire(lock, PathClass::Main);
                         p2.compute(500);
-                        p2.lock_release(lock, PathClass::Main, tok);
+                        p2.lock_release(lock, PathClass::Main);
                     }
                 }),
             );

@@ -35,10 +35,10 @@ fn run_workload(kind: LockKind, seed: u64, plan: &[Vec<(u16, u16)>]) -> (u64, Ve
             Box::new(move || {
                 for (think, hold) in ops {
                     p2.compute(u64::from(think));
-                    let tok = p2.lock_acquire(lock, PathClass::Main);
+                    p2.lock_acquire(lock, PathClass::Main);
                     entries.lock().unwrap().push((i as u32, p2.now_ns()));
                     p2.compute(u64::from(hold));
-                    p2.lock_release(lock, PathClass::Main, tok);
+                    p2.lock_release(lock, PathClass::Main);
                 }
             }),
         );

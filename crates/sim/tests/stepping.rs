@@ -7,9 +7,8 @@
 //! deterministic hand-off count, every way a quantum can end after a
 //! worker ran (budget, fuel, deadlock, panic) reaching the stepper, a
 //! worker running its own next event in place replaying the queued path
-//! op by op, a hand-off-heavy world and a world that ends with a stale
-//! grant still queued pinned to literals, and every abort raised on a
-//! fiber the run was handed to surfacing unchanged.
+//! op by op, a hand-off-heavy world pinned to literals, and every abort
+//! raised on a fiber the run was handed to surfacing unchanged.
 
 use mtmpi_locks::PathClass;
 use mtmpi_net::NetModel;
@@ -69,9 +68,9 @@ fn spawn_counted_workload(p: &Arc<VirtualPlatform>, exited: &Arc<AtomicUsize>) {
                 let _guard = guard;
                 for round in 0..8u64 {
                     p2.compute(100 + u64::from(i) * 10 + round);
-                    let tok = p2.lock_acquire(lock, PathClass::Main);
+                    p2.lock_acquire(lock, PathClass::Main);
                     p2.compute(500);
-                    p2.lock_release(lock, PathClass::Main, tok);
+                    p2.lock_release(lock, PathClass::Main);
                     p2.yield_now();
                 }
             }),
@@ -262,11 +261,11 @@ fn deadlock_found_on_a_worker_thread_reaches_the_stepper() {
         p.spawn(
             desc(&format!("t{i}"), i as u32),
             Box::new(move || {
-                let t1 = p2.lock_acquire(first, PathClass::Main);
+                p2.lock_acquire(first, PathClass::Main);
                 p2.compute(1_000);
-                let t2 = p2.lock_acquire(second, PathClass::Main);
-                p2.lock_release(second, PathClass::Main, t2);
-                p2.lock_release(first, PathClass::Main, t1);
+                p2.lock_acquire(second, PathClass::Main);
+                p2.lock_release(second, PathClass::Main);
+                p2.lock_release(first, PathClass::Main);
             }),
         );
     }
@@ -333,24 +332,24 @@ fn mixed_world(seed: u64, log: &Arc<Mutex<Vec<usize>>>) -> Arc<VirtualPlatform> 
         Box::new(move || {
             mark();
             for _ in 0..3 {
-                let tok = p2.lock_acquire(ticket, PathClass::Main);
+                p2.lock_acquire(ticket, PathClass::Main);
                 mark();
                 p2.compute(50);
-                p2.lock_release(ticket, PathClass::Main, tok);
+                p2.lock_release(ticket, PathClass::Main);
                 mark();
-                let tok = p2.lock_acquire(mutex, PathClass::Main);
+                p2.lock_acquire(mutex, PathClass::Main);
                 mark();
                 // Long enough that a queued waiter falls asleep, so the
                 // hand-off scheduled at release is slow and the holder's
                 // quick re-acquire steals it.
                 p2.compute(10_000);
-                p2.lock_release(mutex, PathClass::Main, tok);
+                p2.lock_release(mutex, PathClass::Main);
                 mark();
                 p2.compute(100);
-                let tok = p2.lock_acquire(mutex, PathClass::Main);
+                p2.lock_acquire(mutex, PathClass::Main);
                 mark();
                 p2.compute(200);
-                p2.lock_release(mutex, PathClass::Main, tok);
+                p2.lock_release(mutex, PathClass::Main);
                 mark();
                 p2.yield_now();
                 mark();
@@ -364,26 +363,26 @@ fn mixed_world(seed: u64, log: &Arc<Mutex<Vec<usize>>>) -> Arc<VirtualPlatform> 
             mark();
             for _ in 0..3 {
                 p2.compute(500);
-                let tok = p2.lock_acquire(mutex, PathClass::Main);
+                p2.lock_acquire(mutex, PathClass::Main);
                 mark();
                 p2.compute(300);
-                p2.lock_release(mutex, PathClass::Main, tok);
+                p2.lock_release(mutex, PathClass::Main);
                 mark();
                 p2.yield_now();
                 mark();
-                let tok = p2.lock_acquire(ticket, PathClass::Main);
+                p2.lock_acquire(ticket, PathClass::Main);
                 mark();
                 p2.compute(20);
-                p2.lock_release(ticket, PathClass::Main, tok);
+                p2.lock_release(ticket, PathClass::Main);
                 mark();
             }
             // Holds the ticket lock across the sender's late acquire.
             wait_until(&*p2, 70_000);
             mark();
-            let tok = p2.lock_acquire(ticket, PathClass::Main);
+            p2.lock_acquire(ticket, PathClass::Main);
             mark();
             p2.compute(20_000);
-            p2.lock_release(ticket, PathClass::Main, tok);
+            p2.lock_release(ticket, PathClass::Main);
             mark();
         }),
     );
@@ -413,9 +412,9 @@ fn mixed_world(seed: u64, log: &Arc<Mutex<Vec<usize>>>) -> Arc<VirtualPlatform> 
             mark();
             wait_until(&*p2, 80_000);
             mark();
-            let tok = p2.lock_acquire(ticket, PathClass::Main);
+            p2.lock_acquire(ticket, PathClass::Main);
             mark();
-            p2.lock_release(ticket, PathClass::Main, tok);
+            p2.lock_release(ticket, PathClass::Main);
             mark();
         }),
     );
@@ -562,22 +561,17 @@ fn running_the_next_event_in_place_replays_the_queued_path() {
 /// Sixteen threads passing one barging mutex, yielding between passages:
 /// more than half of all events hand the run to another thread.
 fn contended_mutex_world() -> Arc<VirtualPlatform> {
-    contended_world(platform(0x16), LockKind::Mutex)
-}
-
-/// Sixteen threads of `p` passing one lock of `kind`, yielding between
-/// passages.
-fn contended_world(p: Arc<VirtualPlatform>, kind: LockKind) -> Arc<VirtualPlatform> {
-    let lock = p.lock_create(kind);
+    let p = platform(0x16);
+    let lock = p.lock_create(LockKind::Mutex);
     for i in 0..16u32 {
         let p2 = p.clone();
         p.spawn(
             desc(&format!("t{i}"), i % 8),
             Box::new(move || {
                 for round in 0..12u64 {
-                    let tok = p2.lock_acquire(lock, PathClass::Main);
+                    p2.lock_acquire(lock, PathClass::Main);
                     p2.compute(40 + round);
-                    p2.lock_release(lock, PathClass::Main, tok);
+                    p2.lock_release(lock, PathClass::Main);
                     p2.compute(150 + u64::from(i) * 13);
                     p2.yield_now();
                 }
@@ -606,36 +600,6 @@ fn a_handoff_heavy_world_replays_its_pinned_trace() {
     }
 }
 
-#[test]
-fn events_queued_after_the_last_retirement_are_not_run() {
-    // TAS with 20 µs of CAS-race jitter: a waiter whose scheduled grant
-    // was stolen can win the lock back at a later release, finish and
-    // retire before the stale grant is due. In this world the last thread
-    // retires at 402 567 ns with one stale `Grant` still queued, due
-    // 7 µs later. The run ends there: popping it would count one more
-    // event and fold it into the hash.
-    let params = LockModelParams {
-        jitter_ns: 20_000,
-        ..LockModelParams::default()
-    };
-    for (quantum, handoffs) in [(1, 1184), (3, 618), (u64::MAX, 234)] {
-        let p = Arc::new(VirtualPlatform::new(
-            nehalem_cluster_scaled(2),
-            NetModel::qdr(),
-            params,
-            21,
-        ));
-        let mut h = contended_world(p, LockKind::Tas).start();
-        while h.step(quantum).expect("no deadlock") == StepOutcome::Pending {}
-        let r = h.finish();
-        assert_eq!(
-            (r.events, r.handoffs, r.end_ns, r.sched_trace_hash),
-            (795, handoffs, 402_567, 4_948_336_474_578_737_805),
-            "quantum {quantum}"
-        );
-    }
-}
-
 // In one `step(u64::MAX)` call the stepping thread resumes only the
 // thread of the first event; every later resume is a hand-off from the
 // thread that ran before it, until one retires. The worlds below raise
@@ -653,9 +617,9 @@ fn spawn_passers(p: &Arc<VirtualPlatform>, n: u32, exited: &Arc<AtomicUsize>) {
             Box::new(move || {
                 let _guard = guard;
                 for round in 0..40u64 {
-                    let tok = p2.lock_acquire(lock, PathClass::Main);
+                    p2.lock_acquire(lock, PathClass::Main);
                     p2.compute(300 + u64::from(i) * 11 + round);
-                    p2.lock_release(lock, PathClass::Main, tok);
+                    p2.lock_release(lock, PathClass::Main);
                     p2.yield_now();
                 }
             }),
@@ -792,11 +756,11 @@ fn typed_errors_on_a_handed_off_fiber_surface_from_step() {
             Box::new(move || {
                 let _guard = guard;
                 p2.yield_now();
-                let t1 = p2.lock_acquire(first, PathClass::Main);
+                p2.lock_acquire(first, PathClass::Main);
                 p2.compute(1_000);
-                let t2 = p2.lock_acquire(second, PathClass::Main);
-                p2.lock_release(second, PathClass::Main, t2);
-                p2.lock_release(first, PathClass::Main, t1);
+                p2.lock_acquire(second, PathClass::Main);
+                p2.lock_release(second, PathClass::Main);
+                p2.lock_release(first, PathClass::Main);
             }),
         );
     }

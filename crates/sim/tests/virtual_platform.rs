@@ -55,10 +55,10 @@ fn threads_interleave_in_time_order() {
             Box::new(move || {
                 // Thread i starts working at t = i * 100.
                 p2.compute(u64::from(i) * 100);
-                let tok = p2.lock_acquire(lock, PathClass::Main);
+                p2.lock_acquire(lock, PathClass::Main);
                 order.lock().unwrap().push((p2.now_ns(), i));
                 p2.compute(1_000); // hold the lock for 1 µs
-                p2.lock_release(lock, PathClass::Main, tok);
+                p2.lock_release(lock, PathClass::Main);
             }),
         );
     }
@@ -127,10 +127,10 @@ fn deterministic_across_runs() {
                 desc(&format!("t{i}"), i * 2), // cores 0,2,4,6: both sockets
                 Box::new(move || {
                     for _ in 0..200 {
-                        let tok = p2.lock_acquire(lock, PathClass::Main);
+                        p2.lock_acquire(lock, PathClass::Main);
                         owners.lock().unwrap().push(i);
                         p2.compute(300);
-                        p2.lock_release(lock, PathClass::Main, tok);
+                        p2.lock_release(lock, PathClass::Main);
                         p2.compute(100);
                     }
                 }),
@@ -159,9 +159,9 @@ fn mutex_is_biased_ticket_is_not() {
                 desc(&format!("t{i}"), i),
                 Box::new(move || {
                     for k in 0..400u64 {
-                        let tok = p2.lock_acquire(lock, PathClass::Main);
+                        p2.lock_acquire(lock, PathClass::Main);
                         p2.compute(250 + (p2.rng_u64() % 200));
-                        p2.lock_release(lock, PathClass::Main, tok);
+                        p2.lock_release(lock, PathClass::Main);
                         // Mostly quick returns; occasionally a long stall
                         // (window refill), like the throughput benchmark.
                         let think = if k % 16 == 15 {
@@ -209,9 +209,9 @@ fn ticket_fairness_in_acquisition_counts() {
             desc(&format!("t{i}"), i),
             Box::new(move || {
                 for _ in 0..300 {
-                    let tok = p2.lock_acquire(lock, PathClass::Main);
+                    p2.lock_acquire(lock, PathClass::Main);
                     p2.compute(200);
-                    p2.lock_release(lock, PathClass::Main, tok);
+                    p2.lock_release(lock, PathClass::Main);
                     p2.compute(50);
                 }
             }),
@@ -239,9 +239,9 @@ fn every_grant_of_a_long_run_is_counted() {
             desc(&format!("t{i}"), i),
             Box::new(move || {
                 for _ in 0..iters {
-                    let tok = p2.lock_acquire(lock, PathClass::Main);
+                    p2.lock_acquire(lock, PathClass::Main);
                     p2.compute(20);
-                    p2.lock_release(lock, PathClass::Main, tok);
+                    p2.lock_release(lock, PathClass::Main);
                 }
             }),
         );
@@ -269,9 +269,9 @@ fn mutex_monopolizes_under_asymmetric_return() {
                 desc(&format!("t{i}"), i),
                 Box::new(move || {
                     for _ in 0..400 {
-                        let tok = p2.lock_acquire(lock, PathClass::Main);
+                        p2.lock_acquire(lock, PathClass::Main);
                         p2.compute(300);
-                        p2.lock_release(lock, PathClass::Main, tok);
+                        p2.lock_release(lock, PathClass::Main);
                         p2.compute(think);
                     }
                 }),
@@ -307,9 +307,9 @@ fn priority_class_is_honored() {
                 desc(&format!("poller{i}"), i + 1),
                 Box::new(move || {
                     for _ in 0..2_000 {
-                        let tok = p2.lock_acquire(lock, PathClass::Progress);
+                        p2.lock_acquire(lock, PathClass::Progress);
                         p2.compute(300);
-                        p2.lock_release(lock, PathClass::Progress, tok);
+                        p2.lock_release(lock, PathClass::Progress);
                         p2.compute(5);
                     }
                 }),
@@ -323,10 +323,10 @@ fn priority_class_is_honored() {
             Box::new(move || {
                 for _ in 0..300 {
                     let t_req = p2.now_ns();
-                    let tok = p2.lock_acquire(lock, PathClass::Main);
+                    p2.lock_acquire(lock, PathClass::Main);
                     waited2.fetch_add(p2.now_ns() - t_req, Ordering::Relaxed);
                     p2.compute(300);
-                    p2.lock_release(lock, PathClass::Main, tok);
+                    p2.lock_release(lock, PathClass::Main);
                     p2.compute(800);
                 }
             }),
@@ -353,9 +353,9 @@ fn deadlock_is_detected() {
     p.spawn(
         desc("selfdead", 0),
         Box::new(move || {
-            let _t1 = p2.lock_acquire(lock, PathClass::Main);
+            p2.lock_acquire(lock, PathClass::Main);
             // Re-acquiring a non-reentrant lock we hold: deadlock.
-            let _t2 = p2.lock_acquire(lock, PathClass::Main);
+            p2.lock_acquire(lock, PathClass::Main);
         }),
     );
     p.run();

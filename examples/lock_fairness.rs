@@ -23,9 +23,9 @@ fn hammer<L: CsLock + 'static>(name: &str, lock: L, threads: u32, iters: u64) {
             std::thread::spawn(move || {
                 set_current_core(CoreId(i), SocketId(i / 4));
                 for _ in 0..iters {
-                    let t = lock.acquire(PathClass::Main);
+                    lock.acquire(PathClass::Main);
                     std::hint::black_box(0u64); // critical section body
-                    lock.release(PathClass::Main, t);
+                    lock.release(PathClass::Main);
                 }
             })
         })

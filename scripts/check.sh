@@ -5,11 +5,11 @@
 #
 #   fmt        rustfmt, check mode
 #   clippy     workspace lints table ([workspace.lints]) at -D warnings
-#   lint       mtmpi-lint (rules L001-L007: Relaxed hand-off mutations,
-#              Acquire-less published loads, nested critical sections,
-#              determinism sources, panics on typed-error paths,
-#              undocumented unsafe, host guards held across a
-#              simulated-thread suspension) over the whole workspace;
+#   lint       mtmpi-lint (rules L001-L005 and L007: Relaxed hand-off
+#              mutations, Acquire-less published loads, nested critical
+#              sections, determinism sources, panics on typed-error
+#              paths, host guards held across a simulated-thread
+#              suspension) over the whole workspace;
 #              any finding fails, and only a `// lint: allow(Lxxx) <why>`
 #              comment at the site accepts one (DESIGN.md section 13)
 #   test       workspace test suite (includes the runtime's request-ledger

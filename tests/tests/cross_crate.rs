@@ -153,13 +153,7 @@ fn native_platform_end_to_end() {
     use mtmpi_sim::{NativePlatform, Platform, ThreadDesc};
     use mtmpi_topology::{presets, CoreId};
 
-    for kind in [
-        LockKind::Mutex,
-        LockKind::Ticket,
-        LockKind::Priority,
-        LockKind::Cohort { budget: 4 },
-        LockKind::Tas,
-    ] {
+    for kind in [LockKind::Mutex, LockKind::Ticket, LockKind::Priority] {
         let p: Arc<dyn Platform> = Arc::new(NativePlatform::new(
             presets::nehalem_cluster_scaled(2),
             NetModel::instant(),

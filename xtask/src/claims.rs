@@ -18,8 +18,7 @@
 //! failure names the first differing row and prints the whole block to
 //! copy in. `bench-diff` keeps each committed document equal to a fresh
 //! run, so the rows read what the figures produce. Two more checks keep
-//! the verdict rows and the figure and ablation binaries naming each
-//! other, and the committed documents and the rows reading each other.
+//! the verdict rows and the figure binaries naming each other, and the committed documents and the rows reading each other.
 
 use crate::run::same_text;
 use mtmpi_prof::Json;
@@ -798,14 +797,13 @@ fn check(generated: &str, experiments: &str) -> Result<(), String> {
     })
 }
 
-/// Whether `word` names a figure or ablation binary
+/// Whether `word` names a figure binary
 /// (`crates/bench/src/bin/<word>.rs`).
 fn is_binary_name(word: &str) -> bool {
-    (word.starts_with("fig") || word.starts_with("ablation_"))
-        && word.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    word.starts_with("fig") && word.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Every figure or ablation binary a verdict row names in backticks:
+/// Every figure binary a verdict row names in backticks:
 /// the rows of the generated block and of the hand-written table after
 /// it, up to the next heading.
 fn named_binaries(experiments: &str) -> Result<BTreeSet<&str>, String> {
@@ -862,7 +860,7 @@ fn check_committed(
 mod tests {
     use super::*;
 
-    /// The figure and ablation binaries under `crates/bench/src/bin/`.
+    /// The figure binaries under `crates/bench/src/bin/`.
     fn binaries() -> BTreeSet<String> {
         let dir = crate::workspace_root().join("crates/bench/src/bin");
         let entries = std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
@@ -989,21 +987,18 @@ mod tests {
     #[test]
     fn a_stale_row_or_an_unnamed_binary_fails_by_name() {
         let stale = EXPERIMENTS.replacen(
-            "\n| — | Ablation: full lock zoo",
-            "\n| — | Ablation: selective wake-up | extension | `ablation_selective` |\n\
-             | — | Ablation: full lock zoo",
+            "\n| — | Scale sweep:",
+            "\n| — | Deleted figure | extension | `fig_deleted` |\n| — | Scale sweep:",
             1,
         );
         assert_ne!(
             stale, EXPERIMENTS,
-            "the `ablation_locks` row this test splices at is gone from EXPERIMENTS.md"
+            "the scale-sweep row this test splices at is gone from EXPERIMENTS.md"
         );
         let named = named_binaries(&stale).unwrap();
         let err = check_binaries(&named, &binaries()).unwrap_err();
         assert!(
-            err.starts_with(
-                "verdict rows name binaries that do not exist: [\"ablation_selective\"];"
-            ),
+            err.starts_with("verdict rows name binaries that do not exist: [\"fig_deleted\"];"),
             "{err}"
         );
         let mut named = named_binaries(EXPERIMENTS).unwrap();

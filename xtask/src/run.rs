@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn fig_name_is_sanitised() {
         assert!(check_fig_name("fig2a").is_ok());
-        assert!(check_fig_name("ablation_locks").is_ok());
+        assert!(check_fig_name("fig_vci").is_ok());
         assert!(check_fig_name("../evil").is_err());
         assert!(check_fig_name("--flag").is_err());
         assert!(check_fig_name("").is_err());
