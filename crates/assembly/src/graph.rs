@@ -1,6 +1,6 @@
 //! The distributed k-mer (de Bruijn) graph: local shard + k-mer algebra.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Per-k-mer record: multiplicity and the observed successor /
 /// predecessor base sets (one bit per base A/C/G/T).
@@ -34,7 +34,7 @@ impl KmerInfo {
 /// One rank's shard of the k-mer graph.
 #[derive(Debug, Default)]
 pub struct KmerGraph {
-    map: HashMap<u64, KmerInfo>,
+    map: BTreeMap<u64, KmerInfo>,
 }
 
 impl KmerGraph {
@@ -67,13 +67,9 @@ impl KmerGraph {
         self.map.is_empty()
     }
 
-    /// Iterate over (kmer, info) in ascending k-mer order, the same in
-    /// every process whatever the map's hasher.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, KmerInfo)> {
-        // lint: allow(L004) sorted before it is yielded
-        let mut all: Vec<(u64, KmerInfo)> = self.map.iter().map(|(&k, &v)| (k, v)).collect();
-        all.sort_unstable_by_key(|&(k, _)| k);
-        all.into_iter()
+    /// Iterate over (kmer, info) in ascending k-mer order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, KmerInfo)> + '_ {
+        self.map.iter().map(|(&k, &v)| (k, v))
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::genome::Read;
 use crate::graph::{owner_of, pack_kmer, shift_kmer, KmerGraph, KmerInfo};
 use mtmpi_runtime::{MsgData, RankHandle, ANY_SOURCE, ANY_TAG};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -53,7 +53,7 @@ pub struct AssemblyShared {
     pub graph: Mutex<KmerGraph>,
     done_count: AtomicU32,
     walkdone_count: AtomicU32,
-    replies: Mutex<HashMap<u64, Option<KmerInfo>>>,
+    replies: Mutex<BTreeMap<u64, Option<KmerInfo>>>,
     next_token: AtomicU64,
     /// Contig lengths discovered by this rank's worker.
     pub contigs: Mutex<Vec<u64>>,
@@ -71,7 +71,7 @@ impl AssemblyShared {
             graph: Mutex::new(KmerGraph::new()),
             done_count: AtomicU32::new(0),
             walkdone_count: AtomicU32::new(0),
-            replies: Mutex::new(HashMap::new()),
+            replies: Mutex::new(BTreeMap::new()),
             next_token: AtomicU64::new(1),
             contigs: Mutex::new(Vec::new()),
         }

@@ -3,10 +3,12 @@
 //! The remedies this repo reproduces — priority arbitration (paper
 //! §5), VCI sharding, the lock-free wildcard claim token — stay correct
 //! through hand-maintained invariants: Release/Acquire publication on
-//! hand-off words, the no-two-shard-locks rule, and the fixed-seed
-//! byte-identical replay contract. This crate makes those invariants
-//! machine-checked at source level, in the spirit of lockdep: the
-//! checker and the code it disciplines live (and evolve) together.
+//! hand-off words, the no-two-shard-locks rule, and typed error paths.
+//! This crate makes those invariants machine-checked at source level,
+//! in the spirit of lockdep: the checker and the code it disciplines
+//! live (and evolve) together. The fixed-seed replay contract's bans
+//! (wall clock, environment, hash containers) are clippy's, from the
+//! root `clippy.toml`.
 //!
 //! # Architecture
 //!

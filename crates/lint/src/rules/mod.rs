@@ -7,7 +7,6 @@
 //! | L001 | no `Relaxed` mutation of lock hand-off / claim-token fields   |
 //! | L002 | no `Relaxed` (Acquire-less) load of cross-thread published state |
 //! | L003 | no nested critical-section entry (the two-shard-lock ban)     |
-//! | L004 | no nondeterminism sources in the deterministic core crates    |
 //! | L005 | no panic/unwrap/expect on typed-error (`try_*`) paths         |
 //! | L007 | no host lock/`RefCell` guard held across a simulated-thread suspension |
 
@@ -17,7 +16,6 @@ use crate::source::SourceFile;
 mod l001_relaxed_handoff;
 mod l002_acquireless_load;
 mod l003_nested_cs;
-mod l004_determinism;
 mod l005_panic_paths;
 mod l007_guard_across_suspension;
 
@@ -33,9 +31,6 @@ pub fn check_file(file: &SourceFile, cs: &CsContext) -> Vec<Diagnostic> {
     if in_scope(&file.path, L003_SCOPE) {
         out.extend(l003_nested_cs::check(file, cs));
     }
-    if in_scope(&file.path, L004_SCOPE) {
-        out.extend(l004_determinism::check(file));
-    }
     if in_scope(&file.path, L005_SCOPE) {
         out.extend(l005_panic_paths::check(file));
     }
@@ -43,23 +38,6 @@ pub fn check_file(file: &SourceFile, cs: &CsContext) -> Vec<Diagnostic> {
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
 }
-
-/// Crates whose source is bound by the determinism contract (DESIGN.md
-/// §11/§12): fixed seed ⇒ byte-identical replay. The experiment and
-/// figure harnesses are two of them — everything that reaches a
-/// `BENCH_*.json` is a pure function of the seed — and so are the three
-/// application kernels, whose iteration order feeds virtual time.
-pub const L004_SCOPE: &[&str] = &[
-    "crates/core/src/",
-    "crates/sim/src/",
-    "crates/runtime/src/",
-    "crates/net/src/",
-    "crates/locks/src/",
-    "crates/bench/src/",
-    "crates/assembly/src/",
-    "crates/graph500/src/",
-    "crates/stencil/src/",
-];
 
 /// Crates with typed `MpiError` paths (the `try_*` family).
 pub const L005_SCOPE: &[&str] = &["crates/runtime/src/"];

@@ -15,7 +15,7 @@ pub struct FnItem {
 }
 
 /// A per-site suppression parsed from a comment:
-/// `// lint: allow(L004) justification…` (several ids may be listed,
+/// `// lint: allow(L005) justification…` (several ids may be listed,
 /// comma-separated).
 #[derive(Debug, Clone)]
 pub struct Allow {
@@ -38,8 +38,7 @@ pub struct SourceFile {
     pub lexed: Lexed,
     pub fns: Vec<FnItem>,
     /// Token-index ranges (inclusive `{`..`}`) under `#[cfg(test)]` or
-    /// `#[test]` — rules about production determinism/error paths skip
-    /// these.
+    /// `#[test]` — rules about production error paths skip these.
     pub test_regions: Vec<(usize, usize)>,
     pub allows: Vec<Allow>,
 }
@@ -72,14 +71,6 @@ impl SourceFile {
         self.allows
             .iter()
             .any(|a| (a.line == line || a.line + 1 == line) && a.rules.iter().any(|r| r == rule))
-    }
-
-    /// The innermost `fn` whose body contains token `idx`.
-    pub fn enclosing_fn(&self, idx: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.0 <= idx && idx <= f.body.1)
-            .min_by_key(|f| f.body.1 - f.body.0)
     }
 
     pub fn toks(&self) -> &[Tok] {
@@ -260,7 +251,7 @@ fn matching_attr_end(toks: &[Tok], open_bracket: usize) -> usize {
     matching(toks, open_bracket)
 }
 
-/// Parse allow comments: `lint: allow(L001, L004) justification`.
+/// Parse allow comments: `lint: allow(L001, L005) justification`.
 fn collect_allows(lexed: &Lexed) -> Vec<Allow> {
     let mut out = Vec::new();
     for c in &lexed.comments {
@@ -344,10 +335,10 @@ mod tests {
     #[test]
     fn allow_comments() {
         let f = parse(
-            "// lint: allow(L002, L004) deliberate relaxed peek\nx.load(Relaxed);\ny.store(1, Relaxed);",
+            "// lint: allow(L002, L005) deliberate relaxed peek\nx.load(Relaxed);\ny.store(1, Relaxed);",
         );
         assert!(f.allowed("L002", 2));
-        assert!(f.allowed("L004", 2));
+        assert!(f.allowed("L005", 2));
         assert!(!f.allowed("L001", 2));
         assert!(!f.allowed("L002", 3));
     }

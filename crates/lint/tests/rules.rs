@@ -109,24 +109,6 @@ fn l003_out_of_scope_path_is_skipped() {
 }
 
 #[test]
-fn l004_determinism_sources() {
-    assert_fixture("l004.rs", "crates/sim/src/fixture_l004.rs", "L004");
-}
-
-#[test]
-fn l004_covers_the_figure_binaries() {
-    // A wall-clock read in a figure binary could reach a BENCH document.
-    assert_fixture("l004.rs", "crates/bench/src/bin/fixture_l004.rs", "L004");
-}
-
-#[test]
-fn l004_covers_the_experiment_harness() {
-    // An `env::var` put back into `Experiment::try_start` would let a
-    // shell's leftover variable move every hash.
-    assert_fixture("l004.rs", "crates/core/src/fixture_l004.rs", "L004");
-}
-
-#[test]
 fn l005_panics_on_typed_error_paths() {
     assert_fixture("l005.rs", "crates/runtime/src/fixture_l005.rs", "L005");
 }
@@ -140,8 +122,8 @@ fn l007_guards_across_suspensions() {
 fn diagnostics_are_deterministic() {
     // Two parses of the same fixture yield identical ordered output —
     // the lint's own replay contract.
-    let a = fixture("l004.rs", "crates/sim/src/fixture_l004.rs").0;
-    let b = fixture("l004.rs", "crates/sim/src/fixture_l004.rs").0;
+    let a = fixture("l007.rs", "crates/graph500/src/fixture_l007.rs").0;
+    let b = fixture("l007.rs", "crates/graph500/src/fixture_l007.rs").0;
     let ctx = CsContext::default();
     let da: Vec<String> = rules::check_file(&a, &ctx)
         .iter()

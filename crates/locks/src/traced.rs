@@ -125,12 +125,15 @@ impl<L: CsLock> CsLock for Traced<L> {
         self.inner.name()
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "Traced measures real wall time by design (host-timing wrapper)"
+    )]
     fn acquire(&self, class: PathClass) {
         let (_, socket) = self.placement();
         let s = socket.0 as usize % MAX_SOCKETS;
         self.waiting_total.fetch_add(1, Ordering::AcqRel);
         self.waiting_per_socket[s].fetch_add(1, Ordering::AcqRel);
-        // lint: allow(L004) Traced measures real wall time by design (host-timing wrapper)
         let t0 = Instant::now();
         self.inner.acquire(class);
         // We hold the lock: snapshot contention *excluding ourselves*.

@@ -3,7 +3,7 @@
 use crate::json::Writer;
 use crate::recorder::Timeline;
 use mtmpi_metrics::Histogram;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 /// Quantile summary of one histogram (the `BENCH_*.json` unit).
@@ -81,7 +81,7 @@ pub struct Sink {
     runs: Mutex<Vec<RunRecord>>,
     /// `(label, threads, nodes)` configurations whose timeline slot a
     /// run holds or has filled.
-    claimed: Mutex<HashSet<(String, u32, u32)>>,
+    claimed: Mutex<BTreeSet<(String, u32, u32)>>,
 }
 
 /// One configuration's timeline slot, held by the run that will record

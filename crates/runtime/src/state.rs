@@ -7,7 +7,7 @@ use crate::request::ReqInner;
 use crate::types::{CommId, MsgData, Tag};
 use mtmpi_metrics::{DanglingSampler, Histogram};
 use mtmpi_net::FaultPlan;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// A posted (unmatched) receive.
@@ -122,7 +122,7 @@ pub(crate) struct SharedState {
     /// RMA window memory (empty when no window configured).
     pub win_mem: Vec<u8>,
     /// Completed RMA acks awaiting their origin thread, by token.
-    pub rma_acks: HashMap<u64, Option<MsgData>>,
+    pub rma_acks: BTreeMap<u64, Option<MsgData>>,
     /// Next RMA token.
     pub rma_next_token: u64,
     /// High-water marks for diagnostics.
@@ -151,7 +151,7 @@ impl SharedState {
             cs_hold_ns: Histogram::new(),
             msg_latency_ns: Histogram::new(),
             win_mem: vec![0; win_bytes],
-            rma_acks: HashMap::new(),
+            rma_acks: BTreeMap::new(),
             rma_next_token: 1,
             max_unexpected: 0,
             max_posted: 0,

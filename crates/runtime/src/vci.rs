@@ -160,7 +160,7 @@ mod tests {
         // Not a statistical claim — just "the map is not degenerate":
         // 64 distinct sources to one destination hit more than one shard.
         let m = VciMap::new(8);
-        let shards: std::collections::HashSet<u32> =
+        let shards: std::collections::BTreeSet<u32> =
             (0..64).map(|s| m.select_for(0, s, 0, 0)).collect();
         assert!(shards.len() > 1, "all sources collapsed onto one VCI");
     }

@@ -93,6 +93,10 @@ impl Pool<'_> {
 
     /// Step `tenant` for one quantum, launching it first if this is its
     /// first grant.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall hold is host telemetry, kept out of the tenant digest"
+    )]
     fn grant(&self, tenant: Tenant) -> Handback {
         let started = Instant::now();
         let mut lt = match tenant {
@@ -115,6 +119,10 @@ impl Pool<'_> {
 /// Run the service to completion: admit `cfg.tenants` tenants, schedule
 /// them on `cfg.workers` OS-thread workers in `cfg.quantum`-event
 /// grants, and collect every per-tenant report.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sojourn and wall time are host telemetry, kept out of the tenant digest"
+)]
 pub fn serve(cfg: &ServeConfig) -> ServeReport {
     cfg.validate();
     let initial = cfg.max_live.min(cfg.tenants);

@@ -402,6 +402,10 @@ fn op_note(value_changed: bool) {
 ///
 /// Panics (with the failing schedule's decision trace) if any
 /// interleaving panics, deadlocks, or exceeds the step bound.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the shim mirrors loom's `LOOM_*` environment interface"
+)]
 pub fn model<F>(f: F)
 where
     F: Fn() + Send + Sync + 'static,

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 struct Arriving {
@@ -59,7 +59,7 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 type PendingThread = (ThreadDesc, Box<dyn FnOnce() + Send>);
 
 /// A registered critical-section lock with its grant statistics.
-type TracedLock = Arc<Traced<Box<dyn CsLock>>>;
+type TracedLock = Traced<Box<dyn CsLock>>;
 
 /// Native execution platform.
 pub struct NativePlatform {
@@ -68,7 +68,11 @@ pub struct NativePlatform {
     /// Wall seconds per model second; < 1.0 compresses simulated work.
     time_scale: f64,
     epoch: Instant,
+    /// Locks created so far; [`Platform::run`] moves them into `frozen`.
     locks: Mutex<Vec<TracedLock>>,
+    /// The locks of the run, read by index on every critical-section
+    /// entry and exit without a host lock in front of the one measured.
+    frozen: OnceLock<Box<[TracedLock]>>,
     netstate: Mutex<NetState>,
     threads: Mutex<Vec<PendingThread>>,
     seed: u64,
@@ -87,15 +91,19 @@ static NEXT_NATIVE_TID: AtomicU64 = AtomicU64::new(0);
 impl NativePlatform {
     /// Create a native platform. `time_scale` of 1.0 means `compute(n)`
     /// burns `n` wall nanoseconds; smaller values compress.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the native backend is the wall-clock platform"
+    )]
     pub fn new(cluster: ClusterTopology, net: NetModel, time_scale: f64, seed: u64) -> Self {
         assert!(time_scale >= 0.0, "time scale must be non-negative");
         Self {
             cluster,
             net,
             time_scale,
-            // lint: allow(L004) the native backend IS the wall-clock platform
             epoch: Instant::now(),
             locks: Mutex::new(Vec::new()),
+            frozen: OnceLock::new(),
             netstate: Mutex::new(NetState {
                 mailboxes: Vec::new(),
                 nic_free: Vec::new(),
@@ -116,6 +124,13 @@ impl NativePlatform {
         }
     }
 
+    fn frozen_lock(&self, lock: LockId) -> &TracedLock {
+        let locks = self.frozen.get().expect(
+            "native platform: a lock is entered before `run` (locks are fixed when the run starts)",
+        );
+        &locks[lock.0]
+    }
+
     fn wall_to_model(&self, wall_ns: u64) -> u64 {
         if self.time_scale == 0.0 {
             wall_ns // scale 0 means "compute is free"; keep time identity
@@ -130,12 +145,15 @@ impl Platform for NativePlatform {
         self.wall_to_model(self.epoch.elapsed().as_nanos() as u64)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the native backend is the wall-clock platform"
+    )]
     fn compute(&self, ns: u64) {
         if self.time_scale == 0.0 {
             return;
         }
         let wall_target = (ns as f64 * self.time_scale) as u64;
-        // lint: allow(L004) the native backend IS the wall-clock platform
         let start = Instant::now();
         // Spin for short waits, sleep for long ones.
         while (start.elapsed().as_nanos() as u64) < wall_target {
@@ -166,20 +184,21 @@ impl Platform for NativePlatform {
     }
 
     fn lock_create(&self, kind: LockKind) -> LockId {
-        let lock = Arc::new(Traced::new(self.build_lock(kind)));
         let mut locks = lock_unpoisoned(&self.locks);
-        locks.push(lock);
+        assert!(
+            self.frozen.get().is_none(),
+            "native platform: lock_create after `run` (locks are fixed when the run starts)"
+        );
+        locks.push(Traced::new(self.build_lock(kind)));
         LockId(locks.len() - 1)
     }
 
     fn lock_acquire(&self, lock: LockId, class: PathClass) {
-        let l = lock_unpoisoned(&self.locks)[lock.0].clone();
-        l.acquire(class);
+        self.frozen_lock(lock).acquire(class);
     }
 
     fn lock_release(&self, lock: LockId, class: PathClass) {
-        let l = lock_unpoisoned(&self.locks)[lock.0].clone();
-        l.release(class);
+        self.frozen_lock(lock).release(class);
     }
 
     fn register_endpoint(&self, node: u32) -> usize {
@@ -266,6 +285,12 @@ impl Platform for NativePlatform {
     }
 
     fn run(&self) -> PlatformReport {
+        let locks = {
+            // Held until `frozen` is set, so no `lock_create` slips between.
+            let mut created = lock_unpoisoned(&self.locks);
+            self.frozen
+                .get_or_init(|| std::mem::take(&mut *created).into_boxed_slice())
+        };
         let threads: Vec<_> = std::mem::take(&mut *lock_unpoisoned(&self.threads));
         let topo = self.cluster.node.clone();
         let handles: Vec<_> = threads
@@ -285,10 +310,7 @@ impl Platform for NativePlatform {
         for h in handles {
             h.join().expect("worker panicked");
         }
-        let lock_grants = lock_unpoisoned(&self.locks)
-            .iter()
-            .map(|l| l.grants())
-            .collect();
+        let lock_grants = locks.iter().map(Traced::grants).collect();
         PlatformReport {
             end_ns: self.now_ns(),
             lock_grants,
@@ -296,5 +318,23 @@ impl Platform for NativePlatform {
             events: 0,
             handoffs: 0,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mtmpi_topology::presets::nehalem_cluster_scaled;
+
+    fn platform() -> NativePlatform {
+        NativePlatform::new(nehalem_cluster_scaled(1), NetModel::instant(), 0.0, 1)
+    }
+
+    #[test]
+    #[should_panic(expected = "lock_create after `run`")]
+    fn a_lock_created_after_the_run_panics() {
+        let p = platform();
+        p.run();
+        p.lock_create(LockKind::Ticket);
     }
 }

@@ -15,7 +15,6 @@ use mtmpi_sim::{
 };
 use mtmpi_topology::presets::nehalem_cluster_scaled;
 use mtmpi_topology::CoreId;
-use std::collections::HashSet;
 use std::os::unix::process::ExitStatusExt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Command, Output};
@@ -137,7 +136,7 @@ const MIGRANTS: u32 = 6;
 fn spawn_recording_workload(
     p: &Arc<VirtualPlatform>,
     rec: &Arc<RingRecorder>,
-    seen_on: &Arc<Mutex<Vec<HashSet<ThreadId>>>>,
+    seen_on: &Arc<Mutex<Vec<Vec<ThreadId>>>>,
 ) {
     let lock = p.lock_create(LockKind::Ticket);
     for i in 0..MIGRANTS {
@@ -146,6 +145,14 @@ fn spawn_recording_workload(
             // Core = tid: 0–3 are socket 0, 4 and 5 socket 1.
             desc(&format!("m{i}"), i),
             Box::new(move || {
+                // `ThreadId` has no order, so the set is a deduplicated `Vec`.
+                let note_os_thread = || {
+                    let mut seen = seen_on.lock().unwrap();
+                    let here = std::thread::current().id();
+                    if !seen[i as usize].contains(&here) {
+                        seen[i as usize].push(here);
+                    }
+                };
                 for round in 0..12u32 {
                     p2.compute(50 + u64::from(i) * 7);
                     p2.lock_acquire(lock, PathClass::Main);
@@ -164,9 +171,9 @@ fn spawn_recording_workload(
                     });
                     p2.compute(200);
                     p2.lock_release(lock, PathClass::Main);
-                    seen_on.lock().unwrap()[i as usize].insert(std::thread::current().id());
+                    note_os_thread();
                     p2.yield_now();
-                    seen_on.lock().unwrap()[i as usize].insert(std::thread::current().id());
+                    note_os_thread();
                 }
             }),
         );
@@ -205,7 +212,7 @@ fn a_migrating_run_replays_the_monolithic_one() {
     let world = || {
         let p = platform(0xF1BE);
         let rec = Arc::new(RingRecorder::with_shards(MIGRANTS as usize, 64));
-        let seen_on = Arc::new(Mutex::new(vec![HashSet::new(); MIGRANTS as usize]));
+        let seen_on = Arc::new(Mutex::new(vec![Vec::new(); MIGRANTS as usize]));
         spawn_recording_workload(&p, &rec, &seen_on);
         (p, rec, seen_on)
     };

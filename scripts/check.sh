@@ -4,12 +4,14 @@
 # it cannot, so the same script works in CI and on an offline dev box.
 #
 #   fmt        rustfmt, check mode
-#   clippy     workspace lints table ([workspace.lints]) at -D warnings
-#   lint       mtmpi-lint (rules L001-L005 and L007: Relaxed hand-off
-#              mutations, Acquire-less published loads, nested critical
-#              sections, determinism sources, panics on typed-error
-#              paths, host guards held across a simulated-thread
-#              suspension) over the whole workspace;
+#   clippy     workspace lints table ([workspace.lints]) and the root
+#              clippy.toml's determinism bans (wall clock, environment,
+#              hash containers) at -D warnings
+#   lint       mtmpi-lint (rules L001-L003, L005 and L007: Relaxed
+#              hand-off mutations, Acquire-less published loads, nested
+#              critical sections, panics on typed-error paths, host
+#              guards held across a simulated-thread suspension) over
+#              the whole workspace;
 #              any finding fails, and only a `// lint: allow(Lxxx) <why>`
 #              comment at the site accepts one (DESIGN.md section 13)
 #   test       workspace test suite (includes the runtime's request-ledger

@@ -22,10 +22,11 @@
 //!   when (the document stores the profile only as data).
 //!
 //! * `lint` — run mtmpi-lint, the concurrency-contract static analysis
-//!   (rules L001–L005 and L007: Relaxed hand-off mutations,
-//!   Acquire-less published loads, nested critical sections,
-//!   determinism sources, panics on typed-error paths, host guards
-//!   across a simulated-thread suspension), over the whole workspace.
+//!   (rules L001–L003, L005 and L007: Relaxed hand-off mutations,
+//!   Acquire-less published loads, nested critical sections, panics on
+//!   typed-error paths, host guards across a simulated-thread
+//!   suspension), over the whole workspace. The determinism bans are
+//!   clippy's, from the root `clippy.toml`.
 //!   Exit code 1 on any finding. Accept a deliberate site with
 //!   `// lint: allow(L00x) <why>` on the same or preceding line. See
 //!   DESIGN.md §13 and `crates/lint`.
@@ -61,7 +62,7 @@ fn run_lint(root: &Path) -> Result<(), String> {
 }
 
 const USAGE: &str = "usage: cargo run -p xtask -- <command>\n\n\
-    lint         mtmpi-lint static analysis (L001–L005, L007)\n\
+    lint         mtmpi-lint static analysis (L001–L003, L005, L007)\n\
     trace <fig>  run a figure binary traced, twice: validate its JSON outputs and that the\n\
     \x20            trace and .prom replay byte for byte (e.g. trace fig2a)\n\
     bench-diff   run every figure baselined in results/baseline/ once: each fresh\n\

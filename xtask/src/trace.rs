@@ -17,7 +17,7 @@
 
 use crate::run::{read_text, run_fig, same_text};
 use mtmpi_prof::Json;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Validate one output file: parses as JSON (`Json::parse` is the
@@ -48,7 +48,7 @@ fn retention(bench: &str, trace: &str) -> Result<(), String> {
     let doc = Json::parse(bench)?;
     let runs = doc.get("runs").and_then(Json::as_array).unwrap_or_default();
     let config = |r: &Json| format!("{:?}", ["label", "threads", "nodes"].map(|k| r.get(k)));
-    let want = runs.iter().map(config).collect::<HashSet<_>>().len();
+    let want = runs.iter().map(config).collect::<BTreeSet<_>>().len();
     let profiled = runs.iter().filter(|r| r.get("prof").is_some()).count();
     let processes = trace.matches("\"name\":\"process_name\"").count();
     if (profiled, processes) == (want, want) {
