@@ -156,24 +156,6 @@ pub struct FaultDecision {
     pub extra_delay_ns: u64,
 }
 
-impl FaultDecision {
-    /// Short label for tracing ("drop", "dup", "delay", or "dup+delay").
-    pub fn label(&self) -> &'static str {
-        match (self.drop, self.duplicate, self.extra_delay_ns > 0) {
-            (true, _, _) => "drop",
-            (false, true, true) => "dup+delay",
-            (false, true, false) => "dup",
-            (false, false, true) => "delay",
-            (false, false, false) => "none",
-        }
-    }
-
-    /// Whether any fault was injected.
-    pub fn any(&self) -> bool {
-        self.drop || self.duplicate || self.extra_delay_ns > 0
-    }
-}
-
 /// SplitMix64 — the standard 64-bit finalizing mixer (Vigna). Used for
 /// all per-packet decisions so they are reproducible and uncorrelated
 /// with the platform's own RNG stream.
@@ -194,8 +176,7 @@ mod tests {
         assert!(!p.is_active());
         for count in 0..1000 {
             let d = p.decide(0, 1, count);
-            assert!(!d.any(), "inert plan must never inject: {d:?}");
-            assert_eq!(d.label(), "none");
+            assert_eq!(d, FaultDecision::default(), "inert plan must never inject");
         }
     }
 

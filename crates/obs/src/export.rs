@@ -94,7 +94,7 @@ fn fields<const JSONL: bool>(w: &mut Writer, ev: &Event) {
                 ",\"args\":{\"lock\":"
             };
             w.uint(lock_key, lock)
-                .label(",\"kind\":", kind)
+                .label(",\"kind\":", kind.label())
                 .label(",\"path\":", path.label())
                 .label(",\"op\":", op.label())
                 .uint(",\"vci\":", vci);
@@ -130,7 +130,7 @@ fn fields<const JSONL: bool>(w: &mut Writer, ev: &Event) {
         } => {
             w.uint(rank_key!("rma"), rank).uint(",\"origin\":", origin);
             if JSONL {
-                w.label(",\"op\":", op);
+                w.label(",\"op\":", op.label());
             }
             w.uint(",\"bytes\":", bytes);
         }
@@ -144,7 +144,7 @@ fn fields<const JSONL: bool>(w: &mut Writer, ev: &Event) {
                 .uint(",\"dst\":", dst)
                 .uint(",\"seq\":", seq);
             if JSONL {
-                w.label(",\"fault\":", fault);
+                w.label(",\"fault\":", fault.label());
             }
         }
         EventKind::Retransmit {
@@ -270,24 +270,27 @@ impl ChromeDoc {
     /// else, then the per-VCI lanes.
     fn process(&mut self, t: &Timeline, pid: u32) {
         for ev in &t.events {
-            let at = (pid, ev.tid, ev.t_ns);
+            let tid = u64::from(ev.tid);
+            let at = (pid, tid, ev.t_ns);
             // The instant's name, and the variable tail of it.
             let (name, label) = match ev.kind {
                 EventKind::CsSpan { t_req, t_acq, .. } => {
                     // The two spans share their `args`: render it once.
-                    let wait = self.head(named!("cs wait", "cs", "X"), "", (pid, ev.tid, t_req));
+                    let wait = self.head(named!("cs wait", "cs", "X"), "", (pid, tid, t_req));
                     let args = wait.us(",\"dur\":", t_acq.saturating_sub(t_req)).len();
                     fields::<false>(wait, ev);
                     let args = args..wait.len();
-                    let hold = self.head(named!("cs hold", "cs", "X"), "", (pid, ev.tid, t_acq));
+                    let hold = self.head(named!("cs hold", "cs", "X"), "", (pid, tid, t_acq));
                     hold.us(",\"dur\":", ev.t_ns.saturating_sub(t_acq))
                         .repeat(args);
                     continue;
                 }
                 EventKind::Req { phase, .. } => (named!("req ", "req", "i"), phase.label()),
                 EventKind::PollBatch { .. } => (named!("poll", "progress", "i"), ""),
-                EventKind::Rma { op, .. } => (named!("rma ", "rma", "i"), op),
-                EventKind::FaultInjected { fault, .. } => (named!("fault ", "fault", "i"), fault),
+                EventKind::Rma { op, .. } => (named!("rma ", "rma", "i"), op.label()),
+                EventKind::FaultInjected { fault, .. } => {
+                    (named!("fault ", "fault", "i"), fault.label())
+                }
                 EventKind::Retransmit { .. } => (named!("retransmit", "fault", "i"), ""),
                 EventKind::DupDrop { .. } => (named!("dup drop", "fault", "i"), ""),
                 EventKind::FlowSend { .. } => (named!("msg send", "flow", "i"), ""),
@@ -383,7 +386,7 @@ pub fn jsonl(t: &Timeline) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CsOp, Path, ReqPhase};
+    use crate::event::{CsKind, CsOp, Path, ReqPhase, RmaKind};
 
     fn sample_timeline() -> Timeline {
         Timeline {
@@ -395,7 +398,7 @@ mod tests {
                     socket: 0,
                     kind: EventKind::CsSpan {
                         lock: 0,
-                        kind: "mutex",
+                        kind: CsKind::Mutex,
                         path: Path::Main,
                         op: CsOp::Isend,
                         vci: 0,
@@ -434,7 +437,7 @@ mod tests {
                     kind: EventKind::Rma {
                         rank: 1,
                         origin: 0,
-                        op: "put",
+                        op: RmaKind::Put,
                         bytes: 64,
                     },
                 },
@@ -521,7 +524,7 @@ mod tests {
             socket: 1,
             kind: EventKind::CsSpan {
                 lock: 7,
-                kind: "mutex",
+                kind: CsKind::Mutex,
                 path: Path::Main,
                 op: CsOp::Irecv,
                 vci: 3,
@@ -574,11 +577,12 @@ mod tests {
     fn mixed_timeline(n: u64) -> Timeline {
         let events = (0..n)
             .map(|i| {
-                let (t_ns, tid, rank, seq) = (1_000 + 7 * i * i, i % 5, (i % 3) as u32, i / 6);
+                let (t_ns, tid, rank, seq) =
+                    (1_000 + 7 * i * i, (i % 5) as u32, (i % 3) as u32, i / 6);
                 let kind = match i % 6 {
                     0 => EventKind::CsSpan {
                         lock: 0,
-                        kind: "ticket",
+                        kind: CsKind::Ticket,
                         path: [Path::Main, Path::Progress, Path::WaitSpin][(i % 3) as usize],
                         op: [CsOp::Isend, CsOp::Irecv, CsOp::Test, CsOp::Wait][(i % 4) as usize],
                         vci: 0,
@@ -624,7 +628,7 @@ mod tests {
                 Event {
                     t_ns,
                     tid,
-                    core: tid as u32,
+                    core: tid as u16,
                     socket: 0,
                     kind,
                 }

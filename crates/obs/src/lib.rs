@@ -32,7 +32,7 @@ pub mod json;
 pub mod recorder;
 pub mod summary;
 
-pub use event::{CsOp, Event, EventKind, Path, ReqPhase};
+pub use event::{CsKind, CsOp, Event, EventKind, FaultKind, Path, ReqPhase, RmaKind};
 pub use export::{chrome_trace, flow_id, jsonl, ChromeDoc, VCI_LANE_TID_BASE};
 pub use recorder::{
     swap_shard_claim, CsSpanView, RingRecorder, ShardClaim, Timeline, TimelineWindows,

@@ -330,17 +330,17 @@ mod tests {
     use crate::event::EventKind;
 
     fn ev(t_ns: u64, tid: u64) -> Event {
-        Event {
+        Event::stamped(
             t_ns,
             tid,
-            core: 0,
-            socket: 0,
-            kind: EventKind::Req {
+            0,
+            0,
+            EventKind::Req {
                 rank: 0,
                 vci: 0,
                 phase: crate::event::ReqPhase::Issue,
             },
-        }
+        )
     }
 
     #[test]
@@ -509,8 +509,8 @@ mod tests {
         // SAFETY: both writers have been joined.
         let t = unsafe { r.drain_unsynced() };
         assert_eq!(t.dropped, 2 * (PER_THREAD - CAP as u64));
-        let got: Vec<(u64, u64)> = t.events.iter().map(|e| (e.t_ns, e.tid)).collect();
-        let want: Vec<(u64, u64)> = (0..CAP as u64).flat_map(|i| [(i, 0), (i, 1)]).collect();
+        let got: Vec<(u64, u32)> = t.events.iter().map(|e| (e.t_ns, e.tid)).collect();
+        let want: Vec<(u64, u32)> = (0..CAP as u64).flat_map(|i| [(i, 0), (i, 1)]).collect();
         assert_eq!(got, want);
         // SAFETY: as above.
         let t2 = unsafe { r.drain_unsynced() };

@@ -410,17 +410,17 @@ pub fn vci_loads(t: &Timeline) -> (Vec<VciLoad>, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtmpi_obs::EventKind;
+    use mtmpi_obs::{CsKind, EventKind};
 
-    fn cs(tid: u64, lock: u32, path: Path, op: CsOp, t_req: u64, t_acq: u64, t_end: u64) -> Event {
+    fn cs(tid: u32, lock: u32, path: Path, op: CsOp, t_req: u64, t_acq: u64, t_end: u64) -> Event {
         Event {
             t_ns: t_end,
             tid,
-            core: tid as u32,
+            core: tid as u16,
             socket: 0,
             kind: EventKind::CsSpan {
                 lock,
-                kind: "mutex",
+                kind: CsKind::Mutex,
                 path,
                 op,
                 vci: lock, // tests: one lock per VCI, like the sharded runtime
@@ -661,7 +661,7 @@ mod tests {
         fn fold_matches_the_brute_force_overlap_sum(
             // (lock, gap since the lock's last release, hold, wait, tid, path × op)
             steps in proptest::collection::vec(
-                (0u32..3, 0u64..4, 0u64..6, 0u64..14, 0u64..4, 0u8..32),
+                (0u32..3, 0u64..4, 0u64..6, 0u64..14, 0u32..4, 0u8..32),
                 0..60,
             ),
         ) {

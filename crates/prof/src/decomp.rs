@@ -128,7 +128,7 @@ impl LatencyDecomp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtmpi_obs::{Event, EventKind, Path};
+    use mtmpi_obs::{CsKind, Event, EventKind, Path};
 
     fn cs(op: CsOp, path: Path, t_req: u64, t_acq: u64, t_end: u64) -> Event {
         Event {
@@ -138,7 +138,7 @@ mod tests {
             socket: 0,
             kind: EventKind::CsSpan {
                 lock: 0,
-                kind: "mutex",
+                kind: CsKind::Mutex,
                 path,
                 op,
                 vci: 0,

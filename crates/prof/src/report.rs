@@ -178,17 +178,17 @@ impl ProfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtmpi_obs::{CsOp, Event, EventKind, Path};
+    use mtmpi_obs::{CsKind, CsOp, Event, EventKind, Path};
 
     fn demo_timeline() -> Timeline {
-        let cs = |tid: u64, path: Path, op: CsOp, t_req: u64, t_acq: u64, t_end: u64| Event {
+        let cs = |tid: u32, path: Path, op: CsOp, t_req: u64, t_acq: u64, t_end: u64| Event {
             t_ns: t_end,
             tid,
-            core: tid as u32,
+            core: tid as u16,
             socket: 0,
             kind: EventKind::CsSpan {
                 lock: 0,
-                kind: "mutex",
+                kind: CsKind::Mutex,
                 path,
                 op,
                 vci: 0,

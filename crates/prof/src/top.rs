@@ -209,7 +209,7 @@ mod tests {
     use super::*;
     use crate::report::ProfReport;
     use mtmpi_metrics::Histogram;
-    use mtmpi_obs::{CsOp, Event, EventKind, Path, Timeline};
+    use mtmpi_obs::{CsKind, CsOp, Event, EventKind, Path, Timeline};
 
     fn bench_doc_with_prof() -> String {
         let t = Timeline {
@@ -221,7 +221,7 @@ mod tests {
                     socket: 0,
                     kind: EventKind::CsSpan {
                         lock: 0,
-                        kind: "mutex",
+                        kind: CsKind::Mutex,
                         path: Path::Main,
                         op: CsOp::Isend,
                         vci: 0,
@@ -236,7 +236,7 @@ mod tests {
                     socket: 0,
                     kind: EventKind::CsSpan {
                         lock: 0,
-                        kind: "mutex",
+                        kind: CsKind::Mutex,
                         path: Path::Progress,
                         op: CsOp::Progress,
                         vci: 0,

@@ -142,9 +142,9 @@ impl Windows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtmpi_obs::{CsOp, EventKind, Path};
+    use mtmpi_obs::{CsKind, CsOp, EventKind, Path};
 
-    fn cs(tid: u64, t_req: u64, t_acq: u64, t_end: u64) -> Event {
+    fn cs(tid: u32, t_req: u64, t_acq: u64, t_end: u64) -> Event {
         Event {
             t_ns: t_end,
             tid,
@@ -152,7 +152,7 @@ mod tests {
             socket: 0,
             kind: EventKind::CsSpan {
                 lock: 0,
-                kind: "mutex",
+                kind: CsKind::Mutex,
                 path: Path::Main,
                 op: CsOp::Isend,
                 vci: 0,

@@ -88,6 +88,15 @@ pub enum StreamBindError {
         /// The contested stream index.
         sid: u32,
     },
+    /// The calling thread is not one of the platform's threads (on the
+    /// virtual platform: the caller is not a simulated thread), so it has
+    /// no id to bind with.
+    NoThread {
+        /// Rank that asked.
+        rank: u32,
+        /// The stream index asked for.
+        sid: u32,
+    },
     /// Every stream of the rank is bound (the auto-picking
     /// [`crate::RankHandle::stream`] found no free claim word).
     AllBound {
@@ -110,6 +119,11 @@ impl std::fmt::Display for StreamBindError {
                 f,
                 "rank {rank}: stream {sid} is already bound by another \
                  thread — one binder at a time (drop the other Stream first)"
+            ),
+            StreamBindError::NoThread { rank, sid } => write!(
+                f,
+                "rank {rank}: stream {sid} asked for off a platform thread \
+                 — bind streams inside a spawned (simulated) thread"
             ),
             StreamBindError::AllBound { rank, streams } => write!(
                 f,

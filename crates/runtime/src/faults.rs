@@ -32,7 +32,7 @@ use crate::errors::MpiError;
 use crate::packet::{Packet, PacketKind, ACK_SEQ};
 use crate::state::{PendingPkt, SharedState};
 use crate::world::WorldInner;
-use mtmpi_obs::EventKind;
+use mtmpi_obs::{EventKind, FaultKind};
 
 /// Send one sequenced data packet from shard `vci` of `rank` to the same
 /// shard of `dst`, allocating its sequence number. Caller must hold that
@@ -98,12 +98,19 @@ pub(crate) fn send_data(
             attempts: 0,
         },
     );
-    if d.any() {
+    let fault = match (d.drop, d.duplicate, d.extra_delay_ns > 0) {
+        (true, _, _) => Some(FaultKind::Drop),
+        (false, true, true) => Some(FaultKind::DupDelay),
+        (false, true, false) => Some(FaultKind::Dup),
+        (false, false, true) => Some(FaultKind::Delay),
+        (false, false, false) => None,
+    };
+    if let Some(fault) = fault {
         w.rec_now(|| EventKind::FaultInjected {
             rank,
             dst,
             seq,
-            fault: d.label(),
+            fault,
         });
     }
     if !d.drop {

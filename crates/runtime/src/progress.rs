@@ -13,7 +13,7 @@ use crate::state::{matches, SeqPacket, SharedState, UnexMsg};
 use crate::types::{Msg, MsgData};
 use crate::world::WorldInner;
 use mtmpi_locks::PathClass;
-use mtmpi_obs::{CsOp, EventKind, Path, ReqPhase};
+use mtmpi_obs::{CsOp, EventKind, Path, ReqPhase, RmaKind};
 use mtmpi_sim::Payload;
 use std::sync::atomic::Ordering;
 
@@ -274,9 +274,9 @@ fn apply_rma(
         rank,
         origin,
         op: match op {
-            RmaOp::Put => "put",
-            RmaOp::Get { .. } => "get",
-            RmaOp::Accumulate => "accumulate",
+            RmaOp::Put => RmaKind::Put,
+            RmaOp::Get { .. } => RmaKind::Get,
+            RmaOp::Accumulate => RmaKind::Accumulate,
         },
         bytes: data.len(),
     });

@@ -15,7 +15,7 @@ use crate::stats::RankStats;
 use crate::vci::VciMap;
 use mtmpi_locks::PathClass;
 use mtmpi_net::FaultPlan;
-use mtmpi_obs::{CsOp, Event, EventKind, RingRecorder};
+use mtmpi_obs::{CsKind, CsOp, Event, EventKind, RingRecorder};
 use mtmpi_sim::{LockId, LockKind, Platform};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -103,13 +103,13 @@ impl WorldInner {
     pub(crate) fn rec_at(&self, t_ns: u64, kind: impl FnOnce() -> EventKind) {
         if let Some(r) = &self.recorder {
             let (core, socket) = mtmpi_locks::current_core().map_or((0, 0), |(c, s)| (c.0, s.0));
-            r.record(Event {
+            r.record(Event::stamped(
                 t_ns,
-                tid: self.platform.current_tid(),
+                self.platform.current_tid(),
                 core,
                 socket,
-                kind: kind(),
-            });
+                kind(),
+            ));
         }
     }
 
@@ -206,7 +206,11 @@ impl WorldInner {
         self.platform.lock_release(p.cs_queue, class);
         self.rec_at(t_rel, || EventKind::CsSpan {
             lock: p.cs_queue.0 as u32,
-            kind: self.lock.label(),
+            kind: match self.lock {
+                LockKind::Mutex => CsKind::Mutex,
+                LockKind::Ticket => CsKind::Ticket,
+                LockKind::Priority => CsKind::Priority,
+            },
             path: opath,
             op,
             vci,
@@ -250,7 +254,7 @@ impl WorldInner {
         st.cs_hold_ns.record(t_rel.saturating_sub(t_acq));
         self.rec_at(t_rel, || EventKind::CsSpan {
             lock: p.cs_queue.0 as u32,
-            kind: "stream",
+            kind: CsKind::Stream,
             path: mtmpi_obs::Path::Stream,
             op,
             vci: shard_idx,
@@ -273,7 +277,11 @@ impl WorldInner {
             });
         }
         let sh = self.shard(rank, self.stream_shard(sid));
-        let me = self.platform.current_tid() + 1;
+        // Off a platform thread there is no id to claim with (and
+        // `u64::MAX + 1` would wrap to the free word, 0).
+        let Some(me) = self.platform.current_tid().checked_add(1) else {
+            return Err(StreamBindError::NoThread { rank, sid });
+        };
         match sh
             .stream_owner
             .compare_exchange(0, me, Ordering::AcqRel, Ordering::Acquire)

@@ -24,17 +24,6 @@ pub enum LockKind {
     Priority,
 }
 
-impl LockKind {
-    /// Display name matching the paper's legends.
-    pub fn label(self) -> &'static str {
-        match self {
-            LockKind::Mutex => "mutex",
-            LockKind::Ticket => "ticket",
-            LockKind::Priority => "priority",
-        }
-    }
-}
-
 /// Cost parameters of the virtual-platform lock model.
 ///
 /// The *ratios* between these constants, not their absolute values, drive
@@ -200,7 +189,8 @@ pub trait Platform: Send + Sync {
     }
 
     /// Stable id of the calling worker thread (the thread of a recorded
-    /// event, and a stream's bind claim).
+    /// event, and a stream's bind claim); `u64::MAX` when the caller is
+    /// not one of the platform's threads.
     fn current_tid(&self) -> u64 {
         u64::MAX
     }

@@ -157,18 +157,18 @@ fn spawn_recording_workload(
                     p2.compute(50 + u64::from(i) * 7);
                     p2.lock_acquire(lock, PathClass::Main);
                     let (core, socket) = mtmpi_locks::current_core().expect("placement");
-                    rec.record(Event {
-                        t_ns: p2.now_ns(),
-                        tid: p2.current_tid(),
-                        core: core.0,
-                        socket: socket.0,
-                        kind: EventKind::PollBatch {
+                    rec.record(Event::stamped(
+                        p2.now_ns(),
+                        p2.current_tid(),
+                        core.0,
+                        socket.0,
+                        EventKind::PollBatch {
                             rank: i,
                             vci: round,
                             path: Path::Main,
                             packets: 0,
                         },
-                    });
+                    ));
                     p2.compute(200);
                     p2.lock_release(lock, PathClass::Main);
                     note_os_thread();
@@ -238,8 +238,8 @@ fn a_migrating_run_replays_the_monolithic_one() {
     assert_eq!(timeline.dropped, 0);
     assert_eq!(timeline.events.len(), 12 * MIGRANTS as usize);
     for ev in &timeline.events {
-        assert_eq!(u64::from(ev.core), ev.tid, "placement travelled: {ev:?}");
-        assert_eq!(ev.socket, u32::from(ev.tid >= 4), "{ev:?}");
+        assert_eq!(u32::from(ev.core), ev.tid, "placement travelled: {ev:?}");
+        assert_eq!(ev.socket, u16::from(ev.tid >= 4), "{ev:?}");
     }
     assert_eq!(timeline.events, reference_timeline.events);
 

@@ -16,11 +16,12 @@
 #              comment at the site accepts one (DESIGN.md section 13)
 #   test       workspace test suite (includes the runtime's request-ledger
 #              negative tests and mtmpi-lint's fixture + whole-tree tests)
-#   release    the simulator, runtime, facade, serve, Graph500, bench and
-#              obs test suites again, optimised: the fiber transport's unsafe
-#              paths, the debug-only checks' release branches, the BFS and
-#              schedule pins' literal hashes as the figures run them, and
-#              the exporters' multi-MiB, huge-page-hinted buffers
+#   release    the simulator, runtime, facade, serve, Graph500, bench, obs
+#              and prof test suites again, optimised: the fiber transport's
+#              unsafe paths, the debug-only checks' release branches, the BFS
+#              and schedule pins' literal hashes as the figures run them, the
+#              exporters' multi-MiB, huge-page-hinted buffers, and prof, the
+#              main reader of the recorded events
 #   loom       model checking of the ticket and priority ticket locks,
 #              the VCI claim protocol and the stream claim word (serialized-thread
 #              shim; see crates/locks/src/sys.rs,
@@ -104,7 +105,7 @@ if [ "$FAST" = "fast" ]; then
         skip "$s" "fast mode"
     done
 else
-    step release cargo test --release -q -p mtmpi-sim -p mtmpi-runtime -p mtmpi -p mtmpi-serve -p mtmpi-graph500 -p mtmpi-bench -p mtmpi-obs
+    step release cargo test --release -q -p mtmpi-sim -p mtmpi-runtime -p mtmpi -p mtmpi-serve -p mtmpi-graph500 -p mtmpi-bench -p mtmpi-obs -p mtmpi-prof
     step loom cargo test -p mtmpi-locks --features loom-check --test loom
     step loom cargo test -p mtmpi-runtime --test loom_claim --test loom_stream
     step obs cargo run -q -p xtask -- trace fig2a

@@ -8,7 +8,10 @@
 use mtmpi::prelude::*;
 use mtmpi_bench::Fig;
 use mtmpi_integration_tests::{pin, pinned_mutex_run};
-use mtmpi_obs::{ChromeDoc, CsOp, Event, EventKind, Path, ReqPhase};
+use mtmpi_obs::{
+    ChromeDoc, CsKind, CsOp, Event, EventKind, FaultKind, Path, ReqPhase, RingRecorder, RmaKind,
+};
+use mtmpi_prof::ProfReport;
 use std::sync::Arc;
 
 /// A small contended workload, traced or not.
@@ -155,15 +158,15 @@ const AWKWARD_NAME: &str = "mu\"tex \\ 8t\n\u{1}\u{e9}";
 
 /// One event of each of the nine `EventKind`s, CS passages on two
 /// distinct VCIs (so the per-VCI lanes render), timestamps on both sides
-/// of the µs boundary and above 2³², a `seq` of `u64::MAX`, a span whose
-/// grant precedes its request (the exporters clamp it to 0), and a
-/// non-zero drop count.
+/// of the µs boundary and above 2³², a `seq` of `u64::MAX`, the widest
+/// thread id an event holds (`u32::MAX`), a span whose grant precedes
+/// its request (the exporters clamp it to 0), and a non-zero drop count.
 fn all_kinds_timeline() -> Timeline {
-    let ev = |t_ns: u64, tid: u64, kind: EventKind| Event {
+    let ev = |t_ns: u64, tid: u32, kind: EventKind| Event {
         t_ns,
         tid,
-        core: tid as u32 + 1,
-        socket: tid as u32 % 2,
+        core: (tid % 8) as u16 + 1,
+        socket: (tid % 2) as u16,
         kind,
     };
     let cs = |lock, kind, path, op, vci, t_req, t_acq| EventKind::CsSpan {
@@ -179,7 +182,7 @@ fn all_kinds_timeline() -> Timeline {
     let seq = u64::MAX;
     Timeline {
         events: vec![
-            ev(0, 0, cs(0, "mutex", Path::Main, CsOp::Isend, 0, 0, 0)),
+            ev(0, 0, cs(0, CsKind::Mutex, Path::Main, CsOp::Isend, 0, 0, 0)),
             ev(
                 999,
                 1,
@@ -192,7 +195,7 @@ fn all_kinds_timeline() -> Timeline {
             ev(
                 1_000,
                 1,
-                cs(1, "ticket", Path::Progress, CsOp::Progress, 3, 0, 999),
+                cs(1, CsKind::Ticket, Path::Progress, CsOp::Progress, 3, 0, 999),
             ),
             ev(
                 1_001,
@@ -210,7 +213,7 @@ fn all_kinds_timeline() -> Timeline {
                 EventKind::Rma {
                     rank: 1,
                     origin: 0,
-                    op: "accumulate",
+                    op: RmaKind::Accumulate,
                     bytes: u64::MAX,
                 },
             ),
@@ -231,7 +234,7 @@ fn all_kinds_timeline() -> Timeline {
                     rank: 0,
                     dst: 1,
                     seq,
-                    fault: "drop",
+                    fault: FaultKind::Drop,
                 },
             ),
             ev(
@@ -266,10 +269,10 @@ fn all_kinds_timeline() -> Timeline {
             ),
             ev(
                 big + 10,
-                u64::from(u32::MAX) + 7,
+                u32::MAX,
                 cs(
                     u32::MAX,
-                    "priority",
+                    CsKind::Priority,
                     Path::Stream,
                     CsOp::Other,
                     3,
@@ -284,7 +287,9 @@ fn all_kinds_timeline() -> Timeline {
 
 /// The exporters' bytes on a timeline built to reach every rendering
 /// branch, pinned to what the `Vec<String>` + `join` exporters produced
-/// (constants cut at the commit before the streaming writer landed).
+/// (constants cut at the commit before the streaming writer landed; the
+/// widest thread id's hash recut by the 72-byte event's exporters when
+/// the id narrowed to 32 bits).
 #[test]
 fn exports_of_every_event_kind_are_pinned() {
     let t = all_kinds_timeline();
@@ -295,9 +300,9 @@ fn exports_of_every_event_kind_are_pinned() {
     let multi = ChromeDoc::new(&[(AWKWARD_NAME, &t), ("plain", &unsharded)]).finish();
     assert!(multi.contains("\"name\":\"mu\\\"tex \\\\ 8t\\n\\u0001\u{e9}\""));
     assert!(multi.contains("\"dropped\":18"));
-    assert_eq!(pin(&chrome_trace(&t)), (3_158, 5_160_348_601_879_579_426));
-    assert_eq!(pin(&jsonl(&t)), (1_306, 4_789_752_791_316_283_630));
-    assert_eq!(pin(&multi), (3_762, 5_899_107_726_613_848_398));
+    assert_eq!(pin(&chrome_trace(&t)), (3_158, 7_308_364_931_481_490_561));
+    assert_eq!(pin(&jsonl(&t)), (1_306, 10_372_911_001_050_626_359));
+    assert_eq!(pin(&multi), (3_762, 8_232_223_566_525_034_541));
 }
 
 /// The same three documents over the seeded 8-thread Mutex run whose
@@ -313,6 +318,242 @@ fn exports_of_the_pinned_mutex_run_are_byte_identical() {
     assert_eq!(pin(&jsonl(t)), (591_894, 3_029_437_841_341_398_482));
     let multi = ChromeDoc::new(&[("mutex 8t", t), ("mutex 8t again", t)]).finish();
     assert_eq!(pin(&multi), (2_270_254, 11_595_743_826_388_110_321));
+}
+
+/// One small traced world per lock kind that together make the runtime
+/// emit every `EventKind`: the Mutex world runs over a dropping and
+/// duplicating fabric (fault, retransmit and dup-drop records), the
+/// Ticket world issues a put, a get and an accumulate, and the Priority
+/// world sends one message per thread through the communicator before
+/// moving the rest through bound streams (lock-free `stream` passages). Every world sends messages, so each carries flow records.
+fn every_kind_worlds() -> [(Method, RunOutcome); 3] {
+    let cfg = |m| {
+        RunConfig::new(m)
+            .nodes(2)
+            .ranks_per_node(1)
+            .threads_per_rank(2)
+            .window_bytes(64)
+    };
+    let lossy = FaultPlan {
+        seed: 0xBAD_CAB1E,
+        drop_ppm: 150_000,
+        dup_ppm: 150_000,
+        ..FaultPlan::none()
+    };
+    let mutex = Experiment::with_seed(2, 61).trace(true).faults(lossy).run(
+        cfg(Method::Mutex).threads_per_rank(1),
+        |ctx| {
+            let h = ctx.rank.world_comm();
+            let peer = 1 - h.rank();
+            for i in 0..12 {
+                if h.rank() == 0 {
+                    h.send(peer, i, MsgData::Synthetic(128));
+                } else {
+                    let _ = h.recv(Some(peer), Some(i));
+                }
+            }
+            // The closing handshake keeps both progress engines alive
+            // while a last data packet may still need a retransmit.
+            if h.rank() == 0 {
+                let _ = h.recv(Some(peer), Some(900));
+                h.send(peer, 901, MsgData::Synthetic(1));
+            } else {
+                h.send(peer, 900, MsgData::Synthetic(1));
+                let _ = h.recv(Some(peer), Some(901));
+            }
+        },
+    );
+    let ticket = Experiment::with_seed(2, 62)
+        .trace(true)
+        .run(cfg(Method::Ticket), |ctx| {
+            let h = &ctx.rank;
+            let c = h.world_comm();
+            let tag = ctx.thread as i32;
+            for _ in 0..3 {
+                if h.rank() == 0 {
+                    c.send(1, tag, MsgData::Synthetic(64));
+                    let _ = c.recv(Some(1), Some(tag));
+                } else {
+                    let _ = c.recv(Some(0), Some(tag));
+                    c.send(0, tag, MsgData::Synthetic(64));
+                }
+            }
+            if ctx.thread == 0 {
+                if h.rank() == 0 {
+                    h.put(1, 0, MsgData::Bytes(vec![7u8; 16]));
+                    let _ = h.get(1, 0, 16);
+                    h.accumulate(1, 16, MsgData::Bytes(vec![0u8; 16]));
+                }
+                h.barrier();
+            }
+        });
+    let priority = Experiment::with_seed(2, 63).trace(true).run(
+        cfg(Method::Priority).vci_map(VciMap::by_tag(2)).streams(2),
+        |ctx| {
+            let c = ctx.rank.world_comm();
+            let peer = 1 - c.rank();
+            let tag = ctx.thread as i32;
+            if peer == 1 {
+                c.send(peer, tag, MsgData::Synthetic(32));
+            } else {
+                let _ = c.recv(Some(peer), Some(tag));
+            }
+            let s = ctx.rank.stream_at(ctx.thread);
+            for _ in 0..4 {
+                if peer == 1 {
+                    s.send(peer, tag, MsgData::Synthetic(32));
+                    let _ = s.recv(Some(peer), Some(tag));
+                } else {
+                    let _ = s.recv(Some(peer), Some(tag));
+                    s.send(peer, tag, MsgData::Synthetic(32));
+                }
+            }
+        },
+    );
+    [
+        (Method::Mutex, mutex),
+        (Method::Ticket, ticket),
+        (Method::Priority, priority),
+    ]
+}
+
+/// `chrome_trace`, `jsonl` and `ProfReport::to_json` of
+/// [`every_kind_worlds`], pinned by `(len, FNV-1a)`: the recorded
+/// events' in-memory layout may change, the rendered bytes may not
+/// (constants cut before the event shrank from 72 to 48 bytes).
+#[test]
+fn exports_of_worlds_emitting_every_event_kind_are_pinned() {
+    let mut kinds = [0usize; 9];
+    let mut all_lines = String::new();
+    let mut got = Vec::new();
+    for (method, out) in every_kind_worlds() {
+        let t = out
+            .timeline
+            .as_ref()
+            .expect("traced run keeps its timeline");
+        assert_eq!(t.dropped, 0, "{method:?}");
+        for e in &t.events {
+            kinds[match e.kind {
+                EventKind::CsSpan { .. } => 0,
+                EventKind::Req { .. } => 1,
+                EventKind::PollBatch { .. } => 2,
+                EventKind::Rma { .. } => 3,
+                EventKind::FaultInjected { .. } => 4,
+                EventKind::Retransmit { .. } => 5,
+                EventKind::DupDrop { .. } => 6,
+                EventKind::FlowSend { .. } => 7,
+                EventKind::FlowRecv { .. } => 8,
+            }] += 1;
+        }
+        let mut latency = Histogram::new();
+        for r in 0..out.nranks {
+            latency.merge(&out.stats(r).msg_latency_ns);
+        }
+        let lines = jsonl(t);
+        got.push((
+            method,
+            [
+                pin(&chrome_trace(t)),
+                pin(&lines),
+                pin(&ProfReport::analyze(t, &latency).to_json()),
+            ],
+        ));
+        all_lines += &lines;
+    }
+    assert!(
+        kinds.iter().all(|&n| n > 0),
+        "a kind is never emitted: {kinds:?}"
+    );
+    for label in [
+        "\"kind\":\"mutex\"",
+        "\"kind\":\"ticket\"",
+        "\"kind\":\"priority\"",
+        "\"kind\":\"stream\"",
+        "\"op\":\"put\"",
+        "\"op\":\"get\"",
+        "\"op\":\"accumulate\"",
+        "\"fault\":\"drop\"",
+        "\"fault\":\"dup\"",
+    ] {
+        assert!(all_lines.contains(label), "no {label} rendered");
+    }
+    assert_eq!(
+        got,
+        [
+            (
+                Method::Mutex,
+                [
+                    (81_039, 7_493_197_218_861_800_803),
+                    (41_511, 6_930_125_883_640_299_178),
+                    (877, 18_342_184_310_947_749_681),
+                ],
+            ),
+            (
+                Method::Ticket,
+                [
+                    (61_571, 16_194_607_466_632_635_981),
+                    (31_593, 18_358_011_657_000_462_913),
+                    (1_976, 8_154_308_918_499_935_725),
+                ],
+            ),
+            (
+                Method::Priority,
+                [
+                    (89_368, 2_590_291_473_746_406_555),
+                    (37_088, 3_127_071_234_994_574_434),
+                    (1_193, 2_578_107_190_320_365_329),
+                ],
+            ),
+        ]
+    );
+}
+
+/// The virtual platform reports thread id `u64::MAX` off a simulated
+/// thread, which no event can carry (`Event::stamped` refuses it). No
+/// recording site is reachable there: each runs inside a critical
+/// section, entered through a lock, whose acquisition panics off a
+/// simulated thread before the passage begins, or through a bound
+/// stream, which cannot be bound there.
+#[test]
+fn nothing_records_off_a_simulated_thread() {
+    let p: Arc<dyn Platform> = Arc::new(VirtualPlatform::new(
+        presets::nehalem_cluster_scaled(2),
+        NetModel::qdr(),
+        LockModelParams::default(),
+        64,
+    ));
+    let rec = Arc::new(RingRecorder::with_shards(4, 16));
+    let w = World::builder(p.clone())
+        .ranks(2)
+        .rank_on_node(|r| r)
+        .lock(LockKind::Mutex)
+        .streams(1)
+        .recorder(rec.clone())
+        .build()
+        .expect("valid world");
+    assert_eq!(p.current_tid(), u64::MAX);
+    let h = w.rank(0);
+    assert_eq!(
+        h.try_stream_at(0).err(),
+        Some(StreamBindError::NoThread { rank: 0, sid: 0 })
+    );
+    assert_eq!(
+        h.try_stream().err(),
+        Some(StreamBindError::NoThread { rank: 0, sid: 0 })
+    );
+    let passage = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = h.world_comm().isend(1, 0, MsgData::Synthetic(8));
+    }));
+    let msg = passage.expect_err("a locked passage off a simulated thread");
+    let msg = msg
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| msg.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(msg.contains("outside a simulated thread"), "{msg}");
+    // SAFETY: no simulated thread ever ran, so nothing else records.
+    let t = unsafe { rec.drain_unsynced() };
+    assert!(t.is_empty() && t.dropped == 0, "{t:?}");
 }
 
 /// Every CS passage's `cs wait` and `cs hold` spans, parsed back: they
